@@ -36,15 +36,14 @@ def _overview() -> None:
     from .bench.experiments import ALL_EXPERIMENTS
     print(__doc__)
     print("Experiments (python -m repro bench <name> [--scale S]):")
-    for name, fn in ALL_EXPERIMENTS.items():
-        doc = (fn.__doc__ or "").strip().splitlines()[0]
-        print(f"  {name:<22s} {doc}")
+    for exp in ALL_EXPERIMENTS.values():
+        print(f"  {exp.exp_id:<22s} {exp.title}")
 
 
 def _demo() -> None:
     from .core import SpinnakerCluster, SpinnakerConfig
     from .sim.disk import DiskProfile
-    from .sim.process import spawn
+    from .sim.process import drive
     from .sim.tracing import Tracer
 
     tracer = Tracer()
@@ -60,9 +59,8 @@ def _demo() -> None:
         got = yield from client.get(b"demo", b"v", consistent=True)
         return got
 
-    proc = spawn(cluster.sim, session())
-    cluster.run_until(lambda: proc.triggered, limit=30.0, what="demo ops")
-    print(f"wrote and read back: {proc.result().value!r}\n")
+    got = drive(cluster, session(), limit=30.0, what="demo ops")
+    print(f"wrote and read back: {got.value!r}\n")
     t_kill = cluster.sim.now
     victim = cluster.kill_leader(0)
     cluster.run_until(lambda: cluster.leader_of(0) is not None,

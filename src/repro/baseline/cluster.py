@@ -7,6 +7,7 @@ from typing import Dict, List, Optional
 from ..core.partition import RangePartitioner
 from ..sim.events import Simulator
 from ..sim.network import LatencyModel, Network
+from ..sim.process import SimHost
 from ..sim.rng import RngRegistry
 from .client import CassandraClient
 from .config import CassandraConfig
@@ -15,7 +16,7 @@ from .node import CassandraNode
 __all__ = ["CassandraCluster"]
 
 
-class CassandraCluster:
+class CassandraCluster(SimHost):
     """A complete simulated baseline deployment.
 
     No coordination service exists (membership is static and there is no
@@ -42,18 +43,6 @@ class CassandraCluster:
             for name in names
         }
         self._clients: Dict[str, CassandraClient] = {}
-
-    def run(self, duration: float) -> None:
-        self.sim.run(until=self.sim.now + duration)
-
-    def run_until(self, predicate, limit: float, step: float = 0.05,
-                  what: str = "condition") -> None:
-        from ..sim.events import SimulationError
-        deadline = self.sim.now + limit
-        while not predicate():
-            if self.sim.now >= deadline:
-                raise SimulationError(f"timed out waiting for {what}")
-            self.sim.run(until=min(self.sim.now + step, deadline))
 
     def client(self, name: str = "cclient0") -> CassandraClient:
         client = self._clients.get(name)

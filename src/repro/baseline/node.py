@@ -24,8 +24,7 @@ from typing import Dict, List
 from ..sim.disk import LogDevice
 from ..sim.events import Event, Simulator
 from ..sim.network import Network, Request, RpcTimeout
-from ..sim.process import (Process, ProcessKilled, all_of, quorum, spawn,
-                           timeout)
+from ..sim.process import Supervisor, all_of, quorum, timeout
 from ..sim.resources import Resource, serve
 from ..sim.rng import RngRegistry
 from ..storage.engine import StorageEngine
@@ -73,31 +72,14 @@ class CassandraNode:
         self.hints: Dict[str, List[ReplicaWrite]] = {}
         #: peers suspected down (name -> suspicion expiry time)
         self.suspected: Dict[str, float] = {}
-        #: live handler processes in spawn order (ordered-set via dict;
-        #: crash-time interrupt order must be deterministic)
-        self._procs: Dict[Process, None] = {}
-        self.failures: List[BaseException] = []
+        #: handler processes, killed on crash (as in SpinnakerNode)
+        self.supervisor = Supervisor(sim, name)
+        self.spawn_proc = self.supervisor.spawn
+        self.failures = self.supervisor.failures
         self.writes_coordinated = 0
         self.reads_coordinated = 0
         self.read_repairs = 0
         self.spawn_proc(self._hint_replayer(), "hints")
-
-    # ------------------------------------------------------------------
-    # Supervision (mirrors SpinnakerNode)
-    # ------------------------------------------------------------------
-    def spawn_proc(self, gen, name: str = "") -> Process:
-        proc = spawn(self.sim, gen, name=f"{self.name}:{name}")
-        self._procs[proc] = None
-
-        def _done(ev):
-            self._procs.pop(proc, None)
-            if not ev._ok:
-                ev.defuse()
-                if not isinstance(ev._value, ProcessKilled):
-                    self.failures.append(ev._value)
-
-        proc.add_callback(_done)
-        return proc
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -106,9 +88,7 @@ class CassandraNode:
         if not self.alive:
             return
         self.alive = False
-        for proc in list(self._procs):
-            proc.interrupt("crash")
-        self._procs.clear()
+        self.supervisor.kill_all()
         self.endpoint.crash()
         self.device.crash()
         self.wal.crash()

@@ -1,47 +1,50 @@
-"""One function per table/figure of the paper's evaluation (§9, §D).
+"""The paper's evaluation (§9, §D) as one registry of experiments.
 
-Every function returns an :class:`ExperimentResult` holding labelled
-series (lists of :class:`~repro.bench.harness.LoadPoint` or plain rows)
-plus automated *shape checks* — the acceptance criteria from DESIGN.md
-(who wins, by roughly what factor).  ``scale`` trades fidelity for wall
-time: 1.0 runs the full sweeps recorded in EXPERIMENTS.md; the benchmark
-suite defaults to a smaller scale.
+Appendix C's method — closed-loop client threads swept by doubling, a
+fresh cluster per load point, both stores on identical hardware — is
+written once, as :class:`Sweep` over :func:`~repro.bench.harness.curves`;
+each sweep-shaped figure is a table entry of arms, a thread ladder and a
+verdict.  The scenario experiments (recovery, elasticity, WAN, tuning)
+stay plain functions over :func:`~repro.sim.process.drive` and a few
+shared helpers.  Either way an experiment fills an
+:class:`ExperimentResult`: labelled series (lists of
+:class:`~repro.bench.harness.LoadPoint` or plain rows) plus automated
+*shape checks* — the acceptance criteria from DESIGN.md (who wins, by
+roughly what factor).  ``scale`` trades fidelity for wall time: 1.0 runs
+the full sweeps recorded in EXPERIMENTS.md; the benchmark suite defaults
+to a smaller scale.
+
+:data:`ALL_EXPERIMENTS` is the only list of experiments: the report, the
+CLI, ``benchmarks/`` and the docs check all read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..baseline import CassandraConfig
+from ..chaos.catchup import write_burst
 from ..chaos.invariants import InvariantAuditor
 from ..chaos.nemesis import FaultEvent, arm_schedule
-from ..core import SpinnakerCluster, SpinnakerConfig
+from ..core import Role, SpinnakerCluster, SpinnakerConfig
 from ..core.checker import HistoryRecorder, check_strong_history
 from ..core.datamodel import DatastoreError, RequestTimeout
 from ..core.partition import key_of
 from ..core.rebalance import Rebalancer, plan_join
 from ..sim.disk import DiskProfile
 from ..sim.metrics import Histogram
-from ..sim.process import spawn, timeout
+from ..sim.process import all_of, drive, spawn, timeout
 from ..sim.topology import Topology
-from .harness import CassandraTarget, LoadPoint, SpinnakerTarget, run_load
+from .harness import (CassandraTarget, LoadPoint, SpinnakerTarget, curves,
+                      scaled_ladder, scaled_ops, traced_point)
 from .openloop import PoissonArrivals, run_open_load
-from .workload import (VALUE_SIZE, conditional_put_workload, mixed_workload,
-                       read_workload, write_workload)
+from .workload import (VALUE_SIZE, Workload, conditional_put_workload,
+                       mixed_workload, read_workload, write_workload)
 
-__all__ = [
-    "ExperimentResult",
-    "fig8_read_latency", "fig9_write_latency", "table1_recovery",
-    "fig11_scaling", "fig11_elastic", "fig12_mixed", "fig12_scale",
-    "fig13_ssd",
-    "fig14_conditional_put", "fig_recovery", "fig_wan", "fig_tune",
-    "fig15_weak_writes", "fig16_memory_log",
-    "ablation_parallel_propose", "ablation_group_commit",
-    "ablation_piggyback_commits", "ablation_skewed_reads",
-    "ablation_batching",
-    "ALL_EXPERIMENTS", "PHASE_PROBES",
-]
+__all__ = ["ExperimentResult", "Experiment", "Sweep", "ALL_EXPERIMENTS"]
+
+Series = Dict[str, List[LoadPoint]]
+Verdict = Tuple[Dict[str, bool], str]       # (shape checks, notes)
 
 
 @dataclass
@@ -62,22 +65,70 @@ class ExperimentResult:
         return all(self.checks.values())
 
 
-def _threads(base: List[int], scale: float, floor: int = 2) -> List[int]:
-    out = []
-    for t in base:
-        scaled = max(floor, int(round(t * scale)))
-        if not out or scaled > out[-1]:
-            out.append(scaled)
-    return out
+@dataclass(frozen=True)
+class Experiment:
+    """One registry row; calling it runs the experiment."""
+
+    exp_id: str
+    title: str
+    #: ``body(result, scale, seed, **kwargs)`` fills the result: a
+    #: :class:`Sweep` or a plain scenario function
+    body: Callable[..., None]
+    seed: int = 1
+    #: the smoke tier (``benchmarks/``) raises ``REPRO_BENCH_SCALE`` to
+    #: this where a smaller run cannot show the shape being checked
+    smoke_floor: float = 0.0
+    #: traced probe filling ``ExperimentResult.phases``, where defined
+    probe: Optional[Callable[..., Dict[str, dict]]] = None
+
+    def __call__(self, scale: float = 1.0, seed: Optional[int] = None,
+                 **kwargs) -> ExperimentResult:
+        seed = self.seed if seed is None else seed
+        result = ExperimentResult(self.exp_id, self.title)
+        self.body(result, scale, seed, **kwargs)
+        if self.probe is not None:
+            result.phases = self.probe(seed=seed, **kwargs)
+        return result
 
 
-def _ops(scale: float, base: int = 50) -> int:
-    return max(15, int(round(base * min(1.0, scale * 2))))
+#: one curve of a sweep: (target class, its config overrides, workload)
+ArmSpec = Tuple[type, Dict[str, object], Workload]
 
 
-def _phase_probe(spin_cfg=None, workload=None, threads: int = 16,
-                 ops: int = 30, n_nodes: int = 10,
-                 seed: int = 1) -> Dict[str, dict]:
+def _fresh(target_cls, n_nodes: int, seed: int,
+           **knobs) -> Callable[[], object]:
+    """Factory of fresh targets; ``knobs`` override config fields."""
+    config = target_cls.config_class(**knobs) if knobs else None
+    return lambda: target_cls(n_nodes, config=config, seed=seed)
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """A sweep-shaped experiment body: Appendix C's method as data.
+
+    Every arm is swept over the same scaled thread ladder, a fresh
+    cluster per load point; ``verdict(series, scale)`` turns the curves
+    into shape checks and notes.
+    """
+
+    ladder: Sequence[int]
+    arms: Dict[str, ArmSpec]
+    verdict: Callable[[Series, float], Verdict]
+    ops: int = 40
+    warmup: int = 10
+
+    def __call__(self, result: ExperimentResult, scale: float, seed: int,
+                 n_nodes: int = 10) -> None:
+        result.series = curves(
+            {label: (_fresh(cls, n_nodes, seed, **knobs), workload)
+             for label, (cls, knobs, workload) in self.arms.items()},
+            scaled_ladder(self.ladder, scale),
+            scaled_ops(scale, self.ops), self.warmup)
+        result.checks, result.notes = self.verdict(result.series, scale)
+
+
+def _phase_probe(n_nodes: int = 10, seed: int = 1, workload=None,
+                 **knobs) -> Dict[str, dict]:
     """One fixed-size traced load point for per-phase attribution.
 
     Deliberately *not* scaled by ``scale``: the probe is cheap (a few
@@ -86,38 +137,12 @@ def _phase_probe(spin_cfg=None, workload=None, threads: int = 16,
     report scales.  The probe runs a separate cluster from the latency
     sweeps, so tracing overhead can never contaminate the curves.
     """
-    from ..obs import RequestTracer, phase_summary
-    tracer = RequestTracer(sample_every=1)
-    target = SpinnakerTarget(n_nodes, config=spin_cfg, seed=seed,
-                             request_tracer=tracer)
-    run_load(target, workload or write_workload(), threads,
-             ops_per_thread=ops, warmup_ops=8)
+    from ..obs import phase_summary
+    _, tracer = traced_point(
+        workload or write_workload(), threads=16, ops_per_thread=30,
+        n_nodes=n_nodes, seed=seed,
+        config=SpinnakerConfig(**knobs) if knobs else None)
     return phase_summary(tracer)
-
-
-#: Experiments with a phase-attribution probe: exp_id -> probe callable.
-#: ``bench/report.py`` uses this both when building fresh reports and to
-#: refresh only the ``phases`` sections of an existing report.
-PHASE_PROBES: Dict[str, Callable[..., Dict[str, dict]]] = {
-    "fig8": lambda seed=1, n_nodes=10: _phase_probe(
-        workload=read_workload("strong", preload_rows=500),
-        n_nodes=n_nodes, seed=seed),
-    "fig9": lambda seed=1, n_nodes=10: _phase_probe(
-        n_nodes=n_nodes, seed=seed),
-    "fig13": lambda seed=1, n_nodes=10: _phase_probe(
-        spin_cfg=SpinnakerConfig(log_profile=DiskProfile.ssd_log()),
-        n_nodes=n_nodes, seed=seed),
-    "fig16": lambda seed=1, n_nodes=10: _phase_probe(
-        spin_cfg=SpinnakerConfig(log_profile=DiskProfile.memory_log()),
-        n_nodes=n_nodes, seed=seed),
-    # Same mixed workload as the open-loop scale sweep, at probe size:
-    # per-phase attribution is per-request and size-invariant, so the
-    # small traced cluster explains where the big sweep's latency goes.
-    "fig12-scale": lambda seed=1, n_nodes=10: _phase_probe(
-        spin_cfg=SpinnakerConfig(log_profile=DiskProfile.ssd_log()),
-        workload=mixed_workload(0.2, "strong"),
-        n_nodes=n_nodes, seed=seed),
-}
 
 
 def _interp_at(points: List[LoadPoint], load: float) -> Optional[float]:
@@ -143,32 +168,17 @@ def _max_load(points: List[LoadPoint]) -> float:
 # Figure 8: average read latency vs load
 # ---------------------------------------------------------------------------
 
-def fig8_read_latency(scale: float = 1.0, seed: int = 1,
-                      n_nodes: int = 10) -> ExperimentResult:
+def _reads(mode: str, distribution: str = "uniform") -> Workload:
+    return replace(read_workload(mode, preload_rows=500),
+                   key_distribution=distribution)
+
+
+def fig8_read_latency(series: Series, scale: float) -> Verdict:
     """§9.1: Spinnaker consistent/timeline vs Cassandra quorum/weak."""
-    ths = _threads([8, 24, 64, 128, 256, 384, 512], scale)
-    ops = _ops(scale)
-    result = ExperimentResult("fig8", "Average read latency vs load")
-
-    def sweep_reads(label, factory, mode):
-        wl = read_workload(mode, preload_rows=500)
-        result.series[label] = [
-            run_load(factory(), wl, t, ops_per_thread=ops, warmup_ops=15)
-            for t in ths]
-
-    sweep_reads("spinnaker-consistent",
-                lambda: SpinnakerTarget(n_nodes, seed=seed), "strong")
-    sweep_reads("spinnaker-timeline",
-                lambda: SpinnakerTarget(n_nodes, seed=seed), "timeline")
-    sweep_reads("cassandra-quorum",
-                lambda: CassandraTarget(n_nodes, seed=seed), "quorum")
-    sweep_reads("cassandra-weak",
-                lambda: CassandraTarget(n_nodes, seed=seed), "weak")
-
-    cons = result.series["spinnaker-consistent"]
-    tl = result.series["spinnaker-timeline"]
-    quo = result.series["cassandra-quorum"]
-    weak = result.series["cassandra-weak"]
+    cons = series["spinnaker-consistent"]
+    tl = series["spinnaker-timeline"]
+    quo = series["cassandra-quorum"]
+    weak = series["cassandra-weak"]
     # Shape checks (paper: quorum 1.5x-3.0x worse; knee sooner;
     # timeline ~= weak).
     ratios = []
@@ -176,69 +186,58 @@ def fig8_read_latency(scale: float = 1.0, seed: int = 1,
         base = _interp_at(cons, point.throughput)
         if base:
             ratios.append(point.mean_ms / base)
-    result.checks["quorum_read_1.5x_to_3x_slower"] = (
-        bool(ratios) and max(ratios) >= 1.5 and min(ratios) >= 1.0)
-    result.checks["quorum_knee_before_consistent"] = (
-        _max_load(quo) < 0.8 * _max_load(cons))
     tl_low, weak_low = tl[0].mean_ms, weak[0].mean_ms
-    result.checks["timeline_matches_weak"] = (
-        abs(tl_low - weak_low) / weak_low < 0.25)
-    result.notes = (f"low-load ms: consistent={cons[0].mean_ms:.2f} "
-                    f"timeline={tl_low:.2f} quorum={quo[0].mean_ms:.2f} "
-                    f"weak={weak_low:.2f}")
-    result.phases = PHASE_PROBES["fig8"](seed=seed, n_nodes=n_nodes)
-    return result
+    return {
+        "quorum_read_1.5x_to_3x_slower": (
+            bool(ratios) and max(ratios) >= 1.5 and min(ratios) >= 1.0),
+        "quorum_knee_before_consistent": (
+            _max_load(quo) < 0.8 * _max_load(cons)),
+        "timeline_matches_weak": abs(tl_low - weak_low) / weak_low < 0.25,
+    }, (f"low-load ms: consistent={cons[0].mean_ms:.2f} "
+        f"timeline={tl_low:.2f} quorum={quo[0].mean_ms:.2f} "
+        f"weak={weak_low:.2f}")
+
+
+FIG8 = Sweep([8, 24, 64, 128, 256, 384, 512], {
+    "spinnaker-consistent": (SpinnakerTarget, {}, _reads("strong")),
+    "spinnaker-timeline": (SpinnakerTarget, {}, _reads("timeline")),
+    "cassandra-quorum": (CassandraTarget, {}, _reads("quorum")),
+    "cassandra-weak": (CassandraTarget, {}, _reads("weak")),
+}, fig8_read_latency, ops=50, warmup=15)
 
 
 # ---------------------------------------------------------------------------
 # Figure 9: average write latency vs load (SATA log)
 # ---------------------------------------------------------------------------
 
-def _write_sweep(result, ths, ops, spin_cfg=None, cass_cfg=None,
-                 seed=1, n_nodes=10, spin_label="spinnaker-writes",
-                 cass_label="cassandra-quorum-writes",
-                 cass_mode="quorum", include_cassandra=True):
-    wl_spin = write_workload()
-    result.series[spin_label] = [
-        run_load(SpinnakerTarget(n_nodes, config=spin_cfg, seed=seed),
-                 wl_spin, t, ops_per_thread=ops, warmup_ops=10)
-        for t in ths]
-    if include_cassandra:
-        wl_cass = write_workload(cass_mode)
-        result.series[cass_label] = [
-            run_load(CassandraTarget(n_nodes, config=cass_cfg, seed=seed),
-                     wl_cass, t, ops_per_thread=ops, warmup_ops=10)
-            for t in ths]
-
-
-def fig9_write_latency(scale: float = 1.0, seed: int = 1,
-                       n_nodes: int = 10) -> ExperimentResult:
+def fig9_write_latency(series: Series, scale: float) -> Verdict:
     """§9.2: Spinnaker writes 5-10% slower than Cassandra quorum writes."""
-    ths = _threads([4, 8, 16, 32, 64, 96], scale)
-    result = ExperimentResult("fig9", "Average write latency vs load")
-    _write_sweep(result, ths, _ops(scale, 40), seed=seed, n_nodes=n_nodes)
-    spin = result.series["spinnaker-writes"]
-    cass = result.series["cassandra-quorum-writes"]
+    spin = series["spinnaker-writes"]
+    cass = series["cassandra-quorum-writes"]
     gaps = [s.mean_ms / c.mean_ms - 1.0 for s, c in zip(spin, cass)]
     mean_gap = sum(gaps) / len(gaps)
     # Paper: 5-10% across the board.  Individual points are noisy at
     # small sample sizes, so bound each loosely and the mean tightly.
-    result.checks["per_point_gap_reasonable"] = all(
-        -0.08 <= g <= 0.25 for g in gaps)
-    result.checks["mean_gap_roughly_5_to_10pct"] = 0.02 <= mean_gap <= 0.18
-    result.notes = (f"mean gap {mean_gap:+.1%}; per point: "
-                    + ", ".join(f"{g:+.1%}" for g in gaps))
-    result.phases = PHASE_PROBES["fig9"](seed=seed, n_nodes=n_nodes)
-    return result
+    return {
+        "per_point_gap_reasonable": all(-0.08 <= g <= 0.25 for g in gaps),
+        "mean_gap_roughly_5_to_10pct": 0.02 <= mean_gap <= 0.18,
+    }, (f"mean gap {mean_gap:+.1%}; per point: "
+        + ", ".join(f"{g:+.1%}" for g in gaps))
+
+
+FIG9 = Sweep([4, 8, 16, 32, 64, 96], {
+    "spinnaker-writes": (SpinnakerTarget, {}, write_workload()),
+    "cassandra-quorum-writes": (CassandraTarget, {},
+                                write_workload("quorum")),
+}, fig9_write_latency)
 
 
 # ---------------------------------------------------------------------------
 # Table 1: cohort recovery time vs commit period
 # ---------------------------------------------------------------------------
 
-def table1_recovery(scale: float = 1.0, seed: int = 2,
-                    commit_periods: Optional[List[float]] = None
-                    ) -> ExperimentResult:
+def table1_recovery(result: ExperimentResult, scale: float, seed: int,
+                    commit_periods: Optional[List[float]] = None) -> None:
     """§D.1: leader killed; recovery time proportional to commit period.
 
     Per the paper, the coordination-service failure-detection timeout is
@@ -247,13 +246,7 @@ def table1_recovery(scale: float = 1.0, seed: int = 2,
     periods = commit_periods or [1.0, 5.0, 10.0, 15.0]
     if scale < 0.5:
         periods = [p for p in periods if p <= 5.0] or periods[:2]
-    result = ExperimentResult(
-        "table1", "Cohort recovery time vs commit period")
-    rows = []
-    for period in periods:
-        recovery = _measure_recovery(period, seed)
-        rows.append({"commit_period_s": period,
-                     "recovery_time_s": round(recovery, 3)})
+    rows = _recovery_rows(periods, seed)
     result.series["recovery"] = rows
     times = [r["recovery_time_s"] for r in rows]
     result.checks["recovery_grows_with_commit_period"] = all(
@@ -270,31 +263,27 @@ def table1_recovery(scale: float = 1.0, seed: int = 2,
         result.checks["roughly_linear_slope"] = 0.01 < slope < 1.0
         result.notes = (f"slope={slope:.3f} s/s (paper ~0.26 s/s "
                         f"unbatched; batched re-propose shrinks it)")
-    return result
 
 
-def _measure_recovery(commit_period: float, seed: int,
-                      config: Optional[SpinnakerConfig] = None) -> float:
-    cfg = config or SpinnakerConfig()
-    cfg.commit_period = commit_period
+def _recovery_rows(periods: List[float], seed: int, **knobs) -> List[dict]:
+    return [{"commit_period_s": period,
+             "recovery_time_s": round(
+                 _measure_recovery(period, seed, **knobs), 3)}
+            for period in periods]
+
+
+def _measure_recovery(commit_period: float, seed: int, **knobs) -> float:
+    cfg = SpinnakerConfig(commit_period=commit_period, **knobs)
     cluster = SpinnakerCluster(n_nodes=5, config=cfg, seed=seed)
     cluster.start()
     client = cluster.client("t1client")
     cohort_id = 0
     # A single client writes 4KB values routed to one cohort (§D.1).
-    keys = []
-    i = 0
-    while len(keys) < 5000:
-        key = b"t1-%d" % i
-        if cluster.partitioner.cohort_for_key(
-                key_of(key)).cohort_id == cohort_id:
-            keys.append(key)
-        i += 1
+    keys = cluster.keys_in_cohort(cohort_id, 5000, b"t1-")
     stop = {"stop": False}
     value = b"x" * VALUE_SIZE
 
     def writer():
-        from ..core.datamodel import DatastoreError
         for key in keys:
             if stop["stop"]:
                 return
@@ -327,69 +316,60 @@ def _measure_recovery(commit_period: float, seed: int,
 # Figure 11: write latency vs cluster size (EC2)
 # ---------------------------------------------------------------------------
 
-def fig11_scaling(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
+def fig11_scaling(result: ExperimentResult, scale: float,
+                  seed: int) -> None:
     """§D.2: latency stays ~flat as the cluster grows (fixed per-node
     load).  EC2 could not disable the disk write cache, so the EC2 disk
     profile applies."""
     sizes = [20, 40, 80] if scale >= 1.0 else [10, 20, 40]
     threads_per_node = 3
-    ops = _ops(scale, 40)
-    result = ExperimentResult("fig11",
-                              "Write latency vs cluster size (EC2)")
-    spin_rows, cass_rows = [], []
+    ops = scaled_ops(scale, 40)
     for n in sizes:
-        spin_cfg = SpinnakerConfig(log_profile=DiskProfile.ec2_log())
-        cass_cfg = CassandraConfig(log_profile=DiskProfile.ec2_log())
-        spin = run_load(SpinnakerTarget(n, config=spin_cfg, seed=seed),
-                        write_workload(), n * threads_per_node,
-                        ops_per_thread=ops, warmup_ops=10)
-        cass = run_load(CassandraTarget(n, config=cass_cfg, seed=seed),
-                        write_workload("quorum"), n * threads_per_node,
-                        ops_per_thread=ops, warmup_ops=10)
-        spin_rows.append({"nodes": n, "mean_ms": spin.mean_ms,
-                          "throughput": spin.throughput})
-        cass_rows.append({"nodes": n, "mean_ms": cass.mean_ms,
-                          "throughput": cass.throughput})
-    result.series["spinnaker-writes"] = spin_rows
-    result.series["cassandra-quorum-writes"] = cass_rows
+        points = curves({
+            "spinnaker-writes": (
+                _fresh(SpinnakerTarget, n, seed,
+                       log_profile=DiskProfile.ec2_log()),
+                write_workload()),
+            "cassandra-quorum-writes": (
+                _fresh(CassandraTarget, n, seed,
+                       log_profile=DiskProfile.ec2_log()),
+                write_workload("quorum"))},
+            [n * threads_per_node], ops)
+        for label, (point,) in points.items():
+            result.series.setdefault(label, []).append(
+                {"nodes": n, "mean_ms": point.mean_ms,
+                 "throughput": point.throughput})
     for label, rows in result.series.items():
         lats = [r["mean_ms"] for r in rows]
         result.checks[f"{label}_flat"] = max(lats) / min(lats) < 1.35
-    return result
 
 
 # ---------------------------------------------------------------------------
 # Figure 12: mixed workload, latency vs write percentage
 # ---------------------------------------------------------------------------
 
-def fig12_mixed(scale: float = 1.0, seed: int = 1,
-                n_nodes: int = 10) -> ExperimentResult:
+def fig12_mixed(result: ExperimentResult, scale: float, seed: int,
+                n_nodes: int = 10) -> None:
     """§D.3: fixed load (2 client threads), write %% swept 0-60%."""
     fractions = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
     if scale < 0.5:
         fractions = [0.0, 0.1, 0.3, 0.5]
-    ops = _ops(scale, 120)
+    ops = scaled_ops(scale, 120)
     threads = 2
-    result = ExperimentResult("fig12", "Mixed workload latency vs write %")
-
-    def series(label, factory, read_mode):
-        rows = []
-        for frac in fractions:
-            wl = mixed_workload(frac, read_mode)
-            point = run_load(factory(), wl, threads, ops_per_thread=ops,
-                             warmup_ops=10)
-            rows.append({"write_pct": int(frac * 100),
-                         "mean_ms": point.mean_ms})
-        result.series[label] = rows
-
-    series("spinnaker-consistent-mix",
-           lambda: SpinnakerTarget(n_nodes, seed=seed), "strong")
-    series("spinnaker-timeline-mix",
-           lambda: SpinnakerTarget(n_nodes, seed=seed), "timeline")
-    series("cassandra-quorum-mix",
-           lambda: CassandraTarget(n_nodes, seed=seed), "quorum")
-    series("cassandra-weak-mix",
-           lambda: CassandraTarget(n_nodes, seed=seed), "weak")
+    for label, target_cls, read_mode in (
+            ("spinnaker-consistent-mix", SpinnakerTarget, "strong"),
+            ("spinnaker-timeline-mix", SpinnakerTarget, "timeline"),
+            ("cassandra-quorum-mix", CassandraTarget, "quorum"),
+            ("cassandra-weak-mix", CassandraTarget, "weak")):
+        factory = _fresh(target_cls, n_nodes, seed)
+        # The swept axis is the write %, so each "arm" is one mix and
+        # the thread ladder has the single fixed rung.
+        by_pct = curves(
+            {int(frac * 100): (factory, mixed_workload(frac, read_mode))
+             for frac in fractions}, [threads], ops)
+        result.series[label] = [
+            {"write_pct": pct, "mean_ms": point.mean_ms}
+            for pct, (point,) in by_pct.items()]
 
     for label, rows in result.series.items():
         lats = [r["mean_ms"] for r in rows]
@@ -406,14 +386,13 @@ def fig12_mixed(scale: float = 1.0, seed: int = 1,
     result.checks["gap_narrows_or_flips_at_high_write_pct"] = (
         (cass[high] - spin[high]) / spin[high]
         < (cass[low] - spin[low]) / spin[low])
-    return result
 
 
 # ---------------------------------------------------------------------------
 # Open-loop scale-out (north-star experiment, beyond the paper)
 # ---------------------------------------------------------------------------
 
-def fig12_scale(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
+def fig12_scale(result: ExperimentResult, scale: float, seed: int) -> None:
     """Open-loop throughput scaling: node count swept to 512 under a
     fixed *per-node* Poisson offered load with ~2K modeled users per
     node (1,048,576 users at 512 nodes).
@@ -438,8 +417,6 @@ def fig12_scale(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
         users_per_node = 256
     per_node_rate = 30.0       # offered ops/sec per node, below the knee
     duration, warmup = 3.0, 1.0
-    result = ExperimentResult(
-        "fig12-scale", "Open-loop throughput scaling to 512 nodes")
     rows = []
     for n in sizes:
         cfg = SpinnakerConfig(log_profile=DiskProfile.ssd_log())
@@ -481,170 +458,136 @@ def fig12_scale(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
         f"(max/min {ratio:.3f}); {rows[-1]['users']:,} modeled users at "
         f"{sizes[-1]} nodes in {rows[-1]['user_state_mib']} MiB of "
         f"per-user state")
-    result.phases = PHASE_PROBES["fig12-scale"](seed=seed)
-    return result
 
 
 # ---------------------------------------------------------------------------
 # Figures 13-16 and ablations
 # ---------------------------------------------------------------------------
 
-def fig13_ssd(scale: float = 1.0, seed: int = 1,
-              n_nodes: int = 10) -> ExperimentResult:
+def fig13_ssd(series: Series, scale: float) -> Verdict:
     """§D.4: SSD log drops write latency to ~6 ms or less."""
-    ths = _threads([8, 24, 64, 128, 256], scale)
-    result = ExperimentResult("fig13", "Write latency with an SSD log")
-    _write_sweep(result, ths, _ops(scale, 40),
-                 spin_cfg=SpinnakerConfig(log_profile=DiskProfile.ssd_log()),
-                 cass_cfg=CassandraConfig(log_profile=DiskProfile.ssd_log()),
-                 seed=seed, n_nodes=n_nodes,
-                 spin_label="spinnaker-writes-ssd",
-                 cass_label="cassandra-quorum-writes-ssd")
-    spin = result.series["spinnaker-writes-ssd"]
-    cass = result.series["cassandra-quorum-writes-ssd"]
-    result.checks["most_points_under_6ms"] = (
-        sum(p.mean_ms <= 6.0 for p in spin + cass)
-        >= 0.7 * len(spin + cass))
-    result.notes = (f"spinnaker low-load {spin[0].mean_ms:.2f} ms; "
-                    f"cassandra {cass[0].mean_ms:.2f} ms")
-    result.phases = PHASE_PROBES["fig13"](seed=seed, n_nodes=n_nodes)
-    return result
+    spin = series["spinnaker-writes-ssd"]
+    cass = series["cassandra-quorum-writes-ssd"]
+    return {
+        "most_points_under_6ms": (
+            sum(p.mean_ms <= 6.0 for p in spin + cass)
+            >= 0.7 * len(spin + cass)),
+    }, (f"spinnaker low-load {spin[0].mean_ms:.2f} ms; "
+        f"cassandra {cass[0].mean_ms:.2f} ms")
 
 
-def fig14_conditional_put(scale: float = 1.0, seed: int = 1,
-                          n_nodes: int = 10) -> ExperimentResult:
+FIG13 = Sweep([8, 24, 64, 128, 256], {
+    "spinnaker-writes-ssd": (
+        SpinnakerTarget, {"log_profile": DiskProfile.ssd_log()},
+        write_workload()),
+    "cassandra-quorum-writes-ssd": (
+        CassandraTarget, {"log_profile": DiskProfile.ssd_log()},
+        write_workload("quorum")),
+}, fig13_ssd)
+
+
+def fig14_conditional_put(series: Series, scale: float) -> Verdict:
     """§D.5: conditional put marginally worse than regular put."""
-    ths = _threads([4, 8, 16, 32, 64, 96], scale)
-    ops = _ops(scale, 40)
-    result = ExperimentResult("fig14", "Conditional put vs regular put")
-    result.series["regular-put"] = [
-        run_load(SpinnakerTarget(n_nodes, seed=seed), write_workload(), t,
-                 ops_per_thread=ops, warmup_ops=10) for t in ths]
-    result.series["conditional-put"] = [
-        run_load(SpinnakerTarget(n_nodes, seed=seed),
-                 conditional_put_workload(), t,
-                 ops_per_thread=ops, warmup_ops=10) for t in ths]
-    reg = result.series["regular-put"]
-    cond = result.series["conditional-put"]
+    reg = series["regular-put"]
+    cond = series["conditional-put"]
     gaps = [c.mean_ms / r.mean_ms - 1.0 for c, r in zip(cond, reg)]
-    result.checks["conditional_marginally_worse"] = all(
-        -0.03 <= g <= 0.35 for g in gaps)
-    result.checks["conditional_not_free"] = sum(gaps) / len(gaps) > 0.0
-    result.notes = "gap per point: " + ", ".join(f"{g:+.1%}" for g in gaps)
-    return result
+    return {
+        "conditional_marginally_worse": all(
+            -0.03 <= g <= 0.35 for g in gaps),
+        "conditional_not_free": sum(gaps) / len(gaps) > 0.0,
+    }, "gap per point: " + ", ".join(f"{g:+.1%}" for g in gaps)
 
 
-def fig15_weak_writes(scale: float = 1.0, seed: int = 1,
-                      n_nodes: int = 10) -> ExperimentResult:
+FIG14 = Sweep([4, 8, 16, 32, 64, 96], {
+    "regular-put": (SpinnakerTarget, {}, write_workload()),
+    "conditional-put": (SpinnakerTarget, {}, conditional_put_workload()),
+}, fig14_conditional_put)
+
+
+def fig15_weak_writes(series: Series, scale: float) -> Verdict:
     """§D.6.1: Cassandra quorum writes 40-50% slower than weak writes."""
-    ths = _threads([4, 8, 16, 32, 64, 96], scale)
-    ops = _ops(scale, 40)
-    result = ExperimentResult("fig15", "Cassandra weak vs quorum writes")
-    result.series["cassandra-weak-writes"] = [
-        run_load(CassandraTarget(n_nodes, seed=seed),
-                 write_workload("weak"), t,
-                 ops_per_thread=ops, warmup_ops=10) for t in ths]
-    result.series["cassandra-quorum-writes"] = [
-        run_load(CassandraTarget(n_nodes, seed=seed),
-                 write_workload("quorum"), t,
-                 ops_per_thread=ops, warmup_ops=10) for t in ths]
-    weak = result.series["cassandra-weak-writes"]
-    quo = result.series["cassandra-quorum-writes"]
+    weak = series["cassandra-weak-writes"]
+    quo = series["cassandra-quorum-writes"]
     gaps = [q.mean_ms / w.mean_ms - 1.0 for q, w in zip(quo, weak)]
-    result.checks["quorum_25_to_70pct_slower"] = all(
-        0.10 <= g <= 0.80 for g in gaps)
-    result.notes = "gap per point: " + ", ".join(f"{g:+.0%}" for g in gaps)
-    return result
+    return {
+        "quorum_25_to_70pct_slower": all(0.10 <= g <= 0.80 for g in gaps),
+    }, "gap per point: " + ", ".join(f"{g:+.0%}" for g in gaps)
 
 
-def fig16_memory_log(scale: float = 1.0, seed: int = 1,
-                     n_nodes: int = 10) -> ExperimentResult:
+FIG15 = Sweep([4, 8, 16, 32, 64, 96], {
+    "cassandra-weak-writes": (CassandraTarget, {}, write_workload("weak")),
+    "cassandra-quorum-writes": (CassandraTarget, {},
+                                write_workload("quorum")),
+}, fig15_weak_writes)
+
+
+def fig16_memory_log(series: Series, scale: float) -> Verdict:
     """§D.6.2: commit to 2-of-3 main-memory logs → ~2 ms writes."""
-    ths = _threads([8, 24, 64, 128, 256], scale)
-    ops = _ops(scale, 40)
-    result = ExperimentResult("fig16", "Writes with a main-memory log")
-    cfg = SpinnakerConfig(log_profile=DiskProfile.memory_log())
-    result.series["spinnaker-writes-memlog"] = [
-        run_load(SpinnakerTarget(n_nodes, config=cfg, seed=seed),
-                 write_workload(), t, ops_per_thread=ops, warmup_ops=10)
-        for t in ths]
-    points = result.series["spinnaker-writes-memlog"]
-    result.checks["around_2ms_before_knee"] = (
-        min(p.mean_ms for p in points) <= 3.0)
-    result.notes = f"low-load latency {points[0].mean_ms:.2f} ms"
-    result.phases = PHASE_PROBES["fig16"](seed=seed, n_nodes=n_nodes)
-    return result
+    points = series["spinnaker-writes-memlog"]
+    return {
+        "around_2ms_before_knee": min(p.mean_ms for p in points) <= 3.0,
+    }, f"low-load latency {points[0].mean_ms:.2f} ms"
+
+
+FIG16 = Sweep([8, 24, 64, 128, 256], {
+    "spinnaker-writes-memlog": (
+        SpinnakerTarget, {"log_profile": DiskProfile.memory_log()},
+        write_workload()),
+}, fig16_memory_log)
 
 
 # ---------------------------------------------------------------------------
 # Ablations (design choices called out in DESIGN.md)
 # ---------------------------------------------------------------------------
 
-def ablation_parallel_propose(scale: float = 1.0,
-                              seed: int = 1) -> ExperimentResult:
+def ablation_parallel_propose(series: Series, scale: float) -> Verdict:
     """Fig. 4's parallel force+propose vs a naive serialized leader."""
-    ths = _threads([8, 32, 64], scale)
-    ops = _ops(scale, 40)
-    result = ExperimentResult(
-        "ablation-parallel", "Parallel vs serialized force+propose")
-    for label, flag in (("parallel", True), ("serialized", False)):
-        cfg = SpinnakerConfig(parallel_force_and_propose=flag)
-        result.series[label] = [
-            run_load(SpinnakerTarget(10, config=cfg, seed=seed),
-                     write_workload(), t, ops_per_thread=ops,
-                     warmup_ops=10) for t in ths]
-    par = result.series["parallel"]
-    ser = result.series["serialized"]
-    result.checks["parallel_is_faster"] = all(
-        p.mean_ms < s.mean_ms for p, s in zip(par, ser))
+    par = series["parallel"]
+    ser = series["serialized"]
     gaps = [s.mean_ms / p.mean_ms - 1.0 for p, s in zip(par, ser)]
-    result.notes = "serialized penalty: " + ", ".join(
-        f"{g:+.0%}" for g in gaps)
-    return result
+    return {
+        "parallel_is_faster": all(
+            p.mean_ms < s.mean_ms for p, s in zip(par, ser)),
+    }, "serialized penalty: " + ", ".join(f"{g:+.0%}" for g in gaps)
 
 
-def ablation_group_commit(scale: float = 1.0,
-                          seed: int = 1) -> ExperimentResult:
+ABLATION_PARALLEL = Sweep([8, 32, 64], {
+    "parallel": (SpinnakerTarget, {"parallel_force_and_propose": True},
+                 write_workload()),
+    "serialized": (SpinnakerTarget, {"parallel_force_and_propose": False},
+                   write_workload()),
+}, ablation_parallel_propose)
+
+
+def ablation_group_commit(series: Series, scale: float) -> Verdict:
     """Group commit [13] under concurrent writers."""
-    ths = _threads([16, 48, 96], scale)
-    ops = _ops(scale, 40)
-    result = ExperimentResult("ablation-groupcommit",
-                              "Group commit on vs off")
-    for label, flag in (("group-commit", True), ("no-group-commit", False)):
-        cfg = SpinnakerConfig(group_commit=flag)
-        result.series[label] = [
-            run_load(SpinnakerTarget(10, config=cfg, seed=seed),
-                     write_workload(), t, ops_per_thread=ops,
-                     warmup_ops=10) for t in ths]
-    on = result.series["group-commit"]
-    off = result.series["no-group-commit"]
-    result.checks["group_commit_helps_under_load"] = (
-        on[-1].mean_ms < off[-1].mean_ms)
-    return result
+    on = series["group-commit"]
+    off = series["no-group-commit"]
+    return {
+        "group_commit_helps_under_load": on[-1].mean_ms < off[-1].mean_ms,
+    }, ""
 
 
-def ablation_piggyback_commits(scale: float = 1.0,
-                               seed: int = 3) -> ExperimentResult:
+ABLATION_GROUP_COMMIT = Sweep([16, 48, 96], {
+    "group-commit": (SpinnakerTarget, {"group_commit": True},
+                     write_workload()),
+    "no-group-commit": (SpinnakerTarget, {"group_commit": False},
+                        write_workload()),
+}, ablation_group_commit)
+
+
+def ablation_piggyback_commits(result: ExperimentResult, scale: float,
+                               seed: int) -> None:
     """§D.1's note: piggybacking commit info on proposes shrinks the
     unresolved window, making recovery time ~independent of the commit
     period."""
     periods = [1.0, 5.0] if scale < 1.0 else [1.0, 5.0, 10.0]
-    result = ExperimentResult(
-        "ablation-piggyback", "Commit piggybacking vs recovery time")
-    rows_plain, rows_piggy = [], []
-    for period in periods:
-        # Batching off in both arms: batched takeover re-propose also
-        # flattens recovery, which would mask the effect this ablation
-        # isolates (the unresolved-window size).
-        plain = _measure_recovery(
-            period, seed, config=SpinnakerConfig(propose_batching=False))
-        cfg = SpinnakerConfig(piggyback_commits=True,
-                              propose_batching=False)
-        piggy = _measure_recovery(period, seed, config=cfg)
-        rows_plain.append({"commit_period_s": period,
-                           "recovery_time_s": round(plain, 3)})
-        rows_piggy.append({"commit_period_s": period,
-                           "recovery_time_s": round(piggy, 3)})
+    # Batching off in both arms: batched takeover re-propose also
+    # flattens recovery, which would mask the effect this ablation
+    # isolates (the unresolved-window size).
+    rows_plain = _recovery_rows(periods, seed, propose_batching=False)
+    rows_piggy = _recovery_rows(periods, seed, propose_batching=False,
+                                piggyback_commits=True)
     result.series["periodic-commit-msgs"] = rows_plain
     result.series["piggybacked-commits"] = rows_piggy
     spread_plain = (rows_plain[-1]["recovery_time_s"]
@@ -653,46 +596,37 @@ def ablation_piggyback_commits(scale: float = 1.0,
                     - rows_piggy[0]["recovery_time_s"])
     result.checks["piggyback_flattens_recovery"] = (
         spread_piggy < 0.5 * spread_plain)
-    return result
 
 
-def ablation_skewed_reads(scale: float = 1.0,
-                          seed: int = 1) -> ExperimentResult:
+def ablation_skewed_reads(series: Series, scale: float) -> Verdict:
     """Beyond the paper: Zipfian key skew concentrates strong reads on
     the hot range's leader, while timeline reads spread the hot range
     over its three replicas — quantifying the §8.3 trade-off ("all the
     reads for a cohort have to be routed to the cohort's leader")."""
-    ths = _threads([64, 160, 256], scale)
-    ops = _ops(scale, 40)
-    result = ExperimentResult(
-        "ablation-skew", "Uniform vs Zipfian reads (strong vs timeline)")
-    for label, mode, dist in (
-            ("strong-uniform", "strong", "uniform"),
-            ("strong-zipfian", "strong", "zipfian"),
-            ("timeline-zipfian", "timeline", "zipfian")):
-        wl = read_workload(mode, preload_rows=500)
-        wl.key_distribution = dist
-        result.series[label] = [
-            run_load(SpinnakerTarget(10, seed=seed), wl, t,
-                     ops_per_thread=ops, warmup_ops=15) for t in ths]
-    uniform = result.series["strong-uniform"]
-    skewed = result.series["strong-zipfian"]
-    timeline = result.series["timeline-zipfian"]
-    # Skew hurts strong reads (hot leader saturates)...
-    result.checks["skew_hurts_strong_reads"] = (
-        skewed[-1].mean_ms > 1.2 * uniform[-1].mean_ms)
-    # ...and timeline reads absorb the same skew far better.
-    result.checks["timeline_absorbs_skew"] = (
-        timeline[-1].mean_ms < skewed[-1].mean_ms)
-    result.notes = (f"at {ths[-1]} threads: strong-uniform "
-                    f"{uniform[-1].mean_ms:.1f} ms, strong-zipf "
-                    f"{skewed[-1].mean_ms:.1f} ms, timeline-zipf "
-                    f"{timeline[-1].mean_ms:.1f} ms")
-    return result
+    uniform = series["strong-uniform"]
+    skewed = series["strong-zipfian"]
+    timeline = series["timeline-zipfian"]
+    return {
+        # Skew hurts strong reads (hot leader saturates)...
+        "skew_hurts_strong_reads": (
+            skewed[-1].mean_ms > 1.2 * uniform[-1].mean_ms),
+        # ...and timeline reads absorb the same skew far better.
+        "timeline_absorbs_skew": timeline[-1].mean_ms < skewed[-1].mean_ms,
+    }, (f"at {uniform[-1].threads} threads: strong-uniform "
+        f"{uniform[-1].mean_ms:.1f} ms, strong-zipf "
+        f"{skewed[-1].mean_ms:.1f} ms, timeline-zipf "
+        f"{timeline[-1].mean_ms:.1f} ms")
 
 
-def ablation_batching(scale: float = 1.0,
-                      seed: int = 1) -> ExperimentResult:
+ABLATION_SKEW = Sweep([64, 160, 256], {
+    "strong-uniform": (SpinnakerTarget, {}, _reads("strong")),
+    "strong-zipfian": (SpinnakerTarget, {}, _reads("strong", "zipfian")),
+    "timeline-zipfian": (SpinnakerTarget, {},
+                         _reads("timeline", "zipfian")),
+}, ablation_skewed_reads, warmup=15)
+
+
+def ablation_batching(series: Series, scale: float) -> Verdict:
     """Leader proposal batching: where does the write knee move?
 
     Fig. 16's memory-log configuration isolates the per-message CPU
@@ -701,43 +635,42 @@ def ablation_batching(scale: float = 1.0,
     batcher should multiply peak throughput while an idle pipeline keeps
     flushing every write immediately (no low-load latency tax).
     """
-    ths = _threads([16, 128, 512, 1024], scale)
-    ops = _ops(scale, 40)
-    result = ExperimentResult(
-        "ablation-batching", "Proposal batching: throughput knee vs cap")
-    for label, cap in (("batching-off", None), ("batch-4", 4),
-                       ("batch-8", 8), ("batch-16", 16)):
-        cfg = SpinnakerConfig(log_profile=DiskProfile.memory_log())
-        if cap is None:
-            cfg.propose_batching = False
-        else:
-            cfg.propose_batch_max_records = cap
-        result.series[label] = [
-            run_load(SpinnakerTarget(10, config=cfg, seed=seed),
-                     write_workload(), t, ops_per_thread=ops,
-                     warmup_ops=10) for t in ths]
-    off = result.series["batching-off"]
-    b8 = result.series["batch-8"]
+    off = series["batching-off"]
+    b8 = series["batch-8"]
     peak_off, peak_b8 = _max_load(off), _max_load(b8)
+    checks = {}
     # The knee only shows once offered load saturates the unbatched
     # pipeline; smoke scales (< ~80 closed-loop threads) cannot drive it
     # there, so the throughput check needs a real sweep.
     if scale >= 0.25:
-        result.checks["batch8_peak_1_5x"] = peak_b8 >= 1.5 * peak_off
+        checks["batch8_peak_1_5x"] = peak_b8 >= 1.5 * peak_off
         # Past the sweet spot returns plateau: cap 16 must stay in the
         # batched regime (well above off), not beat cap 8.
-        result.checks["cap_16_stays_in_batched_regime"] = (
-            _max_load(result.series["batch-16"]) >= 0.85 * peak_b8)
-    result.checks["low_load_latency_within_5pct"] = (
+        checks["cap_16_stays_in_batched_regime"] = (
+            _max_load(series["batch-16"]) >= 0.85 * peak_b8)
+    checks["low_load_latency_within_5pct"] = (
         b8[0].mean_ms <= off[0].mean_ms * 1.05)
-    result.notes = (
+    return checks, (
         f"peak req/s: off={peak_off:.0f} "
-        f"b4={_max_load(result.series['batch-4']):.0f} "
+        f"b4={_max_load(series['batch-4']):.0f} "
         f"b8={peak_b8:.0f} "
-        f"b16={_max_load(result.series['batch-16']):.0f} "
+        f"b16={_max_load(series['batch-16']):.0f} "
         f"(knee shift {peak_b8 / peak_off:.2f}x); low-load ms: "
         f"off={off[0].mean_ms:.2f} b8={b8[0].mean_ms:.2f}")
-    return result
+
+
+def _batched(**knobs) -> ArmSpec:
+    return (SpinnakerTarget,
+            dict(knobs, log_profile=DiskProfile.memory_log()),
+            write_workload())
+
+
+ABLATION_BATCHING = Sweep([16, 128, 512, 1024], {
+    "batching-off": _batched(propose_batching=False),
+    "batch-4": _batched(propose_batch_max_records=4),
+    "batch-8": _batched(propose_batch_max_records=8),
+    "batch-16": _batched(propose_batch_max_records=16),
+}, ablation_batching)
 
 
 # ---------------------------------------------------------------------------
@@ -755,18 +688,6 @@ def _elastic_config() -> SpinnakerConfig:
     return cfg
 
 
-def _keys_in_cohort(cluster, cohort_id: int, count: int,
-                    prefix: bytes) -> List[bytes]:
-    keys, i = [], 0
-    while len(keys) < count:
-        key = prefix + b"%d" % i
-        if cluster.partitioner.cohort_for_key(
-                key_of(key)).cohort_id == cohort_id:
-            keys.append(key)
-        i += 1
-    return keys
-
-
 def _observed_heat(cluster) -> Dict[int, float]:
     """Per-cohort load from the replicas' served-op counters — the
     planner input, measured rather than assumed."""
@@ -778,6 +699,32 @@ def _observed_heat(cluster) -> Dict[int, float]:
     return heat
 
 
+def _audited_join(cluster, joiner: str, settle: float, mid_move=None):
+    """Split hot cohort 0 onto the fresh node ``joiner`` under the
+    invariant auditor; ``mid_move(rebalancer, plans)`` may inject faults
+    once the move is under way.  Returns (move seconds, converged,
+    invariant violations)."""
+    sim = cluster.sim
+    cluster.add_node(joiner)
+    plans = plan_join(cluster.partitioner, [joiner],
+                      heat={c.cohort_id: (100.0 if c.cohort_id == 0
+                                          else 1.0)
+                            for c in cluster.partitioner.cohorts})
+    auditor = InvariantAuditor(cluster)
+    audit = spawn(sim, auditor.run(period=0.25))
+    reb = Rebalancer(cluster)
+    t0 = sim.now
+    move = spawn(sim, reb.execute(plans, move_timeout=240.0))
+    if mid_move is not None:
+        mid_move(reb, plans)
+    drive(cluster, move, limit=300.0, what=f"rebalance onto {joiner}")
+    move_s = sim.now - t0
+    cluster.run(settle)                 # settle before the final audit
+    audit.interrupt("done")
+    auditor.final_audit()
+    return move_s, reb.done, auditor.violations
+
+
 def _elastic_chaos_move(seed: int, crash_joiner: bool):
     """One audited split with a mid-move crash (the joining node or the
     migration leader); returns (converged, invariant violations)."""
@@ -785,48 +732,35 @@ def _elastic_chaos_move(seed: int, crash_joiner: bool):
                                seed=seed)
     cluster.start()
     client = cluster.client("chaos-seed")
-    keys = _keys_in_cohort(cluster, 0, 10, b"chaos-")
+    keys = cluster.keys_in_cohort(0, 10, b"chaos-")
 
     def writer():
         for key in keys:
             yield from client.put(key, b"v", b"x")
-    proc = spawn(cluster.sim, writer())
-    cluster.run_until(lambda: proc.triggered, limit=120.0,
-                      what="chaos preload")
-    proc.result()
+    drive(cluster, writer(), limit=120.0, what="chaos preload")
 
-    cluster.add_node("node5")
-    plans = plan_join(cluster.partitioner, ["node5"],
-                      heat={c.cohort_id: (100.0 if c.cohort_id == 0
-                                          else 1.0)
-                            for c in cluster.partitioner.cohorts})
-    auditor = InvariantAuditor(cluster)
-    audit_proc = spawn(cluster.sim, auditor.run(period=0.25))
-    reb = Rebalancer(cluster)
-    move = spawn(cluster.sim, reb.execute(plans, move_timeout=240.0))
-    cluster.run_until(lambda: reb.attempts >= 1, limit=60.0,
-                      what="first migration attempt")
-    cluster.run(0.05)                   # land the crash mid-move
-    if crash_joiner:
-        cluster.crash_node("node5")
-        cluster.expire_session_of("node5")
-        cluster.run(1.0)
-        cluster.restart_node("node5")
-    else:
-        killed = cluster.kill_leader(plans[0].cohort_id)
-        cluster.run(1.0)
-        if killed is not None:
-            cluster.restart_node(killed)
-    cluster.run_until(lambda: move.triggered, limit=300.0,
-                      what="chaos rebalance")
-    move.result()
-    cluster.run(2.0)                    # settle before the final audit
-    audit_proc.interrupt("done")
-    auditor.final_audit()
-    return reb.done, auditor.violations
+    def crash_mid_move(reb, plans):
+        cluster.run_until(lambda: reb.attempts >= 1, limit=60.0,
+                          what="first migration attempt")
+        cluster.run(0.05)                   # land the crash mid-move
+        if crash_joiner:
+            cluster.crash_node("node5")
+            cluster.expire_session_of("node5")
+            cluster.run(1.0)
+            cluster.restart_node("node5")
+        else:
+            killed = cluster.kill_leader(plans[0].cohort_id)
+            cluster.run(1.0)
+            if killed is not None:
+                cluster.restart_node(killed)
+
+    _, converged, violations = _audited_join(
+        cluster, "node5", settle=2.0, mid_move=crash_mid_move)
+    return converged, violations
 
 
-def fig11_elastic(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
+def fig11_elastic(result: ExperimentResult, scale: float,
+                  seed: int) -> None:
     """Beyond the paper (§10 future work): live cluster growth.
 
     A 5-node cluster serves a sustained mixed load skewed ~70% onto
@@ -846,7 +780,7 @@ def fig11_elastic(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
     sim = cluster.sim
     rng_master = cluster.rng.fork(f"elastic-{seed}")
     value = b"x" * VALUE_SIZE
-    hot_keys = _keys_in_cohort(cluster, 0, 24, b"ek-")
+    hot_keys = cluster.keys_in_cohort(0, 24, b"ek-")
     cold_keys = [b"ck-%d" % i for i in range(48)]
 
     seeder = cluster.client("elastic-seed")
@@ -854,14 +788,10 @@ def fig11_elastic(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
     def preload():
         for key in hot_keys + cold_keys:
             yield from seeder.put(key, b"v", value)
-    proc = spawn(sim, preload())
-    cluster.run_until(lambda: proc.triggered, limit=300.0,
-                      what="elastic preload")
-    proc.result()
+    drive(cluster, preload(), limit=300.0, what="elastic preload")
 
     stop = {"flag": False}
-    stats = {"ops": 0, "failed_strong": 0, "failed_writes": 0,
-             "drained": 0}
+    stats = {"ops": 0, "failed_strong": 0, "failed_writes": 0}
 
     def load_thread(tid: int):
         client = cluster.client(f"elastic{tid}")
@@ -880,10 +810,9 @@ def fig11_elastic(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
                       else "failed_strong"] += 1
                 continue
             stats["ops"] += 1
-        stats["drained"] += 1
 
-    for tid in range(threads):
-        spawn(sim, load_thread(tid), name=f"elastic-thread-{tid}")
+    load = [spawn(sim, load_thread(tid), name=f"elastic-thread-{tid}")
+            for tid in range(threads)]
 
     def measure(duration: float) -> float:
         ops0, t0 = stats["ops"], sim.now
@@ -900,10 +829,8 @@ def fig11_elastic(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
     plans = plan_join(cluster.partitioner, ["node5", "node6"], heat=heat)
     reb = Rebalancer(cluster)
     move_t0, move_ops0 = sim.now, stats["ops"]
-    move = spawn(sim, reb.execute(plans, move_timeout=300.0))
-    cluster.run_until(lambda: move.triggered, limit=900.0,
-                      what="elastic rebalance")
-    move.result()
+    drive(cluster, reb.execute(plans, move_timeout=300.0), limit=900.0,
+          what="elastic rebalance")
     move_dt = sim.now - move_t0
     during = ((stats["ops"] - move_ops0) / move_dt if move_dt > 0
               else 0.0)
@@ -912,11 +839,9 @@ def fig11_elastic(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
     after = measure(window)
 
     stop["flag"] = True
-    cluster.run_until(lambda: stats["drained"] == threads, limit=120.0,
-                      what="elastic load drain")
+    drive(cluster, all_of(sim, load), limit=120.0,
+          what="elastic load drain")
 
-    result = ExperimentResult(
-        "fig11-elastic", "Elastic growth: throughput vs cluster size")
     result.series["elastic"] = [
         {"phase": "before", "nodes": 5, "throughput": round(before, 1)},
         {"phase": "during-move", "nodes": 7,
@@ -954,21 +879,26 @@ def fig11_elastic(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
         f"failed strong reads={stats['failed_strong']}; chaos "
         f"violations: joiner={len(joiner_viol)} "
         f"leader={len(leader_viol)}")
-    return result
 
 
 # ---------------------------------------------------------------------------
 # Recovery ramp: rejoin time bounded by gap size, not history length
 # ---------------------------------------------------------------------------
 
-def _recovery_config() -> SpinnakerConfig:
-    """Tiny flush threshold and chunk budget: even short histories roll
-    the log into many small SSTables, so rejoin exercises the chunked
-    snapshot catch-up path rather than plain log replay."""
-    return SpinnakerConfig(log_profile=DiskProfile.ssd_log(),
-                           commit_period=0.1,
-                           flush_threshold_bytes=6_000,
-                           catchup_chunk_bytes=8_192)
+def _recovery_cluster(seed: int):
+    """3 nodes with a tiny flush threshold and chunk budget: even short
+    histories roll the log into many small SSTables, so rejoin exercises
+    the chunked snapshot catch-up path rather than plain log replay.
+    Returns the started cluster and 30 keys of cohort 0 — enough distinct
+    keys that one write round exceeds the flush threshold (the memtable
+    counts live cells, so overwrites don't accumulate)."""
+    config = SpinnakerConfig(log_profile=DiskProfile.ssd_log(),
+                             commit_period=0.1,
+                             flush_threshold_bytes=6_000,
+                             catchup_chunk_bytes=8_192)
+    cluster = SpinnakerCluster(n_nodes=3, config=config, seed=seed)
+    cluster.start()
+    return cluster, cluster.keys_in_cohort(0, 30, b"fr-")
 
 
 def _measure_rejoin(seed: int, history_rounds: int,
@@ -976,26 +906,10 @@ def _measure_rejoin(seed: int, history_rounds: int,
     """Crash a follower, write a fixed-size gap, restart it, and time
     the rejoin.  ``history_rounds`` of healthy traffic precede the
     crash: the 1x/10x knob that must *not* show up in the rejoin time."""
-    from ..core import Role
-    cluster = SpinnakerCluster(n_nodes=3, config=_recovery_config(),
-                               seed=seed)
-    cluster.start()
+    cluster, keys = _recovery_cluster(seed)
     sim = cluster.sim
-    # Enough distinct keys that one round exceeds the flush threshold
-    # (the memtable counts live cells, so overwrites don't accumulate).
-    keys = _keys_in_cohort(cluster, 0, 30, b"fr-")
-    client = cluster.client("fr-writer")
-
-    def burst(rounds: int, tag: bytes):
-        for r in range(rounds):
-            for key in keys:
-                yield from client.put(key, b"c",
-                                      tag + b"-%d" % r + b"x" * 200)
-
-    proc = spawn(sim, burst(history_rounds, b"hist"), name="fr-history")
-    cluster.run_until(lambda: proc.triggered, limit=600.0,
-                      what="fig-recovery history")
-    proc.result()
+    write_burst(cluster, "fr-writer", keys, history_rounds, b"hist",
+                limit=600.0)
 
     # The victim misses a fixed-size gap — identical at both histories.
     leader = cluster.leader_of(0)
@@ -1003,10 +917,8 @@ def _measure_rejoin(seed: int, history_rounds: int,
                   if m != leader)
     cluster.crash_node(victim)
     cluster.expire_session_of(victim)
-    proc = spawn(sim, burst(gap_rounds, b"gap"), name="fr-gap")
-    cluster.run_until(lambda: proc.triggered, limit=600.0,
-                      what="fig-recovery gap writes")
-    proc.result()
+    write_burst(cluster, "fr-writer", keys, gap_rounds, b"gap",
+                limit=600.0)
 
     leader_node = cluster.nodes[cluster.leader_of(0)]
     leader_records = len(leader_node.wal.write_records(0))
@@ -1038,48 +950,19 @@ def _measure_elastic_ramp(seed: int,
     history: the split joiner is repaired through the same chunked
     snapshot-install path, so the move time must track the live data
     size, not the history length."""
-    cluster = SpinnakerCluster(n_nodes=3, config=_recovery_config(),
-                               seed=seed)
-    cluster.start()
-    sim = cluster.sim
-    keys = _keys_in_cohort(cluster, 0, 30, b"fr-")
-    client = cluster.client("fr-elastic")
-
-    def burst():
-        for r in range(history_rounds):
-            for key in keys:
-                yield from client.put(key, b"c",
-                                      b"e-%d" % r + b"x" * 200)
-
-    proc = spawn(sim, burst(), name="fr-elastic-history")
-    cluster.run_until(lambda: proc.triggered, limit=600.0,
-                      what="fig-recovery elastic history")
-    proc.result()
-
-    auditor = InvariantAuditor(cluster)
-    audit = spawn(sim, auditor.run(period=0.25))
-    cluster.add_node("node3")
-    plans = plan_join(cluster.partitioner, ["node3"],
-                      heat={c.cohort_id: (100.0 if c.cohort_id == 0
-                                          else 1.0)
-                            for c in cluster.partitioner.cohorts})
-    reb = Rebalancer(cluster)
-    t0 = sim.now
-    move = spawn(sim, reb.execute(plans, move_timeout=240.0))
-    cluster.run_until(lambda: move.triggered, limit=300.0,
-                      what="fig-recovery elastic move")
-    move.result()
-    move_s = sim.now - t0
-    cluster.run(1.0)
-    audit.interrupt("done")
-    auditor.final_audit()
+    cluster, keys = _recovery_cluster(seed)
+    write_burst(cluster, "fr-elastic", keys, history_rounds, b"e",
+                limit=600.0)
+    move_s, converged, violations = _audited_join(cluster, "node3",
+                                                  settle=1.0)
     return {"history_rounds": history_rounds,
             "move_s": round(move_s, 4),
-            "converged": bool(reb.done),
-            "violations": len(auditor.violations)}
+            "converged": bool(converged),
+            "violations": len(violations)}
 
 
-def fig_recovery(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
+def fig_recovery(result: ExperimentResult, scale: float,
+                 seed: int) -> None:
     """Beyond the paper: crash-resumable snapshot catch-up (§6.1 plus
     the chunked-transfer extension).
 
@@ -1092,9 +975,6 @@ def fig_recovery(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
     """
     base = max(2, int(round(8 * scale)))
     gap = max(2, int(round(6 * scale)))
-    result = ExperimentResult(
-        "fig-recovery",
-        "Rejoin time vs history length (fixed catch-up gap)")
 
     rows = []
     for label, rounds in (("1x", base), ("10x", 10 * base)):
@@ -1138,35 +1018,16 @@ def fig_recovery(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
         f"10x={r10['leader_wal_records']}, markers "
         f"1x={r1['leader_wal_markers']} 10x={r10['leader_wal_markers']}; "
         f"elastic move 1x={e1['move_s']:.2f}s 10x={e10['move_s']:.2f}s")
-    return result
 
 
 # ---------------------------------------------------------------------------
 # fig-wan: multi-datacenter latency/consistency frontier
 # ---------------------------------------------------------------------------
 
-def _wan_topology(n_nodes: int, n_dcs: int = 3, wan_one_way: float = 0.025,
-                  asymmetry: float = 0.25) -> Topology:
-    """A realistic 3-DC WAN: ~25 ms one-way base propagation with a
-    deterministic per-direction skew (routes are asymmetric), nodes
-    placed round-robin across datacenters."""
-    delays = {}
-    for i in range(n_dcs):
-        for j in range(n_dcs):
-            if i == j:
-                continue
-            skew = ((3 * i + j) % 4) / 3.0
-            delays[(f"dc{i}", f"dc{j}")] = (
-                wan_one_way * (1.0 + asymmetry * skew))
-    topo = Topology(wan_one_way=wan_one_way, wan_delays=delays,
-                    preferred_dc="dc0")
-    for i in range(n_nodes):
-        topo.place(f"node{i}", f"dc{i % n_dcs}")
-    return topo
-
-
 def _wan_cluster(seed: int, placement: str, n_nodes: int = 9):
-    topo = _wan_topology(n_nodes)
+    """A realistic 3-DC WAN: ~25 ms one-way base propagation, routes
+    asymmetric by up to 25%, nodes round-robin across datacenters."""
+    topo = Topology.round_robin(n_nodes, asymmetry=0.25)
     cfg = SpinnakerConfig(log_profile=DiskProfile.ssd_log(),
                           commit_period=0.25)
     cluster = SpinnakerCluster(n_nodes=n_nodes, config=cfg, seed=seed,
@@ -1210,36 +1071,27 @@ def _op_loop(cluster, client, op, keys: List[bytes], count: int,
         yield timeout(cluster.sim, pace)
 
 
-def _timed_phase(cluster, client, op, keys: List[bytes], count: int,
-                 pace: float):
-    """Drive ``count`` paced ops to completion; (Histogram, failures)."""
-    hist = Histogram()
-    failures = [0]
-    proc = spawn(cluster.sim,
-                 _op_loop(cluster, client, op, keys, count, pace,
-                          hist, failures),
-                 name=f"wan-ops-{client.name}")
-    cluster.run_until(lambda: proc.triggered,
-                      limit=count * (pace + 5.0) + 30.0,
-                      what=f"wan ops via {client.name}")
-    return hist, failures[0]
-
-
-def _lat_row(hist: Histogram, failures: int, **extra) -> dict:
-    row = {
-        "count": hist.count,
-        "mean_ms": round(hist.mean() * 1e3, 3) if hist.count else 0.0,
-        "p50_ms": (round(hist.percentile(50) * 1e3, 3)
-                   if hist.count else 0.0),
-        "p95_ms": (round(hist.percentile(95) * 1e3, 3)
-                   if hist.count else 0.0),
-        "failures": failures,
-    }
-    row.update(extra)
+def _paced_ops(cluster, client, op, keys: List[bytes], count: int,
+               pace: float, **where) -> dict:
+    """Drive ``count`` paced ops to completion; their latency row,
+    tagged with ``where`` (placement, client datacenter)."""
+    hist, failures = Histogram(), [0]
+    drive(cluster,
+          _op_loop(cluster, client, op, keys, count, pace, hist, failures),
+          limit=count * (pace + 5.0) + 30.0,
+          what=f"wan ops via {client.name}",
+          name=f"wan-ops-{client.name}")
+    row = {"count": hist.count, "mean_ms": 0.0, "p50_ms": 0.0,
+           "p95_ms": 0.0, "failures": failures[0]}
+    if hist.count:
+        row.update(mean_ms=round(hist.mean() * 1e3, 3),
+                   p50_ms=round(hist.percentile(50) * 1e3, 3),
+                   p95_ms=round(hist.percentile(95) * 1e3, 3))
+    row.update(where)
     return row
 
 
-def fig_wan(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
+def fig_wan(result: ExperimentResult, scale: float, seed: int) -> None:
     """Beyond the paper: the multi-datacenter latency/consistency
     frontier (3 DCs, ~25 ms one-way WAN links, asymmetric routes).
 
@@ -1257,8 +1109,6 @@ def fig_wan(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
     n_ops = max(10, int(round(60 * scale)))
     n_keys = max(4, int(round(12 * scale)))
     pace = 0.05
-    result = ExperimentResult(
-        "fig-wan", "WAN latency/consistency frontier (3 datacenters)")
 
     def put(client, key, i):
         return (yield from client.put(key, b"c", b"w%d" % i))
@@ -1271,16 +1121,12 @@ def fig_wan(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
     wan_floor_ms = topo.min_wan_rtt() * 1e3
     keys = _wan_keys(cluster, topo, "dc0", n_keys)
     writer = _wan_client(cluster, topo, "wan-w0", "dc0")
-    cross_hist, cross_fail = _timed_phase(
-        cluster, writer, put, keys, n_ops, pace)
+    cross_row = _paced_ops(cluster, writer, put, keys, n_ops, pace,
+                           placement="spread", client_dc="dc0")
     cluster.run(1.0)   # let commits propagate to the remote followers
     reader = _wan_client(cluster, topo, "wan-r1", "dc1")
-    tl_hist, tl_fail = _timed_phase(
-        cluster, reader, timeline_get, keys, n_ops, pace)
-    cross_row = _lat_row(cross_hist, cross_fail,
-                         placement="spread", client_dc="dc0")
-    tl_row = _lat_row(tl_hist, tl_fail,
-                      placement="spread", client_dc="dc1")
+    tl_row = _paced_ops(cluster, reader, timeline_get, keys, n_ops, pace,
+                        placement="spread", client_dc="dc1")
     result.series["cross-dc-quorum-writes"] = [cross_row]
     result.series["timeline-reads"] = [tl_row]
 
@@ -1336,8 +1182,8 @@ def fig_wan(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
     # (leader dc0, follower dc1) keep their commit quorum throughout
     arm_schedule(cluster, [FaultEvent(
         at=0.2, kind="partition-dc", duration=1.5, a="dc2")], log)
-    cluster.run_until(lambda: wproc.triggered and rproc.triggered,
-                      limit=90.0, what="wan chaos coda")
+    drive(cluster, all_of(sim, [wproc, rproc]), limit=90.0,
+          what="wan chaos coda")
     cluster.run_until(cluster.is_ready, limit=60.0,
                       what="post-coda recovery")
     cluster.run(1.0)
@@ -1358,20 +1204,18 @@ def fig_wan(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
     cluster2, topo2 = _wan_cluster(seed + 1, "local")
     keys2 = _wan_keys(cluster2, topo2, "dc0", n_keys)
     writer2 = _wan_client(cluster2, topo2, "wan-w0", "dc0")
-    local_hist, local_fail = _timed_phase(
-        cluster2, writer2, put, keys2, n_ops, pace)
-    local_row = _lat_row(local_hist, local_fail,
-                         placement="local", client_dc="dc0")
+    local_row = _paced_ops(cluster2, writer2, put, keys2, n_ops, pace,
+                           placement="local", client_dc="dc0")
     result.series["local-quorum-writes"] = [local_row]
 
     result.checks["cross_dc_writes_pay_wan_rtt"] = (
-        cross_hist.count > 0 and cross_row["p50_ms"] >= wan_floor_ms)
+        cross_row["count"] > 0 and cross_row["p50_ms"] >= wan_floor_ms)
     result.checks["local_writes_below_wan_rtt"] = (
-        local_hist.count > 0 and local_row["p95_ms"] < wan_floor_ms)
+        local_row["count"] > 0 and local_row["p95_ms"] < wan_floor_ms)
     result.checks["timeline_reads_below_wan_rtt"] = (
-        tl_hist.count > 0 and tl_row["p95_ms"] < wan_floor_ms)
-    result.checks["measure_ops_clean"] = (
-        cross_fail == 0 and tl_fail == 0 and local_fail == 0)
+        tl_row["count"] > 0 and tl_row["p95_ms"] < wan_floor_ms)
+    result.checks["measure_ops_clean"] = all(
+        row["failures"] == 0 for row in (cross_row, tl_row, local_row))
     result.checks["no_lease_flap_under_degrade"] = degrade_losses == 0
     result.checks["writes_survive_dc_partition"] = (
         w_fail[0] == 0 and w_hist.count > 0)
@@ -1384,10 +1228,9 @@ def fig_wan(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
         f"p95={tl_row['p95_ms']:.1f} ms; coda: {w_hist.count} writes "
         f"through WAN degrade + dc2 partition, "
         f"{degrade_losses} session flaps")
-    return result
 
 
-def fig_tune(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
+def fig_tune(result: ExperimentResult, scale: float, seed: int) -> None:
     """Self-tuned knobs vs hand-tuned defaults (repro.tune).
 
     Two arms.  The *default arm* runs the offline tuner from the
@@ -1403,8 +1246,6 @@ def fig_tune(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
     from ..tune.profiles import DETUNED_START
     from ..tune.search import TuneResult, tune
 
-    result = ExperimentResult(
-        "fig-tune", "Self-tuned knobs vs hand-tuned defaults")
     profiles = ("sata", "ssd", "mem") if scale >= 0.25 else ("sata",)
     # Per-trial cost already scales with ``scale``; the budget does not,
     # so the search is never truncated mid-pass at small report scales.
@@ -1490,28 +1331,60 @@ def fig_tune(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
         f"{best_row['rps_delta_pct']:+.1f}%; recovery arm (sata): "
         f"p50 {det['p50_ms']:.2f} -> {recm['p50_ms']:.2f} ms vs "
         f"hand-tuned {hand['p50_ms']:.2f} ms in {len(rec.trials)} trials")
-    return result
 
 
-#: registry used by the CLI report and the benchmark suite
-ALL_EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
-    "fig8": fig8_read_latency,
-    "fig9": fig9_write_latency,
-    "table1": table1_recovery,
-    "fig11": fig11_scaling,
-    "fig11-elastic": fig11_elastic,
-    "fig-recovery": fig_recovery,
-    "fig-wan": fig_wan,
-    "fig12": fig12_mixed,
-    "fig12-scale": fig12_scale,
-    "fig13": fig13_ssd,
-    "fig14": fig14_conditional_put,
-    "fig15": fig15_weak_writes,
-    "fig16": fig16_memory_log,
-    "ablation-parallel": ablation_parallel_propose,
-    "ablation-groupcommit": ablation_group_commit,
-    "ablation-piggyback": ablation_piggyback_commits,
-    "ablation-skew": ablation_skewed_reads,
-    "ablation-batching": ablation_batching,
-    "fig-tune": fig_tune,
-}
+# ---------------------------------------------------------------------------
+# The registry: report, CLI, benchmarks/ and the docs check all read it
+# ---------------------------------------------------------------------------
+
+ALL_EXPERIMENTS: Dict[str, Experiment] = {exp.exp_id: exp for exp in (
+    Experiment("fig8", "Average read latency vs load", FIG8,
+               probe=lambda **kw: _phase_probe(
+                   workload=read_workload("strong", preload_rows=500),
+                   **kw)),
+    Experiment("fig9", "Average write latency vs load", FIG9,
+               probe=_phase_probe),
+    Experiment("table1", "Cohort recovery time vs commit period",
+               table1_recovery, seed=2),
+    Experiment("fig11", "Write latency vs cluster size (EC2)",
+               fig11_scaling),
+    Experiment("fig11-elastic",
+               "Elastic growth: throughput vs cluster size", fig11_elastic),
+    Experiment("fig-recovery",
+               "Rejoin time vs history length (fixed catch-up gap)",
+               fig_recovery),
+    Experiment("fig-wan",
+               "WAN latency/consistency frontier (3 datacenters)", fig_wan),
+    Experiment("fig12", "Mixed workload latency vs write %", fig12_mixed),
+    # The probe runs the open-loop sweep's mixed workload at probe size:
+    # per-phase attribution is per-request and size-invariant, so the
+    # small traced cluster explains where the big sweep's latency goes.
+    Experiment("fig12-scale", "Open-loop throughput scaling to 512 nodes",
+               fig12_scale,
+               probe=lambda **kw: _phase_probe(
+                   workload=mixed_workload(0.2, "strong"),
+                   log_profile=DiskProfile.ssd_log(), **kw)),
+    Experiment("fig13", "Write latency with an SSD log", FIG13,
+               probe=lambda **kw: _phase_probe(
+                   log_profile=DiskProfile.ssd_log(), **kw)),
+    Experiment("fig14", "Conditional put vs regular put", FIG14),
+    Experiment("fig15", "Cassandra weak vs quorum writes", FIG15),
+    Experiment("fig16", "Writes with a main-memory log", FIG16,
+               probe=lambda **kw: _phase_probe(
+                   log_profile=DiskProfile.memory_log(), **kw)),
+    Experiment("ablation-parallel", "Parallel vs serialized force+propose",
+               ABLATION_PARALLEL),
+    Experiment("ablation-groupcommit", "Group commit on vs off",
+               ABLATION_GROUP_COMMIT),
+    Experiment("ablation-piggyback", "Commit piggybacking vs recovery time",
+               ablation_piggyback_commits, seed=3),
+    # Below ~0.4 the scaled ladder never saturates the hot leader.
+    Experiment("ablation-skew",
+               "Uniform vs Zipfian reads (strong vs timeline)",
+               ABLATION_SKEW, smoke_floor=0.4),
+    Experiment("ablation-batching",
+               "Proposal batching: throughput knee vs cap",
+               ABLATION_BATCHING),
+    Experiment("fig-tune", "Self-tuned knobs vs hand-tuned defaults",
+               fig_tune),
+)}

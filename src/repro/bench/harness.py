@@ -16,20 +16,22 @@ comparison isolates the replication protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import (Callable, Dict, Hashable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from ..baseline import CassandraCluster, CassandraConfig
 from ..core import SpinnakerCluster, SpinnakerConfig
 from ..core.datamodel import RequestTimeout, VersionMismatch
 from ..core.partition import key_of
 from ..sim.metrics import Histogram
-from ..sim.process import spawn
+from ..sim.process import all_of, drive, spawn
 from ..storage.lsn import LSN
 from ..storage.records import CommitMarker, WriteRecord
 from .workload import Workload
 
 __all__ = ["LoadPoint", "SpinnakerTarget", "CassandraTarget", "run_load",
-           "sweep", "N_CLIENT_NODES"]
+           "sweep", "curves", "traced_point", "scaled_ladder",
+           "scaled_ops", "N_CLIENT_NODES"]
 
 #: the paper used a second 10-node cluster for clients
 N_CLIENT_NODES = 10
@@ -81,6 +83,7 @@ class SpinnakerTarget:
     """Adapter: the harness drives a Spinnaker cluster."""
 
     kind = "spinnaker"
+    config_class = SpinnakerConfig
 
     def __init__(self, n_nodes: int = 10,
                  config: Optional[SpinnakerConfig] = None, seed: int = 0,
@@ -164,6 +167,7 @@ class CassandraTarget:
     """Adapter: the harness drives the eventually consistent baseline."""
 
     kind = "cassandra"
+    config_class = CassandraConfig
 
     def __init__(self, n_nodes: int = 10,
                  config: Optional[CassandraConfig] = None, seed: int = 0):
@@ -233,9 +237,7 @@ def run_load(target, workload: Workload, threads: int,
     target.start()
 
     hist = Histogram()
-    per_op: Dict[str, Histogram] = {"read": Histogram(),
-                                    "write": Histogram()}
-    stats = {"errors": 0, "conflicts": 0, "done": 0,
+    stats = {"errors": 0, "conflicts": 0,
              "first_ts": None, "last_ts": None}
 
     def thread_body(tid: int):
@@ -258,19 +260,17 @@ def run_load(target, workload: Workload, threads: int,
                 continue
             if i < warmup_ops:
                 continue
-            latency = sim.now - start
-            hist.add(latency)
-            per_op["write" if is_write else "read"].add(latency)
+            hist.add(sim.now - start)
             if stats["first_ts"] is None:
                 stats["first_ts"] = sim.now
             stats["last_ts"] = sim.now
-        stats["done"] += 1
 
-    for tid in range(threads):
-        spawn(sim, thread_body(tid), name=f"bench-thread-{tid}")
-    target.cluster.run_until(lambda: stats["done"] == threads,
-                             limit=36000.0, step=5.0,
-                             what="benchmark threads")
+    # Waiting on the processes themselves (not a done-counter) makes a
+    # thread that dies of anything else fail the run with its own error.
+    procs = [spawn(sim, thread_body(tid), name=f"bench-thread-{tid}")
+             for tid in range(threads)]
+    drive(target.cluster, all_of(sim, procs), limit=36000.0, step=5.0,
+          what="benchmark threads")
 
     window = ((stats["last_ts"] - stats["first_ts"])
               if stats["first_ts"] is not None else 0.0)
@@ -285,7 +285,7 @@ def run_load(target, workload: Workload, threads: int,
 
 
 def sweep(target_factory: Callable[[], object], workload: Workload,
-          thread_counts: List[int], ops_per_thread: int = 60,
+          thread_counts: Sequence[int], ops_per_thread: int = 60,
           warmup_ops: int = 10) -> List[LoadPoint]:
     """One latency-vs-load curve: a fresh cluster per load point (the
     paper likewise restarts between runs)."""
@@ -296,3 +296,57 @@ def sweep(target_factory: Callable[[], object], workload: Workload,
                                ops_per_thread=ops_per_thread,
                                warmup_ops=warmup_ops))
     return points
+
+
+#: one curve of a figure: (fresh-target factory, workload)
+Arm = Tuple[Callable[[], object], Workload]
+
+
+def curves(arms: Mapping[Hashable, Arm], thread_counts: Sequence[int],
+           ops_per_thread: int = 60,
+           warmup_ops: int = 10) -> Dict[Hashable, List[LoadPoint]]:
+    """A figure: every labelled arm swept over the same thread ladder."""
+    return {label: sweep(factory, workload, thread_counts,
+                         ops_per_thread, warmup_ops)
+            for label, (factory, workload) in arms.items()}
+
+
+def scaled_ladder(base: Sequence[int], scale: float,
+                  floor: int = 2) -> List[int]:
+    """``base`` thread counts scaled by ``scale``, floored, and with the
+    rungs that collapse onto the one below dropped."""
+    out: List[int] = []
+    for t in base:
+        scaled = max(floor, int(round(t * scale)))
+        if not out or scaled > out[-1]:
+            out.append(scaled)
+    return out
+
+
+def scaled_ops(scale: float, base: int = 50) -> int:
+    """Measured ops per thread at ``scale`` (full size from 0.5 up)."""
+    return max(15, int(round(base * min(1.0, scale * 2))))
+
+
+def traced_point(workload: Workload, threads: int, ops_per_thread: int,
+                 warmup_ops: int = 8, n_nodes: int = 10,
+                 config: Optional[SpinnakerConfig] = None, seed: int = 1,
+                 sample_every: int = 1, topology=None,
+                 placement: str = "ring"):
+    """One traced load point on a fresh Spinnaker cluster; returns
+    ``(LoadPoint, RequestTracer)``.
+
+    The only place a request tracer is wired to a load run: the report's
+    phase probes, the tuner's trials and ``python -m repro trace`` all
+    attribute latency from this.  The cluster is never shared with an
+    untraced sweep, so tracing overhead cannot contaminate a curve.
+    """
+    from ..obs import RequestTracer
+    tracer = RequestTracer(sample_every=sample_every)
+    target = SpinnakerTarget(n_nodes, config=config, seed=seed,
+                             request_tracer=tracer, topology=topology,
+                             placement=placement)
+    point = run_load(target, workload, threads,
+                     ops_per_thread=ops_per_thread, warmup_ops=warmup_ops,
+                     seed=seed)
+    return point, tracer

@@ -7,11 +7,12 @@ shape-check verdicts; EXPERIMENTS.md records a full-scale run.
 downstream tooling; ``--report`` writes the compact per-experiment
 summary (``BENCH_report.json`` at the repo root) that successive PRs
 diff to track performance — naming a subset of experiments splices
-them into an existing same-scale report instead of replacing it.  Experiments with a phase probe
-(``PHASE_PROBES``) embed a ``phases`` section — per-phase latency
-attribution from ``repro.obs`` (see OBSERVABILITY.md); ``--refresh-phases
-FILE`` re-runs only the probes and rewrites the ``phases`` sections of
-an existing report without re-running the (much slower) sweeps.
+them into an existing same-scale report instead of replacing it.
+Experiments whose registry row has a phase probe embed a ``phases``
+section — per-phase latency attribution from ``repro.obs`` (see
+OBSERVABILITY.md); ``--refresh-phases FILE`` re-runs only the probes and
+rewrites the ``phases`` sections of an existing report without
+re-running the (much slower) sweeps.
 ``--tuned-profile NAME`` applies the checked-in
 ``configs/tuned-<NAME>.json`` knob overlay to every Spinnaker cluster
 the run builds (see TUNING.md); reports tagged with a tuned profile
@@ -25,7 +26,7 @@ import json
 import sys
 from typing import Dict, List, Optional
 
-from .experiments import ALL_EXPERIMENTS, PHASE_PROBES, ExperimentResult
+from .experiments import ALL_EXPERIMENTS, ExperimentResult
 from .harness import LoadPoint
 
 __all__ = ["render", "to_dict", "summarize", "write_bench_report",
@@ -129,11 +130,12 @@ def refresh_phases(path: str, seed: int = 1) -> List[str]:
     with open(path) as fh:
         payload = json.load(fh)
     refreshed = []
-    for exp_id in sorted(PHASE_PROBES):
+    for exp_id in sorted(ALL_EXPERIMENTS):
         entry = payload.get("experiments", {}).get(exp_id)
-        if entry is None:
+        probe = ALL_EXPERIMENTS[exp_id].probe
+        if entry is None or probe is None:
             continue
-        entry["phases"] = PHASE_PROBES[exp_id](seed=seed)
+        entry["phases"] = probe(seed=seed)
         refreshed.append(exp_id)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -27,10 +27,9 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..core import Role, SpinnakerCluster, SpinnakerConfig
-from ..core.partition import key_of
 from ..sim.disk import DiskProfile
 from ..sim.events import SimulationError
-from ..sim.process import spawn, timeout
+from ..sim.process import drive, spawn, timeout
 from ..storage.lsn import LSN
 from .invariants import InvariantAuditor, InvariantViolation
 
@@ -74,33 +73,20 @@ class CatchupChaosResult:
         return "\n".join(lines)
 
 
-def _cohort_keys(cluster: SpinnakerCluster, cohort_id: int,
-                 count: int) -> List[bytes]:
-    keys: List[bytes] = []
-    i = 0
-    while len(keys) < count:
-        key = b"cc-%d" % i
-        if cluster.partitioner.cohort_for_key(
-                key_of(key)).cohort_id == cohort_id:
-            keys.append(key)
-        i += 1
-    return keys
+def write_burst(cluster: SpinnakerCluster, writer: str, keys: List[bytes],
+                rounds: int, tag: bytes, limit: float = 120.0) -> None:
+    """Client ``writer`` puts ``rounds`` distinct ~200-byte values to
+    every key, synchronously."""
+    client = cluster.client(writer)
 
-
-def _write_burst(cluster: SpinnakerCluster, keys: List[bytes],
-                 rounds: int, tag: bytes, limit: float = 120.0) -> None:
-    """Write ``rounds`` values to every key, synchronously."""
-    client = cluster.client("cc-writer")
-
-    def _go():
+    def burst():
         for r in range(rounds):
             for key in keys:
                 yield from client.put(key, b"c",
                                       tag + b"-%d" % r + b"x" * 200)
 
-    proc = spawn(cluster.sim, _go(), name="cc-burst")
-    cluster.run_until(lambda: proc.triggered, limit=limit,
-                      what="catch-up chaos write burst")
+    drive(cluster, burst(), limit=limit, what=f"{writer} write burst",
+          name=f"{writer}-burst")
 
 
 def _served_to(cluster: SpinnakerCluster, victim: str,
@@ -151,7 +137,7 @@ def run_catchup_chaos(seed: int,
     victim = next(m for m in members if m != leader)
     # Enough distinct keys that one write round exceeds the flush
     # threshold (the memtable counts live cells, not appended bytes).
-    keys = _cohort_keys(cluster, COHORT, 30)
+    keys = cluster.keys_in_cohort(COHORT, 30, b"cc-")
 
     # 1. The victim falls far behind: crash it, then push enough history
     #    that the leader flushes repeatedly and rolls its log past the
@@ -159,7 +145,7 @@ def run_catchup_chaos(seed: int,
     cluster.crash_node(victim)
     cluster.expire_session_of(victim)
     note(f"crashed {victim}; writing history past its log")
-    _write_burst(cluster, keys, rounds=16, tag=b"pre")
+    write_burst(cluster, "cc-writer", keys, rounds=16, tag=b"pre")
     leader_node = cluster.nodes[cluster.leader_of(COHORT)]
     note(f"leader log min_retained="
          f"{leader_node.wal.min_retained_lsn(COHORT)} "
@@ -205,7 +191,7 @@ def run_catchup_chaos(seed: int,
         resume_floor = victim_replica.catchup_floor
         marks = _mark_served(cluster)
         note("rolling the leader's log under the in-flight stream")
-        _write_burst(cluster, keys, rounds=16, tag=b"mid")
+        write_burst(cluster, "cc-writer", keys, rounds=16, tag=b"mid")
         note(f"leader log min_retained now "
              f"{leader_node.wal.min_retained_lsn(COHORT)}")
 

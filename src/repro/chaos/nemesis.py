@@ -34,10 +34,9 @@ from typing import Dict, List, Optional, Tuple
 from ..core import SpinnakerCluster, SpinnakerConfig
 from ..core.checker import HistoryRecorder, check_strong_history
 from ..core.datamodel import DatastoreError
-from ..core.partition import key_of
 from ..sim.disk import DiskProfile
 from ..sim.events import SimulationError
-from ..sim.process import spawn, timeout
+from ..sim.process import drive, spawn, timeout
 from ..sim.rng import RngRegistry
 from .invariants import InvariantAuditor, InvariantViolation
 
@@ -78,35 +77,6 @@ class FaultEvent:
     rate: float = 0.0         # drop-burst probability
     extra: float = 0.0        # latency-spike / wan-degrade extra delay (s)
     fast_detect: bool = True  # expire the victim's session immediately
-
-    def describe(self) -> str:
-        if self.kind == "crash-leader":
-            detect = "fast" if self.fast_detect else "slow"
-            return (f"crash-leader cohort={self.cohort} "
-                    f"for {self.duration:.2f}s ({detect}-detect)")
-        if self.kind == "crash-node":
-            detect = "fast" if self.fast_detect else "slow"
-            return (f"crash-node {self.node} "
-                    f"for {self.duration:.2f}s ({detect}-detect)")
-        if self.kind == "lose-disk":
-            return f"lose-disk {self.node}"
-        if self.kind == "partition":
-            return f"partition {self.a}|{self.b} for {self.duration:.2f}s"
-        if self.kind == "partition-oneway":
-            return (f"partition {self.a}>{self.b} "
-                    f"for {self.duration:.2f}s")
-        if self.kind == "drop-burst":
-            return (f"drop-burst {self.a}~{self.b} p={self.rate:.2f} "
-                    f"for {self.duration:.2f}s")
-        if self.kind == "latency-spike":
-            return (f"latency-spike +{self.extra * 1e3:.1f}ms "
-                    f"for {self.duration:.2f}s")
-        if self.kind == "partition-dc":
-            return f"partition-dc {self.a} for {self.duration:.2f}s"
-        if self.kind == "wan-degrade":
-            return (f"wan-degrade {self.a}>{self.b} "
-                    f"+{self.extra * 1e3:.1f}ms for {self.duration:.2f}s")
-        return f"{self.kind}?"
 
 
 @dataclass
@@ -168,25 +138,12 @@ class ChaosConfig:
 
     def topology(self):
         """The cluster topology this config describes, or None for a
-        flat (single-DC) run.  Per-direction WAN delays are skewed
-        deterministically from the pair's indices, so the same config
-        always produces the same asymmetric delay matrix."""
+        flat (single-DC) run."""
         if self.n_dcs <= 1:
             return None
         from ..sim.topology import Topology
-        delays = {}
-        for i in range(self.n_dcs):
-            for j in range(self.n_dcs):
-                if i == j:
-                    continue
-                skew = ((3 * i + j) % 4) / 3.0   # 0, 1/3, 2/3, 1
-                delays[(f"dc{i}", f"dc{j}")] = (
-                    self.wan_one_way * (1.0 + self.wan_asymmetry * skew))
-        topo = Topology(wan_one_way=self.wan_one_way, wan_delays=delays,
-                        preferred_dc="dc0")
-        for i in range(self.n_nodes):
-            topo.place(f"node{i}", f"dc{i % self.n_dcs}")
-        return topo
+        return Topology.round_robin(self.n_nodes, self.n_dcs,
+                                    self.wan_one_way, self.wan_asymmetry)
 
     def placement(self) -> str:
         """Replica-placement policy for the cluster build: spread
@@ -452,19 +409,6 @@ def arm_schedule(cluster: SpinnakerCluster, schedule: List[FaultEvent],
 # The workload
 # ---------------------------------------------------------------------------
 
-def _cohort_keys(cluster: SpinnakerCluster, cohort_id: int,
-                 count: int) -> List[bytes]:
-    keys: List[bytes] = []
-    i = 0
-    while len(keys) < count:
-        key = b"chaos-%d" % i
-        if cluster.partitioner.cohort_for_key(
-                key_of(key)).cohort_id == cohort_id:
-            keys.append(key)
-        i += 1
-    return keys
-
-
 class _Workload:
     """Writers and readers over a fixed key set, recording history and
     the acknowledged-write map keyed by version."""
@@ -484,8 +428,8 @@ class _Workload:
         self.keys: List[bytes] = []
         n_cohorts = len(cluster.partitioner.cohorts)
         for c in range(min(config.cohorts_used, n_cohorts)):
-            self.keys.extend(_cohort_keys(cluster, c,
-                                          config.keys_per_cohort))
+            self.keys.extend(cluster.keys_in_cohort(
+                c, config.keys_per_cohort, b"chaos-"))
         self.procs = []
 
     def start(self) -> None:
@@ -704,14 +648,13 @@ def _read_back(cluster: SpinnakerCluster,
                 results[key] = err
         return results
 
-    proc = spawn(sim, read_all(), name="chaos-readback")
     try:
-        cluster.run_until(lambda: proc.triggered, limit=120.0,
-                          what="durability read-back")
+        results = drive(cluster, read_all(), limit=120.0,
+                        what="durability read-back", name="chaos-readback")
     except SimulationError:
         return [f"read-back did not finish by t={sim.now:.4f}"]
     # lint: allow(dict-order) — read_all fills results in sorted key order
-    for key, got in proc.result().items():
+    for key, got in results.items():
         versions = workload.acked[key]
         top = max(versions)
         if isinstance(got, DatastoreError):

@@ -152,15 +152,6 @@ class ZNodeTree:
             event = WatchEvent("children", parent_path)
             fired.extend((owner, event) for owner in sorted(owners, key=str))
 
-    def drop_watches_for(self, predicate) -> None:
-        """Remove watches whose owner matches ``predicate(owner)``."""
-        for registry in (self._data_watches, self._child_watches):
-            for path in list(registry):
-                registry[path] = {o for o in registry[path]
-                                  if not predicate(o)}
-                if not registry[path]:
-                    del registry[path]
-
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------

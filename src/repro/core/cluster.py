@@ -8,11 +8,12 @@ nodes, boots everything, and offers convenience queries (who leads cohort
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..coord.service import CoordinationService
-from ..sim.events import SimulationError, Simulator
+from ..sim.events import Simulator
 from ..sim.network import LatencyModel, Network
+from ..sim.process import SimHost
 from ..sim.rng import RngRegistry
 from ..sim.tracing import NullTracer
 from .api import SpinnakerClient
@@ -24,7 +25,7 @@ from .replication import Role
 __all__ = ["SpinnakerCluster"]
 
 
-class SpinnakerCluster:
+class SpinnakerCluster(SimHost):
     """A complete simulated Spinnaker deployment."""
 
     def __init__(self, n_nodes: int = 5,
@@ -83,19 +84,6 @@ class SpinnakerCluster:
         return all(self.leader_of(c.cohort_id) is not None
                    for c in self.partitioner.cohorts)
 
-    def run_until(self, predicate: Callable[[], bool], limit: float,
-                  step: float = 0.05, what: str = "condition") -> None:
-        """Advance simulated time until ``predicate()`` or ``limit``."""
-        deadline = self.sim.now + limit
-        while not predicate():
-            if self.sim.now >= deadline:
-                raise SimulationError(
-                    f"timed out waiting for {what} at t={self.sim.now}")
-            self.sim.run(until=min(self.sim.now + step, deadline))
-
-    def run(self, duration: float) -> None:
-        self.sim.run(until=self.sim.now + duration)
-
     # ------------------------------------------------------------------
     # Elastic membership
     # ------------------------------------------------------------------
@@ -133,6 +121,21 @@ class SpinnakerCluster:
 
     def replica(self, node_name: str, cohort_id: int):
         return self.nodes[node_name].replicas[cohort_id]
+
+    def keys_in_cohort(self, cohort_id: int, count: int,
+                       prefix: bytes) -> List[bytes]:
+        """The first ``count`` keys ``prefix0, prefix1, ...`` that the
+        current map routes to ``cohort_id`` — how tests, chaos storms
+        and benchmarks aim a deterministic key set at one cohort."""
+        keys: List[bytes] = []
+        i = 0
+        while len(keys) < count:
+            key = prefix + b"%d" % i
+            if self.partitioner.cohort_for_key(
+                    key_of(key)).cohort_id == cohort_id:
+                keys.append(key)
+            i += 1
+        return keys
 
     def stats(self) -> Dict[str, Dict]:
         """Operational counters per node (reads/writes served, log

@@ -21,7 +21,6 @@ __all__ = [
     "ClientTransaction", "TxnOp",
     "Propose", "Ack", "Commit",
     "CatchupRequest", "CatchupChunk", "CatchupFinal", "TakeoverState",
-    "SSTableShipment",
     "WhoIsLeader", "GetCohortMap",
     "MigrationStart", "MigrationPrepare",
 ]
@@ -236,13 +235,6 @@ class TakeoverState:
 
     cohort_id: int
     epoch: int
-
-
-@dataclass(frozen=True)
-class SSTableShipment:  # lint: allow(dead-message) — reserved; shipped
-    # tables currently ride inside CatchupChunk.sstables (§6.1)
-    cohort_id: int
-    tables: Tuple
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,14 @@ recovery and rejoins its cohorts through the §6 protocols.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..coord.client import CoordClient
 from ..coord.recipes import GroupMembership
 from ..sim.disk import LogDevice
 from ..sim.events import Simulator
 from ..sim.network import Network, Request
-from ..sim.process import Process, ProcessKilled, spawn
+from ..sim.process import Process, Supervisor
 from ..sim.resources import Resource, serve
 from ..sim.rng import RngRegistry
 from ..storage.engine import StorageEngine
@@ -83,36 +83,16 @@ class SpinnakerNode:
         self.alive = False
         self.incarnation = 0
         self.session_losses = 0
-        #: live handler processes in spawn order (dict-as-ordered-set:
-        #: crash() must interrupt them deterministically, and set
-        #: iteration order would vary run to run)
-        self._procs: Dict[Process, None] = {}
+        #: handler processes, killed on crash; ``spawn(gen, name)``
+        #: starts one and ``failures`` lists the ones that died of a bug
+        self.supervisor = Supervisor(sim, name)
+        self.spawn = self.supervisor.spawn
+        self.failures = self.supervisor.failures
         self._monitors: Dict[int, Process] = {}
-        #: failures of handler processes that were NOT deliberate kills —
-        #: tests assert this stays empty (protocol bugs surface here)
-        self.failures: List[BaseException] = []
         #: ledger of catch-up chunks this node served as leader; chaos
         #: schedules assert resume behaviour (nothing re-shipped below a
         #: restarted follower's durable floor)
         self.catchup_served: deque = deque(maxlen=256)
-
-    # ------------------------------------------------------------------
-    # Process supervision
-    # ------------------------------------------------------------------
-    def spawn(self, gen, name: str = "") -> Process:
-        """Start a handler process tracked for crash-time termination."""
-        proc = spawn(self.sim, gen, name=f"{self.name}:{name}")
-        self._procs[proc] = None
-
-        def _done(ev):
-            self._procs.pop(proc, None)
-            if not ev._ok:
-                ev.defuse()
-                if not isinstance(ev._value, ProcessKilled):
-                    self.failures.append(ev._value)
-
-        proc.add_callback(_done)
-        return proc
 
     def trace(self, category: str, message: str, **fields) -> None:
         """Emit a protocol trace event attributed to this node."""
@@ -399,9 +379,7 @@ class SpinnakerNode:
             return
         self.alive = False
         self.trace("node", "crash")
-        for proc in list(self._procs):
-            proc.interrupt("crash")
-        self._procs.clear()
+        self.supervisor.kill_all()
         self._monitors = {}
         if self.zk is not None:
             self.zk.stop()

@@ -71,8 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_traced_load(args) -> RequestTracer:
-    from ..bench.experiments import _ops, _threads
-    from ..bench.harness import SpinnakerTarget, run_load
+    from ..bench.harness import scaled_ladder, scaled_ops, traced_point
     from ..bench.workload import (mixed_workload, read_workload,
                                   write_workload)
     from ..core import SpinnakerConfig
@@ -80,21 +79,19 @@ def _run_traced_load(args) -> RequestTracer:
     if args.workload == "read":
         workload = read_workload("strong", preload_rows=500)
     elif args.workload == "mixed":
-        workload = mixed_workload()
+        workload = mixed_workload(0.5, "strong")
     else:
         workload = write_workload()
     # fig9's thread ladder, scaled like `repro bench --scale`: the
     # midpoint of the scaled ladder approximates moderate load.
-    ladder = _threads([4, 8, 16, 32, 64, 96], args.scale)
+    ladder = scaled_ladder([4, 8, 16, 32, 64, 96], args.scale)
     threads = (args.threads if args.threads is not None
                else ladder[len(ladder) // 2])
-    ops = args.ops if args.ops is not None else _ops(args.scale, 40)
-    config = SpinnakerConfig(log_profile=_DISKS[args.disk]())
-    tracer = RequestTracer(sample_every=args.sample_every)
-    target = SpinnakerTarget(args.nodes, config=config, seed=args.seed,
-                             request_tracer=tracer)
-    point = run_load(target, workload, threads, ops_per_thread=ops,
-                     warmup_ops=8, seed=args.seed)
+    ops = args.ops if args.ops is not None else scaled_ops(args.scale, 40)
+    point, tracer = traced_point(
+        workload, threads, ops, n_nodes=args.nodes,
+        config=SpinnakerConfig(log_profile=_DISKS[args.disk]()),
+        seed=args.seed, sample_every=args.sample_every)
     print(f"ran {args.workload} load: {threads} threads x {ops} ops on "
           f"{args.nodes} nodes ({args.disk} log), "
           f"{point.throughput:.0f} req/s, mean {point.mean_ms:.2f} ms; "

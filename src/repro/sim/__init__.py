@@ -7,8 +7,8 @@ simulation stands in for the paper's physical cluster.
 """
 
 from .events import Event, SimulationError, Simulator, StopSimulation
-from .process import (AllOf, AnyOf, Interrupt, Process, Timeout, all_of,
-                      any_of, quorum, spawn, timeout)
+from .process import (AllOf, AnyOf, Interrupt, Process, SimHost, Supervisor,
+                      Timeout, all_of, any_of, drive, quorum, spawn, timeout)
 from .resources import Resource, Store, serve
 from .rng import RngRegistry
 from .network import Endpoint, LatencyModel, Network, Request, RpcTimeout
@@ -20,8 +20,9 @@ from .tracing import NullTracer, TraceEvent, Tracer
 
 __all__ = [
     "Simulator", "Event", "SimulationError", "StopSimulation",
-    "Process", "Timeout", "Interrupt", "AllOf", "AnyOf",
-    "spawn", "timeout", "all_of", "any_of", "quorum",
+    "Process", "Timeout", "Interrupt", "AllOf", "AnyOf", "Supervisor",
+    "SimHost",
+    "spawn", "timeout", "all_of", "any_of", "quorum", "drive",
     "Resource", "Store", "serve",
     "RngRegistry",
     "Network", "Endpoint", "LatencyModel", "Request", "RpcTimeout",

@@ -12,17 +12,7 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from .events import Simulator
 
-__all__ = ["FailureSchedule", "CrashRestartable"]
-
-
-class CrashRestartable:
-    """Protocol-by-convention for anything the schedule can kill."""
-
-    def crash(self) -> None:  # pragma: no cover - interface only
-        raise NotImplementedError
-
-    def restart(self) -> None:  # pragma: no cover - interface only
-        raise NotImplementedError
+__all__ = ["FailureSchedule"]
 
 
 class FailureSchedule:

@@ -42,7 +42,8 @@ numbers, so traces are bit-identical with the straightforward path.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Any, Generator, Iterable, List, Optional
+from typing import (Any, Callable, Dict, Generator, Iterable, List, Optional,
+                    Union)
 
 from .events import NORMAL, URGENT, Event, SimulationError, Simulator
 
@@ -53,10 +54,13 @@ __all__ = [
     "ProcessKilled",
     "AllOf",
     "AnyOf",
+    "Supervisor",
+    "SimHost",
     "spawn",
     "timeout",
     "all_of",
     "any_of",
+    "drive",
 ]
 
 
@@ -230,6 +234,49 @@ class Process(Event):
         target.add_callback(self._on_target)
 
 
+class Supervisor:
+    """One owner's handler processes: tracked so a crash can kill them,
+    and so a handler that dies of anything *but* a kill is noticed.
+
+    Both stores' nodes hold one and bind its :meth:`spawn` as their own
+    (the per-message path gains no frame for the indirection)."""
+
+    __slots__ = ("sim", "_prefix", "_procs", "failures")
+
+    def __init__(self, sim: Simulator, owner: str):
+        self.sim = sim
+        self._prefix = owner + ":"
+        #: live processes in spawn order (dict-as-ordered-set: kill_all
+        #: must interrupt them deterministically, and set iteration
+        #: order would vary run to run)
+        self._procs: Dict[Process, None] = {}
+        #: failures of handler processes that were NOT deliberate kills —
+        #: tests assert this stays empty (protocol bugs surface here)
+        self.failures: List[BaseException] = []
+
+    def spawn(self, gen: Generator[Event, Any, Any],
+              name: str = "") -> Process:
+        """Start a handler process tracked for crash-time termination."""
+        proc = Process(self.sim, gen, name=self._prefix + name)
+        self._procs[proc] = None
+        proc.add_callback(self._done)
+        return proc
+
+    def _done(self, proc: Event) -> None:
+        self._procs.pop(proc, None)
+        if not proc._ok:
+            proc.defuse()
+            if not isinstance(proc._value, ProcessKilled):
+                self.failures.append(proc._value)
+
+    def kill_all(self) -> None:
+        """The owner crashed: interrupt every live process, oldest
+        first."""
+        for proc in list(self._procs):
+            proc.interrupt("crash")
+        self._procs.clear()
+
+
 class _Condition(Event):
     """Base for AllOf/AnyOf composite events."""
 
@@ -359,3 +406,43 @@ def any_of(sim: Simulator, events: Iterable[Event]) -> AnyOf:
 def quorum(sim: Simulator, events: Iterable[Event], need: int) -> Quorum:
     """An event that succeeds once ``need`` children have succeeded."""
     return Quorum(sim, events, need)
+
+
+class SimHost:
+    """Mixin for whatever owns a ``sim`` and is run from outside it
+    (the two stores' clusters): advance simulated time by a duration or
+    until a condition holds."""
+
+    sim: Simulator
+
+    def run(self, duration: float) -> None:
+        self.sim.run(until=self.sim.now + duration)
+
+    def run_until(self, predicate: Callable[[], bool], limit: float,
+                  step: float = 0.05, what: str = "condition") -> None:
+        """Advance simulated time until ``predicate()`` or ``limit``."""
+        deadline = self.sim.now + limit
+        while not predicate():
+            if self.sim.now >= deadline:
+                raise SimulationError(
+                    f"timed out waiting for {what} at t={self.sim.now}")
+            self.sim.run(until=min(self.sim.now + step, deadline))
+
+
+def drive(host: SimHost, work: Union[Event, Generator[Event, Any, Any]],
+          limit: float, what: str = "process", step: float = 0.05,
+          name: str = "") -> Any:
+    """Run ``work`` to completion from outside the simulation.
+
+    ``host`` is a cluster; ``work`` is a generator, spawned here as a
+    process, or an event that is already under way (``all_of`` over
+    several processes, say).  Time advances in ``step`` increments until
+    the work triggers or ``limit`` simulated seconds pass.  Returns the
+    work's value; a failure inside it re-raises here instead of passing
+    for a timeout.
+    """
+    event = (work if isinstance(work, Event)
+             else Process(host.sim, work, name=name))
+    host.run_until(lambda: event.triggered, limit=limit, step=step,
+                   what=what)
+    return event.result()

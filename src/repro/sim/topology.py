@@ -87,6 +87,29 @@ class Topology:
         self.default = Placement(default_dc, default_rack)
         self._placements: Dict[str, Placement] = {}
 
+    @classmethod
+    def round_robin(cls, n_nodes: int, n_dcs: int = 3,
+                    wan_one_way: float = 0.025,
+                    asymmetry: float = 0.0) -> "Topology":
+        """``node0..`` dealt round-robin over ``dc0..``, ``dc0`` preferred.
+
+        Each direction's WAN delay sits 0, 1/3, 2/3 or 1 x ``asymmetry``
+        above ``wan_one_way``, picked from the pair's indices: routes are
+        asymmetric, yet the same arguments always give the same matrix.
+        """
+        delays = {}
+        for i in range(n_dcs):
+            for j in range(n_dcs):
+                if i != j:
+                    skew = ((3 * i + j) % 4) / 3.0
+                    delays[(f"dc{i}", f"dc{j}")] = (
+                        wan_one_way * (1.0 + asymmetry * skew))
+        topo = cls(wan_one_way=wan_one_way, wan_delays=delays,
+                   preferred_dc="dc0")
+        for i in range(n_nodes):
+            topo.place(f"node{i}", f"dc{i % n_dcs}")
+        return topo
+
     # -- placement ------------------------------------------------------
     def place(self, name: str, dc: str, rack: Optional[str] = None) -> None:
         """Pin endpoint ``name`` to a datacenter (and optionally rack)."""

@@ -56,11 +56,6 @@ class SnapshotManifest:
         return cls(manifest_id=manifest_id, cohort_id=cohort_id,
                    checkpoint_lsn=checkpoint_lsn, sstables=ordered)
 
-    def tables_after(self, seen: LSN) -> Tuple[SSTable, ...]:
-        """Tables not yet shipped to a follower whose paging token is
-        ``seen`` (the max ``max_lsn`` it has received so far)."""
-        return tuple(t for t in self.sstables if t.max_lsn > seen)
-
     def bytes_size(self) -> int:
         return sum(t.bytes_size for t in self.sstables)
 

@@ -69,14 +69,13 @@ def evaluate(profile: TuneProfile, values: Dict[str, Value],
     """
     # Imported here: bench.harness reads this package's active tuned
     # overlay, so the module-level dependency must stay one-way.
-    from ..bench.harness import SpinnakerTarget, run_load
+    from ..bench.harness import traced_point
     from ..bench.workload import write_workload
-    from ..obs import RequestTracer, phase_summary
+    from ..obs import phase_summary
     from .profiles import _ACTIVE
 
     cfg = config if config is not None else build_config(profile, values)
     threads, ops, warmup = scaled_shape(profile, scale)
-    tracer = RequestTracer(sample_every=1)
     topology = (profile.topology(profile.n_nodes)
                 if profile.topology is not None else None)
     # An armed --tuned-profile overlay would silently override the very
@@ -85,15 +84,12 @@ def evaluate(profile: TuneProfile, values: Dict[str, Value],
     saved = dict(_ACTIVE)
     _ACTIVE.clear()
     try:
-        target = SpinnakerTarget(profile.n_nodes, config=cfg, seed=seed,
-                                 request_tracer=tracer,
-                                 topology=topology,
-                                 placement=(profile.placement
-                                            if topology is not None
-                                            else "ring"))
-        point = run_load(target, write_workload(), threads,
-                         ops_per_thread=ops, warmup_ops=warmup,
-                         seed=seed)
+        point, tracer = traced_point(
+            write_workload(), threads, ops, warmup_ops=warmup,
+            n_nodes=profile.n_nodes, config=cfg, seed=seed,
+            topology=topology,
+            placement=(profile.placement if topology is not None
+                       else "ring"))
     finally:
         _ACTIVE.update(saved)
     summary = phase_summary(tracer)

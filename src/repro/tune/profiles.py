@@ -41,15 +41,11 @@ __all__ = ["TuneProfile", "PROFILES", "DETUNED_START", "get_profile",
 CONFIG_DIR = Path(__file__).resolve().parents[3] / "configs"
 
 
-def _wan_topology(n_nodes: int, n_dcs: int = 3,
-                  wan_one_way: float = 0.02) -> Topology:
+def _wan_topology(n_nodes: int) -> Topology:
     """A small 3-DC topology in the fig-wan mold (symmetric links are
     enough for tuning; the asymmetry in fig-wan probes routing, not
     knobs)."""
-    topo = Topology(wan_one_way=wan_one_way, preferred_dc="dc0")
-    for i in range(n_nodes):
-        topo.place(f"node{i}", f"dc{i % n_dcs}")
-    return topo
+    return Topology.round_robin(n_nodes, wan_one_way=0.02)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,13 @@
-"""Tiny-scale smoke tests of the experiment functions and the report
-renderer (the benchmark suite runs them at full size)."""
+"""Tiny-scale smoke tests of the experiment registry and the report
+renderer (the benchmark suite runs every entry at full size)."""
 
-from repro.bench.experiments import (ExperimentResult, fig9_write_latency,
-                                     fig11_elastic, fig16_memory_log,
-                                     table1_recovery)
+from repro.bench.experiments import ALL_EXPERIMENTS, ExperimentResult
 from repro.bench.harness import LoadPoint
 from repro.bench.report import render
 
 
 def test_fig9_tiny_scale_runs_and_checks():
-    result = fig9_write_latency(scale=0.12, seed=5, n_nodes=5)
+    result = ALL_EXPERIMENTS["fig9"](scale=0.12, seed=5, n_nodes=5)
     assert isinstance(result, ExperimentResult)
     assert set(result.series) == {"spinnaker-writes",
                                   "cassandra-quorum-writes"}
@@ -20,14 +18,14 @@ def test_fig9_tiny_scale_runs_and_checks():
 
 
 def test_fig16_tiny_scale():
-    result = fig16_memory_log(scale=0.1, seed=5, n_nodes=5)
+    result = ALL_EXPERIMENTS["fig16"](scale=0.1, seed=5, n_nodes=5)
     points = result.series["spinnaker-writes-memlog"]
     assert points[0].mean_ms < 5.0  # memory log is milliseconds
     assert result.passed
 
 
 def test_table1_tiny_scale_is_linear_enough():
-    result = table1_recovery(scale=0.4, seed=5)
+    result = ALL_EXPERIMENTS["table1"](scale=0.4, seed=5)
     rows = result.series["recovery"]
     assert len(rows) >= 2
     assert rows[0]["recovery_time_s"] < rows[-1]["recovery_time_s"]
@@ -35,7 +33,7 @@ def test_table1_tiny_scale_is_linear_enough():
 
 
 def test_fig11_elastic_tiny_scale():
-    result = fig11_elastic(scale=0.05, seed=5)
+    result = ALL_EXPERIMENTS["fig11-elastic"](scale=0.05, seed=5)
     rows = result.series["elastic"]
     assert [r["phase"] for r in rows] == ["before", "during-move",
                                           "after"]

@@ -3,10 +3,12 @@
 import pytest
 
 from repro.bench.harness import (CassandraTarget, LoadPoint,
-                                 SpinnakerTarget, run_load)
+                                 SpinnakerTarget, curves, run_load,
+                                 scaled_ladder, traced_point)
 from repro.bench.workload import (Workload, conditional_put_workload,
                                   mixed_workload, read_workload,
                                   write_workload)
+from repro.core.datamodel import DatastoreError
 from repro.core.partition import key_of
 
 
@@ -93,3 +95,44 @@ def test_mixed_workload_latency_between_pure_modes():
                      mixed_workload(0.5, "strong"),
                      threads=2, ops_per_thread=20, warmup_ops=3)
     assert reads.mean_ms < mixed.mean_ms < writes.mean_ms
+
+
+def test_run_load_reraises_the_error_that_killed_a_thread():
+    """Regression: an error run_load does not count (anything but a
+    timeout or a version conflict) used to kill the thread silently; the
+    run then spun to its 36,000 s limit and blamed a timeout."""
+    class BrokenTarget(SpinnakerTarget):
+        def make_thread(self, *args):
+            def op():
+                raise DatastoreError("no such table")
+                yield
+            return op, op
+
+    with pytest.raises(DatastoreError, match="no such table"):
+        run_load(BrokenTarget(n_nodes=3, seed=3), write_workload(),
+                 threads=2, ops_per_thread=3, warmup_ops=0)
+
+
+def test_curves_sweeps_every_arm_over_the_same_ladder():
+    ladder = scaled_ladder([4, 8, 40, 80], 0.05)
+    assert ladder == [2, 4]     # floored at 2; collapsed rungs dropped
+    series = curves(
+        {"spinnaker": (lambda: SpinnakerTarget(3, seed=3),
+                       write_workload()),
+         "cassandra": (lambda: CassandraTarget(3, seed=3),
+                       write_workload("quorum"))},
+        ladder, ops_per_thread=5, warmup_ops=1)
+    assert list(series) == ["spinnaker", "cassandra"]
+    for points in series.values():
+        assert [p.threads for p in points] == ladder
+        assert all(p.ops == p.threads * 5 for p in points)
+
+
+def test_traced_point_traces_every_request():
+    from repro.obs import phase_summary
+    point, tracer = traced_point(write_workload(), threads=2,
+                                 ops_per_thread=5, warmup_ops=1,
+                                 n_nodes=3, seed=3)
+    assert point.ops == 10
+    assert tracer.skipped == 0
+    assert phase_summary(tracer)["write"]["count"] >= point.ops

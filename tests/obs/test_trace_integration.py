@@ -20,19 +20,6 @@ def _traced_cluster(n_nodes=3, seed=3, config=None, sample_every=1):
     return cluster, tracer
 
 
-def _cohort_keys(cluster, cohort_id, count, prefix=b"bk"):
-    """Deterministic keys all routed to one cohort."""
-    part = cluster.partitioner
-    keys = []
-    i = 0
-    while len(keys) < count:
-        key = prefix + b"-%d" % i
-        if part.cohort_for_key(key_of(key)).cohort_id == cohort_id:
-            keys.append(key)
-        i += 1
-    return keys
-
-
 class TestWriteTrace:
     def test_write_trace_has_every_phase_once(self):
         cluster, tracer = _traced_cluster()
@@ -182,7 +169,7 @@ class TestBatchedForceAttribution:
         client = cluster.client("c0")
         cohort = cluster.partitioner.cohort_for_key(key_of(b"bk-0"))
         cid = cohort.cohort_id
-        keys = _cohort_keys(cluster, cid, 12)
+        keys = cluster.keys_in_cohort(cid, 12, b"bk-")
         done = {"n": 0}
 
         def one(key):
@@ -223,3 +210,13 @@ class TestBatchedForceAttribution:
         leader_forces = [s for s in tracer.spans()
                          if s.name == "log_force"]
         assert len(leader_forces) == len(keys)
+
+
+@pytest.mark.parametrize("workload", ["write", "read", "mixed"])
+def test_trace_cli_renders_each_workload(workload, capsys):
+    # "mixed" used to die building its workload (missing arguments).
+    from repro.obs.cli import main
+    assert main(["--phases", "--scale", "0.05", "--nodes", "3",
+                 "--workload", workload]) == 0
+    out = capsys.readouterr().out
+    assert f"ran {workload} load" in out and "slowest" in out

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.sim.events import Event, SimulationError, Simulator
-from repro.sim.process import (Interrupt, all_of, any_of, quorum, spawn,
-                               timeout)
+from repro.sim.process import (Interrupt, ProcessKilled, SimHost,
+                               Supervisor, all_of, any_of, drive, quorum,
+                               spawn, timeout)
 
 
 def test_process_sleeps_and_returns_value():
@@ -208,3 +209,82 @@ def test_quorum_more_than_population_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
         quorum(sim, [Event(sim)], need=2)
+
+
+class _Host(SimHost):
+    def __init__(self):
+        self.sim = Simulator()
+
+
+def test_drive_returns_the_generators_value():
+    host = _Host()
+
+    def work():
+        yield timeout(host.sim, 0.12)
+        return 42
+
+    assert drive(host, work(), limit=1.0) == 42
+    assert host.sim.now == pytest.approx(0.15)    # a whole number of steps
+
+
+def test_drive_reraises_a_failure_instead_of_timing_out():
+    host = _Host()
+
+    def work():
+        yield timeout(host.sim, 0.1)
+        raise KeyError("boom")
+
+    with pytest.raises(KeyError):
+        drive(host, work(), limit=10.0)
+    assert host.sim.now < 1.0
+
+
+def test_drive_waits_on_an_event_already_under_way():
+    host = _Host()
+
+    def work(delay, fail=False):
+        yield timeout(host.sim, delay)
+        if fail:
+            raise ValueError("second worker")
+        return delay
+
+    procs = [spawn(host.sim, work(0.1)), spawn(host.sim, work(0.2))]
+    assert drive(host, all_of(host.sim, procs), limit=1.0) == [0.1, 0.2]
+    procs = [spawn(host.sim, work(5.0)), spawn(host.sim, work(0.1, True))]
+    with pytest.raises(ValueError, match="second worker"):
+        drive(host, all_of(host.sim, procs), limit=10.0)
+
+
+def test_drive_times_out_when_the_work_never_finishes():
+    host = _Host()
+    with pytest.raises(SimulationError, match="stuck thing"):
+        drive(host, Event(host.sim), limit=0.5, what="stuck thing")
+
+
+def test_supervisor_kills_in_spawn_order_and_keeps_only_real_failures():
+    sim = Simulator()
+    sup = Supervisor(sim, "node7")
+    order = []
+
+    def handler(tag):
+        try:
+            yield timeout(sim, 10.0)
+        except Interrupt:
+            order.append(tag)
+            raise
+
+    def buggy():
+        yield timeout(sim, 0.1)
+        raise RuntimeError("protocol bug")
+
+    procs = [sup.spawn(handler(tag), tag) for tag in "abc"]
+    bug = sup.spawn(buggy(), "bug")
+    assert procs[0].name == "node7:a"
+    sim.run(until=1.0)
+    assert [type(f) for f in sup.failures] == [RuntimeError]
+    assert bug.triggered and not bug.ok
+    sup.kill_all()
+    sim.run(until=2.0)
+    assert order == ["a", "b", "c"]
+    assert all(isinstance(p.exception, ProcessKilled) for p in procs)
+    assert len(sup.failures) == 1       # deliberate kills are not failures

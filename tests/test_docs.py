@@ -1,11 +1,12 @@
 """CI docs gate: the README and top-level markdown stay in sync with
 the tree.
 
-Four checks, each tied to a drift that has actually happened in repos
+Five checks, each tied to a drift that has actually happened in repos
 like this one: a new package that never makes it into the architecture
 map, a new CLI subcommand missing from the reference table, a renamed
-file leaving dangling markdown links, and TUNING.md's knob inventory
-drifting from the registry it documents.
+file leaving dangling markdown links, TUNING.md's knob inventory
+drifting from the registry it documents, and DESIGN.md's experiment
+index drifting from the experiment registry.
 """
 
 import re
@@ -15,6 +16,7 @@ REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
 README = REPO / "README.md"
 TUNING = REPO / "TUNING.md"
+DESIGN = REPO / "DESIGN.md"
 
 
 def _packages():
@@ -83,11 +85,28 @@ def test_tuning_inventory_rows_are_in_registry_order():
     assert _inventory_knobs() == knob_names()
 
 
+def test_design_experiment_index_matches_the_registry():
+    # index rows are table lines whose first cell is a backticked id
+    from repro.bench.experiments import ALL_EXPERIMENTS
+    text = DESIGN.read_text()
+    section = text.split("## Experiment index", 1)[1].split("\n##", 1)[0]
+    indexed = re.findall(r"^\|\s*`([\w-]+)`\s*\|", section,
+                         flags=re.MULTILINE)
+    assert indexed == list(ALL_EXPERIMENTS), (
+        "DESIGN.md's experiment index and ALL_EXPERIMENTS differ (ids "
+        "or order): add/move the row for the experiment you changed")
+    for exp_id in indexed:
+        assert f"`pytest benchmarks -k {exp_id}`" in section
+
+
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+#: fenced blocks and inline code spans: markdown renders no links there,
+#: and ``REGISTRY["id"](arg)`` in one looks exactly like a link
+_CODE = re.compile(r"```.*?```|`[^`\n]*`", re.DOTALL)
 
 
 def _intra_repo_links(path: Path):
-    for match in _LINK.finditer(path.read_text()):
+    for match in _LINK.finditer(_CODE.sub("", path.read_text())):
         target = match.group(1)
         if target.startswith(("http://", "https://", "mailto:", "#")):
             continue

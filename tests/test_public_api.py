@@ -40,4 +40,5 @@ def test_headline_types_importable_from_one_place():
                             SpinnakerConfig, Transaction)
     from repro.baseline import CassandraCluster
     from repro.bench import ALL_EXPERIMENTS
-    assert len(ALL_EXPERIMENTS) == 19
+    assert all(exp.exp_id == exp_id and exp.title
+               for exp_id, exp in ALL_EXPERIMENTS.items())
