@@ -75,7 +75,7 @@ _GUARD_MARKERS = ("epoch", "term", "version", "generation", "leader",
 #: write-after-yield rule, beyond the name markers below.
 _STATE_EXACT = frozenset({
     "open_for_writes", "migrating", "electing", "alive", "zk",
-    "catchup_source", "snapshot_seen", "write_block",
+    "write_block",
 })
 _STATE_MARKERS = ("epoch", "term", "version", "generation", "leader",
                   "role", "status", "lsn", "floor", "seq", "member")

@@ -90,7 +90,6 @@ class SpinnakerConfig:
     # -- coordination (§4.2, §7) --------------------------------------------
     session_timeout: float = 2.0
     election_retry: float = 0.5
-    catchup_rpc_timeout: float = 5.0
     takeover_state_timeout: float = 1.0
 
     # -- chunked catch-up (§6.1; see PROTOCOL.md) -----------------------
@@ -98,15 +97,11 @@ class SpinnakerConfig:
     #: at least one record or table is always shipped to guarantee
     #: progress even when a single item exceeds the budget
     catchup_chunk_bytes: int = 256 * 1024
-    #: per-chunk RPC timeout (replaces the one-shot catchup_rpc_timeout
-    #: on the chunked path; the final write-blocked delta still uses
-    #: catchup_rpc_timeout)
+    #: per-chunk RPC timeout
     catchup_chunk_timeout: float = 2.0
-    #: retries per chunk before the catch-up attempt is abandoned and
-    #: the caller's outer retry loop (leader_monitor / rebalance) kicks in
+    #: retries per chunk before the push is abandoned and the outer
+    #: retry loop (the follower's re-ask, takeover, rebalance) kicks in
     catchup_chunk_retries: int = 3
-    #: base backoff between chunk retries (doubles per attempt)
-    catchup_retry_backoff: float = 0.1
 
     # -- client ---------------------------------------------------------
     client_op_timeout: float = 10.0
@@ -150,8 +145,6 @@ class SpinnakerConfig:
             raise ValueError("catchup_chunk_timeout must be positive")
         if self.catchup_chunk_retries < 0:
             raise ValueError("catchup_chunk_retries must be >= 0")
-        if self.catchup_retry_backoff < 0:
-            raise ValueError("catchup_retry_backoff must be >= 0")
         if self.client_retry_backoff <= 0:
             raise ValueError("client_retry_backoff must be positive")
         if not (self.client_retry_backoff <= self.client_retry_backoff_cap

@@ -242,9 +242,9 @@ def assume_leadership(replica):
 
 def leader_monitor(replica):
     """Long-running per-replica process: tracks ``leader``, reacts to its
-    deletion by running an election, and (on restarts) drives follower
-    catch-up once a leader is known.  Spawned by the node at (re)start."""
-    from .recovery import follower_catchup  # local import: cycle with node
+    deletion by running an election, and (on restarts) has the replica
+    ask for catch-up once a leader is known.  Spawned by the node at
+    (re)start."""
     node, cfg = replica.node, replica.node.config
     sim = node.sim
     root = cohort_zk_path(replica.cohort_id)
@@ -276,10 +276,7 @@ def leader_monitor(replica):
         if leader != node.name:
             replica.set_leader(leader)
             if replica.role == Role.RECOVERING:
-                ok = yield from follower_catchup(replica)
-                if not ok:
-                    yield timeout(sim, cfg.election_retry)
-                    continue
+                replica.request_catchup()
         elif replica.role != Role.LEADER or not replica.open_for_writes:
             # We were *named* leader (graceful transfer) but have not
             # assumed the role yet: re-own the znode and take over.

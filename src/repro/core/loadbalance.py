@@ -34,11 +34,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..coord.znode import CoordError
-from ..sim.events import SimulationError
-from ..sim.network import RpcTimeout
 from ..sim.process import timeout
 from .election import cohort_zk_path
-from .recovery import push_catchup
+from .recovery import try_push_catchup
 
 __all__ = ["transfer_leadership", "plan_rebalance"]
 
@@ -66,9 +64,7 @@ def transfer_leadership(replica, successor: str):
                 return False
         # 2. Verify the successor is caught up to l.cmt; top it up if
         #    not (chunked push — same path as takeover and rebalance).
-        try:
-            yield from push_catchup(replica, successor)
-        except (RpcTimeout, SimulationError):
+        if not (yield from try_push_catchup(replica, (successor,))):
             return False
         # The push yields for as long as the successor needs: we may
         # have been deposed meanwhile (session loss, rival election).

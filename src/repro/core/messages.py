@@ -2,7 +2,8 @@
 
 Client-facing messages (``ClientGet``/``ClientWrite``) and the replication
 protocol messages of Fig. 4 (``Propose``/``Ack``/``Commit``) plus the
-recovery traffic of §6 (``CatchupRequest``/``CatchupChunk``).  All are
+recovery traffic of §6 (``CatchupRequest``/``CatchupChunk``/
+``TakeoverState``).  All are
 plain frozen dataclasses; the network layer delivers object references,
 so immutability matters.
 """
@@ -20,7 +21,7 @@ __all__ = [
     "ClientGet", "ClientScan", "ClientWrite", "ClientMultiWrite",
     "ClientTransaction", "TxnOp",
     "Propose", "Ack", "Commit",
-    "CatchupRequest", "CatchupChunk", "CatchupFinal", "TakeoverState",
+    "CatchupRequest", "CatchupChunk", "TakeoverState",
     "WhoIsLeader", "GetCohortMap",
     "MigrationStart", "MigrationPrepare",
 ]
@@ -155,17 +156,21 @@ class Commit:
 
 @dataclass(frozen=True)
 class CatchupRequest:
-    """Follower → leader: one page of the chunked catch-up (§6.1).
+    """Where one follower stands in the chunked catch-up (§6.1).
+
+    On the wire (follower → leader) it is the follower's whole part:
+    "I am ``RECOVERING``; catch me up".  The leader answers by pushing
+    chunks and keeps one of these per stream as its paging cursor.
 
     ``floor`` is the follower's durable catch-up floor (state at or
     below it is already installed from shipped SSTables); ``seen`` is
-    the volatile paging token — the max ``max_lsn`` of tables received
+    the volatile paging token — the max ``max_lsn`` of tables shipped
     so far from the generation named by ``source``.  The leader ships
     the next chunk after ``seen`` when ``source`` matches its own
     ``(leader, manifest_id)`` generation, and otherwise restarts paging
-    from ``floor`` — so a leader change or a flush/compaction under an
-    in-flight catch-up never replays a stale token, and nothing below
-    the durable floor is ever re-shipped.
+    from ``floor`` — so a flush/compaction under an in-flight catch-up
+    never replays a stale token, and nothing below the durable floor is
+    ever re-shipped.
     """
 
     cohort_id: int
@@ -174,7 +179,6 @@ class CatchupRequest:
     floor: LSN = LSN.zero()
     seen: LSN = LSN.zero()
     source: Optional[Tuple[str, int]] = None
-    max_bytes: int = 0        # 0 = leader's configured chunk budget
 
 
 @dataclass(frozen=True)
@@ -196,14 +200,14 @@ class CatchupChunk:
     the truncation per chunk keeps it sound under paging — LSNs above
     ``valid_upto`` are judged by later chunks.
 
-    ``more`` announces further chunks; the follower keeps requesting
-    until it clears.
+    ``more`` announces further chunks.  ``final`` marks the complete
+    page the leader built with client writes closed: nothing can commit
+    behind it, so it — and only it — promotes a ``RECOVERING`` follower.
     """
 
     cohort_id: int
     epoch: int
     committed_lsn: LSN
-    leader_lst: LSN
     source: Tuple[str, int]
     sstables: Tuple
     snapshot_seen: LSN
@@ -213,25 +217,14 @@ class CatchupChunk:
     valid_after: LSN
     valid_upto: LSN
     more: bool
-
-
-@dataclass(frozen=True)
-class CatchupFinal:
-    """Follower → leader, second catch-up phase: "I am caught up to
-    ``follower_cmt``; block writes momentarily and hand me the **last
-    delta only** plus your pending (uncommitted) writes" (§6.1).  The
-    leader answers ``behind`` instead if its log rolled past
-    ``follower_cmt``, sending the follower back to the chunk phase, so
-    the write-blocked window never ships bulk state."""
-
-    cohort_id: int
-    follower: str
-    follower_cmt: LSN
+    final: bool = False
+    trace: Optional[object] = None   # repro.obs TraceContext, if sampled
 
 
 @dataclass(frozen=True)
 class TakeoverState:
-    """New leader → follower (Fig. 6, line 4): report your f.cmt."""
+    """Leader → follower, opening a catch-up push (Fig. 6, line 4):
+    report your f.cmt and durable catch-up floor."""
 
     cohort_id: int
     epoch: int

@@ -33,16 +33,14 @@ from ..storage.records import (CatchupMarker, CheckpointRecord,
 from ..storage.wal import SharedLog
 from .config import SpinnakerConfig
 from .election import cohort_zk_path, leader_monitor
-from .messages import (Ack, CatchupChunk, CatchupFinal, CatchupRequest,
-                       ClientGet, ClientMultiWrite, ClientScan,
-                       ClientTransaction, ClientWrite, Commit, GetCohortMap,
-                       MigrationPrepare, MigrationStart, Propose,
-                       TakeoverState, WhoIsLeader)
+from .messages import (CatchupChunk, CatchupRequest, ClientGet,
+                       ClientMultiWrite, ClientScan, ClientTransaction,
+                       ClientWrite, Commit, GetCohortMap, MigrationPrepare,
+                       MigrationStart, Propose, TakeoverState, WhoIsLeader)
 from .partition import Cohort, RangePartitioner
 from .rebalance import (apply_membership_record, build_split_snapshot,
                         handle_migration_start)
-from .recovery import (build_catchup_chunk, chunk_wire_size,
-                       ingest_catchup, local_recovery)
+from .recovery import ingest_catchup, local_recovery, try_push_catchup
 from .replication import CohortReplica, Role
 
 __all__ = ["SpinnakerNode"]
@@ -260,6 +258,12 @@ class SpinnakerNode:
         self.alive = True
         self.incarnation += 1
         self.trace("node", "boot", incarnation=self.incarnation)
+        # Before the endpoint delivers anything: a push still retrying
+        # from before the crash may land ahead of ``_startup``, and the
+        # epoch and commit point it teaches us must not be wiped after.
+        # lint: allow(dict-order) — replicas inserted in partitioner order
+        for replica in self.replicas.values():
+            replica.prepare_restart()
         self.endpoint.restart()
         self.device.restart()
         self.zk = CoordClient(self.sim, self.endpoint,
@@ -281,7 +285,6 @@ class SpinnakerNode:
             replica = self.replicas.get(cid)
             if replica is None:      # retired by a replayed map change
                 continue
-            replica.prepare_restart()
             yield from local_recovery(replica)
         # Recovery yields; a session loss meanwhile replaced self.zk and
         # spawned a rejoin that owns the membership from here on.
@@ -457,25 +460,17 @@ class SpinnakerNode:
             self.spawn(replica.handle_propose(req), "propose")
         elif isinstance(payload, Commit):
             replica.handle_commit(req.src, payload)
-        # An Ack's LSN embeds its epoch (Appendix B), so stale-epoch
-        # acks cannot advance the commit queue past discarded records.
-        # lint: allow(stale-epoch)
-        elif isinstance(payload, Ack):
-            # One-way ack (sent during follower-driven catch-up).
-            replica.queue.add_ack_upto(payload.lsn, payload.sender)
-            replica._trace_acked(payload.lsn)
-            replica._advance()
         elif isinstance(payload, CatchupRequest):
-            self.spawn(self._handle_catchup_request(req, replica),
-                       "catchup-req")
-        elif isinstance(payload, CatchupFinal):
-            self.spawn(self._handle_catchup_final(req, replica),
-                       "catchup-final")
+            # A RECOVERING peer asks to be caught up (§6.1).  A push
+            # already streaming to it is the answer, and a leader still
+            # in takeover pushes to every peer itself.
+            if (replica.is_leader and replica.open_for_writes
+                    and payload.follower not in replica.catching_up):
+                self.spawn(try_push_catchup(replica, (payload.follower,)),
+                           "catchup-push")
         elif isinstance(payload, CatchupChunk):
-            # Push-driven catch-up: a leader (takeover, rebalance, or
-            # handoff) ships us chunks.
-            self.spawn(self._handle_takeover_catchup(req, replica),
-                       "takeover-catchup")
+            self.spawn(self._handle_catchup_chunk(req, replica),
+                       "catchup-chunk")
         elif isinstance(payload, TakeoverState):
             if payload.epoch >= replica.epoch:
                 replica.epoch = payload.epoch
@@ -506,62 +501,38 @@ class SpinnakerNode:
             replica.cohort = definition
         req.respond({"ok": True, "cmt": replica.committed_lsn}, size=64)
 
-    # ------------------------------------------------------------------
-    # Leader-side catch-up handlers (§6.1)
-    # ------------------------------------------------------------------
-    def _handle_catchup_request(self, req: Request, replica: CohortReplica):
-        if not replica.is_leader:
-            req.respond({"ok": False, "code": "not-leader",
-                         "hint": replica.leader}, size=64)
-            return
-        yield from serve(self.cpu, self.config.takeover_record_service)
-        if not replica.is_leader:
-            req.respond({"ok": False, "code": "not-leader",
-                         "hint": replica.leader}, size=64)
-            return
-        chunk = build_catchup_chunk(replica, req.payload)
-        req.respond(chunk, size=chunk_wire_size(chunk))
-
-    def _handle_catchup_final(self, req: Request, replica: CohortReplica):
-        """Phase B: momentarily block writes so the follower ends fully
-        caught up (§6.1), and hand over pending writes for acking.  Only
-        the *last delta* is shipped here — a follower whose progress the
-        log has rolled past is sent back to unblocked chunking."""
-        if not replica.is_leader:
-            req.respond({"ok": False, "code": "not-leader",
-                         "hint": replica.leader}, size=64)
-            return
-        f_cmt = req.payload.follower_cmt
-        if not self.wal.can_serve_after(replica.cohort_id, f_cmt):
-            # The log rolled past the follower between phases; shipping
-            # bulk snapshot state under blocked writes would stall the
-            # cohort, so redirect to the chunk phase instead.
-            req.respond({"ok": False, "code": "behind"}, size=48)
-            return
-        replica.block_writes()
-        try:
-            yield from serve(self.cpu, self.config.takeover_record_service)
-            final_req = CatchupRequest(
-                cohort_id=replica.cohort_id, follower=req.payload.follower,
-                follower_cmt=f_cmt, max_bytes=1 << 62)
-            chunk = build_catchup_chunk(replica, final_req)
-            pending = tuple(replica.queue.pending_records())
-            size = (chunk_wire_size(chunk)
-                    + sum(r.encoded_size() for r in pending))
-            req.respond({"reply": chunk, "pending": pending}, size=size)
-        finally:
-            replica.unblock_writes()
-
-    def _handle_takeover_catchup(self, req: Request,
-                                 replica: CohortReplica):
+    def _handle_catchup_chunk(self, req: Request, replica: CohortReplica):
+        """Follower side of ``push_catchup``: ingest one pushed chunk
+        and report the new cursor; the final page promotes us."""
         chunk: CatchupChunk = req.payload
         if chunk.epoch < replica.epoch:
             req.respond("stale", size=32)
             return
+        leader_before = replica.leader
+        tracer = self.request_tracer
+        span = None
+        if chunk.trace is not None and chunk.sstables:
+            span = tracer.start(chunk.trace, "snapshot_install", self.name,
+                                tables=len(chunk.sstables))
         yield from ingest_catchup(replica, chunk)
-        if replica.role in (Role.RECOVERING, Role.CANDIDATE):
-            replica.role = Role.FOLLOWER
-        replica.set_leader(req.src)
+        if span is not None:
+            tracer.finish(span, floor=str(replica.catchup_floor))
+        if chunk.final:
+            # Re-validate before adopting: the ingest yielded on disk
+            # forces, and meanwhile an election may have promoted us or
+            # named a different leader, or a newer epoch reached us —
+            # clobbering that with a stale FOLLOWER/leader pair would
+            # fork the cohort's view.
+            if (chunk.epoch < replica.epoch or replica.role is Role.LEADER
+                    or replica.leader not in (leader_before, req.src)):
+                self.trace("catchup", "discarding stale catch-up result",
+                           cohort=replica.cohort_id, against=req.src,
+                           leader=replica.leader)
+                req.respond("stale", size=32)
+                return
+            if replica.role in (Role.RECOVERING, Role.CANDIDATE):
+                replica.role = Role.FOLLOWER
+            replica.set_leader(req.src)
         req.respond({"cmt": replica.committed_lsn,
                      "floor": replica.catchup_floor}, size=64)
 

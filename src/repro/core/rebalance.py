@@ -85,7 +85,7 @@ from ..storage.sstable import SSTable
 from .messages import Commit, MigrationPrepare, MigrationStart
 from .partition import (INTERNAL_KEY_PREFIX, MEMBERSHIP_KEY, Cohort,
                         KeyRange, MembershipChange, RangePartitioner)
-from .recovery import push_catchup
+from .recovery import try_push_catchup
 from .replication import Role
 
 __all__ = ["MEMBERSHIP_KEY", "membership_record", "is_membership_record",
@@ -244,7 +244,7 @@ def handle_migration_start(replica, req):
                          "hint": None}, size=64)
             return
         if change.kind == "replace":
-            ok = yield from _push_catchup(replica, joiners)
+            ok = yield from try_push_catchup(replica, joiners)
             if not ok:
                 req.respond({"ok": False, "code": "catchup-failed",
                              "hint": None}, size=64)
@@ -281,7 +281,7 @@ def handle_migration_start(replica, req):
         if change.kind == "replace":
             # Best-effort final delta (includes the membership record);
             # a miss self-heals through gap resync.
-            yield from _push_catchup(replica, joiners)
+            yield from try_push_catchup(replica, joiners)
         yield from _finish_migration(replica, change)
         req.respond({"ok": True, "version": part.version}, size=64)
     finally:
@@ -320,18 +320,6 @@ def _prepare_joiners(replica, change: MembershipChange,
         except RpcTimeout:
             return False
         if not (isinstance(ack, dict) and ack.get("ok")):
-            return False
-    return True
-
-
-def _push_catchup(replica, joiners: Sequence[str]):
-    """Leader-driven catch-up push (replace moves), routed through the
-    same chunked snapshot-install path as leader takeover: progress a
-    joiner makes is durable per chunk and survives retries."""
-    for member in joiners:
-        try:
-            yield from push_catchup(replica, member)
-        except (RpcTimeout, SimulationError):
             return False
     return True
 

@@ -1,24 +1,29 @@
-"""Recovery: local replay, chunked follower catch-up, leader takeover (§6).
+"""Recovery: local replay and the leader-driven catch-up push (§6).
 
-Three flows live here, all expressed as process generators over a
+Two flows live here, expressed as process generators over a
 :class:`~repro.core.replication.CohortReplica`:
 
 * :func:`local_recovery` — after a restart, re-apply log records from the
   checkpoint through f.cmt (idempotently, honouring the skipped-LSN
   list).  Writes after f.cmt are ambiguous and are left to catch-up.
-* :func:`follower_catchup` — the §6.1 catch-up phase, follower-driven and
-  **chunked**: page bounded :class:`CatchupChunk` exchanges (snapshot
-  SSTables first, then log records), advancing ``catchup_floor`` /
-  ``committed_lsn`` durably per chunk so a crash mid-install resumes
-  from the last applied chunk, then a final exchange — last delta only —
-  during which the leader momentarily blocks new writes so the follower
-  ends fully caught up.
-* :func:`leader_takeover` — Fig. 6: catch both followers up to l.cmt
-  (via :func:`push_catchup`, the same chunked snapshot-install path used
-  by rebalance replace-moves and leadership handoff), wait for a quorum,
-  re-propose the unresolved writes in (l.cmt, l.lst] through the normal
-  protocol, and open the cohort for writes with LSNs above anything
-  previously used (the epoch was bumped by the election).
+* :func:`push_catchup` — the one catch-up path, leader-driven and
+  **chunked**: the leader pages bounded :class:`CatchupChunk` pushes
+  (snapshot SSTables first, then log records) at the follower, which
+  advances ``catchup_floor`` / ``committed_lsn`` durably per chunk so a
+  crash mid-install resumes from the last applied chunk.  Bulk pages
+  ship with writes open; the last page is built while the leader
+  momentarily blocks new writes (§6.1), so the follower ends fully
+  caught up, is promoted by that page alone, and then receives the
+  leader's pending writes as an ordinary propose.  A ``RECOVERING``
+  follower (restart or log-gap resync) only *asks* for it
+  (``CohortReplica.request_catchup``); rebalance replace-moves and
+  leadership handoff run it on their own initiative.
+
+:func:`leader_takeover` (Fig. 6) is built on the second: push to both
+followers (lines 3-7), wait for a quorum, re-propose the unresolved
+writes in (l.cmt, l.lst] through the normal protocol, and open the
+cohort for writes with LSNs above anything previously used (the epoch
+was bumped by the election).
 
 Chunk paging safety
 -------------------
@@ -29,13 +34,16 @@ ships tables ascending by ``(max_lsn, min_lsn, table_id)`` and computes a
 per-chunk **safe floor** — capped at one below the smallest ``min_lsn``
 of any unshipped table — and the follower only advances its durable
 state to that floor.  The volatile paging token (``seen``/``source``)
-names the leader's ``(name, manifest_id)`` generation; when a leader
-change or a flush/compaction invalidates it, paging restarts from the
-durable floor, so nothing below the floor is ever re-shipped and no
+in the leader's cursor names its ``(name, manifest_id)`` generation;
+when a flush/compaction invalidates it, paging restarts from the
+durable floor — as does every new stream, after a leader change or a
+follower crash — so nothing below the floor is ever re-shipped and no
 stale token skips a table.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from ..sim.events import Event, SimulationError
 from ..sim.network import RpcTimeout
@@ -44,19 +52,18 @@ from ..sim.resources import serve
 from ..storage.lsn import LSN, SEQ_BITS
 from ..storage.records import CatchupMarker, CommitMarker
 from .batching import chunk_groups
-from .messages import (Ack, CatchupChunk, CatchupFinal, CatchupRequest,
-                       Propose, TakeoverState)
+from .messages import (CatchupChunk, CatchupRequest, Propose,
+                       TakeoverState)
 from .partition import MEMBERSHIP_KEY
 from .replication import Role
 
-__all__ = ["local_recovery", "follower_catchup", "leader_takeover",
-           "push_catchup", "build_catchup_chunk", "ingest_catchup",
-           "chunk_wire_size"]
+__all__ = ["local_recovery", "leader_takeover", "push_catchup",
+           "try_push_catchup", "build_catchup_chunk",
+           "ingest_catchup", "chunk_wire_size"]
 
 _MAX_SEQ = (1 << SEQ_BITS) - 1
-#: "behind" redirects allowed per catch-up attempt before giving the
-#: outer retry loop (leader_monitor / rebalance) a turn.
-_MAX_FINAL_ROUNDS = 4
+#: base backoff between retries of one chunk (doubles per attempt)
+_CHUNK_RETRY_BACKOFF = 0.1
 
 
 def _prev_lsn(lsn: LSN) -> LSN:
@@ -132,7 +139,7 @@ def build_catchup_chunk(leader_replica, req: CatchupRequest) -> CatchupChunk:
     cfg = node.config
     l_cmt = leader_replica.committed_lsn
     l_lst = wal.last_lsn(cohort_id)
-    budget = req.max_bytes if req.max_bytes > 0 else cfg.catchup_chunk_bytes
+    budget = cfg.catchup_chunk_bytes
     progress = max(req.follower_cmt, req.floor)
     source = (node.name, engine.manifest_id)
     # The floor only moves when shipped SSTables cover the gap (snapshot
@@ -198,7 +205,7 @@ def build_catchup_chunk(leader_replica, req: CatchupRequest) -> CatchupChunk:
                                                            after=base))
         chunk = CatchupChunk(cohort_id=cohort_id,
                              epoch=leader_replica.epoch,
-                             committed_lsn=l_cmt, leader_lst=l_lst,
+                             committed_lsn=l_cmt,
                              source=source, sstables=sstables,
                              snapshot_seen=seen, floor=floor,
                              records=tuple(records), valid_lsns=valid,
@@ -207,7 +214,7 @@ def build_catchup_chunk(leader_replica, req: CatchupRequest) -> CatchupChunk:
     else:
         chunk = CatchupChunk(cohort_id=cohort_id,
                              epoch=leader_replica.epoch,
-                             committed_lsn=l_cmt, leader_lst=l_lst,
+                             committed_lsn=l_cmt,
                              source=source, sstables=sstables,
                              snapshot_seen=seen, floor=floor,
                              records=(), valid_lsns=(),
@@ -267,10 +274,6 @@ def ingest_catchup(replica, chunk: CatchupChunk):
     for table in chunk.sstables:
         replica.engine.ingest_sstable(table, checkpoint_upto=chunk.floor)
     replica.catchup_tables_ingested += len(chunk.sstables)
-    # Volatile paging token for the next request (crash resets it; the
-    # durable resume point is the CatchupMarker floor).
-    replica.snapshot_seen = chunk.snapshot_seen
-    replica.catchup_source = chunk.source
     floor_advanced = chunk.floor > replica.catchup_floor
     if floor_advanced:
         replica.catchup_floor = chunk.floor
@@ -329,195 +332,117 @@ def ingest_catchup(replica, chunk: CatchupChunk):
 
 
 # ---------------------------------------------------------------------------
-# Follower-driven catch-up (§6.1, phase 2)
-# ---------------------------------------------------------------------------
-
-# `leader` is the retry *target*, not a live guard: a deposed
-# addressee rejects the request on epoch mismatch.
-# lint: allow(stale-guard-across-yield)
-def _request_with_retries(replica, leader, payload, size, ctx,
-                          rpc_timeout=None):
-    """One catch-up RPC with per-chunk timeout + retry with backoff.
-
-    Returns the reply, or None once retries are exhausted.  ``yield
-    from`` me.
-    """
-    node, cfg = replica.node, replica.node.config
-    tracer = node.request_tracer
-    rpc_timeout = (cfg.catchup_chunk_timeout if rpc_timeout is None
-                   else rpc_timeout)
-    for attempt in range(cfg.catchup_chunk_retries + 1):
-        span = None
-        if ctx is not None:
-            span = tracer.start(ctx, "catchup_fetch", node.name,
-                                attempt=attempt)
-        try:
-            reply = yield node.endpoint.request(leader, payload, size=size,
-                                                timeout=rpc_timeout)
-        except RpcTimeout:
-            if span is not None:
-                tracer.finish(span, timed_out=True)
-            if attempt < cfg.catchup_chunk_retries:
-                yield timeout(node.sim,
-                              cfg.catchup_retry_backoff * (2 ** attempt))
-                continue
-            return None
-        if span is not None:
-            tracer.finish(span)
-        return reply
-    return None
-
-
-def follower_catchup(replica):
-    """Catch up from the current leader; ``yield from`` me.
-
-    Returns True on success (replica is now an active follower), False
-    if the leader was unreachable or stepped down (caller retries after
-    re-resolving leadership).  Progress made before a failure is durable
-    — the next attempt resumes from the last applied chunk.
-    """
-    node = replica.node
-    leader = replica.leader
-    if leader is None or leader == node.name:
-        return False
-    tracer = node.request_tracer
-    ctx = tracer.begin("catchup", node.name) if tracer.enabled else None
-    ok = False
-    try:
-        ok = yield from _catchup_rounds(replica, leader, ctx)
-        return ok
-    finally:
-        if ctx is not None:
-            tracer.finish(ctx.root, ok=ok)
-
-
-# Mid-round uses of `leader` only address RPCs (a deposed peer
-# answers with an epoch error); the final role/leader adoption
-# re-validates the live attributes before acting.
-# lint: allow(stale-guard-across-yield)
-def _catchup_rounds(replica, leader, ctx):
-    node, cfg = replica.node, replica.node.config
-    tracer = node.request_tracer
-    for _round in range(_MAX_FINAL_ROUNDS):
-        # Phase A: bulk chunks, leader unblocked.
-        while True:
-            request = CatchupRequest(
-                cohort_id=replica.cohort_id, follower=node.name,
-                follower_cmt=replica.committed_lsn,
-                floor=replica.catchup_floor,
-                seen=replica.snapshot_seen,
-                source=replica.catchup_source)
-            chunk = yield from _request_with_retries(replica, leader,
-                                                     request, 96, ctx)
-            if not isinstance(chunk, CatchupChunk):
-                return False
-            span = None
-            if ctx is not None and chunk.sstables:
-                span = tracer.start(ctx, "snapshot_install", node.name,
-                                    tables=len(chunk.sstables))
-            yield from ingest_catchup(replica, chunk)
-            if span is not None:
-                tracer.finish(span, floor=str(replica.catchup_floor))
-            if not chunk.more:
-                break
-        # Phase B: final delta with the leader's writes momentarily
-        # blocked, plus the leader's pending writes, which we adopt and
-        # ack.  The leader only ever ships the *last delta* here; if its
-        # log rolled past us between phases it answers "behind" and we
-        # return to unblocked bulk chunks instead.
-        final = yield from _request_with_retries(
-            replica, leader,
-            CatchupFinal(cohort_id=replica.cohort_id, follower=node.name,
-                         follower_cmt=replica.committed_lsn),
-            96, ctx, rpc_timeout=cfg.catchup_rpc_timeout)
-        if isinstance(final, dict) and final.get("code") == "behind":
-            continue
-        if not isinstance(final, dict) or "reply" not in final:
-            return False
-        yield from ingest_catchup(replica, final["reply"])
-        pending = final["pending"]
-        if pending:
-            forces = []
-            for record in pending:
-                if not node.wal.contains(replica.cohort_id, record.lsn):
-                    forces.append(node.wal.append(record, force=True))
-                replica.queue.add(record)
-            if forces:
-                yield all_of(node.sim, forces)
-            top = max(r.lsn for r in pending)
-            node.endpoint.send(leader, Ack(cohort_id=replica.cohort_id,
-                                           epoch=replica.epoch, lsn=top,
-                                           sender=node.name), size=48)
-        # Re-validate before adopting: the rounds above yielded many
-        # times, and an election may have promoted us (or named a
-        # different leader) meanwhile — clobbering that state with a
-        # stale FOLLOWER/leader pair would fork the cohort's view.
-        if replica.role is Role.LEADER or (replica.leader is not None
-                                           and replica.leader != leader):
-            node.trace("catchup", "discarding stale catch-up result",
-                       cohort=replica.cohort_id, against=leader,
-                       leader=replica.leader)
-            return False
-        replica.role = Role.FOLLOWER
-        replica.set_leader(leader)
-        return True
-    return False
-
-
-# ---------------------------------------------------------------------------
-# Leader-driven catch-up push (takeover, rebalance, handoff)
+# Leader-driven catch-up push (§6.1 rejoin, Fig. 6 lines 3-7)
 # ---------------------------------------------------------------------------
 
 def push_catchup(leader_replica, peer: str):
     """Bring ``peer`` up to this replica's commit point by pushing
     chunks; ``yield from`` me.  Returns the peer name.
 
-    The one bulk-repair path: leader takeover (Fig. 6 lines 3-7),
-    rebalance replace-joiners, and leadership handoff all route through
-    here, so a far-behind peer is always repaired via the chunked
-    snapshot-install protocol.  Raises
-    :class:`~repro.sim.events.SimulationError` when the peer cannot be
-    caught up (callers' retry loops handle it); chunk progress already
-    pushed is durable at the peer and is not re-shipped on retry.
+    The one catch-up path: a ``RECOVERING`` follower's request, leader
+    takeover (Fig. 6 lines 3-7), rebalance replace-joiners and
+    leadership handoff all route through here.  Bulk pages ship with
+    client writes open.  A page is *final* — and promotes the peer —
+    only when it is complete and was built with writes closed: a
+    takeover has not opened the cohort yet, or this push holds the §6.1
+    momentary write block, taken once a bulk page comes back complete.
+    Proposes are withheld from a peer in ``catching_up``, so the first
+    one it sees after promotion is the pending queue snapshotted with
+    the final page: its cumulative ack never covers a dropped record.
+
+    Raises :class:`~repro.sim.events.SimulationError` (or
+    :class:`~repro.sim.network.RpcTimeout`) when the peer cannot be
+    caught up; chunk progress already pushed is durable at the peer and
+    is not re-shipped on retry.
     """
     node, cfg = leader_replica.node, leader_replica.node.config
     cohort_id = leader_replica.cohort_id
-    state = yield node.endpoint.request(
-        peer, TakeoverState(cohort_id=cohort_id,
-                            epoch=leader_replica.epoch),
-        size=64, timeout=cfg.takeover_state_timeout)
-    if not isinstance(state, dict) or "cmt" not in state:
-        raise SimulationError(f"{peer} gave no takeover state")
-    follower_cmt = state["cmt"]
-    floor = state.get("floor", LSN.zero())
-    seen = LSN.zero()
-    source = None
-    while True:
-        yield from serve(node.cpu, cfg.takeover_record_service)
-        request = CatchupRequest(cohort_id=cohort_id, follower=peer,
-                                 follower_cmt=follower_cmt, floor=floor,
-                                 seen=seen, source=source)
-        chunk = build_catchup_chunk(leader_replica, request)
-        done = None
-        for attempt in range(cfg.catchup_chunk_retries + 1):
-            try:
-                done = yield node.endpoint.request(
-                    peer, chunk, size=chunk_wire_size(chunk),
-                    timeout=cfg.catchup_chunk_timeout)
+    tracer = node.request_tracer
+    ctx = tracer.begin("catchup", node.name) if tracer.enabled else None
+    leader_replica.catching_up.add(peer)
+    blocking = False
+    ok = False
+    try:
+        state = yield node.endpoint.request(
+            peer, TakeoverState(cohort_id=cohort_id,
+                                epoch=leader_replica.epoch),
+            size=64, timeout=cfg.takeover_state_timeout)
+        if not isinstance(state, dict) or "cmt" not in state:
+            raise SimulationError(f"{peer} gave no takeover state")
+        cursor = CatchupRequest(cohort_id=cohort_id, follower=peer,
+                                follower_cmt=state["cmt"],
+                                floor=state.get("floor", LSN.zero()))
+        while True:
+            # Under the block this also lets writes already past the
+            # gate reach the commit queue before the final snapshot.
+            yield from serve(node.cpu, cfg.takeover_record_service)
+            if not leader_replica.is_leader:
+                raise SimulationError(f"deposed while catching up {peer}")
+            chunk = build_catchup_chunk(leader_replica, cursor)
+            final = not chunk.more and (
+                blocking or not leader_replica.open_for_writes)
+            pending = (tuple(leader_replica.queue.pending_records())
+                       if final and blocking else ())
+            chunk = replace(chunk, final=final, trace=ctx)
+            done = None
+            for attempt in range(cfg.catchup_chunk_retries + 1):
+                span = None
+                if ctx is not None:
+                    span = tracer.start(ctx, "catchup_fetch", node.name,
+                                        attempt=attempt)
+                try:
+                    done = yield node.endpoint.request(
+                        peer, chunk, size=chunk_wire_size(chunk),
+                        timeout=cfg.catchup_chunk_timeout)
+                except RpcTimeout:
+                    if span is not None:
+                        tracer.finish(span, timed_out=True)
+                    if attempt < cfg.catchup_chunk_retries:
+                        yield timeout(
+                            node.sim,
+                            _CHUNK_RETRY_BACKOFF * (2 ** attempt))
+                    continue
+                if span is not None:
+                    tracer.finish(span)
                 break
-            except RpcTimeout:
-                if attempt < cfg.catchup_chunk_retries:
-                    yield timeout(
-                        node.sim,
-                        cfg.catchup_retry_backoff * (2 ** attempt))
-        if not isinstance(done, dict) or "cmt" not in done:
-            raise SimulationError(f"{peer} failed catch-up")
-        follower_cmt = done["cmt"]
-        floor = done.get("floor", floor)
-        seen = chunk.snapshot_seen
-        source = chunk.source
-        if not chunk.more:
-            return peer
+            if not isinstance(done, dict) or "cmt" not in done:
+                raise SimulationError(f"{peer} failed catch-up")
+            if final:
+                break
+            cursor = CatchupRequest(
+                cohort_id=cohort_id, follower=peer,
+                follower_cmt=done["cmt"],
+                floor=done.get("floor", cursor.floor),
+                seen=chunk.snapshot_seen, source=chunk.source)
+            if not chunk.more and not blocking:
+                leader_replica.block_writes()
+                blocking = True
+        # Proposes flow to the peer again, the pending tail first.
+        leader_replica.catching_up.discard(peer)
+        if pending and peer in leader_replica.peers():
+            # Only a voter's ack may count toward the commit quorum; a
+            # joining learner picks the tail up after the switch.
+            leader_replica.send_propose(pending, to=(peer,))
+        ok = True
+        return peer
+    finally:
+        leader_replica.catching_up.discard(peer)
+        if blocking:
+            leader_replica.unblock_writes()
+        if ctx is not None:
+            tracer.finish(ctx.root, ok=ok)
+
+
+def try_push_catchup(replica, peers):
+    """:func:`push_catchup` to each of ``peers`` in turn; ``yield
+    from`` me.  False as soon as one cannot be caught up — the caller's
+    retry loop, or the peer's next request, tries again."""
+    for peer in peers:
+        try:
+            yield from push_catchup(replica, peer)
+        except (RpcTimeout, SimulationError):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -541,17 +466,14 @@ def leader_takeover(replica):
     l_lst = node.wal.last_lsn(cohort_id)
 
     # Lines 3-7: catch each follower up to l.cmt (chunked push).
-    def catch_one(peer: str):
-        caught_peer = yield from push_catchup(replica, peer)
-        return caught_peer
-
     # Line 8: wait until at least one follower is caught up to l.cmt.
     # Retry until a quorum exists — with both followers down the cohort
-    # must stay unavailable (§8.1), and a returning follower may also
-    # catch itself up and unblock us through the normal ack path.
+    # must stay unavailable (§8.1); a returning follower is picked up
+    # by the next round (its own requests wait until we are open).
     caught = None
     while caught is None:
-        attempts = [spawn(sim, catch_one(peer), name=f"takeover-{peer}")
+        attempts = [spawn(sim, push_catchup(replica, peer),
+                          name=f"takeover-{peer}")
                     for peer in replica.peers()]
         try:
             caught = yield quorum(sim, attempts, need=1)

@@ -33,7 +33,7 @@ or step-down.  See ``OBSERVABILITY.md``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..sim.events import Event
 from ..sim.process import all_of, timeout
@@ -43,8 +43,8 @@ from ..storage.records import CommitMarker, WriteRecord
 from .batching import ProposalBatcher
 from .commitqueue import CommitQueue
 from .datamodel import GetResult, PutResult
-from .messages import (Ack, ClientGet, ClientMultiWrite, ClientWrite, Commit,
-                       Propose)
+from .messages import (Ack, CatchupRequest, ClientGet, ClientMultiWrite,
+                       ClientWrite, Commit, Propose)
 from .partition import INTERNAL_KEY_PREFIX, MEMBERSHIP_KEY, Cohort
 
 __all__ = ["CohortReplica", "Role"]
@@ -111,7 +111,9 @@ class CohortReplica:
         self.next_seq = 1
         self.electing = False
         self.candidate_path: Optional[str] = None
+        #: fires when the last holder of the write block releases it
         self.write_block: Optional[Event] = None
+        self._write_blockers = 0
         self._last_commit_broadcast = LSN.zero()
         self.last_broadcast_at = 0.0   # benchmarks time failovers off this
         # Records at or below this LSN may be absent from the local log:
@@ -120,14 +122,10 @@ class CohortReplica:
         # Advanced durably per catch-up chunk (CatchupMarker), so a crash
         # mid-install resumes from the last applied chunk.
         self.catchup_floor = LSN.zero()
-        # Volatile snapshot-paging state for an in-flight chunked
-        # catch-up: the max table LSN received so far, valid only for
-        # the (leader, manifest_id) generation in ``catchup_source``.
-        # A crash resets both; resume restarts paging from the durable
-        # floor.
-        self.snapshot_seen = LSN.zero()
-        self.catchup_source: Optional[Tuple[str, int]] = None
-        self._resyncing = False
+        #: leader: peers a ``push_catchup`` is streaming to right now
+        self.catching_up: Set[str] = set()
+        #: recovering: the process asking the leader to catch us up
+        self._catchup_asker = None
         #: set while this leader is executing a membership change
         self.migrating = False
         #: in-flight request-trace state, write-group top LSN -> state;
@@ -175,10 +173,22 @@ class CohortReplica:
     # Write blocking (the §6.1 "momentarily blocks new writes")
     # ------------------------------------------------------------------
     def block_writes(self) -> None:
+        """Hold client writes at the gate.  Holders nest (a handoff or
+        rebalance drain can overlap a catch-up's final page): writes
+        resume when the last one calls :meth:`unblock_writes`."""
+        self._write_blockers += 1
         if self.write_block is None:
             self.write_block = Event(self.node.sim)
 
     def unblock_writes(self) -> None:
+        if self._write_blockers == 0:
+            return      # a step-down or crash already released everyone
+        self._write_blockers -= 1
+        if self._write_blockers == 0:
+            self._release_write_block()
+
+    def _release_write_block(self) -> None:
+        self._write_blockers = 0
         block, self.write_block = self.write_block, None
         if block is not None and not block.triggered:
             block.succeed()
@@ -410,8 +420,12 @@ class CohortReplica:
         self.send_propose(records)
         return done
 
-    def send_propose(self, records: Sequence[WriteRecord]) -> None:
-        """Fan one (possibly multi-record) propose out to the peers."""
+    def send_propose(self, records: Sequence[WriteRecord],
+                     to: Optional[Sequence[str]] = None) -> None:
+        """Fan one (possibly multi-record) propose out to the peers (or
+        just ``to``).  A peer under catch-up is skipped: ``RECOVERING``,
+        it would drop the propose, and its push ends by re-proposing
+        the pending queue to it."""
         node, cfg = self.node, self.node.config
         propose = Propose(
             cohort_id=self.cohort_id, epoch=self.epoch,
@@ -432,7 +446,9 @@ class CohortReplica:
                     state.rtt_span = tracer.start(
                         state.ctx, "replicate_rtt", node.name,
                         peers=len(self.peers()))
-        for peer in self.peers():
+        for peer in to or self.peers():
+            if peer in self.catching_up:
+                continue
             ack_ev = node.endpoint.request(peer, propose, size=size)
             ack_ev.add_callback(self._on_ack)
 
@@ -679,35 +695,46 @@ class CohortReplica:
             self._start_resync(upto)
 
     def _start_resync(self, upto: LSN) -> None:
-        """Demote to RECOVERING and drive catch-up until it succeeds.
+        """Demote to RECOVERING and ask the leader to catch us up.
 
         Used when a follower detects a log gap below the cohort's commit
-        point.  Catch-up fetches the missing records from the leader and
-        then restores FOLLOWER; meanwhile proposes are dropped, which is
+        point.  The push delivers the missing records and its final
+        page restores FOLLOWER; meanwhile proposes are dropped, which is
         safe (the leader only needs a quorum) and cannot widen the gap.
         """
-        if self.role != Role.FOLLOWER or self._resyncing:
+        if self.role != Role.FOLLOWER:
             return
-        from .recovery import follower_catchup  # cycle: recovery imports us
-        node = self.node
-        self._resyncing = True
         self.role = Role.RECOVERING
         self.resyncs += 1
-        node.trace("resync", "log gap below commit point",
-                   cohort=self.cohort_id, cmt=str(self.committed_lsn),
-                   upto=str(upto))
+        self.node.trace("resync", "log gap below commit point",
+                        cohort=self.cohort_id, cmt=str(self.committed_lsn),
+                        upto=str(upto))
+        self.request_catchup()
 
-        def _run():
-            try:
-                while node.alive and self.role == Role.RECOVERING:
-                    ok = yield from follower_catchup(self)
-                    if ok:
-                        return
-                    yield timeout(node.sim, node.config.election_retry)
-            finally:
-                self._resyncing = False
+    def request_catchup(self) -> None:
+        """Ask the leader for a catch-up push (§6.1), re-asking at
+        ``election_retry`` pace until its final page makes us a
+        FOLLOWER — on restart (via the leader monitor) and on gap
+        resync alike.  Only a voter asks; a prepared joiner is caught
+        up by the migration that created it."""
+        node = self.node
+        if (node.name not in self.cohort.members
+                or (self._catchup_asker is not None
+                    and self._catchup_asker.is_alive)):
+            return
 
-        node.spawn(_run(), name=f"resync-{self.cohort_id}")
+        def _ask():
+            while node.alive and self.role == Role.RECOVERING:
+                leader = self.leader
+                if leader is not None and leader != node.name:
+                    node.endpoint.send(leader, CatchupRequest(
+                        cohort_id=self.cohort_id, follower=node.name,
+                        follower_cmt=self.committed_lsn,
+                        floor=self.catchup_floor), size=96)
+                yield timeout(node.sim, node.config.election_retry)
+
+        self._catchup_asker = node.spawn(
+            _ask(), name=f"catchup-ask-{self.cohort_id}")
 
     # ------------------------------------------------------------------
     # Reads
@@ -829,12 +856,8 @@ class CohortReplica:
         self.engine.crash()
         self.electing = False
         self.candidate_path = None
-        self.write_block = None
-        self._resyncing = False
-        # Paging tokens are volatile: resume restarts from the durable
-        # floor (CatchupMarker), never from a stale token.
-        self.snapshot_seen = LSN.zero()
-        self.catchup_source = None
+        self._release_write_block()
+        self.catching_up.clear()
 
     def step_down(self) -> None:
         """Coordination session lost: we can no longer prove leadership
@@ -851,18 +874,13 @@ class CohortReplica:
         self.batcher.clear()
         self.electing = False
         self.candidate_path = None
-        self._resyncing = False
-        if self.write_block is not None and not self.write_block.triggered:
-            self.write_block.succeed()
-        self.write_block = None
+        self._release_write_block()
 
     def prepare_restart(self) -> None:
         self.role = Role.RECOVERING
         self.epoch = 0
         self.committed_lsn = LSN.zero()
         self._last_commit_broadcast = LSN.zero()
-        self.snapshot_seen = LSN.zero()
-        self.catchup_source = None
         # Re-derive the durable catch-up floor from the log's surviving
         # CatchupMarkers, so a crash mid-snapshot-install resumes from
         # the last durably applied chunk.

@@ -148,12 +148,6 @@ KNOBS: Tuple[Knob, ...] = (
     Knob("catchup_chunk_retries", "int", 0, 16,
          "core/recovery.py", "catchup_fetch", "PR 6",
          "retries per chunk before the attempt is abandoned"),
-    Knob("catchup_retry_backoff", "float", 0.0, 5.0,
-         "core/recovery.py", "catchup_fetch", "PR 6",
-         "base backoff between chunk retries (doubles per attempt)"),
-    Knob("catchup_rpc_timeout", "float", 0.5, 60.0,
-         "core/recovery.py", "catchup_fetch", "§6.1",
-         "timeout of the final write-blocked delta exchange"),
     # -- coordination & elections (coord/, core/election.py, §4.2/§7) ----
     Knob("session_timeout", "float", 0.5, 30.0,
          "coord/service.py", "none (failure detection delay)", "§4.2",

@@ -134,18 +134,18 @@ def test_real_tree_protocol_findings_all_carry_pragmas():
 
 def test_catalog_covers_chunked_catchup_messages():
     """The chunked catch-up protocol's messages are in the real catalog
-    (and the retired one-shot reply is gone)."""
+    (and the retired one-shot reply and pull-path final are gone)."""
     catalog = parse_catalog(
         (REPRO_ROOT / "core" / "messages.py").read_text(),
         "core/messages.py")
-    for name in ("CatchupRequest", "CatchupChunk", "CatchupFinal",
-                 "TakeoverState"):
+    for name in ("CatchupRequest", "CatchupChunk", "TakeoverState"):
         assert name in catalog, name
     assert "CatchupReply" not in catalog
-    for field in ("floor", "seen", "source", "max_bytes"):
+    assert "CatchupFinal" not in catalog
+    for field in ("floor", "seen", "source"):
         assert field in catalog["CatchupRequest"].fields
     for field in ("sstables", "snapshot_seen", "floor", "valid_after",
-                  "valid_upto", "more"):
+                  "valid_upto", "more", "final"):
         assert field in catalog["CatchupChunk"].fields
     # Chunks carry an epoch the follower checks before ingesting.
     assert "epoch" in catalog["CatchupChunk"].fields

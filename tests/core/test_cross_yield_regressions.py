@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import Role, SpinnakerCluster, SpinnakerConfig
 from repro.core.loadbalance import transfer_leadership
-from repro.core.messages import CatchupChunk, CatchupRequest
+from repro.core.messages import CatchupChunk
 from repro.sim.disk import DiskProfile
 from repro.sim.process import spawn
 from repro.storage.lsn import LSN
@@ -55,12 +55,12 @@ def test_transfer_aborts_when_deposed_during_catchup(monkeypatch):
     replica = cluster.replica(old_leader, cohort_id)
     successor = replica.peers()[0]
 
-    def deposing_push(rep, peer):
+    def deposing_push(rep, peers):
         rep.step_down()            # a rival won mid-push
-        return peer
+        return True
         yield                      # pragma: no cover - generator marker
 
-    monkeypatch.setattr(lb, "push_catchup", deposing_push)
+    monkeypatch.setattr(lb, "try_push_catchup", deposing_push)
     znode_writes = []
     orig_set_data = replica.node.zk.set_data
 
@@ -80,27 +80,12 @@ def test_transfer_aborts_when_deposed_during_catchup(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# _catchup_rounds: role/leader adoption re-validates after the rounds
+# _handle_catchup_chunk: role/leader adoption re-validates after the ingest
 # ---------------------------------------------------------------------------
-
-class _FakeTracer:
-    def start(self, *a, **k):
-        return object()
-
-    def finish(self, *a, **k):
-        pass
-
-
-class _FakeConfig:
-    catchup_chunk_timeout = 1.0
-    catchup_chunk_retries = 0
-    catchup_rpc_timeout = 1.0
-
 
 class _FakeNode:
     name = "n1"
-    config = _FakeConfig()
-    request_tracer = _FakeTracer()
+    request_tracer = None          # untraced chunks never touch it
 
     def trace(self, *a, **k):
         pass
@@ -108,14 +93,11 @@ class _FakeNode:
 
 class _FakeReplica:
     def __init__(self):
-        self.node = _FakeNode()
         self.cohort_id = 0
         self.committed_lsn = LSN.zero()
         self.catchup_floor = LSN.zero()
-        self.snapshot_seen = LSN.zero()
-        self.catchup_source = None
         self.epoch = 3
-        self.role = Role.FOLLOWER
+        self.role = Role.RECOVERING
         self.leader = None
         self.set_leader_calls = []
 
@@ -124,68 +106,93 @@ class _FakeReplica:
         self.leader = leader
 
 
-def _chunk(more=False):
+class _FakeRequest:
+    src = "n2"
+
+    def __init__(self, payload):
+        self.payload = payload
+        self.replies = []
+
+    def respond(self, reply, size):
+        self.replies.append(reply)
+
+
+def _chunk(final=True):
     return CatchupChunk(
         cohort_id=0, epoch=3, committed_lsn=LSN.zero(),
-        leader_lst=LSN.zero(), source=("n2", 1), sstables=(),
+        source=("n2", 1), sstables=(),
         snapshot_seen=LSN.zero(), floor=LSN.zero(), records=(),
         valid_lsns=(), valid_after=LSN.zero(), valid_upto=LSN.zero(),
-        more=more)
+        more=False, final=final)
 
 
-def _patch_catchup_plumbing(monkeypatch, on_fetch):
-    import repro.core.recovery as rec
-
-    def fake_request(replica, leader, payload, size, ctx,
-                     rpc_timeout=None):
-        if isinstance(payload, CatchupRequest):
-            on_fetch(replica)
-            return _chunk(more=False)
-        return {"reply": _chunk(), "pending": []}
-        yield                      # pragma: no cover - generator marker
+def _handle_chunk(monkeypatch, during_ingest, chunk=None):
+    """Run the chunk handler with ``during_ingest(replica)`` standing in
+    for whatever else ran while the ingest waited on its disk forces."""
+    import repro.core.node as node_mod
 
     def fake_ingest(replica, chunk):
+        during_ingest(replica)
         return None
         yield                      # pragma: no cover - generator marker
 
-    monkeypatch.setattr(rec, "_request_with_retries", fake_request)
-    monkeypatch.setattr(rec, "ingest_catchup", fake_ingest)
-    return rec
+    monkeypatch.setattr(node_mod, "ingest_catchup", fake_ingest)
+    replica = _FakeReplica()
+    req = _FakeRequest(chunk if chunk is not None else _chunk())
+    drive(node_mod.SpinnakerNode._handle_catchup_chunk(_FakeNode(), req,
+                                                       replica))
+    return replica, req
 
 
 def test_catchup_adoption_discarded_after_promotion(monkeypatch):
-    """If an election promotes this replica while it was fetching
-    chunks, the stale FOLLOWER/leader adoption at the end of the rounds
-    must be discarded, not clobber the fresh leadership."""
+    """If an election promotes this replica while it was ingesting the
+    final page, the stale FOLLOWER/leader adoption must be discarded,
+    not clobber the fresh leadership."""
     def promote(replica):
-        replica.role = Role.LEADER   # we won an election mid-fetch
+        replica.role = Role.LEADER   # we won an election mid-ingest
 
-    rec = _patch_catchup_plumbing(monkeypatch, promote)
-    replica = _FakeReplica()
-    ok = drive(rec._catchup_rounds(replica, "n2", None))
-    assert ok is False
+    replica, req = _handle_chunk(monkeypatch, promote)
+    assert req.replies == ["stale"]
     assert replica.role == Role.LEADER
     assert replica.set_leader_calls == []
 
 
 def test_catchup_adoption_discarded_after_new_leader(monkeypatch):
-    """If the replica learned a *different* leader during the rounds,
-    adopting the one we started catching up from would fork its view."""
+    """If the replica learned a *different* leader during the ingest,
+    adopting the one that pushed the page would fork its view."""
     def relearn(replica):
         replica.leader = "n3"        # a fresh election named n3
 
-    rec = _patch_catchup_plumbing(monkeypatch, relearn)
-    replica = _FakeReplica()
-    ok = drive(rec._catchup_rounds(replica, "n2", None))
-    assert ok is False
+    replica, req = _handle_chunk(monkeypatch, relearn)
+    assert req.replies == ["stale"]
     assert replica.leader == "n3"
+    assert replica.role == Role.RECOVERING
+    assert replica.set_leader_calls == []
+
+
+def test_catchup_adoption_discarded_after_newer_epoch(monkeypatch):
+    """A newer epoch that reached us mid-ingest outranks the page."""
+    def newer_epoch(replica):
+        replica.epoch = 4
+
+    replica, req = _handle_chunk(monkeypatch, newer_epoch)
+    assert req.replies == ["stale"]
+    assert replica.role == Role.RECOVERING
     assert replica.set_leader_calls == []
 
 
 def test_catchup_adoption_still_runs_when_state_is_fresh(monkeypatch):
-    rec = _patch_catchup_plumbing(monkeypatch, lambda replica: None)
-    replica = _FakeReplica()
-    ok = drive(rec._catchup_rounds(replica, "n2", None))
-    assert ok is True
+    replica, req = _handle_chunk(monkeypatch, lambda replica: None)
+    assert req.replies == [{"cmt": LSN.zero(), "floor": LSN.zero()}]
     assert replica.role == Role.FOLLOWER
     assert replica.set_leader_calls == ["n2"]
+
+
+def test_only_the_final_page_promotes(monkeypatch):
+    """A bulk page is built with the leader's writes open: promoting on
+    it would let the follower ack proposes above a gap."""
+    replica, req = _handle_chunk(monkeypatch, lambda replica: None,
+                                 chunk=_chunk(final=False))
+    assert req.replies == [{"cmt": LSN.zero(), "floor": LSN.zero()}]
+    assert replica.role == Role.RECOVERING
+    assert replica.set_leader_calls == []
