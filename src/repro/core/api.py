@@ -38,6 +38,9 @@ leader cache, and walks one request through these transitions until an
                                cohort (``relocate``), backoff, retry.
 ``send -> version-mismatch``   raise :class:`VersionMismatch` (terminal;
                                retrying cannot succeed).
+``send -> cross-cohort``       a multi-op write whose *later* op the
+                               routing key's cohort does not own: raise
+                               :class:`DatastoreError` (terminal).
 
 Invariants
 ----------
@@ -68,7 +71,7 @@ trace with a ``reply`` span (see ``OBSERVABILITY.md``).
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..obs.trace import NullRequestTracer
 from ..sim.events import Simulator
@@ -78,8 +81,8 @@ from ..sim.rng import RngRegistry
 from .config import SpinnakerConfig
 from .datamodel import (DatastoreError, GetResult, RequestTimeout,
                         VersionMismatch)
-from .messages import (ClientGet, ClientMultiWrite, ClientScan,
-                       ClientWrite, GetCohortMap)
+from .messages import (ClientGet, ClientScan, ClientWrite, GetCohortMap,
+                       WriteOp)
 from .partition import CohortMap, RangePartitioner
 
 __all__ = ["SpinnakerClient"]
@@ -87,11 +90,6 @@ __all__ = ["SpinnakerClient"]
 
 class SpinnakerClient:
     """A datastore client bound to one (simulated) client machine."""
-
-    #: message type -> trace op label (root span name)
-    _TRACE_OPS = {"ClientGet": "read", "ClientScan": "scan",
-                  "ClientWrite": "write", "ClientMultiWrite": "write",
-                  "ClientTransaction": "txn"}
 
     def __init__(self, sim: Simulator, network: Network, name: str,
                  partitioner: RangePartitioner, config: SpinnakerConfig,
@@ -136,47 +134,38 @@ class SpinnakerClient:
 
     def put(self, key: bytes, colname: bytes, value: bytes):
         """Insert a column value into a row."""
-        msg = ClientWrite(key=key, colname=colname, value=value)
-        return (yield from self._write(key, msg, 96 + len(value)))
+        return (yield from self._write((WriteOp(key, colname, value),)))
 
     def delete(self, key: bytes, colname: bytes):
         """Delete a column from a row."""
-        msg = ClientWrite(key=key, colname=colname, value=None,
-                          tombstone=True)
-        return (yield from self._write(key, msg, 96))
+        return (yield from self._write(
+            (WriteOp(key, colname, None, tombstone=True),)))
 
     def conditional_put(self, key: bytes, colname: bytes, value: bytes,
                         version: int):
         """Insert only if the column's current version equals ``version``;
         raises :class:`VersionMismatch` otherwise."""
-        msg = ClientWrite(key=key, colname=colname, value=value,
-                          expected_version=version)
-        return (yield from self._write(key, msg, 96 + len(value)))
+        return (yield from self._write(
+            (WriteOp(key, colname, value, expected_version=version),)))
 
     def conditional_delete(self, key: bytes, colname: bytes, version: int):
-        msg = ClientWrite(key=key, colname=colname, value=None,
-                          tombstone=True, expected_version=version)
-        return (yield from self._write(key, msg, 96))
+        return (yield from self._write(
+            (WriteOp(key, colname, None, tombstone=True,
+                     expected_version=version),)))
 
     def put_columns(self, key: bytes,
                     columns: Dict[bytes, bytes]):
         """Multi-column put: all columns of one row, one transaction."""
-        cols = tuple(sorted(columns.items()))
-        msg = ClientMultiWrite(key=key, columns=cols)
-        size = 96 + sum(len(v) for _c, v in cols)
-        return (yield from self._write(key, msg, size))
+        return (yield from self.conditional_put_columns(key, columns, {}))
 
     def conditional_put_columns(self, key: bytes,
                                 columns: Dict[bytes, bytes],
                                 versions: Dict[bytes, int]):
         """Multi-column conditional put (§3): every column's version must
         match or nothing is written."""
-        cols = tuple(sorted(columns.items()))
-        expected = tuple(versions.get(c) for c, _v in cols)
-        msg = ClientMultiWrite(key=key, columns=cols,
-                               expected_versions=expected)
-        size = 96 + sum(len(v) for _c, v in cols)
-        return (yield from self._write(key, msg, size))
+        return (yield from self._write(tuple(
+            WriteOp(key, col, value, expected_version=versions.get(col))
+            for col, value in sorted(columns.items()))))
 
     def scan(self, start_key: bytes, end_key: Optional[bytes] = None,
              limit: int = 100, consistent: bool = True):
@@ -203,7 +192,7 @@ class SpinnakerClient:
             target = (self._strong_target(cohort) if consistent
                       else self._timeline_target(cohort))
             rows = yield from self._call(
-                cohort, msg, 128, target, strong=consistent,
+                "scan", cohort, msg, 128, target, strong=consistent,
                 relocate=lambda cid=cohort.cohort_id:
                     self._map.cohort_or_none(cid))
             for key, columns in rows:
@@ -301,31 +290,37 @@ class SpinnakerClient:
         msg = ClientGet(key=key, colname=colname, consistent=consistent)
         target = (self._strong_target(cohort) if consistent
                   else self._timeline_target(cohort))
-        result = yield from self._call(cohort, msg, 96, target,
+        result = yield from self._call("read", cohort, msg, 96, target,
                                        strong=consistent,
                                        relocate=lambda:
                                            self._map.locate(key))
         return result
 
-    def _write(self, key: bytes, msg, size: int):
+    def _write(self, ops: Tuple[WriteOp, ...], op: str = "write"):
+        """Send ``ops`` as one :class:`ClientWrite`, routed by the first
+        op's key; ``op`` labels the trace root."""
+        key = ops[0].key
+        size = 64                  # header; each op adds framing + value
+        for o in ops:
+            size += 32 + len(o.value or b"")
         cohort = self._cohort(key)
         target = self._strong_target(cohort)
-        result = yield from self._call(cohort, msg, size, target,
-                                       strong=True,
+        result = yield from self._call(op, cohort, ClientWrite(ops=ops),
+                                       size, target, strong=True,
                                        relocate=lambda:
                                            self._map.locate(key))
         return result
 
-    def _call(self, cohort, msg, size: int, target: str, strong: bool,
-              relocate=None):
-        """Send with retries; root-span bracket when tracing is on.
+    def _call(self, op: str, cohort, msg, size: int, target: str,
+              strong: bool, relocate=None):
+        """Send with retries; root-span bracket (named ``op``) when
+        tracing is on.
         ``relocate`` re-resolves the cohort from the (possibly
         refreshed) map snapshot after a ``wrong-node`` reply; without it
         the client can only rotate members."""
         tracer = self.request_tracer
         ctx = None
         if tracer.enabled:
-            op = self._TRACE_OPS.get(type(msg).__name__, "op")
             ctx = tracer.begin(op, self.name)
             if ctx is not None:
                 msg = replace(msg, trace=ctx)
@@ -408,6 +403,11 @@ class SpinnakerClient:
                     target = self._next_target(cohort, target)
                 yield timeout(self.sim, self._backoff(attempt, deadline))
                 continue
+            if code == "cross-cohort":
+                raise DatastoreError(
+                    "cross-cohort write: an op after the first is not "
+                    f"owned by cohort {cohort.cohort_id} (the range moved "
+                    "or split under the request)")
             raise DatastoreError(f"unexpected error {code!r}")
 
     def _backoff(self, attempt: int, deadline: float) -> float:

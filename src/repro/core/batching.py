@@ -1,4 +1,11 @@
-"""Leader-side proposal batching: amortize per-message write costs.
+"""Leader-side force + propose, batched: amortize per-message write costs.
+
+The :class:`ProposalBatcher` is the only owner of the leader's WAL
+force and propose fan-out: every record group the leader replicates is
+submitted here (``CohortReplica._replicate``), and ``_send`` is the one
+place that forces and proposes it.  With ``propose_batching`` off every
+submitted group flushes on its own — the same code, batches of one
+group.  With it on:
 
 Spinnaker's Fig. 4 write path pays, for every client write, one leader
 log force, one ``Propose`` round-trip per follower, and one follower CPU
@@ -64,8 +71,8 @@ ignored; a flush discovering the replica is no longer leader clears
 instead of sending.
 
 Tracing: ``_send`` gives every traced member group a ``log_force`` span
-over the shared batched force (see ``OBSERVABILITY.md`` on reading
-shared-force spans).
+over the shared batched force, batching on or off (see
+``OBSERVABILITY.md`` on reading shared-force spans).
 """
 
 from __future__ import annotations
@@ -74,12 +81,16 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..storage.records import WriteRecord
 
-__all__ = ["ProposalBatcher", "chunk_groups"]
+__all__ = ["ProposalBatcher", "chunk_groups", "MAX_BATCH_BYTES"]
+
+#: byte cap of one batch, beside ``propose_batch_max_records``
+MAX_BATCH_BYTES = 64 * 1024
 
 
 def chunk_groups(groups: Sequence[Sequence[WriteRecord]],
                  max_records: int,
-                 max_bytes: int) -> List[List[WriteRecord]]:
+                 max_bytes: int = MAX_BATCH_BYTES
+                 ) -> List[List[WriteRecord]]:
     """Pack indivisible record groups into batches within the limits.
 
     Groups are never split: a single group larger than either limit
@@ -141,8 +152,11 @@ class ProposalBatcher:
         self._groups.append(tuple(records))
         self._buffered_records += len(records)
         self._buffered_bytes += sum(r.encoded_size() for r in records)
-        if (self._buffered_records >= cfg.propose_batch_max_records
-                or self._buffered_bytes >= cfg.propose_batch_max_bytes):
+        if (not cfg.propose_batching
+                or self._buffered_records >= cfg.propose_batch_max_records
+                or self._buffered_bytes >= MAX_BATCH_BYTES):
+            # A limit is reached — or batching is off, where every
+            # submitted group flushes on its own.
             self._flush()
         elif cfg.propose_batch_adaptive and not self._under_pressure():
             # Uncongested pipeline: never delay a write — even with a
@@ -215,8 +229,7 @@ class ProposalBatcher:
             return
         groups, self._groups = self._groups, []
         self._buffered_records = self._buffered_bytes = 0
-        for batch in chunk_groups(groups, cfg.propose_batch_max_records,
-                                  cfg.propose_batch_max_bytes):
+        for batch in chunk_groups(groups, cfg.propose_batch_max_records):
             self._send(batch)
 
     def _send(self, batch: List[WriteRecord]) -> None:

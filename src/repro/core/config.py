@@ -36,10 +36,8 @@ class SpinnakerConfig:
     #: coalesce independent client writes into multi-record proposes
     #: with one batched WAL force and one cumulative ack per peer
     propose_batching: bool = True
-    #: flush a batch once it holds this many records ...
+    #: flush a batch once it holds this many records
     propose_batch_max_records: int = 8
-    #: ... or this many encoded bytes
-    propose_batch_max_bytes: int = 64 * 1024
     #: longest the leader may hold a write back waiting for company
     propose_batch_window: float = 1.0e-3
     #: open the window only under queuing pressure (older writes still
@@ -83,9 +81,6 @@ class SpinnakerConfig:
 
     # -- storage ----------------------------------------------------------
     flush_threshold_bytes: int = 64 * 1024 * 1024
-    #: roll over (GC) log records this many bytes after they are
-    #: captured in SSTables; 0 disables automatic rollover
-    log_gc_after_flush: bool = True
 
     # -- coordination (§4.2, §7) --------------------------------------------
     session_timeout: float = 2.0
@@ -135,8 +130,6 @@ class SpinnakerConfig:
             raise ValueError("commit_period must be positive")
         if self.propose_batch_max_records < 1:
             raise ValueError("propose_batch_max_records must be >= 1")
-        if self.propose_batch_max_bytes < 1:
-            raise ValueError("propose_batch_max_bytes must be >= 1")
         if self.propose_batch_window <= 0:
             raise ValueError("propose_batch_window must be positive")
         if self.catchup_chunk_bytes < 1:

@@ -18,8 +18,7 @@ from ..storage.records import WriteRecord
 from .partition import Cohort, MembershipChange
 
 __all__ = [
-    "ClientGet", "ClientScan", "ClientWrite", "ClientMultiWrite",
-    "ClientTransaction", "TxnOp",
+    "ClientGet", "ClientScan", "ClientWrite", "WriteOp",
     "Propose", "Ack", "Commit",
     "CatchupRequest", "CatchupChunk", "TakeoverState",
     "WhoIsLeader", "GetCohortMap",
@@ -56,55 +55,29 @@ class ClientScan:
 
 
 @dataclass(frozen=True)
+class WriteOp:
+    """One write: put / delete / conditionalPut / conditionalDelete (§3,
+    §5.1).  ``expected_version`` is None for unconditional writes;
+    ``tombstone`` selects delete."""
+
+    key: bytes
+    colname: bytes
+    value: Optional[bytes]
+    tombstone: bool = False
+    expected_version: Optional[int] = None
+
+
+@dataclass(frozen=True)
 class ClientWrite:
-    """put / delete / conditionalPut / conditionalDelete (§3, §5.1).
+    """The one client-write request: a tuple of ops on one cohort,
+    committed as one transaction.  A single-column write is one op, a
+    multi-column put (§3) one op per column, a multi-operation
+    transaction (§8.2) one op per buffered write.  The ops' log records
+    are forced as one batch and replicated with one propose, so
+    recovery can never surface a prefix; a version mismatch on any op
+    writes nothing."""
 
-    ``expected_version`` is None for unconditional writes; ``tombstone``
-    selects delete.
-    """
-
-    key: bytes
-    colname: bytes
-    value: Optional[bytes]
-    tombstone: bool = False
-    expected_version: Optional[int] = None
-    trace: Optional[object] = None   # repro.obs TraceContext, if sampled
-
-
-@dataclass(frozen=True)
-class ClientMultiWrite:
-    """Multi-column variant (§3): all columns of one row, one transaction.
-
-    ``expected_versions`` (parallel to ``columns``) is used by the
-    multi-column conditional put; None entries are unconditional.
-    """
-
-    key: bytes
-    columns: Tuple[Tuple[bytes, Optional[bytes]], ...]  # (col, value)
-    tombstone: bool = False
-    expected_versions: Optional[Tuple[Optional[int], ...]] = None
-    trace: Optional[object] = None   # repro.obs TraceContext, if sampled
-
-
-@dataclass(frozen=True)
-class TxnOp:
-    """One operation inside a multi-operation transaction (§8.2)."""
-
-    key: bytes
-    colname: bytes
-    value: Optional[bytes]
-    tombstone: bool = False
-    expected_version: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class ClientTransaction:
-    """§8.2 extension: several writes, possibly to different rows of the
-    same cohort, committed atomically.  The transaction's log records are
-    forced as one batch and replicated with one propose, so recovery can
-    never surface a prefix of the transaction."""
-
-    ops: Tuple[TxnOp, ...]
+    ops: Tuple[WriteOp, ...]
     trace: Optional[object] = None   # repro.obs TraceContext, if sampled
 
     @property

@@ -5,7 +5,11 @@ records, but only invoke the replication protocol for a batch of log
 records at commit time."  This module implements exactly that for
 transactions scoped to a single cohort (the natural unit in a sharded
 store): buffered writes, atomically forced as one log batch, replicated
-with one propose, committed contiguously by the commit queue.
+with one propose, committed contiguously by the commit queue.  Nothing
+on the server is specific to it: ``commit`` sends the buffered ops as
+the same :class:`~repro.core.messages.ClientWrite` a single ``put``
+sends, through the same handler — a transaction is that path with more
+records.
 
 Usage::
 
@@ -36,7 +40,7 @@ from typing import List, Optional
 
 from .api import SpinnakerClient
 from .datamodel import DatastoreError
-from .messages import ClientTransaction, TxnOp
+from .messages import WriteOp
 
 __all__ = ["Transaction"]
 
@@ -46,7 +50,7 @@ class Transaction:
 
     def __init__(self, client: SpinnakerClient):
         self.client = client
-        self._ops: List[TxnOp] = []
+        self._ops: List[WriteOp] = []
         self._cohort_id: Optional[int] = None
         self.committed = False
 
@@ -61,7 +65,7 @@ class Transaction:
                 f"{cohort.cohort_id}, transaction started in "
                 f"{self._cohort_id}")
 
-    def _add(self, op: TxnOp) -> "Transaction":
+    def _add(self, op: WriteOp) -> "Transaction":
         if self.committed:
             raise DatastoreError("transaction already committed")
         self._check_cohort(op.key)
@@ -71,15 +75,15 @@ class Transaction:
     # ------------------------------------------------------------------
     def put(self, key: bytes, colname: bytes,
             value: bytes) -> "Transaction":
-        return self._add(TxnOp(key=key, colname=colname, value=value))
+        return self._add(WriteOp(key=key, colname=colname, value=value))
 
     def delete(self, key: bytes, colname: bytes) -> "Transaction":
-        return self._add(TxnOp(key=key, colname=colname, value=None,
+        return self._add(WriteOp(key=key, colname=colname, value=None,
                                tombstone=True))
 
     def conditional_put(self, key: bytes, colname: bytes, value: bytes,
                         version: int) -> "Transaction":
-        return self._add(TxnOp(key=key, colname=colname, value=value,
+        return self._add(WriteOp(key=key, colname=colname, value=value,
                                expected_version=version))
 
     # ------------------------------------------------------------------
@@ -89,10 +93,7 @@ class Transaction:
             raise DatastoreError("transaction already committed")
         if not self._ops:
             raise DatastoreError("empty transaction")
-        msg = ClientTransaction(ops=tuple(self._ops))
-        size = 96 + sum((len(op.value) if op.value else 0) + 32
-                        for op in self._ops)
-        result = yield from self.client._write(msg.key, msg, size)
+        result = yield from self.client._write(tuple(self._ops), op="txn")
         self.committed = True
         return result
 

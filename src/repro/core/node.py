@@ -33,8 +33,7 @@ from ..storage.records import (CatchupMarker, CheckpointRecord,
 from ..storage.wal import SharedLog
 from .config import SpinnakerConfig
 from .election import cohort_zk_path, leader_monitor
-from .messages import (CatchupChunk, CatchupRequest, ClientGet,
-                       ClientMultiWrite, ClientScan, ClientTransaction,
+from .messages import (CatchupChunk, CatchupRequest, ClientGet, ClientScan,
                        ClientWrite, Commit, GetCohortMap, MigrationPrepare,
                        MigrationStart, Propose, TakeoverState, WhoIsLeader)
 from .partition import Cohort, RangePartitioner
@@ -130,7 +129,7 @@ class SpinnakerNode:
         """Flush the replica's memtable once it crosses the threshold;
         checkpoint durably, then roll over the covered log records."""
         engine = replica.engine
-        if not engine.needs_flush() or getattr(replica, "_flushing", False):
+        if not engine.needs_flush() or replica._flushing:
             return
         replica._flushing = True
 
@@ -144,10 +143,7 @@ class SpinnakerNode:
                     checkpoint_lsn=ckpt), force=True)
                 if ev is not None:
                     yield ev
-                if self.config.log_gc_after_flush:
-                    dropped = self.wal.gc_through(replica.cohort_id, ckpt)
-                else:
-                    dropped = 0
+                dropped = self.wal.gc_through(replica.cohort_id, ckpt)
                 self.trace("storage", "flush",
                            cohort=replica.cohort_id,
                            checkpoint=str(ckpt), log_records_gcd=dropped)
@@ -422,8 +418,7 @@ class SpinnakerNode:
             if self.zk is not None:
                 self.zk.handle_watch_message(payload)
             return
-        if isinstance(payload, (ClientGet, ClientWrite, ClientMultiWrite,
-                                ClientTransaction)):
+        if isinstance(payload, (ClientGet, ClientWrite)):
             replica = self.replica_for_key(payload.key)
             if replica is None:
                 req.respond({"ok": False, "code": "wrong-node",
@@ -432,8 +427,6 @@ class SpinnakerNode:
                 return
             if isinstance(payload, ClientGet):
                 self.spawn(replica.handle_get(req), "get")
-            elif isinstance(payload, ClientTransaction):
-                self.spawn(replica.handle_client_txn(req), "txn")
             else:
                 self.spawn(replica.handle_client_write(req), "write")
             return

@@ -45,15 +45,14 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from ..sim.events import Event, SimulationError
+from ..sim.events import SimulationError
 from ..sim.network import RpcTimeout
 from ..sim.process import all_of, quorum, spawn, timeout
 from ..sim.resources import serve
 from ..storage.lsn import LSN, SEQ_BITS
 from ..storage.records import CatchupMarker, CommitMarker
 from .batching import chunk_groups
-from .messages import (CatchupChunk, CatchupRequest, Propose,
-                       TakeoverState)
+from .messages import CatchupChunk, CatchupRequest, TakeoverState
 from .partition import MEMBERSHIP_KEY
 from .replication import Role
 
@@ -482,36 +481,17 @@ def leader_takeover(replica):
 
     # Line 9: re-propose writes in (l.cmt, l.lst] through the normal
     # replication protocol, batched like the steady-state write pipeline
-    # (up to ``propose_batch_max_records`` per round).  Sequential
+    # (up to ``propose_batch_max_records`` per round, one record per
+    # round with batching off) through the same ``_replicate``: the tail
+    # is already durable here, so it is only proposed.  Sequential
     # per-round resolution is what keeps recovery time proportional to
     # the commit period (Table 1); batching divides the round count.
     unresolved = node.wal.write_records(cohort_id, after=l_cmt, upto=l_lst)
-    if cfg.propose_batching:
-        batches = chunk_groups([(r,) for r in unresolved],
-                               cfg.propose_batch_max_records,
-                               cfg.propose_batch_max_bytes)
-    else:
-        batches = [[r] for r in unresolved]
-    for batch in batches:
+    for batch in chunk_groups(
+            [(r,) for r in unresolved],
+            cfg.propose_batch_max_records if cfg.propose_batching else 1):
         yield from serve(node.cpu, cfg.takeover_record_service)
-        self_done = Event(sim)
-        state = {"left": len(batch)}
-
-        def _committed(_record, state=state, ev=self_done):
-            state["left"] -= 1
-            if state["left"] == 0 and not ev.triggered:
-                ev.succeed()
-
-        for record in batch:
-            replica.queue.add(record, on_commit=_committed)
-            replica.queue.mark_forced(record.lsn)  # already durable here
-        propose = Propose(cohort_id=cohort_id, epoch=replica.epoch,
-                          records=tuple(batch))
-        size = sum(r.encoded_size() for r in batch) + 64
-        for peer in replica.peers():
-            ack_ev = node.endpoint.request(peer, propose, size=size)
-            ack_ev.add_callback(replica._on_ack)
-        yield self_done
+        yield replica._replicate(batch, already_logged=True)
 
     # Line 10: open the cohort for writes, with fresh LSNs.
     replica.next_seq = max(replica.next_seq, l_lst.seq + 1)

@@ -6,9 +6,14 @@ storage engine and protocol handlers.
 
 Steady state (Fig. 4):
 
-* a client write reaches the **leader**, which appends a log record and
-  forces it, *and in parallel* appends the write to the commit queue and
-  sends a propose message to both followers;
+* a client write — one :class:`~repro.core.messages.ClientWrite`
+  carrying one op (put, delete, conditional put) or several (a
+  multi-column put, a §8.2 transaction) — reaches the **leader**, whose
+  one handler, :meth:`CohortReplica.handle_client_write`, turns the ops
+  into log records and hands them to :meth:`CohortReplica._replicate`:
+  commit queue first, then the :class:`~repro.core.batching.
+  ProposalBatcher` forces them as one batch *and in parallel* sends one
+  propose message to both followers;
 * each **follower** forces a log record, appends to its commit queue, and
   acks;
 * after its own force plus at least one ack, the leader applies the write
@@ -43,11 +48,15 @@ from ..storage.records import CommitMarker, WriteRecord
 from .batching import ProposalBatcher
 from .commitqueue import CommitQueue
 from .datamodel import GetResult, PutResult
-from .messages import (Ack, CatchupRequest, ClientGet, ClientMultiWrite,
-                       ClientWrite, Commit, Propose)
+from .messages import (Ack, CatchupRequest, ClientGet, ClientWrite, Commit,
+                       Propose)
 from .partition import INTERNAL_KEY_PREFIX, MEMBERSHIP_KEY, Cohort
 
 __all__ = ["CohortReplica", "Role"]
+
+#: leader CPU per op after a request's first, which pays the full
+#: ``write_leader_service`` (a calibration constant, not a knob)
+EXTRA_OP_SERVICE = 0.05e-3
 
 
 class Role:
@@ -131,6 +140,8 @@ class CohortReplica:
         #: in-flight request-trace state, write-group top LSN -> state;
         #: insertion order == LSN order (writes enter in LSN order)
         self._traces: Dict[LSN, _WriteTrace] = {}
+        #: a memtable flush of this replica is running (node.maybe_flush)
+        self._flushing = False
         # counters
         self.writes_served = 0
         self.reads_served = 0
@@ -197,9 +208,11 @@ class CohortReplica:
     # Leader: client writes
     # ------------------------------------------------------------------
     def handle_client_write(self, req):
-        """Process generator for a ClientWrite/ClientMultiWrite request."""
+        """Process generator for a ClientWrite: the one leader write
+        path (Fig. 4).  Every op commits or none does (§3, §8.2)."""
         node, cfg = self.node, self.node.config
-        msg = req.payload
+        msg: ClientWrite = req.payload
+        ops = msg.ops
         if not self.is_leader:
             req.respond(_err("not-leader", self.leader), size=64)
             return
@@ -211,34 +224,51 @@ class CohortReplica:
             if not self.is_leader or not self.open_for_writes:
                 req.respond(_err("not-leader", self.leader), size=64)
                 return
-        yield from serve(node.cpu, cfg.write_leader_service)
+        yield from serve(node.cpu, cfg.write_leader_service
+                         + EXTRA_OP_SERVICE * (len(ops) - 1))
         if not self.is_leader or not self.open_for_writes:
             req.respond(_err("not-leader", self.leader), size=64)
             return
-        # A membership change may have moved the key while we waited
-        # (the migration drain ends exactly here): re-route the client.
-        if node.replica_for_key(msg.key) is not self:
-            req.respond({"ok": False, "code": "wrong-node",
-                         "map_version": node.partitioner.version}, size=64)
-            return
+        # A membership change may have moved keys while we waited (the
+        # migration drain ends exactly here).  Routing key gone: the
+        # client re-routes off a fresh map.  Only a later op gone: the
+        # request now spans cohorts and cannot be one transaction.
+        for i, op in enumerate(ops):
+            if node.replica_for_key(op.key) is not self:
+                req.respond(_err("cross-cohort") if i else
+                            {"ok": False, "code": "wrong-node",
+                             "map_version": node.partitioner.version},
+                            size=64)
+                return
         # Conditional writes pay a read + version compare first (§5.1).
-        column_ops = self._column_ops(msg)
-        if any(expected is not None for _, _, expected in column_ops):
+        if any(op.expected_version is not None for op in ops):
             yield from serve(node.cpu, cfg.conditional_check_service)
-            for colname, _value, expected in column_ops:
-                if expected is None:
-                    continue
-                actual = self.latest_version(msg.key, colname)
-                if actual != expected:
-                    req.respond(
-                        {"ok": False, "code": "version-mismatch",
-                         "expected": expected, "actual": actual},
-                        size=64)
-                    return
+        # Versions continue from the newest pending write to the column;
+        # ``staged`` extends that to earlier ops of this same request.
+        staged: Dict[Tuple[bytes, bytes], int] = {}
+        versions: List[int] = []
+        for op in ops:
+            cell = (op.key, op.colname)
+            actual = staged.get(cell)
+            if actual is None:
+                actual = self.latest_version(op.key, op.colname)
+            if (op.expected_version is not None
+                    and op.expected_version != actual):
+                req.respond({"ok": False, "code": "version-mismatch",
+                             "expected": op.expected_version,
+                             "actual": actual}, size=64)
+                return
+            versions.append(actual + 1)
+            staged[cell] = 0 if op.tombstone else actual + 1
         ctx = msg.trace
         if ctx is not None:
             self._trace_route(ctx)
-        records = self._make_records(msg, column_ops)
+        # LSNs only now: a rejected request must not leave a seq gap.
+        records = [WriteRecord(
+            lsn=self.alloc_lsn(), cohort_id=self.cohort_id, key=op.key,
+            colname=op.colname, value=None if op.tombstone else op.value,
+            version=version, timestamp=node.sim.now, tombstone=op.tombstone)
+            for op, version in zip(ops, versions)]
         if cfg.parallel_force_and_propose:
             done = self._replicate(records, ctx=ctx)
         else:
@@ -246,122 +276,29 @@ class CohortReplica:
             # naive implementation would — serializing the two disk
             # forces on the critical path.
             force_start = node.sim.now
-            forces = [node.wal.append(r, force=True) for r in records]
-            yield all_of(node.sim, forces)
+            yield node.wal.append_batch(records)
             if ctx is not None:
                 node.request_tracer.span_at(
                     ctx, "log_force", node.name, start=force_start,
-                    records=len(records))
+                    batch_records=len(records), traced_members=1)
             done = self._replicate(records, already_logged=True, ctx=ctx)
         yield done
         self.writes_served += 1
         req.respond(_ok(PutResult(version=records[-1].version)), size=64)
 
-    # ------------------------------------------------------------------
-    # Leader: multi-operation transactions (§8.2 extension)
-    # ------------------------------------------------------------------
-    def handle_client_txn(self, req):
-        """Process generator for a ClientTransaction request.
-
-        Multiple rows of one cohort, committed atomically: one batch log
-        force, one propose, contiguous LSNs — the commit queue then
-        commits all records in the same advance step.
-        """
-        node, cfg = self.node, self.node.config
-        txn = req.payload
-        if not self.is_leader or not self.open_for_writes:
-            req.respond(_err("not-leader", self.leader), size=64)
-            return
-        while self.write_block is not None:
-            yield self.write_block
-            if not self.is_leader or not self.open_for_writes:
-                req.respond(_err("not-leader", self.leader), size=64)
-                return
-        yield from serve(node.cpu, cfg.write_leader_service
-                         + 0.05e-3 * max(0, len(txn.ops) - 1))
-        if not self.is_leader or not self.open_for_writes:
-            req.respond(_err("not-leader", self.leader), size=64)
-            return
-        for op in txn.ops:
-            owner = node.replica_for_key(op.key)
-            if owner is not self:
-                req.respond({"ok": False, "code": "cross-cohort",
-                             "hint": None}, size=64)
-                return
-        if any(op.expected_version is not None for op in txn.ops):
-            yield from serve(node.cpu, cfg.conditional_check_service)
-            for op in txn.ops:
-                if op.expected_version is None:
-                    continue
-                actual = self.latest_version(op.key, op.colname)
-                if actual != op.expected_version:
-                    req.respond(
-                        {"ok": False, "code": "version-mismatch",
-                         "expected": op.expected_version,
-                         "actual": actual}, size=64)
-                    return
-        records: List[WriteRecord] = []
-        staged: Dict[Tuple[bytes, bytes], int] = {}
-        for op in txn.ops:
-            base = staged.get((op.key, op.colname))
-            if base is None:
-                base = self.latest_version(op.key, op.colname)
-            version = base + 1
-            staged[(op.key, op.colname)] = version
-            records.append(WriteRecord(
-                lsn=self.alloc_lsn(), cohort_id=self.cohort_id,
-                key=op.key, colname=op.colname,
-                value=None if op.tombstone else op.value,
-                version=version, timestamp=node.sim.now,
-                tombstone=op.tombstone))
-        ctx = txn.trace
-        if ctx is not None:
-            self._trace_route(ctx)
-        done = self._replicate(records, atomic=True, ctx=ctx)
-        yield done
-        self.writes_served += 1
-        req.respond(_ok(PutResult(version=records[-1].version)), size=64)
-
-    @staticmethod
-    def _column_ops(msg) -> List[Tuple[bytes, Optional[bytes],
-                                       Optional[int]]]:
-        """Normalize single- and multi-column writes to (col, value,
-        expected_version) triples."""
-        if isinstance(msg, ClientWrite):
-            return [(msg.colname, msg.value, msg.expected_version)]
-        if isinstance(msg, ClientMultiWrite):
-            expected = msg.expected_versions or (None,) * len(msg.columns)
-            return [(col, value, exp)
-                    for (col, value), exp in zip(msg.columns, expected)]
-        raise TypeError(f"unexpected write message {msg!r}")
-
-    def _make_records(self, msg, column_ops) -> List[WriteRecord]:
-        records = []
-        for colname, value, _expected in column_ops:
-            version = self.latest_version(msg.key, colname) + 1
-            records.append(WriteRecord(
-                lsn=self.alloc_lsn(), cohort_id=self.cohort_id,
-                key=msg.key, colname=colname,
-                value=None if msg.tombstone else value,
-                version=version, timestamp=self.node.sim.now,
-                tombstone=msg.tombstone))
-            # Make the pipelined version visible to subsequent ops in
-            # this same batch by staging into the queue inside
-            # _replicate; multi-column batches never repeat a column.
-        return records
-
     def _replicate(self, records: List[WriteRecord],
-                   already_logged: bool = False,
-                   atomic: bool = False, ctx=None) -> Event:
-        """Fig. 4, leader side: force + queue + propose, all in parallel.
+                   already_logged: bool = False, ctx=None) -> Event:
+        """Fig. 4, leader side: queue the group, then force + propose in
+        parallel — both owned by the :class:`ProposalBatcher`, which
+        keeps a submitted group indivisible (one force, one propose).
+        ``already_logged`` records are durable here (takeover
+        re-proposals, the serialized ablation) and are only proposed.
 
         Returns an event that fires when every record has committed.
-        ``atomic`` forces the batch with a single log operation (§8.2:
-        multi-operation transactions must never persist partially).
         ``ctx`` (a sampled request's trace context) registers the write
         group in ``_traces`` for per-phase attribution.
         """
-        node, cfg = self.node, self.node.config
+        node = self.node
         done = Event(node.sim)
         remaining = len(records)
         top = records[-1].lsn
@@ -388,44 +325,22 @@ class CohortReplica:
             if state is not None:
                 state.force_done = node.sim.now
             for record in records:
-                self._on_local_force(record.lsn)
-        elif cfg.propose_batching:
-            # Batched pipeline: the batcher owns the force + propose and
-            # keeps submitted groups indivisible, so ``atomic`` holds.
-            self.batcher.submit(records)
-            return done
-        elif atomic:
-            if state is not None:
-                state.force_span = node.request_tracer.start(
-                    ctx, "log_force", node.name, records=len(records))
-            batch_ev = node.wal.append_batch(records)
-
-            def _all_forced(_ev, lsns=[r.lsn for r in records]):
-                self._trace_force_done(lsns[-1])
-                for lsn in lsns:
-                    self.queue.mark_forced(lsn)
-                self._advance()
-
-            batch_ev.add_callback(_all_forced)
+                self.queue.mark_forced(record.lsn)
+            self._advance()
+            self.send_propose(records)
         else:
-            if state is not None:
-                # One span covers the group: per-record forces complete
-                # in submit order, so the top LSN's force ends it.
-                state.force_span = node.request_tracer.start(
-                    ctx, "log_force", node.name, records=len(records))
-            for record in records:
-                force_ev = node.wal.append(record, force=True)
-                force_ev.add_callback(
-                    lambda _ev, lsn=record.lsn: self._on_local_force(lsn))
-        self.send_propose(records)
+            self.batcher.submit(records)
         return done
 
     def send_propose(self, records: Sequence[WriteRecord],
                      to: Optional[Sequence[str]] = None) -> None:
         """Fan one (possibly multi-record) propose out to the peers (or
-        just ``to``).  A peer under catch-up is skipped: ``RECOVERING``,
-        it would drop the propose, and its push ends by re-proposing
-        the pending queue to it."""
+        just ``to``).  With the cohort open, a peer under catch-up is
+        skipped: ``RECOVERING``, it would drop the propose, and its push
+        ends by re-proposing the pending queue to it.  A takeover's
+        pushes carry no pending queue, so its re-proposals (cohort still
+        closed) go to every peer; one round commits before the next is
+        proposed, so a cumulative ack never covers a dropped record."""
         node, cfg = self.node, self.node.config
         propose = Propose(
             cohort_id=self.cohort_id, epoch=self.epoch,
@@ -447,15 +362,10 @@ class CohortReplica:
                         state.ctx, "replicate_rtt", node.name,
                         peers=len(self.peers()))
         for peer in to or self.peers():
-            if peer in self.catching_up:
+            if self.open_for_writes and peer in self.catching_up:
                 continue
             ack_ev = node.endpoint.request(peer, propose, size=size)
             ack_ev.add_callback(self._on_ack)
-
-    def _on_local_force(self, lsn: LSN) -> None:
-        self._trace_force_done(lsn)
-        self.queue.mark_forced(lsn)
-        self._advance()
 
     def _on_ack(self, ev: Event) -> None:
         if not ev._ok:

@@ -87,10 +87,6 @@ KNOBS: Tuple[Knob, ...] = (
          "core/batching.py", "log_force", "PR 3 (Fig. 16 ablation)",
          "flush a batch once it holds this many records",
          candidates=(4, 8, 16, 32)),
-    Knob("propose_batch_max_bytes", "int", 4096, 1 << 20,
-         "core/batching.py", "log_force", "PR 3",
-         "flush a batch once it holds this many encoded bytes",
-         candidates=(16 * 1024, 64 * 1024, 256 * 1024)),
     Knob("propose_batch_window", "float", 1e-4, 1.6e-2,
          "core/batching.py", "log_force, quorum_wait", "PR 3",
          "longest the leader may hold a write back waiting for company",
@@ -135,9 +131,6 @@ KNOBS: Tuple[Knob, ...] = (
     Knob("flush_threshold_bytes", "int", 4096, 1 << 30,
          "storage/engine.py", "commit_apply (flush stalls)", "§6",
          "memtable bytes before a flush rolls the log into SSTables"),
-    Knob("log_gc_after_flush", "bool", False, True,
-         "storage/wal.py", "none (storage footprint)", "PR 6",
-         "GC log records once captured in SSTables"),
     # -- chunked catch-up (core/recovery.py, PR 6) ------------------------
     Knob("catchup_chunk_bytes", "int", 4096, 1 << 24,
          "core/recovery.py", "catchup_fetch", "PR 6 (§6.1)",

@@ -14,8 +14,7 @@ def make_cluster(flush_threshold=6_000, seed=61):
     """Tiny flush threshold: a handful of 1 KB writes rolls the log."""
     cfg = SpinnakerConfig(log_profile=DiskProfile.ssd_log(),
                           commit_period=0.2,
-                          flush_threshold_bytes=flush_threshold,
-                          log_gc_after_flush=True)
+                          flush_threshold_bytes=flush_threshold)
     cluster = SpinnakerCluster(n_nodes=3, config=cfg, seed=seed)
     cluster.start()
     return cluster

@@ -31,8 +31,8 @@ def test_write_to_non_replica_gets_wrong_node(cluster):
     outsider = next(name for name in cluster.nodes
                     if name not in cohort.members)
     client = cluster.client()
-    from repro.core.messages import ClientWrite
-    msg = ClientWrite(key=key, colname=b"c", value=b"v")
+    from repro.core.messages import ClientWrite, WriteOp
+    msg = ClientWrite(ops=(WriteOp(key=key, colname=b"c", value=b"v"),))
 
     def scenario():
         reply = yield client.endpoint.request(outsider, msg, size=128)

@@ -4,13 +4,13 @@ tolerance of the migration protocol, and stale-client map refresh."""
 import pytest
 
 from repro.chaos.invariants import InvariantAuditor
-from repro.core import SpinnakerCluster, SpinnakerConfig
+from repro.core import SpinnakerCluster, SpinnakerConfig, Transaction
 from repro.core.partition import (KeyRange, MembershipChange,
                                   RangePartitioner, key_of)
 from repro.core.rebalance import Rebalancer, plan_join, plan_replace
 from repro.core.replication import Role
 from repro.sim.disk import DiskProfile
-from repro.sim.process import spawn
+from repro.sim.process import spawn, timeout
 
 
 def fast_config(**overrides):
@@ -259,6 +259,42 @@ def test_stale_client_refreshes_map_on_wrong_node():
     assert got.value == b"v"
     assert stale.map_refreshes >= 1
     assert stale.map_version == cluster.partitioner.version
+
+
+def test_stale_client_transaction_rides_out_a_split():
+    """A multi-op write held at the migration's write block while its
+    range splits away is re-routed like a single-key write would be
+    (``wrong-node`` + map refresh), not failed with ``cross-cohort``."""
+    cluster = make_cluster()
+    stale = cluster.client()          # snapshot taken now, at version 1
+    keys = keys_for_cohort(cluster, 0, 30)
+    write_keys(cluster, stale, keys)
+
+    cluster.add_node("node5")
+    plans = plan_join(cluster.partitioner, ["node5"],
+                      heat={c.cohort_id: (100.0 if c.cohort_id == 0
+                                          else 1.0)
+                            for c in cluster.partitioner.cohorts})
+    k1, k2 = [k for k in keys if key_of(k) >= plans[0].split_key][:2]
+    leader = cluster.replica(cluster.leader_of(0), 0)
+
+    def transaction_into_the_drain():
+        while leader.write_block is None:
+            yield timeout(cluster.sim, 50e-6)
+        txn = Transaction(stale)
+        txn.put(k1, b"c", b"moved")
+        txn.put(k2, b"c", b"moved")
+        yield from txn.commit()
+
+    proc = spawn(cluster.sim, transaction_into_the_drain())
+    rebalance(cluster, plans)
+    cluster.run_until(lambda: proc.triggered, limit=60.0, what="txn")
+    proc.result()           # a cross-cohort DatastoreError re-raises here
+    assert stale.map_refreshes >= 1
+    assert stale.map_version == cluster.partitioner.version
+    assert_readable(cluster, cluster.client("fresh"), [k1, k2],
+                    value=b"moved")
+    assert cluster.all_failures() == []
 
 
 def test_scan_after_split_returns_each_row_once():

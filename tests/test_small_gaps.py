@@ -99,12 +99,12 @@ def test_histogram_single_sample_percentiles():
     assert hist.stddev() == 0.0
 
 
-def test_client_transaction_routing_key():
-    from repro.core.messages import ClientTransaction, TxnOp
-    txn = ClientTransaction(ops=(
-        TxnOp(key=b"first", colname=b"c", value=b"1"),
-        TxnOp(key=b"second", colname=b"c", value=b"2")))
-    assert txn.key == b"first"
+def test_client_write_routing_key():
+    from repro.core.messages import ClientWrite, WriteOp
+    msg = ClientWrite(ops=(
+        WriteOp(key=b"first", colname=b"c", value=b"1"),
+        WriteOp(key=b"second", colname=b"c", value=b"2")))
+    assert msg.key == b"first"
 
 
 def test_coord_recipes_lock_release_without_acquire():
