@@ -6,10 +6,11 @@ slow kernel silently inflates every benchmark's wall time.  Two guards:
 * the hot per-event classes stay ``__slots__``-only (an accidental
   ``__dict__`` costs both memory and attribute-lookup time on millions
   of instances);
-* a microbenchmark drives the raw scheduler and the full process /
-  timeout machinery, asserting events-per-second floors generous enough
-  to pass on slow CI but far below healthy numbers — a 10x kernel
-  regression fails loudly, a 10% one shows up in the benchmark history.
+* a microbenchmark drives the raw scheduler, the full process /
+  timeout machinery and the RPC round trip, asserting per-second floors
+  generous enough to pass on slow CI but far below healthy numbers — a
+  10x kernel regression fails loudly, a 10% one shows up in the
+  benchmark history.
 """
 
 import time
@@ -20,13 +21,15 @@ from repro.core.commitqueue import PendingWrite
 from repro.obs.trace import Span, TraceContext
 from repro.sim.events import Event, Simulator
 from repro.sim.metrics import Histogram
-from repro.sim.network import Request, _Envelope
-from repro.sim.process import Process, Timeout, spawn, timeout
+from repro.sim.network import Network, Request
+from repro.sim.process import (Process, Supervisor, Timeout, spawn,
+                               timeout)
+from repro.sim.rng import RngRegistry
 
 #: classes instantiated once (or more) per simulated event/message/write,
 #: plus the open-loop generator state touched on every arrival (heap
 #: entries themselves are plain lists now — nothing to guard)
-HOT_CLASSES = [Event, Process, Timeout, Request, _Envelope,
+HOT_CLASSES = [Event, Process, Timeout, Request, Supervisor,
                PendingWrite, Span, TraceContext,
                PoissonArrivals, BurstyArrivals, DiurnalArrivals,
                MuxedUsers]
@@ -39,6 +42,12 @@ HOT_CLASSES = [Event, Process, Timeout, Request, _Envelope,
 # well under PROCESS_FLOOR), low enough to absorb slow CI.
 RAW_FLOOR = 1_100_000
 PROCESS_FLOOR = 290_000
+# RPC round trips per second (request -> inline-started handler ->
+# respond -> reply, a 2 s timeout on every call): 55-85K (median 59K
+# over 15 runs) on the reference box with one deadline queue per
+# endpoint; the per-RPC schedule/cancel and heap-started handler it
+# replaced ran 32-51K (median 35K) in the same session.
+RPC_FLOOR = 30_000
 PERCENTILE_FLOOR = 400_000
 
 
@@ -83,6 +92,33 @@ def _pump_processes(n, n_procs=16):
     return (per_proc * n_procs) / (time.perf_counter() - start)
 
 
+def _pump_rpcs(n, n_callers=16):
+    """n request/reply round trips, every one carrying a timeout, the
+    handler started the way a node's dispatch starts it."""
+    sim = Simulator()
+    net = Network(sim, RngRegistry(1))
+    supervisor = Supervisor(sim, "server")
+
+    def handle(req):
+        yield timeout(sim, 1e-5)        # a CPU charge, as every handler has
+        req.respond(req.payload, size=64)
+
+    net.endpoint("server").on_request(
+        lambda req: supervisor.spawn(handle(req), "h", inline=True))
+    per_caller = n // n_callers
+
+    def caller(endpoint):
+        for i in range(per_caller):
+            yield endpoint.request("server", i, size=64, timeout=2.0)
+
+    for c in range(n_callers):
+        spawn(sim, caller(net.endpoint(f"client{c % 4}")))
+    start = time.perf_counter()
+    sim.run()
+    assert not supervisor.failures
+    return (per_caller * n_callers) / (time.perf_counter() - start)
+
+
 def test_raw_event_loop_throughput(benchmark):
     rate = benchmark.pedantic(lambda: _pump_callbacks(200_000),
                               rounds=1, iterations=1)
@@ -99,6 +135,14 @@ def test_process_machinery_throughput(benchmark):
     assert rate >= PROCESS_FLOOR, (
         f"process machinery at {rate:,.0f} events/s "
         f"(floor {PROCESS_FLOOR:,})")
+
+
+def test_rpc_round_trip_throughput(benchmark):
+    rate = benchmark.pedantic(lambda: _pump_rpcs(50_000),
+                              rounds=1, iterations=1)
+    print(f"\nrpc round trip: {rate:,.0f} calls/s")
+    assert rate >= RPC_FLOOR, (
+        f"RPC round trip at {rate:,.0f} calls/s (floor {RPC_FLOOR:,})")
 
 
 def _pump_percentiles(samples, calls):

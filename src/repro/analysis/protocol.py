@@ -1,18 +1,19 @@
 """Protocol exhaustiveness checks over message catalogs and dispatchers.
 
 The replication and baseline protocols dispatch frozen-dataclass
-messages through ``isinstance`` chains (``core/node.py::_dispatch``,
-``baseline/node.py::_dispatch``, plus the handler methods they call).
-Nothing ties the catalog in ``messages.py`` to those chains: add a
-message type and forget the branch, and the message is silently dropped
-by the endpoint — the classic "partition heals but the follower never
-catches up" bug class.  These checks close the loop statically:
+messages through a type-keyed table (``core/node.py::_handlers``) or an
+``isinstance`` chain (``baseline/node.py::_dispatch``), plus the handler
+methods they call.  Nothing ties the catalog in ``messages.py`` to
+those: add a message type and forget the entry, and the message is
+silently dropped by the endpoint — the classic "partition heals but the
+follower never catches up" bug class.  These checks close the loop
+statically:
 
 ``unhandled-message``
     A message type that the protocol *sends* (or defines for sending)
-    with no ``isinstance`` branch in any dispatcher module.  Reply-only
-    types (returned via ``req.respond``/return annotations) and
-    component types (only embedded in other messages' fields) are
+    with no table entry or ``isinstance`` branch in a dispatcher.
+    Reply-only types (returned via ``req.respond``/return annotations)
+    and component types (only embedded in other messages' fields) are
     exempt automatically.
 
 ``dead-message``
@@ -49,7 +50,7 @@ __all__ = ["ProtocolSpec", "MessageInfo", "DEFAULT_PROTOCOLS",
 
 PROTOCOL_RULES: Dict[str, str] = {
     "unhandled-message": "message type sent but matched by no "
-                         "dispatcher isinstance branch",
+                         "dispatch-table entry or isinstance branch",
     "dead-message": "message type never constructed outside its "
                     "defining module",
     "stale-epoch": "epoch-carrying message handled without an epoch "
@@ -229,6 +230,14 @@ def parse_dispatcher(source: str, path: str) -> DispatcherFacts:
                         facts.branch_epoch.get(target, False)
                         or _mentions_epoch(node.body)
                         or _mentions_epoch([ast.Expr(value=test)]))
+        if isinstance(node, ast.Dict):
+            # A type-keyed table ``{Propose: self._on_propose, ...}``
+            for key, value in zip(node.keys, node.values):
+                if (isinstance(key, ast.Name) and key.id[:1].isupper()
+                        and isinstance(value, (ast.Name, ast.Attribute))):
+                    facts.handled.setdefault(key.id, key.lineno)
+                    facts.branch_calls.setdefault(key.id, set()).add(
+                        getattr(value, "attr", None) or value.id)
     return facts
 
 

@@ -117,14 +117,15 @@ class CassandraNode:
     # ------------------------------------------------------------------
     def _dispatch(self, req: Request) -> None:
         payload = req.payload
+        # Last act of the delivery callback: start inline (Supervisor.spawn)
         if isinstance(payload, CoordWrite):
-            self.spawn_proc(self._coordinate_write(req), "coord-write")
+            self.spawn_proc(self._coordinate_write(req), "coord-write", True)
         elif isinstance(payload, CoordRead):
-            self.spawn_proc(self._coordinate_read(req), "coord-read")
+            self.spawn_proc(self._coordinate_read(req), "coord-read", True)
         elif isinstance(payload, ReplicaWrite):
-            self.spawn_proc(self._replica_write(req), "replica-write")
+            self.spawn_proc(self._replica_write(req), "replica-write", True)
         elif isinstance(payload, ReplicaRead):
-            self.spawn_proc(self._replica_read(req), "replica-read")
+            self.spawn_proc(self._replica_read(req), "replica-read", True)
 
     def _group_for(self, key: bytes):
         return self.partitioner.cohort_for_key(key_of(key))

@@ -40,7 +40,10 @@ class GroupMembership:
                 path, data=data, ephemeral=True)
         except NodeExistsError:
             # A stale ephemeral from our previous incarnation; replace it.
-            yield from self.client.delete(path)
+            try:
+                yield from self.client.delete(path)
+            except NoNodeError:
+                pass    # its session expired between our two requests
             self.member_path = yield from self.client.create(
                 path, data=data, ephemeral=True)
         return self.member_path

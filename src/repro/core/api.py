@@ -35,7 +35,8 @@ leader cache, and walks one request through these transitions until an
                                drop a poisoned leader-cache entry, fetch
                                a fresh map when the reply advertises a
                                newer ``map_version``, re-resolve the
-                               cohort (``relocate``), backoff, retry.
+                               cohort by key (a scan: by cohort id), backoff,
+                               retry.
 ``send -> version-mismatch``   raise :class:`VersionMismatch` (terminal;
                                retrying cannot succeed).
 ``send -> cross-cohort``       a multi-op write whose *later* op the
@@ -129,8 +130,9 @@ class SpinnakerClient:
     # ------------------------------------------------------------------
     def get(self, key: bytes, colname: bytes, consistent: bool = True):
         """Read a column value and its version number."""
-        result = yield from self._get(key, colname, consistent)
-        return result
+        msg = ClientGet(key=key, colname=colname, consistent=consistent)
+        return (yield from self._call("read", self._map.locate(key), msg,
+                                      96, strong=consistent, key=key))
 
     def put(self, key: bytes, colname: bytes, value: bytes):
         """Insert a column value into a row."""
@@ -189,12 +191,8 @@ class SpinnakerClient:
                              start_key=start_key, end_key=end_key,
                              limit=limit - len(results),
                              consistent=consistent)
-            target = (self._strong_target(cohort) if consistent
-                      else self._timeline_target(cohort))
-            rows = yield from self._call(
-                "scan", cohort, msg, 128, target, strong=consistent,
-                relocate=lambda cid=cohort.cohort_id:
-                    self._map.cohort_or_none(cid))
+            rows = yield from self._call("scan", cohort, msg, 128,
+                                         strong=consistent)
             for key, columns in rows:
                 results.append((key, {
                     col: GetResult(value=value, version=version)
@@ -211,9 +209,6 @@ class SpinnakerClient:
     # ------------------------------------------------------------------
     # Routing + retry
     # ------------------------------------------------------------------
-    def _cohort(self, key: bytes):
-        return self._map.locate(key)
-
     def _strong_target(self, cohort) -> str:
         """The cohort's best-known leader.  A cold cache falls back to
         the map's recorded leader hint before the lowest-named member —
@@ -285,17 +280,6 @@ class SpinnakerClient:
                 del self._leader_cache[cid]
         return True
 
-    def _get(self, key: bytes, colname: bytes, consistent: bool):
-        cohort = self._cohort(key)
-        msg = ClientGet(key=key, colname=colname, consistent=consistent)
-        target = (self._strong_target(cohort) if consistent
-                  else self._timeline_target(cohort))
-        result = yield from self._call("read", cohort, msg, 96, target,
-                                       strong=consistent,
-                                       relocate=lambda:
-                                           self._map.locate(key))
-        return result
-
     def _write(self, ops: Tuple[WriteOp, ...], op: str = "write"):
         """Send ``ops`` as one :class:`ClientWrite`, routed by the first
         op's key; ``op`` labels the trace root."""
@@ -303,30 +287,90 @@ class SpinnakerClient:
         size = 64                  # header; each op adds framing + value
         for o in ops:
             size += 32 + len(o.value or b"")
-        cohort = self._cohort(key)
-        target = self._strong_target(cohort)
-        result = yield from self._call(op, cohort, ClientWrite(ops=ops),
-                                       size, target, strong=True,
-                                       relocate=lambda:
-                                           self._map.locate(key))
-        return result
+        return (yield from self._call(op, self._map.locate(key),
+                                      ClientWrite(ops=ops), size,
+                                      strong=True, key=key))
 
-    def _call(self, op: str, cohort, msg, size: int, target: str,
-              strong: bool, relocate=None):
+    def _call(self, op: str, cohort, msg, size: int, strong: bool,
+              key: Optional[bytes] = None):
         """Send with retries; root-span bracket (named ``op``) when
-        tracing is on.
-        ``relocate`` re-resolves the cohort from the (possibly
-        refreshed) map snapshot after a ``wrong-node`` reply; without it
-        the client can only rotate members."""
+        tracing is on.  After a ``wrong-node`` reply the cohort is
+        re-resolved from the (possibly refreshed) map snapshot: by
+        ``key`` for a keyed operation, by cohort id for a scan."""
+        target = (self._strong_target(cohort) if strong
+                  else self._timeline_target(cohort))
         tracer = self.request_tracer
-        ctx = None
-        if tracer.enabled:
-            ctx = tracer.begin(op, self.name)
-            if ctx is not None:
-                msg = replace(msg, trace=ctx)
+        ctx = tracer.begin(op, self.name) if tracer.enabled else None
+        if ctx is not None:
+            msg = replace(msg, trace=ctx)
+        cfg = self.config
+        deadline = self.sim.now + cfg.client_op_timeout
+        attempt = 0
+        timed_out: set = set()
         try:
-            result = yield from self._call_loop(cohort, msg, size, target,
-                                                strong, relocate, ctx)
+            while True:
+                remaining = deadline - self.sim.now
+                if remaining <= 0 or attempt > cfg.client_max_retries:
+                    raise RequestTimeout(
+                        f"{type(msg).__name__} gave up after {attempt} "
+                        f"tries")
+                per_try = min(remaining, self._per_try)
+                if ctx is not None:
+                    ctx.last_sent_at = self.sim.now
+                try:
+                    reply = yield self.endpoint.request(
+                        target, msg, size=size, timeout=per_try)
+                except RpcTimeout:
+                    attempt += 1
+                    self.retries += 1
+                    timed_out.add(target)
+                    target = (self._next_target(cohort, target) if strong
+                              else self._timeline_target(cohort,
+                                                         exclude=timed_out))
+                    continue
+                if reply.get("ok"):
+                    if strong:
+                        self._leader_cache[cohort.cohort_id] = target
+                    self.ops_completed += 1
+                    result = reply["result"]
+                    break
+                code = reply.get("code")
+                if code == "version-mismatch":
+                    raise VersionMismatch(reply["expected"],
+                                          reply["actual"])
+                if code == "cross-cohort":
+                    raise DatastoreError(
+                        "cross-cohort write: an op after the first is "
+                        f"not owned by cohort {cohort.cohort_id} (the "
+                        "range moved or split under the request)")
+                if code not in ("wrong-node", "not-leader", "unavailable"):
+                    raise DatastoreError(f"unexpected error {code!r}")
+                attempt += 1
+                self.retries += 1
+                hint = reply.get("hint")
+                if code == "wrong-node":
+                    if self._leader_cache.get(cohort.cohort_id) == target:
+                        # The replier holds no replica here; a cache
+                        # entry pointing at it is poison, not a leader.
+                        del self._leader_cache[cohort.cohort_id]
+                    if reply.get("map_version", 0) > self._map.version:
+                        yield from self._refresh_map(target)
+                    moved = (self._map.locate(key) if key is not None else
+                             self._map.cohort_or_none(cohort.cohort_id))
+                    if moved is not None:
+                        cohort = moved
+                        target = (self._strong_target(cohort) if strong
+                                  else self._timeline_target(cohort))
+                    else:
+                        target = self._next_target(cohort, target)
+                elif strong and hint and hint != target:
+                    target = hint
+                    self._leader_cache[cohort.cohort_id] = hint
+                else:
+                    # No hint: rotate — re-asking the same non-leader
+                    # would just burn the op deadline.
+                    target = self._next_target(cohort, target)
+                yield timeout(self.sim, self._backoff(attempt, deadline))
         except BaseException as exc:
             if ctx is not None:
                 tracer.finish(ctx.root, error=type(exc).__name__)
@@ -337,78 +381,6 @@ class SpinnakerClient:
             tracer.span_at(ctx, "reply", self.name, start=start)
             tracer.finish(ctx.root)
         return result
-
-    def _call_loop(self, cohort, msg, size: int, target: str, strong: bool,
-                   relocate, ctx):
-        cfg = self.config
-        deadline = self.sim.now + cfg.client_op_timeout
-        attempt = 0
-        timed_out: set = set()
-        while True:
-            remaining = deadline - self.sim.now
-            if remaining <= 0 or attempt > cfg.client_max_retries:
-                raise RequestTimeout(
-                    f"{type(msg).__name__} gave up after {attempt} tries")
-            per_try = min(remaining, self._per_try)
-            if ctx is not None:
-                ctx.last_sent_at = self.sim.now
-            try:
-                reply = yield self.endpoint.request(target, msg, size=size,
-                                                    timeout=per_try)
-            except RpcTimeout:
-                attempt += 1
-                self.retries += 1
-                timed_out.add(target)
-                target = (self._next_target(cohort, target) if strong
-                          else self._timeline_target(cohort,
-                                                     exclude=timed_out))
-                continue
-            if reply.get("ok"):
-                if strong:
-                    self._leader_cache[cohort.cohort_id] = target
-                self.ops_completed += 1
-                return reply["result"]
-            code = reply.get("code")
-            if code == "version-mismatch":
-                raise VersionMismatch(reply["expected"], reply["actual"])
-            if code == "wrong-node":
-                attempt += 1
-                self.retries += 1
-                if self._leader_cache.get(cohort.cohort_id) == target:
-                    # The replier holds no replica here; a cache entry
-                    # pointing at it is poison, not a leader.
-                    del self._leader_cache[cohort.cohort_id]
-                stale = reply.get("map_version", 0) > self._map.version
-                if stale:
-                    yield from self._refresh_map(target)
-                moved = relocate() if relocate is not None else None
-                if moved is not None:
-                    cohort = moved
-                    target = (self._strong_target(cohort) if strong
-                              else self._timeline_target(cohort))
-                else:
-                    target = self._next_target(cohort, target)
-                yield timeout(self.sim, self._backoff(attempt, deadline))
-                continue
-            if code in ("not-leader", "unavailable"):
-                attempt += 1
-                self.retries += 1
-                hint = reply.get("hint")
-                if strong and hint and hint != target:
-                    target = hint
-                    self._leader_cache[cohort.cohort_id] = hint
-                else:
-                    # No hint: rotate — re-asking the same non-leader
-                    # would just burn the op deadline.
-                    target = self._next_target(cohort, target)
-                yield timeout(self.sim, self._backoff(attempt, deadline))
-                continue
-            if code == "cross-cohort":
-                raise DatastoreError(
-                    "cross-cohort write: an op after the first is not "
-                    f"owned by cohort {cohort.cohort_id} (the range moved "
-                    "or split under the request)")
-            raise DatastoreError(f"unexpected error {code!r}")
 
     def _backoff(self, attempt: int, deadline: float) -> float:
         """Jittered exponential backoff for retry ``attempt`` (1-based),

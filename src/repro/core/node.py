@@ -85,6 +85,26 @@ class SpinnakerNode:
         self.supervisor = Supervisor(sim, name)
         self.spawn = self.supervisor.spawn
         self.failures = self.supervisor.failures
+        #: message type -> ``handler(req, payload)``, and for cohort-
+        #: addressed messages -> ``handler(req, payload, replica)``: a
+        #: lookup per message instead of an isinstance ladder
+        self._handlers = {
+            dict: self._on_coord_event,
+            ClientGet: self._on_client_op,
+            ClientWrite: self._on_client_op,
+            GetCohortMap: self._on_get_cohort_map,
+            MigrationPrepare: self._handle_migration_prepare,
+        }
+        self._cohort_handlers = {
+            Propose: self._on_propose,
+            Commit: self._on_commit,
+            ClientScan: self._on_scan,
+            CatchupChunk: self._on_catchup_chunk,
+            CatchupRequest: self._on_catchup_request,
+            TakeoverState: self._on_takeover_state,
+            MigrationStart: self._on_migration_start,
+            WhoIsLeader: self._on_who_is_leader,
+        }
         self._monitors: Dict[int, Process] = {}
         #: ledger of catch-up chunks this node served as leader; chaos
         #: schedules assert resume behaviour (nothing re-shipped below a
@@ -413,72 +433,84 @@ class SpinnakerNode:
     # Message dispatch
     # ------------------------------------------------------------------
     def _dispatch(self, req: Request) -> None:
+        """Deliver one message.  Handlers start *inline*: their spawn is
+        the delivery callback's last act (see ``Supervisor.spawn``)."""
         payload = req.payload
-        if isinstance(payload, dict) and payload.get("op") == "watch-event":
-            if self.zk is not None:
-                self.zk.handle_watch_message(payload)
+        kind = type(payload)
+        handler = self._handlers.get(kind)
+        if handler is not None:
+            handler(req, payload)
             return
-        if isinstance(payload, (ClientGet, ClientWrite)):
-            replica = self.replica_for_key(payload.key)
-            if replica is None:
-                req.respond({"ok": False, "code": "wrong-node",
-                             "map_version": self.partitioner.version},
-                            size=64)
-                return
-            if isinstance(payload, ClientGet):
-                self.spawn(replica.handle_get(req), "get")
-            else:
-                self.spawn(replica.handle_client_write(req), "write")
-            return
-        if isinstance(payload, GetCohortMap):
-            snapshot = self.partitioner.snapshot()
-            req.respond({"ok": True, "map": snapshot},
-                        size=64 + 48 * len(snapshot))
-            return
-        if isinstance(payload, MigrationPrepare):
-            self._handle_migration_prepare(req)
-            return
-        replica = self.replicas.get(getattr(payload, "cohort_id", -1))
-        if replica is None:
-            if isinstance(payload, (ClientScan, MigrationStart)):
-                req.respond({"ok": False, "code": "wrong-node",
-                             "map_version": self.partitioner.version},
-                            size=64)
-            return
-        if isinstance(payload, MigrationStart):
-            self.spawn(handle_migration_start(replica, req), "migration")
-        elif isinstance(payload, ClientScan):
-            self.spawn(replica.handle_scan(req), "scan")
-        elif isinstance(payload, Propose):
-            self.spawn(replica.handle_propose(req), "propose")
-        elif isinstance(payload, Commit):
-            replica.handle_commit(req.src, payload)
-        elif isinstance(payload, CatchupRequest):
-            # A RECOVERING peer asks to be caught up (§6.1).  A push
-            # already streaming to it is the answer, and a leader still
-            # in takeover pushes to every peer itself.
-            if (replica.is_leader and replica.open_for_writes
-                    and payload.follower not in replica.catching_up):
-                self.spawn(try_push_catchup(replica, (payload.follower,)),
-                           "catchup-push")
-        elif isinstance(payload, CatchupChunk):
-            self.spawn(self._handle_catchup_chunk(req, replica),
-                       "catchup-chunk")
-        elif isinstance(payload, TakeoverState):
-            if payload.epoch >= replica.epoch:
-                replica.epoch = payload.epoch
-            req.respond({"cmt": replica.committed_lsn,
-                         "floor": replica.catchup_floor}, size=64)
-        elif isinstance(payload, WhoIsLeader):
-            req.respond({"leader": replica.leader}, size=64)
+        handler = self._cohort_handlers.get(kind)
+        if handler is not None:
+            replica = self.replicas.get(payload.cohort_id)
+            if replica is not None:
+                handler(req, payload, replica)
+            elif kind is ClientScan or kind is MigrationStart:
+                self._wrong_node(req)
 
-    def _handle_migration_prepare(self, req: Request) -> None:
+    def _wrong_node(self, req: Request) -> None:
+        req.respond({"ok": False, "code": "wrong-node",
+                     "map_version": self.partitioner.version}, size=64)
+
+    def _on_coord_event(self, req: Request, payload: dict) -> None:
+        if payload.get("op") == "watch-event" and self.zk is not None:
+            self.zk.handle_watch_message(payload)
+
+    def _on_client_op(self, req: Request, payload) -> None:
+        replica = self.replica_for_key(payload.key)
+        if replica is None:
+            self._wrong_node(req)
+        elif type(payload) is ClientGet:
+            self.spawn(replica.handle_get(req), "get", True)
+        else:
+            self.spawn(replica.handle_client_write(req), "write", True)
+
+    def _on_get_cohort_map(self, req: Request, payload) -> None:
+        snapshot = self.partitioner.snapshot()
+        req.respond({"ok": True, "map": snapshot},
+                    size=64 + 48 * len(snapshot))
+
+    def _on_propose(self, req: Request, payload, replica) -> None:
+        self.spawn(replica.handle_propose(req), "propose", True)
+
+    def _on_commit(self, req: Request, payload, replica) -> None:
+        replica.handle_commit(req.src, payload)
+
+    def _on_scan(self, req: Request, payload, replica) -> None:
+        self.spawn(replica.handle_scan(req), "scan", True)
+
+    def _on_catchup_chunk(self, req: Request, payload, replica) -> None:
+        self.spawn(self._handle_catchup_chunk(req, replica),
+                   "catchup-chunk", True)
+
+    def _on_catchup_request(self, req: Request, payload, replica) -> None:
+        """A RECOVERING peer asks to be caught up (§6.1).  A push
+        already streaming to it is the answer, and a leader still in
+        takeover pushes to every peer itself."""
+        if (replica.is_leader and replica.open_for_writes
+                and payload.follower not in replica.catching_up):
+            self.spawn(try_push_catchup(replica, (payload.follower,)),
+                       "catchup-push", True)
+
+    def _on_takeover_state(self, req: Request, payload, replica) -> None:
+        if payload.epoch >= replica.epoch:
+            replica.epoch = payload.epoch
+        req.respond({"cmt": replica.committed_lsn,
+                     "floor": replica.catchup_floor}, size=64)
+
+    def _on_migration_start(self, req: Request, payload, replica) -> None:
+        self.spawn(handle_migration_start(replica, req), "migration", True)
+
+    def _on_who_is_leader(self, req: Request, payload, replica) -> None:
+        req.respond({"leader": replica.leader}, size=64)
+
+    def _handle_migration_prepare(self, req: Request, payload) -> None:
         """Instantiate (or refresh) a replica ahead of a membership
         switch.  Idempotent: an existing replica only has its cohort
         definition refreshed.  When the shared map already includes this
         node for the cohort we trust the map over the (possibly older)
         message payload."""
-        payload: MigrationPrepare = req.payload
         cid = payload.cohort.cohort_id
         current = self.partitioner.cohort_or_none(cid)
         definition = (current if current is not None

@@ -8,7 +8,10 @@ is a **cohort**; cohorts overlap: with nodes A..E, A-B-C serve A's base
 range, B-C-D serve B's, and so on.
 
 Keys here are unsigned integers hashed/encoded by the client API layer
-from row keys; the keyspace defaults to ``[0, 2**32)``.
+from row keys; the keyspace defaults to ``[0, 2**32)``.  Every request
+is routed three times (client, node dispatch, the handler's ownership
+re-check), so :func:`key_of` is memoised and lookups bisect precomputed
+range bounds (:class:`_Layout`: the live layout and its snapshots).
 
 Elastic membership: the layout is *versioned* and mutable.  The paper
 defers "adding nodes" to future work (§10); here a
@@ -23,7 +26,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["KeyRange", "Cohort", "CohortMap", "MembershipChange",
@@ -39,6 +44,7 @@ INTERNAL_KEY_PREFIX = b"\x00spinnaker/"
 MEMBERSHIP_KEY = INTERNAL_KEY_PREFIX + b"membership"
 
 
+@lru_cache(maxsize=1 << 16)
 def key_of(row_key: bytes) -> int:
     """Map an opaque row key to the integer keyspace (order-oblivious).
 
@@ -47,6 +53,9 @@ def key_of(row_key: bytes) -> int:
     ``RangePartitioner`` still sees proper ranges.  Use
     :func:`ordered_key_of` (``SpinnakerConfig.order_preserving_keys``)
     when range scans matter more than automatic spread.
+
+    Memoised (a request is routed three times; workloads revisit keys).
+    The cache size is a constant, not a knob: a miss just digests again.
     """
     digest = hashlib.sha256(row_key).digest()
     return int.from_bytes(digest[:4], "big")
@@ -155,22 +164,56 @@ def preference_order(members: Sequence[str], topology) -> Tuple[str, ...]:
                         key=lambda m: topology.dc_of(m) != preferred))
 
 
-def _index_for_key(cohorts: Sequence[Cohort], keyspace: int,
-                   key: int) -> int:
-    """Index (position, not id) of the cohort containing ``key``.
+class _Layout:
+    """Lookups shared by the live layout and its snapshots: ``cohorts``
+    is sorted by range and the ranges tile the keyspace, so a key's
+    cohort is found by bisecting the precomputed lower bounds
+    (``_reindex`` refreshes them whenever ``cohorts`` changes)."""
 
-    Ranges are near-uniform at bootstrap; locate by division then walk.
-    Splits only make the walk a little longer.
-    """
-    if not 0 <= key < keyspace:
-        raise ValueError(f"key {key} outside keyspace")
-    idx = min(int(key * len(cohorts) / keyspace), len(cohorts) - 1)
-    while not cohorts[idx].key_range.contains(key):
-        idx += 1 if key >= cohorts[idx].key_range.hi else -1
-    return idx
+    def _reindex(self) -> None:
+        self._by_id: Dict[int, Cohort] = {
+            c.cohort_id: c for c in self.cohorts}
+        self._lows: List[int] = [c.key_range.lo for c in self.cohorts]
+
+    def _index(self, key: int) -> int:
+        """Index (position, not id) of the cohort containing ``key``."""
+        if not 0 <= key < self.keyspace:
+            raise ValueError(f"key {key} outside keyspace")
+        return bisect_right(self._lows, key) - 1
+
+    def locate(self, row_key: bytes) -> Cohort:
+        """The cohort responsible for a row key (via the key mapper)."""
+        return self.cohorts[self._index(self.key_mapper(row_key))]
+
+    def cohort_for_key(self, key: int) -> Cohort:
+        return self.cohorts[self._index(key)]
+
+    def cohorts_for_range(self, start_key: bytes,
+                          end_key: Optional[bytes]) -> List[Cohort]:
+        """Cohorts intersecting [start_key, end_key), in key order.
+
+        Requires an order-preserving key mapper.
+        """
+        if not self.order_preserving:
+            raise ValueError("range queries need ordered_key_of; "
+                             "construct the partitioner (or cluster) "
+                             "with order-preserving keys")
+        lo = self.key_mapper(start_key)
+        hi = self.key_mapper(end_key) if end_key else self.keyspace - 1
+        return self.cohorts[self._index(lo):
+                            self._index(min(hi, self.keyspace - 1)) + 1]
+
+    def cohort(self, cohort_id: int) -> Cohort:
+        return self._by_id[cohort_id]
+
+    def cohort_or_none(self, cohort_id: int) -> Optional[Cohort]:
+        return self._by_id.get(cohort_id)
+
+    def __len__(self) -> int:
+        return len(self.cohorts)
 
 
-class CohortMap:
+class CohortMap(_Layout):
     """An immutable, versioned snapshot of the cohort layout.
 
     This is what clients route off: cheap to hand out, safe to keep
@@ -189,49 +232,13 @@ class CohortMap:
         self.key_mapper = key_mapper
         self.order_preserving = key_mapper is ordered_key_of
         self.leader_hints: Dict[int, str] = dict(leader_hints or {})
-        self._by_id: Dict[int, Cohort] = {
-            c.cohort_id: c for c in self.cohorts}
-
-    # -- lookups -------------------------------------------------------
-    def locate(self, row_key: bytes) -> Cohort:
-        """The cohort responsible for a row key (via the key mapper)."""
-        return self.cohort_for_key(self.key_mapper(row_key))
-
-    def cohort_for_key(self, key: int) -> Cohort:
-        return self.cohorts[_index_for_key(self.cohorts, self.keyspace,
-                                           key)]
-
-    def cohorts_for_range(self, start_key: bytes,
-                          end_key: Optional[bytes]) -> List[Cohort]:
-        """Cohorts intersecting [start_key, end_key), in key order.
-
-        Requires an order-preserving key mapper.
-        """
-        if not self.order_preserving:
-            raise ValueError("range queries need ordered_key_of; "
-                             "construct the partitioner (or cluster) "
-                             "with order-preserving keys")
-        lo = self.key_mapper(start_key)
-        hi = self.key_mapper(end_key) if end_key else self.keyspace - 1
-        first = _index_for_key(self.cohorts, self.keyspace, lo)
-        last = _index_for_key(self.cohorts, self.keyspace,
-                              min(hi, self.keyspace - 1))
-        return self.cohorts[first:last + 1]
-
-    def cohort(self, cohort_id: int) -> Cohort:
-        return self._by_id[cohort_id]
-
-    def cohort_or_none(self, cohort_id: int) -> Optional[Cohort]:
-        return self._by_id.get(cohort_id)
+        self._reindex()
 
     def leader_hint(self, cohort_id: int) -> Optional[str]:
         return self.leader_hints.get(cohort_id)
 
-    def __len__(self) -> int:
-        return len(self.cohorts)
 
-
-class RangePartitioner:
+class RangePartitioner(_Layout):
     """Builds and answers questions about the cluster's cohort layout.
 
     ``key_mapper`` converts row keys (bytes) to keyspace integers:
@@ -332,8 +339,7 @@ class RangePartitioner:
         return tuple(members)
 
     def _reindex(self) -> None:
-        self._by_id: Dict[int, Cohort] = {
-            c.cohort_id: c for c in self.cohorts}
+        super()._reindex()
         self._by_node: Dict[str, List[Cohort]] = {}
         for cohort in self.cohorts:
             for member in cohort.members:
@@ -397,43 +403,9 @@ class RangePartitioner:
                          self.key_mapper, self.leader_hints)
 
     # ------------------------------------------------------------------
-    def locate(self, row_key: bytes) -> Cohort:
-        """The cohort responsible for a row key (via the key mapper)."""
-        return self.cohort_for_key(self.key_mapper(row_key))
-
-    def cohorts_for_range(self, start_key: bytes,
-                          end_key: bytes) -> List[Cohort]:
-        """Cohorts intersecting [start_key, end_key), in key order.
-
-        Requires an order-preserving key mapper.
-        """
-        if not self.order_preserving:
-            raise ValueError("range queries need ordered_key_of; "
-                             "construct the partitioner (or cluster) "
-                             "with order-preserving keys")
-        lo = self.key_mapper(start_key)
-        hi = self.key_mapper(end_key) if end_key else self.keyspace - 1
-        first = _index_for_key(self.cohorts, self.keyspace, lo)
-        last = _index_for_key(self.cohorts, self.keyspace,
-                              min(hi, self.keyspace - 1))
-        return self.cohorts[first:last + 1]
-
-    def cohort_for_key(self, key: int) -> Cohort:
-        return self.cohorts[_index_for_key(self.cohorts, self.keyspace,
-                                           key)]
-
-    def cohort(self, cohort_id: int) -> Cohort:
-        return self._by_id[cohort_id]
-
-    def cohort_or_none(self, cohort_id: int) -> Optional[Cohort]:
-        return self._by_id.get(cohort_id)
-
     def cohorts_of_node(self, node: str) -> List[Cohort]:
         """The cohorts this node participates in (3 with N=3)."""
         return list(self._by_node.get(node, []))
 
     def peers_of(self, node: str, cohort_id: int) -> List[str]:
         return [m for m in self._by_id[cohort_id].members if m != node]
-
-    def __len__(self) -> int:
-        return len(self.cohorts)

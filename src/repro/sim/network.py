@@ -20,14 +20,25 @@ switch, clients on a second rack, reliable in-order messaging over TCP
 
 A small request/reply (RPC) layer is included because both datastores and
 the benchmark clients are built around it.
+
+Hot path (DESIGN.md, "Kernel hot paths"): a message is one
+:class:`Request` that is its own kernel callback, and an RPC timeout
+costs no kernel entry: each endpoint queues its own deadlines and keeps
+at most **one** entry in the kernel heap (re-armed for the next pending
+request when it fires, parked while none is), under the sequence number
+the request *reserved when it was made* — ties break as they always did.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Optional, Tuple
+from bisect import insort
+from collections import deque
+from heapq import heapify, heappush
+from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
-from .events import Event, SimulationError, Simulator
+from .events import (_CALLBACK, _TIME, NORMAL, Event, SimulationError,
+                     Simulator)
 from .rng import RngRegistry
 
 __all__ = ["LatencyModel", "Network", "Endpoint", "RpcTimeout", "Request"]
@@ -51,11 +62,12 @@ class LatencyModel:
         self.base = base
         self.bandwidth = bandwidth_bytes_per_sec
         self.jitter = jitter
+        self._jitter_rate = 1.0 / jitter if jitter else 0.0
 
     def delay(self, size_bytes: int, rng) -> float:
         """One-way delay for a message of ``size_bytes``."""
         transfer = size_bytes / self.bandwidth if self.bandwidth else 0.0
-        jitter = rng.expovariate(1.0 / self.jitter) if self.jitter else 0.0
+        jitter = rng.expovariate(self._jitter_rate) if self.jitter else 0.0
         return self.base + transfer + jitter
 
     def nominal(self, size_bytes: int = 4096,
@@ -67,36 +79,48 @@ class LatencyModel:
 
 
 class Request:
-    """What an RPC handler receives: the payload plus a ``respond`` hook."""
+    """One message in flight — and, at the receiver, what the handler
+    gets: ``src``, ``payload`` and a ``respond`` hook.  It is also its
+    own delivery callback: the kernel entry :meth:`Network._transmit`
+    pushes carries it directly, so a message costs one allocation, not
+    an envelope + closure + wrapper."""
 
-    __slots__ = ("src", "payload", "_respond", "responded")
+    __slots__ = ("_net", "src", "dst", "payload", "req_id", "reply_to",
+                 "responded")
 
-    def __init__(self, src: str, payload: Any,
-                 respond: Callable[[Any, int], None]):
-        self.src = src
-        self.payload = payload
-        self._respond = respond
-        self.responded = False
-
-    def respond(self, value: Any, size: int = 128) -> None:
-        """Send the reply back to the requester (at most once)."""
-        if self.responded:
-            raise SimulationError("request already responded to")
-        self.responded = True
-        self._respond(value, size)
-
-
-class _Envelope:
-    __slots__ = ("src", "dst", "payload", "size", "req_id", "reply_to")
-
-    def __init__(self, src: str, dst: str, payload: Any, size: int,
-                 req_id: Optional[int], reply_to: Optional[int]):
+    def __init__(self, net: "Network", src: str, dst: str, payload: Any,
+                 req_id: Optional[int] = None,
+                 reply_to: Optional[int] = None):
+        self._net = net
         self.src = src
         self.dst = dst
         self.payload = payload
-        self.size = size
         self.req_id = req_id
         self.reply_to = reply_to
+        self.responded = False
+
+    def respond(self, value: Any, size: int = 128) -> None:
+        """Send the reply back to the requester (at most once).  A dead
+        responder, or a one-way message, sends nothing."""
+        if self.responded:
+            raise SimulationError("request already responded to")
+        self.responded = True
+        net = self._net
+        if self.req_id is not None and net._endpoints[self.dst].alive:
+            net._transmit(Request(net, self.dst, self.src, value,
+                                  reply_to=self.req_id), size)
+
+    def __call__(self) -> None:
+        """Kernel callback at the arrival time: hand the message to the
+        destination endpoint, or drop it if that is down."""
+        net = self._net
+        ep = net._endpoints.get(self.dst)
+        if ep is None or not ep.alive:
+            net.messages_dropped += 1
+        elif self.reply_to is not None:
+            ep._on_reply(self)
+        elif ep._handler is not None:
+            ep._handler(self)
 
 
 class Network:
@@ -218,53 +242,49 @@ class Network:
         return 2.0 * self.latency.nominal(size_bytes)
 
     # -- transmission -----------------------------------------------------
-    def _transmit(self, env: _Envelope) -> None:
-        """Send one envelope.  This runs once per simulated message, so
-        the fault-injection checks are guarded by container emptiness
-        tests: a healthy network (no partitions, no lossy/slow links —
-        the common case) pays no frozenset or dict-lookup cost per
-        message.  The RNG draw order is unchanged: the drop-rate draw
-        happens only when a rate is configured for the pair, exactly as
-        the unguarded lookups did."""
+    def _transmit(self, env: Request, size: int) -> None:
+        """Send one message from a live endpoint (every caller checks).
+        Runs once per simulated message, so the fault-injection checks
+        are guarded by container emptiness tests: a healthy network pays
+        no frozenset or dict-lookup cost per message.  The drop-rate RNG
+        draw still happens exactly when a rate is configured for the
+        pair, so the draw order is that of unguarded lookups."""
         self.messages_sent += 1
-        src_ep = self._endpoints.get(env.src)
-        if src_ep is None or not src_ep.alive:
-            self.messages_dropped += 1
-            return
+        src, dst = env.src, env.dst
         if ((self._blocked or self._blocked_oneway)
-                and self.is_blocked(env.src, env.dst)):
+                and self.is_blocked(src, dst)):
             self.messages_dropped += 1
             return
         if self._drop_rates:
-            rate = self._drop_rates.get((env.src, env.dst))
+            rate = self._drop_rates.get((src, dst))
             if rate and self._rng.random() < rate:
                 self.messages_dropped += 1
                 return
         if self.topology is None:
-            delay = self.latency.delay(env.size, self._rng)
+            delay = self.latency.delay(size, self._rng)
         else:
             # Same RNG consumption: Topology.delay draws exactly one
             # jitter sample per message, like the flat model above.
-            delay = self.topology.delay(env.src, env.dst, env.size,
-                                        self._rng)
+            delay = self.topology.delay(src, dst, size, self._rng)
         delay += self.extra_delay
         if self._extra_delays:
-            delay += self._extra_delays.get((env.src, env.dst), 0.0)
-        arrival = self.sim.now + delay
+            delay += self._extra_delays.get((src, dst), 0.0)
+        sim = self.sim
+        arrival = sim._now + delay
         # FIFO per ordered pair: never deliver before an earlier message.
-        key = (env.src, env.dst)
+        key = (src, dst)
         last = self._last_delivery.get(key)
         if last is not None and last > arrival:
             arrival = last
         self._last_delivery[key] = arrival
-        self.sim.call_at(arrival, lambda: self._deliver(env))
+        # Simulator.call_at inlined; the message is its own callback.
+        seq = sim._seq
+        sim._seq = seq + 1
+        heappush(sim._heap, [arrival, NORMAL, seq, env])
 
-    def _deliver(self, env: _Envelope) -> None:
-        ep = self._endpoints.get(env.dst)
-        if ep is None or not ep.alive:
-            self.messages_dropped += 1
-            return
-        ep._receive(env)
+
+#: A deadline entry is a kernel heap entry + what its expiry needs.
+_REQ_ID, _DST, _TIMEOUT = 4, 5, 6
 
 
 class Endpoint:
@@ -277,7 +297,14 @@ class Endpoint:
         self.alive = True
         self._handler: Optional[Callable[[Request], None]] = None
         self._pending: Dict[int, Event] = {}
-        self._timeouts: Dict[int, Any] = {}     # req_id -> scheduler entry
+        #: deadline entries of requests sent with a timeout, earliest
+        #: first; answered ones are dropped as they reach the front
+        self._deadlines: Deque[list] = deque()
+        #: the one deadline entry in the kernel heap, or None.  If its
+        #: request was answered it just wakes us to arm the next; while
+        #: none is pending it is *parked* (callback None: kernel skips it)
+        self._armed: Optional[list] = None
+        self._expire = self._on_deadline     # bound once, not per RPC
         #: replies that arrived after their request timed out (or after a
         #: crash cleared it) and were discarded — chaos runs assert these
         #: never resume a waiter twice
@@ -293,9 +320,10 @@ class Endpoint:
         """Take the endpoint off the network; pending RPCs never resolve."""
         self.alive = False
         self._pending.clear()
-        for entry in self._timeouts.values():
-            self.sim.cancel(entry)
-        self._timeouts.clear()
+        self._deadlines.clear()
+        if self._armed is not None:
+            self.sim.cancel(self._armed)
+            self._armed = None
 
     def restart(self) -> None:
         self.alive = True
@@ -305,8 +333,8 @@ class Endpoint:
         """Fire-and-forget one-way message."""
         if not self.alive:
             return
-        self.network._transmit(
-            _Envelope(self.name, dst, payload, size, None, None))
+        net = self.network
+        net._transmit(Request(net, self.name, dst, payload), size)
 
     def request(self, dst: str, payload: Any, size: int = 256,
                 timeout: Optional[float] = None) -> Event:
@@ -318,48 +346,80 @@ class Endpoint:
         replication protocol always pair this with quorum waits or
         failure-detector callbacks, as the paper's protocol does.
         """
-        ev = Event(self.sim)
+        sim = self.sim
+        ev = Event(sim)
         if not self.alive:
             ev.fail(RpcTimeout(f"{self.name} is down"))
             return ev
-        req_id = next(self.network._req_ids)
+        net = self.network
+        req_id = next(net._req_ids)
         self._pending[req_id] = ev
-        self.network._transmit(
-            _Envelope(self.name, dst, payload, size, req_id, None))
+        net._transmit(Request(net, self.name, dst, payload, req_id), size)
         if timeout is not None:
-            def _expire() -> None:
-                # Remove the pending entry *before* failing it: a reply
-                # that arrives later finds nothing and is discarded, so
-                # the waiting process is resumed exactly once.
-                self._timeouts.pop(req_id, None)
-                pending = self._pending.pop(req_id, None)
-                if pending is not None and not pending.triggered:
-                    pending.fail(RpcTimeout(
-                        f"rpc {self.name}->{dst} timed out after {timeout}s"))
-            self._timeouts[req_id] = self.sim.schedule(timeout, _expire)
+            if timeout < 0:
+                raise SimulationError(f"negative timeout {timeout!r}")
+            # Reserve the kernel sequence number *now*: whenever this
+            # deadline is finally armed, it ties with other events at
+            # its timestamp exactly as a timer scheduled here would.
+            seq = sim._seq
+            sim._seq = seq + 1
+            entry = [sim._now + timeout, NORMAL, seq, self._expire,
+                     req_id, dst, timeout]
+            queue, armed = self._deadlines, self._armed
+            if queue and entry < queue[-1]:
+                insort(queue, entry)    # shorter timeout after a longer one
+            else:
+                queue.append(entry)
+            if (armed is not None and armed[_CALLBACK] is None
+                    and armed[_TIME] <= sim._now):
+                armed = None     # parked, and the kernel is past it: gone
+            if armed is None or entry < armed:
+                if armed is not None:
+                    # Withdraw, not lazily cancel: a still-pending
+                    # request is re-armed later under the same sequence
+                    # number, which may sit in the heap only once.
+                    sim._heap.remove(armed)
+                    heapify(sim._heap)
+                self._armed = entry
+                heappush(sim._heap, entry)
+            else:
+                armed[_CALLBACK] = self._expire      # un-park
         return ev
 
     # -- inbound ------------------------------------------------------------
-    def _receive(self, env: _Envelope) -> None:
-        if env.reply_to is not None:
-            entry = self._timeouts.pop(env.reply_to, None)
-            if entry is not None:
-                self.sim.cancel(entry)
-            ev = self._pending.pop(env.reply_to, None)
-            if ev is None or ev.triggered:
-                # Late reply: the request already timed out (or the
-                # endpoint restarted).  Drop it on the floor.
-                self.stale_replies += 1
-                return
-            ev.succeed(env.payload)
+    def _on_reply(self, env: Request) -> None:
+        pending = self._pending
+        ev = pending.pop(env.reply_to, None)
+        queue = self._deadlines
+        if queue:
+            while queue and queue[0][_REQ_ID] not in pending:
+                queue.popleft()
+            if not queue:
+                # Park (a cancel the next request undoes): an idle
+                # endpoint must not advance the clock.
+                self._armed[_CALLBACK] = None
+        if ev is None or ev.triggered:
+            # Late reply: the request already timed out (or the
+            # endpoint restarted).  Drop it on the floor.
+            self.stale_replies += 1
             return
-        if self._handler is None:
-            return
+        ev.succeed(env.payload)
 
-        def _respond(value: Any, size: int, _env: _Envelope = env) -> None:
-            if not self.alive or _env.req_id is None:
-                return
-            self.network._transmit(_Envelope(
-                self.name, _env.src, value, size, None, _env.req_id))
-
-        self._handler(Request(env.src, env.payload, _respond))
+    def _on_deadline(self) -> None:
+        """The armed deadline came up: expire its request if that is
+        still pending, and arm the next pending one."""
+        entry, self._armed = self._armed, None
+        pending = self._pending
+        # Remove the pending entry *before* failing it: a reply that
+        # arrives later finds nothing and is discarded, so the waiting
+        # process is resumed exactly once.
+        ev = pending.pop(entry[_REQ_ID], None)
+        queue = self._deadlines
+        while queue and queue[0][_REQ_ID] not in pending:
+            queue.popleft()
+        if queue:
+            self._armed = queue[0]
+            heappush(self.sim._heap, queue[0])
+        if ev is not None and not ev.triggered:
+            ev.fail(RpcTimeout(f"rpc {self.name}->{entry[_DST]} timed out "
+                               f"after {entry[_TIMEOUT]}s"))

@@ -37,6 +37,11 @@ end to end (see DESIGN.md, "Kernel hot paths"):
 
 Neither shortcut changes simulated timestamps, priorities, or sequence
 numbers, so traces are bit-identical with the straightforward path.
+
+A process takes its first step through the heap, which keeps creation
+order deterministic wherever it is spawned; ``Supervisor.spawn(...,
+inline=True)`` steps it at once instead — one heap entry less per
+message, legal only as the last act of a kernel callback.
 """
 
 from __future__ import annotations
@@ -147,7 +152,7 @@ class Process(Event):
     __slots__ = ("_gen", "_send", "_throw", "_target", "name")
 
     def __init__(self, sim: Simulator, gen: Generator[Event, Any, Any],
-                 name: str = ""):
+                 name: str = "", start: bool = True):
         super().__init__(sim)
         if not hasattr(gen, "send"):
             raise SimulationError(f"Process needs a generator, got {gen!r}")
@@ -157,8 +162,10 @@ class Process(Event):
         self._target: Optional[Event] = None
         self.name = name or getattr(gen, "__name__", "process")
         # Start the process at the current time, but via the heap so that
-        # creation order is preserved deterministically.
-        sim.schedule(0.0, self._resume_start, priority=URGENT)
+        # creation order is preserved deterministically
+        # (``start=False``: Supervisor.spawn steps it inline instead).
+        if start:
+            sim.schedule(0.0, self._resume_start, priority=URGENT)
 
     # -- lifecycle ---------------------------------------------------------
     @property
@@ -254,12 +261,22 @@ class Supervisor:
         #: tests assert this stays empty (protocol bugs surface here)
         self.failures: List[BaseException] = []
 
-    def spawn(self, gen: Generator[Event, Any, Any],
-              name: str = "") -> Process:
-        """Start a handler process tracked for crash-time termination."""
-        proc = Process(self.sim, gen, name=self._prefix + name)
+    def spawn(self, gen: Generator[Event, Any, Any], name: str = "",
+              inline: bool = False) -> Process:
+        """Start a handler process tracked for crash-time termination.
+
+        ``inline`` takes the first step now instead of through the heap.
+        Only legal as the *last act of a kernel callback* (a delivery
+        dispatching its handler): the heap start would be the very next
+        entry popped — URGENT, now, and every earlier URGENT entry at
+        this time has already run — so this changes no order, only saves
+        the entry.  Anywhere else, code after the call would run before
+        the first step on the heap path and after it here."""
+        proc = Process(self.sim, gen, self._prefix + name, start=not inline)
         self._procs[proc] = None
         proc.add_callback(self._done)
+        if inline:
+            proc._step(None, None, None)
         return proc
 
     def _done(self, proc: Event) -> None:

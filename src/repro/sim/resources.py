@@ -21,16 +21,6 @@ from .process import Timeout
 __all__ = ["Resource", "Store", "serve"]
 
 
-class Request(Event):
-    """A pending acquisition of one unit of a :class:`Resource`."""
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource"):
-        super().__init__(resource.sim)
-        self.resource = resource
-
-
 class Resource:
     """A FIFO pool of ``capacity`` identical units."""
 
@@ -40,7 +30,7 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self._in_use = 0
-        self._queue: Deque[Request] = deque()
+        self._queue: Deque[Event] = deque()
 
     @property
     def in_use(self) -> int:
@@ -50,9 +40,9 @@ class Resource:
     def queue_length(self) -> int:
         return len(self._queue)
 
-    def request(self) -> Request:
+    def request(self) -> Event:
         """Return an event that succeeds when a unit is acquired."""
-        req = Request(self)
+        req = Event(self.sim)
         if self._in_use < self.capacity:
             self._in_use += 1
             req.succeed()
@@ -83,8 +73,12 @@ def serve(resource: Resource, service_time: float,
 
         yield from serve(node.cpu, 0.0002)   # charge 200 us of CPU
     """
-    req = resource.request()
-    yield req
+    if resource._in_use < resource.capacity:
+        # Uncontended (the common case): take the unit directly.  A
+        # granted request() would resume us synchronously anyway.
+        resource._in_use += 1
+    else:
+        yield resource.request()
     try:
         yield Timeout(resource.sim, service_time)
     finally:

@@ -141,3 +141,44 @@ def test_barrier_waits_for_quorum():
     sim.run(until=30.0)
     assert {name for name, _ in passed} == {"a", "b"}
     assert all(t >= 5.0 for _, t in passed)
+
+
+def test_join_survives_stale_ephemeral_expiring_before_its_delete():
+    """A rejoining node finds its previous incarnation's ephemeral
+    (create -> NodeExistsError) and goes to delete it; if that session
+    expires between the two requests the delete finds nothing.  That is
+    the outcome join wanted, not an error: it used to die with
+    NoNodeError('/nodes/node7') in the 9-node 3-DC seed-8 storm."""
+    sim, net, service, (old, new, _) = setup_world()
+
+    def previous_incarnation():
+        yield from old.start()
+        yield from GroupMembership(old, "/nodes", "n").join()
+
+    spawn(sim, previous_incarnation())
+    sim.run(until=sim.now + 5.0)
+    old_session = old.session
+    old.stop()                      # crashed: heartbeats stop
+
+    real_delete = new.delete
+    deletes = []
+
+    def delete_after_expiry(path, version=-1):
+        # Exactly the window: the failed create has been answered, the
+        # delete not yet sent, and the sweeper expires the old session.
+        deletes.append(path)
+        service.expire_session_now(old_session)
+        return (yield from real_delete(path, version))
+
+    new.delete = delete_after_expiry
+
+    def rejoin():
+        yield from new.start()
+        grp = GroupMembership(new, "/nodes", "n")
+        path = yield from grp.join()
+        return path, (yield from grp.members())
+
+    proc = spawn(sim, rejoin())
+    sim.run(until=sim.now + 5.0)
+    assert deletes == ["/nodes/n"]          # the interleaving happened
+    assert proc.result() == ("/nodes/n", ["n"])

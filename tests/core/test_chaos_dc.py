@@ -140,3 +140,14 @@ def test_multi_dc_storm_is_reproducible():
     second = run_chaos(3, SMOKE_DC)
     assert first.format() == second.format()
     assert first.schedule == second.schedule
+
+
+def test_harsh_nine_node_three_dc_storm_seed_8_stays_clean():
+    """``python -m repro chaos --nodes 9 --mean-fault-gap 1.0
+    --mean-repair 2.0 --duration 30 --dcs 3 --seed 8``: node7's rejoin
+    used to die with NoNodeError('/nodes/node7') at t=32.7 — its old
+    ephemeral expired between ``join``'s failed create and its delete."""
+    config = ChaosConfig(n_nodes=9, duration=30.0, mean_fault_gap=1.0,
+                         mean_repair=2.0, n_dcs=3)
+    report = run_chaos(8, config)
+    assert report.ok, report.format()

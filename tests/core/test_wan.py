@@ -189,7 +189,7 @@ def test_timeline_reads_route_to_the_clients_own_dc():
     cl, topo = spread_cluster()
     client = cl.client("remote")
     for key in (b"a", b"b", b"c", b"q", b"z"):
-        cohort = client._cohort(key)
+        cohort = client._map.locate(key)
         for _ in range(8):
             target = client._timeline_target(cohort)
             assert topo.dc_of(target) == "dc1"
@@ -198,7 +198,7 @@ def test_timeline_reads_route_to_the_clients_own_dc():
 def test_timeline_routing_falls_back_when_local_replica_excluded():
     cl, topo = spread_cluster()
     client = cl.client("remote")
-    cohort = client._cohort(b"a")
+    cohort = client._map.locate(b"a")
     local = [m for m in cohort.members if topo.dc_of(m) == "dc1"]
     assert len(local) == 1                    # spread: one replica per DC
     target = client._timeline_target(cohort, exclude=local[0])

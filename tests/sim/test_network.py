@@ -321,3 +321,126 @@ def test_reply_before_timeout_cancels_it():
     assert outcomes == ["pong"]
     assert a.stale_replies == 0
     assert sim.now < 1.0                # did not sit out the timeout
+
+
+# -- RPC deadlines: one armed kernel entry per endpoint -----------------------
+
+def silent_pair():
+    sim, net = make_net()
+    a, b = net.endpoint("a"), net.endpoint("b")
+    b.on_request(lambda req: None)      # never replies
+    return sim, a
+
+
+def expiry_log(sim, a, log, tag, timeout_s):
+    def caller():
+        try:
+            yield a.request("b", tag, timeout=timeout_s)
+        except RpcTimeout as exc:
+            log.append((tag, sim.now, str(exc)))
+    return caller()
+
+
+def test_short_timeout_after_a_long_one_fires_first_and_on_time():
+    sim, a = silent_pair()
+    log = []
+    spawn(sim, expiry_log(sim, a, log, "long", 2.0))
+    spawn(sim, expiry_log(sim, a, log, "short", 0.5))
+    sim.run()
+    assert [(tag, when) for tag, when, _ in log] == [("short", 0.5),
+                                                     ("long", 2.0)]
+    assert log[0][2] == "rpc a->b timed out after 0.5s"
+
+
+def test_expiries_tying_with_a_timer_run_in_request_order():
+    """Each deadline keeps the kernel sequence number it reserved when
+    the request was made: at one float timestamp, two expiries and an
+    unrelated timer scheduled between them run in that order — even
+    though the second deadline is only armed when the first fires."""
+    sim, a = silent_pair()
+    log = []
+
+    def scenario():
+        first = a.request("b", 1, timeout=0.25)
+        sim.schedule(0.25, lambda: log.append("timer"))
+        second = a.request("b", 2, timeout=0.25)
+        for name, ev in (("first", first), ("second", second)):
+            ev.add_callback(lambda ev, name=name: (ev.defuse(),
+                                                   log.append(name)))
+        return
+        yield
+
+    spawn(sim, scenario())
+    sim.run()
+    assert log == ["first", "timer", "second"]
+    assert sim.now == 0.25
+
+
+def test_crash_drops_every_deadline_and_restart_resurrects_none():
+    sim, a = silent_pair()
+    events = [a.request("b", i, timeout=0.5 + i) for i in range(3)]
+    sim.run(until=0.1)
+    a.crash()
+    a.restart()
+    late = a.request("b", "after", timeout=0.2)
+    late.add_callback(lambda ev: ev.defuse())
+    sim.run()
+    assert not any(ev.triggered for ev in events)   # never resolve (as before)
+    assert late.triggered and not late.ok           # the new one still expires
+    assert sim.now == pytest.approx(0.3)            # nothing ran at 0.5 .. 2.5
+    assert not a._deadlines and a._armed is None
+
+
+def test_reply_after_expiry_counts_one_stale_reply_and_resumes_nobody():
+    sim, net = make_net()
+    a, b = net.endpoint("a"), net.endpoint("b")
+    held = []
+    b.on_request(held.append)
+    resumed = []
+
+    def caller():
+        try:
+            yield a.request("b", "ping", timeout=0.1)
+        except RpcTimeout:
+            resumed.append("timeout")
+        yield timeout(sim, 1.0)
+        resumed.append("slept")
+
+    spawn(sim, caller())
+    sim.run(until=0.5)
+    held[0].respond("too late")
+    sim.run()
+    assert resumed == ["timeout", "slept"]
+    assert a.stale_replies == 1
+
+
+def test_request_without_timeout_arms_nothing():
+    sim, a = silent_pair()
+    a.request("b", "ping")
+    assert not a._deadlines and a._armed is None
+    sim.run()
+    assert sim.now < 0.01               # only the delivery ran
+
+
+def test_an_idle_endpoint_parks_its_deadline_and_rearms_it():
+    """Answered requests leave one parked entry behind, not one each;
+    the next request re-uses it as its wake-up."""
+    sim, net = make_net()
+    a, b = net.endpoint("a"), net.endpoint("b")
+    b.on_request(lambda req: req.payload == "drop" or req.respond("pong"))
+    log = []
+
+    def caller():
+        for _ in range(50):
+            assert (yield a.request("b", "ping", timeout=1.0)) == "pong"
+        assert len(sim._heap) == 1 and sim._heap[0][3] is None   # parked
+        yield timeout(sim, 0.5)
+        sent_at = sim.now
+        try:
+            yield a.request("b", "drop", timeout=1.0)
+        except RpcTimeout:
+            log.append(sim.now - sent_at)
+
+    spawn(sim, caller())
+    sim.run()
+    assert log == [pytest.approx(1.0)]  # woken by the old entry, on time

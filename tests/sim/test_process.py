@@ -288,3 +288,72 @@ def test_supervisor_kills_in_spawn_order_and_keeps_only_real_failures():
     assert order == ["a", "b", "c"]
     assert all(isinstance(p.exception, ProcessKilled) for p in procs)
     assert len(sup.failures) == 1       # deliberate kills are not failures
+
+
+def test_inline_spawn_takes_its_first_step_now_without_a_heap_entry():
+    sim = Simulator()
+    sup = Supervisor(sim, "node7")
+    steps = []
+
+    def handler():
+        steps.append("first")
+        yield timeout(sim, 1.0)
+        steps.append("second")
+        return "done"
+
+    proc = sup.spawn(handler(), "h", inline=True)
+    assert steps == ["first"]           # ran before spawn returned
+    assert len(sim._heap) == 1          # its timeout; no start entry
+    assert proc.name == "node7:h" and proc.is_alive
+    sim.run()
+    assert steps == ["first", "second"] and proc.result() == "done"
+    assert not sup._procs
+
+
+def test_inline_and_heap_spawns_are_killed_in_spawn_order():
+    sim = Simulator()
+    sup = Supervisor(sim, "node7")
+    order = []
+
+    def handler(tag):
+        try:
+            yield timeout(sim, 10.0)
+        except Interrupt:
+            order.append(tag)
+            raise
+
+    def parent():
+        # A handler that spawns a child in its first step is still
+        # registered — and killed — ahead of that child.
+        sup.spawn(handler("child"), "child")
+        yield from handler("parent")
+
+    procs = [sup.spawn(handler("a"), "a"),
+             sup.spawn(parent(), "p", inline=True),
+             sup.spawn(handler("b"), "b", inline=True)]
+    sim.run(until=1.0)
+    sup.kill_all()
+    sim.run(until=2.0)
+    assert order == ["a", "parent", "child", "b"]
+    assert all(isinstance(p.exception, ProcessKilled) for p in procs)
+    assert sup.failures == []
+
+
+def test_inline_handler_finishing_or_raising_on_its_first_step():
+    sim = Simulator()
+    sup = Supervisor(sim, "node7")
+
+    def stale():
+        return "not-leader"
+        yield
+
+    def buggy():
+        raise RuntimeError("protocol bug")
+        yield
+
+    done = sup.spawn(stale(), "stale", inline=True)
+    assert done.result() == "not-leader"
+    bug = sup.spawn(buggy(), "bug", inline=True)
+    assert bug.triggered and not bug.ok
+    assert [type(f) for f in sup.failures] == [RuntimeError]
+    assert not sup._procs and not sim._heap     # nothing left behind

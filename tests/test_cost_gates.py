@@ -1,0 +1,158 @@
+"""Deterministic cost gates: what one client operation costs the host.
+
+ROADMAP aim 1: "deterministic counts get exact CI gates".  The paper's
+read claim rests on a strong read being one client->leader round trip
+plus one lookup; these tests pin what the *simulator* spends on it —
+messages, kernel heap entries, routing digests, tracer calls — so a
+change that adds a timer, a message or a hook to the hot path fails
+here by name instead of showing up as a slower benchmark.
+
+Counts are taken with ``sys.setprofile`` inside a *quiet window* of a
+3-node cluster (no heartbeat, sweep or commit timer due), so every heap
+push and message in the window belongs to the measured operations.
+"""
+
+import hashlib
+import sys
+from collections import Counter
+from heapq import heappush
+
+from repro.core import SpinnakerCluster, SpinnakerConfig
+from repro.core.partition import key_of
+from repro.sim.disk import DiskProfile
+from repro.sim.events import Simulator
+from repro.sim.network import Network
+from repro.sim.process import spawn
+from repro.sim.rng import RngRegistry
+
+KEYS = (b"gate-a", b"gate-b", b"gate-c")
+
+
+def make_cluster():
+    cfg = SpinnakerConfig(log_profile=DiskProfile.ssd_log())
+    cluster = SpinnakerCluster(n_nodes=3, config=cfg, seed=5)
+    cluster.start()
+    client = cluster.client("gate-client")
+
+    def preload():
+        for key in KEYS:            # also warms the client's leader cache
+            yield from client.put(key, b"c", b"v0")
+            yield from client.get(key, b"c", consistent=True)
+
+    proc = spawn(cluster.sim, preload())
+    cluster.run_until(lambda: proc.triggered, limit=30.0, what="preload")
+    proc.result()
+    return cluster, client
+
+
+def quiet_window(cluster, need):
+    """Advance until no background timer is due for ``need`` simulated
+    seconds; returns the time the window closes."""
+    sim = cluster.sim
+    for _ in range(200):
+        next_due = min(entry[0] for entry in sim._heap
+                       if entry[3] is not None)
+        if next_due - sim.now >= need:
+            return next_due
+        cluster.run(next_due - sim.now + 1e-4)
+    raise AssertionError("no quiet window found")
+
+
+def measure(cluster, gen, need):
+    """Run ``gen`` as a process inside a quiet window under a profile
+    hook; returns the tally of what the hot path did."""
+    sim, net = cluster.sim, cluster.network
+    closes = quiet_window(cluster, need)
+    tally = Counter()
+
+    def hook(frame, event, arg):
+        if event == "c_call":
+            if arg is heappush:
+                tally["heap_entries"] += 1
+            elif arg is hashlib.sha256:
+                tally["digests"] += 1
+        elif event == "call":
+            filename = frame.f_code.co_filename
+            if "/repro/obs/" in filename or filename.endswith(
+                    "/sim/tracing.py"):
+                tally["tracer_calls"] += 1
+
+    sent = net.messages_sent
+    sys.setprofile(hook)
+    try:
+        proc = spawn(sim, gen)
+        # To just short of the window's end: what an operation leaves
+        # behind (the slower follower's ack) is still its cost.
+        sim.run(until=closes - 1e-6)
+    finally:
+        sys.setprofile(None)
+    assert proc.triggered, "ran out of the window"
+    proc.result()
+    tally["heap_entries"] -= 1          # the measuring process's own start
+    tally["messages"] = net.messages_sent - sent
+    return tally
+
+
+def test_strong_get_costs_two_messages_three_heap_entries_one_digest():
+    cluster, client = make_cluster()
+    key_of.cache_clear()
+
+    def gets():
+        for key in KEYS + KEYS:
+            got = yield from client.get(key, b"c", consistent=True)
+            assert got.value == b"v0"
+
+    tally = measure(cluster, gets(), need=0.05)
+    ops = 2 * len(KEYS)
+    assert tally["messages"] == 2 * ops          # request + reply
+    # request delivery, the handler's CPU charge, reply delivery — no
+    # timer per RPC, no heap entry to start the handler
+    assert tally["heap_entries"] == 3 * ops
+    # client routing, node dispatch and the handler's ownership re-check
+    # share one memoised digest per distinct key
+    assert tally["digests"] == len(KEYS)
+    assert tally["tracer_calls"] == 0            # untraced: obs costs nothing
+
+
+def test_strong_put_cost_is_pinned():
+    cluster, client = make_cluster()
+    ops = 4
+
+    def puts():
+        for i in range(ops):
+            yield from client.put(KEYS[i % len(KEYS)], b"c", b"v%d" % i)
+
+    tally = measure(cluster, puts(), need=0.05)
+    # client->leader, 2 proposes, 2 acks, leader->client
+    assert tally["messages"] == 6 * ops
+    # those 6 deliveries, plus a CPU charge and a log force at the
+    # leader and at each of the 2 followers
+    assert tally["heap_entries"] == 12 * ops
+    assert tally["tracer_calls"] == 0
+
+
+def test_answered_rpcs_leave_nothing_in_the_kernel_heap():
+    """5,000 answered RPCs, each with a 2 s timeout: the kernel heap
+    holds in-flight work plus one armed deadline per endpoint — not
+    5,000 cancelled timers waiting out their 2 s (the parent's count)."""
+    sim = Simulator()
+    net = Network(sim, RngRegistry(11))
+    server = net.endpoint("server")
+    server.on_request(lambda req: req.respond(req.payload, size=64))
+    clients, per_client = 8, 625
+    peak = [0]
+
+    def caller(endpoint):
+        for i in range(per_client):
+            assert (yield endpoint.request("server", i, size=64,
+                                           timeout=2.0)) == i
+            peak[0] = max(peak[0], len(sim._heap))
+
+    procs = [spawn(sim, caller(net.endpoint(f"c{i}")))
+             for i in range(clients)]
+    sim.run(until=1.9)          # every timeout still in the future
+    assert all(p.triggered for p in procs)
+    # one message in flight per caller, one deadline per calling endpoint
+    assert peak[0] <= 2 * clients
+    assert len([e for e in sim._heap if e[3] is not None]) == 0
+    assert len(sim._heap) <= clients
