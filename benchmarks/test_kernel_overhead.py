@@ -7,30 +7,33 @@ slow kernel silently inflates every benchmark's wall time.  Two guards:
   ``__dict__`` costs both memory and attribute-lookup time on millions
   of instances);
 * a microbenchmark drives the raw scheduler, the full process /
-  timeout machinery and the RPC round trip, asserting per-second floors
-  generous enough to pass on slow CI but far below healthy numbers — a
-  10x kernel regression fails loudly, a 10% one shows up in the
-  benchmark history.
+  timeout machinery, the RPC round trip and the replicated put,
+  asserting per-second floors generous enough to pass on slow CI but
+  far below healthy numbers — a 10x kernel regression fails loudly, a
+  10% one shows up in the benchmark history.
 """
 
 import time
 
 from repro.bench.openloop import (BurstyArrivals, DiurnalArrivals,
                                   MuxedUsers, PoissonArrivals)
+from repro.core import SpinnakerCluster, SpinnakerConfig
 from repro.core.commitqueue import PendingWrite
 from repro.obs.trace import Span, TraceContext
+from repro.sim.disk import DiskProfile
 from repro.sim.events import Event, Simulator
 from repro.sim.metrics import Histogram
 from repro.sim.network import Network, Request
 from repro.sim.process import (Process, Supervisor, Timeout, spawn,
                                timeout)
 from repro.sim.rng import RngRegistry
+from repro.storage.wal import _Entry
 
 #: classes instantiated once (or more) per simulated event/message/write,
 #: plus the open-loop generator state touched on every arrival (heap
 #: entries themselves are plain lists now — nothing to guard)
 HOT_CLASSES = [Event, Process, Timeout, Request, Supervisor,
-               PendingWrite, Span, TraceContext,
+               PendingWrite, _Entry, Span, TraceContext,
                PoissonArrivals, BurstyArrivals, DiurnalArrivals,
                MuxedUsers]
 
@@ -48,6 +51,12 @@ PROCESS_FLOOR = 290_000
 # endpoint; the per-RPC schedule/cancel and heap-started handler it
 # replaced ran 32-51K (median 35K) in the same session.
 RPC_FLOOR = 30_000
+# Replicated puts per second (3 nodes, memory log, 16 writers through
+# ``SpinnakerClient.put``: client -> leader, force || 2 proposes, 2
+# acks, commit, reply): 8.2-8.7K over 5 runs on the reference box with
+# the write fast path; the write path it replaced ran 6.0-7.2K in the
+# same session.
+WRITE_FLOOR = 4_200
 PERCENTILE_FLOOR = 400_000
 
 
@@ -119,6 +128,32 @@ def _pump_rpcs(n, n_callers=16):
     return (per_caller * n_callers) / (time.perf_counter() - start)
 
 
+def _pump_puts(n, n_writers=16):
+    """n replicated 1 KB puts to fresh keys on a 3-node cluster whose
+    log forces cost microseconds, so host time is the write path's."""
+    cluster = SpinnakerCluster(
+        n_nodes=3, seed=1,
+        config=SpinnakerConfig(log_profile=DiskProfile.memory_log()))
+    cluster.start()
+    per_writer = n // n_writers
+    value = b"v" * 1024
+
+    def writer(w):
+        client = cluster.client(f"writer{w}")
+        for i in range(per_writer):
+            yield from client.put(b"w%d-%d" % (w, i), b"c", value)
+
+    procs = [spawn(cluster.sim, writer(w)) for w in range(n_writers)]
+    start = time.perf_counter()
+    cluster.run_until(lambda: all(p.triggered for p in procs),
+                      limit=600.0, step=1.0, what="puts")
+    elapsed = time.perf_counter() - start
+    for proc in procs:
+        proc.result()
+    assert not cluster.all_failures()
+    return (per_writer * n_writers) / elapsed
+
+
 def test_raw_event_loop_throughput(benchmark):
     rate = benchmark.pedantic(lambda: _pump_callbacks(200_000),
                               rounds=1, iterations=1)
@@ -143,6 +178,14 @@ def test_rpc_round_trip_throughput(benchmark):
     print(f"\nrpc round trip: {rate:,.0f} calls/s")
     assert rate >= RPC_FLOOR, (
         f"RPC round trip at {rate:,.0f} calls/s (floor {RPC_FLOOR:,})")
+
+
+def test_replicated_put_throughput(benchmark):
+    rate = benchmark.pedantic(lambda: _pump_puts(8_000),
+                              rounds=1, iterations=1)
+    print(f"\nreplicated put: {rate:,.0f} puts/s")
+    assert rate >= WRITE_FLOOR, (
+        f"replicated put at {rate:,.0f} puts/s (floor {WRITE_FLOOR:,})")
 
 
 def _pump_percentiles(samples, calls):

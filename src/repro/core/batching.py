@@ -101,7 +101,9 @@ def chunk_groups(groups: Sequence[Sequence[WriteRecord]],
     cur: List[WriteRecord] = []
     cur_bytes = 0
     for group in groups:
-        nbytes = sum(r.encoded_size() for r in group)
+        nbytes = 0
+        for record in group:
+            nbytes += record.size
         if cur and (len(cur) + len(group) > max_records
                     or cur_bytes + nbytes > max_bytes):
             batches.append(cur)
@@ -151,7 +153,8 @@ class ProposalBatcher:
         cfg = self.replica.node.config
         self._groups.append(tuple(records))
         self._buffered_records += len(records)
-        self._buffered_bytes += sum(r.encoded_size() for r in records)
+        for record in records:
+            self._buffered_bytes += record.size
         if (not cfg.propose_batching
                 or self._buffered_records >= cfg.propose_batch_max_records
                 or self._buffered_bytes >= MAX_BATCH_BYTES):
@@ -258,8 +261,9 @@ class ProposalBatcher:
             if gen != self._gen:
                 return      # a crash/step-down reset the pipeline
             self._inflight_forces -= 1
-            for lsn in lsns:
-                replica._trace_force_done(lsn)
+            if replica._traces:
+                for lsn in lsns:
+                    replica._trace_force_done(lsn)
             for lsn in lsns:
                 replica.queue.mark_forced(lsn)
             replica._advance()

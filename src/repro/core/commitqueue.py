@@ -6,17 +6,23 @@ local log force and follower acks, and *commits strictly in LSN order*:
 a write at the head commits once it is locally durable and at least one
 follower has acked — later writes must wait for earlier ones, which is
 what makes conditional puts deterministic across the cohort (§5.1).
+
+The queue is a plain insertion-ordered ``dict`` keyed by LSN: entries
+enter at the tail and leave from the head.  An entry allocates only what
+every replica needs: its ``acks`` set is made by the first ack, which
+only a leader's queue ever sees.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Callable, List, Optional, Set
+from typing import Callable, Dict, FrozenSet, List, Optional
 
 from ..storage.lsn import LSN
 from ..storage.records import WriteRecord
 
 __all__ = ["CommitQueue", "PendingWrite"]
+
+_NO_ACKS: FrozenSet[str] = frozenset()
 
 
 class PendingWrite:
@@ -28,11 +34,8 @@ class PendingWrite:
                  on_commit: Optional[Callable[[WriteRecord], None]] = None):
         self.record = record
         self.forced = False                # our own log force completed
-        self.acks: Set[str] = set()        # followers that acked
+        self.acks = _NO_ACKS               # followers that acked
         self.on_commit = on_commit
-
-    def ready(self, acks_needed: int) -> bool:
-        return self.forced and len(self.acks) >= acks_needed
 
 
 class CommitQueue:
@@ -40,7 +43,7 @@ class CommitQueue:
 
     def __init__(self, acks_needed: int = 1):
         self.acks_needed = acks_needed
-        self._entries: "OrderedDict[LSN, PendingWrite]" = OrderedDict()
+        self._entries: Dict[LSN, PendingWrite] = {}   # insertion-ordered
         self.committed_lsn = LSN.zero()
 
     def __len__(self) -> int:
@@ -61,9 +64,12 @@ class CommitQueue:
             return entry
         entry = PendingWrite(record, on_commit)
         self._entries[record.lsn] = entry
-        # Proposals arrive in LSN order over in-order channels; recovery
-        # re-proposals can interleave with nothing (cohort is closed),
-        # so insertion order == LSN order.  Assert cheaply.
+        # On a leader insertion order == LSN order (LSNs are allocated
+        # and queued in one step), which lets ``add_ack_upto``,
+        # ``pending_older_than`` and the replica's ``_trace_acked`` stop
+        # at the first LSN out of range.  On a follower a backfilled
+        # takeover re-proposal may land behind later LSNs; it is applied
+        # late, which the memtable's LSN conflict order tolerates.
         return entry
 
     def mark_forced(self, lsn: LSN) -> None:
@@ -73,8 +79,8 @@ class CommitQueue:
 
     def add_ack(self, lsn: LSN, follower: str) -> None:
         entry = self._entries.get(lsn)
-        if entry is not None:
-            entry.acks.add(follower)
+        if entry is not None and follower not in entry.acks:
+            entry.acks = entry.acks | {follower}
 
     def add_ack_upto(self, lsn: LSN, follower: str) -> None:
         """Cumulative ack: the follower has durably logged everything at
@@ -83,21 +89,27 @@ class CommitQueue:
         for pending_lsn, entry in self._entries.items():
             if pending_lsn > lsn:
                 break
-            entry.acks.add(follower)
+            if follower not in entry.acks:
+                entry.acks = entry.acks | {follower}
 
     # ------------------------------------------------------------------
     def advance_leader(self) -> List[WriteRecord]:
-        """Commit the longest ready prefix (leader rule).
+        """Commit the longest ready prefix (leader rule): a write is
+        ready once forced here and acked by ``acks_needed`` followers.
 
         Returns records committed by this call, in LSN order; their
-        ``on_commit`` callbacks have been invoked.
+        ``on_commit`` callbacks have been invoked, each after its entry
+        left the queue (one may resume a process that queues more).
         """
         committed: List[WriteRecord] = []
-        while self._entries:
-            lsn, entry = next(iter(self._entries.items()))
-            if not entry.ready(self.acks_needed):
+        entries, needed = self._entries, self.acks_needed
+        while entries:
+            for lsn in entries:     # the head: oldest insertion
                 break
-            self._entries.popitem(last=False)
+            entry = entries[lsn]
+            if not entry.forced or len(entry.acks) < needed:
+                break
+            del entries[lsn]
             self.committed_lsn = lsn
             committed.append(entry.record)
             if entry.on_commit is not None:
@@ -108,12 +120,16 @@ class CommitQueue:
         """Commit everything at or below ``upto`` (follower rule, on a
         commit message).  Returns the committed records in LSN order."""
         committed: List[WriteRecord] = []
-        while self._entries:
-            lsn, entry = next(iter(self._entries.items()))
+        entries = self._entries
+        while entries:
+            for lsn in entries:     # the head: oldest insertion
+                break
             if lsn > upto:
                 break
-            self._entries.popitem(last=False)
-            self.committed_lsn = max(self.committed_lsn, lsn)
+            entry = entries[lsn]
+            del entries[lsn]
+            if lsn > self.committed_lsn:
+                self.committed_lsn = lsn
             committed.append(entry.record)
             if entry.on_commit is not None:
                 entry.on_commit(entry.record)

@@ -38,6 +38,7 @@ or step-down.  See ``OBSERVABILITY.md``.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..sim.events import Event
@@ -57,6 +58,8 @@ __all__ = ["CohortReplica", "Role"]
 #: leader CPU per op after a request's first, which pays the full
 #: ``write_leader_service`` (a calibration constant, not a knob)
 EXTRA_OP_SERVICE = 0.05e-3
+
+_BY_LSN = attrgetter("lsn")
 
 
 class Role:
@@ -233,6 +236,7 @@ class CohortReplica:
         # migration drain ends exactly here).  Routing key gone: the
         # client re-routes off a fresh map.  Only a later op gone: the
         # request now spans cohorts and cannot be one transaction.
+        conditional = False
         for i, op in enumerate(ops):
             if node.replica_for_key(op.key) is not self:
                 req.respond(_err("cross-cohort") if i else
@@ -240,8 +244,10 @@ class CohortReplica:
                              "map_version": node.partitioner.version},
                             size=64)
                 return
+            if op.expected_version is not None:
+                conditional = True
         # Conditional writes pay a read + version compare first (§5.1).
-        if any(op.expected_version is not None for op in ops):
+        if conditional:
             yield from serve(node.cpu, cfg.conditional_check_service)
         # Versions continue from the newest pending write to the column;
         # ``staged`` extends that to earlier ops of this same request.
@@ -347,7 +353,9 @@ class CohortReplica:
             records=tuple(records),
             committed_lsn=(self.committed_lsn
                            if cfg.piggyback_commits else None))
-        size = sum(r.encoded_size() for r in records) + 64
+        size = 64
+        for record in records:
+            size += record.size
         if self._traces:
             tracer = node.request_tracer
             for record in records:
@@ -408,8 +416,6 @@ class CohortReplica:
     def _trace_force_done(self, lsn: LSN) -> None:
         """The write group topped by ``lsn`` is locally durable: close
         its ``log_force`` span and stamp the ``quorum_wait`` start."""
-        if not self._traces:
-            return
         state = self._traces.get(lsn)
         if state is None:
             return
@@ -512,33 +518,38 @@ class CohortReplica:
                          * (len(msg.records) - 1))
         if self.role not in (Role.FOLLOWER, Role.CANDIDATE):
             return
-        missing = [
-            record for record in msg.records
-            if not node.wal.is_skipped(self.cohort_id, record.lsn)
-            and not node.wal.contains(self.cohort_id, record.lsn)]
-        last = node.wal.last_lsn(self.cohort_id)
+        records, wal, cohort_id = msg.records, node.wal, self.cohort_id
+        missing = wal.missing(cohort_id, records)
         forces = []
-        if (len(missing) > 1 and len(missing) == len(msg.records)
-                and all(r.lsn > last for r in missing)):
-            # Multi-operation transaction: force atomically (§8.2).
-            forces.append(node.wal.append_batch(missing))
-        else:
-            # ``backfill``: a takeover re-proposal may fill a gap below
-            # our last LSN (we logged later records, missed this one).
-            forces.extend(node.wal.append(record, force=True,
-                                          backfill=record.lsn <= last)
-                          for record in missing)
-        for record in msg.records:
-            if not node.wal.is_skipped(self.cohort_id, record.lsn):
+        if missing:
+            last = wal.last_lsn(cohort_id)
+            if (len(missing) == len(records) > 1
+                    and min(missing, key=_BY_LSN).lsn > last):
+                # Multi-operation transaction: force atomically (§8.2).
+                forces.append(wal.append_batch(missing))
+            else:
+                # ``backfill``: a takeover re-proposal may fill a gap
+                # below our last LSN (we logged later records, missed
+                # this one).
+                for record in missing:
+                    forces.append(wal.append(record, force=True,
+                                             backfill=record.lsn <= last))
+        # Read the skipped list only now: a backfill above un-skips.
+        skipped = wal.skipped_lsns(cohort_id)
+        for record in records:
+            if record.lsn not in skipped:
                 self.queue.add(record)
-        if forces:
+        if len(forces) == 1:
+            yield forces[0]
+        elif forces:
+            # a partial overlap, logged record by record
             yield all_of(node.sim, forces)
         if msg.committed_lsn is not None:
             self._apply_commit_info(msg.committed_lsn)
         self.proposes_handled += 1
-        top = max(r.lsn for r in msg.records)
-        req.respond(Ack(cohort_id=self.cohort_id, epoch=self.epoch,
-                        lsn=top, sender=node.name), size=48)
+        req.respond(Ack(cohort_id=cohort_id, epoch=self.epoch,
+                        lsn=max(records, key=_BY_LSN).lsn,
+                        sender=node.name), size=48)
 
     def handle_commit(self, src: str, msg: Commit) -> None:
         """Synchronous handler for the one-way commit message."""

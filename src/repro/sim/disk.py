@@ -117,6 +117,7 @@ class LogDevice:
         self.ops_performed = 0
         self.bytes_written = 0
         self.alive = True
+        self._incarnation = 0   # bumped by crash(): see _finish_op
 
     # -- public API ----------------------------------------------------------
     def force(self, nbytes: int) -> Event:
@@ -141,6 +142,7 @@ class LogDevice:
     def crash(self) -> None:
         """Power loss: in-flight and queued forces never complete."""
         self.alive = False
+        self._incarnation += 1
         self._pending.clear()
 
     def restart(self) -> None:
@@ -159,7 +161,9 @@ class LogDevice:
             batch, self._pending = self._pending, []
         else:
             batch = [self._pending.pop(0)]
-        batch_bytes = sum(n for n, _ in batch)
+        batch_bytes = 0
+        for nbytes, _ in batch:
+            batch_bytes += nbytes
         self._file_pos += batch_bytes
         self.bytes_written += batch_bytes
         grew = False
@@ -169,14 +173,18 @@ class LogDevice:
                 self._last_seek_boundary = boundary
                 grew = True
         latency = self.profile.op_latency(batch_bytes, grew, self._rng)
-        self.sim.schedule(latency, lambda: self._finish_op(batch))
+        self.sim.schedule(latency, lambda incarnation=self._incarnation:
+                          self._finish_op(batch, incarnation))
 
-    def _finish_op(self, batch: List[Tuple[int, Event]]) -> None:
+    def _finish_op(self, batch: List[Tuple[int, Event]],
+                   incarnation: int) -> None:
+        if incarnation != self._incarnation:
+            # Crashed mid-operation: the forces are lost, even if the
+            # node is already back up (``lose_disk`` reboots at once).
+            return
         self.ops_performed += 1
-        if not self.alive:
-            return  # crashed mid-operation: the forces are lost
         for _, ev in batch:
-            if not ev.triggered:
+            if ev._ok is None:
                 ev.succeed()
             self.forces_completed += 1
         self._start_op()

@@ -153,12 +153,17 @@ class Process(Event):
 
     def __init__(self, sim: Simulator, gen: Generator[Event, Any, Any],
                  name: str = "", start: bool = True):
-        super().__init__(sim)
-        if not hasattr(gen, "send"):
-            raise SimulationError(f"Process needs a generator, got {gen!r}")
+        self.sim = sim          # Event.__init__ inlined, as in Timeout
+        self._ok: Optional[bool] = None
+        self._value: Any = None
+        self._callbacks: Optional[list] = []
+        self._defused = False
+        try:    # bound-method cache for the step loop
+            self._send, self._throw = gen.send, gen.throw
+        except AttributeError:
+            raise SimulationError(
+                f"Process needs a generator, got {gen!r}") from None
         self._gen = gen
-        self._send = gen.send      # bound-method cache for the step loop
-        self._throw = gen.throw
         self._target: Optional[Event] = None
         self.name = name or getattr(gen, "__name__", "process")
         # Start the process at the current time, but via the heap so that

@@ -5,6 +5,12 @@ apply after their log force plus one follower ack, followers apply when a
 commit message arrives.  Cells carry the LSN that produced them so that
 re-applying records during local recovery is idempotent (§6.1): an older
 LSN simply loses to the cell already present.
+
+A record is its own cell: a committed ``WriteRecord`` is immutable and
+carries ``value``, ``version``, ``timestamp``, ``lsn`` and ``tombstone``
+— all a reader, an SSTable, a compaction or a shipped snapshot touches —
+so :meth:`Memtable.apply` stores it instead of copying five fields per
+apply per replica.  :class:`Cell` is that shape, for cells built by hand.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .lsn import LSN
-from .records import WriteRecord
+from .records import WRITE_FRAMING, WriteRecord
 
 __all__ = ["Cell", "Memtable", "lsn_order", "timestamp_order"]
 
@@ -43,8 +49,10 @@ def timestamp_order(cell: Cell) -> Tuple:
 class Memtable:
     """Row/column map with byte accounting and a sorted snapshot."""
 
-    #: rough per-cell bookkeeping overhead, for flush-threshold purposes
+    #: rough per-cell bookkeeping overhead, for flush-threshold purposes,
+    #: charged on top of the key, column and value bytes
     CELL_OVERHEAD = 64
+    _CELL_EXTRA = CELL_OVERHEAD - WRITE_FRAMING   # on top of record.size
 
     def __init__(self, order: Callable[[Cell], Tuple] = lsn_order):
         self._rows: Dict[bytes, Dict[bytes, Cell]] = {}
@@ -67,28 +75,24 @@ class Memtable:
         Deletes are stored as tombstones so they replicate and flush like
         any other write; compaction garbage-collects them later.
         """
-        cell = Cell(value=record.value, version=record.version,
-                    timestamp=record.timestamp, lsn=record.lsn,
-                    tombstone=record.tombstone)
-        cols = self._rows.setdefault(record.key, {})
-        current = cols.get(record.colname)
-        if current is not None and self._order(current) >= self._order(cell):
+        key, colname = record.key, record.colname
+        cols = self._rows.get(key)
+        if cols is None:
+            cols = self._rows[key] = {}
+        current = cols.get(colname)
+        if current is None:
+            self.bytes_used += record.size + self._CELL_EXTRA
+        elif self._order(current) >= self._order(record):
             return False
-        if current is not None:
-            self.bytes_used -= self._cell_bytes(record.key, record.colname,
-                                                current)
-        cols[record.colname] = cell
-        self.bytes_used += self._cell_bytes(record.key, record.colname, cell)
-        if self.min_lsn is None or record.lsn < self.min_lsn:
-            self.min_lsn = record.lsn
-        if self.max_lsn is None or record.lsn > self.max_lsn:
-            self.max_lsn = record.lsn
+        else:
+            self.bytes_used += record.size - current.size
+        cols[colname] = record      # immutable: the record is the cell
+        lsn = record.lsn
+        if self.min_lsn is None or lsn < self.min_lsn:
+            self.min_lsn = lsn
+        if self.max_lsn is None or lsn > self.max_lsn:
+            self.max_lsn = lsn
         return True
-
-    @classmethod
-    def _cell_bytes(cls, key: bytes, col: bytes, cell: Cell) -> int:
-        value_len = len(cell.value) if cell.value is not None else 0
-        return len(key) + len(col) + value_len + cls.CELL_OVERHEAD
 
     # -- reads -----------------------------------------------------------
     def get(self, key: bytes, colname: bytes) -> Optional[Cell]:

@@ -21,19 +21,23 @@ in-simulation log keeps the decoded objects.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .lsn import LSN
 
 __all__ = ["WriteRecord", "CommitMarker", "CheckpointRecord",
-           "CatchupMarker", "LogRecord", "encode_record", "decode_record"]
+           "CatchupMarker", "LogRecord", "encode_record", "decode_record",
+           "WRITE_FRAMING"]
 
 _HEADER = struct.Struct(">BQdH")  # kind, lsn, timestamp, cohort_id
 _KIND_WRITE = 1
 _KIND_COMMIT = 2
 _KIND_CHECKPOINT = 3
 _KIND_CATCHUP = 4
+#: a WriteRecord's bytes beside key, column and value: the header, two
+#: 2-byte and one 4-byte length prefixes, the version and the flags
+WRITE_FRAMING = _HEADER.size + 2 + 2 + 4 + 8 + 1
 
 
 @dataclass(frozen=True)
@@ -43,6 +47,10 @@ class WriteRecord:
     ``tombstone`` distinguishes deletes; ``version`` is the
     store-managed, monotonically increasing per-column version number
     exposed through ``get`` and checked by ``conditionalPut`` (§3).
+
+    ``size`` is the encoded size, computed once: the batcher, the
+    propose fan-out and three logs each charge it to a byte budget.
+    Immutable, and all a memtable cell is: ``Memtable.apply`` stores it.
     """
 
     lsn: LSN
@@ -53,11 +61,17 @@ class WriteRecord:
     version: int
     timestamp: float = 0.0
     tombstone: bool = False
+    size: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        value = self.value
+        object.__setattr__(
+            self, "size",
+            WRITE_FRAMING + len(self.key) + len(self.colname)
+            + (len(value) if value is not None else 0))
 
     def encoded_size(self) -> int:
-        value_len = len(self.value) if self.value is not None else 0
-        return (_HEADER.size + 2 + len(self.key) + 2 + len(self.colname)
-                + 4 + value_len + 8 + 1)
+        return self.size
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,23 @@ commit).  A non-forced append (used for commit markers) becomes durable
 when any *later* force completes.  On :meth:`crash`, every record that was
 not yet durable is lost, exactly like a real machine losing its page
 cache.
+
+Cost model
+----------
+The log is consulted per propose, not per record.  A cohort's view keeps
+its write records strictly LSN-ascending (every append places its record
+by LSN, almost always at the tail), so :meth:`write_records` walks back
+from the tail and stops at ``after``.  :meth:`append_batch` resolves the
+view and ``n.lst`` once per run of same-cohort records and advances its
+local ``last`` exactly as :meth:`_last_lsn` would: only past LSNs not
+skipped.  A follower asks once which records of a propose are
+:meth:`missing` and reads :meth:`skipped_lsns` once, *after* its appends
+(a backfill un-skips).
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..sim.disk import LogDevice
@@ -58,7 +71,7 @@ class _CohortView:
                  "min_retained", "catchup_floor", "_skipped_view")
 
     def __init__(self) -> None:
-        self.writes: List[_Entry] = []        # WriteRecords, append order
+        self.writes: List[_Entry] = []        # WriteRecords, LSN order
         self.by_lsn: Dict[LSN, _Entry] = {}
         self.skipped = set()                  # the skipped-LSN list (§6.1.1)
         self.last_cmt = LSN.zero()            # from durable commit markers
@@ -66,6 +79,17 @@ class _CohortView:
         self.min_retained = LSN.zero()        # GC horizon (exclusive)
         self.catchup_floor = LSN.zero()       # from durable catch-up markers
         self._skipped_view: Optional[FrozenSet[LSN]] = None
+
+    def place(self, entry: _Entry) -> None:
+        """Index a write record, keeping ``writes`` LSN-ascending: a
+        backfill, or a record landing under a skipped tail, walks back
+        from the tail to its place."""
+        writes, lsn = self.writes, entry.record.lsn
+        self.by_lsn[lsn] = entry
+        idx = len(writes)
+        while idx and writes[idx - 1].record.lsn > lsn:
+            idx -= 1
+        writes.insert(idx, entry)
 
 
 class SharedLog:
@@ -100,25 +124,20 @@ class SharedLog:
         """
         view = self._view(record.cohort_id)
         if isinstance(record, WriteRecord):
-            if record.lsn in view.by_lsn:
-                raise DuplicateLSN(f"{record.lsn} already in cohort "
+            lsn = record.lsn
+            if lsn in view.by_lsn:
+                raise DuplicateLSN(f"{lsn} already in cohort "
                                    f"{record.cohort_id} log")
-            last = self._last_lsn(view)
-            if record.lsn <= last and not backfill:
-                raise StaleLSN(f"{record.lsn} <= last LSN {last}")
-        self._seq += 1
-        entry = _Entry(record, self._seq)
-        if isinstance(record, WriteRecord):
-            idx = len(view.writes)
-            while idx > 0 and view.writes[idx - 1].record.lsn > record.lsn:
-                idx -= 1
-            view.writes.insert(idx, entry)
-            view.by_lsn[record.lsn] = entry
-            if backfill and record.lsn in view.skipped:
-                view.skipped.discard(record.lsn)
+            if not backfill and lsn <= self._last_lsn(view):
+                raise StaleLSN(f"{lsn} <= last LSN {self._last_lsn(view)}")
+            self._seq += 1
+            view.place(_Entry(record, self._seq))
+            if backfill and lsn in view.skipped:
+                view.skipped.discard(lsn)
                 view._skipped_view = None
         else:
-            self._markers.append(entry)
+            self._seq += 1
+            self._markers.append(_Entry(record, self._seq))
             if isinstance(record, CommitMarker):
                 if record.committed_lsn > view.last_cmt:
                     view.last_cmt = record.committed_lsn
@@ -138,8 +157,7 @@ class SharedLog:
             return Event(_NullSim()).succeed()
         if force:
             ev = self.device.force(size)
-            seq_at_append = self._seq
-            ev.add_callback(lambda _ev: self._mark_durable(seq_at_append))
+            ev.add_callback(partial(self._mark_durable, self._seq))
             return ev
         self.device.append_noforce(size)
         return None
@@ -154,32 +172,36 @@ class SharedLog:
         if not records:
             return None
         total = 0
+        cohort_id = None
         for record in records:
             if not isinstance(record, WriteRecord):
                 raise TypeError("append_batch takes WriteRecords only")
-            view = self._view(record.cohort_id)
-            if record.lsn in view.by_lsn:
-                raise DuplicateLSN(f"{record.lsn} already in cohort "
-                                   f"{record.cohort_id} log")
-            last = self._last_lsn(view)
-            if record.lsn <= last:
-                raise StaleLSN(f"{record.lsn} <= last LSN {last}")
+            if record.cohort_id != cohort_id:
+                # once per run of same-cohort records; ``last`` then
+                # advances as ``_last_lsn`` would (not past skipped LSNs)
+                cohort_id = record.cohort_id
+                view = self._view(cohort_id)
+                last = self._last_lsn(view)
+            lsn = record.lsn
+            if lsn in view.by_lsn:
+                raise DuplicateLSN(f"{lsn} already in cohort "
+                                   f"{cohort_id} log")
+            if lsn <= last:
+                raise StaleLSN(f"{lsn} <= last LSN {last}")
             self._seq += 1
-            entry = _Entry(record, self._seq)
-            view.writes.append(entry)
-            view.by_lsn[record.lsn] = entry
-            size = record.encoded_size()
-            total += size
-            self.bytes_appended += size
+            view.place(_Entry(record, self._seq))
+            if lsn not in view.skipped:
+                last = lsn
+            total += record.size
+            self.bytes_appended += record.size
         if self.device is None:
             self._durable_seq = self._seq
             return Event(_NullSim()).succeed()
         ev = self.device.force(total)
-        seq_at_append = self._seq
-        ev.add_callback(lambda _ev: self._mark_durable(seq_at_append))
+        ev.add_callback(partial(self._mark_durable, self._seq))
         return ev
 
-    def _mark_durable(self, seq: int) -> None:
+    def _mark_durable(self, seq: int, _force: Event) -> None:
         if seq > self._durable_seq:
             self._durable_seq = seq
 
@@ -230,16 +252,31 @@ class SharedLog:
     def write_records(self, cohort_id: int, after: LSN = LSN.zero(),
                       upto: Optional[LSN] = None,
                       include_skipped: bool = False) -> List[WriteRecord]:
-        """Write records with ``after < lsn <= upto``, in LSN order."""
+        """Write records with ``after < lsn <= upto``, in LSN order: a
+        walk back from the tail that stops at ``after``, so a commit
+        message costs the few records above the commit point."""
         view = self._view(cohort_id)
-        out = [
-            entry.record for entry in view.writes
-            if entry.record.lsn > after
-            and (upto is None or entry.record.lsn <= upto)
-            and (include_skipped or entry.record.lsn not in view.skipped)
-        ]
-        out.sort(key=lambda rec: rec.lsn)
+        skipped = view.skipped
+        out: List[WriteRecord] = []
+        for entry in reversed(view.writes):
+            record = entry.record
+            lsn = record.lsn
+            if lsn <= after:
+                break
+            if ((upto is None or lsn <= upto)
+                    and (include_skipped or lsn not in skipped)):
+                out.append(record)
+        out.reverse()
         return out
+
+    def missing(self, cohort_id: int,
+                records: Iterable[WriteRecord]) -> List[WriteRecord]:
+        """The records of a propose this log still has to append:
+        neither present nor logically truncated (skipped)."""
+        view = self._view(cohort_id)
+        by_lsn, skipped = view.by_lsn, view.skipped
+        return [record for record in records
+                if record.lsn not in by_lsn and record.lsn not in skipped]
 
     def min_retained_lsn(self, cohort_id: int) -> LSN:
         """The cohort's GC horizon: records at or below this LSN have

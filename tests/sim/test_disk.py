@@ -89,6 +89,27 @@ def test_force_after_crash_never_fires_until_restart():
     assert alive.ok
 
 
+def test_completion_from_before_a_crash_is_inert_after_restart():
+    """``lose_disk`` crashes and reboots a node at one instant, so the
+    operation in flight completes into a live device: it must fire no
+    event, move no counter and start no second operation."""
+    profile = DiskProfile("flat", 1e-3, 1e-3, transfer_rate=0)
+    sim, disk = make_disk(profile)
+    lost = disk.force(512)              # in flight until t = 1.0 ms
+    sim.run(until=0.5e-3)
+    disk.crash()
+    disk.restart()
+    fresh = disk.force(512)             # the new incarnation's: 1.5 ms
+    sim.run(until=1.2e-3)               # the old operation's time passes
+    assert not lost.triggered and not fresh.triggered
+    assert disk.forces_completed == 0 and disk.ops_performed == 0
+    queued = disk.force(512)            # device busy: waits for 1.5 ms
+    sim.run()
+    assert fresh.ok and queued.ok and not lost.triggered
+    assert disk.forces_completed == 2 and disk.ops_performed == 2
+    assert sim.now == pytest.approx(2.5e-3)   # one operation at a time
+
+
 def test_ssd_profile_is_much_faster_than_sata():
     sim1, sata = make_disk(DiskProfile.sata_log())
     sata.force(4096)

@@ -1,7 +1,11 @@
 """Property-based tests (hypothesis) on storage invariants."""
 
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.sim.disk import DiskProfile, LogDevice
+from repro.sim.events import Simulator
+from repro.sim.rng import RngRegistry
 from repro.storage.bloom import BloomFilter
 from repro.storage.compaction import compact
 from repro.storage.engine import StorageEngine
@@ -10,7 +14,7 @@ from repro.storage.memtable import Memtable
 from repro.storage.records import (CommitMarker, WriteRecord, decode_record,
                                    encode_record)
 from repro.storage.sstable import SSTable
-from repro.storage.wal import SharedLog
+from repro.storage.wal import DuplicateLSN, SharedLog, StaleLSN
 
 # -- strategies -------------------------------------------------------------
 
@@ -192,3 +196,179 @@ def test_wal_range_queries_are_consistent(entries):
     lo, hi = LSN(1, 20), LSN(1, 80)
     ranged = log.write_records(0, after=lo, upto=hi)
     assert ranged == [r for r in everything if lo < r.lsn <= hi]
+
+
+# -- WAL: the fast queries against the loop versions they replaced ---------
+#
+# ``_RefLog`` is the log as the code before the write fast path kept and
+# queried it — ``append_batch`` re-resolving the view and ``n.lst`` per
+# record and appending at the physical tail, ``write_records`` filtering
+# and re-sorting the whole view, the follower asking ``is_skipped`` /
+# ``contains`` per record — kept here as the reference.  The machine
+# drives it and a real SharedLog with the same calls and requires the
+# same answers, the same exceptions, and a strictly LSN-ascending view.
+
+_COHORTS = (0, 1)
+_GRID = [LSN(e, s) for e in (1, 2, 3) for s in range(1, 9)]
+_BOUNDS = [LSN.zero(), LSN(1, 3), LSN(1, 8), LSN(2, 4), LSN(3, 2), LSN(3, 8)]
+
+
+def _grid_record(cohort_id, lsn):
+    return WriteRecord(lsn=lsn, cohort_id=cohort_id, key=b"k%d" % lsn.seq,
+                       colname=b"c", value=b"v" * lsn.epoch, version=lsn.seq)
+
+
+class _RefLog:
+    def __init__(self):
+        self.seq = 0
+        self.bytes_appended = 0
+        self.writes = {c: [] for c in _COHORTS}     # (record, seq)
+        self.skipped = {c: set() for c in _COHORTS}
+        self.min_retained = {c: LSN.zero() for c in _COHORTS}
+
+    def contains(self, cid, lsn):
+        return any(rec.lsn == lsn for rec, _ in self.writes[cid])
+
+    def last_lsn(self, cid):
+        for rec, _ in reversed(self.writes[cid]):
+            if rec.lsn not in self.skipped[cid]:
+                return rec.lsn
+        return self.min_retained[cid]
+
+    def _check(self, record, backfill):
+        cid = record.cohort_id
+        if self.contains(cid, record.lsn):
+            raise DuplicateLSN(record.lsn)
+        if record.lsn <= self.last_lsn(cid) and not backfill:
+            raise StaleLSN(record.lsn)
+        self.seq += 1
+        self.bytes_appended += record.encoded_size()
+
+    def append(self, record, backfill):
+        self._check(record, backfill)
+        writes = self.writes[record.cohort_id]
+        idx = len(writes)
+        while idx > 0 and writes[idx - 1][0].lsn > record.lsn:
+            idx -= 1
+        writes.insert(idx, (record, self.seq))
+        if backfill:
+            self.skipped[record.cohort_id].discard(record.lsn)
+
+    def append_batch(self, records):
+        for record in records:
+            if not isinstance(record, WriteRecord):
+                raise TypeError("append_batch takes WriteRecords only")
+            self._check(record, backfill=False)
+            self.writes[record.cohort_id].append((record, self.seq))
+
+    def write_records(self, cid, after, upto, include_skipped):
+        out = [rec for rec, _ in self.writes[cid]
+               if rec.lsn > after and (upto is None or rec.lsn <= upto)
+               and (include_skipped or rec.lsn not in self.skipped[cid])]
+        out.sort(key=lambda rec: rec.lsn)
+        return out
+
+    def gc_through(self, cid, upto):
+        self.writes[cid] = [(rec, seq) for rec, seq in self.writes[cid]
+                            if rec.lsn > upto]
+        self.skipped[cid] = {lsn for lsn in self.skipped[cid] if lsn > upto}
+        self.min_retained[cid] = max(self.min_retained[cid], upto)
+
+    def crash(self, durable_seq):
+        for cid in _COHORTS:
+            self.writes[cid] = [(rec, seq) for rec, seq in self.writes[cid]
+                                if seq <= durable_seq]
+
+
+def _same_outcome(ref_call, real_call):
+    """Run both; they must raise the same exception type or neither."""
+    raised = []
+    for call in (ref_call, real_call):
+        try:
+            call()
+            raised.append(None)
+        except (DuplicateLSN, StaleLSN, TypeError) as exc:
+            raised.append(type(exc))
+    assert raised[0] is raised[1], raised
+
+
+class WalEquivalence(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.sim = Simulator()
+        self.device = LogDevice(
+            self.sim, RngRegistry(9), "log",
+            profile=DiskProfile("flat", 1e-3, 1e-3, transfer_rate=0))
+        self.log = SharedLog(self.device)
+        self.ref = _RefLog()
+
+    @rule(cid=st.sampled_from(_COHORTS), lsn=st.sampled_from(_GRID),
+          backfill=st.booleans())
+    def append(self, cid, lsn, backfill):
+        record = _grid_record(cid, lsn)
+        _same_outcome(lambda: self.ref.append(record, backfill),
+                      lambda: self.log.append(record, backfill=backfill))
+
+    @rule(items=st.lists(st.tuples(st.sampled_from(_COHORTS),
+                                   st.sampled_from(_GRID)),
+                         min_size=1, max_size=5),
+          marker_at=st.one_of(st.none(), st.integers(0, 4)))
+    def append_batch(self, items, marker_at):
+        batch = [_grid_record(cid, lsn) for cid, lsn in items]
+        if marker_at is not None and marker_at < len(batch):
+            batch[marker_at] = CommitMarker(lsn=LSN(1, 1), cohort_id=0,
+                                            committed_lsn=LSN(1, 1))
+        _same_outcome(lambda: self.ref.append_batch(batch),
+                      lambda: self.log.append_batch(batch))
+
+    @rule(cid=st.sampled_from(_COHORTS),
+          lsns=st.sets(st.sampled_from(_GRID), max_size=4))
+    def add_skipped(self, cid, lsns):
+        self.ref.skipped[cid].update(lsns)
+        self.log.add_skipped(cid, lsns)
+
+    @rule(cid=st.sampled_from(_COHORTS), upto=st.sampled_from(_GRID))
+    def gc_through(self, cid, upto):
+        self.ref.gc_through(cid, upto)
+        self.log.gc_through(cid, upto)
+
+    @rule()
+    def forces_complete(self):
+        self.sim.run()
+
+    @rule()
+    def crash(self):
+        self.device.crash()
+        self.ref.crash(self.log._durable_seq)
+        self.log.crash()
+        self.device.restart()
+
+    @invariant()
+    def answers_match_the_reference(self):
+        log, ref = self.log, self.ref
+        assert log.bytes_appended == ref.bytes_appended
+        for cid in _COHORTS:
+            held = [entry.record.lsn for entry in log._view(cid).writes]
+            assert held == sorted(set(held)), "view not strictly ascending"
+            assert sorted(held) == sorted(
+                rec.lsn for rec, _ in ref.writes[cid])
+            assert log.last_lsn(cid) == ref.last_lsn(cid)
+            for after in _BOUNDS:
+                for upto in [None] + _BOUNDS:
+                    for include_skipped in (False, True):
+                        assert log.write_records(
+                            cid, after, upto, include_skipped
+                        ) == ref.write_records(
+                            cid, after, upto, include_skipped)
+            propose = [_grid_record(cid, lsn) for lsn in _GRID]
+            assert log.missing(cid, propose) == [
+                rec for rec in propose
+                if rec.lsn not in ref.skipped[cid]
+                and not ref.contains(cid, rec.lsn)]
+            assert log.skipped_lsns(cid) == ref.skipped[cid]
+
+
+WalEquivalence.TestCase.settings = settings(max_examples=60,
+                                            stateful_step_count=30,
+                                            deadline=None)
+test_wal_fast_queries_equal_the_loop_versions = WalEquivalence.TestCase

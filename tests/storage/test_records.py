@@ -48,6 +48,17 @@ def test_encoded_size_matches_actual_bytes():
     assert rec.encoded_size() == len(encode_record(rec))
 
 
+def test_stored_size_follows_a_replace_and_stays_out_of_equality():
+    import dataclasses
+    rec = WriteRecord(lsn=LSN(1, 1), cohort_id=0, key=b"key",
+                      colname=b"col", value=b"v", version=1)
+    grown = dataclasses.replace(rec, value=b"v" * 11)
+    assert grown.size == rec.size + 10 == len(encode_record(grown))
+    assert dataclasses.replace(grown, value=None).size == rec.size - 1
+    assert "size" not in repr(rec)
+    assert dataclasses.replace(grown, value=b"v") == rec
+
+
 def test_marker_sizes_match():
     cm = CommitMarker(lsn=LSN(1, 2), cohort_id=0, committed_lsn=LSN(1, 1))
     cp = CheckpointRecord(lsn=LSN(1, 3), cohort_id=0,

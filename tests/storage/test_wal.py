@@ -285,3 +285,83 @@ def test_marker_gc_never_drops_durable_for_volatile_superseder():
     log.device.crash()
     log.crash()
     assert log.last_committed_lsn(0) == LSN(1, 1)
+
+
+def test_force_from_before_a_wipe_makes_nothing_durable():
+    """Disk loss restarts the node at the instant it crashed: the force
+    in flight then must not mark its pre-wipe sequence number durable,
+    or every later append below it would survive a crash unforced."""
+    sim, log = make_wal_with_device()
+    log.append(wrec(1, 1))              # force in flight until t = 1 ms
+    sim.run(until=0.5e-3)
+    log.device.crash()
+    log.crash()
+    log.wipe()
+    log.device.restart()
+    sim.run(until=1.2e-3)               # the lost force's time passes
+    assert (log._seq, log._durable_seq) == (0, 0)
+    assert log.device.forces_completed == 0
+    log.append(wrec(2, 1))              # forced, never completed
+    log.device.crash()
+    log.crash()
+    assert log.write_records(0) == []
+
+
+def test_lose_disk_under_load_then_crash_loses_every_unforced_record():
+    """The same, end to end: a node loses its disk mid-force under
+    write load, rejoins, and crashes again — no record whose force had
+    not completed by then may be in its log."""
+    from repro.core import SpinnakerCluster, SpinnakerConfig
+    from repro.core.replication import Role
+    from repro.sim.process import spawn
+
+    cluster = SpinnakerCluster(
+        n_nodes=3, seed=3, config=SpinnakerConfig(
+            log_profile=DiskProfile("flat", 4e-3, 4e-3, transfer_rate=0)))
+    cluster.start()
+
+    def writer(w):
+        client = cluster.client(f"writer{w}")
+        for i in range(100_000):
+            yield from client.put(b"k%d-%d" % (w, i), b"c", b"v")
+
+    for w in range(8):
+        spawn(cluster.sim, writer(w))
+    cluster.run(2.0)
+    victim = cluster.nodes["node1"]
+    wal, device = victim.wal, victim.device
+    cluster.run_until(lambda: device._busy, limit=1.0, step=1e-4,
+                      what="a force in flight")
+    victim.lose_disk()
+
+    issued = []         # (what was appended, its force event)
+
+    def recording(real):
+        def append(arg, *args, **kwargs):
+            event = real(arg, *args, **kwargs)
+            if event is not None:
+                records = arg if isinstance(arg, list) else [arg]
+                issued.append(([(r.cohort_id, r.lsn) for r in records
+                                if isinstance(r, WriteRecord)], event))
+            return event
+        return append
+
+    wal.append = recording(wal.append)
+    wal.append_batch = recording(wal.append_batch)
+
+    def unforced():
+        return {ident for idents, event in issued if not event.triggered
+                for ident in idents}
+
+    cluster.run_until(
+        lambda: all(r.role in (Role.FOLLOWER, Role.LEADER)
+                    for r in victim.replicas.values()),
+        limit=30.0, step=0.01, what="the victim rejoined")
+    cluster.run_until(lambda: unforced(), limit=5.0, step=1e-4,
+                      what="a force in flight again")
+    pending = unforced()
+    victim.crash()
+    survivors = {(cid, rec.lsn) for cid in wal.cohorts()
+                 for rec in wal.write_records(cid, include_skipped=True)}
+    assert survivors and not survivors & pending
+    assert wal._durable_seq <= wal._seq

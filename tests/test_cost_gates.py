@@ -22,10 +22,22 @@ from repro.core.partition import key_of
 from repro.sim.disk import DiskProfile
 from repro.sim.events import Simulator
 from repro.sim.network import Network
-from repro.sim.process import spawn
+from repro.sim.process import AllOf, spawn
 from repro.sim.rng import RngRegistry
+from repro.storage.memtable import Cell
+from repro.storage.wal import SharedLog
 
 KEYS = (b"gate-a", b"gate-b", b"gate-c")
+
+#: Python functions whose calls the write gates count, by code object
+COUNTED_CODE = {
+    AllOf.__init__.__code__: "all_of",
+    Cell.__init__.__code__: "cells",
+    SharedLog._view.__code__: "log_views",
+    SharedLog._last_lsn.__code__: "log_last_lsn",
+    SharedLog.is_skipped.__code__: "log_per_record",
+    SharedLog.contains.__code__: "log_per_record",
+}
 
 
 def make_cluster():
@@ -71,11 +83,17 @@ def measure(cluster, gen, need):
                 tally["heap_entries"] += 1
             elif arg is hashlib.sha256:
                 tally["digests"] += 1
+            elif arg is len and frame.f_code.co_filename.endswith(
+                    "/storage/records.py"):
+                tally["record_size_lens"] += 1
         elif event == "call":
-            filename = frame.f_code.co_filename
+            code = frame.f_code
+            filename = code.co_filename
             if "/repro/obs/" in filename or filename.endswith(
                     "/sim/tracing.py"):
                 tally["tracer_calls"] += 1
+            elif code in COUNTED_CODE:
+                tally[COUNTED_CODE[code]] += 1
 
     sent = net.messages_sent
     sys.setprofile(hook)
@@ -114,21 +132,60 @@ def test_strong_get_costs_two_messages_three_heap_entries_one_digest():
     assert tally["tracer_calls"] == 0            # untraced: obs costs nothing
 
 
-def test_strong_put_cost_is_pinned():
+PUTS = 4
+
+
+def put_tally():
     cluster, client = make_cluster()
-    ops = 4
 
     def puts():
-        for i in range(ops):
+        for i in range(PUTS):
             yield from client.put(KEYS[i % len(KEYS)], b"c", b"v%d" % i)
 
-    tally = measure(cluster, puts(), need=0.05)
+    return measure(cluster, puts(), need=0.05)
+
+
+def test_strong_put_cost_is_pinned():
+    tally = put_tally()
     # client->leader, 2 proposes, 2 acks, leader->client
-    assert tally["messages"] == 6 * ops
+    assert tally["messages"] == 6 * PUTS
     # those 6 deliveries, plus a CPU charge and a log force at the
     # leader and at each of the 2 followers
-    assert tally["heap_entries"] == 12 * ops
+    assert tally["heap_entries"] == 12 * PUTS
     assert tally["tracer_calls"] == 0
+
+
+# The write fast path: per put, one record on three replicas.
+
+def test_a_record_is_sized_once():
+    """The lengths of key, column and value are taken where the record
+    is built — not again in the batcher, the propose fan-out and each of
+    the three logs."""
+    assert put_tally()["record_size_lens"] == 3 * PUTS
+
+
+def test_a_follower_waits_on_its_one_force_directly():
+    """Logging a one-record propose yields the force event itself, not
+    a composite built around it."""
+    assert put_tally()["all_of"] == 0
+
+
+def test_a_committed_record_is_its_own_cell():
+    """The leader's apply is inside the window (the followers' waits
+    for the commit timer): it copies nothing."""
+    assert put_tally()["cells"] == 0
+
+
+def test_the_log_is_consulted_per_propose_not_per_record():
+    tally = put_tally()
+    assert tally["log_per_record"] == 0
+    # the leader's batch append resolves its cohort view once; each
+    # follower once each for what is missing, n.lst, the append and the
+    # skipped list
+    assert tally["log_views"] == (1 + 2 * 4) * PUTS
+    # n.lst is walked for the leader's append and, at each follower,
+    # for the backfill decision and the append's own stale-LSN check
+    assert tally["log_last_lsn"] == (1 + 2 * 2) * PUTS
 
 
 def test_answered_rpcs_leave_nothing_in_the_kernel_heap():
