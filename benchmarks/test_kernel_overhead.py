@@ -27,13 +27,13 @@ from repro.sim.network import Network, Request
 from repro.sim.process import (Process, Supervisor, Timeout, spawn,
                                timeout)
 from repro.sim.rng import RngRegistry
-from repro.storage.wal import _Entry
 
 #: classes instantiated once (or more) per simulated event/message/write,
 #: plus the open-loop generator state touched on every arrival (heap
-#: entries themselves are plain lists now — nothing to guard)
+#: entries are plain lists and a log holds the records themselves —
+#: nothing to guard)
 HOT_CLASSES = [Event, Process, Timeout, Request, Supervisor,
-               PendingWrite, _Entry, Span, TraceContext,
+               PendingWrite, Span, TraceContext,
                PoissonArrivals, BurstyArrivals, DiurnalArrivals,
                MuxedUsers]
 

@@ -17,7 +17,7 @@ from .atomicity import ATOMICITY_RULES
 from .determinism import DETERMINISM_RULES
 from .findings import Baseline
 from .protocol import PROTOCOL_RULES
-from .runner import LintResult, run_lint
+from .runner import LintResult, project_root, run_lint
 
 __all__ = ["main"]
 
@@ -31,10 +31,9 @@ def _default_root() -> Path:
 
 def _default_baseline(root: Path) -> Optional[Path]:
     """``lint-baseline.json`` next to ``pyproject.toml``, if any."""
-    for candidate in (root, *root.parents):
-        if (candidate / "pyproject.toml").exists():
-            path = candidate / "lint-baseline.json"
-            return path if path.exists() else None
+    project = project_root(root)
+    if project is not None and (project / "lint-baseline.json").exists():
+        return project / "lint-baseline.json"
     return None
 
 

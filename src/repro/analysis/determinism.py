@@ -46,6 +46,14 @@ catches one of those hazard classes at parse time:
     guaranteed runtime failure.  Process bodies are found by tracing
     ``spawn(...)``/``spawn_proc(...)``/``Process(...)`` call sites and
     closing over ``yield from`` edges.
+
+``write-only-slot``
+    A name in a class's ``__slots__`` that no module ever *reads*
+    (``x.name`` in load context, ``getattr``/``attrgetter`` by string) —
+    neither the linted tree nor the project's tests and benchmarks.
+    Dead state costs a store per construction on the hot path and can
+    hide a reference cycle (``Timeout._entry`` did both).  Whole-tree:
+    :func:`write_only_slots` is fed by the runner, not ``lint_source``.
 """
 
 from __future__ import annotations
@@ -56,7 +64,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set
 from .findings import Finding
 
 __all__ = ["DETERMINISM_RULES", "collect_spawned", "collect_yield_edges",
-           "close_process_names", "lint_source"]
+           "close_process_names", "lint_source", "loaded_attributes",
+           "write_only_slots"]
 
 DETERMINISM_RULES: Dict[str, str] = {
     "nondet-import": "ambient randomness or wall-clock access; use "
@@ -69,6 +78,8 @@ DETERMINISM_RULES: Dict[str, str] = {
     "id-hash-order": "id()/hash() used as an ordering key",
     "yield-discipline": "process bodies must yield sim Events, not "
                         "literals",
+    "write-only-slot": "slot is stored but never read anywhere; delete "
+                       "it and its stores",
 }
 
 #: modules whose mere import is an entropy hazard
@@ -444,3 +455,49 @@ def lint_source(source: str, path: str, sim_visible: bool = True,
                      set_collector.names, set_collector.attrs)
     linter.visit(tree)
     return sorted(linter.findings, key=lambda f: (f.line, f.rule))
+
+
+# -- write-only slots (whole-tree: the runner feeds it) ----------------------
+
+def loaded_attributes(tree: ast.AST) -> Set[str]:
+    """Attribute names a module reads: ``x.name`` loads and the string
+    arguments of ``getattr``/``hasattr``/``attrgetter`` calls."""
+    names: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            if isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+        elif (isinstance(node, ast.Call) and _call_name(node.func)
+                in {"getattr", "hasattr", "attrgetter"}):
+            names.update(part for arg in node.args
+                         if isinstance(arg, ast.Constant)
+                         and isinstance(arg.value, str)
+                         for part in arg.value.split("."))
+    return names
+
+
+def write_only_slots(tree: ast.AST, path: str, lines: Sequence[str],
+                     loaded: Set[str]) -> List[Finding]:
+    """``__slots__`` names of this module's classes missing from
+    ``loaded`` (the union of :func:`loaded_attributes` over every module
+    that could read them)."""
+    findings: List[Finding] = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for stmt in cls.body:
+            if not (isinstance(stmt, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__"
+                    for t in stmt.targets)):
+                continue
+            for elt in ast.walk(stmt.value):
+                if (isinstance(elt, ast.Constant)
+                        and isinstance(elt.value, str)
+                        and not elt.value.startswith("__")
+                        and elt.value not in loaded):
+                    findings.append(Finding(
+                        rule="write-only-slot", path=path, line=elt.lineno,
+                        message=f"{cls.name}.{elt.value}: "
+                                f"{DETERMINISM_RULES['write-only-slot']}",
+                        code=lines[elt.lineno - 1].strip()))
+    return findings

@@ -11,7 +11,10 @@ yield-discipline and atomicity rules see the full process closure.
 Pass two lints each module with that global knowledge, then runs the
 protocol exhaustiveness checks, filters ``# lint: allow(...)``
 pragmas, and splits what remains against the baseline (reporting any
-baseline entries that no longer match anything as stale).
+baseline entries that no longer match anything as stale).  The
+``write-only-slot`` rule is whole-tree too, and looks further: a slot
+counts as read if any module under the enclosing project's ``src/``,
+``tests/``, ``benchmarks/`` or ``perfbench/`` reads it.
 """
 
 from __future__ import annotations
@@ -23,17 +26,21 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .atomicity import lint_atomicity
 from .determinism import (close_process_names, collect_spawned,
-                          collect_yield_edges, lint_source)
+                          collect_yield_edges, lint_source,
+                          loaded_attributes, write_only_slots)
 from .findings import (Baseline, Finding, match_baseline, parse_pragmas,
                        suppressed)
 from .protocol import ProtocolSpec, check_protocols
 
-__all__ = ["LintResult", "run_lint", "iter_py_files", "is_sim_visible"]
+__all__ = ["LintResult", "run_lint", "iter_py_files", "is_sim_visible",
+           "project_root"]
 
 #: top-level packages whose code never runs inside the simulation
 #: (reporting, CLIs, and this analysis suite itself)
 NON_SIM_PACKAGES = {"bench", "analysis", "tune"}
 NON_SIM_FILES = {"__main__.py", "cli.py"}  # CLI front-ends print by design
+#: project directories whose modules count as readers of a slot
+READER_DIRS = ("src", "tests", "benchmarks", "perfbench")
 
 
 @dataclass
@@ -73,6 +80,25 @@ def is_sim_visible(rel: Path) -> bool:
     return not (rel.parts and rel.parts[0] in NON_SIM_PACKAGES)
 
 
+def project_root(root: Path) -> Optional[Path]:
+    """The directory holding ``pyproject.toml`` at or above ``root``."""
+    for candidate in (root, *root.parents):
+        if (candidate / "pyproject.toml").exists():
+            return candidate
+    return None
+
+
+def _outside_readers(root: Path) -> List[Path]:
+    """Modules outside ``root`` that may read its classes' slots: the
+    rest of the enclosing project, if there is one."""
+    project = project_root(root)
+    if project is None:
+        return []
+    return [path for sub in READER_DIRS
+            for path in iter_py_files(project / sub)
+            if root not in path.parents]
+
+
 def run_lint(root: Path,
              baseline_path: Optional[Path] = None,
              protocols: Optional[Sequence[ProtocolSpec]] = None,
@@ -91,14 +117,18 @@ def run_lint(root: Path,
     trees: Dict[Path, ast.AST] = {}
     spawned: Set[str] = set()
     edges: Dict[str, Set[str]] = {}
+    loaded: Set[str] = set()    # attribute names read, by anyone
 
-    for path in files:
+    for path in files + _outside_readers(root):
         try:
             text = path.read_text(encoding="utf-8")
             tree = ast.parse(text, filename=str(path))
         except (SyntaxError, UnicodeDecodeError) as err:
             result.parse_errors.append(f"{path}: {err}")
             continue
+        loaded |= loaded_attributes(tree)
+        if root not in path.parents:
+            continue            # a reader of the tree's slots, not linted
         sources[path] = text
         trees[path] = tree
         spawned |= collect_spawned(tree)
@@ -113,6 +143,8 @@ def run_lint(root: Path,
     raw: List[Finding] = []
     for path, text in sources.items():
         rel = path.relative_to(root)
+        raw.extend(write_only_slots(trees[path], rel.as_posix(),
+                                    text.splitlines(), loaded))
         result.files_checked += 1
         sim_visible = is_sim_visible(rel)
         raw.extend(lint_source(text, rel.as_posix(),

@@ -198,13 +198,9 @@ class CassandraNode:
         cfg = self.config
         yield timeout(self.sim, cfg.hint_timeout)
         for member, ack in zip(members, acks):
-            if not ack.triggered or not ack._ok:
-                if not ack.triggered:
-                    pass  # leave it pending; hint covers the data
-                else:
-                    ack.defuse()
-                if member != self.name:
-                    self.hints.setdefault(member, []).append(rwrite)
+            # a still-pending ack stays pending; the hint covers the data
+            if not ack._ok and member != self.name:
+                self.hints.setdefault(member, []).append(rwrite)
 
     def _hint_replayer(self):
         cfg = self.config

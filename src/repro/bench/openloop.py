@@ -104,6 +104,7 @@ class BurstyArrivals:
     """
 
     name = "bursty"
+    # lint: allow(write-only-slot) — burst_factor: public, like rate/on_s
     __slots__ = ("rate", "burst_factor", "on_s", "off_s",
                  "_rate_on", "_rate_off")
 

@@ -12,8 +12,11 @@ concurrency control::
     yield from client.conditional_put(key, b"c", new_value, c.version)
     # retry on VersionMismatch
 
-All methods are generator functions for use with ``yield from`` inside
-simulation processes.
+All methods return generators for use with ``yield from`` inside
+simulation processes.  The single-key calls build their message and hand
+back :meth:`_call`'s generator itself — a client resume re-enters one
+frame, not a stack of forwarding ones — so they route off the map
+snapshot current when they are *called*.
 
 Routing state machine (per operation, inside :meth:`_call`)
 -----------------------------------------------------------
@@ -131,43 +134,42 @@ class SpinnakerClient:
     def get(self, key: bytes, colname: bytes, consistent: bool = True):
         """Read a column value and its version number."""
         msg = ClientGet(key=key, colname=colname, consistent=consistent)
-        return (yield from self._call("read", self._map.locate(key), msg,
-                                      96, strong=consistent, key=key))
+        return self._call("read", self._map.locate(key), msg, 96,
+                          strong=consistent, key=key)
 
     def put(self, key: bytes, colname: bytes, value: bytes):
         """Insert a column value into a row."""
-        return (yield from self._write((WriteOp(key, colname, value),)))
+        return self._write((WriteOp(key, colname, value),))
 
     def delete(self, key: bytes, colname: bytes):
         """Delete a column from a row."""
-        return (yield from self._write(
-            (WriteOp(key, colname, None, tombstone=True),)))
+        return self._write((WriteOp(key, colname, None, tombstone=True),))
 
     def conditional_put(self, key: bytes, colname: bytes, value: bytes,
                         version: int):
         """Insert only if the column's current version equals ``version``;
         raises :class:`VersionMismatch` otherwise."""
-        return (yield from self._write(
-            (WriteOp(key, colname, value, expected_version=version),)))
+        return self._write(
+            (WriteOp(key, colname, value, expected_version=version),))
 
     def conditional_delete(self, key: bytes, colname: bytes, version: int):
-        return (yield from self._write(
+        return self._write(
             (WriteOp(key, colname, None, tombstone=True,
-                     expected_version=version),)))
+                     expected_version=version),))
 
     def put_columns(self, key: bytes,
                     columns: Dict[bytes, bytes]):
         """Multi-column put: all columns of one row, one transaction."""
-        return (yield from self.conditional_put_columns(key, columns, {}))
+        return self.conditional_put_columns(key, columns, {})
 
     def conditional_put_columns(self, key: bytes,
                                 columns: Dict[bytes, bytes],
                                 versions: Dict[bytes, int]):
         """Multi-column conditional put (§3): every column's version must
         match or nothing is written."""
-        return (yield from self._write(tuple(
+        return self._write(tuple(
             WriteOp(key, col, value, expected_version=versions.get(col))
-            for col, value in sorted(columns.items()))))
+            for col, value in sorted(columns.items())))
 
     def scan(self, start_key: bytes, end_key: Optional[bytes] = None,
              limit: int = 100, consistent: bool = True):
@@ -287,9 +289,8 @@ class SpinnakerClient:
         size = 64                  # header; each op adds framing + value
         for o in ops:
             size += 32 + len(o.value or b"")
-        return (yield from self._call(op, self._map.locate(key),
-                                      ClientWrite(ops=ops), size,
-                                      strong=True, key=key))
+        return self._call(op, self._map.locate(key), ClientWrite(ops=ops),
+                          size, strong=True, key=key)
 
     def _call(self, op: str, cohort, msg, size: int, strong: bool,
               key: Optional[bytes] = None):

@@ -377,7 +377,6 @@ class CohortReplica:
 
     def _on_ack(self, ev: Event) -> None:
         if not ev._ok:
-            ev.defuse()
             return
         ack = ev._value
         # lint: allow(stale-epoch) — Ack LSNs embed the epoch (App. B)
@@ -547,8 +546,9 @@ class CohortReplica:
         if msg.committed_lsn is not None:
             self._apply_commit_info(msg.committed_lsn)
         self.proposes_handled += 1
-        req.respond(Ack(cohort_id=cohort_id, epoch=self.epoch,
-                        lsn=max(records, key=_BY_LSN).lsn,
+        top = (records[0] if len(records) == 1      # the common case
+               else max(records, key=_BY_LSN))
+        req.respond(Ack(cohort_id=cohort_id, epoch=self.epoch, lsn=top.lsn,
                         sender=node.name), size=48)
 
     def handle_commit(self, src: str, msg: Commit) -> None:
@@ -680,7 +680,7 @@ class CohortReplica:
             service = cfg.read_service
         serve_start = node.sim.now
         yield from serve(node.cpu, service)
-        if msg.consistent and not self.is_leader:
+        if msg.consistent and not (self.is_leader and self.open_for_writes):
             req.respond(_err("not-leader", self.leader), size=64)
             return
         if msg.consistent and node.replica_for_key(msg.key) is not self:
@@ -714,7 +714,8 @@ class CohortReplica:
         node, cfg = self.node, self.node.config
         msg = req.payload
         if msg.consistent:
-            if not self.is_leader:
+            # an *open* leader, for the reason handle_get gives (§6.2)
+            if not (self.is_leader and self.open_for_writes):
                 req.respond(_err("not-leader", self.leader), size=64)
                 return
         elif self.role == Role.OFFLINE:
@@ -737,7 +738,7 @@ class CohortReplica:
                    + cfg.scan_row_service * len(rows))
         serve_start = node.sim.now
         yield from serve(node.cpu, service)
-        if msg.consistent and not self.is_leader:
+        if msg.consistent and not (self.is_leader and self.open_for_writes):
             req.respond(_err("not-leader", self.leader), size=64)
             return
         ctx = msg.trace

@@ -210,14 +210,13 @@ class Event:
     after run immediately.
     """
 
-    __slots__ = ("sim", "_ok", "_value", "_callbacks", "_defused")
+    __slots__ = ("sim", "_ok", "_value", "_callbacks")
 
     def __init__(self, sim: Simulator):
         self.sim = sim
         self._ok: Optional[bool] = None  # None=pending, True/False=done
         self._value: Any = None
         self._callbacks: Optional[List[Callable[["Event"], None]]] = []
-        self._defused = False
 
     # -- state ----------------------------------------------------------
     @property
@@ -237,7 +236,6 @@ class Event:
             raise SimulationError("event still pending")
         if self._ok:
             return self._value
-        self._defused = True
         raise self._value
 
     @property
@@ -246,10 +244,6 @@ class Event:
         if self._ok is False:
             return self._value
         return None
-
-    def defuse(self) -> None:
-        """Mark a failed event as handled (suppresses the unhandled check)."""
-        self._defused = True
 
     # -- triggering -------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":

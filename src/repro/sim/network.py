@@ -27,6 +27,11 @@ costs no kernel entry: each endpoint queues its own deadlines and keeps
 at most **one** entry in the kernel heap (re-armed for the next pending
 request when it fires, parked while none is), under the sequence number
 the request *reserved when it was made* — ties break as they always did.
+On a flat network :meth:`Network._transmit` computes the delay in place:
+:meth:`LatencyModel.delay` and the ``Random.expovariate`` under it,
+operation for operation (one draw, the same float operations in the same
+order), without their two frames per message.  ``LatencyModel.delay``
+stays as the reference a property test holds the inlined branch to.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import itertools
 from bisect import insort
 from collections import deque
 from heapq import heapify, heappush
+from math import log
 from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from .events import (_CALLBACK, _TIME, NORMAL, Event, SimulationError,
@@ -261,7 +267,13 @@ class Network:
                 self.messages_dropped += 1
                 return
         if self.topology is None:
-            delay = self.latency.delay(size, self._rng)
+            # LatencyModel.delay + Random.expovariate in place: the same
+            # one draw and the same float operations in the same order.
+            lat = self.latency
+            delay = (lat.base
+                     + (size / lat.bandwidth if lat.bandwidth else 0.0)
+                     + (-log(1.0 - self._rng.random()) / lat._jitter_rate
+                        if lat.jitter else 0.0))
         else:
             # Same RNG consumption: Topology.delay draws exactly one
             # jitter sample per message, like the flat model above.
@@ -398,7 +410,7 @@ class Endpoint:
                 # Park (a cancel the next request undoes): an idle
                 # endpoint must not advance the clock.
                 self._armed[_CALLBACK] = None
-        if ev is None or ev.triggered:
+        if ev is None or ev._ok is not None:
             # Late reply: the request already timed out (or the
             # endpoint restarted).  Drop it on the floor.
             self.stale_replies += 1

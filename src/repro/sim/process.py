@@ -25,7 +25,11 @@ end to end (see DESIGN.md, "Kernel hot paths"):
 
 * :class:`Timeout` pushes its heap entry directly (no ``Event`` →
   ``Simulator.schedule`` indirection, no per-timeout closure) and stores
-  its value up front;
+  its value up front.  It keeps *no* reference to that entry: only the
+  heap holds it, so a fired Timeout is freed by reference count when
+  the run loop drops the popped entry — a reference back would close
+  the cycle Timeout → entry → ``_fire`` → Timeout and hand three
+  objects per sleep to the cycle collector;
 * when a :class:`Process` yields a pending Timeout that nothing else is
   watching, it registers itself as the Timeout's single *waiter* instead
   of appending to the callback list; the fire path then resumes the
@@ -39,9 +43,11 @@ Neither shortcut changes simulated timestamps, priorities, or sequence
 numbers, so traces are bit-identical with the straightforward path.
 
 A process takes its first step through the heap, which keeps creation
-order deterministic wherever it is spawned; ``Supervisor.spawn(...,
-inline=True)`` steps it at once instead — one heap entry less per
-message, legal only as the last act of a kernel callback.
+order deterministic wherever it is spawned — the entry's callback is
+``_step`` itself, pushed as Timeout pushes its own;
+``Supervisor.spawn(..., inline=True)`` steps it at once instead — one
+heap entry less per message, legal only as the last act of a kernel
+callback.  No frame on these paths only forwards to the next.
 """
 
 from __future__ import annotations
@@ -88,7 +94,7 @@ class ProcessKilled(SimulationError):
 class Timeout(Event):
     """An event that succeeds after a fixed delay."""
 
-    __slots__ = ("_entry", "_waiter")
+    __slots__ = ("_waiter",)
 
     def __init__(self, sim: Simulator, delay: float, value: Any = None):
         # Inlined Event.__init__ + Simulator.schedule: this constructor
@@ -100,14 +106,13 @@ class Timeout(Event):
         self._ok: Optional[bool] = None
         self._value = value
         self._callbacks: Optional[list] = []
-        self._defused = False
         self._waiter: Optional["Process"] = None
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
         seq = sim._seq
         sim._seq = seq + 1
-        self._entry = entry = [sim._now + delay, NORMAL, seq, self._fire]
-        heappush(sim._heap, entry)
+        # Anonymous: only the heap may hold the entry (see "Hot path").
+        heappush(sim._heap, [sim._now + delay, NORMAL, seq, self._fire])
 
     def _fire(self) -> None:
         """Trigger from the heap: succeed, waking the waiter first."""
@@ -121,7 +126,7 @@ class Timeout(Event):
             # process was interrupted away from us, leave it alone.
             if waiter._target is self:
                 waiter._target = None
-                waiter._step(self._value, None, None)
+                waiter._step(self._value)
         callbacks = self._callbacks
         self._callbacks = None
         for cb in callbacks or ():
@@ -157,7 +162,6 @@ class Process(Event):
         self._ok: Optional[bool] = None
         self._value: Any = None
         self._callbacks: Optional[list] = []
-        self._defused = False
         try:    # bound-method cache for the step loop
             self._send, self._throw = gen.send, gen.throw
         except AttributeError:
@@ -169,8 +173,11 @@ class Process(Event):
         # Start the process at the current time, but via the heap so that
         # creation order is preserved deterministically
         # (``start=False``: Supervisor.spawn steps it inline instead).
+        # Simulator.schedule inlined, as in Timeout.
         if start:
-            sim.schedule(0.0, self._resume_start, priority=URGENT)
+            seq = sim._seq
+            sim._seq = seq + 1
+            heappush(sim._heap, [sim._now, URGENT, seq, self._step])
 
     # -- lifecycle ---------------------------------------------------------
     @property
@@ -184,36 +191,28 @@ class Process(Event):
         """
         if self.triggered:
             return
-        target, self._target = self._target, None
+        # The abandoned target's eventual trigger is ignored: _on_target
+        # (and the Timeout waiter fast path) check identity with _target.
+        self._target = None
         self.sim.schedule(
-            0.0, lambda: self._step(None, Interrupt(cause), target),
+            0.0, lambda: self._step(None, Interrupt(cause)),
             priority=URGENT)
 
     # -- internals -----------------------------------------------------------
-    def _resume_start(self) -> None:
-        if not self.triggered:
-            self._step(None, None, None)
-
     def _on_target(self, event: Event) -> None:
         if self._target is not event:
             return  # stale wake-up (we were interrupted away from it)
         self._target = None
         if event._ok:
-            self._step(event._value, None, None)
+            self._step(event._value)
         else:
-            event.defuse()
-            self._step(None, event._value, None)
+            self._step(None, event._value)
 
-    def _step(self, value: Any, exc: Optional[BaseException],
-              detached: Optional[Event]) -> None:
-        """Advance the generator by one yield."""
+    def _step(self, value: Any = None,
+              exc: Optional[BaseException] = None) -> None:
+        """Advance the generator by one yield (bare: its first step)."""
         if self._ok is not None:
             return
-        # ``detached`` is the event we abandoned due to an interrupt; we
-        # must ignore its eventual trigger, which _on_target (and the
-        # Timeout waiter fast path) handle via the identity check on
-        # self._target.
-        del detached
         try:
             if exc is None:
                 target = self._send(value)
@@ -243,7 +242,11 @@ class Process(Event):
                 f"process {self.name!r} yielded non-event {target!r}"))
             return
         self._target = target
-        target.add_callback(self._on_target)
+        callbacks = target._callbacks       # Event.add_callback, in place
+        if callbacks is None:
+            self._on_target(target)
+        else:
+            callbacks.append(self._on_target)
 
 
 class Supervisor:
@@ -253,7 +256,7 @@ class Supervisor:
     Both stores' nodes hold one and bind its :meth:`spawn` as their own
     (the per-message path gains no frame for the indirection)."""
 
-    __slots__ = ("sim", "_prefix", "_procs", "failures")
+    __slots__ = ("sim", "_prefix", "_procs", "failures", "_done")
 
     def __init__(self, sim: Simulator, owner: str):
         self.sim = sim
@@ -265,6 +268,7 @@ class Supervisor:
         #: failures of handler processes that were NOT deliberate kills —
         #: tests assert this stays empty (protocol bugs surface here)
         self.failures: List[BaseException] = []
+        self._done = self._on_done          # bound once, not per spawn
 
     def spawn(self, gen: Generator[Event, Any, Any], name: str = "",
               inline: bool = False) -> Process:
@@ -279,17 +283,15 @@ class Supervisor:
         the first step on the heap path and after it here."""
         proc = Process(self.sim, gen, self._prefix + name, start=not inline)
         self._procs[proc] = None
-        proc.add_callback(self._done)
+        proc._callbacks.append(self._done)  # not stepped yet: still a list
         if inline:
-            proc._step(None, None, None)
+            proc._step()
         return proc
 
-    def _done(self, proc: Event) -> None:
+    def _on_done(self, proc: Event) -> None:
         self._procs.pop(proc, None)
-        if not proc._ok:
-            proc.defuse()
-            if not isinstance(proc._value, ProcessKilled):
-                self.failures.append(proc._value)
+        if not proc._ok and not isinstance(proc._value, ProcessKilled):
+            self.failures.append(proc._value)
 
     def kill_all(self) -> None:
         """The owner crashed: interrupt every live process, oldest
@@ -328,11 +330,8 @@ class AllOf(_Condition):
 
     def _on_child(self, event: Event) -> None:
         if self.triggered:
-            if not event._ok:
-                event.defuse()
             return
         if not event._ok:
-            event.defuse()
             self.fail(event._value)
             return
         self._pending -= 1
@@ -347,13 +346,10 @@ class AnyOf(_Condition):
 
     def _on_child(self, event: Event) -> None:
         if self.triggered:
-            if not event._ok:
-                event.defuse()
             return
         if event._ok:
             self.succeed((self._events.index(event), event._value))
         else:
-            event.defuse()
             self.fail(event._value)
 
 
@@ -384,8 +380,6 @@ class Quorum(Event):
             ev.add_callback(self._on_child)
 
     def _on_child(self, event: Event) -> None:
-        if not event._ok:
-            event.defuse()
         if self.triggered:
             return
         self._left -= 1
@@ -401,33 +395,15 @@ class Quorum(Event):
 
 
 # ---------------------------------------------------------------------------
-# Convenience constructors
+# Convenience constructors: the classes under their verb names — a
+# function here would only forward, one more frame per sleep and spawn
 # ---------------------------------------------------------------------------
 
-def spawn(sim: Simulator, gen: Generator[Event, Any, Any],
-          name: str = "") -> Process:
-    """Start a new process from a generator."""
-    return Process(sim, gen, name=name)
-
-
-def timeout(sim: Simulator, delay: float, value: Any = None) -> Timeout:
-    """An event that fires ``delay`` seconds from now."""
-    return Timeout(sim, delay, value)
-
-
-def all_of(sim: Simulator, events: Iterable[Event]) -> AllOf:
-    """An event that succeeds once every child succeeds (see AllOf)."""
-    return AllOf(sim, events)
-
-
-def any_of(sim: Simulator, events: Iterable[Event]) -> AnyOf:
-    """An event that succeeds with the first child to succeed."""
-    return AnyOf(sim, events)
-
-
-def quorum(sim: Simulator, events: Iterable[Event], need: int) -> Quorum:
-    """An event that succeeds once ``need`` children have succeeded."""
-    return Quorum(sim, events, need)
+spawn = Process        # spawn(sim, gen, name=""): start a new process
+timeout = Timeout      # timeout(sim, delay, value=None): fires after delay
+all_of = AllOf         # all_of(sim, events): once every child succeeds
+any_of = AnyOf         # any_of(sim, events): the first child to succeed
+quorum = Quorum        # quorum(sim, events, need): once need children have
 
 
 class SimHost:

@@ -23,10 +23,14 @@ cache.
 
 Cost model
 ----------
-The log is consulted per propose, not per record.  A cohort's view keeps
-its write records strictly LSN-ascending (every append places its record
-by LSN, almost always at the tail), so :meth:`write_records` walks back
-from the tail and stops at ``after``.  :meth:`append_batch` resolves the
+The log is consulted per propose, not per record.  A cohort's view holds
+the write records themselves, strictly LSN-ascending (every append
+places its record by LSN, almost always at the tail), and maps each LSN
+to its *physical sequence number* — an ``int``, so a logged record costs
+no wrapper object for the cycle collector to re-traverse for the life of
+the log.  Durability is that number against ``_durable_seq``: a crash
+keeps exactly the records at or below it.  :meth:`write_records` walks
+back from the tail and stops at ``after``.  :meth:`append_batch` resolves the
 view and ``n.lst`` once per run of same-cohort records and advances its
 local ``last`` exactly as :meth:`_last_lsn` would: only past LSNs not
 skipped.  A follower asks once which records of a propose are
@@ -56,14 +60,6 @@ class StaleLSN(Exception):
     """A write record with a non-increasing LSN was appended."""
 
 
-class _Entry:
-    __slots__ = ("record", "seq")
-
-    def __init__(self, record: LogRecord, seq: int):
-        self.record = record
-        self.seq = seq
-
-
 class _CohortView:
     """Per-cohort logical view over the shared physical log."""
 
@@ -71,8 +67,8 @@ class _CohortView:
                  "min_retained", "catchup_floor", "_skipped_view")
 
     def __init__(self) -> None:
-        self.writes: List[_Entry] = []        # WriteRecords, LSN order
-        self.by_lsn: Dict[LSN, _Entry] = {}
+        self.writes: List[WriteRecord] = []   # LSN order
+        self.by_lsn: Dict[LSN, int] = {}      # -> physical sequence number
         self.skipped = set()                  # the skipped-LSN list (§6.1.1)
         self.last_cmt = LSN.zero()            # from durable commit markers
         self.ckpt = LSN.zero()
@@ -80,16 +76,20 @@ class _CohortView:
         self.catchup_floor = LSN.zero()       # from durable catch-up markers
         self._skipped_view: Optional[FrozenSet[LSN]] = None
 
-    def place(self, entry: _Entry) -> None:
-        """Index a write record, keeping ``writes`` LSN-ascending: a
+    def place(self, record: WriteRecord, seq: int) -> None:
+        """Index a write record appended as physical record ``seq``,
+        keeping ``writes`` LSN-ascending: almost always a tail append; a
         backfill, or a record landing under a skipped tail, walks back
         from the tail to its place."""
-        writes, lsn = self.writes, entry.record.lsn
-        self.by_lsn[lsn] = entry
-        idx = len(writes)
-        while idx and writes[idx - 1].record.lsn > lsn:
+        writes, lsn = self.writes, record.lsn
+        self.by_lsn[lsn] = seq
+        if not writes or writes[-1].lsn < lsn:
+            writes.append(record)
+            return
+        idx = len(writes) - 1
+        while idx and writes[idx - 1].lsn > lsn:
             idx -= 1
-        writes.insert(idx, entry)
+        writes.insert(idx, record)
 
 
 class SharedLog:
@@ -100,7 +100,8 @@ class SharedLog:
         self._seq = 0
         self._durable_seq = 0
         self._views: Dict[int, _CohortView] = {}
-        self._markers: List[_Entry] = []   # commit/checkpoint/catch-up
+        #: commit/checkpoint/catch-up markers as (record, physical seq)
+        self._markers: List[Tuple[LogRecord, int]] = []
         self.bytes_appended = 0
 
     # ------------------------------------------------------------------
@@ -131,13 +132,13 @@ class SharedLog:
             if not backfill and lsn <= self._last_lsn(view):
                 raise StaleLSN(f"{lsn} <= last LSN {self._last_lsn(view)}")
             self._seq += 1
-            view.place(_Entry(record, self._seq))
+            view.place(record, self._seq)
             if backfill and lsn in view.skipped:
                 view.skipped.discard(lsn)
                 view._skipped_view = None
         else:
             self._seq += 1
-            self._markers.append(_Entry(record, self._seq))
+            self._markers.append((record, self._seq))
             if isinstance(record, CommitMarker):
                 if record.committed_lsn > view.last_cmt:
                     view.last_cmt = record.committed_lsn
@@ -189,7 +190,7 @@ class SharedLog:
             if lsn <= last:
                 raise StaleLSN(f"{lsn} <= last LSN {last}")
             self._seq += 1
-            view.place(_Entry(record, self._seq))
+            view.place(record, self._seq)
             if lsn not in view.skipped:
                 last = lsn
             total += record.size
@@ -216,9 +217,9 @@ class SharedLog:
 
     @staticmethod
     def _last_lsn(view: _CohortView) -> LSN:
-        for entry in reversed(view.writes):
-            if entry.record.lsn not in view.skipped:
-                return entry.record.lsn
+        for record in reversed(view.writes):
+            if record.lsn not in view.skipped:
+                return record.lsn
         return view.min_retained
 
     def last_lsn(self, cohort_id: int) -> LSN:
@@ -246,8 +247,12 @@ class SharedLog:
         return lsn in self._view(cohort_id).by_lsn
 
     def record_at(self, cohort_id: int, lsn: LSN) -> Optional[WriteRecord]:
-        entry = self._view(cohort_id).by_lsn.get(lsn)
-        return entry.record if entry is not None else None
+        view = self._view(cohort_id)
+        if lsn in view.by_lsn:      # rare: walk back from the tail
+            for record in reversed(view.writes):
+                if record.lsn == lsn:
+                    return record
+        return None
 
     def write_records(self, cohort_id: int, after: LSN = LSN.zero(),
                       upto: Optional[LSN] = None,
@@ -258,8 +263,7 @@ class SharedLog:
         view = self._view(cohort_id)
         skipped = view.skipped
         out: List[WriteRecord] = []
-        for entry in reversed(view.writes):
-            record = entry.record
+        for record in reversed(view.writes):
             lsn = record.lsn
             if lsn <= after:
                 break
@@ -313,14 +317,14 @@ class SharedLog:
         SSTables).  Skipped-LSN entries below the horizon are collected
         with the log files they cover.  Returns records dropped."""
         view = self._view(cohort_id)
-        keep: List[_Entry] = []
+        keep: List[WriteRecord] = []
         dropped = 0
-        for entry in view.writes:
-            if entry.record.lsn <= upto:
-                view.by_lsn.pop(entry.record.lsn, None)
+        for record in view.writes:
+            if record.lsn <= upto:
+                view.by_lsn.pop(record.lsn, None)
                 dropped += 1
             else:
-                keep.append(entry)
+                keep.append(record)
         view.writes = keep
         view.skipped = {lsn for lsn in view.skipped if lsn > upto}
         view._skipped_view = None
@@ -355,41 +359,44 @@ class SharedLog:
         marker-derived state by a max over the survivors, so keeping the
         maximal durable marker per (cohort, kind) preserves it exactly.
         """
-        best: Dict[Tuple[int, int], _Entry] = {}
+        best: Dict[Tuple[int, int], Tuple[LogRecord, int]] = {}
         for entry in self._markers:
-            if entry.seq > self._durable_seq:
+            record, seq = entry
+            if seq > self._durable_seq:
                 continue
-            key = self._marker_key(entry.record)
+            key = self._marker_key(record)
             cur = best.get(key)
-            if (cur is None or self._marker_value(entry.record)
-                    >= self._marker_value(cur.record)):
+            if (cur is None or self._marker_value(record)
+                    >= self._marker_value(cur[0])):
                 best[key] = entry
         self._markers = [
             entry for entry in self._markers
-            if entry.seq > self._durable_seq
-            or best.get(self._marker_key(entry.record)) is entry
+            if entry[1] > self._durable_seq
+            or best.get(self._marker_key(entry[0])) is entry
         ]
 
     # ------------------------------------------------------------------
     # Crash / restart
     # ------------------------------------------------------------------
     def crash(self) -> None:
-        """Lose every record that was not durable (volatile tail)."""
+        """Lose every record that was not durable (volatile tail):
+        physical sequence number above ``_durable_seq``."""
+        durable = self._durable_seq
         for view in self._views.values():
-            survivors = [e for e in view.writes if e.seq <= self._durable_seq]
-            view.writes = survivors
-            view.by_lsn = {e.record.lsn: e for e in survivors}
-        self._markers = [e for e in self._markers
-                         if e.seq <= self._durable_seq]
+            view.by_lsn = {lsn: seq for lsn, seq in view.by_lsn.items()
+                           if seq <= durable}
+            view.writes = [record for record in view.writes
+                           if record.lsn in view.by_lsn]
+        self._markers = [entry for entry in self._markers
+                         if entry[1] <= durable]
         # Recompute marker-derived state from the durable prefix.
         for view in self._views.values():
             view.last_cmt = LSN.zero()
             view.ckpt = LSN.zero()
             view.catchup_floor = LSN.zero()
             view._skipped_view = None
-        for entry in self._markers:
-            view = self._view(entry.record.cohort_id)
-            rec = entry.record
+        for rec, _seq in self._markers:
+            view = self._view(rec.cohort_id)
             if isinstance(rec, CommitMarker):
                 if rec.committed_lsn > view.last_cmt:
                     view.last_cmt = rec.committed_lsn

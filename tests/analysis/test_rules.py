@@ -7,9 +7,11 @@ idioms stay green).
 
 from pathlib import Path
 
+import repro
 from repro.analysis import lint_source, run_lint
 
 FIXTURES = Path(__file__).parent / "fixtures"
+REPRO_ROOT = Path(repro.__file__).resolve().parent
 
 
 def lint_fixture(name: str, **kwargs):
@@ -131,6 +133,84 @@ def test_yield_discipline_uses_cross_module_spawn_names():
     assert not lint_source(source, "mod.py")
     flagged = lint_source(source, "mod.py", spawned={"ticker"})
     assert [f.rule for f in flagged] == ["yield-discipline"]
+
+
+# ---------------------------------------------------------------------------
+# write-only-slot (whole-tree: driven through the runner)
+# ---------------------------------------------------------------------------
+
+SLOTTED = (
+    "class Timer:\n"
+    "    __slots__ = ('when', '_entry',\n"
+    "                 'fired', '__weakref__')\n"
+    "    def __init__(self, when):\n"
+    "        self.when = when\n"
+    "        self._entry = [when, self]\n"
+    "        self.fired = 0\n"
+    "    def fire(self):\n"
+    "        self.fired += 1\n"          # an update is not a read
+    "        return self.when\n")
+
+
+def slot_findings(root):
+    result = run_lint(root, protocols=(), rules={"write-only-slot"})
+    return result, sorted(f.message.split(":")[0] for f in result.findings)
+
+
+def test_write_only_slot_flags_stored_but_never_read_names(tmp_path):
+    (tmp_path / "timer.py").write_text(SLOTTED)
+    result, names = slot_findings(tmp_path)
+    assert names == ["Timer._entry", "Timer.fired"]
+    by_name = {f.message.split(":")[0]: f for f in result.findings}
+    assert by_name["Timer._entry"].line == 2      # where the name is listed
+    assert by_name["Timer.fired"].line == 3
+    assert by_name["Timer.fired"].code.startswith("'fired'")
+
+
+def test_write_only_slot_counts_reads_in_any_module_of_the_tree(tmp_path):
+    (tmp_path / "timer.py").write_text(SLOTTED)
+    (tmp_path / "user.py").write_text(
+        "from operator import attrgetter\n"
+        "def entry_of(timer):\n"
+        "    return timer._entry\n"
+        "FIRED = attrgetter('fired')\n")
+    assert slot_findings(tmp_path)[1] == []
+    (tmp_path / "user.py").write_text(
+        "def peek(timer):\n"
+        "    return getattr(timer, '_entry', None)\n")
+    assert slot_findings(tmp_path)[1] == ["Timer.fired"]
+
+
+def test_write_only_slot_counts_reads_in_the_projects_tests(tmp_path):
+    """A counter only a test asserts on is read: the linted tree's
+    project (the directory with pyproject.toml) is searched too."""
+    (tmp_path / "pyproject.toml").write_text("")
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "timer.py").write_text(SLOTTED)
+    assert slot_findings(pkg)[1] == ["Timer._entry", "Timer.fired"]
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_timer.py").write_text(
+        "def test_fired(timer):\n    assert timer.fired == 1\n")
+    assert slot_findings(pkg)[1] == ["Timer._entry"]
+
+
+def test_write_only_slot_pragma_and_real_tree(tmp_path):
+    # on the line above, a pragma covers the names on the first line;
+    # inside the statement, all of it
+    (tmp_path / "timer.py").write_text(SLOTTED.replace(
+        "    __slots__", "    # lint: allow(write-only-slot) — kept\n"
+                         "    __slots__"))
+    assert slot_findings(tmp_path)[1] == ["Timer.fired"]
+    (tmp_path / "timer.py").write_text(SLOTTED.replace(
+        "'_entry',", "'_entry',  # lint: allow(write-only-slot) — kept"))
+    result, names = slot_findings(tmp_path)
+    assert names == [] and len(result.pragma_suppressed) == 2
+    # src/repro: clean, with at most the one justified pragma
+    result, names = slot_findings(REPRO_ROOT)
+    assert names == []
+    assert [f.message.split(":")[0] for f in result.pragma_suppressed] == [
+        "BurstyArrivals.burst_factor"]
 
 
 # ---------------------------------------------------------------------------

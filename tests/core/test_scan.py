@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import (DatastoreError, SpinnakerCluster, SpinnakerConfig)
+from repro.core.messages import ClientScan
 from repro.core.partition import ordered_key_of
 from repro.sim.disk import DiskProfile
 from repro.sim.process import spawn
@@ -196,3 +197,39 @@ def test_timeline_scan_after_commit_period(ordered_cluster):
 
     rows = run(cluster, scan_timeline())
     assert [k for k, _ in rows] == [bytes([10]), bytes([20]), bytes([30])]
+
+
+def test_strong_scan_needs_an_open_leader():
+    """§6.2: until takeover has re-proposed the (l.cmt, l.lst] tail a
+    leader-elect's memtable can miss committed writes, so it must bounce
+    strong scans exactly as it bounces strong gets; timeline scans are
+    still served, and the strong scan succeeds once the cohort opens."""
+    cfg = SpinnakerConfig(log_profile=DiskProfile.ssd_log(),
+                          order_preserving_keys=True)
+    cluster = SpinnakerCluster(n_nodes=3, config=cfg, seed=3)
+    cluster.start()
+    client = cluster.client()
+    run(cluster, client.put(b"A-key", b"c", b"v"))
+    cohort_id = cluster.partitioner.locate(b"A-key").cohort_id
+    leader = cluster.leader_of(cohort_id)
+    replica = cluster.replica(leader, cohort_id)
+    probe = cluster.network.endpoint("scan-probe")
+
+    def ask(consistent):
+        return (yield probe.request(leader, ClientScan(
+            cohort_id=cohort_id, start_key=b"A", end_key=b"B", limit=10,
+            consistent=consistent), size=128, timeout=1.0))
+
+    replica.open_for_writes = False         # role LEADER, takeover running
+    bounced = run(cluster, ask(consistent=True))
+    assert (bounced["ok"], bounced["code"]) == (False, "not-leader")
+    assert run(cluster, ask(consistent=False))["ok"]
+
+    def reopen():
+        replica.open_for_writes = True      # the tail is re-proposed
+
+    cluster.sim.schedule(0.05, reopen)      # a few client retries later
+    rows = run(cluster, client.scan(b"A", b"B", consistent=True))
+    assert [key for key, _ in rows] == [b"A-key"]
+    assert client.retries >= 1
+    assert cluster.all_failures() == []

@@ -1,6 +1,7 @@
 """Tests for the simulated network: ordering, RPC, crashes, partitions."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.events import Simulator
 from repro.sim.network import LatencyModel, Network, RpcTimeout
@@ -365,8 +366,7 @@ def test_expiries_tying_with_a_timer_run_in_request_order():
         sim.schedule(0.25, lambda: log.append("timer"))
         second = a.request("b", 2, timeout=0.25)
         for name, ev in (("first", first), ("second", second)):
-            ev.add_callback(lambda ev, name=name: (ev.defuse(),
-                                                   log.append(name)))
+            ev.add_callback(lambda ev, name=name: log.append(name))
         return
         yield
 
@@ -383,7 +383,6 @@ def test_crash_drops_every_deadline_and_restart_resurrects_none():
     a.crash()
     a.restart()
     late = a.request("b", "after", timeout=0.2)
-    late.add_callback(lambda ev: ev.defuse())
     sim.run()
     assert not any(ev.triggered for ev in events)   # never resolve (as before)
     assert late.triggered and not late.ok           # the new one still expires
@@ -444,3 +443,35 @@ def test_an_idle_endpoint_parks_its_deadline_and_rearms_it():
     spawn(sim, caller())
     sim.run()
     assert log == [pytest.approx(1.0)]  # woken by the old entry, on time
+
+
+# -- the flat-network delay, computed in place, against its reference ------
+
+@settings(max_examples=200, deadline=None)
+@given(base=st.floats(0.0, 1e-2),
+       bandwidth=st.one_of(st.just(0.0), st.floats(1e3, 1e11)),
+       jitter=st.one_of(st.just(0.0), st.floats(1e-9, 1e-2)),
+       seed=st.integers(0, 2 ** 32),
+       sizes=st.lists(st.integers(0, 1 << 24), min_size=1, max_size=20))
+def test_transmit_delay_equals_latency_model_delay_bit_for_bit(
+        base, bandwidth, jitter, seed, sizes):
+    """``Network._transmit`` inlines ``LatencyModel.delay`` (and the
+    ``Random.expovariate`` under it) on a flat network: the same single
+    draw from the same stream, the same float operations in the same
+    order — equal delays to the last bit, and the stream left in the
+    same state."""
+    model = LatencyModel(base, bandwidth, jitter)
+    sim = Simulator()
+    net = Network(sim, RngRegistry(seed), latency=model)
+    sender = net.endpoint("a")
+    for i, size in enumerate(sizes):
+        # a fresh destination each: no FIFO clamp, so at t=0 the
+        # arrival time *is* the delay
+        net.endpoint(f"b{i}")
+        sender.send(f"b{i}", None, size=size)
+    reference = RngRegistry(seed).stream("network")
+    expected = [model.delay(size, reference) for size in sizes]
+    scheduled = [entry[0] for entry in sorted(sim._heap,
+                                              key=lambda e: e[2])]
+    assert [d.hex() for d in scheduled] == [d.hex() for d in expected]
+    assert net._rng.getstate() == reference.getstate()

@@ -201,12 +201,16 @@ def test_wal_range_queries_are_consistent(entries):
 # -- WAL: the fast queries against the loop versions they replaced ---------
 #
 # ``_RefLog`` is the log as the code before the write fast path kept and
-# queried it — ``append_batch`` re-resolving the view and ``n.lst`` per
-# record and appending at the physical tail, ``write_records`` filtering
-# and re-sorting the whole view, the follower asking ``is_skipped`` /
-# ``contains`` per record — kept here as the reference.  The machine
-# drives it and a real SharedLog with the same calls and requires the
-# same answers, the same exceptions, and a strictly LSN-ascending view.
+# queried it — one ``_Entry(record, seq)`` wrapper per record (the real
+# view now holds the records themselves and maps LSN -> physical
+# sequence number), ``append_batch`` re-resolving the view and ``n.lst``
+# per record and appending at the physical tail, ``write_records``
+# filtering and re-sorting the whole view, the follower asking
+# ``is_skipped`` / ``contains`` per record — kept here as the reference.
+# It learns what is durable from the force events alone, never from the
+# real log's ``_durable_seq``.  The machine drives it and a real
+# SharedLog with the same calls and requires the same answers, the same
+# exceptions, the same crash survivors, and a strictly LSN-ascending view.
 
 _COHORTS = (0, 1)
 _GRID = [LSN(e, s) for e in (1, 2, 3) for s in range(1, 9)]
@@ -218,22 +222,56 @@ def _grid_record(cohort_id, lsn):
                        colname=b"c", value=b"v" * lsn.epoch, version=lsn.seq)
 
 
+class _Entry:
+    """The per-record wrapper ``storage/wal.py`` kept before PR 18."""
+
+    def __init__(self, record, seq):
+        self.record = record
+        self.seq = seq
+
+
 class _RefLog:
     def __init__(self):
         self.seq = 0
+        self.durable_seq = 0
         self.bytes_appended = 0
-        self.writes = {c: [] for c in _COHORTS}     # (record, seq)
+        self.writes = {c: [] for c in _COHORTS}     # _Entry per record
+        self.markers = []                           # _Entry per marker
         self.skipped = {c: set() for c in _COHORTS}
         self.min_retained = {c: LSN.zero() for c in _COHORTS}
 
+    def on_force(self, event):
+        """``event`` is the force covering everything appended so far."""
+        seq = self.seq
+
+        def completed(_event):
+            self.durable_seq = max(self.durable_seq, seq)
+
+        event.add_callback(completed)
+
     def contains(self, cid, lsn):
-        return any(rec.lsn == lsn for rec, _ in self.writes[cid])
+        return any(e.record.lsn == lsn for e in self.writes[cid])
+
+    def record_at(self, cid, lsn):
+        for e in self.writes[cid]:
+            if e.record.lsn == lsn:
+                return e.record
+        return None
 
     def last_lsn(self, cid):
-        for rec, _ in reversed(self.writes[cid]):
-            if rec.lsn not in self.skipped[cid]:
-                return rec.lsn
+        for e in reversed(self.writes[cid]):
+            if e.record.lsn not in self.skipped[cid]:
+                return e.record.lsn
         return self.min_retained[cid]
+
+    def last_committed_lsn(self, cid):
+        return max((e.record.committed_lsn for e in self.markers
+                    if e.record.cohort_id == cid), default=LSN.zero())
+
+    def append_marker(self, marker):
+        self.seq += 1
+        self.bytes_appended += marker.encoded_size()
+        self.markers.append(_Entry(marker, self.seq))
 
     def _check(self, record, backfill):
         cid = record.cohort_id
@@ -248,9 +286,9 @@ class _RefLog:
         self._check(record, backfill)
         writes = self.writes[record.cohort_id]
         idx = len(writes)
-        while idx > 0 and writes[idx - 1][0].lsn > record.lsn:
+        while idx > 0 and writes[idx - 1].record.lsn > record.lsn:
             idx -= 1
-        writes.insert(idx, (record, self.seq))
+        writes.insert(idx, _Entry(record, self.seq))
         if backfill:
             self.skipped[record.cohort_id].discard(record.lsn)
 
@@ -259,37 +297,46 @@ class _RefLog:
             if not isinstance(record, WriteRecord):
                 raise TypeError("append_batch takes WriteRecords only")
             self._check(record, backfill=False)
-            self.writes[record.cohort_id].append((record, self.seq))
+            self.writes[record.cohort_id].append(_Entry(record, self.seq))
 
     def write_records(self, cid, after, upto, include_skipped):
-        out = [rec for rec, _ in self.writes[cid]
-               if rec.lsn > after and (upto is None or rec.lsn <= upto)
-               and (include_skipped or rec.lsn not in self.skipped[cid])]
+        out = [e.record for e in self.writes[cid]
+               if e.record.lsn > after
+               and (upto is None or e.record.lsn <= upto)
+               and (include_skipped
+                    or e.record.lsn not in self.skipped[cid])]
         out.sort(key=lambda rec: rec.lsn)
         return out
 
     def gc_through(self, cid, upto):
-        self.writes[cid] = [(rec, seq) for rec, seq in self.writes[cid]
-                            if rec.lsn > upto]
+        self.writes[cid] = [e for e in self.writes[cid]
+                            if e.record.lsn > upto]
         self.skipped[cid] = {lsn for lsn in self.skipped[cid] if lsn > upto}
         self.min_retained[cid] = max(self.min_retained[cid], upto)
 
-    def crash(self, durable_seq):
+    def crash(self):
+        """Survivors: physical sequence number <= the last completed
+        force's."""
         for cid in _COHORTS:
-            self.writes[cid] = [(rec, seq) for rec, seq in self.writes[cid]
-                                if seq <= durable_seq]
+            self.writes[cid] = [e for e in self.writes[cid]
+                                if e.seq <= self.durable_seq]
+        self.markers = [e for e in self.markers
+                        if e.seq <= self.durable_seq]
 
 
-def _same_outcome(ref_call, real_call):
-    """Run both; they must raise the same exception type or neither."""
+def _same_outcome(ref, ref_call, real_call):
+    """Run both; they must raise the same exception type or neither.
+    The real call's force event, if any, is the reference's too."""
     raised = []
     for call in (ref_call, real_call):
         try:
-            call()
+            force = call()
             raised.append(None)
         except (DuplicateLSN, StaleLSN, TypeError) as exc:
             raised.append(type(exc))
     assert raised[0] is raised[1], raised
+    if raised[1] is None:
+        ref.on_force(force)
 
 
 class WalEquivalence(RuleBasedStateMachine):
@@ -306,7 +353,8 @@ class WalEquivalence(RuleBasedStateMachine):
           backfill=st.booleans())
     def append(self, cid, lsn, backfill):
         record = _grid_record(cid, lsn)
-        _same_outcome(lambda: self.ref.append(record, backfill),
+        _same_outcome(self.ref,
+                      lambda: self.ref.append(record, backfill),
                       lambda: self.log.append(record, backfill=backfill))
 
     @rule(items=st.lists(st.tuples(st.sampled_from(_COHORTS),
@@ -318,8 +366,16 @@ class WalEquivalence(RuleBasedStateMachine):
         if marker_at is not None and marker_at < len(batch):
             batch[marker_at] = CommitMarker(lsn=LSN(1, 1), cohort_id=0,
                                             committed_lsn=LSN(1, 1))
-        _same_outcome(lambda: self.ref.append_batch(batch),
+        _same_outcome(self.ref,
+                      lambda: self.ref.append_batch(batch),
                       lambda: self.log.append_batch(batch))
+
+    @rule(cid=st.sampled_from(_COHORTS), lsn=st.sampled_from(_GRID))
+    def append_commit_marker(self, cid, lsn):
+        """Non-forced: durable once a later force completes."""
+        marker = CommitMarker(lsn=lsn, cohort_id=cid, committed_lsn=lsn)
+        self.ref.append_marker(marker)
+        assert self.log.append(marker, force=False) is None
 
     @rule(cid=st.sampled_from(_COHORTS),
           lsns=st.sets(st.sampled_from(_GRID), max_size=4))
@@ -337,9 +393,14 @@ class WalEquivalence(RuleBasedStateMachine):
         self.sim.run()
 
     @rule()
+    def one_device_operation_completes(self):
+        """The group in flight, not the forces queued behind it."""
+        self.sim.run(until=self.sim.now + 1e-3)
+
+    @rule()
     def crash(self):
         self.device.crash()
-        self.ref.crash(self.log._durable_seq)
+        self.ref.crash()
         self.log.crash()
         self.device.restart()
 
@@ -348,11 +409,18 @@ class WalEquivalence(RuleBasedStateMachine):
         log, ref = self.log, self.ref
         assert log.bytes_appended == ref.bytes_appended
         for cid in _COHORTS:
-            held = [entry.record.lsn for entry in log._view(cid).writes]
+            view = log._view(cid)
+            held = [record.lsn for record in view.writes]
             assert held == sorted(set(held)), "view not strictly ascending"
-            assert sorted(held) == sorted(
-                rec.lsn for rec, _ in ref.writes[cid])
+            # the same records (crash survivors included), each under
+            # the physical sequence number the reference gave it
+            assert view.by_lsn == {e.record.lsn: e.seq
+                                   for e in ref.writes[cid]}
             assert log.last_lsn(cid) == ref.last_lsn(cid)
+            assert log.last_committed_lsn(cid) == ref.last_committed_lsn(cid)
+            for lsn in _GRID:
+                assert log.contains(cid, lsn) == ref.contains(cid, lsn)
+                assert log.record_at(cid, lsn) is ref.record_at(cid, lsn)
             for after in _BOUNDS:
                 for upto in [None] + _BOUNDS:
                     for include_skipped in (False, True):

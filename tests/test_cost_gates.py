@@ -10,10 +10,17 @@ here by name instead of showing up as a slower benchmark.
 Counts are taken with ``sys.setprofile`` inside a *quiet window* of a
 3-node cluster (no heartbeat, sweep or commit timer due), so every heap
 push and message in the window belongs to the measured operations.
+
+The garbage gates at the end pin what the profile hook cannot see: the
+hot path leaves the cycle collector nothing to find, and a put leaves no
+tracked object behind but the record, its LSN and the memtable rows.
 """
 
+import gc
 import hashlib
 import sys
+import types
+import weakref
 from collections import Counter
 from heapq import heappush
 
@@ -22,7 +29,7 @@ from repro.core.partition import key_of
 from repro.sim.disk import DiskProfile
 from repro.sim.events import Simulator
 from repro.sim.network import Network
-from repro.sim.process import AllOf, spawn
+from repro.sim.process import AllOf, Timeout, drive, spawn
 from repro.sim.rng import RngRegistry
 from repro.storage.memtable import Cell
 from repro.storage.wal import SharedLog
@@ -213,3 +220,87 @@ def test_answered_rpcs_leave_nothing_in_the_kernel_heap():
     assert peak[0] <= 2 * clients
     assert len([e for e in sim._heap if e[3] is not None]) == 0
     assert len(sim._heap) <= clients
+
+
+# The garbage-free hot path: reference counting frees everything.
+
+def test_the_hot_path_leaves_the_cycle_collector_nothing_to_find():
+    """200 strong gets + 200 puts (and the heartbeats, sweeps and commit
+    timers due meanwhile) with the collector off: a collection afterwards
+    finds no unreachable object.  Each Timeout used to cost three — itself,
+    its heap entry and the bound ``_fire`` — through a slot nobody read."""
+    cluster, client = make_cluster()
+
+    def load(n):
+        for i in range(n):
+            yield from client.get(KEYS[i % len(KEYS)], b"c", consistent=True)
+        for i in range(n):
+            yield from client.put(KEYS[i % len(KEYS)], b"c", b"v%d" % i)
+
+    drive(cluster, load(20), limit=60.0)    # warm-up: caches, first rows
+    gc.collect()
+    gc.disable()
+    try:
+        drive(cluster, load(200), limit=60.0)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_fired_timeout_is_freed_one_kernel_step_later():
+    """Nothing but the heap holds a Timeout's entry, so the run loop
+    dropping the popped entry frees the Timeout by reference count."""
+    assert not hasattr(Timeout, "__weakref__")      # and must not grow one
+
+    class Watched(Timeout):
+        __slots__ = ("__weakref__",)
+
+    sim = Simulator()
+    gone = []
+    gc.disable()
+    try:
+        ref = weakref.ref(Watched(sim, 1.0))
+        sim.schedule(1.0, lambda: gone.append(ref() is None))  # next step
+        sim.run()
+    finally:
+        gc.enable()
+    assert gone == [True]
+
+
+def test_a_put_leaves_behind_the_record_its_lsn_and_the_rows():
+    """New GC-tracked objects alive after N puts of new rows on three
+    replicas: one WriteRecord and one LSN (shared by the three logs) and
+    a memtable row dict per replica — no wrapper per log record (the
+    logs used to add three per put: 8.1 N here)."""
+    cluster, client = make_cluster()
+
+    def puts(lo, hi):
+        for i in range(lo, hi):
+            yield from client.put(b"row-%d" % i, b"c", b"v")
+
+    def tracked():
+        cluster.run(1.0)                    # followers apply the commits
+        gc.collect()
+        return Counter(type(obj).__name__ for obj in gc.get_objects())
+
+    drive(cluster, puts(0, 50), limit=60.0)
+    before = tracked()
+    n = 300
+    drive(cluster, puts(1000, 1000 + n), limit=60.0)
+    grown = tracked() - before
+    assert sum(grown.values()) <= 6.1 * n + 50
+    assert grown["WriteRecord"] == grown["LSN"] == n
+    assert ({name for name, count in grown.items() if count >= n}
+            <= {"WriteRecord", "LSN", "dict"})
+
+
+def test_client_calls_hand_back_the_call_generator_itself():
+    """``yield from client.put(...)`` resumes ``_call`` directly: no
+    ``put`` -> ``_write`` -> ``_call`` stack of forwarding frames."""
+    _, client = make_cluster()
+    for gen in (client.get(KEYS[0], b"c"), client.put(KEYS[0], b"c", b"v"),
+                client.delete(KEYS[0], b"c"),
+                client.conditional_put(KEYS[0], b"c", b"v", 1),
+                client.put_columns(KEYS[0], {b"c": b"v"})):
+        assert isinstance(gen, types.GeneratorType)
+        assert gen.gi_code.co_name == "_call"
