@@ -54,6 +54,10 @@ catches one of those hazard classes at parse time:
     Dead state costs a store per construction on the hot path and can
     hide a reference cycle (``Timeout._entry`` did both).  Whole-tree:
     :func:`write_only_slots` is fed by the runner, not ``lint_source``.
+
+``unset-option``
+    A ``*Config`` dataclass field nothing outside its module *sets* (call
+    keyword, string dict key, attribute store, config-file key).
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ from .findings import Finding
 
 __all__ = ["DETERMINISM_RULES", "collect_spawned", "collect_yield_edges",
            "close_process_names", "lint_source", "loaded_attributes",
-           "write_only_slots"]
+           "write_only_slots", "set_names", "unset_options"]
 
 DETERMINISM_RULES: Dict[str, str] = {
     "nondet-import": "ambient randomness or wall-clock access; use "
@@ -80,6 +84,8 @@ DETERMINISM_RULES: Dict[str, str] = {
                         "literals",
     "write-only-slot": "slot is stored but never read anywhere; delete "
                        "it and its stores",
+    "unset-option": "config field is never given a second value; make "
+                    "it a constant or derive it",
 }
 
 #: modules whose mere import is an entropy hazard
@@ -501,3 +507,34 @@ def write_only_slots(tree: ast.AST, path: str, lines: Sequence[str],
                                 f"{DETERMINISM_RULES['write-only-slot']}",
                         code=lines[elt.lineno - 1].strip()))
     return findings
+
+
+def set_names(tree: ast.AST) -> Set[str]:
+    """Option names a module may set: keywords, dict keys, attribute stores."""
+    names: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword):
+            names.add(node.arg)
+        elif isinstance(node, ast.Dict):
+            names.update(k.value for k in node.keys
+                         if isinstance(k, ast.Constant))
+        elif isinstance(node, ast.Attribute) and type(node.ctx) is ast.Store:
+            names.add(node.attr)
+    return names
+
+
+def unset_options(tree: ast.AST, path: str, lines: Sequence[str],
+                  set_elsewhere: Set[str]) -> List[Finding]:
+    """Fields of this module's ``*Config`` dataclasses missing from
+    ``set_elsewhere`` (every other module's :func:`set_names`)."""
+    return [Finding(rule="unset-option", path=path, line=stmt.lineno,
+                    message=f"{cls.name}.{stmt.target.id}: "
+                            f"{DETERMINISM_RULES['unset-option']}",
+                    code=lines[stmt.lineno - 1].strip())
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name.endswith("Config")
+            and any(_call_name(getattr(dec, "func", dec)) == "dataclass"
+                    for dec in cls.decorator_list)
+            for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign)
+            and stmt.target.id not in set_elsewhere]

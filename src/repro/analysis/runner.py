@@ -14,12 +14,14 @@ pragmas, and splits what remains against the baseline (reporting any
 baseline entries that no longer match anything as stale).  The
 ``write-only-slot`` rule is whole-tree too, and looks further: a slot
 counts as read if any module under the enclosing project's ``src/``,
-``tests/``, ``benchmarks/`` or ``perfbench/`` reads it.
+``tests/``, ``benchmarks/``, ``perfbench/`` or ``examples/`` reads it;
+``unset-option`` wants a setter there or in ``configs/*.json``.
 """
 
 from __future__ import annotations
 
 import ast
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -27,7 +29,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .atomicity import lint_atomicity
 from .determinism import (close_process_names, collect_spawned,
                           collect_yield_edges, lint_source,
-                          loaded_attributes, write_only_slots)
+                          loaded_attributes, set_names, unset_options,
+                          write_only_slots)
 from .findings import (Baseline, Finding, match_baseline, parse_pragmas,
                        suppressed)
 from .protocol import ProtocolSpec, check_protocols
@@ -40,7 +43,7 @@ __all__ = ["LintResult", "run_lint", "iter_py_files", "is_sim_visible",
 NON_SIM_PACKAGES = {"bench", "analysis", "tune"}
 NON_SIM_FILES = {"__main__.py", "cli.py"}  # CLI front-ends print by design
 #: project directories whose modules count as readers of a slot
-READER_DIRS = ("src", "tests", "benchmarks", "perfbench")
+READER_DIRS = ("src", "tests", "benchmarks", "perfbench", "examples")
 
 
 @dataclass
@@ -118,6 +121,10 @@ def run_lint(root: Path,
     spawned: Set[str] = set()
     edges: Dict[str, Set[str]] = {}
     loaded: Set[str] = set()    # attribute names read, by anyone
+    setters: Dict[Path, Set[str]] = {}  # option names each file sets
+    for path in (project_root(root) or root).glob("configs/*.json"):
+        json.loads(path.read_text(encoding="utf-8"),
+                   object_hook=setters.setdefault(path, set()).update)
 
     for path in files + _outside_readers(root):
         try:
@@ -127,6 +134,8 @@ def run_lint(root: Path,
             result.parse_errors.append(f"{path}: {err}")
             continue
         loaded |= loaded_attributes(tree)
+        if path.parts[-2:] != ("tune", "registry.py"):   # names them all
+            setters[path] = set_names(tree)
         if root not in path.parents:
             continue            # a reader of the tree's slots, not linted
         sources[path] = text
@@ -145,6 +154,10 @@ def run_lint(root: Path,
         rel = path.relative_to(root)
         raw.extend(write_only_slots(trees[path], rel.as_posix(),
                                     text.splitlines(), loaded))
+        if rel.parts[0] in ("core", "baseline"):
+            others = [names for p, names in setters.items() if p != path]
+            raw.extend(unset_options(trees[path], rel.as_posix(),
+                                     text.splitlines(), set().union(*others)))
         result.files_checked += 1
         sim_visible = is_sim_visible(rel)
         raw.extend(lint_source(text, rel.as_posix(),

@@ -16,7 +16,7 @@ from ..sim.events import Simulator
 from ..sim.network import Network, RpcTimeout
 from ..sim.process import timeout
 from ..sim.rng import RngRegistry
-from .config import QUORUM, CassandraConfig
+from .config import CLIENT_RETRY_PAUSE, QUORUM, RPC_TIMEOUT, CassandraConfig
 from .messages import CoordRead, CoordWrite
 
 __all__ = ["CassandraClient", "ReadValue"]
@@ -83,7 +83,7 @@ class CassandraClient:
             try:
                 reply = yield self.endpoint.request(
                     target, msg, size=size,
-                    timeout=min(remaining, cfg.rpc_timeout))
+                    timeout=min(remaining, RPC_TIMEOUT))
             except RpcTimeout:
                 self.retries += 1
                 target = members[(members.index(target) + 1)
@@ -94,4 +94,4 @@ class CassandraClient:
                 return reply
             self.retries += 1
             target = members[(members.index(target) + 1) % len(members)]
-            yield timeout(self.sim, cfg.client_retry_backoff)
+            yield timeout(self.sim, CLIENT_RETRY_PAUSE)

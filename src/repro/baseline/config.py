@@ -1,11 +1,12 @@
-"""Tunables for the eventually consistent baseline.
+"""Parameters and constants of the eventually consistent baseline.
 
-Where a knob models the same physical thing as in Spinnaker (CPU cost of
-a read, log-force profile, cores) the default matches
-:class:`repro.core.config.SpinnakerConfig` — Spinnaker was derived from
-the Cassandra codebase precisely so the comparison isolates the
-replication protocol (Appendix C), and our two stores share the storage
-and hardware models the same way.
+Where a value models the same physical thing as in Spinnaker (CPU cost
+of a read, cores per node) it *is* Spinnaker's — ``baseline/node.py``
+imports it from :mod:`repro.core.config` — because Spinnaker was derived
+from the Cassandra codebase precisely so the comparison isolates the
+replication protocol (Appendix C); the two stores share the storage and
+hardware models the same way.  The baseline's own service times and RPC
+pacing are constants for the reason Spinnaker's are: nothing sets them.
 """
 
 from __future__ import annotations
@@ -20,28 +21,30 @@ __all__ = ["CassandraConfig", "WEAK", "QUORUM"]
 WEAK = "weak"
 QUORUM = "quorum"
 
+# -- calibration (beside the two shared with Spinnaker) ---------------------
+#: coordinator-side cost of a quorum read: merging responses and
+#: checking for conflicts caused by eventual consistency (§9.1)
+CONFLICT_CHECK_SERVICE = 1.6e-3
+#: replica-side cost to process a write
+WRITE_REPLICA_SERVICE = 0.3e-3
+#: coordinator-side cost to fan a write out
+WRITE_COORDINATOR_SERVICE = 0.55e-3
+FLUSH_THRESHOLD_BYTES = 64 * 1024 * 1024
+
+# -- RPC pacing ------------------------------------------------------------
+#: per-try timeout of client and replica-to-replica RPCs
+RPC_TIMEOUT = 2.0
+#: client pause before retrying a refused operation
+CLIENT_RETRY_PAUSE = 0.02
+
 
 @dataclass
 class CassandraConfig:
-    """Knobs for the baseline store."""
+    """What an experiment or test may set on the baseline store."""
 
     replication_factor: int = 3
-
-    # -- hardware (matched to SpinnakerConfig) ---------------------------
-    cores_per_node: int = 8
     log_profile: DiskProfile = field(default_factory=DiskProfile.sata_log)
-    group_commit: bool = True
-
-    # -- CPU service times ------------------------------------------------
-    #: per-read CPU+network-stack cost at a replica (same as Spinnaker)
-    read_service: float = 1.8e-3
-    #: coordinator-side cost of a quorum read: merging responses and
-    #: checking for conflicts caused by eventual consistency (§9.1)
-    conflict_check_service: float = 1.6e-3
-    #: replica-side cost to process a write
-    write_replica_service: float = 0.3e-3
-    #: coordinator-side cost to fan a write out
-    write_coordinator_service: float = 0.55e-3
+    client_op_timeout: float = 10.0
 
     # -- anti-entropy ---------------------------------------------------
     #: how long the coordinator waits before writing a hint for a
@@ -49,16 +52,6 @@ class CassandraConfig:
     hint_timeout: float = 1.0
     #: how often stored hints are replayed
     hint_replay_interval: float = 5.0
-    #: read repair runs in the background on quorum-read mismatches
-    read_repair: bool = True
-
-    # -- storage ----------------------------------------------------------
-    flush_threshold_bytes: int = 64 * 1024 * 1024
-
-    # -- client ----------------------------------------------------------
-    client_op_timeout: float = 10.0
-    client_retry_backoff: float = 0.02
-    rpc_timeout: float = 2.0
 
     def validate(self) -> "CassandraConfig":
         if self.replication_factor < 1:

@@ -32,9 +32,12 @@ from ..storage.lsn import LSN
 from ..storage.memtable import timestamp_order
 from ..storage.records import WriteRecord
 from ..storage.wal import SharedLog
-from .config import CassandraConfig
+from .config import (CONFLICT_CHECK_SERVICE, FLUSH_THRESHOLD_BYTES,
+                     RPC_TIMEOUT, WRITE_COORDINATOR_SERVICE,
+                     WRITE_REPLICA_SERVICE, CassandraConfig)
 from .messages import (CoordRead, CoordWrite, ReplicaRead,
                        ReplicaReadResult, ReplicaWrite)
+from ..core.config import CORES_PER_NODE, READ_SERVICE
 from ..core.partition import RangePartitioner, key_of
 
 __all__ = ["CassandraNode"]
@@ -53,15 +56,14 @@ class CassandraNode:
         self.config = config
         self.endpoint = network.endpoint(name)
         self.endpoint.on_request(self._dispatch)
-        self.cpu = Resource(sim, capacity=config.cores_per_node)
+        self.cpu = Resource(sim, capacity=CORES_PER_NODE)
         self.device = LogDevice(sim, rng, f"{name}-clog",
-                                profile=config.log_profile,
-                                group_commit=config.group_commit)
+                                profile=config.log_profile)
         self.wal = SharedLog(self.device)
         self.engines: Dict[int, StorageEngine] = {
             cohort.cohort_id: StorageEngine(
                 cohort.cohort_id,
-                flush_threshold_bytes=config.flush_threshold_bytes,
+                flush_threshold_bytes=FLUSH_THRESHOLD_BYTES,
                 order=timestamp_order)
             for cohort in partitioner.cohorts_of_node(name)
         }
@@ -140,7 +142,7 @@ class CassandraNode:
         if group.cohort_id not in self.engines:
             req.respond({"ok": False, "code": "wrong-node"}, size=64)
             return
-        yield from serve(self.cpu, cfg.write_coordinator_service)
+        yield from serve(self.cpu, WRITE_COORDINATOR_SERVICE)
         rwrite = ReplicaWrite(
             group_id=group.cohort_id, key=msg.key, colname=msg.colname,
             value=msg.value, timestamp=self.sim.now,
@@ -169,12 +171,12 @@ class CassandraNode:
 
     def _apply_write_locally(self, rwrite: ReplicaWrite):
         """The coordinator is itself a replica: log + apply, no network."""
-        yield from serve(self.cpu, self.config.write_replica_service)
+        yield from serve(self.cpu, WRITE_REPLICA_SERVICE)
         yield from self._log_and_apply(rwrite)
         return self.name
 
     def _replica_write(self, req: Request):
-        yield from serve(self.cpu, self.config.write_replica_service)
+        yield from serve(self.cpu, WRITE_REPLICA_SERVICE)
         yield from self._log_and_apply(req.payload)
         req.respond(self.name, size=48)
 
@@ -215,7 +217,7 @@ class CassandraNode:
                             member, rwrite,
                             size=96 + (len(rwrite.value)
                                        if rwrite.value else 0),
-                            timeout=cfg.rpc_timeout)
+                            timeout=RPC_TIMEOUT)
                     except RpcTimeout:
                         still_failed.append(rwrite)
                 if still_failed:
@@ -257,10 +259,9 @@ class CassandraNode:
             req.respond({"ok": False, "code": "unavailable"}, size=64)
             return
         results = [local_result] + remote_results
-        yield from serve(self.cpu, cfg.conflict_check_service)
+        yield from serve(self.cpu, CONFLICT_CHECK_SERVICE)
         best = max(results, key=lambda r: (r.found, r.timestamp, r.seq))
-        if cfg.read_repair:
-            self._maybe_read_repair(group, msg, results, best)
+        self._maybe_read_repair(group, msg, results, best)
         self.reads_coordinated += 1
         req.respond(self._as_reply(best),
                     size=64 + (len(best.value) if best.value else 0))
@@ -272,7 +273,6 @@ class CassandraNode:
         Returns the list of results, or None if a quorum of remote
         replicas is unreachable.
         """
-        cfg = self.config
         now = self.sim.now
         ordered = sorted(others,
                          key=lambda m: self.suspected.get(m, 0.0) > now)
@@ -282,7 +282,7 @@ class CassandraNode:
                 break
             try:
                 result = yield self.endpoint.request(
-                    member, rread, size=96, timeout=cfg.rpc_timeout)
+                    member, rread, size=96, timeout=RPC_TIMEOUT)
             except RpcTimeout:
                 self.suspected[member] = self.sim.now + 10.0
                 continue
@@ -292,7 +292,7 @@ class CassandraNode:
         return results
 
     def _local_read(self, gid: int, msg):
-        yield from serve(self.cpu, self.config.read_service)
+        yield from serve(self.cpu, READ_SERVICE)
         return self._read_cell(gid, msg.key, msg.colname)
 
     def _local_read_proc(self, gid: int, msg):
@@ -301,7 +301,7 @@ class CassandraNode:
 
     def _replica_read(self, req: Request):
         msg: ReplicaRead = req.payload
-        yield from serve(self.cpu, self.config.read_service)
+        yield from serve(self.cpu, READ_SERVICE)
         result = self._read_cell(msg.group_id, msg.key, msg.colname)
         req.respond(result,
                     size=64 + (len(result.value) if result.value else 0))

@@ -32,8 +32,8 @@ leader cache, and walks one request through these transitions until an
                                network).
 ``send -> not-leader/unavailable``  follow the ``hint`` if given, else
                                rotate; jittered exponential backoff
-                               (``client_retry_backoff`` doubling up to
-                               ``client_retry_backoff_cap``).
+                               (``CLIENT_RETRY_BACKOFF`` doubling up to
+                               ``CLIENT_RETRY_BACKOFF_CAP``).
 ``send -> wrong-node``         the replier holds no replica for the key:
                                drop a poisoned leader-cache entry, fetch
                                a fresh map when the reply advertises a
@@ -82,7 +82,9 @@ from ..sim.events import Simulator
 from ..sim.network import Endpoint, Network, RpcTimeout
 from ..sim.process import timeout
 from ..sim.rng import RngRegistry
-from .config import SpinnakerConfig
+from .config import (CLIENT_MAP_TIMEOUT, CLIENT_RETRY_BACKOFF,
+                     CLIENT_RETRY_BACKOFF_CAP, CLIENT_RTT_MULTIPLIER,
+                     SpinnakerConfig)
 from .datamodel import (DatastoreError, GetResult, RequestTimeout,
                         VersionMismatch)
 from .messages import (ClientGet, ClientScan, ClientWrite, GetCohortMap,
@@ -113,9 +115,9 @@ class SpinnakerClient:
         # here once made every cross-DC map refresh a retry storm).
         rtt = network.rtt_bound()
         self._per_try = max(config.client_try_timeout,
-                            config.client_rtt_multiplier * rtt)
-        self._map_timeout = max(config.client_map_timeout,
-                                config.client_rtt_multiplier * rtt)
+                            CLIENT_RTT_MULTIPLIER * rtt)
+        self._map_timeout = max(CLIENT_MAP_TIMEOUT,
+                                CLIENT_RTT_MULTIPLIER * rtt)
         self._rng = rng.stream(f"client:{name}")
         self._map: CohortMap = partitioner.snapshot()
         self._leader_cache: Dict[int, str] = {}
@@ -390,14 +392,13 @@ class SpinnakerClient:
         The first few attempts stay at the base step — routine, brief
         unavailability (a migration draining writes, a leader handoff)
         should be ridden out at full pace, not slept through.  Persistent
-        failure then doubles the step up to ``client_retry_backoff_cap``.
+        failure then doubles the step up to ``CLIENT_RETRY_BACKOFF_CAP``.
         Equal-jitter in ``[step/2, step]``: bounded below so a retry
         always makes progress, randomized above so clients that all
         failed at the same instant (a healed whole-DC partition) do not
         re-arrive as a synchronized thundering herd.
         """
-        cfg = self.config
-        step = min(cfg.client_retry_backoff * (2.0 ** max(attempt - 4, 0)),
-                   cfg.client_retry_backoff_cap)
+        step = min(CLIENT_RETRY_BACKOFF * (2.0 ** max(attempt - 4, 0)),
+                   CLIENT_RETRY_BACKOFF_CAP)
         wait = step * (0.5 + 0.5 * self._rng.random())
         return max(0.0, min(wait, deadline - self.sim.now))

@@ -19,7 +19,7 @@ peer (``CommitQueue.add_ack_upto`` already treats an ack for a batch's
 top LSN as covering every earlier pending write, which is sound because
 proposes travel over in-order channels).
 
-Batching must not tax an idle cohort, so the batcher is *adaptive*:
+Batching must not tax an idle cohort, so the one policy is adaptive:
 
 * a group flushes **immediately** while the pipeline is uncongested —
   even with a force in flight, an independent force+propose overlaps
@@ -161,7 +161,7 @@ class ProposalBatcher:
             # A limit is reached — or batching is off, where every
             # submitted group flushes on its own.
             self._flush()
-        elif cfg.propose_batch_adaptive and not self._under_pressure():
+        elif not self._under_pressure():
             # Uncongested pipeline: never delay a write — even with a
             # force in flight, an independent force+propose overlaps it
             # (the log device's own group commit absorbs slow media).
@@ -176,12 +176,10 @@ class ProposalBatcher:
 
     def on_progress(self) -> None:
         """Commit queue advanced: flush early once the congestion that
-        opened the window has drained (adaptive mode only)."""
-        if (self._window is None or not self._groups
-                or self._inflight_forces > 0):
-            return
-        cfg = self.replica.node.config
-        if cfg.propose_batch_adaptive and not self._under_pressure():
+        opened the window has drained."""
+        if (self._window is not None and self._groups
+                and self._inflight_forces == 0
+                and not self._under_pressure()):
             self._flush()
 
     def clear(self) -> None:

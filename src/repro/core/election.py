@@ -28,6 +28,7 @@ from ..sim.process import timeout
 from ..storage.lsn import LSN
 from ..coord.znode import (BadVersionError, CoordError, NoNodeError,
                            NodeExistsError)
+from .config import ELECTION_RETRY
 from .partition import preference_order
 from .recovery import leader_takeover
 from .replication import Role
@@ -138,7 +139,7 @@ def run_election(replica):
         if len(candidates) < majority:
             # Our snapshot went stale mid-round; back off with jitter so
             # two candidates cannot invalidate each other in lockstep.
-            yield timeout(sim, cfg.election_retry
+            yield timeout(sim, ELECTION_RETRY
                           * node.rng_stream.uniform(0.1, 0.5))
             return None
         candidates.sort(reverse=True)
@@ -163,7 +164,7 @@ def run_election(replica):
         try:
             data, _ = yield from zk.get(f"{root}/leader")
         except NoNodeError:
-            yield timeout(sim, cfg.election_retry)
+            yield timeout(sim, ELECTION_RETRY)
             try:
                 data, _ = yield from zk.get(f"{root}/leader")
             except NoNodeError:
@@ -245,7 +246,7 @@ def leader_monitor(replica):
     deletion by running an election, and (on restarts) has the replica
     ask for catch-up once a leader is known.  Spawned by the node at
     (re)start."""
-    node, cfg = replica.node, replica.node.config
+    node = replica.node
     sim = node.sim
     root = cohort_zk_path(replica.cohort_id)
     zk = node.zk
@@ -267,10 +268,10 @@ def leader_monitor(replica):
                 replica.leader = None
             result = yield from run_election(replica)
             if result is None:
-                yield timeout(sim, cfg.election_retry)
+                yield timeout(sim, ELECTION_RETRY)
             continue
         except CoordError:
-            yield timeout(sim, cfg.election_retry)
+            yield timeout(sim, ELECTION_RETRY)
             continue
         leader = data.decode()
         if leader != node.name:

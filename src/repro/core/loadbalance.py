@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..coord.znode import CoordError
 from ..sim.process import timeout
+from .config import ELECTION_RETRY
 from .election import cohort_zk_path
 from .recovery import try_push_catchup
 
@@ -120,7 +121,7 @@ def _handoff_watchdog(replica, successor: str, epoch_at_handoff: int):
             pass
         if node.sim.now >= deadline:
             break
-        yield timeout(node.sim, cfg.election_retry / 2)
+        yield timeout(node.sim, ELECTION_RETRY / 2)
     if not node.alive or node.zk is not zk:
         return
     try:

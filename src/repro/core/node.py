@@ -31,7 +31,7 @@ from ..storage.lsn import LSN
 from ..storage.records import (CatchupMarker, CheckpointRecord,
                                CommitMarker)
 from ..storage.wal import SharedLog
-from .config import SpinnakerConfig
+from .config import CORES_PER_NODE, ELECTION_RETRY, SpinnakerConfig
 from .election import cohort_zk_path, leader_monitor
 from .messages import (CatchupChunk, CatchupRequest, ClientGet, ClientScan,
                        ClientWrite, Commit, GetCohortMap, MigrationPrepare,
@@ -65,7 +65,7 @@ class SpinnakerNode:
         self.coord_name = coord_name
         self.endpoint = network.endpoint(name)
         self.endpoint.on_request(self._dispatch)
-        self.cpu = Resource(sim, capacity=config.cores_per_node)
+        self.cpu = Resource(sim, capacity=CORES_PER_NODE)
         self.rng_stream = rng.stream(f"node:{name}")
         self.device = LogDevice(sim, rng, f"{name}-log",
                                 profile=config.log_profile,
@@ -388,7 +388,7 @@ class SpinnakerNode:
             except (RpcTimeout, CoordError):
                 # Still cut off (or our old ephemerals linger until the
                 # previous session expires server-side); retry.
-                yield sim_timeout(self.sim, self.config.election_retry)
+                yield sim_timeout(self.sim, ELECTION_RETRY)
         if self.alive and self.zk is zk:
             self._spawn_monitors()
 

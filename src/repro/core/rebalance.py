@@ -82,6 +82,7 @@ from ..sim.process import timeout
 from ..storage.memtable import Memtable
 from ..storage.records import WriteRecord
 from ..storage.sstable import SSTable
+from .config import TAKEOVER_STATE_TIMEOUT
 from .messages import Commit, MigrationPrepare, MigrationStart
 from .partition import (INTERNAL_KEY_PREFIX, MEMBERSHIP_KEY, Cohort,
                         KeyRange, MembershipChange, RangePartitioner)
@@ -309,14 +310,14 @@ def _target_cohort(replica, change: MembershipChange) -> Cohort:
 
 def _prepare_joiners(replica, change: MembershipChange,
                      joiners: Sequence[str]):
-    node, cfg = replica.node, replica.node.config
+    node = replica.node
     prep = MigrationPrepare(cohort=_target_cohort(replica, change),
                             base_epoch=replica.epoch,
                             map_version=node.partitioner.version)
     for member in joiners:
         try:
             ack = yield node.endpoint.request(
-                member, prep, size=128, timeout=cfg.takeover_state_timeout)
+                member, prep, size=128, timeout=TAKEOVER_STATE_TIMEOUT)
         except RpcTimeout:
             return False
         if not (isinstance(ack, dict) and ack.get("ok")):
@@ -328,7 +329,7 @@ def _finish_migration(replica, change: MembershipChange):
     """Idempotent post-commit side effects: re-prepare every member of
     the target cohort (heals joiners that crashed after the original
     prepare) and publish the map version on the coordination board."""
-    node, cfg = replica.node, replica.node.config
+    node = replica.node
     part: RangePartitioner = node.partitioner
     # Re-notify retired members (replace): the one-shot post-commit
     # Commit can be lost, and nothing else ever addresses them again.
@@ -350,8 +351,7 @@ def _finish_migration(replica, change: MembershipChange):
                 continue
             try:
                 yield node.endpoint.request(
-                    member, prep, size=128,
-                    timeout=cfg.takeover_state_timeout)
+                    member, prep, size=128, timeout=TAKEOVER_STATE_TIMEOUT)
             except RpcTimeout:
                 pass    # startup reconciliation / driver retry covers it
     if node.zk is not None:

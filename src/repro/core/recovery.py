@@ -52,6 +52,9 @@ from ..sim.resources import serve
 from ..storage.lsn import LSN, SEQ_BITS
 from ..storage.records import CatchupMarker, CommitMarker
 from .batching import chunk_groups
+from .config import (CATCHUP_CHUNK_RETRIES, CATCHUP_CHUNK_TIMEOUT,
+                     ELECTION_RETRY, RECOVERY_REPLAY_SERVICE,
+                     TAKEOVER_RECORD_SERVICE, TAKEOVER_STATE_TIMEOUT)
 from .messages import CatchupChunk, CatchupRequest, TakeoverState
 from .partition import MEMBERSHIP_KEY
 from .replication import Role
@@ -93,8 +96,7 @@ def local_recovery(replica):
     for i, record in enumerate(records):
         replica.engine.apply(record)   # idempotent (LSN-ordered cells)
         if i % 64 == 63:               # charge CPU in batches
-            yield from serve(node.cpu,
-                             64 * node.config.recovery_replay_service)
+            yield from serve(node.cpu, 64 * RECOVERY_REPLAY_SERVICE)
     node.trace("catchup", "local recovery",
                cohort=cohort_id, replayed=len(records),
                f_cmt=str(f_cmt))
@@ -354,7 +356,7 @@ def push_catchup(leader_replica, peer: str):
     caught up; chunk progress already pushed is durable at the peer and
     is not re-shipped on retry.
     """
-    node, cfg = leader_replica.node, leader_replica.node.config
+    node = leader_replica.node
     cohort_id = leader_replica.cohort_id
     tracer = node.request_tracer
     ctx = tracer.begin("catchup", node.name) if tracer.enabled else None
@@ -365,7 +367,7 @@ def push_catchup(leader_replica, peer: str):
         state = yield node.endpoint.request(
             peer, TakeoverState(cohort_id=cohort_id,
                                 epoch=leader_replica.epoch),
-            size=64, timeout=cfg.takeover_state_timeout)
+            size=64, timeout=TAKEOVER_STATE_TIMEOUT)
         if not isinstance(state, dict) or "cmt" not in state:
             raise SimulationError(f"{peer} gave no takeover state")
         cursor = CatchupRequest(cohort_id=cohort_id, follower=peer,
@@ -374,7 +376,7 @@ def push_catchup(leader_replica, peer: str):
         while True:
             # Under the block this also lets writes already past the
             # gate reach the commit queue before the final snapshot.
-            yield from serve(node.cpu, cfg.takeover_record_service)
+            yield from serve(node.cpu, TAKEOVER_RECORD_SERVICE)
             if not leader_replica.is_leader:
                 raise SimulationError(f"deposed while catching up {peer}")
             chunk = build_catchup_chunk(leader_replica, cursor)
@@ -384,7 +386,7 @@ def push_catchup(leader_replica, peer: str):
                        if final and blocking else ())
             chunk = replace(chunk, final=final, trace=ctx)
             done = None
-            for attempt in range(cfg.catchup_chunk_retries + 1):
+            for attempt in range(CATCHUP_CHUNK_RETRIES + 1):
                 span = None
                 if ctx is not None:
                     span = tracer.start(ctx, "catchup_fetch", node.name,
@@ -392,11 +394,11 @@ def push_catchup(leader_replica, peer: str):
                 try:
                     done = yield node.endpoint.request(
                         peer, chunk, size=chunk_wire_size(chunk),
-                        timeout=cfg.catchup_chunk_timeout)
+                        timeout=CATCHUP_CHUNK_TIMEOUT)
                 except RpcTimeout:
                     if span is not None:
                         tracer.finish(span, timed_out=True)
-                    if attempt < cfg.catchup_chunk_retries:
+                    if attempt < CATCHUP_CHUNK_RETRIES:
                         yield timeout(
                             node.sim,
                             _CHUNK_RETRY_BACKOFF * (2 ** attempt))
@@ -465,19 +467,19 @@ def leader_takeover(replica):
     l_lst = node.wal.last_lsn(cohort_id)
 
     # Lines 3-7: catch each follower up to l.cmt (chunked push).
-    # Line 8: wait until at least one follower is caught up to l.cmt.
-    # Retry until a quorum exists — with both followers down the cohort
-    # must stay unavailable (§8.1); a returning follower is picked up
-    # by the next round (its own requests wait until we are open).
+    # Line 8: wait until a majority, us included, is caught up to l.cmt.
+    # Retry until that quorum exists — without it the cohort must stay
+    # unavailable (§8.1); a returning follower is picked up by the next
+    # round (its own requests wait until we are open).
     caught = None
     while caught is None:
         attempts = [spawn(sim, push_catchup(replica, peer),
                           name=f"takeover-{peer}")
                     for peer in replica.peers()]
         try:
-            caught = yield quorum(sim, attempts, need=1)
+            caught = yield quorum(sim, attempts, need=cfg.majority - 1)
         except SimulationError:
-            yield timeout(sim, cfg.election_retry)
+            yield timeout(sim, ELECTION_RETRY)
 
     # Line 9: re-propose writes in (l.cmt, l.lst] through the normal
     # replication protocol, batched like the steady-state write pipeline
@@ -490,7 +492,7 @@ def leader_takeover(replica):
     for batch in chunk_groups(
             [(r,) for r in unresolved],
             cfg.propose_batch_max_records if cfg.propose_batching else 1):
-        yield from serve(node.cpu, cfg.takeover_record_service)
+        yield from serve(node.cpu, TAKEOVER_RECORD_SERVICE)
         yield replica._replicate(batch, already_logged=True)
 
     # Line 10: open the cohort for writes, with fresh LSNs.

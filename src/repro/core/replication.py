@@ -48,16 +48,16 @@ from ..storage.lsn import LSN
 from ..storage.records import CommitMarker, WriteRecord
 from .batching import ProposalBatcher
 from .commitqueue import CommitQueue
+from .config import (COMMIT_APPLY_SERVICE, CONDITIONAL_CHECK_SERVICE,
+                     ELECTION_RETRY, EXTRA_OP_SERVICE, PROPOSE_RECORD_SERVICE,
+                     READ_SERVICE, SCAN_ROW_SERVICE, STRONG_READ_OVERHEAD,
+                     WRITE_FOLLOWER_SERVICE, WRITE_LEADER_SERVICE)
 from .datamodel import GetResult, PutResult
 from .messages import (Ack, CatchupRequest, ClientGet, ClientWrite, Commit,
                        Propose)
 from .partition import INTERNAL_KEY_PREFIX, MEMBERSHIP_KEY, Cohort
 
 __all__ = ["CohortReplica", "Role"]
-
-#: leader CPU per op after a request's first, which pays the full
-#: ``write_leader_service`` (a calibration constant, not a knob)
-EXTRA_OP_SERVICE = 0.05e-3
 
 _BY_LSN = attrgetter("lsn")
 
@@ -113,7 +113,7 @@ class CohortReplica:
         self.cohort = cohort
         self.cohort_id = cohort.cohort_id
         self.engine = node.make_engine(cohort.cohort_id)
-        self.queue = CommitQueue(acks_needed=node.config.acks_needed)
+        self.queue = CommitQueue(acks_needed=node.config.majority - 1)
         self.batcher = ProposalBatcher(self)
         self.role = Role.RECOVERING
         self.epoch = 0
@@ -227,7 +227,7 @@ class CohortReplica:
             if not self.is_leader or not self.open_for_writes:
                 req.respond(_err("not-leader", self.leader), size=64)
                 return
-        yield from serve(node.cpu, cfg.write_leader_service
+        yield from serve(node.cpu, WRITE_LEADER_SERVICE
                          + EXTRA_OP_SERVICE * (len(ops) - 1))
         if not self.is_leader or not self.open_for_writes:
             req.respond(_err("not-leader", self.leader), size=64)
@@ -248,7 +248,7 @@ class CohortReplica:
                 conditional = True
         # Conditional writes pay a read + version compare first (§5.1).
         if conditional:
-            yield from serve(node.cpu, cfg.conditional_check_service)
+            yield from serve(node.cpu, CONDITIONAL_CHECK_SERVICE)
         # Versions continue from the newest pending write to the column;
         # ``staged`` extends that to earlier ops of this same request.
         staged: Dict[Tuple[bytes, bytes], int] = {}
@@ -503,7 +503,7 @@ class CohortReplica:
     # ------------------------------------------------------------------
     def handle_propose(self, req):
         """Process generator for a Propose request (Fig. 4, follower)."""
-        node, cfg = self.node, self.node.config
+        node = self.node
         msg: Propose = req.payload
         if msg.epoch < self.epoch:
             return  # stale leader; no ack
@@ -512,9 +512,8 @@ class CohortReplica:
         if msg.epoch > self.epoch:
             self.epoch = msg.epoch
             self.set_leader(req.src)
-        yield from serve(node.cpu, cfg.write_follower_service
-                         + cfg.propose_record_service
-                         * (len(msg.records) - 1))
+        yield from serve(node.cpu, WRITE_FOLLOWER_SERVICE
+                         + PROPOSE_RECORD_SERVICE * (len(msg.records) - 1))
         if self.role not in (Role.FOLLOWER, Role.CANDIDATE):
             return
         records, wal, cohort_id = msg.records, node.wal, self.cohort_id
@@ -607,7 +606,7 @@ class CohortReplica:
                     if record.key == MEMBERSHIP_KEY:
                         self.node.on_membership_commit(record)
                 self.node.charge_background(
-                    len(committed) * self.node.config.commit_apply_service)
+                    len(committed) * COMMIT_APPLY_SERVICE)
                 self.node.maybe_flush(self)
         if verified < upto:
             # Commit info outran our log: at least one propose in
@@ -634,7 +633,7 @@ class CohortReplica:
 
     def request_catchup(self) -> None:
         """Ask the leader for a catch-up push (§6.1), re-asking at
-        ``election_retry`` pace until its final page makes us a
+        ``ELECTION_RETRY`` pace until its final page makes us a
         FOLLOWER — on restart (via the leader monitor) and on gap
         resync alike.  Only a voter asks; a prepared joiner is caught
         up by the migration that created it."""
@@ -652,7 +651,7 @@ class CohortReplica:
                         cohort_id=self.cohort_id, follower=node.name,
                         follower_cmt=self.committed_lsn,
                         floor=self.catchup_floor), size=96)
-                yield timeout(node.sim, node.config.election_retry)
+                yield timeout(node.sim, ELECTION_RETRY)
 
         self._catchup_asker = node.spawn(
             _ask(), name=f"catchup-ask-{self.cohort_id}")
@@ -662,7 +661,7 @@ class CohortReplica:
     # ------------------------------------------------------------------
     def handle_get(self, req):
         """Process generator for a ClientGet."""
-        node, cfg = self.node, self.node.config
+        node = self.node
         msg: ClientGet = req.payload
         if msg.consistent:
             # A leader-elect mid-takeover has not yet re-proposed the
@@ -672,12 +671,12 @@ class CohortReplica:
             if not (self.is_leader and self.open_for_writes):
                 req.respond(_err("not-leader", self.leader), size=64)
                 return
-            service = cfg.read_service + cfg.strong_read_overhead
+            service = READ_SERVICE + STRONG_READ_OVERHEAD
         else:
             if self.role == Role.OFFLINE:
                 req.respond(_err("unavailable"), size=64)
                 return
-            service = cfg.read_service
+            service = READ_SERVICE
         serve_start = node.sim.now
         yield from serve(node.cpu, service)
         if msg.consistent and not (self.is_leader and self.open_for_writes):
@@ -711,7 +710,7 @@ class CohortReplica:
 
     def handle_scan(self, req):
         """Process generator for a ClientScan (ordered range read)."""
-        node, cfg = self.node, self.node.config
+        node = self.node
         msg = req.payload
         if msg.consistent:
             # an *open* leader, for the reason handle_get gives (§6.2)
@@ -733,9 +732,9 @@ class CohortReplica:
         rows = [(key, row) for key, row in rows
                 if not key.startswith(INTERNAL_KEY_PREFIX)
                 and rng.contains(mapper(key))][:msg.limit]
-        service = (cfg.read_service
-                   + (cfg.strong_read_overhead if msg.consistent else 0)
-                   + cfg.scan_row_service * len(rows))
+        service = (READ_SERVICE
+                   + (STRONG_READ_OVERHEAD if msg.consistent else 0)
+                   + SCAN_ROW_SERVICE * len(rows))
         serve_start = node.sim.now
         yield from serve(node.cpu, service)
         if msg.consistent and not (self.is_leader and self.open_for_writes):

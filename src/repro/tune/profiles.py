@@ -70,8 +70,7 @@ class TuneProfile:
 
 
 _BATCH_KNOBS = ("propose_batching", "propose_batch_max_records",
-                "propose_batch_window", "propose_batch_adaptive",
-                "group_commit")
+                "propose_batch_window", "group_commit")
 _PROTO_KNOBS = ("commit_period", "piggyback_commits")
 
 #: A deliberately bad starting overlay for recovery runs: batching and

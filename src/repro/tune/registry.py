@@ -1,11 +1,11 @@
 """The declarative protocol-knob registry.
 
-Every performance-relevant tunable of :class:`~repro.core.config.
-SpinnakerConfig` gets one :class:`Knob` entry: its type, valid range,
-the module that consumes it, which trace phase (see ``repro.obs``) it
-moves, where it came from (paper section or PR), and — for the knobs
-the offline tuner searches — the candidate grid coordinate descent
-walks.  ``TUNING.md`` renders this registry as the human-readable knob
+Every field of :class:`~repro.core.config.SpinnakerConfig` but
+``log_profile`` has one :class:`Knob` entry, and vice versa: its type,
+valid range, the module that consumes it, which trace phase (see
+``repro.obs``) it moves, where it came from (paper section or PR), and
+— for the knobs the offline tuner searches — the candidate grid
+coordinate descent walks.  ``TUNING.md`` renders this registry as the human-readable knob
 inventory; ``tests/test_docs.py`` checks the two never drift apart, and
 ``tests/tune`` checks every entry against the real config dataclass
 (name exists, default matches, range contains the default).
@@ -91,11 +91,6 @@ KNOBS: Tuple[Knob, ...] = (
          "core/batching.py", "log_force, quorum_wait", "PR 3",
          "longest the leader may hold a write back waiting for company",
          candidates=(0.25e-3, 0.5e-3, 1.0e-3, 2.0e-3, 4.0e-3)),
-    Knob("propose_batch_adaptive", "bool", False, True,
-         "core/batching.py", "log_force", "PR 3",
-         "open the batch window only under queuing pressure; False "
-         "waits out the window unconditionally",
-         candidates=(False, True)),
     # -- replication protocol (core/replication.py, §5 / §D.1) ----------
     Knob("commit_period", "float", 0.05, 15.0,
          "core/replication.py", "commit_apply (and Table 1 recovery)",
@@ -113,10 +108,6 @@ KNOBS: Tuple[Knob, ...] = (
          "the leader forces its log in parallel with sending proposes; "
          "False serializes them (ablation)",
          candidates=(False, True)),
-    Knob("acks_needed", "int", 1, 6,
-         "core/replication.py", "quorum_wait", "§4",
-         "follower acks (beyond the leader's own force) needed to "
-         "commit; 1 = majority of 3"),
     Knob("replication_factor", "int", 1, 7,
          "core/partition.py", "replicate_rtt, quorum_wait", "§4",
          "replicas per cohort (structural: resizing an existing "
@@ -135,23 +126,11 @@ KNOBS: Tuple[Knob, ...] = (
     Knob("catchup_chunk_bytes", "int", 4096, 1 << 24,
          "core/recovery.py", "catchup_fetch", "PR 6 (§6.1)",
          "soft byte budget per CatchupChunk"),
-    Knob("catchup_chunk_timeout", "float", 0.1, 30.0,
-         "core/recovery.py", "catchup_fetch", "PR 6",
-         "per-chunk RPC timeout on the chunked catch-up path"),
-    Knob("catchup_chunk_retries", "int", 0, 16,
-         "core/recovery.py", "catchup_fetch", "PR 6",
-         "retries per chunk before the attempt is abandoned"),
     # -- coordination & elections (coord/, core/election.py, §4.2/§7) ----
     Knob("session_timeout", "float", 0.5, 30.0,
          "coord/service.py", "none (failure detection delay)", "§4.2",
          "coordination-service session/lease timeout; WAN runs derive "
          "heartbeat budgets from it and the topology RTT (PR 9)"),
-    Knob("election_retry", "float", 0.05, 5.0,
-         "core/election.py", "none (takeover latency)", "§7",
-         "pause between failed election attempts"),
-    Knob("takeover_state_timeout", "float", 0.1, 10.0,
-         "core/election.py", "none (takeover latency)", "§6",
-         "wait for follower log-state replies during takeover"),
     # -- client routing & retries (core/api.py, §3 / PR 9) ---------------
     Knob("client_op_timeout", "float", 1.0, 120.0,
          "core/api.py", "route", "§3",
@@ -159,22 +138,9 @@ KNOBS: Tuple[Knob, ...] = (
     Knob("client_max_retries", "int", 0, 1000,
          "core/api.py", "route", "§3",
          "attempts before an operation fails with RequestTimeout"),
-    Knob("client_retry_backoff", "float", 1e-3, 1.0,
-         "core/api.py", "route", "PR 9",
-         "base retry backoff; later retries grow exponentially with "
-         "equal-jitter"),
-    Knob("client_retry_backoff_cap", "float", 1e-3, 10.0,
-         "core/api.py", "route", "PR 9",
-         "ceiling on the exponential retry step"),
     Knob("client_try_timeout", "float", 0.1, 30.0,
          "core/api.py", "route", "PR 9",
          "per-try RPC timeout floor (scaled by the topology RTT)"),
-    Knob("client_map_timeout", "float", 0.1, 30.0,
-         "core/api.py", "route", "PR 9",
-         "cohort-map refresh RPC timeout floor"),
-    Knob("client_rtt_multiplier", "float", 1.0, 16.0,
-         "core/api.py", "route", "PR 9",
-         "worst-case round trips one try may take before timing out"),
     # -- data model (core/partition.py, §8.3) ----------------------------
     Knob("order_preserving_keys", "bool", False, True,
          "core/partition.py", "read_serve (range scans)", "§8.3",

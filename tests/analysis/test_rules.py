@@ -214,6 +214,64 @@ def test_write_only_slot_pragma_and_real_tree(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# unset-option (whole-tree: driven through the runner)
+# ---------------------------------------------------------------------------
+
+OPTIONS = (
+    "from dataclasses import dataclass\n"
+    "@dataclass\n"
+    "class DemoConfig:\n"
+    "    period: float = 1.0\n"
+    "    depth: int = 2\n"
+    "    def halve(self):\n"
+    "        self.depth = self.depth // 2\n"   # its own module: no setter
+    "class Plain:\n"
+    "    unset: int = 0\n")                    # not a *Config dataclass
+
+
+def option_findings(root):
+    result = run_lint(root, protocols=(), rules={"unset-option"})
+    return sorted(f.message.split(":")[0] for f in result.findings)
+
+
+def test_unset_option_flags_fields_nothing_sets(tmp_path):
+    (tmp_path / "pyproject.toml").write_text("")
+    pkg = tmp_path / "src" / "pkg"
+    (pkg / "core").mkdir(parents=True)
+    (pkg / "core" / "config.py").write_text(OPTIONS)
+    assert option_findings(pkg) == ["DemoConfig.depth", "DemoConfig.period"]
+    # a keyword in the project's tests is a setter ...
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_demo.py").write_text(
+        "def test_fast(make):\n    make(period=0.1)\n")
+    assert option_findings(pkg) == ["DemoConfig.depth"]
+    # ... the knob registry, which names every field, is not ...
+    (pkg / "tune").mkdir()
+    (pkg / "tune" / "registry.py").write_text("GRID = {'depth': (1, 2)}\n")
+    assert option_findings(pkg) == ["DemoConfig.depth"]
+    # ... a checked-in config file (or a dict key, or a store) is
+    (tmp_path / "configs").mkdir()
+    (tmp_path / "configs" / "tuned.json").write_text(
+        '{"meta": {"seed": 1}, "values": {"depth": 4}}')
+    assert option_findings(pkg) == []
+    (tmp_path / "configs" / "tuned.json").unlink()
+    (pkg / "bench.py").write_text("def deep(cfg):\n    cfg.depth = 8\n")
+    assert option_findings(pkg) == []
+    (pkg / "bench.py").write_text("DEEP = {'depth': 8}\n")
+    assert option_findings(pkg) == []
+    # only core/ and baseline/ configs are options of the system
+    (pkg / "chaos").mkdir()
+    (pkg / "chaos" / "config.py").write_text(
+        OPTIONS.replace("period", "gap"))
+    assert option_findings(pkg) == []
+
+
+def test_unset_option_real_tree_is_clean_without_a_pragma():
+    result = run_lint(REPRO_ROOT, protocols=(), rules={"unset-option"})
+    assert result.findings == [] and result.pragma_suppressed == []
+
+
+# ---------------------------------------------------------------------------
 # pragmas, clean file, whole-tree runner
 # ---------------------------------------------------------------------------
 

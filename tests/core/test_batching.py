@@ -159,17 +159,24 @@ def test_transaction_group_stays_indivisible():
 # ---------------------------------------------------------------------------
 
 def test_step_down_drops_buffered_records():
-    # Fixed (non-adaptive) windows force buffering even on an idle
-    # cohort, letting us catch a record between queue.add and its flush.
-    cluster = make_cluster(seed=37, propose_batch_adaptive=False,
-                           propose_batch_window=5e-3)
+    # Real queuing pressure: two older writes sit in the commit queue
+    # (never forced, so nothing is in flight to ride) — the next write
+    # opens the window, letting us catch it between queue.add and flush.
+    cluster = make_cluster(seed=37, propose_batch_window=5e-3)
     cluster.run(2.0)
     leader = cluster.replica(cluster.leader_of(0), 0)
     node = leader.node
-    record = WriteRecord(lsn=leader.alloc_lsn(), cohort_id=0,
-                         key=cohort_keys(cluster, 0, 1)[0],
-                         colname=b"c", value=b"phantom", version=1)
+    keys = cohort_keys(cluster, 0, 3)
+
+    def make(key):
+        return WriteRecord(lsn=leader.alloc_lsn(), cohort_id=0, key=key,
+                           colname=b"c", value=b"phantom", version=1)
+
+    for key in keys[:2]:
+        leader.queue.add(make(key))
+    record = make(keys[2])
     leader._replicate([record])
+    assert leader.batcher.windows_opened == 1
     assert record.lsn in leader.queue     # buffered, window pending
     assert not node.wal.contains(0, record.lsn)
     leader.step_down()

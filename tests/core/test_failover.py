@@ -177,6 +177,7 @@ def test_two_nodes_down_blocks_writes_then_recovers():
     run_client(cluster, client.put(keys[0], b"c", b"pre"))
     # Crash two members, leaving one up.
     leader = cluster.leader_of(cohort_id)
+    assert cluster.replica(leader, cohort_id).queue.acks_needed == 1
     downs = [m for m in members if m != leader][:1] + [leader]
     for name in downs:
         session = cluster.nodes[name].zk.session
@@ -202,6 +203,27 @@ def test_two_nodes_down_blocks_writes_then_recovers():
 
     got = run_client(cluster, unblocked_write())
     assert got.value == b"post"
+
+
+@pytest.mark.parametrize("down, acked", [(3, False), (2, True)])
+def test_five_way_replication_commits_on_three_of_five(down, acked):
+    """§4-5: the commit quorum follows the replication factor — a put
+    acknowledged by 2 of 5 could be missed by a later election's
+    majority of 3."""
+    cluster = make_cluster(replication_factor=5)
+    leader = cluster.leader_of(0)
+    followers = cluster.replica(leader, 0).peers()
+    assert len(followers) == 4
+    assert cluster.replica(leader, 0).queue.acks_needed == 2
+    for name in followers[:down]:
+        cluster.crash_node(name)
+    put = spawn(cluster.sim, cluster.client().put(
+        keys_for_cohort(cluster, 0, 1)[0], b"c", b"v"))
+    cluster.run(1.0)
+    assert put.triggered == acked
+    if acked:
+        assert put.result().version == 1
+    assert cluster.all_failures() == []
 
 
 def test_timeline_reads_available_with_one_node_up():

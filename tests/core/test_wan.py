@@ -12,6 +12,9 @@ import pytest
 
 from repro.chaos import FaultEvent, arm_schedule
 from repro.core import SpinnakerCluster, SpinnakerConfig
+from repro.core.config import (CLIENT_MAP_TIMEOUT, CLIENT_RETRY_BACKOFF,
+                               CLIENT_RETRY_BACKOFF_CAP,
+                               CLIENT_RTT_MULTIPLIER)
 from repro.obs import RequestTracer
 from repro.sim.disk import DiskProfile
 from repro.sim.process import spawn
@@ -39,7 +42,7 @@ def test_flat_network_keeps_the_configured_timeout_floors():
     cl = SpinnakerCluster(n_nodes=3, config=fast_config(), seed=1)
     client = cl.client()
     assert client._per_try == cl.config.client_try_timeout == 2.0
-    assert client._map_timeout == cl.config.client_map_timeout == 1.0
+    assert client._map_timeout == CLIENT_MAP_TIMEOUT == 1.0
 
 
 def test_wan_topology_raises_the_derived_timeouts():
@@ -50,8 +53,8 @@ def test_wan_topology_raises_the_derived_timeouts():
     client = cl.client()
     rtt = cl.network.rtt_bound()
     assert rtt > 3.0
-    assert client._per_try == pytest.approx(4.0 * rtt)
-    assert client._map_timeout == pytest.approx(4.0 * rtt)
+    assert client._per_try == pytest.approx(CLIENT_RTT_MULTIPLIER * rtt)
+    assert client._map_timeout == pytest.approx(CLIENT_RTT_MULTIPLIER * rtt)
 
 
 def test_cross_wan_put_succeeds_without_burning_retries():
@@ -82,8 +85,7 @@ def test_cross_wan_put_succeeds_without_burning_retries():
 def test_backoff_grace_then_doubling_up_to_the_cap():
     cl = SpinnakerCluster(n_nodes=3, config=fast_config(), seed=3)
     client = cl.client()
-    base = cl.config.client_retry_backoff
-    cap = cl.config.client_retry_backoff_cap
+    base, cap = CLIENT_RETRY_BACKOFF, CLIENT_RETRY_BACKOFF_CAP
     horizon = 1e9
     # First four attempts ride at the base step (brief unavailability —
     # a draining migration, a leader handoff — is ridden out at pace).

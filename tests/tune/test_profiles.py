@@ -1,5 +1,7 @@
 """Profile and tuned-config tests, including the --tuned-profile hook."""
 
+import json
+
 import pytest
 
 from repro.bench.harness import SpinnakerTarget
@@ -43,6 +45,27 @@ def test_checked_in_tuned_configs_validate():
         cfg = load_tuned_config(name)
         for key, value in values.items():
             assert getattr(cfg, key) == value
+
+
+def test_checked_in_tuned_configs_reproduce_their_own_numbers():
+    # a stale config (the search, a knob or a default moved since it
+    # was written) fails here instead of silently tuning for nothing
+    from repro.tune.evaluator import evaluate
+    for name, profile in PROFILES.items():
+        with open(tuned_config_path(name)) as fh:
+            meta = json.load(fh)["meta"]
+        ev = evaluate(profile, load_tuned_values(name),
+                      seed=meta["seed"], scale=meta["scale"])
+        assert ev.metrics["p50_ms"] == meta["best_p50_ms"], name
+        assert ev.metrics["throughput"] == meta["best_throughput"], name
+
+
+def test_a_config_naming_a_removed_knob_fails_to_load(tmp_path):
+    path = tuned_config_path("ssd", tmp_path)
+    path.write_text(json.dumps(
+        {"profile": "ssd", "values": {"propose_batch_adaptive": False}}))
+    with pytest.raises(KeyError):
+        load_tuned_values("ssd", config_dir=tmp_path)
 
 
 def test_write_load_round_trip(tmp_path):

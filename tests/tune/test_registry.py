@@ -4,7 +4,8 @@ import dataclasses
 
 import pytest
 
-from repro.core.config import SpinnakerConfig
+from repro.baseline.config import CassandraConfig
+from repro.core.config import CLIENT_RETRY_BACKOFF_CAP, SpinnakerConfig
 from repro.tune.registry import (KNOBS, apply_values, config_values,
                                  get_knob, knob_names, searched_knobs,
                                  validate_registry, validate_values)
@@ -20,6 +21,30 @@ def test_every_knob_is_a_config_field_with_matching_default():
         assert knob.name in fields
         assert knob.default == fields[knob.name].default
         assert knob.contains(knob.default)
+
+
+def test_registry_is_the_config_fields_minus_log_profile():
+    # an option is either set by somebody (a field, hence a knob) or a
+    # constant in core/config.py — nothing sits in between
+    fields = {f.name for f in dataclasses.fields(SpinnakerConfig)}
+    assert set(knob_names()) == fields - {"log_profile"}
+    assert (len(fields), len(KNOBS)) == (16, 15)
+    assert len(dataclasses.fields(CassandraConfig)) == 5
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("replication_factor", 0),
+    ("commit_period", 0.0),
+    ("propose_batch_max_records", 0),
+    ("propose_batch_window", 0.0),
+    ("catchup_chunk_bytes", 0),
+    ("client_try_timeout", 0.0),
+    ("client_op_timeout", CLIENT_RETRY_BACKOFF_CAP / 2),
+])
+def test_validate_rejects(field, bad):
+    SpinnakerConfig().validate()
+    with pytest.raises(ValueError):
+        SpinnakerConfig(**{field: bad}).validate()
 
 
 def test_knob_names_unique_and_lookup_round_trips():
@@ -54,6 +79,8 @@ def test_apply_values_rejects_bad_overlays():
     base = SpinnakerConfig()
     with pytest.raises(KeyError):
         apply_values(base, {"no_such_knob": 1})
+    with pytest.raises(KeyError):
+        apply_values(base, {"acks_needed": 1})  # derived, not set
     with pytest.raises(ValueError):
         apply_values(base, {"commit_period": -1.0})  # below lo
     with pytest.raises(ValueError):
