@@ -7,7 +7,8 @@ slow kernel silently inflates every benchmark's wall time.  Two guards:
   ``__dict__`` costs both memory and attribute-lookup time on millions
   of instances);
 * a microbenchmark drives the raw scheduler, the full process /
-  timeout machinery, the RPC round trip and the replicated put,
+  timeout machinery, the RPC round trip, the replicated put and the
+  strong get,
   asserting per-second floors generous enough to pass on slow CI but
   far below healthy numbers — a 10x kernel regression fails loudly, a
   10% one shows up in the benchmark history.
@@ -24,15 +25,16 @@ from repro.sim.disk import DiskProfile
 from repro.sim.events import Event, Simulator
 from repro.sim.metrics import Histogram
 from repro.sim.network import Network, Request
-from repro.sim.process import (Process, Supervisor, Timeout, spawn,
-                               timeout)
+from repro.sim.process import (Process, Supervisor, Timeout, drive,
+                               spawn, timeout)
+from repro.sim.resources import Charge
 from repro.sim.rng import RngRegistry
 
 #: classes instantiated once (or more) per simulated event/message/write,
 #: plus the open-loop generator state touched on every arrival (heap
 #: entries are plain lists and a log holds the records themselves —
 #: nothing to guard)
-HOT_CLASSES = [Event, Process, Timeout, Request, Supervisor,
+HOT_CLASSES = [Event, Process, Timeout, Request, Supervisor, Charge,
                PendingWrite, Span, TraceContext,
                PoissonArrivals, BurstyArrivals, DiurnalArrivals,
                MuxedUsers]
@@ -57,6 +59,12 @@ RPC_FLOOR = 30_000
 # the write fast path; the write path it replaced ran 6.0-7.2K in the
 # same session.
 WRITE_FLOOR = 4_200
+# Strong gets per second (3 nodes, 16 readers through
+# ``SpinnakerClient.get``: client -> leader, one CPU charge, one lookup,
+# reply — handled by functions, no process): 57-64K over 10 runs on
+# the reference box; with the handler a generator process the same
+# gets ran 47-49K in the same session.
+GET_FLOOR = 30_000
 PERCENTILE_FLOOR = 400_000
 
 
@@ -154,6 +162,41 @@ def _pump_puts(n, n_writers=16):
     return (per_writer * n_writers) / elapsed
 
 
+def _pump_gets(n, n_readers=16):
+    """n strong gets of preloaded keys on a 3-node cluster: nothing but
+    routing, the RPC round trip and the leader's handler."""
+    cluster = SpinnakerCluster(
+        n_nodes=3, seed=1,
+        config=SpinnakerConfig(log_profile=DiskProfile.memory_log()))
+    cluster.start()
+    keys = [b"r%d" % i for i in range(64)]
+    loader = cluster.client("loader")
+
+    def preload():
+        for key in keys:
+            yield from loader.put(key, b"c", b"v" * 1024)
+
+    drive(cluster, preload(), limit=600.0)
+    per_reader = n // n_readers
+
+    def reader(r):
+        client = cluster.client(f"reader{r}")
+        for i in range(per_reader):
+            got = yield from client.get(keys[(r + i) % len(keys)], b"c",
+                                        consistent=True)
+            assert got.version == 1
+
+    procs = [spawn(cluster.sim, reader(r)) for r in range(n_readers)]
+    start = time.perf_counter()
+    cluster.run_until(lambda: all(p.triggered for p in procs),
+                      limit=600.0, step=1.0, what="gets")
+    elapsed = time.perf_counter() - start
+    for proc in procs:
+        proc.result()
+    assert not cluster.all_failures()
+    return (per_reader * n_readers) / elapsed
+
+
 def test_raw_event_loop_throughput(benchmark):
     rate = benchmark.pedantic(lambda: _pump_callbacks(200_000),
                               rounds=1, iterations=1)
@@ -186,6 +229,14 @@ def test_replicated_put_throughput(benchmark):
     print(f"\nreplicated put: {rate:,.0f} puts/s")
     assert rate >= WRITE_FLOOR, (
         f"replicated put at {rate:,.0f} puts/s (floor {WRITE_FLOOR:,})")
+
+
+def test_strong_get_throughput(benchmark):
+    rate = benchmark.pedantic(lambda: _pump_gets(32_000),
+                              rounds=1, iterations=1)
+    print(f"\nstrong get: {rate:,.0f} gets/s")
+    assert rate >= GET_FLOOR, (
+        f"strong get at {rate:,.0f} gets/s (floor {GET_FLOOR:,})")
 
 
 def _pump_percentiles(samples, calls):

@@ -13,7 +13,15 @@ cooperative scheduler.  Each sim-visible process body (discovered with
 the same ``spawn``/``yield from`` closure the yield-discipline rule
 uses, extended across modules by the runner) is split into segments,
 and per-segment read/write/guard sets over tracked receivers (``self``
-plus parameters and their attribute aliases) drive three rules:
+plus parameters and their attribute aliases) drive three rules.
+
+A message handler is not a process but a chain of plain functions, each
+parked — on the CPU-charge primitive, a node's ``after``, or an event's
+``add_callback``, bare or under ``partial`` — to run once the world has
+moved.  Such a **continuation** contains no yield, yet its whole body is
+a post-yield segment: a guard-named argument is a stale snapshot, and a
+protocol-state write needs a re-test in the same function.  Rules (a)
+and (b) treat every parked function as a root of that kind:
 
 ``stale-guard-across-yield``
     A guard attribute (epoch, term, role, leader/status flags,
@@ -45,8 +53,8 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .determinism import (close_process_names, collect_spawned,
-                          collect_yield_edges)
+from .determinism import (close_process_names, collect_continuations,
+                          collect_spawned, collect_yield_edges)
 from .findings import Finding
 
 __all__ = ["ATOMICITY_RULES", "DEFAULT_GUARD_ATTRS", "lint_atomicity"]
@@ -186,13 +194,16 @@ class _Write:
 
 
 class _FuncAnalysis:
-    """Segment one process-body generator and apply the three rules."""
+    """Segment one process-body generator and apply the three rules.
+    A ``continuation`` starts in segment 1: its parameters were bound
+    (segment 0) before the scheduling point that precedes its body."""
 
     def __init__(self, func: ast.FunctionDef, seed: Set[str],
-                 guard_attrs: FrozenSet[str], emit) -> None:
+                 guard_attrs: FrozenSet[str], emit,
+                 continuation: bool = False) -> None:
         self.func = func
         self.emit = emit
-        self.seg = 0
+        self.seg = 1 if continuation else 0
         #: stack of (loop node id, loop-body-contains-yield)
         self.loops: List[Tuple[int, bool]] = []
         self.tracked = self._collect_tracked(set(seed))
@@ -543,7 +554,7 @@ class _FuncAnalysis:
                 # parameter is not a live guard") belongs there.
                 anchor = _Event(use.seg, bind.line, use.yloops)
                 what = (f"parameter '{bind.var}' carries a guard value "
-                        f"from before this process last yielded")
+                        f"from before the last scheduling point")
             else:
                 anchor = use
                 what = (f"'{bind.var}' snapshots guard "
@@ -582,16 +593,17 @@ def _attr_chain(expr: ast.expr) -> Tuple[Optional[str], List[str]]:
 
 class _ModuleWalker(ast.NodeVisitor):
     def __init__(self, path: str, lines: List[str],
-                 process_names: Set[str],
+                 process_names: Set[str], continuation_names: Set[str],
                  guard_attrs: FrozenSet[str]) -> None:
         self.path = path
         self.lines = lines
         self.process_names = process_names
+        self.continuation_names = continuation_names
         self.guard_attrs = guard_attrs
         self.findings: List[Finding] = []
         self._param_stack: List[List[str]] = []
 
-    def _emit_for(self, func: ast.FunctionDef):
+    def _emit_for(self, func: ast.FunctionDef, kind: str):
         def emit(rule: str, node, message: str) -> None:
             if isinstance(node, (_Write, _Event)):
                 line = node.line
@@ -602,20 +614,23 @@ class _ModuleWalker(ast.NodeVisitor):
                 code = self.lines[line - 1].strip()
             self.findings.append(Finding(
                 rule=rule, path=self.path, line=line,
-                message=f"in process {func.name!r}: {message}",
+                message=f"in {kind} {func.name!r}: {message}",
                 code=code))
         return emit
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._param_stack.append(_all_param_names(node.args))
         try:
-            if (node.name in self.process_names
-                    and _contains_yield(node.body)):
+            is_generator = _contains_yield(node.body)
+            if (node.name in self.process_names if is_generator
+                    else node.name in self.continuation_names):
                 seed = {"self"}
                 for params in self._param_stack:
                     seed.update(params)
+                kind = "process" if is_generator else "continuation"
                 analysis = _FuncAnalysis(node, seed, self.guard_attrs,
-                                         self._emit_for(node))
+                                         self._emit_for(node, kind),
+                                         continuation=not is_generator)
                 analysis.run()
             self.generic_visit(node)
         finally:
@@ -626,14 +641,16 @@ class _ModuleWalker(ast.NodeVisitor):
 
 def lint_atomicity(source: str, path: str,
                    spawned: Iterable[str] = (),
-                   guard_attrs: Optional[Iterable[str]] = None
-                   ) -> List[Finding]:
+                   guard_attrs: Optional[Iterable[str]] = None,
+                   continuations: Iterable[str] = ()) -> List[Finding]:
     """Run the cross-yield atomicity rules over one module's source.
 
     ``spawned`` carries process-body names discovered in *other*
     modules (the runner passes the cross-module ``yield from``
     closure); local ``spawn`` sites and ``yield from`` edges are added
-    here.  ``guard_attrs`` overrides :data:`DEFAULT_GUARD_ATTRS`.
+    here.  ``continuations`` likewise carries functions parked from
+    other modules; local parking sites are added here.  ``guard_attrs``
+    overrides :data:`DEFAULT_GUARD_ATTRS`.
     """
     tree = ast.parse(source, filename=path)
     lines = source.splitlines()
@@ -642,6 +659,8 @@ def lint_atomicity(source: str, path: str,
     process_names = close_process_names(local_spawned, edges)
     guards = (frozenset(guard_attrs) if guard_attrs is not None
               else DEFAULT_GUARD_ATTRS)
-    walker = _ModuleWalker(path, lines, process_names, guards)
+    walker = _ModuleWalker(path, lines, process_names,
+                           collect_continuations(tree) | set(continuations),
+                           guards)
     walker.visit(tree)
     return sorted(walker.findings, key=lambda f: (f.line, f.rule))

@@ -67,8 +67,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from .findings import Finding
 
-__all__ = ["DETERMINISM_RULES", "collect_spawned", "collect_yield_edges",
-           "close_process_names", "lint_source", "loaded_attributes",
+__all__ = ["DETERMINISM_RULES", "collect_spawned", "collect_continuations",
+           "collect_yield_edges", "close_process_names", "lint_source",
+           "loaded_attributes",
            "write_only_slots", "set_names", "unset_options"]
 
 DETERMINISM_RULES: Dict[str, str] = {
@@ -117,6 +118,9 @@ _EFFECT_NAMES = {
     "place",
 }
 _SPAWN_NAMES = {"spawn", "spawn_proc", "Process"}
+#: calls that park a plain function to run after the world has moved:
+#: the CPU-charge primitive, a node's guarded wait, a raw event callback
+_PARK_NAMES = {"charge", "Charge", "after", "add_callback"}
 #: reducers whose result does not depend on iteration order
 _ORDER_INSENSITIVE = {"sorted", "len", "sum", "min", "max", "set",
                       "frozenset", "any", "all"}
@@ -170,6 +174,29 @@ def collect_spawned(tree: ast.AST) -> Set[str]:
                 if name is not None:
                     spawned.add(name)
     return spawned
+
+
+def collect_continuations(tree: ast.AST) -> Set[str]:
+    """Names of functions handed to a parking call — ``charge(cpu, t,
+    self._log_propose, req)``, ``node.after(ev, self._ack_propose, req)``,
+    ``ev.add_callback(partial(self._on_force, lsn))`` — bare or under
+    ``partial``.  Such a function runs after a scheduling point it does
+    not contain: its whole body is a post-yield segment.  Every bare
+    name or attribute argument is taken (``cpu``, ``req``...); only
+    those that name a function defined in the tree ever matter.
+    """
+    parked: Set[str] = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and _call_name(node.func) in _PARK_NAMES):
+            continue
+        for arg in node.args:
+            if (isinstance(arg, ast.Call)
+                    and _call_name(arg.func) == "partial" and arg.args):
+                arg = arg.args[0]
+            if isinstance(arg, (ast.Name, ast.Attribute)):
+                parked.add(_call_name(arg))
+    return parked
 
 
 def collect_yield_edges(tree: ast.AST) -> Dict[str, Set[str]]:

@@ -8,6 +8,9 @@ in one module and spawned from another (``leader_monitor`` lives in
 (``run_election`` -> ``_bump_epoch``) may live in yet another.  The
 spawn set is closed over the edge graph *across modules* so the
 yield-discipline and atomicity rules see the full process closure.
+Functions *parked* to run after a scheduling point (handed to the
+CPU-charge primitive, ``after`` or ``add_callback``) are collected the
+same way: the atomicity rules treat each as a post-yield segment.
 Pass two lints each module with that global knowledge, then runs the
 protocol exhaustiveness checks, filters ``# lint: allow(...)``
 pragmas, and splits what remains against the baseline (reporting any
@@ -27,8 +30,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .atomicity import lint_atomicity
-from .determinism import (close_process_names, collect_spawned,
-                          collect_yield_edges, lint_source,
+from .determinism import (close_process_names, collect_continuations,
+                          collect_spawned, collect_yield_edges, lint_source,
                           loaded_attributes, set_names, unset_options,
                           write_only_slots)
 from .findings import (Baseline, Finding, match_baseline, parse_pragmas,
@@ -119,6 +122,7 @@ def run_lint(root: Path,
     sources: Dict[Path, str] = {}
     trees: Dict[Path, ast.AST] = {}
     spawned: Set[str] = set()
+    parked: Set[str] = set()    # functions handed to charge/after/...
     edges: Dict[str, Set[str]] = {}
     loaded: Set[str] = set()    # attribute names read, by anyone
     setters: Dict[Path, Set[str]] = {}  # option names each file sets
@@ -141,6 +145,7 @@ def run_lint(root: Path,
         sources[path] = text
         trees[path] = tree
         spawned |= collect_spawned(tree)
+        parked |= collect_continuations(tree)
         for name, callees in collect_yield_edges(tree).items():
             edges.setdefault(name, set()).update(callees)
 
@@ -165,7 +170,8 @@ def run_lint(root: Path,
                                spawned=process_names))
         if sim_visible:
             raw.extend(lint_atomicity(text, rel.as_posix(),
-                                      spawned=process_names))
+                                      spawned=process_names,
+                                      continuations=parked))
     raw.extend(check_protocols(root, protocols))
 
     if rules is not None:

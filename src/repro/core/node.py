@@ -7,24 +7,33 @@ share one write-ahead log on a dedicated logging device, one CPU pool,
 one network endpoint, and one coordination-service session (whose expiry
 is how the rest of the cluster learns this node died).
 
-Crash semantics: ``crash()`` kills every in-flight handler process, drops
-the volatile log tail and memtables, and takes the endpoint and log
-device offline.  ``restart()`` boots a fresh incarnation that runs local
-recovery and rejoins its cohorts through the §6 protocols.
+A message is handled by a function; only a multi-round activity
+(startup, election, takeover, catch-up, rebalance, the commit timer) is
+a process.  A handler that must wait — for a core, a log force, a commit
+— names what runs next and parks it with :meth:`SpinnakerNode.charge` or
+:meth:`SpinnakerNode.after`, which run it only in the incarnation that
+parked it (DESIGN.md, "Kernel hot paths", *Handlers are functions*).
+
+Crash semantics: ``crash()`` kills every process and orphans every
+parked continuation, drops the volatile log tail and memtables, and
+takes the endpoint and log device offline.  ``restart()`` boots a fresh
+incarnation that runs local recovery and rejoins its cohorts through
+the §6 protocols.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Optional
+from functools import partial
+from typing import Any, Callable, Dict, Optional
 
 from ..coord.client import CoordClient
 from ..coord.recipes import GroupMembership
 from ..sim.disk import LogDevice
-from ..sim.events import Simulator
+from ..sim.events import URGENT, Event, Simulator
 from ..sim.network import Network, Request
 from ..sim.process import Process, Supervisor
-from ..sim.resources import Resource, serve
+from ..sim.resources import Charge, Resource
 from ..sim.rng import RngRegistry
 from ..storage.engine import StorageEngine
 from ..storage.lsn import LSN
@@ -43,6 +52,10 @@ from .recovery import ingest_catchup, local_recovery, try_push_catchup
 from .replication import CohortReplica, Role
 
 __all__ = ["SpinnakerNode"]
+
+
+def _nothing() -> None:
+    """What runs after a background CPU charge."""
 
 
 class SpinnakerNode:
@@ -80,14 +93,16 @@ class SpinnakerNode:
         self.alive = False
         self.incarnation = 0
         self.session_losses = 0
-        #: handler processes, killed on crash; ``spawn(gen, name)``
-        #: starts one and ``failures`` lists the ones that died of a bug
+        #: this node's processes, killed on crash; ``spawn(gen, name)``
+        #: starts one and ``failures`` lists what died of a bug — a
+        #: process or a handler continuation
         self.supervisor = Supervisor(sim, name)
         self.spawn = self.supervisor.spawn
         self.failures = self.supervisor.failures
-        #: message type -> ``handler(req, payload)``, and for cohort-
-        #: addressed messages -> ``handler(req, payload, replica)``: a
-        #: lookup per message instead of an isinstance ladder
+        #: message type -> ``handler(req)``, and for cohort-addressed
+        #: messages -> ``handler(replica, req)`` (a replica's own method
+        #: where the message is all its): a lookup per message instead
+        #: of an isinstance ladder
         self._handlers = {
             dict: self._on_coord_event,
             ClientGet: self._on_client_op,
@@ -96,9 +111,9 @@ class SpinnakerNode:
             MigrationPrepare: self._handle_migration_prepare,
         }
         self._cohort_handlers = {
-            Propose: self._on_propose,
+            Propose: CohortReplica.handle_propose,
             Commit: self._on_commit,
-            ClientScan: self._on_scan,
+            ClientScan: CohortReplica.handle_scan,
             CatchupChunk: self._on_catchup_chunk,
             CatchupRequest: self._on_catchup_request,
             TakeoverState: self._on_takeover_state,
@@ -115,15 +130,52 @@ class SpinnakerNode:
         """Emit a protocol trace event attributed to this node."""
         self.tracer.emit(category, self.name, message, **fields)
 
-    def charge_background(self, cpu_time: float) -> None:
-        """Charge asynchronous CPU work (memtable applies etc.)."""
-        if cpu_time <= 0:
+    # ------------------------------------------------------------------
+    # Handler continuations
+    # ------------------------------------------------------------------
+    def charge(self, service_time: float, then: Callable[..., None],
+               *args: Any) -> None:
+        """Charge ``service_time`` seconds of CPU — a core taken or
+        queued for FIFO, held, released — then call ``then(*args)``, iff
+        the node is still in the incarnation that charged."""
+        Charge(self.cpu, service_time, self._resume, self.incarnation,
+               then, args)
+
+    def after(self, event: Event, then: Callable[..., None],
+              *args: Any) -> None:
+        """Call ``then(*args)`` once ``event`` has succeeded (at once if
+        it has), iff the node is still in this incarnation."""
+        resume = partial(self._resume, self.incarnation, then, args)
+        callbacks = event._callbacks        # Event.add_callback, in place
+        if callbacks is None:
+            resume(event)
+        else:
+            callbacks.append(resume)
+
+    def _resume(self, incarnation: int, then: Callable[..., None],
+                args: tuple, event: Optional[Event] = None) -> None:
+        """Enter a parked continuation.  One that outlived its
+        incarnation is dropped, as a crash kills a process; one that
+        raises is a failure of this node, as a process dying of a bug
+        is, and the run goes on."""
+        if incarnation != self.incarnation or not self.alive:
             return
+        if event is not None and not event._ok:
+            self.failures.append(event._value)      # the wait itself failed
+            return
+        try:
+            then(*args)
+        except Exception as err:  # noqa: BLE001 - recorded, like a process's
+            self.failures.append(err)
 
-        def _work():
-            yield from serve(self.cpu, cpu_time)
-
-        self.spawn(_work(), "bg")
+    def charge_background(self, cpu_time: float) -> None:
+        """Charge asynchronous CPU work (memtable applies etc.).  It
+        takes its core one kernel step on — URGENT, now — where a
+        background process would have taken its first step."""
+        if cpu_time > 0:
+            self.sim.schedule(0.0, partial(
+                self._resume, self.incarnation, Charge,
+                (self.cpu, cpu_time, _nothing)), URGENT)
 
     # ------------------------------------------------------------------
     # Engines & helpers
@@ -273,6 +325,9 @@ class SpinnakerNode:
             return
         self.alive = True
         self.incarnation += 1
+        # Every core free: a hold still running down from before the
+        # crash gives its unit back to the pool it took it from.
+        self.cpu = Resource(self.sim, capacity=CORES_PER_NODE)
         self.trace("node", "boot", incarnation=self.incarnation)
         # Before the endpoint delivers anything: a push still retrying
         # from before the crash may land ahead of ``_startup``, and the
@@ -433,84 +488,92 @@ class SpinnakerNode:
     # Message dispatch
     # ------------------------------------------------------------------
     def _dispatch(self, req: Request) -> None:
-        """Deliver one message.  Handlers start *inline*: their spawn is
-        the delivery callback's last act (see ``Supervisor.spawn``)."""
+        """Deliver one message: its handler runs here, as a function.
+        One that raises is a failure of this node, as in ``_resume``.
+        (The processes a handler starts begin *inline*: their spawn is
+        the delivery callback's last act — see ``Supervisor.spawn``.)"""
         payload = req.payload
         kind = type(payload)
-        handler = self._handlers.get(kind)
-        if handler is not None:
-            handler(req, payload)
-            return
-        handler = self._cohort_handlers.get(kind)
-        if handler is not None:
-            replica = self.replicas.get(payload.cohort_id)
-            if replica is not None:
-                handler(req, payload, replica)
-            elif kind is ClientScan or kind is MigrationStart:
-                self._wrong_node(req)
+        try:
+            handler = self._handlers.get(kind)
+            if handler is not None:
+                handler(req)
+                return
+            handler = self._cohort_handlers.get(kind)
+            if handler is not None:
+                replica = self.replicas.get(payload.cohort_id)
+                if replica is not None:
+                    handler(replica, req)
+                elif kind is ClientScan or kind is MigrationStart:
+                    self._wrong_node(req)
+        except Exception as err:  # noqa: BLE001 - recorded, like a process's
+            self.failures.append(err)
 
     def _wrong_node(self, req: Request) -> None:
         req.respond({"ok": False, "code": "wrong-node",
                      "map_version": self.partitioner.version}, size=64)
 
-    def _on_coord_event(self, req: Request, payload: dict) -> None:
+    def _on_coord_event(self, req: Request) -> None:
+        payload = req.payload
         if payload.get("op") == "watch-event" and self.zk is not None:
             self.zk.handle_watch_message(payload)
 
-    def _on_client_op(self, req: Request, payload) -> None:
+    def _on_client_op(self, req: Request) -> None:
+        payload = req.payload
         replica = self.replica_for_key(payload.key)
         if replica is None:
             self._wrong_node(req)
         elif type(payload) is ClientGet:
-            self.spawn(replica.handle_get(req), "get", True)
+            replica.handle_get(req)
         else:
-            self.spawn(replica.handle_client_write(req), "write", True)
+            replica.handle_client_write(req)
 
-    def _on_get_cohort_map(self, req: Request, payload) -> None:
+    def _on_get_cohort_map(self, req: Request) -> None:
         snapshot = self.partitioner.snapshot()
         req.respond({"ok": True, "map": snapshot},
                     size=64 + 48 * len(snapshot))
 
-    def _on_propose(self, req: Request, payload, replica) -> None:
-        self.spawn(replica.handle_propose(req), "propose", True)
+    def _on_commit(self, replica: CohortReplica, req: Request) -> None:
+        replica.handle_commit(req.src, req.payload)
 
-    def _on_commit(self, req: Request, payload, replica) -> None:
-        replica.handle_commit(req.src, payload)
-
-    def _on_scan(self, req: Request, payload, replica) -> None:
-        self.spawn(replica.handle_scan(req), "scan", True)
-
-    def _on_catchup_chunk(self, req: Request, payload, replica) -> None:
+    def _on_catchup_chunk(self, replica: CohortReplica,
+                          req: Request) -> None:
         self.spawn(self._handle_catchup_chunk(req, replica),
                    "catchup-chunk", True)
 
-    def _on_catchup_request(self, req: Request, payload, replica) -> None:
+    def _on_catchup_request(self, replica: CohortReplica,
+                            req: Request) -> None:
         """A RECOVERING peer asks to be caught up (§6.1).  A push
         already streaming to it is the answer, and a leader still in
         takeover pushes to every peer itself."""
+        follower = req.payload.follower
         if (replica.is_leader and replica.open_for_writes
-                and payload.follower not in replica.catching_up):
-            self.spawn(try_push_catchup(replica, (payload.follower,)),
+                and follower not in replica.catching_up):
+            self.spawn(try_push_catchup(replica, (follower,)),
                        "catchup-push", True)
 
-    def _on_takeover_state(self, req: Request, payload, replica) -> None:
-        if payload.epoch >= replica.epoch:
-            replica.epoch = payload.epoch
+    def _on_takeover_state(self, replica: CohortReplica,
+                           req: Request) -> None:
+        if req.payload.epoch >= replica.epoch:
+            replica.epoch = req.payload.epoch
         req.respond({"cmt": replica.committed_lsn,
                      "floor": replica.catchup_floor}, size=64)
 
-    def _on_migration_start(self, req: Request, payload, replica) -> None:
+    def _on_migration_start(self, replica: CohortReplica,
+                            req: Request) -> None:
         self.spawn(handle_migration_start(replica, req), "migration", True)
 
-    def _on_who_is_leader(self, req: Request, payload, replica) -> None:
+    def _on_who_is_leader(self, replica: CohortReplica,
+                          req: Request) -> None:
         req.respond({"leader": replica.leader}, size=64)
 
-    def _handle_migration_prepare(self, req: Request, payload) -> None:
+    def _handle_migration_prepare(self, req: Request) -> None:
         """Instantiate (or refresh) a replica ahead of a membership
         switch.  Idempotent: an existing replica only has its cohort
         definition refreshed.  When the shared map already includes this
         node for the cohort we trust the map over the (possibly older)
         message payload."""
+        payload = req.payload
         cid = payload.cohort.cohort_id
         current = self.partitioner.cohort_or_none(cid)
         definition = (current if current is not None

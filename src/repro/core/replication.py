@@ -26,6 +26,17 @@ Steady state (Fig. 4):
 Strongly consistent reads are served only by the leader; timeline reads
 by any replica (possibly stale until the next commit message).
 
+Each of those messages is handled by plain functions, one per step
+between two waits: ``handle_client_write`` → ``_admit_write`` →
+``_stage_write`` → ``_reply_write`` at the leader, ``handle_propose`` →
+``_log_propose`` → ``_ack_propose`` at a follower, ``handle_get`` →
+``_serve_get`` (and ``handle_scan`` → ``_serve_scan``) for a read.  A
+step that must wait names the next and parks it with ``node.charge``
+(a CPU slice) or ``node.after`` (a force, a commit, the write gate);
+the node runs it only in the incarnation that parked it, so every step
+after the first starts by re-checking the role it acts in (PROTOCOL.md
+has the step table and the crash argument per waiting point).
+
 Tracing: when a client request carries a
 :class:`~repro.obs.trace.TraceContext`, the leader attributes its side
 of the write to spans — ``route`` (arrival to pipeline entry),
@@ -43,7 +54,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..sim.events import Event
 from ..sim.process import all_of, timeout
-from ..sim.resources import serve
 from ..storage.lsn import LSN
 from ..storage.records import CommitMarker, WriteRecord
 from .batching import ProposalBatcher
@@ -210,25 +220,27 @@ class CohortReplica:
     # ------------------------------------------------------------------
     # Leader: client writes
     # ------------------------------------------------------------------
-    def handle_client_write(self, req):
-        """Process generator for a ClientWrite: the one leader write
-        path (Fig. 4).  Every op commits or none does (§3, §8.2)."""
-        node, cfg = self.node, self.node.config
-        msg: ClientWrite = req.payload
-        ops = msg.ops
-        if not self.is_leader:
+    def handle_client_write(self, req, unblocked: bool = False) -> None:
+        """A ClientWrite arrives: the one leader write path (Fig. 4),
+        ``handle_client_write`` → ``_admit_write`` → ``_stage_write`` →
+        ``_reply_write``.  Every op commits or none does (§3, §8.2).
+        Held at the write gate, it re-enters here ``unblocked``."""
+        node = self.node
+        if not self.is_leader or (unblocked and not self.open_for_writes):
             req.respond(_err("not-leader", self.leader), size=64)
-            return
-        if not self.open_for_writes:
+        elif not self.open_for_writes:
             req.respond(_err("unavailable", self.leader), size=64)
-            return
-        while self.write_block is not None:
-            yield self.write_block
-            if not self.is_leader or not self.open_for_writes:
-                req.respond(_err("not-leader", self.leader), size=64)
-                return
-        yield from serve(node.cpu, WRITE_LEADER_SERVICE
-                         + EXTRA_OP_SERVICE * (len(ops) - 1))
+        elif self.write_block is not None:
+            node.after(self.write_block, self.handle_client_write, req, True)
+        else:
+            node.charge(WRITE_LEADER_SERVICE
+                        + EXTRA_OP_SERVICE * (len(req.payload.ops) - 1),
+                        self._admit_write, req)
+
+    def _admit_write(self, req) -> None:
+        """The leader's CPU slice is spent: are we still the leader, and
+        still the owner of every key?"""
+        node = self.node
         if not self.is_leader or not self.open_for_writes:
             req.respond(_err("not-leader", self.leader), size=64)
             return
@@ -237,7 +249,7 @@ class CohortReplica:
         # client re-routes off a fresh map.  Only a later op gone: the
         # request now spans cohorts and cannot be one transaction.
         conditional = False
-        for i, op in enumerate(ops):
+        for i, op in enumerate(req.payload.ops):
             if node.replica_for_key(op.key) is not self:
                 req.respond(_err("cross-cohort") if i else
                             {"ok": False, "code": "wrong-node",
@@ -248,7 +260,16 @@ class CohortReplica:
                 conditional = True
         # Conditional writes pay a read + version compare first (§5.1).
         if conditional:
-            yield from serve(node.cpu, CONDITIONAL_CHECK_SERVICE)
+            node.charge(CONDITIONAL_CHECK_SERVICE, self._stage_write, req)
+        else:
+            self._stage_write(req)
+
+    def _stage_write(self, req) -> None:
+        """Version the ops, turn them into log records and replicate
+        them; ``_reply_write`` runs when the last one commits."""
+        node, cfg = self.node, self.node.config
+        msg: ClientWrite = req.payload
+        ops = msg.ops
         # Versions continue from the newest pending write to the column;
         # ``staged`` extends that to earlier ops of this same request.
         staged: Dict[Tuple[bytes, bytes], int] = {}
@@ -276,19 +297,30 @@ class CohortReplica:
             version=version, timestamp=node.sim.now, tombstone=op.tombstone)
             for op, version in zip(ops, versions)]
         if cfg.parallel_force_and_propose:
-            done = self._replicate(records, ctx=ctx)
+            node.after(self._replicate(records, ctx=ctx),
+                       self._reply_write, req, records)
         else:
             # Ablation: force the leader's log *before* proposing, as a
             # naive implementation would — serializing the two disk
             # forces on the critical path.
-            force_start = node.sim.now
-            yield node.wal.append_batch(records)
-            if ctx is not None:
-                node.request_tracer.span_at(
-                    ctx, "log_force", node.name, start=force_start,
-                    batch_records=len(records), traced_members=1)
-            done = self._replicate(records, already_logged=True, ctx=ctx)
-        yield done
+            node.after(node.wal.append_batch(records),
+                       self._propose_logged, req, records, node.sim.now)
+
+    def _propose_logged(self, req, records: List[WriteRecord],
+                        force_start: float) -> None:
+        """The serialized ablation's second half: the leader's force is
+        done, only now propose."""
+        node = self.node
+        ctx = req.payload.trace
+        if ctx is not None:
+            node.request_tracer.span_at(
+                ctx, "log_force", node.name, start=force_start,
+                batch_records=len(records), traced_members=1)
+        node.after(self._replicate(records, already_logged=True, ctx=ctx),
+                   self._reply_write, req, records)
+
+    def _reply_write(self, req, records: List[WriteRecord]) -> None:
+        """Every record of the request has committed."""
         self.writes_served += 1
         req.respond(_ok(PutResult(version=records[-1].version)), size=64)
 
@@ -501,9 +533,9 @@ class CohortReplica:
     # ------------------------------------------------------------------
     # Follower: proposes and commits
     # ------------------------------------------------------------------
-    def handle_propose(self, req):
-        """Process generator for a Propose request (Fig. 4, follower)."""
-        node = self.node
+    def handle_propose(self, req) -> None:
+        """A Propose arrives (Fig. 4, follower): ``handle_propose`` →
+        ``_log_propose`` → ``_ack_propose``."""
         msg: Propose = req.payload
         if msg.epoch < self.epoch:
             return  # stale leader; no ack
@@ -512,11 +544,17 @@ class CohortReplica:
         if msg.epoch > self.epoch:
             self.epoch = msg.epoch
             self.set_leader(req.src)
-        yield from serve(node.cpu, WRITE_FOLLOWER_SERVICE
-                         + PROPOSE_RECORD_SERVICE * (len(msg.records) - 1))
+        self.node.charge(WRITE_FOLLOWER_SERVICE
+                         + PROPOSE_RECORD_SERVICE * (len(msg.records) - 1),
+                         self._log_propose, req)
+
+    def _log_propose(self, req) -> None:
+        """The follower's CPU slice is spent: force what the log lacks,
+        queue the records; ``_ack_propose`` runs when they are durable."""
         if self.role not in (Role.FOLLOWER, Role.CANDIDATE):
             return
-        records, wal, cohort_id = msg.records, node.wal, self.cohort_id
+        node = self.node
+        records, wal, cohort_id = req.payload.records, node.wal, self.cohort_id
         missing = wal.missing(cohort_id, records)
         forces = []
         if missing:
@@ -538,17 +576,25 @@ class CohortReplica:
             if record.lsn not in skipped:
                 self.queue.add(record)
         if len(forces) == 1:
-            yield forces[0]
+            node.after(forces[0], self._ack_propose, req)
         elif forces:
             # a partial overlap, logged record by record
-            yield all_of(node.sim, forces)
+            node.after(all_of(node.sim, forces), self._ack_propose, req)
+        else:
+            self._ack_propose(req)
+
+    def _ack_propose(self, req) -> None:
+        """Every record of the propose is in the log: take its commit
+        point, ack its top LSN."""
+        msg: Propose = req.payload
+        records = msg.records
         if msg.committed_lsn is not None:
             self._apply_commit_info(msg.committed_lsn)
         self.proposes_handled += 1
         top = (records[0] if len(records) == 1      # the common case
                else max(records, key=_BY_LSN))
-        req.respond(Ack(cohort_id=cohort_id, epoch=self.epoch, lsn=top.lsn,
-                        sender=node.name), size=48)
+        req.respond(Ack(cohort_id=self.cohort_id, epoch=self.epoch,
+                        lsn=top.lsn, sender=self.node.name), size=48)
 
     def handle_commit(self, src: str, msg: Commit) -> None:
         """Synchronous handler for the one-way commit message."""
@@ -659,11 +705,10 @@ class CohortReplica:
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def handle_get(self, req):
-        """Process generator for a ClientGet."""
+    def handle_get(self, req) -> None:
+        """A ClientGet arrives: ``handle_get`` → ``_serve_get``."""
         node = self.node
-        msg: ClientGet = req.payload
-        if msg.consistent:
+        if req.payload.consistent:
             # A leader-elect mid-takeover has not yet re-proposed the
             # (l.cmt, l.lst] tail, so its memtable can miss committed
             # writes — strong reads must wait for takeover to finish
@@ -677,8 +722,12 @@ class CohortReplica:
                 req.respond(_err("unavailable"), size=64)
                 return
             service = READ_SERVICE
-        serve_start = node.sim.now
-        yield from serve(node.cpu, service)
+        node.charge(service, self._serve_get, req, node.sim.now)
+
+    def _serve_get(self, req, serve_start: float) -> None:
+        """The read's CPU slice is spent: look the cell up and reply."""
+        node = self.node
+        msg: ClientGet = req.payload
         if msg.consistent and not (self.is_leader and self.open_for_writes):
             req.respond(_err("not-leader", self.leader), size=64)
             return
@@ -708,8 +757,9 @@ class CohortReplica:
             ctx.server_done_at = node.sim.now
         req.respond(_ok(result), size=size)
 
-    def handle_scan(self, req):
-        """Process generator for a ClientScan (ordered range read)."""
+    def handle_scan(self, req) -> None:
+        """A ClientScan (ordered range read) arrives: ``handle_scan`` →
+        ``_serve_scan``."""
         node = self.node
         msg = req.payload
         if msg.consistent:
@@ -732,11 +782,16 @@ class CohortReplica:
         rows = [(key, row) for key, row in rows
                 if not key.startswith(INTERNAL_KEY_PREFIX)
                 and rng.contains(mapper(key))][:msg.limit]
-        service = (READ_SERVICE
-                   + (STRONG_READ_OVERHEAD if msg.consistent else 0)
-                   + SCAN_ROW_SERVICE * len(rows))
-        serve_start = node.sim.now
-        yield from serve(node.cpu, service)
+        node.charge(READ_SERVICE
+                    + (STRONG_READ_OVERHEAD if msg.consistent else 0)
+                    + SCAN_ROW_SERVICE * len(rows),
+                    self._serve_scan, req, rows, node.sim.now)
+
+    def _serve_scan(self, req, rows: list, serve_start: float) -> None:
+        """The scan's CPU slice is spent: reply with the rows read when
+        it arrived."""
+        node = self.node
+        msg = req.payload
         if msg.consistent and not (self.is_leader and self.open_for_writes):
             req.respond(_err("not-leader", self.leader), size=64)
             return

@@ -9,7 +9,7 @@ simulation stands in for the paper's physical cluster.
 from .events import Event, SimulationError, Simulator, StopSimulation
 from .process import (AllOf, AnyOf, Interrupt, Process, SimHost, Supervisor,
                       Timeout, all_of, any_of, drive, quorum, spawn, timeout)
-from .resources import Resource, Store, serve
+from .resources import Charge, Resource, Store, charge, serve
 from .rng import RngRegistry
 from .network import Endpoint, LatencyModel, Network, Request, RpcTimeout
 from .topology import Placement, Topology
@@ -23,7 +23,7 @@ __all__ = [
     "Process", "Timeout", "Interrupt", "AllOf", "AnyOf", "Supervisor",
     "SimHost",
     "spawn", "timeout", "all_of", "any_of", "quorum", "drive",
-    "Resource", "Store", "serve",
+    "Resource", "Store", "Charge", "charge", "serve",
     "RngRegistry",
     "Network", "Endpoint", "LatencyModel", "Request", "RpcTimeout",
     "Topology", "Placement",

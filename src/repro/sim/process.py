@@ -250,8 +250,8 @@ class Process(Event):
 
 
 class Supervisor:
-    """One owner's handler processes: tracked so a crash can kill them,
-    and so a handler that dies of anything *but* a kill is noticed.
+    """One owner's processes: tracked so a crash can kill them, and so
+    one that dies of anything *but* a kill is noticed.
 
     Both stores' nodes hold one and bind its :meth:`spawn` as their own
     (the per-message path gains no frame for the indirection)."""
@@ -272,7 +272,7 @@ class Supervisor:
 
     def spawn(self, gen: Generator[Event, Any, Any], name: str = "",
               inline: bool = False) -> Process:
-        """Start a handler process tracked for crash-time termination.
+        """Start a process tracked for crash-time termination.
 
         ``inline`` takes the first step now instead of through the heap.
         Only legal as the *last act of a kernel callback* (a delivery
@@ -280,7 +280,12 @@ class Supervisor:
         entry popped — URGENT, now, and every earlier URGENT entry at
         this time has already run — so this changes no order, only saves
         the entry.  Anywhere else, code after the call would run before
-        the first step on the heap path and after it here."""
+        the first step on the heap path and after it here.  Its callers
+        are the deliveries that still start a process: a Spinnaker
+        node's catch-up chunk, catch-up request and migration start
+        (multi-round activities — a get, a put and a propose are handled
+        by functions, see ``resources.charge``) and every handler of the
+        baseline store."""
         proc = Process(self.sim, gen, self._prefix + name, start=not inline)
         self._procs[proc] = None
         proc._callbacks.append(self._done)  # not stepped yet: still a list

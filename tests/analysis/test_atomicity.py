@@ -5,9 +5,12 @@ flagged), clean (the blessed re-check idioms stay green), and
 suppressed (a pragma silences it through the normal machinery).
 """
 
+import ast
 from pathlib import Path
 
+import repro
 from repro.analysis import lint_atomicity, parse_pragmas, suppressed
+from repro.analysis.determinism import collect_continuations
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -88,12 +91,56 @@ def test_mutate_while_iterating_snapshot_and_post_loop_stay_green():
 
 
 # ---------------------------------------------------------------------------
+# continuations: parked functions are post-yield segments
+# ---------------------------------------------------------------------------
+
+def test_bad_continuations_are_flagged_by_both_rules():
+    findings = lint_fixture("hazard_continuation.py")
+    by_rule = {}
+    for f in findings:
+        assert f.message.startswith("in continuation ")
+        by_rule.setdefault(f.rule, set()).update(processes_of([f]))
+    assert by_rule == {
+        "write-after-yield-unguarded": {"open_after_force", "late_promote",
+                                        "suppressed_open"},
+        "stale-guard-across-yield": {"seal_epoch"},
+    }
+
+
+def test_good_continuations_and_first_segments_stay_green():
+    findings = lint_fixture("hazard_continuation.py")
+    clean = {"on_arrival", "open_if_leader", "seal_checked", "count_ack"}
+    assert not processes_of(findings) & clean
+
+
+def test_continuations_parked_from_another_module_are_roots():
+    source = ("def _ack(self, req):\n"
+              "    self.leader = req.src\n")
+    assert not lint_atomicity(source, "mod.py")
+    flagged = lint_atomicity(source, "mod.py", continuations={"_ack"})
+    assert [f.rule for f in flagged] == ["write-after-yield-unguarded"]
+    # a generator of that name is a process body or nothing
+    assert not lint_atomicity(source + "    yield req.done\n", "mod.py",
+                              continuations={"_ack"})
+
+
+def test_the_tree_parks_its_message_handlers():
+    """The handlers that used to be found through ``spawn(...)`` are
+    still roots: each step after a wait is parked by name."""
+    source = Path(repro.__file__).parent / "core" / "replication.py"
+    parked = collect_continuations(ast.parse(source.read_text()))
+    assert {"_serve_get", "_serve_scan", "_log_propose", "_ack_propose",
+            "_admit_write", "_stage_write", "_reply_write",
+            "handle_client_write"} <= parked
+
+
+# ---------------------------------------------------------------------------
 # pragmas, cross-module closure, configurable guards
 # ---------------------------------------------------------------------------
 
 def test_pragmas_silence_each_atomicity_rule():
     for name in ("hazard_stale_guard.py", "hazard_write_after_yield.py",
-                 "hazard_mutate_iter.py"):
+                 "hazard_mutate_iter.py", "hazard_continuation.py"):
         findings = lint_fixture(name)
         pragmas = parse_pragmas((FIXTURES / name).read_text())
         flagged = [f for f in findings if "suppressed" in f.message]

@@ -30,6 +30,24 @@ def test_chaos_smoke(seed):
     assert report.counters["audit_ticks"] > 0
 
 
+#: ``python -m repro chaos --nodes 5 --duration 30 --seed N``: the
+#: crash-heavy seeds (1-8 schedule no disk loss) and four that lose a
+#: disk — crash, wipe and boot at one instant, the hardest case for the
+#: incarnation guard that keeps a dead incarnation's handlers inert
+STORM_SEEDS = [1, 2, 3, 4, 5, 6, 7, 8]
+LOSE_DISK_SEEDS = [12, 13, 21, 26]
+
+
+@pytest.mark.parametrize("seed", STORM_SEEDS + LOSE_DISK_SEEDS)
+def test_full_length_storm_stays_clean(seed):
+    config = ChaosConfig()          # the CLI's defaults: 5 nodes, 30 s
+    report = run_chaos(seed, config)
+    assert report.ok and not report.violation_summary(), report.format()
+    assert report.format().rstrip().endswith("PASS")
+    kinds = {event.kind for event in report.schedule}
+    assert ("lose-disk" in kinds) == (seed in LOSE_DISK_SEEDS)
+
+
 def test_same_seed_reproduces_bit_for_bit():
     first = run_chaos(2, SMOKE)
     second = run_chaos(2, SMOKE)

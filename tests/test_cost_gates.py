@@ -29,7 +29,7 @@ from repro.core.partition import key_of
 from repro.sim.disk import DiskProfile
 from repro.sim.events import Simulator
 from repro.sim.network import Network
-from repro.sim.process import AllOf, Timeout, drive, spawn
+from repro.sim.process import AllOf, Process, Timeout, drive, spawn
 from repro.sim.rng import RngRegistry
 from repro.storage.memtable import Cell
 from repro.storage.wal import SharedLog
@@ -44,6 +44,9 @@ COUNTED_CODE = {
     SharedLog._last_lsn.__code__: "log_last_lsn",
     SharedLog.is_skipped.__code__: "log_per_record",
     SharedLog.contains.__code__: "log_per_record",
+    Process.__init__.__code__: "processes",
+    Process._step.__code__: "steps",
+    Timeout.__init__.__code__: "timeouts",
 }
 
 
@@ -93,6 +96,9 @@ def measure(cluster, gen, need):
             elif arg is len and frame.f_code.co_filename.endswith(
                     "/storage/records.py"):
                 tally["record_size_lens"] += 1
+            elif arg.__name__ == "send" and isinstance(
+                    arg.__self__, types.GeneratorType):
+                tally["generator_sends"] += 1
         elif event == "call":
             code = frame.f_code
             filename = code.co_filename
@@ -113,7 +119,8 @@ def measure(cluster, gen, need):
         sys.setprofile(None)
     assert proc.triggered, "ran out of the window"
     proc.result()
-    tally["heap_entries"] -= 1          # the measuring process's own start
+    for own in ("heap_entries", "processes", "steps", "generator_sends"):
+        tally[own] -= 1                 # the measuring process's own start
     tally["messages"] = net.messages_sent - sent
     return tally
 
@@ -139,6 +146,24 @@ def test_strong_get_costs_two_messages_three_heap_entries_one_digest():
     assert tally["tracer_calls"] == 0            # untraced: obs costs nothing
 
 
+def test_a_strong_get_is_handled_by_functions_not_a_process():
+    """The leader answers without a Process, a Timeout or a generator:
+    the one generator resumed per get is the client thread's own, woken
+    by the reply (the handler used to cost a Process, a Timeout, two
+    generators and 3.2 steps to wait once for a core)."""
+    cluster, client = make_cluster()
+
+    def gets():
+        for key in KEYS + KEYS:
+            yield from client.get(key, b"c", consistent=True)
+
+    tally = measure(cluster, gets(), need=0.05)
+    ops = 2 * len(KEYS)
+    assert tally["processes"] == 0
+    assert tally["timeouts"] == 0
+    assert tally["generator_sends"] == tally["steps"] == ops
+
+
 PUTS = 4
 
 
@@ -160,6 +185,16 @@ def test_strong_put_cost_is_pinned():
     # leader and at each of the 2 followers
     assert tally["heap_entries"] == 12 * PUTS
     assert tally["tracer_calls"] == 0
+
+
+def test_a_put_is_handled_by_functions_not_processes():
+    """Leader and followers alike: the write, its two proposes and their
+    acks start no Process, and the only process stepped is the client
+    thread, once per reply (three Processes per put here, one a
+    handler, when the handlers were generators)."""
+    tally = put_tally()
+    assert tally["processes"] == 0
+    assert tally["steps"] <= 1.05 * PUTS
 
 
 # The write fast path: per put, one record on three replicas.
