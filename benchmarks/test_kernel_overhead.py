@@ -63,8 +63,11 @@ WRITE_FLOOR = 4_200
 # ``SpinnakerClient.get``: client -> leader, one CPU charge, one lookup,
 # reply — handled by functions, no process): 57-64K over 10 runs on
 # the reference box; with the handler a generator process the same
-# gets ran 47-49K in the same session.
-GET_FLOOR = 30_000
+# gets ran 47-49K in the same session.  Routed once (the request
+# carries its cohort and map version: 1 key locate per get, not 3) the
+# same gets run 9-10 % faster — 58-60K against 54-56K on a slower,
+# shared box (CPU time, best of 3, six alternating pairs).
+GET_FLOOR = 33_000
 PERCENTILE_FLOOR = 400_000
 
 

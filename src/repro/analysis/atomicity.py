@@ -30,7 +30,10 @@ and (b) treat every parked function as a root of that kind:
     passed in as a guard-named parameter) before a yield and used
     after it without re-reading the live attribute.  The canonical
     safe idiom re-reads: ``if not self.is_leader or self.epoch !=
-    epoch: return``.
+    epoch: return``.  The live attribute may sit at the end of a chain
+    from a tracked receiver (``node.partitioner.version``), as long as
+    the chain passes through no immutable snapshot (``req.payload``,
+    ``node.config``): reading one snapshot re-validates no other.
 
 ``write-after-yield-unguarded``
     Replicated/protocol state written in a post-yield segment whose
@@ -324,12 +327,23 @@ class _FuncAnalysis:
             self.binds.pop(node.id, None)
 
     def _walk_Attribute(self, node: ast.Attribute) -> None:
-        if (isinstance(node.ctx, ast.Load)
-                and isinstance(node.value, ast.Name)
-                and node.value.id in self.tracked):
-            self.reads.setdefault((node.value.id, node.attr),
-                                  []).append(self._event(node))
+        if isinstance(node.ctx, ast.Load):
+            base = self._live_base(node)
+            if base is not None:
+                self.reads.setdefault((base, node.attr),
+                                      []).append(self._event(node))
         self._walk(node.value)
+
+    def _live_base(self, node: ast.Attribute) -> Optional[str]:
+        """What ``node``'s attribute is read off, when that is live
+        state: a tracked receiver, or a chain of attributes from one
+        (``node.partitioner`` in ``node.partitioner.version``) that
+        passes through no immutable snapshot."""
+        root, attrs = _attr_chain(node.value)
+        if root not in self.tracked or any(
+                a in _NONSTATE_ALIAS_ATTRS for a in attrs):
+            return None
+        return ".".join([root] + attrs)
 
     def _walk_Assign(self, node: ast.Assign) -> None:
         # ``x.attr = yield from gen(...)`` stores the result of a
@@ -379,15 +393,14 @@ class _FuncAnalysis:
             self._walk(target.value)
 
     def _maybe_bind(self, target: ast.expr, value: ast.expr) -> None:
-        if not isinstance(target, ast.Name):
+        if not isinstance(target, ast.Name) \
+                or not isinstance(value, ast.Attribute):
             return
-        if (isinstance(value, ast.Attribute)
-                and isinstance(value.value, ast.Name)
-                and value.value.id in self.tracked
-                and value.value.id != target.id
+        base = self._live_base(value)
+        if (base is not None and base != target.id
                 and _is_guard_name(value.attr, self.guard_attrs)):
             self.binds[target.id] = _Bind(
-                target.id, value.value.id, value.attr, self.seg,
+                target.id, base, value.attr, self.seg,
                 target.lineno, self._yloops(), value_id=id(value))
 
     def _walk_test(self, test: ast.expr,

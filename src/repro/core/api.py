@@ -16,7 +16,10 @@ All methods return generators for use with ``yield from`` inside
 simulation processes.  The single-key calls build their message and hand
 back :meth:`_call`'s generator itself — a client resume re-enters one
 frame, not a stack of forwarding ones — so they route off the map
-snapshot current when they are *called*.
+snapshot current when they are *called*.  That is the one time a key is
+located: the message carries the cohort and the map version it was
+routed with (``cohort_id``, ``map_version``), and a server on the same
+version takes the cohort as read.
 
 Routing state machine (per operation, inside :meth:`_call`)
 -----------------------------------------------------------
@@ -34,12 +37,13 @@ leader cache, and walks one request through these transitions until an
                                rotate; jittered exponential backoff
                                (``CLIENT_RETRY_BACKOFF`` doubling up to
                                ``CLIENT_RETRY_BACKOFF_CAP``).
-``send -> wrong-node``         the replier holds no replica for the key:
-                               drop a poisoned leader-cache entry, fetch
-                               a fresh map when the reply advertises a
-                               newer ``map_version``, re-resolve the
-                               cohort by key (a scan: by cohort id), backoff,
-                               retry.
+``send -> wrong-node``         the replier holds no replica for the key
+                               (a scan: or is on a newer layout than the
+                               scan was planned on): drop a poisoned
+                               leader-cache entry, fetch a fresh map
+                               when the reply advertises a newer
+                               ``map_version``, re-resolve the cohort by
+                               key, re-stamp the message, backoff, retry.
 ``send -> version-mismatch``   raise :class:`VersionMismatch` (terminal;
                                retrying cannot succeed).
 ``send -> cross-cohort``       a multi-op write whose *later* op the
@@ -135,9 +139,13 @@ class SpinnakerClient:
     # ------------------------------------------------------------------
     def get(self, key: bytes, colname: bytes, consistent: bool = True):
         """Read a column value and its version number."""
-        msg = ClientGet(key=key, colname=colname, consistent=consistent)
-        return self._call("read", self._map.locate(key), msg, 96,
-                          strong=consistent, key=key)
+        routing = self._map
+        cohort = routing.locate(key)
+        msg = ClientGet(key=key, colname=colname, consistent=consistent,
+                        cohort_id=cohort.cohort_id,
+                        map_version=routing.version)
+        return self._call("read", cohort, msg, 96, strong=consistent,
+                          key=key)
 
     def put(self, key: bytes, colname: bytes, value: bytes):
         """Insert a column value into a row."""
@@ -187,20 +195,33 @@ class SpinnakerClient:
             raise DatastoreError(
                 "range scans require order_preserving_keys=True")
         results = []
-        for cohort in self._map.cohorts_for_range(
-                start_key, end_key or b"\xff\xff\xff\xff\xff"):
-            if len(results) >= limit:
+        end = end_key or b"\xff\xff\xff\xff\xff"
+        # One request per cohort, in key order, each planned off the map
+        # as it is *then*: a ``wrong-node`` refresh under one request
+        # re-plans everything past the rows already returned.
+        cursor = start_key          # maps to where the unasked range begins
+        while len(results) < limit:
+            routing = self._map
+            ahead = routing.cohorts_for_range(cursor, end)
+            if not ahead:
                 break
+            cohort = ahead[0]
             msg = ClientScan(cohort_id=cohort.cohort_id,
                              start_key=start_key, end_key=end_key,
                              limit=limit - len(results),
-                             consistent=consistent)
+                             consistent=consistent,
+                             map_version=routing.version)
             rows = yield from self._call("scan", cohort, msg, 128,
-                                         strong=consistent)
+                                         strong=consistent, key=cursor)
             for key, columns in rows:
                 results.append((key, {
                     col: GetResult(value=value, version=version)
                     for col, (value, version) in columns.items()}))
+            # on from where the cohort that answered (on this map) ends
+            hi = self._map.locate(cursor).key_range.hi
+            if hi >= self._map.keyspace:
+                break
+            cursor = hi.to_bytes(4, "big")
         return results
 
     def get_row(self, key: bytes, colnames, consistent: bool = True):
@@ -291,15 +312,20 @@ class SpinnakerClient:
         size = 64                  # header; each op adds framing + value
         for o in ops:
             size += 32 + len(o.value or b"")
-        return self._call(op, self._map.locate(key), ClientWrite(ops=ops),
-                          size, strong=True, key=key)
+        routing = self._map
+        cohort = routing.locate(key)
+        msg = ClientWrite(ops=ops, cohort_id=cohort.cohort_id,
+                          map_version=routing.version)
+        return self._call(op, cohort, msg, size, strong=True, key=key)
 
     def _call(self, op: str, cohort, msg, size: int, strong: bool,
-              key: Optional[bytes] = None):
-        """Send with retries; root-span bracket (named ``op``) when
-        tracing is on.  After a ``wrong-node`` reply the cohort is
-        re-resolved from the (possibly refreshed) map snapshot: by
-        ``key`` for a keyed operation, by cohort id for a scan."""
+              key: bytes):
+        """Send ``msg``, stamped for ``cohort``, with retries; root-span
+        bracket (named ``op``) when tracing is on.  After a
+        ``wrong-node`` reply the cohort is re-resolved by ``key`` (a
+        scan's: one that maps to where its unasked range begins) from
+        the (possibly refreshed) map snapshot, and the message
+        re-stamped."""
         target = (self._strong_target(cohort) if strong
                   else self._timeline_target(cohort))
         tracer = self.request_tracer
@@ -307,19 +333,22 @@ class SpinnakerClient:
         if ctx is not None:
             msg = replace(msg, trace=ctx)
         cfg = self.config
-        deadline = self.sim.now + cfg.client_op_timeout
+        sim = self.sim
+        now = sim.now               # read once per send, not per use
+        deadline = now + cfg.client_op_timeout
         attempt = 0
         timed_out: set = set()
         try:
             while True:
-                remaining = deadline - self.sim.now
+                remaining = deadline - now
                 if remaining <= 0 or attempt > cfg.client_max_retries:
                     raise RequestTimeout(
                         f"{type(msg).__name__} gave up after {attempt} "
                         f"tries")
-                per_try = min(remaining, self._per_try)
+                per_try = (remaining if remaining < self._per_try
+                           else self._per_try)
                 if ctx is not None:
-                    ctx.last_sent_at = self.sim.now
+                    ctx.last_sent_at = now
                 try:
                     reply = yield self.endpoint.request(
                         target, msg, size=size, timeout=per_try)
@@ -330,8 +359,9 @@ class SpinnakerClient:
                     target = (self._next_target(cohort, target) if strong
                               else self._timeline_target(cohort,
                                                          exclude=timed_out))
+                    now = sim.now
                     continue
-                if reply.get("ok"):
+                if reply["ok"]:
                     if strong:
                         self._leader_cache[cohort.cohort_id] = target
                     self.ops_completed += 1
@@ -358,14 +388,12 @@ class SpinnakerClient:
                         del self._leader_cache[cohort.cohort_id]
                     if reply.get("map_version", 0) > self._map.version:
                         yield from self._refresh_map(target)
-                    moved = (self._map.locate(key) if key is not None else
-                             self._map.cohort_or_none(cohort.cohort_id))
-                    if moved is not None:
-                        cohort = moved
-                        target = (self._strong_target(cohort) if strong
-                                  else self._timeline_target(cohort))
-                    else:
-                        target = self._next_target(cohort, target)
+                    routing = self._map
+                    cohort = routing.locate(key)
+                    msg = replace(msg, cohort_id=cohort.cohort_id,
+                                  map_version=routing.version)
+                    target = (self._strong_target(cohort) if strong
+                              else self._timeline_target(cohort))
                 elif strong and hint and hint != target:
                     target = hint
                     self._leader_cache[cohort.cohort_id] = hint
@@ -373,14 +401,15 @@ class SpinnakerClient:
                     # No hint: rotate — re-asking the same non-leader
                     # would just burn the op deadline.
                     target = self._next_target(cohort, target)
-                yield timeout(self.sim, self._backoff(attempt, deadline))
+                yield timeout(sim, self._backoff(attempt, deadline))
+                now = sim.now
         except BaseException as exc:
             if ctx is not None:
                 tracer.finish(ctx.root, error=type(exc).__name__)
             raise
         if ctx is not None:
             start = (ctx.server_done_at if ctx.server_done_at is not None
-                     else self.sim.now)
+                     else sim.now)
             tracer.span_at(ctx, "reply", self.name, start=start)
             tracer.finish(ctx.root)
         return result

@@ -6,6 +6,13 @@ recovery traffic of §6 (``CatchupRequest``/``CatchupChunk``/
 ``TakeoverState``).  All are
 plain frozen dataclasses; the network layer delivers object references,
 so immutability matters.
+
+A client operation carries its **routing stamp**: ``cohort_id``, the
+cohort the client's map located the key in, and ``map_version``, that
+map's version.  Layout changes are totally ordered by version, so a
+server at the same version finds the replica by ``cohort_id`` without
+locating the key again; at any other version (or for a hand-built
+message left at the defaults, "not routed") it locates by key.
 """
 
 from __future__ import annotations
@@ -38,13 +45,17 @@ class ClientGet:
     #: optional causal-tracing context (see ``repro.obs``); None when the
     #: request is unsampled or tracing is off.
     trace: Optional[object] = None
+    cohort_id: Optional[int] = None   # routing stamp (module docstring)
+    map_version: int = 0
 
 
 @dataclass(frozen=True)
 class ClientScan:
     """Ordered range read over one cohort's key range (extension; needs
     order-preserving keys).  The client splits a multi-cohort scan into
-    one of these per cohort, in key order."""
+    one of these per cohort, in key order.  A server on a newer layout
+    than ``map_version`` answers ``wrong-node``: the cohort's range may
+    have shrunk, and rows the client expects from it live elsewhere."""
 
     cohort_id: int
     start_key: bytes
@@ -52,6 +63,7 @@ class ClientScan:
     limit: int
     consistent: bool
     trace: Optional[object] = None   # repro.obs TraceContext, if sampled
+    map_version: int = 0             # 0: not routed, served as addressed
 
 
 @dataclass(frozen=True)
@@ -79,6 +91,8 @@ class ClientWrite:
 
     ops: Tuple[WriteOp, ...]
     trace: Optional[object] = None   # repro.obs TraceContext, if sampled
+    cohort_id: Optional[int] = None  # routing stamp (module docstring)
+    map_version: int = 0
 
     @property
     def key(self) -> bytes:

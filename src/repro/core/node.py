@@ -54,6 +54,11 @@ from .replication import CohortReplica, Role
 __all__ = ["SpinnakerNode"]
 
 
+#: requests whose sender waits to hear that no replica is here
+_ANSWERS_WRONG_NODE = frozenset({ClientGet, ClientWrite, ClientScan,
+                                 MigrationStart})
+
+
 def _nothing() -> None:
     """What runs after a background CPU charge."""
 
@@ -100,17 +105,18 @@ class SpinnakerNode:
         self.spawn = self.supervisor.spawn
         self.failures = self.supervisor.failures
         #: message type -> ``handler(req)``, and for cohort-addressed
-        #: messages -> ``handler(replica, req)`` (a replica's own method
-        #: where the message is all its): a lookup per message instead
-        #: of an isinstance ladder
+        #: messages (a client operation is one: it carries the cohort
+        #: it was routed to) -> ``handler(replica, req)`` (a replica's
+        #: own method where the message is all its): a lookup per
+        #: message instead of an isinstance ladder
         self._handlers = {
             dict: self._on_coord_event,
-            ClientGet: self._on_client_op,
-            ClientWrite: self._on_client_op,
             GetCohortMap: self._on_get_cohort_map,
             MigrationPrepare: self._handle_migration_prepare,
         }
         self._cohort_handlers = {
+            ClientGet: CohortReplica.handle_get,
+            ClientWrite: CohortReplica.handle_client_write,
             Propose: CohortReplica.handle_propose,
             Commit: self._on_commit,
             ClientScan: CohortReplica.handle_scan,
@@ -495,21 +501,30 @@ class SpinnakerNode:
         payload = req.payload
         kind = type(payload)
         try:
-            handler = self._handlers.get(kind)
-            if handler is not None:
-                handler(req)
-                return
             handler = self._cohort_handlers.get(kind)
-            if handler is not None:
+            if handler is None:
+                handler = self._handlers.get(kind)
+                if handler is not None:
+                    handler(req)
+                return
+            if ((kind is ClientGet or kind is ClientWrite)
+                    and payload.map_version != self.partitioner.version):
+                # Routed on another layout (or by hand, on none): equal
+                # versions mean equal layouts, anything else says
+                # nothing about where the key lives now.
+                replica = self.replica_for_key(payload.key)
+            else:
                 replica = self.replicas.get(payload.cohort_id)
-                if replica is not None:
-                    handler(replica, req)
-                elif kind is ClientScan or kind is MigrationStart:
-                    self._wrong_node(req)
+            if replica is not None:
+                handler(replica, req)
+            elif kind in _ANSWERS_WRONG_NODE:
+                self.wrong_node(req)
         except Exception as err:  # noqa: BLE001 - recorded, like a process's
             self.failures.append(err)
 
-    def _wrong_node(self, req: Request) -> None:
+    def wrong_node(self, req: Request) -> None:
+        """Tell the sender its map cannot route this, and how new ours
+        is (it refreshes when that is newer than its own)."""
         req.respond({"ok": False, "code": "wrong-node",
                      "map_version": self.partitioner.version}, size=64)
 
@@ -517,16 +532,6 @@ class SpinnakerNode:
         payload = req.payload
         if payload.get("op") == "watch-event" and self.zk is not None:
             self.zk.handle_watch_message(payload)
-
-    def _on_client_op(self, req: Request) -> None:
-        payload = req.payload
-        replica = self.replica_for_key(payload.key)
-        if replica is None:
-            self._wrong_node(req)
-        elif type(payload) is ClientGet:
-            replica.handle_get(req)
-        else:
-            replica.handle_client_write(req)
 
     def _on_get_cohort_map(self, req: Request) -> None:
         snapshot = self.partitioner.snapshot()

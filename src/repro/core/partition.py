@@ -8,10 +8,11 @@ is a **cohort**; cohorts overlap: with nodes A..E, A-B-C serve A's base
 range, B-C-D serve B's, and so on.
 
 Keys here are unsigned integers hashed/encoded by the client API layer
-from row keys; the keyspace defaults to ``[0, 2**32)``.  Every request
-is routed three times (client, node dispatch, the handler's ownership
-re-check), so :func:`key_of` is memoised and lookups bisect precomputed
-range bounds (:class:`_Layout`: the live layout and its snapshots).
+from row keys; the keyspace defaults to ``[0, 2**32)``.  A request is
+routed once, by its client, and carries the result (a server locates
+the key again only when its layout version differs from the request's);
+:func:`key_of` is memoised and lookups bisect precomputed range bounds
+(:class:`_Layout`: the live layout and its snapshots).
 
 Elastic membership: the layout is *versioned* and mutable.  The paper
 defers "adding nodes" to future work (§10); here a
@@ -54,7 +55,8 @@ def key_of(row_key: bytes) -> int:
     :func:`ordered_key_of` (``SpinnakerConfig.order_preserving_keys``)
     when range scans matter more than automatic spread.
 
-    Memoised (a request is routed three times; workloads revisit keys).
+    Memoised (workloads revisit keys; a stale-routed request is located
+    again by the server).
     The cache size is a constant, not a knob: a miss just digests again.
     """
     digest = hashlib.sha256(row_key).digest()

@@ -97,10 +97,6 @@ def _wan_hop(node, ctx) -> Dict:
     return {}
 
 
-def _ok(result) -> Dict:
-    return {"ok": True, "result": result}
-
-
 class _WriteTrace:
     """Leader-side trace state for one in-flight write group."""
 
@@ -226,35 +222,46 @@ class CohortReplica:
         ``_reply_write``.  Every op commits or none does (§3, §8.2).
         Held at the write gate, it re-enters here ``unblocked``."""
         node = self.node
-        if not self.is_leader or (unblocked and not self.open_for_writes):
+        if (self.role != Role.LEADER
+                or (unblocked and not self.open_for_writes)):
             req.respond(_err("not-leader", self.leader), size=64)
         elif not self.open_for_writes:
             req.respond(_err("unavailable", self.leader), size=64)
         elif self.write_block is not None:
             node.after(self.write_block, self.handle_client_write, req, True)
         else:
+            # The layout the request was dispatched under, for
+            # ``_admit_write`` to compare.  The gate is where a
+            # migration holds writes while the layout moves: one that
+            # waited there is routed under no version (0 matches none).
             node.charge(WRITE_LEADER_SERVICE
                         + EXTRA_OP_SERVICE * (len(req.payload.ops) - 1),
-                        self._admit_write, req)
+                        self._admit_write, req,
+                        0 if unblocked else node.partitioner.version)
 
-    def _admit_write(self, req) -> None:
+    def _admit_write(self, req, map_version: int) -> None:
         """The leader's CPU slice is spent: are we still the leader, and
         still the owner of every key?"""
         node = self.node
-        if not self.is_leader or not self.open_for_writes:
+        if self.role != Role.LEADER or not self.open_for_writes:
             req.respond(_err("not-leader", self.leader), size=64)
             return
         # A membership change may have moved keys while we waited (the
         # migration drain ends exactly here).  Routing key gone: the
         # client re-routes off a fresh map.  Only a later op gone: the
         # request now spans cohorts and cannot be one transaction.
+        # Dispatch found the routing key ours; it still is, without
+        # locating it again, while the layout is the one dispatch saw
+        # and this is still the node's replica of the cohort.
+        moved = (map_version != node.partitioner.version
+                 or node.replicas.get(self.cohort_id) is not self)
         conditional = False
         for i, op in enumerate(req.payload.ops):
-            if node.replica_for_key(op.key) is not self:
-                req.respond(_err("cross-cohort") if i else
-                            {"ok": False, "code": "wrong-node",
-                             "map_version": node.partitioner.version},
-                            size=64)
+            if (i or moved) and node.replica_for_key(op.key) is not self:
+                if i:
+                    req.respond(_err("cross-cohort"), size=64)
+                else:
+                    node.wrong_node(req)
                 return
             if op.expected_version is not None:
                 conditional = True
@@ -322,7 +329,8 @@ class CohortReplica:
     def _reply_write(self, req, records: List[WriteRecord]) -> None:
         """Every record of the request has committed."""
         self.writes_served += 1
-        req.respond(_ok(PutResult(version=records[-1].version)), size=64)
+        req.respond({"ok": True, "result": PutResult(
+            version=records[-1].version)}, size=64)
 
     def _replicate(self, records: List[WriteRecord],
                    already_logged: bool = False, ctx=None) -> Event:
@@ -708,12 +716,13 @@ class CohortReplica:
     def handle_get(self, req) -> None:
         """A ClientGet arrives: ``handle_get`` → ``_serve_get``."""
         node = self.node
-        if req.payload.consistent:
+        msg: ClientGet = req.payload
+        if msg.consistent:
             # A leader-elect mid-takeover has not yet re-proposed the
             # (l.cmt, l.lst] tail, so its memtable can miss committed
             # writes — strong reads must wait for takeover to finish
             # (§6.2), exactly like writes do.
-            if not (self.is_leader and self.open_for_writes):
+            if not (self.role == Role.LEADER and self.open_for_writes):
                 req.respond(_err("not-leader", self.leader), size=64)
                 return
             service = READ_SERVICE + STRONG_READ_OVERHEAD
@@ -722,21 +731,29 @@ class CohortReplica:
                 req.respond(_err("unavailable"), size=64)
                 return
             service = READ_SERVICE
-        node.charge(service, self._serve_get, req, node.sim.now)
+        # the layout dispatched under, and (only a trace reads it) when
+        node.charge(service, self._serve_get, req, node.partitioner.version,
+                    node.sim.now if msg.trace is not None else None)
 
-    def _serve_get(self, req, serve_start: float) -> None:
+    def _serve_get(self, req, map_version: int,
+                   serve_start: Optional[float]) -> None:
         """The read's CPU slice is spent: look the cell up and reply."""
         node = self.node
         msg: ClientGet = req.payload
-        if msg.consistent and not (self.is_leader and self.open_for_writes):
-            req.respond(_err("not-leader", self.leader), size=64)
-            return
-        if msg.consistent and node.replica_for_key(msg.key) is not self:
-            # The key's range migrated away mid-request; our copy is no
-            # longer authoritative for strong reads.
-            req.respond({"ok": False, "code": "wrong-node",
-                         "map_version": node.partitioner.version}, size=64)
-            return
+        if msg.consistent:
+            if not (self.role == Role.LEADER and self.open_for_writes):
+                req.respond(_err("not-leader", self.leader), size=64)
+                return
+            # Still ours, without locating the key again, while the
+            # layout is the one dispatch saw and this is still the
+            # node's replica of the cohort.
+            if ((map_version != node.partitioner.version
+                 or node.replicas.get(self.cohort_id) is not self)
+                    and node.replica_for_key(msg.key) is not self):
+                # The key's range migrated away mid-request; our copy is
+                # no longer authoritative for strong reads.
+                node.wrong_node(req)
+                return
         cell = self.engine.get(msg.key, msg.colname)
         if cell is None or cell.tombstone:
             result = GetResult.not_found()
@@ -755,16 +772,22 @@ class CohortReplica:
                            **_wan_hop(node, ctx))
             tracer.span_at(ctx, "read_serve", node.name, start=serve_start)
             ctx.server_done_at = node.sim.now
-        req.respond(_ok(result), size=size)
+        req.respond({"ok": True, "result": result}, size=size)
 
     def handle_scan(self, req) -> None:
         """A ClientScan (ordered range read) arrives: ``handle_scan`` →
         ``_serve_scan``."""
         node = self.node
         msg = req.payload
+        if 0 < msg.map_version < node.partitioner.version:
+            # Planned on an older layout: this cohort's range may have
+            # shrunk since, and the client would never ask whoever now
+            # holds the rest.  It re-plans off a fresh map.
+            node.wrong_node(req)
+            return
         if msg.consistent:
             # an *open* leader, for the reason handle_get gives (§6.2)
-            if not (self.is_leader and self.open_for_writes):
+            if not (self.role == Role.LEADER and self.open_for_writes):
                 req.respond(_err("not-leader", self.leader), size=64)
                 return
         elif self.role == Role.OFFLINE:
@@ -792,7 +815,8 @@ class CohortReplica:
         it arrived."""
         node = self.node
         msg = req.payload
-        if msg.consistent and not (self.is_leader and self.open_for_writes):
+        if msg.consistent and not (self.role == Role.LEADER
+                                   and self.open_for_writes):
             req.respond(_err("not-leader", self.leader), size=64)
             return
         ctx = msg.trace
@@ -816,7 +840,7 @@ class CohortReplica:
                            for c, (v, _ver) in cols.items())
             for key, cols in payload)
         self.reads_served += 1
-        req.respond(_ok(payload), size=size)
+        req.respond({"ok": True, "result": payload}, size=size)
 
     # ------------------------------------------------------------------
     # Crash / restart

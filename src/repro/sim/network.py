@@ -57,7 +57,7 @@ class RpcTimeout(Exception):
 class LatencyModel:
     """Latency parameters for one network.
 
-    Defaults approximate a lightly tuned 1-GbE datacenter rack: ~120 GbE
+    Defaults approximate a lightly tuned 1-GbE datacenter rack: ~120
     microseconds of fixed cost (NIC + switch + kernel) and 1 Gbit/s of
     bandwidth, so a 4 KB payload costs ~33 us of serialization.
     """

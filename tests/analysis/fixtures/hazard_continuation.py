@@ -4,11 +4,14 @@ an event's ``add_callback``, bare or under ``partial``).  The whole body
 of each is a post-yield segment.
 
 ``open_after_force`` (an unguarded protocol-state write), ``seal_epoch``
-(a guard-named argument used as if live) and ``late_promote`` (parked
-under ``partial``) are the hazards; ``open_if_leader``, ``seal_checked``
-and ``count_ack`` show the re-check idioms and must stay green;
-``on_arrival`` is never parked — it runs before any wait, so its write
-is part of an atomic first segment; ``suppressed_open`` carries a pragma.
+(a guard-named argument used as if live), ``late_promote`` (parked
+under ``partial``) and ``serve_on_old_layout`` (a snapshot compared with
+another snapshot, the request's immutable payload) are the hazards;
+``open_if_leader``, ``seal_checked``, ``count_ack`` and
+``serve_if_same_layout`` (the live attribute read through a chain) show
+the re-check idioms and must stay green; ``on_arrival`` is never parked
+— it runs before any wait, so its write is part of an atomic first
+segment; ``suppressed_open`` carries a pragma.
 """
 
 from functools import partial
@@ -23,6 +26,9 @@ def on_arrival(self, req):
     self.node.after(req.force, seal_checked, self, self.epoch)
     req.force.add_callback(partial(late_promote, self))
     req.force.add_callback(suppressed_open)
+    version = self.node.partitioner.version
+    self.node.charge(0.001, serve_if_same_layout, self, req, version)
+    self.node.charge(0.001, serve_on_old_layout, self, req, version)
 
 
 def open_after_force(self):
@@ -46,6 +52,18 @@ def seal_checked(self, epoch):
 
 def late_promote(self, _event):
     self.role = "leader"                  # write-after-yield-unguarded
+
+
+def serve_if_same_layout(self, req, map_version):
+    if map_version != self.node.partitioner.version:    # live, via a chain
+        return
+    self.serve(req)                       # fine
+
+
+def serve_on_old_layout(self, req, map_version):
+    if map_version != req.payload.map_version:          # both are snapshots
+        return
+    self.serve(req)                       # stale-guard-across-yield
 
 
 def count_ack(self, req):

@@ -103,14 +103,44 @@ def test_bad_continuations_are_flagged_by_both_rules():
     assert by_rule == {
         "write-after-yield-unguarded": {"open_after_force", "late_promote",
                                         "suppressed_open"},
-        "stale-guard-across-yield": {"seal_epoch"},
+        "stale-guard-across-yield": {"seal_epoch", "serve_on_old_layout"},
     }
 
 
 def test_good_continuations_and_first_segments_stay_green():
     findings = lint_fixture("hazard_continuation.py")
-    clean = {"on_arrival", "open_if_leader", "seal_checked", "count_ack"}
+    clean = {"on_arrival", "open_if_leader", "seal_checked", "count_ack",
+             "serve_if_same_layout"}
     assert not processes_of(findings) & clean
+
+
+def test_a_live_read_through_an_attribute_chain_is_a_re_check():
+    """``node.partitioner.version`` re-validates a ``map_version``
+    snapshot as ``self.epoch`` does an ``epoch`` one; the same name read
+    off the request's payload (immutable, itself a snapshot) does not;
+    and a chain read *is* a snapshot when bound before a yield."""
+    ok = ("def _serve(self, req, map_version):\n"
+          "    node = self.node\n"
+          "    if map_version != node.partitioner.version:\n"
+          "        return\n"
+          "    self.engine.get(req.payload.key)\n")
+    assert not lint_atomicity(ok, "mod.py", continuations={"_serve"})
+    for stale in ("req.payload.map_version", "self.config.map_version"):
+        bad = ok.replace("node.partitioner.version", stale)
+        flagged = lint_atomicity(bad, "mod.py", continuations={"_serve"})
+        assert [f.rule for f in flagged] == ["stale-guard-across-yield"]
+    proc = ("def mover(replica):\n"
+            "    version = replica.node.partitioner.version\n"
+            "    yield replica.node.sim.timeout(1.0)\n"
+            "    replica.publish(version)\n")
+    flagged = lint_atomicity(proc, "mod.py", spawned={"mover"})
+    assert [f.rule for f in flagged] == ["stale-guard-across-yield"]
+    assert "'replica.node.partitioner.version'" in flagged[0].message
+    reread = proc.replace(
+        "    replica.publish(version)\n",
+        "    if version == replica.node.partitioner.version:\n"
+        "        replica.publish(version)\n")
+    assert not lint_atomicity(reread, "mod.py", spawned={"mover"})
 
 
 def test_continuations_parked_from_another_module_are_roots():

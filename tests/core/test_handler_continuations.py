@@ -215,7 +215,7 @@ def test_a_continuation_that_raises_is_a_failure_and_the_run_goes_on(
     node = leader.node
     if where == "on arrival":
         replica, req = a_get(leader, follower, key)
-        monkeypatch.setattr(node, "replica_for_key", explode)
+        monkeypatch.setitem(node._cohort_handlers, ClientGet, explode)
     elif where == "after the cpu":
         replica, req = a_get(leader, follower, key)
         monkeypatch.setattr(leader.engine, "get", explode)

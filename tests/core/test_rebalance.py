@@ -297,15 +297,16 @@ def test_stale_client_transaction_rides_out_a_split():
     assert cluster.all_failures() == []
 
 
-def test_scan_after_split_returns_each_row_once():
-    """Ordered cluster: after a split, the parent's leftover copies of
-    moved rows must not surface in scans — each row comes back exactly
-    once, from the cohort that now owns it."""
+def ordered_cluster_split_under_a_client():
+    """An ordered cluster whose cohort 0 splits at its midpoint (node5
+    joins) with 40 rows stranded on both sides; returns the cluster, the
+    row keys in order and a client whose map predates the split."""
     cfg = fast_config()
     cfg.order_preserving_keys = True
     cluster = SpinnakerCluster(n_nodes=5, config=cfg, seed=13)
     cluster.start()
     client = cluster.client()
+    stale = cluster.client("stale")         # its map: version 1, for good
     # 4-byte big-endian keys spread across cohort 0's range, straddling
     # its midpoint so the split strands rows on both sides.
     keys = [(i * 21_000_000).to_bytes(4, "big") for i in range(40)]
@@ -317,9 +318,16 @@ def test_scan_after_split_returns_each_row_once():
         1 for k in keys if part.cohort_for_key(
             part.key_mapper(k)).cohort_id == c.cohort_id))
         for c in part.cohorts}
-    plans = plan_join(part, ["node5"], heat=heat)
-    rebalance(cluster, plans)
+    rebalance(cluster, plan_join(part, ["node5"], heat=heat))
+    assert stale.map_version == 1 < part.version
+    return cluster, keys, stale
 
+
+def test_scan_after_split_returns_each_row_once():
+    """Ordered cluster: after a split, the parent's leftover copies of
+    moved rows must not surface in scans — each row comes back exactly
+    once, from the cohort that now owns it."""
+    cluster, keys, _stale = ordered_cluster_split_under_a_client()
     fresh = cluster.client("fresh")
 
     def scan_all():
@@ -327,6 +335,48 @@ def test_scan_after_split_returns_each_row_once():
                                       consistent=True))
     rows = run_client(cluster, scan_all(), limit=120.0)
     assert [key for key, _cols in rows] == keys
+    assert cluster.all_failures() == []
+
+
+@pytest.mark.parametrize("consistent", [True, False],
+                         ids=["strong", "timeline"])
+def test_scan_on_a_stale_map_still_returns_each_row_once(consistent):
+    """The client planned its scan before the split: the parent cohort
+    still exists under its old id, so nothing used to tell the client
+    that half its rows now live in a cohort its map has never heard of —
+    a strong scan came back 21 rows of 40, no error, no refresh.  A scan
+    carries the map version it was planned on; a server on a newer
+    layout says ``wrong-node`` and the client re-plans what is left."""
+    cluster, keys, stale = ordered_cluster_split_under_a_client()
+    part = cluster.partitioner
+    cluster.run(1.0)                        # followers apply the commits
+
+    def scan_all():
+        return (yield from stale.scan(keys[0], limit=100,
+                                      consistent=consistent))
+    rows = run_client(cluster, scan_all(), limit=120.0)
+    assert [key for key, _cols in rows] == keys
+    assert stale.map_version == part.version
+    assert stale.map_refreshes == 1
+    assert cluster.all_failures() == []
+
+
+def test_a_bounded_scan_on_a_stale_map_stops_at_its_end_and_its_limit():
+    """Re-planning keeps the scan's own bounds: rows in [start, end),
+    at most ``limit`` of them, from a start inside the moved half."""
+    cluster, keys, stale = ordered_cluster_split_under_a_client()
+    part = cluster.partitioner
+    split = part.cohort(0).key_range.hi     # cohort 0 kept [0, split)
+    moved = [k for k in keys if part.key_mapper(k) >= split]
+    assert moved and part.locate(moved[0]).cohort_id not in range(5)
+
+    def scans():
+        bounded = yield from stale.scan(moved[1], keys[30], limit=100)
+        limited = yield from stale.scan(keys[0], limit=7, consistent=False)
+        return bounded, limited
+    bounded, limited = run_client(cluster, scans(), limit=120.0)
+    assert [key for key, _ in bounded] == keys[keys.index(moved[1]):30]
+    assert [key for key, _ in limited] == keys[:7]
     assert cluster.all_failures() == []
 
 

@@ -25,7 +25,8 @@ from collections import Counter
 from heapq import heappush
 
 from repro.core import SpinnakerCluster, SpinnakerConfig
-from repro.core.partition import key_of
+from repro.core.partition import CohortMap, key_of
+from repro.core.replication import CohortReplica
 from repro.sim.disk import DiskProfile
 from repro.sim.events import Simulator
 from repro.sim.network import Network
@@ -47,7 +48,12 @@ COUNTED_CODE = {
     Process.__init__.__code__: "processes",
     Process._step.__code__: "steps",
     Timeout.__init__.__code__: "timeouts",
+    CohortMap.locate.__code__: "locates",
+    CohortReplica.is_leader.fget.__code__: "is_leader_calls",
 }
+#: the clock property: counted when the caller is the simulator's own
+#: source (a workload reading the clock to time itself is not our cost)
+NOW_CODE = Simulator.now.fget.__code__
 
 
 def make_cluster():
@@ -107,6 +113,9 @@ def measure(cluster, gen, need):
                 tally["tracer_calls"] += 1
             elif code in COUNTED_CODE:
                 tally[COUNTED_CODE[code]] += 1
+            elif code is NOW_CODE and "/repro/" in (
+                    frame.f_back.f_code.co_filename):
+                tally["clock_reads"] += 1
 
     sent = net.messages_sent
     sys.setprofile(hook)
@@ -140,8 +149,8 @@ def test_strong_get_costs_two_messages_three_heap_entries_one_digest():
     # request delivery, the handler's CPU charge, reply delivery — no
     # timer per RPC, no heap entry to start the handler
     assert tally["heap_entries"] == 3 * ops
-    # client routing, node dispatch and the handler's ownership re-check
-    # share one memoised digest per distinct key
+    # only the client routes by key (memoised: one digest per distinct
+    # key); the server takes the cohort from the request's stamp
     assert tally["digests"] == len(KEYS)
     assert tally["tracer_calls"] == 0            # untraced: obs costs nothing
 
@@ -162,6 +171,27 @@ def test_a_strong_get_is_handled_by_functions_not_a_process():
     assert tally["processes"] == 0
     assert tally["timeouts"] == 0
     assert tally["generator_sends"] == tally["steps"] == ops
+
+
+def test_a_strong_get_is_routed_once_and_reads_where_it_used_to_call():
+    """The client locates the key; its stamp (cohort, map version) is
+    the server's routing while the versions agree, on arrival and again
+    after the CPU slice — 3 locates per get before.  And what a read
+    will do costs no call: the role is compared, not asked through the
+    ``is_leader`` property (2 calls), and the clock is read once per
+    client call (3 reads from ``src/`` before: two by the client, one
+    by the handler for a trace nobody was taking)."""
+    cluster, client = make_cluster()
+
+    def gets():
+        for key in KEYS + KEYS:
+            yield from client.get(key, b"c", consistent=True)
+
+    tally = measure(cluster, gets(), need=0.05)
+    ops = 2 * len(KEYS)
+    assert tally["locates"] == ops
+    assert tally["is_leader_calls"] == 0
+    assert tally["clock_reads"] <= ops
 
 
 PUTS = 4
@@ -185,6 +215,12 @@ def test_strong_put_cost_is_pinned():
     # leader and at each of the 2 followers
     assert tally["heap_entries"] == 12 * PUTS
     assert tally["tracer_calls"] == 0
+
+
+def test_a_put_is_routed_once():
+    """Dispatch and the post-CPU ownership re-check take the client's
+    stamp while the layout version stands (3 locates per put before)."""
+    assert put_tally()["locates"] == PUTS
 
 
 def test_a_put_is_handled_by_functions_not_processes():
