@@ -20,6 +20,8 @@ from repro.bench.openloop import (BurstyArrivals, DiurnalArrivals,
                                   MuxedUsers, PoissonArrivals)
 from repro.core import SpinnakerCluster, SpinnakerConfig
 from repro.core.commitqueue import PendingWrite
+from repro.core.datamodel import GetResult, PutResult
+from repro.core.messages import Ack, ClientGet, ClientWrite, Propose, WriteOp
 from repro.obs.trace import Span, TraceContext
 from repro.sim.disk import DiskProfile
 from repro.sim.events import Event, Simulator
@@ -29,13 +31,16 @@ from repro.sim.process import (Process, Supervisor, Timeout, drive,
                                spawn, timeout)
 from repro.sim.resources import Charge
 from repro.sim.rng import RngRegistry
+from repro.storage.records import WriteRecord
 
 #: classes instantiated once (or more) per simulated event/message/write,
-#: plus the open-loop generator state touched on every arrival (heap
-#: entries are plain lists and a log holds the records themselves —
-#: nothing to guard)
+#: the value types built per get and put, plus the open-loop generator
+#: state touched on every arrival (heap entries are plain lists and a
+#: log holds the records themselves — nothing to guard)
 HOT_CLASSES = [Event, Process, Timeout, Request, Supervisor, Charge,
                PendingWrite, Span, TraceContext,
+               ClientGet, ClientWrite, WriteOp, WriteRecord, Propose, Ack,
+               GetResult, PutResult,
                PoissonArrivals, BurstyArrivals, DiurnalArrivals,
                MuxedUsers]
 
@@ -57,8 +62,10 @@ RPC_FLOOR = 30_000
 # ``SpinnakerClient.put``: client -> leader, force || 2 proposes, 2
 # acks, commit, reply): 8.2-8.7K over 5 runs on the reference box with
 # the write fast path; the write path it replaced ran 6.0-7.2K in the
-# same session.
-WRITE_FLOOR = 4_200
+# same session.  With slotted value types (no dataclass-generated
+# ``__init__`` per message, record or result) 11.0-11.6K over 4 runs
+# on a 2-vCPU VM where the parent ran 10.8-11.2K.
+WRITE_FLOOR = 5_600
 # Strong gets per second (3 nodes, 16 readers through
 # ``SpinnakerClient.get``: client -> leader, one CPU charge, one lookup,
 # reply — handled by functions, no process): 57-64K over 10 runs on
@@ -66,8 +73,9 @@ WRITE_FLOOR = 4_200
 # gets ran 47-49K in the same session.  Routed once (the request
 # carries its cohort and map version: 1 key locate per get, not 3) the
 # same gets run 9-10 % faster — 58-60K against 54-56K on a slower,
-# shared box (CPU time, best of 3, six alternating pairs).
-GET_FLOOR = 33_000
+# shared box (CPU time, best of 3, six alternating pairs).  As value
+# types: 85.6-87.4K over 4 runs on a 2-vCPU VM (the parent 66-79K).
+GET_FLOOR = 43_000
 PERCENTILE_FLOOR = 400_000
 
 

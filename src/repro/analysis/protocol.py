@@ -119,14 +119,16 @@ def _annotation_names(node: ast.expr) -> Set[str]:
 
 
 def parse_catalog(source: str, path: str) -> Dict[str, MessageInfo]:
-    """Top-level dataclasses of a messages module, with their fields."""
+    """Top-level dataclasses (``@dataclass(...)`` or
+    ``@value_type``) of a messages module, with their fields."""
     tree = ast.parse(source, filename=path)
     catalog: Dict[str, MessageInfo] = {}
     for node in tree.body:
         if not isinstance(node, ast.ClassDef):
             continue
         is_dataclass = any(
-            (isinstance(dec, ast.Name) and dec.id == "dataclass")
+            (isinstance(dec, ast.Name)
+             and dec.id in ("dataclass", "value_type"))
             or (isinstance(dec, ast.Call)
                 and isinstance(dec.func, (ast.Name, ast.Attribute))
                 and (getattr(dec.func, "id", None) == "dataclass"

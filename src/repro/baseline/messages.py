@@ -8,14 +8,15 @@ timestamps plus read repair and hinted handoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
+
+from ..values import value_type
 
 __all__ = ["CoordWrite", "CoordRead", "ReplicaWrite", "ReplicaRead",
            "ReplicaReadResult"]
 
 
-@dataclass(frozen=True)
+@value_type
 class CoordWrite:
     """Client → coordinator."""
 
@@ -26,7 +27,7 @@ class CoordWrite:
     tombstone: bool = False
 
 
-@dataclass(frozen=True)
+@value_type
 class CoordRead:
     """Client → coordinator."""
 
@@ -35,7 +36,7 @@ class CoordRead:
     consistency: str          # "weak" (R=1) or "quorum" (R=2)
 
 
-@dataclass(frozen=True)
+@value_type
 class ReplicaWrite:
     """Coordinator → replica (also used for hint replay & read repair)."""
 
@@ -48,7 +49,7 @@ class ReplicaWrite:
     tombstone: bool = False
 
 
-@dataclass(frozen=True)
+@value_type
 class ReplicaRead:
     """Coordinator → replica."""
 
@@ -57,7 +58,7 @@ class ReplicaRead:
     colname: bytes
 
 
-@dataclass(frozen=True)
+@value_type
 class ReplicaReadResult:
     value: Optional[bytes]
     timestamp: float

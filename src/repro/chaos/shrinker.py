@@ -145,11 +145,16 @@ def format_regression_test(result: ShrinkResult) -> str:
     schedule.  It fails today (the violation reproduces) and passes
     once the underlying bug is fixed."""
     cfg = result.config
+    # A multi-DC storm replayed on a flat cluster is another storm.
+    topology = "".join(f", {name}={getattr(cfg, name)!r}"
+                       for name in ("n_dcs", "wan_one_way")
+                       if getattr(cfg, name) != getattr(ChaosConfig, name))
     lines = [
         f"def test_chaos_regression_seed{result.seed}():",
         f'    """Shrunken from `python -m repro chaos '
         f"--seed {result.seed} --duration {cfg.duration:g} "
-        f'--nodes {cfg.n_nodes}` ({len(result.original)} -> '
+        f"--nodes {cfg.n_nodes} --dcs {cfg.n_dcs}` "
+        f"({len(result.original)} -> "
         f'{len(result.minimized)} events)."""',
         "    from repro.chaos import (ChaosConfig, FaultEvent,",
         "                             replay_schedule)",
@@ -161,7 +166,7 @@ def format_regression_test(result: ShrinkResult) -> str:
         f"    config = ChaosConfig(n_nodes={cfg.n_nodes}, "
         f"duration={cfg.duration!r},",
         f"                         mean_fault_gap={cfg.mean_fault_gap!r},"
-        f" mean_repair={cfg.mean_repair!r})",
+        f" mean_repair={cfg.mean_repair!r}{topology})",
         f"    report = replay_schedule(seed={result.seed}, "
         f"config=config, schedule=schedule)",
         "    assert report.ok, report.format()",

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..values import value_type
+
 __all__ = [
     "ZNodeTree", "WatchEvent", "CoordError", "NoNodeError",
     "NodeExistsError", "NotEmptyError", "BadVersionError", "EphemeralError",
@@ -64,7 +66,7 @@ ERRORS_BY_CODE = {
 }
 
 
-@dataclass(frozen=True)
+@value_type
 class WatchEvent:
     """What a watcher receives: event type + the path it fired for."""
 

@@ -141,8 +141,7 @@ class SpinnakerClient:
         """Read a column value and its version number."""
         routing = self._map
         cohort = routing.locate(key)
-        msg = ClientGet(key=key, colname=colname, consistent=consistent,
-                        cohort_id=cohort.cohort_id,
+        msg = ClientGet(key, colname, consistent, cohort_id=cohort.cohort_id,
                         map_version=routing.version)
         return self._call("read", cohort, msg, 96, strong=consistent,
                           key=key)
@@ -314,7 +313,7 @@ class SpinnakerClient:
             size += 32 + len(o.value or b"")
         routing = self._map
         cohort = routing.locate(key)
-        msg = ClientWrite(ops=ops, cohort_id=cohort.cohort_id,
+        msg = ClientWrite(ops, cohort_id=cohort.cohort_id,
                           map_version=routing.version)
         return self._call(op, cohort, msg, size, strong=True, key=key)
 

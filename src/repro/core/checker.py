@@ -25,13 +25,14 @@ through this checker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
+
+from ..values import value_type
 
 __all__ = ["HistoryRecorder", "Violation", "check_strong_history"]
 
 
-@dataclass(frozen=True)
+@value_type
 class _Op:
     kind: str           # "read" | "write"
     key: bytes
@@ -41,7 +42,7 @@ class _Op:
     ok: bool
 
 
-@dataclass(frozen=True)
+@value_type
 class Violation:
     """One consistency violation found in a history."""
 

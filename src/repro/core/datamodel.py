@@ -10,8 +10,9 @@ the basis of the optimistic concurrency control offered by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
+
+from ..values import value_type
 
 __all__ = [
     "GetResult", "PutResult", "Consistency",
@@ -27,7 +28,7 @@ class Consistency:
     TIMELINE = "timeline"  # any replica; possibly stale, never out of order
 
 
-@dataclass(frozen=True)
+@value_type
 class GetResult:
     """A read result: the value and its version number."""
 
@@ -37,10 +38,10 @@ class GetResult:
 
     @classmethod
     def not_found(cls) -> "GetResult":
-        return cls(value=None, version=0, found=False)
+        return cls(None, 0, False)
 
 
-@dataclass(frozen=True)
+@value_type
 class PutResult:
     """A write acknowledgement: the version number that was written."""
 

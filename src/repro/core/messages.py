@@ -4,8 +4,9 @@ Client-facing messages (``ClientGet``/``ClientWrite``) and the replication
 protocol messages of Fig. 4 (``Propose``/``Ack``/``Commit``) plus the
 recovery traffic of §6 (``CatchupRequest``/``CatchupChunk``/
 ``TakeoverState``).  All are
-plain frozen dataclasses; the network layer delivers object references,
-so immutability matters.
+frozen dataclasses (:func:`~repro.values.value_type`: slotted, with a
+cheap ``__init__``); the network layer delivers object references, so
+immutability matters.
 
 A client operation carries its **routing stamp**: ``cohort_id``, the
 cohort the client's map located the key in, and ``map_version``, that
@@ -17,11 +18,11 @@ message left at the defaults, "not routed") it locates by key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..storage.lsn import LSN
 from ..storage.records import WriteRecord
+from ..values import value_type
 from .partition import Cohort, MembershipChange
 
 __all__ = [
@@ -37,7 +38,7 @@ __all__ = [
 # Client operations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_type
 class ClientGet:
     key: bytes
     colname: bytes
@@ -49,7 +50,7 @@ class ClientGet:
     map_version: int = 0
 
 
-@dataclass(frozen=True)
+@value_type
 class ClientScan:
     """Ordered range read over one cohort's key range (extension; needs
     order-preserving keys).  The client splits a multi-cohort scan into
@@ -66,7 +67,7 @@ class ClientScan:
     map_version: int = 0             # 0: not routed, served as addressed
 
 
-@dataclass(frozen=True)
+@value_type
 class WriteOp:
     """One write: put / delete / conditionalPut / conditionalDelete (§3,
     §5.1).  ``expected_version`` is None for unconditional writes;
@@ -79,7 +80,7 @@ class WriteOp:
     expected_version: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@value_type
 class ClientWrite:
     """The one client-write request: a tuple of ops on one cohort,
     committed as one transaction.  A single-column write is one op, a
@@ -100,7 +101,7 @@ class ClientWrite:
         return self.ops[0].key
 
 
-@dataclass(frozen=True)
+@value_type
 class WhoIsLeader:  # lint: allow(dead-message) — sent by external clients
     """Routing helper: ask any cohort member who it thinks leads."""
 
@@ -111,7 +112,7 @@ class WhoIsLeader:  # lint: allow(dead-message) — sent by external clients
 # Replication (Fig. 4)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_type
 class Propose:
     cohort_id: int
     epoch: int
@@ -120,7 +121,7 @@ class Propose:
     committed_lsn: Optional[LSN] = None
 
 
-@dataclass(frozen=True)
+@value_type
 class Ack:
     cohort_id: int
     epoch: int
@@ -128,7 +129,7 @@ class Ack:
     sender: str = ""  # acking follower (acks are cumulative per sender)
 
 
-@dataclass(frozen=True)
+@value_type
 class Commit:
     """Asynchronous commit message: apply pending writes up to ``lsn``."""
 
@@ -141,7 +142,7 @@ class Commit:
 # Recovery (§6)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_type
 class CatchupRequest:
     """Where one follower stands in the chunked catch-up (§6.1).
 
@@ -168,7 +169,7 @@ class CatchupRequest:
     source: Optional[Tuple[str, int]] = None
 
 
-@dataclass(frozen=True)
+@value_type
 class CatchupChunk:
     """Leader → follower: one bounded page of committed state.
 
@@ -208,7 +209,7 @@ class CatchupChunk:
     trace: Optional[object] = None   # repro.obs TraceContext, if sampled
 
 
-@dataclass(frozen=True)
+@value_type
 class TakeoverState:
     """Leader → follower, opening a catch-up push (Fig. 6, line 4):
     report your f.cmt and durable catch-up floor."""
@@ -221,14 +222,14 @@ class TakeoverState:
 # Elastic membership (rebalance protocol)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_type
 class GetCohortMap:
     """Client → any node: send me your current routing snapshot.  Sent
     after a ``wrong-node`` reply whose ``map_version`` outruns the
     client's snapshot."""
 
 
-@dataclass(frozen=True)
+@value_type
 class MigrationStart:
     """Rebalancer → source-cohort leader: execute one
     :class:`~repro.core.partition.MembershipChange`.  Idempotent — the
@@ -239,7 +240,7 @@ class MigrationStart:
     change: MembershipChange
 
 
-@dataclass(frozen=True)
+@value_type
 class MigrationPrepare:
     """Migration leader → joining node: instantiate a replica for
     ``cohort`` ahead of the membership switch, so the joiner can follow

@@ -29,10 +29,11 @@ from typing import Any, Callable, Dict, Optional
 
 from ..coord.client import CoordClient
 from ..coord.recipes import GroupMembership
+from ..coord.znode import CoordError, NoNodeError
 from ..sim.disk import LogDevice
 from ..sim.events import URGENT, Event, Simulator
-from ..sim.network import Network, Request
-from ..sim.process import Process, Supervisor
+from ..sim.network import Network, Request, RpcTimeout
+from ..sim.process import Process, Supervisor, timeout as sim_timeout
 from ..sim.resources import Charge, Resource
 from ..sim.rng import RngRegistry
 from ..storage.engine import StorageEngine
@@ -303,8 +304,6 @@ class SpinnakerNode:
 
     def _release_cohort_znodes(self, zk: CoordClient, cohort_id: int,
                                candidate_path: Optional[str]):
-        from ..coord.znode import CoordError, NoNodeError
-        from ..sim.network import RpcTimeout
         root = cohort_zk_path(cohort_id)
         if candidate_path is not None:
             try:
@@ -351,7 +350,7 @@ class SpinnakerNode:
 
     def _startup(self):
         zk = self.zk
-        yield from zk.start()
+        yield from self._open_session(zk)
         # The shared map may have moved while we were down: shed cohorts
         # we no longer belong to, refresh the rest, instantiate empty
         # replicas for new seats (catch-up fills them in).
@@ -431,27 +430,37 @@ class SpinnakerNode:
         self.zk.on_session_loss = self._on_session_loss
         self.spawn(self._rejoin(self.zk), "rejoin")
 
-    def _rejoin(self, zk: CoordClient):
-        from ..coord.znode import CoordError
-        from ..sim.network import RpcTimeout
-        from ..sim.process import timeout as sim_timeout
+    def _open_session(self, zk: CoordClient):
+        """``yield from`` me: open ``zk``'s session, retrying at the
+        ``ELECTION_RETRY`` pace while the coordination service is out of
+        reach — a boot or a rejoin inside a partition must outlast it —
+        until it is open or ``zk`` is no longer the node's."""
         while self.alive and self.zk is zk:
             try:
                 yield from zk.start(
                     rpc_timeout=self.config.session_timeout)
-                # start() yields: a loss of *this* session meanwhile has
-                # already spawned a successor rejoin — defer to it.
-                if not self.alive or self.zk is not zk:
-                    return
+                return
+            except (RpcTimeout, CoordError):
+                yield sim_timeout(self.sim, ELECTION_RETRY)
+
+    def _rejoin(self, zk: CoordClient):
+        while self.alive and self.zk is zk:
+            yield from self._open_session(zk)
+            # start() yields: a loss of *this* session meanwhile has
+            # already spawned a successor rejoin — defer to it.
+            if not self.alive or self.zk is not zk:
+                return
+            try:
                 self.membership = GroupMembership(zk, "/nodes", self.name)
                 yield from self.membership.join()
-                break
             except (RpcTimeout, CoordError):
-                # Still cut off (or our old ephemerals linger until the
-                # previous session expires server-side); retry.
+                # Our old ephemerals linger until the previous session
+                # expires server-side (or we are cut off again); retry.
                 yield sim_timeout(self.sim, ELECTION_RETRY)
-        if self.alive and self.zk is zk:
-            self._spawn_monitors()
+                continue
+            if self.alive and self.zk is zk:
+                self._spawn_monitors()
+            return
 
     def crash(self) -> None:
         """Fail-stop: lose volatile state, leave the network."""

@@ -264,10 +264,19 @@ def ingest_catchup(replica, chunk: CatchupChunk):
         mine = wal.write_records(cohort_id, after=t_floor,
                                  upto=chunk.valid_upto)
         to_skip = [r.lsn for r in mine if r.lsn not in valid]
-        if to_skip:
-            wal.add_skipped(cohort_id, to_skip)
-            for lsn in to_skip:
-                replica.queue.drop(lsn)
+    if not chunk.more:
+        #    The last page's window ends at the leader's l.lst, and the
+        #    leader holds every committed record of an earlier epoch:
+        #    one of those above it here (a deposed leader's unacked
+        #    tail) was never committed.  Left, it would pass for
+        #    committed once f.cmt moves past it, and replay on restart.
+        to_skip += [r.lsn for r in wal.write_records(
+            cohort_id, after=max(t_floor, chunk.valid_upto))
+            if r.lsn.epoch < chunk.epoch]
+    if to_skip:
+        wal.add_skipped(cohort_id, to_skip)
+        for lsn in to_skip:
+            replica.queue.drop(lsn)
     # 2. Snapshot slice shipped because the leader's log rolled over.
     #    The engine checkpoint is capped at the chunk's safe floor: an
     #    overlapping compacted table still unshipped may hold surviving

@@ -299,9 +299,9 @@ class CohortReplica:
             self._trace_route(ctx)
         # LSNs only now: a rejected request must not leave a seq gap.
         records = [WriteRecord(
-            lsn=self.alloc_lsn(), cohort_id=self.cohort_id, key=op.key,
-            colname=op.colname, value=None if op.tombstone else op.value,
-            version=version, timestamp=node.sim.now, tombstone=op.tombstone)
+            self.alloc_lsn(), self.cohort_id, op.key, op.colname,
+            None if op.tombstone else op.value, version, node.sim.now,
+            op.tombstone)
             for op, version in zip(ops, versions)]
         if cfg.parallel_force_and_propose:
             node.after(self._replicate(records, ctx=ctx),
@@ -329,8 +329,8 @@ class CohortReplica:
     def _reply_write(self, req, records: List[WriteRecord]) -> None:
         """Every record of the request has committed."""
         self.writes_served += 1
-        req.respond({"ok": True, "result": PutResult(
-            version=records[-1].version)}, size=64)
+        req.respond({"ok": True, "result": PutResult(records[-1].version)},
+                    size=64)
 
     def _replicate(self, records: List[WriteRecord],
                    already_logged: bool = False, ctx=None) -> Event:
@@ -389,10 +389,8 @@ class CohortReplica:
         proposed, so a cumulative ack never covers a dropped record."""
         node, cfg = self.node, self.node.config
         propose = Propose(
-            cohort_id=self.cohort_id, epoch=self.epoch,
-            records=tuple(records),
-            committed_lsn=(self.committed_lsn
-                           if cfg.piggyback_commits else None))
+            self.cohort_id, self.epoch, tuple(records),
+            self.committed_lsn if cfg.piggyback_commits else None)
         size = 64
         for record in records:
             size += record.size
@@ -578,10 +576,14 @@ class CohortReplica:
                 for record in missing:
                     forces.append(wal.append(record, force=True,
                                              backfill=record.lsn <= last))
-        # Read the skipped list only now: a backfill above un-skips.
+        # Read the skipped list only now: a backfill above un-skips.  A
+        # takeover re-proposal at or below our f.cmt (we heard a commit
+        # point the new leader had not) is applied already: queued, it
+        # would sit at the head for good — nothing commits there again.
         skipped = wal.skipped_lsns(cohort_id)
+        committed = self.committed_lsn
         for record in records:
-            if record.lsn not in skipped:
+            if record.lsn not in skipped and record.lsn > committed:
                 self.queue.add(record)
         if len(forces) == 1:
             node.after(forces[0], self._ack_propose, req)
@@ -601,8 +603,8 @@ class CohortReplica:
         self.proposes_handled += 1
         top = (records[0] if len(records) == 1      # the common case
                else max(records, key=_BY_LSN))
-        req.respond(Ack(cohort_id=self.cohort_id, epoch=self.epoch,
-                        lsn=top.lsn, sender=self.node.name), size=48)
+        req.respond(Ack(self.cohort_id, self.epoch, top.lsn, self.node.name),
+                    size=48)
 
     def handle_commit(self, src: str, msg: Commit) -> None:
         """Synchronous handler for the one-way commit message."""
@@ -759,7 +761,7 @@ class CohortReplica:
             result = GetResult.not_found()
             size = 64
         else:
-            result = GetResult(value=cell.value, version=cell.version)
+            result = GetResult(cell.value, cell.version)
             size = 64 + (len(cell.value) if cell.value else 0)
         self.reads_served += 1
         ctx = msg.trace

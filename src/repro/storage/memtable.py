@@ -15,16 +15,16 @@ apply per replica.  :class:`Cell` is that shape, for cells built by hand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from ..values import value_type
 from .lsn import LSN
 from .records import WRITE_FRAMING, WriteRecord
 
 __all__ = ["Cell", "Memtable", "lsn_order", "timestamp_order"]
 
 
-@dataclass(frozen=True)
+@value_type
 class Cell:
     """One (row, column) value with its provenance."""
 

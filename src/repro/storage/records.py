@@ -21,9 +21,10 @@ in-simulation log keeps the decoded objects.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Optional, Union
 
+from ..values import value_type
 from .lsn import LSN
 
 __all__ = ["WriteRecord", "CommitMarker", "CheckpointRecord",
@@ -40,7 +41,7 @@ _KIND_CATCHUP = 4
 WRITE_FRAMING = _HEADER.size + 2 + 2 + 4 + 8 + 1
 
 
-@dataclass(frozen=True)
+@value_type
 class WriteRecord:
     """A replicated single-row write.
 
@@ -65,16 +66,17 @@ class WriteRecord:
 
     def __post_init__(self) -> None:
         value = self.value
-        object.__setattr__(
-            self, "size",
-            WRITE_FRAMING + len(self.key) + len(self.colname)
-            + (len(value) if value is not None else 0))
+        _set_size(self, WRITE_FRAMING + len(self.key) + len(self.colname)
+                  + (len(value) if value is not None else 0))
 
     def encoded_size(self) -> int:
         return self.size
 
 
-@dataclass(frozen=True)
+_set_size = WriteRecord.size.__set__     # the slot, past frozen __setattr__
+
+
+@value_type
 class CommitMarker:
     """Durably remembers the cohort's last committed LSN (non-forced)."""
 
@@ -86,7 +88,7 @@ class CommitMarker:
         return _HEADER.size + 8
 
 
-@dataclass(frozen=True)
+@value_type
 class CheckpointRecord:
     """Memtable state up to ``checkpoint_lsn`` is captured in SSTables."""
 
@@ -98,7 +100,7 @@ class CheckpointRecord:
         return _HEADER.size + 8
 
 
-@dataclass(frozen=True)
+@value_type
 class CatchupMarker:
     """Durable chunked-catch-up progress (§6.1).
 

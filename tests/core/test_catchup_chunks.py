@@ -8,6 +8,8 @@ the forced CatchupMarker append must resume from the last durable chunk
 — never re-shipping state below the re-derived floor — and converge.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import Role, SpinnakerCluster, SpinnakerConfig
@@ -18,6 +20,7 @@ from repro.core.recovery import build_catchup_chunk, chunk_wire_size, \
 from repro.sim.disk import DiskProfile
 from repro.sim.process import spawn
 from repro.storage.lsn import LSN
+from repro.storage.records import WriteRecord
 
 COHORT = 0
 
@@ -206,6 +209,43 @@ class TestIngestIdempotency:
                 wal.skipped_lsns(COHORT),
                 len(wal.write_records(COHORT))) == state
         assert cluster.all_failures() == []
+
+
+class TestLogicalTruncation:
+    def test_last_page_discards_a_deposed_leaders_tail_above_l_lst(self):
+        """A follower that led an earlier epoch can hold proposes nobody
+        acked past the new leader's l.lst.  The last page skip-lists
+        them: left, they passed for committed once f.cmt moved beyond
+        them (the harsh 3-DC 5-node storm of seed 1).  A record of the
+        chunk's own epoch there is left alone — the leader logs before
+        it proposes, so only a late copy of an old page can see one."""
+        cluster = make_cluster()
+        write_keys(cluster, cohort_keys(cluster, 20))
+        cluster.run(0.5)
+        leader = cluster.leader_of(COHORT)
+        follower = next(m for m in
+                        cluster.partitioner.cohort(COHORT).members
+                        if m != leader)
+        lead_rep = cluster.replica(leader, COHORT)
+        fol_rep = cluster.replica(follower, COHORT)
+        wal = cluster.nodes[follower].wal
+        top = cluster.nodes[leader].wal.last_lsn(COHORT)
+        tail = [WriteRecord(LSN(top.epoch, top.seq + i), COHORT, b"orphan",
+                            b"c", b"x", 99) for i in (1, 2)]
+
+        def log_tail():
+            yield wal.append_batch(tail)
+        run(cluster, log_tail())
+        chunk = build_catchup_chunk(lead_rep, CatchupRequest(
+            cohort_id=COHORT, follower=follower,
+            follower_cmt=fol_rep.committed_lsn))
+        assert not chunk.more and chunk.valid_upto == top
+        run(cluster, ingest_catchup(fol_rep, chunk))
+        assert not wal.skipped_lsns(COHORT)
+        # the same page from the next epoch's leader, whose log ends here
+        run(cluster, ingest_catchup(fol_rep,
+                                    replace(chunk, epoch=chunk.epoch + 1)))
+        assert wal.skipped_lsns(COHORT) == {r.lsn for r in tail}
 
 
 class TestCrashMidInstall:

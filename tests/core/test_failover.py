@@ -334,3 +334,29 @@ def test_partitioned_leader_blocks_writes_until_heal():
 
     got = run_client(cluster, resumed(), limit=30.0)
     assert got.value == b"y"
+
+
+def test_a_node_restarted_while_cut_off_from_coord_comes_back():
+    """A boot opens its coordination session the way a rejoin does:
+    bounded, retried while the service is out of reach.  It used to
+    wait on an unbounded ``start-session`` RPC, so a node restarted
+    inside a partition from the service never came back once it healed
+    — no session, no local recovery, no leader monitors (the harsh
+    3-DC 9-node storm of seed 10: node7 and node8)."""
+    cluster = make_cluster()
+    victim = cluster.leader_of(0)
+    cluster.crash_node(victim)
+    cluster.network.block(victim, "coord")
+    cluster.restart_node(victim)
+    cluster.run(5.0)                # start-session dropped, and retried
+    node = cluster.nodes[victim]
+    assert node.zk.session is None and not node._monitors
+    cluster.network.heal()
+    cluster.run_until(lambda: node.zk.session is not None
+                      and cluster.is_ready(), limit=30.0, what="rejoin")
+    cluster.run(2.0)                # monitors follow the session
+    assert sorted(node._monitors) == sorted(node.replicas)
+    assert all(proc.is_alive for proc in node._monitors.values())
+    assert all(replica.role in (Role.LEADER, Role.FOLLOWER)
+               for replica in node.replicas.values())
+    assert cluster.all_failures() == []

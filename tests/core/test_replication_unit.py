@@ -188,3 +188,28 @@ def test_broadcast_commit_skips_when_nothing_new():
     leader.broadcast_commit()  # nothing committed since last broadcast
     leader.broadcast_commit()
     assert cluster.network.messages_sent == sent_before
+
+
+def test_a_reproposal_at_or_below_f_cmt_is_acked_not_queued():
+    """A new leader re-proposes its (l.cmt, l.lst] tail; a follower that
+    had heard a later commit point holds those records committed and
+    applied.  Queued again, one sat at the head of the queue for good —
+    nothing commits at or below f.cmt twice — and stalled the takeover
+    the follower ran when it won a later election (the harsh 3-DC
+    5-node storm of seed 3)."""
+    cluster = make_cluster()
+    leader, follower = leader_and_follower(cluster)
+    seq = follower.node.wal.last_lsn(follower.cohort_id).seq + 1
+    record = wrec(follower, seq, key=b"rp-key")
+    deliver(cluster, follower, FakeRequest(src=leader.node.name)
+            .with_payload(Propose(follower.cohort_id, follower.epoch,
+                                  (record,))))
+    follower.handle_commit(leader.node.name, Commit(
+        follower.cohort_id, follower.epoch, record.lsn))
+    assert follower.committed_lsn == record.lsn and len(follower.queue) == 0
+    # the next epoch's leader, whose l.cmt is below it, re-proposes it
+    again = FakeRequest(src="new-leader").with_payload(
+        Propose(follower.cohort_id, follower.epoch + 1, (record,)))
+    deliver(cluster, follower, again)
+    assert [ack.lsn for ack in again.responses] == [record.lsn]
+    assert len(follower.queue) == 0

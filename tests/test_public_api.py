@@ -50,16 +50,19 @@ def test_headline_types_importable_from_one_place():
 # Records and messages are shared by reference between replicas, logs,
 # memtables and in-flight messages: they must stay immutable, and stay
 # *generated* frozen dataclasses — ``core/api.py`` and
-# ``core/recovery.py`` re-stamp them with ``dataclasses.replace``.
+# ``core/recovery.py`` re-stamp them with ``dataclasses.replace`` — at
+# the cost of a slotted object (``repro.values.value_type``).
 
 def _frozen_classes():
+    from repro.baseline import messages as baseline_messages
     from repro.core import messages
     from repro.core.datamodel import GetResult, PutResult
     from repro.storage.memtable import Cell
     from repro.storage.records import (CatchupMarker, CheckpointRecord,
                                        CommitMarker, WriteRecord)
-    wire = [cls for _, cls in inspect.getmembers(messages, inspect.isclass)
-            if cls.__module__ == messages.__name__]
+    wire = [cls for module in (messages, baseline_messages)
+            for _, cls in inspect.getmembers(module, inspect.isclass)
+            if cls.__module__ == module.__name__]
     return wire + [WriteRecord, CommitMarker, CheckpointRecord,
                    CatchupMarker, Cell, GetResult, PutResult]
 
@@ -84,6 +87,10 @@ def test_records_and_messages_are_frozen_and_replaceable(cls):
             setattr(obj, f.name, getattr(obj, f.name))
     with pytest.raises(dataclasses.FrozenInstanceError):
         obj.not_a_field = 1
+    for name in [f.name for f in dataclasses.fields(cls)] + ["not_a_field"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, name)
+    assert not hasattr(obj, "__dict__")
     clone = dataclasses.replace(obj)
     assert clone == obj and clone is not obj
     if required:
