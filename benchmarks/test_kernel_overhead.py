@@ -64,8 +64,10 @@ RPC_FLOOR = 30_000
 # the write fast path; the write path it replaced ran 6.0-7.2K in the
 # same session.  With slotted value types (no dataclass-generated
 # ``__init__`` per message, record or result) 11.0-11.6K over 4 runs
-# on a 2-vCPU VM where the parent ran 10.8-11.2K.
-WRITE_FLOOR = 5_600
+# on a 2-vCPU VM where the parent ran 10.8-11.2K.  With a put's waits
+# continuations, not Events: median 12.3K over 7 runs on a shared
+# 2-vCPU VM (one outlier at 8.9K), the parent 12.1K in the same session.
+WRITE_FLOOR = 6_100
 # Strong gets per second (3 nodes, 16 readers through
 # ``SpinnakerClient.get``: client -> leader, one CPU charge, one lookup,
 # reply — handled by functions, no process): 57-64K over 10 runs on

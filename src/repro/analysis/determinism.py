@@ -119,8 +119,9 @@ _EFFECT_NAMES = {
 }
 _SPAWN_NAMES = {"spawn", "spawn_proc", "Process"}
 #: calls that park a plain function to run after the world has moved:
-#: the CPU-charge primitive, a node's guarded wait, a raw event callback
-_PARK_NAMES = {"charge", "Charge", "after", "add_callback"}
+#: the CPU-charge primitive, a node's guarded wait or completion, a raw
+#: event callback — and any call's ``then=`` (a force's, a reply's)
+_PARK_NAMES = {"charge", "Charge", "after", "guarded", "add_callback"}
 #: reducers whose result does not depend on iteration order
 _ORDER_INSENSITIVE = {"sorted", "len", "sum", "min", "max", "set",
                       "frozenset", "any", "all"}
@@ -178,8 +179,9 @@ def collect_spawned(tree: ast.AST) -> Set[str]:
 
 def collect_continuations(tree: ast.AST) -> Set[str]:
     """Names of functions handed to a parking call — ``charge(cpu, t,
-    self._log_propose, req)``, ``node.after(ev, self._ack_propose, req)``,
-    ``ev.add_callback(partial(self._on_force, lsn))`` — bare or under
+    self._log_propose, req)``, ``node.guarded(self._ack_propose, req)``,
+    ``ev.add_callback(partial(self._on_force, lsn))``,
+    ``wal.append_batch(batch, then=_forced)`` — bare or under
     ``partial``.  Such a function runs after a scheduling point it does
     not contain: its whole body is a post-yield segment.  Every bare
     name or attribute argument is taken (``cpu``, ``req``...); only
@@ -187,10 +189,12 @@ def collect_continuations(tree: ast.AST) -> Set[str]:
     """
     parked: Set[str] = set()
     for node in ast.walk(tree):
-        if not (isinstance(node, ast.Call)
-                and _call_name(node.func) in _PARK_NAMES):
+        if not isinstance(node, ast.Call):
             continue
-        for arg in node.args:
+        args = [kw.value for kw in node.keywords if kw.arg == "then"]
+        if _call_name(node.func) in _PARK_NAMES:
+            args += node.args
+        for arg in args:
             if (isinstance(arg, ast.Call)
                     and _call_name(arg.func) == "partial" and arg.args):
                 arg = arg.args[0]

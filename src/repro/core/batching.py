@@ -251,11 +251,12 @@ class ProposalBatcher:
                     state.force_span = tracer.start(
                         state.ctx, "log_force", node.name,
                         batch_records=len(batch), traced_members=shared)
-        force_ev = node.wal.append_batch(batch)
+        # Counted before the append: a log without a device completes
+        # the force inside it.
         self._inflight_forces += 1
         gen = self._gen
 
-        def _forced(_ev) -> None:
+        def _forced() -> None:
             if gen != self._gen:
                 return      # a crash/step-down reset the pipeline
             self._inflight_forces -= 1
@@ -268,7 +269,7 @@ class ProposalBatcher:
             if self._groups and self._window is None:
                 self._flush()
 
-        force_ev.add_callback(_forced)
+        node.wal.append_batch(batch, then=_forced)
         replica.send_propose(batch)
         self.batches_sent += 1
         self.records_batched += len(batch)

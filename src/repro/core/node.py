@@ -10,9 +10,11 @@ is how the rest of the cluster learns this node died).
 A message is handled by a function; only a multi-round activity
 (startup, election, takeover, catch-up, rebalance, the commit timer) is
 a process.  A handler that must wait — for a core, a log force, a commit
-— names what runs next and parks it with :meth:`SpinnakerNode.charge` or
-:meth:`SpinnakerNode.after`, which run it only in the incarnation that
-parked it (DESIGN.md, "Kernel hot paths", *Handlers are functions*).
+— names what runs next and parks it with :meth:`SpinnakerNode.charge`,
+hands it to the force or commit as :meth:`SpinnakerNode.guarded`, or
+waits on the write gate with :meth:`SpinnakerNode.after`; each runs it
+only in the incarnation that parked it (DESIGN.md, "Kernel hot paths",
+*Handlers are functions* and *Completions are continuations*).
 
 Crash semantics: ``crash()`` kills every process and orphans every
 parked continuation, drops the volatile log tail and memtables, and
@@ -148,11 +150,17 @@ class SpinnakerNode:
         Charge(self.cpu, service_time, self._resume, self.incarnation,
                then, args)
 
+    def guarded(self, then: Callable[..., None],
+                *args: Any) -> Callable[[], None]:
+        """``then(*args)`` as a completion callback (a force's, a
+        commit's): it runs iff the node is still in this incarnation."""
+        return partial(self._resume, self.incarnation, then, args)
+
     def after(self, event: Event, then: Callable[..., None],
               *args: Any) -> None:
         """Call ``then(*args)`` once ``event`` has succeeded (at once if
         it has), iff the node is still in this incarnation."""
-        resume = partial(self._resume, self.incarnation, then, args)
+        resume = self.guarded(then, *args)
         callbacks = event._callbacks        # Event.add_callback, in place
         if callbacks is None:
             resume(event)

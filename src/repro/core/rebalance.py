@@ -76,7 +76,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..coord.recipes import CohortMapBoard
 from ..coord.znode import CoordError
-from ..sim.events import SimulationError
+from ..sim.events import Event, SimulationError
 from ..sim.network import RpcTimeout
 from ..sim.process import timeout
 from ..storage.memtable import Memtable
@@ -266,8 +266,9 @@ def handle_migration_start(replica, req):
                     break
                 yield timeout(node.sim, 0.002)
             record = membership_record(replica, change)
-            done = replica._replicate([record])
-            yield done
+            committed = Event(node.sim)
+            replica._replicate([record], committed.succeed)
+            yield committed
         finally:
             replica.unblock_writes()
         # Commit already ran the switch here (leader advance hook); tell

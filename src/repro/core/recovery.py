@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from ..sim.events import SimulationError
+from ..sim.events import Event, SimulationError
 from ..sim.network import RpcTimeout
 from ..sim.process import all_of, quorum, spawn, timeout
 from ..sim.resources import serve
@@ -502,7 +502,9 @@ def leader_takeover(replica):
             [(r,) for r in unresolved],
             cfg.propose_batch_max_records if cfg.propose_batching else 1):
         yield from serve(node.cpu, TAKEOVER_RECORD_SERVICE)
-        yield replica._replicate(batch, already_logged=True)
+        committed = Event(sim)
+        replica._replicate(batch, committed.succeed, already_logged=True)
+        yield committed
 
     # Line 10: open the cohort for writes, with fresh LSNs.
     replica.next_seq = max(replica.next_seq, l_lst.seq + 1)

@@ -50,10 +50,10 @@ or step-down.  See ``OBSERVABILITY.md``.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..sim.events import Event
-from ..sim.process import all_of, timeout
+from ..sim.process import timeout
 from ..storage.lsn import LSN
 from ..storage.records import CommitMarker, WriteRecord
 from .batching import ProposalBatcher
@@ -80,6 +80,10 @@ class Role:
     CANDIDATE = "candidate"
     RECOVERING = "recovering"
     OFFLINE = "offline"
+
+
+def _unawaited() -> None:
+    """What runs after a force no step waits on by itself."""
 
 
 def _err(code: str, hint: Optional[str] = None) -> Dict:
@@ -304,14 +308,14 @@ class CohortReplica:
             op.tombstone)
             for op, version in zip(ops, versions)]
         if cfg.parallel_force_and_propose:
-            node.after(self._replicate(records, ctx=ctx),
-                       self._reply_write, req, records)
+            self._replicate(records, node.guarded(self._reply_write, req,
+                                                  records), ctx=ctx)
         else:
             # Ablation: force the leader's log *before* proposing, as a
             # naive implementation would — serializing the two disk
             # forces on the critical path.
-            node.after(node.wal.append_batch(records),
-                       self._propose_logged, req, records, node.sim.now)
+            node.wal.append_batch(records, then=node.guarded(
+                self._propose_logged, req, records, node.sim.now))
 
     def _propose_logged(self, req, records: List[WriteRecord],
                         force_start: float) -> None:
@@ -323,8 +327,8 @@ class CohortReplica:
             node.request_tracer.span_at(
                 ctx, "log_force", node.name, start=force_start,
                 batch_records=len(records), traced_members=1)
-        node.after(self._replicate(records, already_logged=True, ctx=ctx),
-                   self._reply_write, req, records)
+        self._replicate(records, node.guarded(self._reply_write, req, records),
+                        already_logged=True, ctx=ctx)
 
     def _reply_write(self, req, records: List[WriteRecord]) -> None:
         """Every record of the request has committed."""
@@ -333,19 +337,21 @@ class CohortReplica:
                     size=64)
 
     def _replicate(self, records: List[WriteRecord],
-                   already_logged: bool = False, ctx=None) -> Event:
+                   then: Callable[[], None], already_logged: bool = False,
+                   ctx=None) -> None:
         """Fig. 4, leader side: queue the group, then force + propose in
         parallel — both owned by the :class:`ProposalBatcher`, which
         keeps a submitted group indivisible (one force, one propose).
         ``already_logged`` records are durable here (takeover
         re-proposals, the serialized ablation) and are only proposed.
 
-        Returns an event that fires when every record has committed.
-        ``ctx`` (a sampled request's trace context) registers the write
-        group in ``_traces`` for per-phase attribution.
+        ``then()`` runs when every record has committed — inside the
+        commit, with no event between (a process that must wait passes
+        its own event's ``succeed``).  ``ctx`` (a sampled request's trace
+        context) registers the write group in ``_traces`` for per-phase
+        attribution.
         """
         node = self.node
-        done = Event(node.sim)
         remaining = len(records)
         top = records[-1].lsn
         state = None
@@ -362,8 +368,7 @@ class CohortReplica:
             if remaining == 0:
                 if state is not None:
                     self._finish_write_trace(top)
-                if not done.triggered:
-                    done.succeed()
+                then()
 
         for record in records:
             self.queue.add(record, on_commit=on_commit)
@@ -376,7 +381,6 @@ class CohortReplica:
             self.send_propose(records)
         else:
             self.batcher.submit(records)
-        return done
 
     def send_propose(self, records: Sequence[WriteRecord],
                      to: Optional[Sequence[str]] = None) -> None:
@@ -410,13 +414,10 @@ class CohortReplica:
         for peer in to or self.peers():
             if self.open_for_writes and peer in self.catching_up:
                 continue
-            ack_ev = node.endpoint.request(peer, propose, size=size)
-            ack_ev.add_callback(self._on_ack)
+            node.endpoint.request(peer, propose, size, then=self._on_ack)
 
-    def _on_ack(self, ev: Event) -> None:
-        if not ev._ok:
-            return
-        ack = ev._value
+    def _on_ack(self, ack) -> None:
+        """A propose's reply (a crash of our endpoint drops it first)."""
         # lint: allow(stale-epoch) — Ack LSNs embed the epoch (App. B)
         if not isinstance(ack, Ack) or ack.cohort_id != self.cohort_id:
             return
@@ -555,28 +556,17 @@ class CohortReplica:
                          self._log_propose, req)
 
     def _log_propose(self, req) -> None:
-        """The follower's CPU slice is spent: force what the log lacks,
-        queue the records; ``_ack_propose`` runs when they are durable."""
+        """The follower's CPU slice is spent: queue the records, force
+        what the log lacks; ``_ack_propose`` runs when they are durable."""
         if self.role not in (Role.FOLLOWER, Role.CANDIDATE):
             return
         node = self.node
         records, wal, cohort_id = req.payload.records, node.wal, self.cohort_id
         missing = wal.missing(cohort_id, records)
-        forces = []
-        if missing:
-            last = wal.last_lsn(cohort_id)
-            if (len(missing) == len(records) > 1
-                    and min(missing, key=_BY_LSN).lsn > last):
-                # Multi-operation transaction: force atomically (§8.2).
-                forces.append(wal.append_batch(missing))
-            else:
-                # ``backfill``: a takeover re-proposal may fill a gap
-                # below our last LSN (we logged later records, missed
-                # this one).
-                for record in missing:
-                    forces.append(wal.append(record, force=True,
-                                             backfill=record.lsn <= last))
-        # Read the skipped list only now: a backfill above un-skips.  A
+        # Queue first, so the ack follows on every log — one without a
+        # device completes a force inside the append.  What ``missing``
+        # holds is neither logged nor skipped, so appending it changes
+        # neither the skipped list nor the commit point read here.  A
         # takeover re-proposal at or below our f.cmt (we heard a commit
         # point the new leader had not) is applied already: queued, it
         # would sit at the head for good — nothing commits there again.
@@ -585,13 +575,23 @@ class CohortReplica:
         for record in records:
             if record.lsn not in skipped and record.lsn > committed:
                 self.queue.add(record)
-        if len(forces) == 1:
-            node.after(forces[0], self._ack_propose, req)
-        elif forces:
-            # a partial overlap, logged record by record
-            node.after(all_of(node.sim, forces), self._ack_propose, req)
-        else:
+        if not missing:
             self._ack_propose(req)
+            return
+        ack = node.guarded(self._ack_propose, req)
+        last = wal.last_lsn(cohort_id)
+        if (len(missing) == len(records) > 1
+                and min(missing, key=_BY_LSN).lsn > last):
+            # Multi-operation transaction: force atomically (§8.2).
+            wal.append_batch(missing, then=ack)
+            return
+        # ``backfill``: a takeover re-proposal may fill a gap below our
+        # last LSN (we logged later records, missed this one).  The ack
+        # waits on the last force: the device completes forces in the
+        # order they were asked for.
+        for record in missing:
+            wal.append(record, True, record.lsn <= last,
+                       ack if record is missing[-1] else _unawaited)
 
     def _ack_propose(self, req) -> None:
         """Every record of the propose is in the log: take its commit

@@ -24,7 +24,7 @@ Three built-in profiles correspond to the paper's three logging setups:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .events import Event, Simulator
 from .rng import RngRegistry
@@ -109,7 +109,7 @@ class LogDevice:
         self.profile = profile or DiskProfile.sata_log()
         self.group_commit = group_commit
         self._rng = rng.stream(f"disk:{name}")
-        self._pending: List[Tuple[int, Event]] = []
+        self._pending: List[Tuple[int, Callable[[], None]]] = []
         self._busy = False
         self._file_pos = 0
         self._last_seek_boundary = 0
@@ -120,14 +120,18 @@ class LogDevice:
         self._incarnation = 0   # bumped by crash(): see _finish_op
 
     # -- public API ----------------------------------------------------------
-    def force(self, nbytes: int) -> Event:
-        """Durably write ``nbytes``; the event fires when data is on media."""
-        ev = Event(self.sim)
-        if not self.alive:
-            return ev  # never fires: node is down
-        self._pending.append((nbytes, ev))
-        if not self._busy:
-            self._start_op()
+    def force(self, nbytes: int,
+              then: Optional[Callable[[], None]] = None) -> Optional[Event]:
+        """Durably write ``nbytes``; ``then()`` runs when the data is on
+        media (or, without ``then``, the returned event fires)."""
+        ev = None
+        if then is None:
+            ev = Event(self.sim)
+            then = ev.succeed
+        if self.alive:      # else never completes: the node is down
+            self._pending.append((nbytes, then))
+            if not self._busy:
+                self._start_op()
         return ev
 
     def append_noforce(self, nbytes: int) -> None:
@@ -176,16 +180,15 @@ class LogDevice:
         self.sim.schedule(latency, lambda incarnation=self._incarnation:
                           self._finish_op(batch, incarnation))
 
-    def _finish_op(self, batch: List[Tuple[int, Event]],
+    def _finish_op(self, batch: List[Tuple[int, Callable[[], None]]],
                    incarnation: int) -> None:
         if incarnation != self._incarnation:
             # Crashed mid-operation: the forces are lost, even if the
             # node is already back up (``lose_disk`` reboots at once).
             return
         self.ops_performed += 1
-        for _, ev in batch:
-            if ev._ok is None:
-                ev.succeed()
+        for _, then in batch:
+            then()
             self.forces_completed += 1
         self._start_op()
 

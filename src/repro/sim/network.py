@@ -296,7 +296,7 @@ class Network:
 
 
 #: A deadline entry is a kernel heap entry + what its expiry needs.
-_REQ_ID, _DST, _TIMEOUT = 4, 5, 6
+_REQ_ID, _DST, _TIMEOUT, _EVENT = 4, 5, 6, 7
 
 
 class Endpoint:
@@ -308,7 +308,8 @@ class Endpoint:
         self.name = name
         self.alive = True
         self._handler: Optional[Callable[[Request], None]] = None
-        self._pending: Dict[int, Event] = {}
+        #: request id -> what its reply is handed to
+        self._pending: Dict[int, Callable[[Any], None]] = {}
         #: deadline entries of requests sent with a timeout, earliest
         #: first; answered ones are dropped as they reach the front
         self._deadlines: Deque[list] = deque()
@@ -349,34 +350,43 @@ class Endpoint:
         net._transmit(Request(net, self.name, dst, payload), size)
 
     def request(self, dst: str, payload: Any, size: int = 256,
-                timeout: Optional[float] = None) -> Event:
-        """Send a request; the returned event fires with the reply value.
+                timeout: Optional[float] = None,
+                then: Optional[Callable[[Any], None]] = None
+                ) -> Optional[Event]:
+        """Send a request; ``then(reply)`` runs when the reply arrives
+        (or, without ``then``, the returned event fires with it).
 
-        If ``timeout`` is given and no reply arrives in time the event
-        fails with :class:`RpcTimeout`.  Without a timeout, a request to a
-        node that dies before replying never resolves — callers in the
+        The event fails with :class:`RpcTimeout` at once from a down
+        endpoint, and if ``timeout`` is given (the Event form only) and
+        no reply arrives in time.  Without a timeout, a request to a node
+        that dies before replying never resolves — callers in the
         replication protocol always pair this with quorum waits or
         failure-detector callbacks, as the paper's protocol does.
         """
-        sim = self.sim
-        ev = Event(sim)
+        ev = None
+        if then is None:        # the Event form: its succeed is the callback
+            ev = Event(self.sim)
+            then = ev.succeed
         if not self.alive:
-            ev.fail(RpcTimeout(f"{self.name} is down"))
+            if ev is not None:
+                ev.fail(RpcTimeout(f"{self.name} is down"))
             return ev
+        sim = self.sim
         net = self.network
         req_id = next(net._req_ids)
-        self._pending[req_id] = ev
+        self._pending[req_id] = then
         net._transmit(Request(net, self.name, dst, payload, req_id), size)
         if timeout is not None:
-            if timeout < 0:
-                raise SimulationError(f"negative timeout {timeout!r}")
+            if timeout < 0 or ev is None:
+                raise SimulationError(f"bad timeout {timeout!r} (>= 0, "
+                                      f"Event form only)")
             # Reserve the kernel sequence number *now*: whenever this
             # deadline is finally armed, it ties with other events at
             # its timestamp exactly as a timer scheduled here would.
             seq = sim._seq
             sim._seq = seq + 1
             entry = [sim._now + timeout, NORMAL, seq, self._expire,
-                     req_id, dst, timeout]
+                     req_id, dst, timeout, ev]
             queue, armed = self._deadlines, self._armed
             if queue and entry < queue[-1]:
                 insort(queue, entry)    # shorter timeout after a longer one
@@ -401,7 +411,7 @@ class Endpoint:
     # -- inbound ------------------------------------------------------------
     def _on_reply(self, env: Request) -> None:
         pending = self._pending
-        ev = pending.pop(env.reply_to, None)
+        then = pending.pop(env.reply_to, None)
         queue = self._deadlines
         if queue:
             while queue and queue[0][_REQ_ID] not in pending:
@@ -410,12 +420,12 @@ class Endpoint:
                 # Park (a cancel the next request undoes): an idle
                 # endpoint must not advance the clock.
                 self._armed[_CALLBACK] = None
-        if ev is None or ev._ok is not None:
+        if then is None:
             # Late reply: the request already timed out (or the
             # endpoint restarted).  Drop it on the floor.
             self.stale_replies += 1
             return
-        ev.succeed(env.payload)
+        then(env.payload)
 
     def _on_deadline(self) -> None:
         """The armed deadline came up: expire its request if that is
@@ -425,13 +435,14 @@ class Endpoint:
         # Remove the pending entry *before* failing it: a reply that
         # arrives later finds nothing and is discarded, so the waiting
         # process is resumed exactly once.
-        ev = pending.pop(entry[_REQ_ID], None)
+        unanswered = pending.pop(entry[_REQ_ID], None) is not None
         queue = self._deadlines
         while queue and queue[0][_REQ_ID] not in pending:
             queue.popleft()
         if queue:
             self._armed = queue[0]
             heappush(self.sim._heap, queue[0])
-        if ev is not None and not ev.triggered:
-            ev.fail(RpcTimeout(f"rpc {self.name}->{entry[_DST]} timed out "
-                               f"after {entry[_TIMEOUT]}s"))
+        if unanswered:
+            entry[_EVENT].fail(RpcTimeout(
+                f"rpc {self.name}->{entry[_DST]} timed out after "
+                f"{entry[_TIMEOUT]}s"))

@@ -14,12 +14,13 @@ two consequences the paper spends §6.1.1 on:
 
 Durability model
 ----------------
-``append(record, force=True)`` returns an event that fires when the record
-is on stable storage (the log device batches concurrent forces — group
-commit).  A non-forced append (used for commit markers) becomes durable
-when any *later* force completes.  On :meth:`crash`, every record that was
-not yet durable is lost, exactly like a real machine losing its page
-cache.
+``append(record, then=f)`` calls ``f()`` once the record is on stable
+storage (the log device batches concurrent forces — group commit); a
+process yields the event ``append(record)`` returns instead.  Without a
+device ``f`` runs inside the append.  A non-forced append (used for
+commit markers) becomes durable when any *later* force completes.  On
+:meth:`crash`, every record that was not yet durable is lost, exactly
+like a real machine losing its page cache.
 
 Cost model
 ----------
@@ -41,10 +42,10 @@ skipped.  A follower asks once which records of a propose are
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..sim.disk import LogDevice
-from ..sim.events import Event
+from ..sim.events import Event, Simulator
 from .lsn import LSN
 from .records import (CatchupMarker, CheckpointRecord, CommitMarker,
                       LogRecord, WriteRecord)
@@ -97,6 +98,7 @@ class SharedLog:
 
     def __init__(self, device: Optional[LogDevice] = None):
         self.device = device
+        self._sim = device.sim if device is not None else Simulator()
         self._seq = 0
         self._durable_seq = 0
         self._views: Dict[int, _CohortView] = {}
@@ -108,8 +110,10 @@ class SharedLog:
     # Appending
     # ------------------------------------------------------------------
     def append(self, record: LogRecord, force: bool = True,
-               backfill: bool = False) -> Optional[Event]:
-        """Append a record; returns the durability event when ``force``.
+               backfill: bool = False,
+               then: Optional[Callable[[], None]] = None) -> Optional[Event]:
+        """Append a record; when ``force``, ``then()`` runs once it is
+        durable (or, without ``then``, the returned event fires).
 
         Write records must carry a strictly increasing LSN within their
         cohort (among non-skipped records); duplicates raise
@@ -123,6 +127,10 @@ class SharedLog:
         LSN is removed from the skipped list (the leader is
         authoritative about which records are committed).
         """
+        ev = None
+        if force and then is None:
+            ev = Event(self._sim)
+            then = ev.succeed
         view = self._view(record.cohort_id)
         if isinstance(record, WriteRecord):
             lsn = record.lsn
@@ -153,18 +161,19 @@ class SharedLog:
         if self.device is None:
             # No simulated device (pure unit tests): durable immediately.
             self._durable_seq = self._seq
-            if not force:
-                return None
-            return Event(_NullSim()).succeed()
-        if force:
-            ev = self.device.force(size)
-            ev.add_callback(partial(self._mark_durable, self._seq))
-            return ev
-        self.device.append_noforce(size)
-        return None
+            if force:
+                then()
+        elif force:
+            self.device.force(size, partial(self._forced, self._seq, then))
+        else:
+            self.device.append_noforce(size)
+        return ev
 
-    def append_batch(self, records: List[LogRecord]) -> Optional[Event]:
-        """Append several records with a single force (§8.2 extension).
+    def append_batch(self, records: List[LogRecord],
+                     then: Optional[Callable[[], None]] = None
+                     ) -> Optional[Event]:
+        """Append several records with a single force (§8.2 extension),
+        as :meth:`append` does one (an empty batch returns None).
 
         The batch is durable all-or-nothing: one device operation covers
         every record, so a crash can never persist a prefix of a
@@ -172,6 +181,10 @@ class SharedLog:
         """
         if not records:
             return None
+        ev = None
+        if then is None:
+            ev = Event(self._sim)
+            then = ev.succeed
         total = 0
         cohort_id = None
         for record in records:
@@ -197,14 +210,15 @@ class SharedLog:
             self.bytes_appended += record.size
         if self.device is None:
             self._durable_seq = self._seq
-            return Event(_NullSim()).succeed()
-        ev = self.device.force(total)
-        ev.add_callback(partial(self._mark_durable, self._seq))
+            then()
+        else:
+            self.device.force(total, partial(self._forced, self._seq, then))
         return ev
 
-    def _mark_durable(self, seq: int, _force: Event) -> None:
+    def _forced(self, seq: int, then: Callable[[], None]) -> None:
         if seq > self._durable_seq:
             self._durable_seq = seq
+        then()
 
     # ------------------------------------------------------------------
     # Queries
@@ -416,9 +430,3 @@ class SharedLog:
 
     def cohorts(self) -> List[int]:
         return list(self._views)
-
-
-class _NullSim:
-    """Minimal Simulator stand-in for device-less logs in unit tests."""
-
-    now = 0.0

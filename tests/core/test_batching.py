@@ -175,7 +175,7 @@ def test_step_down_drops_buffered_records():
     for key in keys[:2]:
         leader.queue.add(make(key))
     record = make(keys[2])
-    leader._replicate([record])
+    leader._replicate([record], lambda: None)
     assert leader.batcher.windows_opened == 1
     assert record.lsn in leader.queue     # buffered, window pending
     assert not node.wal.contains(0, record.lsn)

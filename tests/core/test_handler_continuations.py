@@ -254,3 +254,85 @@ def test_a_wait_that_fails_is_a_failure_not_a_go_ahead():
     done = Event(cluster.sim).succeed()
     node.after(done, ran.append, "already done")       # runs at once
     assert ran == ["already done"] and cluster.all_failures() == []
+
+
+# Completions are continuations: a force, a commit and a propose's reply
+# call the next step directly.  On a log with no device a force completes
+# inside the append, so whatever must precede the continuation has to be
+# done before the append, not after it.
+
+def multi_record_propose(follower, key, shape):
+    """A propose whose records the follower's empty log takes as one
+    batched force, one force per record, or lacks only in part."""
+    seq = follower.committed_lsn.seq + 100
+    records = tuple(
+        WriteRecord(lsn=LSN(follower.epoch, seq + i), cohort_id=COHORT,
+                    key=key, colname=b"c", value=b"v%d" % i, version=i + 1)
+        for i in range(1 if shape == "one" else 3))
+    if shape == "overlap":      # the log already holds the first record
+        follower.node.wal.append(records[0])
+    return records
+
+
+@pytest.mark.parametrize("shape", ["one", "batch", "overlap"])
+def test_a_follower_acks_only_after_queueing_on_a_deviceless_log(shape):
+    """The follower queues a propose's records, then acks — also where
+    the force completes inside the append."""
+    from repro.storage.wal import SharedLog
+    cluster, leader, follower, key = make_cluster()
+    follower.node.wal = SharedLog()             # durable at once
+    records = multi_record_propose(follower, key, shape)
+    req = SpyRequest(leader.node.name, Propose(
+        cohort_id=COHORT, epoch=follower.epoch, records=records))
+    queued_at_ack = []
+    req.respond = lambda value, size=0: queued_at_ack.append(
+        [r.lsn in follower.queue for r in records])
+    follower._log_propose(req)
+    assert queued_at_ack == [[True] * len(records)]
+    assert follower.node.failures == []
+
+
+def test_the_batcher_counts_its_force_before_it_can_complete():
+    """``_inflight_forces`` goes up before the append: where the force
+    completes inside it, the completion (which commits and may flush the
+    buffer) sees its own force in flight, not -1."""
+    from repro.storage.wal import SharedLog
+    cluster, leader, follower, key = make_cluster()
+    leader.node.wal = SharedLog()
+    batcher = leader.batcher
+    seen = []
+    advance = leader._advance
+
+    def spy():
+        seen.append(batcher._inflight_forces)
+        advance()
+
+    leader._advance = spy
+    record = WriteRecord(lsn=leader.alloc_lsn(), cohort_id=COHORT, key=key,
+                         colname=b"c", value=b"v", version=1)
+    leader._replicate([record], lambda: None)
+    assert batcher.batches_sent == 1
+    assert seen == [0] and batcher._inflight_forces == 0
+
+
+def test_a_propose_reply_to_a_crashed_incarnation_is_stale():
+    """Acks that land after the leader's endpoint crashed and restarted
+    are counted as stale replies and reach no commit queue: the crash
+    dropped what their replies were for."""
+    cluster, leader, follower, key = make_cluster()
+    node, endpoint = leader.node, leader.node.endpoint
+    record = WriteRecord(lsn=leader.alloc_lsn(), cohort_id=COHORT, key=key,
+                         colname=b"c", value=b"v", version=1)
+    committed = []
+    leader._replicate([record], lambda: committed.append(record.lsn))
+    assert leader.batcher.batches_sent == 1     # both proposes in flight
+    stale, dropped = endpoint.stale_replies, cluster.network.messages_dropped
+    node.crash()
+    node.restart()              # back before either ack lands
+    # the new incarnation happens to queue the same LSN again
+    entry = leader.queue.add(record)
+    cluster.run(0.05)
+    assert endpoint.stale_replies == stale + 2
+    assert cluster.network.messages_dropped == dropped
+    assert entry.acks == frozenset() and committed == []
+    assert cluster.all_failures() == []

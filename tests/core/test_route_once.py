@@ -329,14 +329,15 @@ def test_a_rerouted_request_is_restamped():
     cluster = started_cluster()
     client = cluster.client("restamp")
     _stays, moves = keys_either_side_of_the_midpoint(cluster)
-    sent = []
-    request = client.endpoint.request
+    sent = []       # what the client puts on the wire
+    transmit = cluster.network._transmit
 
-    def spy(target, payload, **kwargs):
-        sent.append(payload)
-        return request(target, payload, **kwargs)
+    def spy(env, size):
+        if env.src == client.endpoint.name:
+            sent.append(env.payload)
+        transmit(env, size)
 
-    client.endpoint.request = spy
+    cluster.network._transmit = spy
     cluster.add_node("node5")
     part = cluster.partitioner
     plans = plan_join(part, ["node5"], heat={

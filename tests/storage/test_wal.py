@@ -334,23 +334,30 @@ def test_lose_disk_under_load_then_crash_loses_every_unforced_record():
                       what="a force in flight")
     victim.lose_disk()
 
-    issued = []         # (what was appended, its force event)
+    # Every force goes through the device queue: wrap what it calls on
+    # completion.  A force carries each write record appended since the
+    # one before it.
+    issued = []         # [(cohort, lsn) a force carries, has it completed]
+    carried = [wal._seq]
+    real_force = device.force
 
-    def recording(real):
-        def append(arg, *args, **kwargs):
-            event = real(arg, *args, **kwargs)
-            if event is not None:
-                records = arg if isinstance(arg, list) else [arg]
-                issued.append(([(r.cohort_id, r.lsn) for r in records
-                                if isinstance(r, WriteRecord)], event))
-            return event
-        return append
+    def force(nbytes, then):
+        lo, carried[0] = carried[0], wal._seq
+        entry = [{(cid, lsn) for cid in wal.cohorts()
+                  for lsn, seq in wal._views[cid].by_lsn.items()
+                  if lo < seq <= carried[0]}, False]
+        issued.append(entry)
 
-    wal.append = recording(wal.append)
-    wal.append_batch = recording(wal.append_batch)
+        def completed():
+            entry[1] = True
+            then()
+
+        real_force(nbytes, completed)
+
+    device.force = force
 
     def unforced():
-        return {ident for idents, event in issued if not event.triggered
+        return {ident for idents, done in issued if not done
                 for ident in idents}
 
     cluster.run_until(

@@ -28,7 +28,7 @@ from repro.core import SpinnakerCluster, SpinnakerConfig
 from repro.core.partition import CohortMap, key_of
 from repro.core.replication import CohortReplica
 from repro.sim.disk import DiskProfile
-from repro.sim.events import Simulator
+from repro.sim.events import Event, Simulator
 from repro.sim.network import Network
 from repro.sim.process import AllOf, Process, Timeout, drive, spawn
 from repro.sim.rng import RngRegistry
@@ -50,7 +50,11 @@ COUNTED_CODE = {
     Timeout.__init__.__code__: "timeouts",
     CohortMap.locate.__code__: "locates",
     CohortReplica.is_leader.fget.__code__: "is_leader_calls",
+    Event.__init__.__code__: "events",
 }
+#: waiting through an Event: counted when the caller is the protocol or
+#: the log (``core/``, ``storage/``) — a process's own wait is not
+EVENT_WAIT_CODE = {Event.succeed.__code__, Event.add_callback.__code__}
 #: the clock property: counted when the caller is the simulator's own
 #: source (a workload reading the clock to time itself is not our cost)
 NOW_CODE = Simulator.now.fget.__code__
@@ -113,6 +117,10 @@ def measure(cluster, gen, need):
                 tally["tracer_calls"] += 1
             elif code in COUNTED_CODE:
                 tally[COUNTED_CODE[code]] += 1
+            elif code in EVENT_WAIT_CODE:
+                caller = frame.f_back.f_code.co_filename
+                if "/repro/core/" in caller or "/repro/storage/" in caller:
+                    tally["event_waits_in_protocol"] += 1
             elif code is NOW_CODE and "/repro/" in (
                     frame.f_back.f_code.co_filename):
                 tally["clock_reads"] += 1
@@ -219,6 +227,27 @@ def test_strong_put_cost_is_pinned():
     assert tally["tracer_calls"] == 0
 
 
+def test_a_put_completes_through_continuations_not_events():
+    """The leader's commit wait, its batched force, each follower's
+    force and each propose's reply call the next step directly: the one
+    Event per put is the client's own request, which its thread yields
+    (seven before: those six waits were Events too), and nothing in the
+    protocol or the log succeeds or waits on an Event.  A strong get is
+    the client's request alone, as before."""
+    tally = put_tally()
+    assert tally["events"] == PUTS
+    assert tally["event_waits_in_protocol"] == 0
+    cluster, client = make_cluster()
+
+    def gets():
+        for key in KEYS + KEYS:
+            yield from client.get(key, b"c", consistent=True)
+
+    tally = measure(cluster, gets(), need=0.05)
+    assert tally["events"] == 2 * len(KEYS)
+    assert tally["event_waits_in_protocol"] == 0
+
+
 def test_a_put_is_routed_once():
     """Dispatch and the post-CPU ownership re-check take the client's
     stamp while the layout version stands (3 locates per put before)."""
@@ -263,8 +292,8 @@ def test_a_record_is_sized_once():
 
 
 def test_a_follower_waits_on_its_one_force_directly():
-    """Logging a one-record propose yields the force event itself, not
-    a composite built around it."""
+    """Logging a propose hands the ack to its force: no composite wait
+    is built around the forces."""
     assert put_tally()["all_of"] == 0
 
 
