@@ -157,8 +157,11 @@ class SpinnakerCluster(SimHost):
                 "records_batched": sum(
                     r.batcher.records_batched
                     for r in node.replicas.values()),
-                "pending_writes": sum(len(r.queue)
-                                      for r in node.replicas.values()),
+                # a follower's commit queue is its log above f.cmt
+                "pending_writes": sum(
+                    len(r.queue) if r.role == Role.LEADER else len(
+                        node.wal.write_records(cid, after=r.committed_lsn))
+                    for cid, r in node.replicas.items()),
                 "leader_of": [cid for cid, r in node.replicas.items()
                               if r.role == Role.LEADER],
                 "log_forces": node.device.forces_completed,

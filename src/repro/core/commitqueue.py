@@ -1,16 +1,18 @@
-"""The commit queue (§4.1): pending writes awaiting quorum.
+"""The commit queue (§4.1): the leader's writes awaiting quorum.
 
 A main-memory structure tracking writes that have been proposed but not
-yet committed.  The leader's queue additionally tracks, per write, its
-local log force and follower acks, and *commits strictly in LSN order*:
-a write at the head commits once it is locally durable and at least one
-follower has acked — later writes must wait for earlier ones, which is
-what makes conditional puts deterministic across the cohort (§5.1).
+yet committed, each with the leader's own log force and follower acks.
+It *commits strictly in LSN order*: a write at the head commits once it
+is locally durable and at least one follower has acked — later writes
+must wait for earlier ones, which is what makes conditional puts
+deterministic across the cohort (§5.1).  Only a leader queues: a
+follower's commit queue is its log above f.cmt (``CohortReplica.
+_apply_commit_info``); ``apply_commit`` drains what a deposed leader
+queued, so it still answers those clients.
 
 The queue is a plain insertion-ordered ``dict`` keyed by LSN: entries
-enter at the tail and leave from the head.  An entry allocates only what
-every replica needs: its ``acks`` set is made by the first ack, which
-only a leader's queue ever sees.
+enter at the tail and leave from the head.  An entry's ``acks`` set is
+made by the first ack.
 """
 
 from __future__ import annotations
@@ -63,13 +65,9 @@ class CommitQueue:
                 entry.on_commit = on_commit
             return entry
         entry = PendingWrite(record, on_commit)
+        # Insertion order == LSN order: ``add_ack_upto``, ``_trace_acked``
+        # and ``pending_older_than`` stop at the first LSN out of range.
         self._entries[record.lsn] = entry
-        # On a leader insertion order == LSN order (LSNs are allocated
-        # and queued in one step), which lets ``add_ack_upto``,
-        # ``pending_older_than`` and the replica's ``_trace_acked`` stop
-        # at the first LSN out of range.  On a follower a backfilled
-        # takeover re-proposal may land behind later LSNs; it is applied
-        # late, which the memtable's LSN conflict order tolerates.
         return entry
 
     def mark_forced(self, lsn: LSN) -> None:

@@ -15,7 +15,7 @@ Steady state (Fig. 4):
   ProposalBatcher` forces them as one batch *and in parallel* sends one
   propose message to both followers;
 * each **follower** forces a log record, appends to its commit queue, and
-  acks;
+  acks — its commit queue is its log above f.cmt, not a second copy;
 * after its own force plus at least one ack, the leader applies the write
   to its memtable (committing it) and replies to the client — there is no
   separate commit record, recovery re-proposals guarantee durability;
@@ -80,10 +80,6 @@ class Role:
     CANDIDATE = "candidate"
     RECOVERING = "recovering"
     OFFLINE = "offline"
-
-
-def _unawaited() -> None:
-    """What runs after a force no step waits on by itself."""
 
 
 def _err(code: str, hint: Optional[str] = None) -> Dict:
@@ -556,42 +552,14 @@ class CohortReplica:
                          self._log_propose, req)
 
     def _log_propose(self, req) -> None:
-        """The follower's CPU slice is spent: queue the records, force
-        what the log lacks; ``_ack_propose`` runs when they are durable."""
+        """The follower's CPU slice is spent: log what the log lacks — its
+        commit queue is its log above f.cmt; nothing else is kept — and
+        ``_ack_propose`` once that is durable (at once if it was all)."""
         if self.role not in (Role.FOLLOWER, Role.CANDIDATE):
             return
         node = self.node
-        records, wal, cohort_id = req.payload.records, node.wal, self.cohort_id
-        missing = wal.missing(cohort_id, records)
-        # Queue first, so the ack follows on every log — one without a
-        # device completes a force inside the append.  What ``missing``
-        # holds is neither logged nor skipped, so appending it changes
-        # neither the skipped list nor the commit point read here.  A
-        # takeover re-proposal at or below our f.cmt (we heard a commit
-        # point the new leader had not) is applied already: queued, it
-        # would sit at the head for good — nothing commits there again.
-        skipped = wal.skipped_lsns(cohort_id)
-        committed = self.committed_lsn
-        for record in records:
-            if record.lsn not in skipped and record.lsn > committed:
-                self.queue.add(record)
-        if not missing:
-            self._ack_propose(req)
-            return
-        ack = node.guarded(self._ack_propose, req)
-        last = wal.last_lsn(cohort_id)
-        if (len(missing) == len(records) > 1
-                and min(missing, key=_BY_LSN).lsn > last):
-            # Multi-operation transaction: force atomically (§8.2).
-            wal.append_batch(missing, then=ack)
-            return
-        # ``backfill``: a takeover re-proposal may fill a gap below our
-        # last LSN (we logged later records, missed this one).  The ack
-        # waits on the last force: the device completes forces in the
-        # order they were asked for.
-        for record in missing:
-            wal.append(record, True, record.lsn <= last,
-                       ack if record is missing[-1] else _unawaited)
+        node.wal.append_batch(req.payload.records, backfill=True,
+                              then=node.guarded(self._ack_propose, req))
 
     def _ack_propose(self, req) -> None:
         """Every record of the propose is in the log: take its commit
@@ -621,36 +589,36 @@ class CohortReplica:
             self.set_leader(src)
         self._apply_commit_info(msg.lsn)
 
-    def _held_through(self, upto: LSN) -> LSN:
-        """The largest committable LSN ``<= upto`` such that every LSN in
-        ``(committed_lsn, result]`` is locally held (in the log) or
-        logically truncated (skip list).
-
-        Sequence numbers of committed, non-skipped records are dense:
-        every leader allocates consecutive seqs continuing from its last
-        log record, and takeover re-proposals keep their original LSNs.
-        A missing seq therefore means a propose this replica never
-        received — committing past it would silently lose the record.
-        """
-        wal = self.node.wal
-        held = {rec.lsn.seq: rec.lsn
-                for rec in wal.write_records(self.cohort_id,
-                                             after=self.committed_lsn,
-                                             upto=upto)}
-        result = self.committed_lsn
-        for seq in range(self.committed_lsn.seq + 1, upto.seq + 1):
-            lsn = held.get(seq)
-            if lsn is None:
-                break
-            result = lsn
-        return min(result, upto)
-
     def _apply_commit_info(self, upto: LSN) -> None:
-        if upto <= self.committed_lsn:
+        """Commit through ``upto``.  A follower's commit queue is its log
+        above f.cmt, walked once: it commits through the longest run of
+        consecutive seqs held there (the last at its highest LSN, where two
+        epochs hold it) and applies each record up to that LSN.  Committed
+        seqs are dense, so a missing one is a propose this replica lost."""
+        cmt = self.committed_lsn
+        if upto <= cmt:
             return
-        verified = (upto if self.is_leader else self._held_through(upto))
+        verified, committed = upto, None
+        if self.role != Role.LEADER:
+            committed = self.node.wal.write_records(self.cohort_id,
+                                                    after=cmt, upto=upto)
+            verified, held, need, again = cmt, 0, cmt.seq + 1, True
+            while again:    # again only if a later epoch filled a gap
+                again = ahead = False
+                for i, record in enumerate(committed):
+                    seq = record.lsn.seq
+                    if seq == need <= upto.seq:
+                        verified, held, need = record.lsn, i + 1, seq + 1
+                        again = ahead
+                    elif seq == need - 1 > cmt.seq:
+                        verified, held = record.lsn, i + 1
+                    elif seq > need:
+                        ahead = True
+            del committed[held:]
         if verified > self.committed_lsn:
-            committed = self.queue.apply_commit(verified)
+            # a follower's: what it queued as leader, its clients waiting
+            leftover = self.queue.apply_commit(verified)
+            committed = leftover if committed is None else committed
             for record in committed:
                 self.engine.apply(record)
             self.committed_lsn = max(self.committed_lsn, verified)

@@ -34,9 +34,9 @@ keeps exactly the records at or below it.  :meth:`write_records` walks
 back from the tail and stops at ``after``.  :meth:`append_batch` resolves the
 view and ``n.lst`` once per run of same-cohort records and advances its
 local ``last`` exactly as :meth:`_last_lsn` would: only past LSNs not
-skipped.  A follower asks once which records of a propose are
-:meth:`missing` and reads :meth:`skipped_lsns` once, *after* its appends
-(a backfill un-skips).
+skipped.  A follower logs a propose with one ``append_batch(…, backfill=
+True)``: one view lookup, one ``n.lst`` walk.  Its view above f.cmt *is*
+its commit queue (Fig. 4), read at a commit in one backward walk.
 """
 
 from __future__ import annotations
@@ -51,6 +51,10 @@ from .records import (CatchupMarker, CheckpointRecord, CommitMarker,
                       LogRecord, WriteRecord)
 
 __all__ = ["SharedLog", "DuplicateLSN", "StaleLSN"]
+
+
+def _unawaited() -> None:
+    """What runs after a force no step waits on by itself."""
 
 
 class DuplicateLSN(Exception):
@@ -158,26 +162,30 @@ class SharedLog:
                     view.catchup_floor = record.floor
         size = record.encoded_size()
         self.bytes_appended += size
-        if self.device is None:
-            # No simulated device (pure unit tests): durable immediately.
+        if force:
+            self._force(size, then)
+        elif self.device is None:
             self._durable_seq = self._seq
-            if force:
-                then()
-        elif force:
-            self.device.force(size, partial(self._forced, self._seq, then))
         else:
             self.device.append_noforce(size)
         return ev
 
     def append_batch(self, records: List[LogRecord],
-                     then: Optional[Callable[[], None]] = None
-                     ) -> Optional[Event]:
+                     then: Optional[Callable[[], None]] = None,
+                     backfill: bool = False) -> Optional[Event]:
         """Append several records with a single force (§8.2 extension),
         as :meth:`append` does one (an empty batch returns None).
 
         The batch is durable all-or-nothing: one device operation covers
         every record, so a crash can never persist a prefix of a
         multi-operation transaction's log records.
+
+        ``backfill``: the records of a propose at a follower, which may
+        re-propose what the log holds or skipped — left out, ``then()``
+        at once if that is all.  The rest is one force if it is all of a
+        multi-record propose above ``n.lst``; else each record is forced
+        alone, below ``n.lst`` as a backfill (a re-proposal filling a
+        gap), and ``then`` rides the last force.
         """
         if not records:
             return None
@@ -185,6 +193,9 @@ class SharedLog:
         if then is None:
             ev = Event(self._sim)
             then = ev.succeed
+        if backfill:
+            self._append_propose(records, then)
+            return ev
         total = 0
         cohort_id = None
         for record in records:
@@ -208,12 +219,51 @@ class SharedLog:
                 last = lsn
             total += record.size
             self.bytes_appended += record.size
+        self._force(total, then)
+        return ev
+
+    def _append_propose(self, records: List[WriteRecord],
+                        then: Callable[[], None]) -> None:
+        """``append_batch(records, then, backfill=True)``: :meth:`append`'s
+        checks, against a ``top`` that advances as :meth:`_last_lsn` would."""
+        view = self._view(records[0].cohort_id)
+        by_lsn, skipped = view.by_lsn, view.skipped
+        missing = [record for record in records
+                   if record.lsn not in by_lsn and record.lsn not in skipped]
+        if not missing:
+            then()
+            return
+        last = top = self._last_lsn(view)
+        batch = len(missing) == len(records) > 1 and all(
+            record.lsn > last for record in missing)
+        total = 0
+        for record in missing:
+            lsn = record.lsn
+            if lsn in by_lsn:
+                raise DuplicateLSN(f"{lsn} already in its cohort's log")
+            if last < lsn <= top:
+                raise StaleLSN(f"{lsn} <= last LSN {top}")
+            self._seq += 1
+            view.place(record, self._seq)
+            if lsn > top:
+                top = lsn
+            self.bytes_appended += record.size
+            if batch:
+                total += record.size
+            else:
+                self._force(record.size, then if record is missing[-1]
+                            else _unawaited)
+        if batch:
+            self._force(total, then)
+
+    def _force(self, size: int, then: Callable[[], None]) -> None:
+        """Force everything appended so far; ``then()`` once durable."""
         if self.device is None:
+            # No simulated device (pure unit tests): durable immediately.
             self._durable_seq = self._seq
             then()
         else:
-            self.device.force(total, partial(self._forced, self._seq, then))
-        return ev
+            self.device.force(size, partial(self._forced, self._seq, then))
 
     def _forced(self, seq: int, then: Callable[[], None]) -> None:
         if seq > self._durable_seq:
@@ -286,15 +336,6 @@ class SharedLog:
                 out.append(record)
         out.reverse()
         return out
-
-    def missing(self, cohort_id: int,
-                records: Iterable[WriteRecord]) -> List[WriteRecord]:
-        """The records of a propose this log still has to append:
-        neither present nor logically truncated (skipped)."""
-        view = self._view(cohort_id)
-        by_lsn, skipped = view.by_lsn, view.skipped
-        return [record for record in records
-                if record.lsn not in by_lsn and record.lsn not in skipped]
 
     def min_retained_lsn(self, cohort_id: int) -> LSN:
         """The cohort's GC horizon: records at or below this LSN have

@@ -205,3 +205,32 @@ def test_cluster_stats_reflect_activity(cluster):
     assert all(n["alive"] for n in nodes.values())
     assert sum(n["log_forces"] for n in nodes.values()) >= 18  # 3x each
     assert stats["network"]["messages_sent"] > 0
+
+
+def test_pending_writes_count_what_a_follower_logged_but_not_committed(
+        cluster):
+    """A follower queues nothing — its commit queue is its log above
+    f.cmt — so ``pending_writes`` counts those records: here the puts the
+    leader committed since its last commit message."""
+    client = cluster.client()
+    keys = cluster.keys_in_cohort(0, 4, b"pw-")
+
+    def scenario():
+        for key in keys:
+            yield from client.put(key, b"c", b"v")
+
+    run_client(cluster, scenario())
+    leader = cluster.replica(cluster.leader_of(0), 0)
+    pending = {}
+    for name in leader.peers():
+        follower = cluster.replica(name, 0)
+        assert len(follower.queue) == 0
+        pending[name] = len(leader.node.wal.write_records(
+            0, after=follower.committed_lsn, upto=leader.committed_lsn))
+    assert min(pending.values()) > 0
+    nodes = cluster.stats()["nodes"]
+    # (no other cohort took a write)
+    assert {name: nodes[name]["pending_writes"] for name in pending} == pending
+    cluster.run(1.0)                    # commit messages reach them
+    assert all(n["pending_writes"] == 0
+               for n in cluster.stats()["nodes"].values())

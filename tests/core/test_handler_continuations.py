@@ -8,10 +8,12 @@ a recorded failure of its node and the run goes on."""
 
 import pytest
 
-from repro.core import SpinnakerCluster, SpinnakerConfig
-from repro.core.config import (CORES_PER_NODE, READ_SERVICE,
-                               WRITE_FOLLOWER_SERVICE, WRITE_LEADER_SERVICE)
-from repro.core.messages import ClientGet, ClientWrite, Propose, WriteOp
+from repro.core import Role, SpinnakerCluster, SpinnakerConfig
+from repro.core.config import (COMMIT_APPLY_SERVICE, CORES_PER_NODE,
+                               READ_SERVICE, WRITE_FOLLOWER_SERVICE,
+                               WRITE_LEADER_SERVICE)
+from repro.core.messages import (ClientGet, ClientWrite, Commit, Propose,
+                                 WriteOp)
 from repro.sim.disk import DiskProfile
 from repro.sim.events import Event
 from repro.sim.process import drive
@@ -127,10 +129,13 @@ def test_a_propose_parked_on_its_force_dies_with_the_incarnation():
     replica.node._dispatch(req)
     cluster.run(WRITE_FOLLOWER_SERVICE + 1e-4)
     lsn = req.payload.records[0].lsn
-    assert lsn in replica.queue and req.responses == []    # forcing
+    wal = replica.node.wal
+    # forcing: in the log's volatile tail — its only copy — and unacked
+    assert wal._views[COHORT].by_lsn[lsn] > wal._durable_seq
+    assert lsn not in replica.queue and req.responses == []
     lose_disk_and_settle(cluster, replica, [req], before)
     assert lsn not in replica.queue
-    assert not replica.node.wal.contains(COHORT, lsn)
+    assert not wal.contains(COHORT, lsn)
 
 
 @pytest.mark.parametrize("parallel", [True, False])
@@ -262,9 +267,10 @@ def test_a_wait_that_fails_is_a_failure_not_a_go_ahead():
 # done before the append, not after it.
 
 def multi_record_propose(follower, key, shape):
-    """A propose whose records the follower's empty log takes as one
-    batched force, one force per record, or lacks only in part."""
-    seq = follower.committed_lsn.seq + 100
+    """A propose, just above the follower's f.cmt, whose records its
+    empty log takes as one force, as one batched force, or lacks only in
+    part."""
+    seq = follower.committed_lsn.seq + 1
     records = tuple(
         WriteRecord(lsn=LSN(follower.epoch, seq + i), cohort_id=COHORT,
                     key=key, colname=b"c", value=b"v%d" % i, version=i + 1)
@@ -275,21 +281,33 @@ def multi_record_propose(follower, key, shape):
 
 
 @pytest.mark.parametrize("shape", ["one", "batch", "overlap"])
-def test_a_follower_acks_only_after_queueing_on_a_deviceless_log(shape):
-    """The follower queues a propose's records, then acks — also where
-    the force completes inside the append."""
+def test_a_follower_acks_only_after_queueing_on_a_deviceless_log(shape,
+                                                                 monkeypatch):
+    """A follower's commit queue is its log above f.cmt: it acks a
+    propose's top LSN only once every record is in the log — also where
+    the force completes inside the append — and the next commit applies
+    exactly those records, in LSN order, from there."""
     from repro.storage.wal import SharedLog
     cluster, leader, follower, key = make_cluster()
-    follower.node.wal = SharedLog()             # durable at once
+    wal = follower.node.wal = SharedLog()       # durable at once
     records = multi_record_propose(follower, key, shape)
     req = SpyRequest(leader.node.name, Propose(
         cohort_id=COHORT, epoch=follower.epoch, records=records))
-    queued_at_ack = []
-    req.respond = lambda value, size=0: queued_at_ack.append(
-        [r.lsn in follower.queue for r in records])
+    logged_at_ack = []
+    req.respond = lambda value, size=0: logged_at_ack.append(
+        (value.lsn, [wal.contains(COHORT, r.lsn) for r in records]))
     follower._log_propose(req)
-    assert queued_at_ack == [[True] * len(records)]
-    assert follower.node.failures == []
+    assert logged_at_ack == [(records[-1].lsn, [True] * len(records))]
+    assert len(follower.queue) == 0
+    applied, charged = [], []
+    monkeypatch.setattr(follower.engine, "apply", applied.append)
+    monkeypatch.setattr(follower.node, "charge_background", charged.append)
+    follower.handle_commit(leader.node.name, Commit(
+        cohort_id=COHORT, epoch=follower.epoch, lsn=records[-1].lsn))
+    assert applied == list(records)
+    assert charged == [len(records) * COMMIT_APPLY_SERVICE]
+    assert follower.committed_lsn == records[-1].lsn
+    assert follower.role == Role.FOLLOWER and follower.node.failures == []
 
 
 def test_the_batcher_counts_its_force_before_it_can_complete():

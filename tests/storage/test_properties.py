@@ -299,6 +299,26 @@ class _RefLog:
             self._check(record, backfill=False)
             self.writes[record.cohort_id].append(_Entry(record, self.seq))
 
+    def log_propose(self, cid, records, forces):
+        """A follower's propose logging as it was: ask which records are
+        missing, read n.lst, then one batch force or, with ``backfill``
+        fixed by that n.lst, a force per record — appending ``(bytes,
+        physical seq)`` to ``forces`` for each force as it is issued."""
+        missing = [record for record in records
+                   if record.lsn not in self.skipped[cid]
+                   and not self.contains(cid, record.lsn)]
+        if not missing:
+            return
+        last = self.last_lsn(cid)
+        if (len(missing) == len(records) > 1
+                and min(record.lsn for record in missing) > last):
+            self.append_batch(missing)
+            forces.append((sum(r.encoded_size() for r in missing), self.seq))
+            return
+        for record in missing:
+            self.append(record, backfill=record.lsn <= last)
+            forces.append((record.encoded_size(), self.seq))
+
     def write_records(self, cid, after, upto, include_skipped):
         out = [e.record for e in self.writes[cid]
                if e.record.lsn > after
@@ -348,6 +368,9 @@ class WalEquivalence(RuleBasedStateMachine):
             profile=DiskProfile("flat", 1e-3, 1e-3, transfer_rate=0))
         self.log = SharedLog(self.device)
         self.ref = _RefLog()
+        #: per logged propose: forces issued, forces completed, and how
+        #: many had completed when its ``then`` ran (None: not yet)
+        self.proposes = []
 
     @rule(cid=st.sampled_from(_COHORTS), lsn=st.sampled_from(_GRID),
           backfill=st.booleans())
@@ -356,6 +379,48 @@ class WalEquivalence(RuleBasedStateMachine):
         _same_outcome(self.ref,
                       lambda: self.ref.append(record, backfill),
                       lambda: self.log.append(record, backfill=backfill))
+
+    @rule(cid=st.sampled_from(_COHORTS),
+          lsns=st.lists(st.sampled_from(_GRID), min_size=1, max_size=4))
+    def log_propose(self, cid, lsns):
+        """``append_batch(…, backfill=True)`` logs a propose as the
+        reference's several calls did: the same records, the same forces
+        in the same order and sizes, the same exception, and ``then``
+        once, on the last force (at once when nothing was missing)."""
+        records = [_grid_record(cid, lsn) for lsn in lsns]
+        expected, issued = [], []
+        state = {"done": 0, "acked_after": None, "issued": issued}
+        device, force = self.device, self.device.force
+        ref = self.ref
+
+        def spy(nbytes, then):
+            seq = expected[len(issued)][1]
+            issued.append(nbytes)
+
+            def completed():
+                state["done"] += 1
+                ref.durable_seq = max(ref.durable_seq, seq)
+                then()
+            force(nbytes, completed)
+
+        def ack():
+            state["acked_after"] = state["done"]
+
+        outcome = []
+        for call in (lambda: ref.log_propose(cid, records, expected),
+                     lambda: self.log.append_batch(records, then=ack,
+                                                   backfill=True)):
+            try:
+                call()
+                outcome.append(None)
+            except (DuplicateLSN, StaleLSN) as exc:
+                outcome.append(type(exc))
+            device.force = spy              # the real call's forces
+        del device.force
+        assert outcome[0] is outcome[1]
+        assert issued == [nbytes for nbytes, _seq in expected]
+        if outcome[1] is None:
+            self.proposes.append(state)
 
     @rule(items=st.lists(st.tuples(st.sampled_from(_COHORTS),
                                    st.sampled_from(_GRID)),
@@ -428,12 +493,14 @@ class WalEquivalence(RuleBasedStateMachine):
                             cid, after, upto, include_skipped
                         ) == ref.write_records(
                             cid, after, upto, include_skipped)
-            propose = [_grid_record(cid, lsn) for lsn in _GRID]
-            assert log.missing(cid, propose) == [
-                rec for rec in propose
-                if rec.lsn not in ref.skipped[cid]
-                and not ref.contains(cid, rec.lsn)]
             assert log.skipped_lsns(cid) == ref.skipped[cid]
+
+    @invariant()
+    def a_propose_is_acked_on_its_last_force(self):
+        for state in self.proposes:
+            issued = len(state["issued"])
+            assert state["acked_after"] == (
+                issued if state["done"] == issued else None)
 
 
 WalEquivalence.TestCase.settings = settings(max_examples=60,

@@ -24,7 +24,8 @@ import weakref
 from collections import Counter
 from heapq import heappush
 
-from repro.core import SpinnakerCluster, SpinnakerConfig
+from repro.core import Role, SpinnakerCluster, SpinnakerConfig
+from repro.core.commitqueue import PendingWrite
 from repro.core.partition import CohortMap, key_of
 from repro.core.replication import CohortReplica
 from repro.sim.disk import DiskProfile
@@ -55,6 +56,8 @@ COUNTED_CODE = {
 #: waiting through an Event: counted when the caller is the protocol or
 #: the log (``core/``, ``storage/``) — a process's own wait is not
 EVENT_WAIT_CODE = {Event.succeed.__code__, Event.add_callback.__code__}
+#: a commit-queue entry: counted apart when the queue is not a leader's
+PENDING_WRITE_CODE = PendingWrite.__init__.__code__
 #: the clock property: counted when the caller is the simulator's own
 #: source (a workload reading the clock to time itself is not our cost)
 NOW_CODE = Simulator.now.fget.__code__
@@ -96,6 +99,9 @@ def measure(cluster, gen, need):
     sim, net = cluster.sim, cluster.network
     closes = quiet_window(cluster, need)
     tally = Counter()
+    leader_queues = {id(replica.queue) for node in cluster.nodes.values()
+                     for replica in node.replicas.values()
+                     if replica.role == Role.LEADER}
 
     def hook(frame, event, arg):
         if event == "c_call":
@@ -117,6 +123,10 @@ def measure(cluster, gen, need):
                 tally["tracer_calls"] += 1
             elif code in COUNTED_CODE:
                 tally[COUNTED_CODE[code]] += 1
+            elif code is PENDING_WRITE_CODE:
+                queue = frame.f_back.f_locals["self"]      # CommitQueue.add
+                tally["pending_writes" if id(queue) in leader_queues
+                      else "follower_pending_writes"] += 1
             elif code in EVENT_WAIT_CODE:
                 caller = frame.f_back.f_code.co_filename
                 if "/repro/core/" in caller or "/repro/storage/" in caller:
@@ -306,13 +316,22 @@ def test_a_committed_record_is_its_own_cell():
 def test_the_log_is_consulted_per_propose_not_per_record():
     tally = put_tally()
     assert tally["log_per_record"] == 0
-    # the leader's batch append resolves its cohort view once; each
-    # follower once each for what is missing, n.lst, the append and the
-    # skipped list
-    assert tally["log_views"] == (1 + 2 * 4) * PUTS
-    # n.lst is walked for the leader's append and, at each follower,
-    # for the backfill decision and the append's own stale-LSN check
-    assert tally["log_last_lsn"] == (1 + 2 * 2) * PUTS
+    # the leader's batch append and each follower's one backfill batch
+    # resolve their cohort view once (a follower used to four times:
+    # what is missing, the skipped list, n.lst and the append)
+    assert tally["log_views"] == (1 + 2 * 1) * PUTS
+    # n.lst is walked once per append: the batch's, and each follower's
+    # one for both its backfill decision and its stale-LSN check (two)
+    assert tally["log_last_lsn"] == (1 + 2 * 1) * PUTS
+
+
+def test_a_follower_keeps_no_second_copy_of_a_propose():
+    """Its commit queue is its log above f.cmt: of the three replicas
+    only the leader builds a ``PendingWrite`` per put (each follower
+    queued one too)."""
+    tally = put_tally()
+    assert tally["pending_writes"] == PUTS
+    assert tally["follower_pending_writes"] == 0
 
 
 def test_answered_rpcs_leave_nothing_in_the_kernel_heap():
