@@ -95,10 +95,6 @@ class CoordinationService:
         """Test/ops hook: expire without waiting for the sweep."""
         self._expire(session)
 
-    def session_is_alive(self, session: int) -> bool:
-        info = self._sessions.get(session)
-        return bool(info and info["alive"])
-
     # ------------------------------------------------------------------
     # Watch delivery
     # ------------------------------------------------------------------

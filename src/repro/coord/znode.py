@@ -247,6 +247,3 @@ class ZNodeTree:
             except CoordError:
                 pass  # already gone (e.g. deleted explicitly)
         return fired
-
-    def ephemeral_paths(self, session: int) -> Set[str]:
-        return set(self._ephemerals.get(session, set()))

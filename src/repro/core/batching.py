@@ -1,9 +1,10 @@
 """Leader-side force + propose, batched: amortize per-message write costs.
 
 The :class:`ProposalBatcher` is the only owner of the leader's WAL
-force and propose fan-out: every record group the leader replicates is
-submitted here (``CohortReplica._replicate``), and ``_send`` is the one
-place that forces and proposes it.  With ``propose_batching`` off every
+force and propose fan-out: every write group the leader replicates is
+submitted here as its commit-queue entry (``CohortReplica._replicate``),
+and ``_send`` is the one place that forces, proposes, marks and traces
+a batch, by walking its entries.  With ``propose_batching`` off every
 submitted group flushes on its own — the same code, batches of one
 group.  With it on:
 
@@ -34,10 +35,6 @@ Batching must not tax an idle cohort, so the one policy is adaptive:
   queue adds little client-visible latency; the window closes early
   (``on_progress``) if the congestion drains first.
 
-Groups submitted together (multi-operation transactions, §8.2) are
-indivisible: they always share one force and one propose, preserving
-the no-partial-persistence guarantee even when batches are repacked.
-
 Buffer state machine (per leader replica)
 -----------------------------------------
 ::
@@ -51,12 +48,15 @@ Buffer state machine (per leader replica)
 
 Invariants
 ----------
-- Groups submitted together are indivisible: ``chunk_groups`` never
-  splits one, so a multi-operation transaction (§8.2) always shares one
-  force and one propose — no partial persistence.
-- Buffered records are already in the commit queue but never logged or
-  proposed; ``clear()`` drops them from the queue so a later commit
-  message cannot commit a phantom.
+- Groups submitted together are indivisible: a batch is whole entries,
+  so a multi-operation transaction (§8.2) always shares one force and
+  one propose — no partial persistence.
+- Between calls the buffer is below both limits (the submit that
+  reaches one flushes it), so at a flush only the last group can
+  overflow a limit; it then travels alone — ``chunk_groups``'s packing.
+- Buffered entries are the commit queue's own entries, never logged or
+  proposed; ``clear()`` drops their records from the queue so a later
+  commit message cannot commit a phantom.
 - ``_inflight_forces`` counts only forces issued by the current
   generation: the generation guard makes a stale force callback (from
   before a crash or step-down) a no-op, so it can neither corrupt the
@@ -77,9 +77,10 @@ over the shared batched force, batching on or off (see
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..storage.records import WriteRecord
+from .commitqueue import PendingWrite
 
 __all__ = ["ProposalBatcher", "chunk_groups", "MAX_BATCH_BYTES"]
 
@@ -116,21 +117,21 @@ def chunk_groups(groups: Sequence[Sequence[WriteRecord]],
 
 
 class ProposalBatcher:
-    """Coalesces one leader replica's outgoing record groups."""
+    """Coalesces one leader replica's outgoing write groups."""
 
-    __slots__ = ("replica", "_groups", "_buffered_records",
+    __slots__ = ("replica", "_entries", "_buffered_records",
                  "_buffered_bytes", "_inflight_forces", "_window", "_gen",
                  "batches_sent", "records_batched", "max_batch_records",
                  "windows_opened")
 
-    #: commit-queue entries older than the buffer head that count as
+    #: pending records older than the buffer head that count as
     #: congestion; below this the pipelined fast path is kept (a write
     #: may still overlap its immediate predecessors in flight)
     PRESSURE_DEPTH = 2
 
     def __init__(self, replica):
         self.replica = replica
-        self._groups: List[Tuple[WriteRecord, ...]] = []
+        self._entries: List[PendingWrite] = []
         self._buffered_records = 0
         self._buffered_bytes = 0
         self._inflight_forces = 0
@@ -144,16 +145,13 @@ class ProposalBatcher:
         self.windows_opened = 0
 
     # ------------------------------------------------------------------
-    def submit(self, records: Sequence[WriteRecord]) -> None:
-        """Queue one indivisible record group for batched replication.
-
-        The records are already in the commit queue; the batcher owns
-        their WAL force and propose fan-out from here.
-        """
+    def submit(self, entry: PendingWrite) -> None:
+        """Buffer one write group, already in the commit queue: the
+        batcher owns its WAL force and propose fan-out from here."""
         cfg = self.replica.node.config
-        self._groups.append(tuple(records))
-        self._buffered_records += len(records)
-        for record in records:
+        self._entries.append(entry)
+        self._buffered_records += len(entry.records)
+        for record in entry.records:
             self._buffered_bytes += record.size
         if (not cfg.propose_batching
                 or self._buffered_records >= cfg.propose_batch_max_records
@@ -177,7 +175,7 @@ class ProposalBatcher:
     def on_progress(self) -> None:
         """Commit queue advanced: flush early once the congestion that
         opened the window has drained."""
-        if (self._window is not None and self._groups
+        if (self._window is not None and self._entries
                 and self._inflight_forces == 0
                 and not self._under_pressure()):
             self._flush()
@@ -189,15 +187,15 @@ class ProposalBatcher:
         self._gen += 1
         self._inflight_forces = 0
         self._cancel_window()
-        groups, self._groups = self._groups, []
+        entries, self._entries = self._entries, []
         self._buffered_records = self._buffered_bytes = 0
-        for group in groups:
-            for record in group:
+        for entry in entries:
+            for record in entry.records:
                 self.replica.queue.drop(record.lsn)
 
     # ------------------------------------------------------------------
     def _under_pressure(self) -> bool:
-        head = self._groups[0][0].lsn
+        head = self._entries[0].records[0].lsn
         depth = self.replica.queue.pending_older_than(
             head, limit=self.PRESSURE_DEPTH)
         return depth >= self.PRESSURE_DEPTH
@@ -212,7 +210,7 @@ class ProposalBatcher:
 
     def _window_expired(self) -> None:
         self._window = None
-        if self._groups:
+        if self._entries:
             self._flush()
 
     def _cancel_window(self) -> None:
@@ -228,29 +226,35 @@ class ProposalBatcher:
         if not replica.is_leader or not node.alive:
             self.clear()
             return
-        groups, self._groups = self._groups, []
+        entries, self._entries = self._entries, []
+        over = (self._buffered_records > cfg.propose_batch_max_records
+                or self._buffered_bytes > MAX_BATCH_BYTES)
         self._buffered_records = self._buffered_bytes = 0
-        for batch in chunk_groups(groups, cfg.propose_batch_max_records):
-            self._send(batch)
+        if over and len(entries) > 1:
+            self._send(entries[:-1])    # the last group overflowed them
+            entries = entries[-1:]
+        self._send(entries)
 
-    def _send(self, batch: List[WriteRecord]) -> None:
+    def _send(self, entries: List[PendingWrite]) -> None:
         replica = self.replica
         node = replica.node
-        lsns = [record.lsn for record in batch]
-        if replica._traces:
+        records = [record for entry in entries for record in entry.records]
+        shared = 0
+        for entry in entries:
+            if entry.ctx is not None:
+                shared += 1
+        if shared:
             # Every traced member group gets its own ``log_force`` span
             # over the shared batched force: identical [start, end] per
             # member, exactly one span per trace — each request sees the
             # full force it waited on, and per-trace sums never count a
             # force twice.
             tracer = node.request_tracer
-            shared = sum(1 for lsn in lsns if lsn in replica._traces)
-            for lsn in lsns:
-                state = replica._traces.get(lsn)
-                if state is not None and state.force_span is None:
-                    state.force_span = tracer.start(
-                        state.ctx, "log_force", node.name,
-                        batch_records=len(batch), traced_members=shared)
+            for entry in entries:
+                if entry.ctx is not None:
+                    entry.force_span = tracer.start(
+                        entry.ctx, "log_force", node.name,
+                        batch_records=len(records), traced_members=shared)
         # Counted before the append: a log without a device completes
         # the force inside it.
         self._inflight_forces += 1
@@ -260,18 +264,18 @@ class ProposalBatcher:
             if gen != self._gen:
                 return      # a crash/step-down reset the pipeline
             self._inflight_forces -= 1
-            if replica._traces:
-                for lsn in lsns:
-                    replica._trace_force_done(lsn)
-            for lsn in lsns:
-                replica.queue.mark_forced(lsn)
+            for entry in entries:
+                entry.forced = True
+                if entry.ctx is not None:     # quorum_wait starts
+                    node.request_tracer.finish(entry.force_span)
+                    entry.force_done = node.sim.now
             replica._advance()
-            if self._groups and self._window is None:
+            if self._entries and self._window is None:
                 self._flush()
 
-        node.wal.append_batch(batch, then=_forced)
-        replica.send_propose(batch)
+        node.wal.append_batch(records, then=_forced)
+        replica.send_propose(records, entries)
         self.batches_sent += 1
-        self.records_batched += len(batch)
-        if len(batch) > self.max_batch_records:
-            self.max_batch_records = len(batch)
+        self.records_batched += len(records)
+        if len(records) > self.max_batch_records:
+            self.max_batch_records = len(records)

@@ -10,14 +10,18 @@ follower's commit queue is its log above f.cmt (``CohortReplica.
 _apply_commit_info``); ``apply_commit`` drains what a deposed leader
 queued, so it still answers those clients.
 
-The queue is a plain insertion-ordered ``dict`` keyed by LSN: entries
-enter at the tail and leave from the head.  An entry's ``acks`` set is
-made by the first ack.
+An entry, a :class:`PendingWrite`, is one *write group* — a client
+request's records or a takeover batch, the unit the protocol forces,
+proposes and acks (§8.2) — and the only place the leader tracks it.
+Entries sit in LSN order in a ``deque``; only a deposed leader's
+leftovers and takeover batches work per record (PROTOCOL.md).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional
+from collections import deque
+from typing import (Callable, Deque, FrozenSet, Iterator, List, Optional,
+                    Sequence)
 
 from ..storage.lsn import LSN
 from ..storage.records import WriteRecord
@@ -28,135 +32,170 @@ _NO_ACKS: FrozenSet[str] = frozenset()
 
 
 class PendingWrite:
-    """One queued write and its replication progress."""
+    """One queued write group: its records, the ``then`` that runs once
+    it commits, its progress, and its trace — a sampled request's ``ctx``
+    (None if unsampled or truncated), spans and ``quorum_wait`` start."""
 
-    __slots__ = ("record", "forced", "acks", "on_commit")
+    __slots__ = ("records", "then", "forced", "acks", "ctx",
+                 "propose_span", "force_span", "rtt_span", "force_done")
 
-    def __init__(self, record: WriteRecord,
-                 on_commit: Optional[Callable[[WriteRecord], None]] = None):
-        self.record = record
+    def __init__(self, records: Sequence[WriteRecord],
+                 then: Optional[Callable[[], None]] = None, ctx=None):
+        self.records = records             # LSN-contiguous, ascending
+        self.then = then
         self.forced = False                # our own log force completed
         self.acks = _NO_ACKS               # followers that acked
-        self.on_commit = on_commit
+        self.ctx = ctx
+        self.propose_span = None
+        self.force_span = None
+        self.rtt_span = None
+        self.force_done = None
 
 
 class CommitQueue:
-    """LSN-ordered pending writes for one cohort on one node."""
+    """LSN-ordered pending write groups for one cohort on one node;
+    ``finish_trace(entry)`` runs as a traced one commits."""
 
-    def __init__(self, acks_needed: int = 1):
+    def __init__(self, acks_needed: int = 1,
+                 finish_trace: Optional[Callable] = None):
         self.acks_needed = acks_needed
-        self._entries: Dict[LSN, PendingWrite] = {}   # insertion-ordered
+        self.finish_trace = finish_trace
+        self._entries: Deque[PendingWrite] = deque()
         self.committed_lsn = LSN.zero()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        """Pending *records*, not groups."""
+        count = 0
+        for entry in self._entries:
+            count += len(entry.records)
+        return count
 
-    def __contains__(self, lsn: LSN) -> bool:
-        return lsn in self._entries
+    def __iter__(self) -> Iterator[PendingWrite]:
+        return iter(self._entries)
 
     # ------------------------------------------------------------------
-    def add(self, record: WriteRecord,
-            on_commit: Optional[Callable[[WriteRecord], None]] = None
-            ) -> PendingWrite:
-        """Queue a proposed write (idempotent by LSN)."""
-        entry = self._entries.get(record.lsn)
-        if entry is not None:
-            if on_commit is not None:
-                entry.on_commit = on_commit
+    def add(self, entry: PendingWrite) -> PendingWrite:
+        """Queue a proposed write group at its LSN place.  Records of it
+        that are pending already — a deposed leader's, re-proposed by
+        its takeover — leave their old entries; a group of only such
+        records keeps the acks they all had (an ack is for an LSN)."""
+        entries = self._entries
+        if not entries or entry.records[0].lsn > entries[-1].records[-1].lsn:
+            entries.append(entry)       # the steady state: a new tail
             return entry
-        entry = PendingWrite(record, on_commit)
-        # Insertion order == LSN order: ``add_ack_upto``, ``_trace_acked``
-        # and ``pending_older_than`` stop at the first LSN out of range.
-        self._entries[record.lsn] = entry
+        lsns = {record.lsn for record in entry.records}
+        taken = self._take(lsns, entry)
+        if len(taken) == len(lsns):
+            entry.acks = frozenset.intersection(*(old.acks for old in taken))
         return entry
 
-    def mark_forced(self, lsn: LSN) -> None:
-        entry = self._entries.get(lsn)
+    def _take(self, lsns, entry=None) -> List[PendingWrite]:
+        """Remove the pending records with these LSNs, whose entries
+        never run their ``then``, and queue ``entry`` at its LSN place;
+        returns the entry each record left."""
+        taken = []
+        for old in self._entries:
+            kept = [r for r in old.records if r.lsn not in lsns]
+            taken += [old] * (len(old.records) - len(kept))
+            if len(kept) < len(old.records):
+                old.records, old.then = kept, None
+        live = [old for old in self._entries if old.records]
         if entry is not None:
-            entry.forced = True
-
-    def add_ack(self, lsn: LSN, follower: str) -> None:
-        entry = self._entries.get(lsn)
-        if entry is not None and follower not in entry.acks:
-            entry.acks = entry.acks | {follower}
+            live = sorted(live + [entry], key=lambda e: e.records[0].lsn)
+        self._entries.clear()
+        self._entries.extend(live)
+        return taken
 
     def add_ack_upto(self, lsn: LSN, follower: str) -> None:
         """Cumulative ack: the follower has durably logged everything at
         or below ``lsn`` (proposals travel over in-order channels, so an
-        ack for a batch covers every earlier pending write too)."""
-        for pending_lsn, entry in self._entries.items():
-            if pending_lsn > lsn:
+        ack for a batch covers every earlier pending group too).  Closes
+        the ``replicate_rtt`` span of each traced group it covers."""
+        for entry in self._entries:
+            if entry.records[-1].lsn > lsn:
                 break
             if follower not in entry.acks:
                 entry.acks = entry.acks | {follower}
+            span = entry.rtt_span
+            if span is not None and span.end is None:
+                entry.ctx.tracer.finish(span)
 
     # ------------------------------------------------------------------
     def advance_leader(self) -> List[WriteRecord]:
-        """Commit the longest ready prefix (leader rule): a write is
+        """Commit the longest ready prefix (leader rule): a group is
         ready once forced here and acked by ``acks_needed`` followers.
 
-        Returns records committed by this call, in LSN order; their
-        ``on_commit`` callbacks have been invoked, each after its entry
-        left the queue (one may resume a process that queues more).
+        Returns records committed by this call, in LSN order; each
+        group's ``then`` has run after it left the queue and before the
+        next was examined (one may resume a process that queues more).
         """
         committed: List[WriteRecord] = []
         entries, needed = self._entries, self.acks_needed
         while entries:
-            for lsn in entries:     # the head: oldest insertion
-                break
-            entry = entries[lsn]
+            entry = entries[0]
             if not entry.forced or len(entry.acks) < needed:
                 break
-            del entries[lsn]
-            self.committed_lsn = lsn
-            committed.append(entry.record)
-            if entry.on_commit is not None:
-                entry.on_commit(entry.record)
+            entries.popleft()
+            records = entry.records
+            committed += records
+            self.committed_lsn = records[-1].lsn
+            if entry.ctx is not None:
+                self.finish_trace(entry)
+            if entry.then is not None:
+                entry.then()
         return committed
 
     def apply_commit(self, upto: LSN) -> List[WriteRecord]:
         """Commit everything at or below ``upto`` (follower rule, on a
-        commit message).  Returns the committed records in LSN order."""
+        commit message).  Returns the committed records in LSN order; a
+        group ``upto`` ends inside commits that prefix and waits."""
         committed: List[WriteRecord] = []
         entries = self._entries
-        while entries:
-            for lsn in entries:     # the head: oldest insertion
-                break
-            if lsn > upto:
-                break
-            entry = entries[lsn]
-            del entries[lsn]
-            if lsn > self.committed_lsn:
-                self.committed_lsn = lsn
-            committed.append(entry.record)
-            if entry.on_commit is not None:
-                entry.on_commit(entry.record)
         if upto > self.committed_lsn:
             self.committed_lsn = upto
+        while entries:
+            entry = entries[0]
+            records = entry.records
+            if records[-1].lsn > upto:
+                n = 0
+                while records[n].lsn <= upto:
+                    n += 1
+                committed += records[:n]
+                entry.records = records[n:]
+                break
+            entries.popleft()
+            committed += records
+            if entry.ctx is not None:
+                self.finish_trace(entry)
+            if entry.then is not None:
+                entry.then()
         return committed
 
     def pending_older_than(self, lsn: LSN, limit: int) -> int:
-        """Number of pending entries strictly below ``lsn``, capped at
+        """Number of pending records strictly below ``lsn``, capped at
         ``limit`` — the proposal batcher's congestion probe.  Entries are
         LSN-ordered, so this is O(limit), not O(queue depth)."""
         count = 0
-        for pending_lsn in self._entries:
-            if pending_lsn >= lsn or count >= limit:
-                break
-            count += 1
+        for entry in self._entries:
+            for record in entry.records:
+                if record.lsn >= lsn or count >= limit:
+                    return count
+                count += 1
         return count
 
     # ------------------------------------------------------------------
     def drop(self, lsn: LSN) -> Optional[WriteRecord]:
-        """Remove a pending write that was discarded (logical truncation)."""
-        entry = self._entries.pop(lsn, None)
-        return entry.record if entry is not None else None
-
-    def pending_lsns(self) -> List[LSN]:
-        return list(self._entries)
+        """Remove a pending record that was discarded (logical
+        truncation); its group's ``then`` never runs."""
+        for record in self.pending_records():
+            if record.lsn == lsn:
+                self._take({lsn})
+                return record
+        return None
 
     def pending_records(self) -> List[WriteRecord]:
-        return [e.record for e in self._entries.values()]
+        return [record for entry in self._entries
+                for record in entry.records]
 
     def latest_pending_for(self, key: bytes,
                            colname: bytes) -> Optional[WriteRecord]:
@@ -164,10 +203,10 @@ class CommitQueue:
         leader to assign version numbers consistently when writes to the
         same column are pipelined."""
         latest: Optional[WriteRecord] = None
-        for entry in self._entries.values():
-            rec = entry.record
-            if rec.key == key and rec.colname == colname:
-                latest = rec
+        for entry in self._entries:
+            for rec in entry.records:
+                if rec.key == key and rec.colname == colname:
+                    latest = rec
         return latest
 
     def clear(self) -> None:

@@ -391,7 +391,7 @@ def push_catchup(leader_replica, peer: str):
             chunk = build_catchup_chunk(leader_replica, cursor)
             final = not chunk.more and (
                 blocking or not leader_replica.open_for_writes)
-            pending = (tuple(leader_replica.queue.pending_records())
+            pending = (tuple(leader_replica.queue)
                        if final and blocking else ())
             chunk = replace(chunk, final=final, trace=ctx)
             done = None
@@ -432,7 +432,9 @@ def push_catchup(leader_replica, peer: str):
         if pending and peer in leader_replica.peers():
             # Only a voter's ack may count toward the commit quorum; a
             # joining learner picks the tail up after the switch.
-            leader_replica.send_propose(pending, to=(peer,))
+            leader_replica.send_propose(
+                [record for entry in pending for record in entry.records],
+                pending, to=(peer,))
         ok = True
         return peer
     finally:

@@ -42,9 +42,9 @@ Tracing: when a client request carries a
 of the write to spans — ``route`` (arrival to pipeline entry),
 ``propose`` (pipeline entry to propose fan-out), ``log_force`` (force
 submit to durable), ``replicate_rtt`` (propose to first covering ack)
-and ``quorum_wait`` (local durability to group commit) — tracked in
-``_traces`` keyed by the write group's top LSN, and truncated on crash
-or step-down.  See ``OBSERVABILITY.md``.
+and ``quorum_wait`` (local durability to group commit) — kept on the
+write group's commit-queue entry, and truncated on crash or step-down.
+See ``OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from ..sim.process import timeout
 from ..storage.lsn import LSN
 from ..storage.records import CommitMarker, WriteRecord
 from .batching import ProposalBatcher
-from .commitqueue import CommitQueue
+from .commitqueue import CommitQueue, PendingWrite
 from .config import (COMMIT_APPLY_SERVICE, CONDITIONAL_CHECK_SERVICE,
                      ELECTION_RETRY, EXTRA_OP_SERVICE, PROPOSE_RECORD_SERVICE,
                      READ_SERVICE, SCAN_ROW_SERVICE, STRONG_READ_OVERHEAD,
@@ -97,20 +97,6 @@ def _wan_hop(node, ctx) -> Dict:
     return {}
 
 
-class _WriteTrace:
-    """Leader-side trace state for one in-flight write group."""
-
-    __slots__ = ("ctx", "propose_span", "force_span", "rtt_span",
-                 "force_done")
-
-    def __init__(self, ctx):
-        self.ctx = ctx
-        self.propose_span = None
-        self.force_span = None
-        self.rtt_span = None
-        self.force_done = None
-
-
 class CohortReplica:
     """This node's participation in one cohort."""
 
@@ -119,7 +105,8 @@ class CohortReplica:
         self.cohort = cohort
         self.cohort_id = cohort.cohort_id
         self.engine = node.make_engine(cohort.cohort_id)
-        self.queue = CommitQueue(acks_needed=node.config.majority - 1)
+        self.queue = CommitQueue(acks_needed=node.config.majority - 1,
+                                 finish_trace=self._finish_write_trace)
         self.batcher = ProposalBatcher(self)
         self.role = Role.RECOVERING
         self.epoch = 0
@@ -146,9 +133,6 @@ class CohortReplica:
         self._catchup_asker = None
         #: set while this leader is executing a membership change
         self.migrating = False
-        #: in-flight request-trace state, write-group top LSN -> state;
-        #: insertion order == LSN order (writes enter in LSN order)
-        self._traces: Dict[LSN, _WriteTrace] = {}
         #: a memtable flush of this replica is running (node.maybe_flush)
         self._flushing = False
         # counters
@@ -335,58 +319,45 @@ class CohortReplica:
     def _replicate(self, records: List[WriteRecord],
                    then: Callable[[], None], already_logged: bool = False,
                    ctx=None) -> None:
-        """Fig. 4, leader side: queue the group, then force + propose in
-        parallel — both owned by the :class:`ProposalBatcher`, which
-        keeps a submitted group indivisible (one force, one propose).
-        ``already_logged`` records are durable here (takeover
-        re-proposals, the serialized ablation) and are only proposed.
+        """Fig. 4, leader side: queue the group as one commit-queue
+        entry, then force + propose in parallel — both owned by the
+        :class:`ProposalBatcher`, which keeps a submitted group
+        indivisible (one force, one propose).  ``already_logged``
+        records are durable here (takeover re-proposals, the serialized
+        ablation) and are only proposed.
 
         ``then()`` runs when every record has committed — inside the
         commit, with no event between (a process that must wait passes
         its own event's ``succeed``).  ``ctx`` (a sampled request's trace
-        context) registers the write group in ``_traces`` for per-phase
-        attribution.
+        context) makes the entry carry its per-phase trace.
         """
         node = self.node
-        remaining = len(records)
-        top = records[-1].lsn
-        state = None
+        entry = PendingWrite(records, then, ctx)
         if ctx is not None:
-            state = _WriteTrace(ctx)
-            state.propose_span = node.request_tracer.start(
+            entry.propose_span = node.request_tracer.start(
                 ctx, "propose", node.name, records=len(records),
                 queue_depth=len(self.queue))
-            self._traces[top] = state
-
-        def on_commit(_record: WriteRecord) -> None:
-            nonlocal remaining
-            remaining -= 1
-            if remaining == 0:
-                if state is not None:
-                    self._finish_write_trace(top)
-                then()
-
-        for record in records:
-            self.queue.add(record, on_commit=on_commit)
+        self.queue.add(entry)
         if already_logged:
-            if state is not None:
-                state.force_done = node.sim.now
-            for record in records:
-                self.queue.mark_forced(record.lsn)
+            entry.forced = True
+            if ctx is not None:
+                entry.force_done = node.sim.now
             self._advance()
-            self.send_propose(records)
+            self.send_propose(records, (entry,))
         else:
-            self.batcher.submit(records)
+            self.batcher.submit(entry)
 
     def send_propose(self, records: Sequence[WriteRecord],
+                     entries: Sequence[PendingWrite],
                      to: Optional[Sequence[str]] = None) -> None:
-        """Fan one (possibly multi-record) propose out to the peers (or
-        just ``to``).  With the cohort open, a peer under catch-up is
-        skipped: ``RECOVERING``, it would drop the propose, and its push
-        ends by re-proposing the pending queue to it.  A takeover's
-        pushes carry no pending queue, so its re-proposals (cohort still
-        closed) go to every peer; one round commits before the next is
-        proposed, so a cumulative ack never covers a dropped record."""
+        """Fan one propose of ``records``, those of ``entries``, out to
+        the peers (or just ``to``).  With the cohort open, a peer under
+        catch-up is skipped: ``RECOVERING``, it would drop the propose,
+        and its push ends by re-proposing the pending queue to it.  A
+        takeover's pushes carry no pending queue, so its re-proposals
+        (cohort still closed) go to every peer; one round commits before
+        the next is proposed, so a cumulative ack never covers a dropped
+        record."""
         node, cfg = self.node, self.node.config
         propose = Propose(
             self.cohort_id, self.epoch, tuple(records),
@@ -394,18 +365,13 @@ class CohortReplica:
         size = 64
         for record in records:
             size += record.size
-        if self._traces:
-            tracer = node.request_tracer
-            for record in records:
-                state = self._traces.get(record.lsn)
-                if state is None:
-                    continue
-                if state.propose_span is not None:
-                    tracer.finish(state.propose_span,
-                                  batch=len(records))
-                if state.rtt_span is None:
-                    state.rtt_span = tracer.start(
-                        state.ctx, "replicate_rtt", node.name,
+        for entry in entries:
+            if entry.ctx is not None:
+                tracer = node.request_tracer
+                tracer.finish(entry.propose_span, batch=len(records))
+                if entry.rtt_span is None:
+                    entry.rtt_span = tracer.start(
+                        entry.ctx, "replicate_rtt", node.name,
                         peers=len(self.peers()))
         for peer in to or self.peers():
             if self.open_for_writes and peer in self.catching_up:
@@ -418,7 +384,6 @@ class CohortReplica:
         if not isinstance(ack, Ack) or ack.cohort_id != self.cohort_id:
             return
         self.queue.add_ack_upto(ack.lsn, ack.sender)
-        self._trace_acked(ack.lsn)
         self._advance()
 
     def _advance(self) -> None:
@@ -447,47 +412,18 @@ class CohortReplica:
         node.request_tracer.span_at(ctx, "route", node.name, start=start,
                                     **_wan_hop(node, ctx))
 
-    def _trace_force_done(self, lsn: LSN) -> None:
-        """The write group topped by ``lsn`` is locally durable: close
-        its ``log_force`` span and stamp the ``quorum_wait`` start."""
-        state = self._traces.get(lsn)
-        if state is None:
-            return
-        if state.force_span is not None:
-            self.node.request_tracer.finish(state.force_span)
-        if state.force_done is None:
-            state.force_done = self.node.sim.now
-
-    def _trace_acked(self, lsn: LSN) -> None:
-        """A follower ack covering ``lsn`` arrived: close the
-        ``replicate_rtt`` span of every group it covers (acks are
-        cumulative; ``_traces`` is in ascending top-LSN order)."""
-        if not self._traces:
-            return
-        tracer = self.node.request_tracer
-        for top, state in self._traces.items():
-            if top > lsn:
-                break
-            span = state.rtt_span
-            if span is not None and span.end is None:
-                tracer.finish(span)
-
-    def _finish_write_trace(self, top: LSN) -> None:
-        """The whole group committed: emit ``quorum_wait`` (local
+    def _finish_write_trace(self, entry: PendingWrite) -> None:
+        """The whole traced group committed: emit ``quorum_wait`` (local
         durability to group commit) and ``commit_apply``, close any
         straggler spans, and stamp the reply rendezvous."""
-        state = self._traces.pop(top, None)
-        if state is None:
-            return
         node = self.node
         tracer = node.request_tracer
         now = node.sim.now
-        ctx = state.ctx
-        if state.propose_span is not None:
-            tracer.finish(state.propose_span)
-        if state.rtt_span is not None:
-            tracer.finish(state.rtt_span)
-        start = state.force_done if state.force_done is not None else now
+        ctx = entry.ctx
+        tracer.finish(entry.propose_span)
+        if entry.rtt_span is not None:
+            tracer.finish(entry.rtt_span)
+        start = entry.force_done if entry.force_done is not None else now
         tracer.span_at(ctx, "quorum_wait", node.name, start=start, end=now)
         # The leader applies committed records inline in _advance (no
         # queueing in this sim), so the span is a zero-length marker.
@@ -496,16 +432,16 @@ class CohortReplica:
 
     def _clear_traces(self) -> None:
         """Crash / step-down: close in-flight write traces as truncated
-        so half-finished phases are visible in the trace, not leaked."""
-        if not self._traces:
-            return
+        so half-finished phases are visible in the trace, not leaked;
+        nothing of them is emitted afterwards."""
         tracer = self.node.request_tracer
-        for state in self._traces.values():
-            for span in (state.propose_span, state.force_span,
-                         state.rtt_span):
-                if span is not None:
-                    tracer.truncate(span)
-        self._traces.clear()
+        for entry in self.queue:
+            if entry.ctx is not None:
+                for span in (entry.propose_span, entry.force_span,
+                             entry.rtt_span):
+                    if span is not None:
+                        tracer.truncate(span)
+                entry.ctx = None
 
     # ------------------------------------------------------------------
     # Leader: periodic commit messages

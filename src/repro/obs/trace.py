@@ -276,12 +276,6 @@ class RequestTracer:
             out.extend(self._open[name].values())
         return out
 
-    def trace_ids(self) -> List[int]:
-        seen = {}
-        for span in self.spans():
-            seen.setdefault(span.trace_id, None)
-        return list(seen)
-
     # -- internals ------------------------------------------------------
     def _new_span(self, trace_id: int, parent_id: Optional[int], name: str,
                   node: str, start: float, fields: Optional[dict]) -> Span:
@@ -323,7 +317,4 @@ class NullRequestTracer:
         return []
 
     def open_spans(self, node: Optional[str] = None) -> List[Span]:
-        return []
-
-    def trace_ids(self) -> List[int]:
         return []

@@ -74,10 +74,6 @@ class Resource:
             if req._ok:
                 self.release()
 
-    def utilization_snapshot(self) -> float:
-        """Instantaneous fraction of capacity in use."""
-        return self._in_use / self.capacity
-
 
 def serve(resource: Resource, service_time: float,
           value: Any = None) -> Generator[Event, Any, Any]:

@@ -44,7 +44,3 @@ class BloomFilter:
     def might_contain(self, item: bytes) -> bool:
         return all(self._bits[pos >> 3] & (1 << (pos & 7))
                    for pos in self._positions(item))
-
-    def fill_ratio(self) -> float:
-        set_bits = sum(bin(b).count("1") for b in self._bits)
-        return set_bits / self.num_bits

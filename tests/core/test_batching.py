@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import SpinnakerCluster, SpinnakerConfig, Transaction
 from repro.core.batching import chunk_groups
+from repro.core.commitqueue import PendingWrite
 from repro.core.partition import key_of
 from repro.sim.disk import DiskProfile
 from repro.sim.process import spawn
@@ -173,16 +174,16 @@ def test_step_down_drops_buffered_records():
                            colname=b"c", value=b"phantom", version=1)
 
     for key in keys[:2]:
-        leader.queue.add(make(key))
+        leader.queue.add(PendingWrite([make(key)]))
     record = make(keys[2])
     leader._replicate([record], lambda: None)
     assert leader.batcher.windows_opened == 1
-    assert record.lsn in leader.queue     # buffered, window pending
+    assert record in leader.queue.pending_records()  # buffered, window
     assert not node.wal.contains(0, record.lsn)
     leader.step_down()
     # The buffered record was never logged nor proposed; it must leave
     # the queue so no later commit message can commit a phantom.
-    assert record.lsn not in leader.queue
+    assert record not in leader.queue.pending_records()
     cluster.run(1.0)
     assert not node.wal.contains(0, record.lsn)
     assert leader.batcher.batches_sent == 0

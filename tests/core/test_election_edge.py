@@ -3,6 +3,7 @@ epoch monotonicity, repeated failovers."""
 
 import pytest
 
+from repro.chaos.nemesis import ChaosConfig, run_chaos
 from repro.core import Role, SpinnakerCluster, SpinnakerConfig
 from repro.core.partition import key_of
 from repro.sim.disk import DiskProfile
@@ -174,3 +175,16 @@ def test_follower_restart_does_not_trigger_election():
                       limit=30.0, what="rejoin")
     assert cluster.leader_of(cohort_id) == leader
     assert cluster.replica(leader, cohort_id).epoch == epoch_before
+
+
+@pytest.mark.xfail(strict=True, reason="a replica with a log gap can win "
+                   "an election: the max-n.lst rule assumes a prefix log")
+def test_a_gapped_replica_must_not_win_the_3dc_seed_9_storm():
+    """``python -m repro chaos --dcs 3 --nodes 5 --seed 9``: a drop burst
+    costs node2 the propose of 2.51 while it logs 2.52-2.56; 2.51 commits
+    on node3 and node1; node3 crashes; node1 and node2 tie at n.lst 2.56
+    and node2 wins — a leader without a committed record (log-prefix
+    violation).  Announcing the LSN through which the log is complete
+    makes this pass."""
+    report = run_chaos(9, ChaosConfig(n_nodes=5, n_dcs=3))
+    assert report.ok, report.format()

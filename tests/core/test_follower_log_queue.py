@@ -29,6 +29,7 @@ from functools import partial
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.commitqueue import PendingWrite
 from repro.core.config import COMMIT_APPLY_SERVICE, SpinnakerConfig
 from repro.core.messages import Propose
 from repro.core.partition import Cohort, KeyRange
@@ -37,6 +38,8 @@ from repro.storage.engine import StorageEngine
 from repro.storage.lsn import LSN
 from repro.storage.records import CommitMarker, WriteRecord
 from repro.storage.wal import SharedLog
+
+from .test_commitqueue_properties import RecordQueue
 
 COHORT = 0
 KEYS = (b"k0", b"k1", b"k2")
@@ -77,8 +80,13 @@ class _Request:
 
 
 class _QueueFollower(CohortReplica):
-    """The follower as it was: a propose's records also queued, a commit
-    verified by ``_held_through`` and applied from the queue."""
+    """The follower as it was: a propose's records also queued — in the
+    per-record queue of that time — a commit verified by
+    ``_held_through`` and applied from the queue."""
+
+    def __init__(self, node, cohort):
+        super().__init__(node, cohort)
+        self.queue = RecordQueue(self.queue.acks_needed)
 
     def _log_propose(self, req):
         records, wal, cid = req.payload.records, self.node.wal, COHORT
@@ -191,7 +199,11 @@ def test_the_one_pass_commit_agrees_with_the_queue_it_replaced(history):
         for seq in range(1, led + 1):
             record = _record(1, seq)
             replica.node.wal.append(record)
-            replica.queue.add(record, on_commit=replica.fired.append)
+            if replica is ref:
+                replica.queue.add(record, on_commit=replica.fired.append)
+            else:
+                replica.queue.add(PendingWrite(
+                    [record], partial(replica.fired.append, record)))
     out_of_order = False
     for step in steps:
         before = {id(r): (len(r.applied), len(r.node.charged),
@@ -224,7 +236,7 @@ def test_the_one_pass_commit_agrees_with_the_queue_it_replaced(history):
         assert new.resyncs_at == ref.resyncs_at
         assert new.fired == ref.fired
         assert len(new.queue) <= led and all(
-            lsn.seq <= led for lsn in new.queue.pending_lsns())
+            r.lsn.seq <= led for r in new.queue.pending_records())
         # What this step applied: every non-skipped log record the
         # commit point passed, in LSN order, charged once each.
         n_applied, n_charged, cmt = before[id(new)]
@@ -283,9 +295,12 @@ def test_a_backfill_is_applied_at_its_own_commit_point():
         queue = replica.queue
         for record in replica.node.wal.write_records(COHORT,
                                                      after=LSN(2, 3)):
-            queue.add(record)
-            queue.mark_forced(record.lsn)
-            queue.add_ack(record.lsn, "g")
+            if replica is ref:
+                queue.add(record)
+                queue.mark_forced(record.lsn)
+            else:
+                queue.add(PendingWrite([record])).forced = True
+            queue.add_ack_upto(record.lsn, "g")
         queue.advance_leader()
     assert ref.queue.pending_lsns() == [LSN(2, 3)]      # for good
-    assert new.queue.pending_lsns() == []
+    assert new.queue.pending_records() == []

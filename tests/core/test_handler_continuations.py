@@ -9,6 +9,7 @@ a recorded failure of its node and the run goes on."""
 import pytest
 
 from repro.core import Role, SpinnakerCluster, SpinnakerConfig
+from repro.core.commitqueue import PendingWrite
 from repro.core.config import (COMMIT_APPLY_SERVICE, CORES_PER_NODE,
                                READ_SERVICE, WRITE_FOLLOWER_SERVICE,
                                WRITE_LEADER_SERVICE)
@@ -132,9 +133,9 @@ def test_a_propose_parked_on_its_force_dies_with_the_incarnation():
     wal = replica.node.wal
     # forcing: in the log's volatile tail — its only copy — and unacked
     assert wal._views[COHORT].by_lsn[lsn] > wal._durable_seq
-    assert lsn not in replica.queue and req.responses == []
+    assert len(replica.queue) == 0 and req.responses == []
     lose_disk_and_settle(cluster, replica, [req], before)
-    assert lsn not in replica.queue
+    assert len(replica.queue) == 0
     assert not wal.contains(COHORT, lsn)
 
 
@@ -348,7 +349,7 @@ def test_a_propose_reply_to_a_crashed_incarnation_is_stale():
     node.crash()
     node.restart()              # back before either ack lands
     # the new incarnation happens to queue the same LSN again
-    entry = leader.queue.add(record)
+    entry = leader.queue.add(PendingWrite([record]))
     cluster.run(0.05)
     assert endpoint.stale_replies == stale + 2
     assert cluster.network.messages_dropped == dropped

@@ -4,6 +4,7 @@ epoch fencing, commit ordering, commit messages, piggybacking."""
 import pytest
 
 from repro.core import Role, SpinnakerCluster, SpinnakerConfig
+from repro.core.commitqueue import PendingWrite
 from repro.core.messages import Ack, Commit, Propose
 from repro.core.partition import key_of
 from repro.sim.disk import DiskProfile
@@ -170,13 +171,11 @@ def test_leader_commit_requires_lsn_order():
     seq0 = leader.node.wal.last_lsn(leader.cohort_id).seq
     r1 = wrec(leader, seq0 + 1, key=b"a")
     r2 = wrec(leader, seq0 + 2, key=b"b")
-    leader.queue.add(r1)
-    leader.queue.add(r2)
-    leader.queue.mark_forced(r2.lsn)
-    leader.queue.add_ack(r2.lsn, "someone")
+    first = leader.queue.add(PendingWrite([r1]))
+    second = leader.queue.add(PendingWrite([r2]))
+    second.forced, second.acks = True, frozenset({"someone"})
     assert leader.queue.advance_leader() == []
-    leader.queue.mark_forced(r1.lsn)
-    leader.queue.add_ack(r1.lsn, "someone")
+    first.forced, first.acks = True, frozenset({"someone"})
     committed = leader.queue.advance_leader()
     assert [r.key for r in committed] == [b"a", b"b"]
 

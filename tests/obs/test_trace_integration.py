@@ -91,6 +91,12 @@ class TestWriteTrace:
         assert cluster.request_tracer.spans() == []
 
 
+def traced_entries(replica):
+    """The leader's in-flight trace state: its commit-queue entries
+    that carry a trace."""
+    return [entry for entry in replica.queue if entry.ctx is not None]
+
+
 def _sata_config():
     # Slow forces (2-10 ms) keep the write in flight long enough for a
     # fine-grained run_until poll to observe the leader's trace state.
@@ -116,8 +122,8 @@ class TestTakeoverTruncation:
         spawn(cluster.sim, wl(), name="wl")
         # Run until the leader holds in-flight trace state (the write's
         # force/propose are pending), then fail-stop it mid-request.
-        cluster.run_until(lambda: bool(replica._traces), limit=10.0,
-                          step=0.001,
+        cluster.run_until(lambda: bool(traced_entries(replica)),
+                          limit=10.0, step=0.001,
                           what="write in flight on the leader")
         leader_node.crash()
         cluster.run_until(lambda: done.get("ok", False), limit=60.0,
@@ -153,10 +159,51 @@ class TestTakeoverTruncation:
         replica = leader_node.replicas[cid]
 
         spawn(cluster.sim, client.put(b"tk", b"v", b"x"), name="wl")
-        cluster.run_until(lambda: bool(replica._traces), limit=10.0,
-                          step=0.001)
+        cluster.run_until(lambda: bool(traced_entries(replica)),
+                          limit=10.0, step=0.001)
         leader_node.crash()
-        assert replica._traces == {}
+        assert traced_entries(replica) == []
+
+    def test_step_down_truncates_open_spans_and_emits_no_more(self):
+        """The leader loses its coordination session — not a crash — with
+        a traced write in flight: the write's open spans end truncated at
+        the step-down, and nothing of that attempt is emitted after it,
+        though its leftover entry may still commit or be answered."""
+        cluster, tracer = _traced_cluster(seed=5, config=_sata_config())
+        client = cluster.client("c0")
+        cid = cluster.partitioner.cohort_for_key(key_of(b"tk")).cohort_id
+        leader_name = cluster.leader_of(cid)
+        leader_node = cluster.nodes[leader_name]
+        replica = leader_node.replicas[cid]
+        done = {}
+
+        def wl():
+            yield from client.put(b"tk", b"v", b"x" * 64)
+            done["ok"] = True
+
+        spawn(cluster.sim, wl(), name="wl")
+        cluster.run_until(lambda: bool(traced_entries(replica)),
+                          limit=10.0, step=0.001,
+                          what="write in flight on the leader")
+        trace_id = traced_entries(replica)[0].ctx.trace_id
+        open_before = [s for s in tracer.open_spans(leader_name)
+                       if s.trace_id == trace_id]
+        assert open_before
+        leader_node._on_session_loss(leader_node.zk)
+        stepped_down_at = cluster.sim.now
+        assert traced_entries(replica) == []
+        assert all(s.truncated and s.end == stepped_down_at
+                   for s in open_before)
+        assert [s for s in tracer.open_spans(leader_name)
+                if s.trace_id == trace_id] == []
+        cluster.run_until(lambda: done.get("ok", False), limit=60.0,
+                          what="write completes after the step-down")
+        cluster.run(2.0)
+        attempt = [s for s in tracer.spans(trace_id)
+                   if s.node == leader_name and s.start < stepped_down_at]
+        assert attempt and all(s.end <= stepped_down_at for s in attempt)
+        assert [s for s in tracer.open_spans()
+                if s.trace_id == trace_id] == []
 
 
 class TestBatchedForceAttribution:

@@ -124,8 +124,8 @@ def measure(cluster, gen, need):
             elif code in COUNTED_CODE:
                 tally[COUNTED_CODE[code]] += 1
             elif code is PENDING_WRITE_CODE:
-                queue = frame.f_back.f_locals["self"]      # CommitQueue.add
-                tally["pending_writes" if id(queue) in leader_queues
+                replica = frame.f_back.f_locals["self"]    # its _replicate
+                tally["pending_writes" if id(replica.queue) in leader_queues
                       else "follower_pending_writes"] += 1
             elif code in EVENT_WAIT_CODE:
                 caller = frame.f_back.f_code.co_filename
@@ -332,6 +332,54 @@ def test_a_follower_keeps_no_second_copy_of_a_propose():
     tally = put_tally()
     assert tally["pending_writes"] == PUTS
     assert tally["follower_pending_writes"] == 0
+
+
+def test_a_write_group_is_tracked_without_a_closure():
+    """The leader's one entry per write group holds its continuation:
+    ``_replicate`` builds no function per write (a closure counted the
+    group's records down to ``then()``)."""
+    assert not [const for const in CohortReplica._replicate.__code__.co_consts
+                if isinstance(const, types.CodeType)]
+
+
+def test_a_takeover_batch_is_one_pending_write():
+    """A new leader re-proposes its uncommitted tail in batches: one
+    ``PendingWrite`` per batch of k records (k, one per record, when the
+    queue kept an entry per record)."""
+    k = 6
+    cfg = SpinnakerConfig(log_profile=DiskProfile.ssd_log(),
+                          commit_period=30.0)
+    assert k <= cfg.propose_batch_max_records
+    cluster = SpinnakerCluster(n_nodes=3, config=cfg, seed=5)
+    cluster.start()
+    cluster.run(2.0)
+    leader = cluster.leader_of(0)
+    client = cluster.client("gate-client")
+    keys = cluster.keys_in_cohort(0, k, b"tail-")
+
+    def puts():
+        for key in keys:
+            yield from client.put(key, b"c", b"v")
+
+    drive(cluster, puts(), limit=30.0)
+    built = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is PENDING_WRITE_CODE:
+            records = frame.f_locals["records"]
+            if records[0].cohort_id == 0:
+                built.append(len(records))
+
+    cluster.kill_leader(0)
+    sys.setprofile(hook)
+    try:
+        cluster.run_until(lambda: cluster.leader_of(0) not in (None, leader)
+                          and cluster.replica(cluster.leader_of(0),
+                                              0).open_for_writes,
+                          limit=30.0, what="takeover")
+    finally:
+        sys.setprofile(None)
+    assert built == [k]
 
 
 def test_answered_rpcs_leave_nothing_in_the_kernel_heap():
