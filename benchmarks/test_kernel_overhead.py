@@ -26,7 +26,7 @@ from repro.obs.trace import Span, TraceContext
 from repro.sim.disk import DiskProfile
 from repro.sim.events import Event, Simulator
 from repro.sim.metrics import Histogram
-from repro.sim.network import Network, Request
+from repro.sim.network import Network, Reply, Request
 from repro.sim.process import (Process, Supervisor, Timeout, drive,
                                spawn, timeout)
 from repro.sim.resources import Charge
@@ -37,7 +37,7 @@ from repro.storage.records import WriteRecord
 #: the value types built per get and put, plus the open-loop generator
 #: state touched on every arrival (heap entries are plain lists and a
 #: log holds the records themselves — nothing to guard)
-HOT_CLASSES = [Event, Process, Timeout, Request, Supervisor, Charge,
+HOT_CLASSES = [Event, Process, Timeout, Request, Reply, Supervisor, Charge,
                PendingWrite, Span, TraceContext,
                ClientGet, ClientWrite, WriteOp, WriteRecord, Propose, Ack,
                GetResult, PutResult,
@@ -56,8 +56,11 @@ PROCESS_FLOOR = 290_000
 # respond -> reply, a 2 s timeout on every call): 55-85K (median 59K
 # over 15 runs) on the reference box with one deadline queue per
 # endpoint; the per-RPC schedule/cancel and heap-started handler it
-# replaced ran 32-51K (median 35K) in the same session.
-RPC_FLOOR = 30_000
+# replaced ran 32-51K (median 35K) in the same session.  With no
+# pending table (the request holds its continuation, the reply hands
+# it over): 74-125K, median 80K over 9 runs on a shared 2-vCPU VM where
+# the parent ran 70-97K over 3.
+RPC_FLOOR = 40_000
 # Replicated puts per second (3 nodes, memory log, 16 writers through
 # ``SpinnakerClient.put``: client -> leader, force || 2 proposes, 2
 # acks, commit, reply): 8.2-8.7K over 5 runs on the reference box with
@@ -80,6 +83,9 @@ WRITE_FLOOR = 6_800
 # same gets run 9-10 % faster — 58-60K against 54-56K on a slower,
 # shared box (CPU time, best of 3, six alternating pairs).  As value
 # types: 85.6-87.4K over 4 runs on a 2-vCPU VM (the parent 66-79K).
+# With no RPC pending table: 54-95K, median 59K over 9 runs on a slower
+# shared 2-vCPU VM (the parent 53-66K over 3) — half of that is under
+# this floor, which stays.
 GET_FLOOR = 43_000
 PERCENTILE_FLOOR = 400_000
 

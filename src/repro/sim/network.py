@@ -21,12 +21,19 @@ switch, clients on a second rack, reliable in-order messaging over TCP
 A small request/reply (RPC) layer is included because both datastores and
 the benchmark clients are built around it.
 
-Hot path (DESIGN.md, "Kernel hot paths"): a message is one
-:class:`Request` that is its own kernel callback, and an RPC timeout
-costs no kernel entry: each endpoint queues its own deadlines and keeps
-at most **one** entry in the kernel heap (re-armed for the next pending
-request when it fires, parked while none is), under the sequence number
-the request *reserved when it was made* — ties break as they always did.
+Hot path (DESIGN.md, "Kernel hot paths"): a message is one object that
+is its own kernel callback — a :class:`Request`, or the :class:`Reply`
+to one — and an RPC keeps no table.  A request carries what its reply
+needs: the continuation ``then`` (None once answered or expired), the
+calling :class:`Endpoint` and that endpoint's incarnation, which
+:meth:`Endpoint.crash` bumps.  The reply's callback hands its payload
+straight to ``then``: no request id, no pending dict, no endpoint lookup
+by name.  An RPC timeout costs no kernel entry: each endpoint queues its
+own deadlines (entries that hold the request) and keeps at most **one**
+entry in the kernel heap (re-armed for the next pending request when it
+fires, parked while none is), under the sequence number the request
+*reserved when it was made* — ties break as they always did.  The
+per-pair FIFO clamp lives on the sending endpoint, keyed by destination.
 On a flat network :meth:`Network._transmit` computes the delay in place:
 :meth:`LatencyModel.delay` and the ``Random.expovariate`` under it,
 operation for operation (one draw, the same float operations in the same
@@ -36,7 +43,6 @@ stays as the reference a property test holds the inlined branch to.
 
 from __future__ import annotations
 
-import itertools
 from bisect import insort
 from collections import deque
 from heapq import heapify, heappush
@@ -47,7 +53,8 @@ from .events import (_CALLBACK, _TIME, NORMAL, Event, SimulationError,
                      Simulator)
 from .rng import RngRegistry
 
-__all__ = ["LatencyModel", "Network", "Endpoint", "RpcTimeout", "Request"]
+__all__ = ["LatencyModel", "Network", "Endpoint", "RpcTimeout", "Request",
+           "Reply"]
 
 
 class RpcTimeout(Exception):
@@ -89,20 +96,27 @@ class Request:
     gets: ``src``, ``payload`` and a ``respond`` hook.  It is also its
     own delivery callback: the kernel entry :meth:`Network._transmit`
     pushes carries it directly, so a message costs one allocation, not
-    an envelope + closure + wrapper."""
+    an envelope + closure + wrapper.
 
-    __slots__ = ("_net", "src", "dst", "payload", "req_id", "reply_to",
-                 "responded")
+    One made by :meth:`Endpoint.request` is also its own pending record:
+    it holds the ``caller`` endpoint, the caller's ``incarnation`` when
+    it was sent, and ``then``, what the reply is handed to — None once
+    the request is answered or has expired.  A one-way message has no
+    caller."""
+
+    __slots__ = ("_net", "src", "dst", "payload", "caller", "incarnation",
+                 "then", "responded")
 
     def __init__(self, net: "Network", src: str, dst: str, payload: Any,
-                 req_id: Optional[int] = None,
-                 reply_to: Optional[int] = None):
+                 caller: Optional["Endpoint"] = None, incarnation: int = 0,
+                 then: Optional[Callable[[Any], None]] = None):
         self._net = net
         self.src = src
         self.dst = dst
         self.payload = payload
-        self.req_id = req_id
-        self.reply_to = reply_to
+        self.caller = caller
+        self.incarnation = incarnation
+        self.then = then
         self.responded = False
 
     def respond(self, value: Any, size: int = 128) -> None:
@@ -111,10 +125,11 @@ class Request:
         if self.responded:
             raise SimulationError("request already responded to")
         self.responded = True
-        net = self._net
-        if self.req_id is not None and net._endpoints[self.dst].alive:
-            net._transmit(Request(net, self.dst, self.src, value,
-                                  reply_to=self.req_id), size)
+        if self.caller is not None:
+            net = self._net
+            ep = net._endpoints[self.dst]
+            if ep.alive:
+                net._transmit(Reply(self, value), ep, self.src, size)
 
     def __call__(self) -> None:
         """Kernel callback at the arrival time: hand the message to the
@@ -123,10 +138,42 @@ class Request:
         ep = net._endpoints.get(self.dst)
         if ep is None or not ep.alive:
             net.messages_dropped += 1
-        elif self.reply_to is not None:
-            ep._on_reply(self)
         elif ep._handler is not None:
             ep._handler(self)
+
+
+class Reply:
+    """A reply in flight, and its own kernel callback: at the arrival
+    time it hands ``payload`` straight to the request's continuation."""
+
+    __slots__ = ("req", "payload")
+
+    def __init__(self, req: Request, payload: Any):
+        self.req = req
+        self.payload = payload
+
+    def __call__(self) -> None:
+        req = self.req
+        ep = req.caller
+        if not ep.alive:
+            req._net.messages_dropped += 1
+            return
+        then = req.then
+        if then is None or req.incarnation != ep.incarnation:
+            # Late: the request already timed out, or the caller crashed
+            # since it was sent.  Drop it on the floor.
+            ep.stale_replies += 1
+            return
+        req.then = None
+        queue = ep._deadlines
+        if queue:
+            while queue and queue[0][_REQ].then is None:
+                queue.popleft()
+            if not queue:
+                # Park (a cancel the next request undoes): an idle
+                # endpoint must not advance the clock.
+                ep._armed[_CALLBACK] = None
+        then(self.payload)
 
 
 class Network:
@@ -142,14 +189,12 @@ class Network:
         self.topology = topology
         self._rng = rng.stream("network")
         self._endpoints: Dict[str, "Endpoint"] = {}
-        self._last_delivery: Dict[Tuple[str, str], float] = {}
         self._blocked: set = set()
         self._blocked_oneway: set = set()      # ordered (src, dst) pairs
         self._drop_rates: Dict[Tuple[str, str], float] = {}
         self._extra_delays: Dict[Tuple[str, str], float] = {}
         #: additive network-wide delay (latency-spike injection)
         self.extra_delay = 0.0
-        self._req_ids = itertools.count(1)
         self.messages_sent = 0
         self.messages_dropped = 0
 
@@ -189,8 +234,12 @@ class Network:
         ``block`` and any one-way blocks between the pair).  With
         ``symmetric=False`` only the ``a`` → ``b`` direction is
         unblocked — healing one leg of an asymmetric partition must not
-        silently heal the reverse leg too (it used to).
+        silently heal the reverse leg too (it used to).  Naming one end
+        alone is an error (it used to heal nothing, silently).
         """
+        if (a is None) != (b is None):
+            raise SimulationError(f"heal needs both ends or neither, "
+                                  f"got a={a!r}, b={b!r}")
         if a is None:
             self._blocked.clear()
             self._blocked_oneway.clear()
@@ -248,15 +297,19 @@ class Network:
         return 2.0 * self.latency.nominal(size_bytes)
 
     # -- transmission -----------------------------------------------------
-    def _transmit(self, env: Request, size: int) -> None:
-        """Send one message from a live endpoint (every caller checks).
+    def _transmit(self, env: Callable[[], None], src_ep: "Endpoint",
+                  dst: str, size: int) -> None:
+        """Send one message (``env``: a :class:`Request` or
+        :class:`Reply`, its own delivery callback) from the live endpoint
+        ``src_ep`` (every caller checks) to the endpoint named ``dst``.
         Runs once per simulated message, so the fault-injection checks
         are guarded by container emptiness tests: a healthy network pays
-        no frozenset or dict-lookup cost per message.  The drop-rate RNG
-        draw still happens exactly when a rate is configured for the
-        pair, so the draw order is that of unguarded lookups."""
+        no frozenset, tuple or dict-lookup cost per message.  The
+        drop-rate RNG draw still happens exactly when a rate is
+        configured for the pair, so the draw order is that of unguarded
+        lookups."""
         self.messages_sent += 1
-        src, dst = env.src, env.dst
+        src = src_ep.name
         if ((self._blocked or self._blocked_oneway)
                 and self.is_blocked(src, dst)):
             self.messages_dropped += 1
@@ -284,11 +337,11 @@ class Network:
         sim = self.sim
         arrival = sim._now + delay
         # FIFO per ordered pair: never deliver before an earlier message.
-        key = (src, dst)
-        last = self._last_delivery.get(key)
+        last_delivery = src_ep._last_delivery
+        last = last_delivery.get(dst)
         if last is not None and last > arrival:
             arrival = last
-        self._last_delivery[key] = arrival
+        last_delivery[dst] = arrival
         # Simulator.call_at inlined; the message is its own callback.
         seq = sim._seq
         sim._seq = seq + 1
@@ -296,7 +349,7 @@ class Network:
 
 
 #: A deadline entry is a kernel heap entry + what its expiry needs.
-_REQ_ID, _DST, _TIMEOUT, _EVENT = 4, 5, 6, 7
+_REQ, _TIMEOUT, _EVENT = 4, 5, 6
 
 
 class Endpoint:
@@ -307,9 +360,13 @@ class Endpoint:
         self.sim = network.sim
         self.name = name
         self.alive = True
+        #: bumped by each crash: a reply to a request sent by an earlier
+        #: incarnation is stale
+        self.incarnation = 0
         self._handler: Optional[Callable[[Request], None]] = None
-        #: request id -> what its reply is handed to
-        self._pending: Dict[int, Callable[[Any], None]] = {}
+        #: destination -> arrival time of the last message sent there
+        #: (the FIFO clamp of that ordered pair)
+        self._last_delivery: Dict[str, float] = {}
         #: deadline entries of requests sent with a timeout, earliest
         #: first; answered ones are dropped as they reach the front
         self._deadlines: Deque[list] = deque()
@@ -319,8 +376,8 @@ class Endpoint:
         self._armed: Optional[list] = None
         self._expire = self._on_deadline     # bound once, not per RPC
         #: replies that arrived after their request timed out (or after a
-        #: crash cleared it) and were discarded — chaos runs assert these
-        #: never resume a waiter twice
+        #: crash) and were discarded — chaos runs assert these never
+        #: resume a waiter twice
         self.stale_replies = 0
 
     # -- wiring ----------------------------------------------------------
@@ -332,7 +389,7 @@ class Endpoint:
     def crash(self) -> None:
         """Take the endpoint off the network; pending RPCs never resolve."""
         self.alive = False
-        self._pending.clear()
+        self.incarnation += 1
         self._deadlines.clear()
         if self._armed is not None:
             self.sim.cancel(self._armed)
@@ -347,7 +404,7 @@ class Endpoint:
         if not self.alive:
             return
         net = self.network
-        net._transmit(Request(net, self.name, dst, payload), size)
+        net._transmit(Request(net, self.name, dst, payload), self, dst, size)
 
     def request(self, dst: str, payload: Any, size: int = 256,
                 timeout: Optional[float] = None,
@@ -363,6 +420,9 @@ class Endpoint:
         replication protocol always pair this with quorum waits or
         failure-detector callbacks, as the paper's protocol does.
         """
+        if timeout is not None and (timeout < 0 or then is not None):
+            raise SimulationError(f"bad timeout {timeout!r} (>= 0, "
+                                  f"Event form only)")
         ev = None
         if then is None:        # the Event form: its succeed is the callback
             ev = Event(self.sim)
@@ -371,22 +431,19 @@ class Endpoint:
             if ev is not None:
                 ev.fail(RpcTimeout(f"{self.name} is down"))
             return ev
-        sim = self.sim
         net = self.network
-        req_id = next(net._req_ids)
-        self._pending[req_id] = then
-        net._transmit(Request(net, self.name, dst, payload, req_id), size)
+        req = Request(net, self.name, dst, payload, self, self.incarnation,
+                      then)
+        net._transmit(req, self, dst, size)
         if timeout is not None:
-            if timeout < 0 or ev is None:
-                raise SimulationError(f"bad timeout {timeout!r} (>= 0, "
-                                      f"Event form only)")
             # Reserve the kernel sequence number *now*: whenever this
             # deadline is finally armed, it ties with other events at
             # its timestamp exactly as a timer scheduled here would.
+            sim = self.sim
             seq = sim._seq
             sim._seq = seq + 1
             entry = [sim._now + timeout, NORMAL, seq, self._expire,
-                     req_id, dst, timeout, ev]
+                     req, timeout, ev]
             queue, armed = self._deadlines, self._armed
             if queue and entry < queue[-1]:
                 insort(queue, entry)    # shorter timeout after a longer one
@@ -409,40 +466,23 @@ class Endpoint:
         return ev
 
     # -- inbound ------------------------------------------------------------
-    def _on_reply(self, env: Request) -> None:
-        pending = self._pending
-        then = pending.pop(env.reply_to, None)
-        queue = self._deadlines
-        if queue:
-            while queue and queue[0][_REQ_ID] not in pending:
-                queue.popleft()
-            if not queue:
-                # Park (a cancel the next request undoes): an idle
-                # endpoint must not advance the clock.
-                self._armed[_CALLBACK] = None
-        if then is None:
-            # Late reply: the request already timed out (or the
-            # endpoint restarted).  Drop it on the floor.
-            self.stale_replies += 1
-            return
-        then(env.payload)
-
     def _on_deadline(self) -> None:
         """The armed deadline came up: expire its request if that is
         still pending, and arm the next pending one."""
         entry, self._armed = self._armed, None
-        pending = self._pending
-        # Remove the pending entry *before* failing it: a reply that
-        # arrives later finds nothing and is discarded, so the waiting
+        req = entry[_REQ]
+        # Clear the continuation *before* failing the event: a reply
+        # that arrives later finds none and is discarded, so the waiting
         # process is resumed exactly once.
-        unanswered = pending.pop(entry[_REQ_ID], None) is not None
+        unanswered = req.then is not None
+        req.then = None
         queue = self._deadlines
-        while queue and queue[0][_REQ_ID] not in pending:
+        while queue and queue[0][_REQ].then is None:
             queue.popleft()
         if queue:
             self._armed = queue[0]
             heappush(self.sim._heap, queue[0])
         if unanswered:
             entry[_EVENT].fail(RpcTimeout(
-                f"rpc {self.name}->{entry[_DST]} timed out after "
+                f"rpc {self.name}->{req.dst} timed out after "
                 f"{entry[_TIMEOUT]}s"))

@@ -332,10 +332,10 @@ def test_a_rerouted_request_is_restamped():
     sent = []       # what the client puts on the wire
     transmit = cluster.network._transmit
 
-    def spy(env, size):
-        if env.src == client.endpoint.name:
+    def spy(env, src_ep, dst, size):
+        if src_ep is client.endpoint:
             sent.append(env.payload)
-        transmit(env, size)
+        transmit(env, src_ep, dst, size)
 
     cluster.network._transmit = spy
     cluster.add_node("node5")

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.events import Simulator
+from repro.sim.events import SimulationError, Simulator
 from repro.sim.network import LatencyModel, Network, RpcTimeout
 from repro.sim.process import spawn, timeout
 from repro.sim.rng import RngRegistry
@@ -206,6 +206,17 @@ def test_symmetric_heal_still_clears_both_one_way_directions():
     net.heal("a", "b")
     assert not net.is_blocked("a", "b")
     assert not net.is_blocked("b", "a")
+
+
+@pytest.mark.parametrize("ends", [{"a": "a"}, {"b": "b"}])
+def test_heal_with_one_end_named_raises_and_heals_nothing(ends):
+    sim, net = make_net()
+    net.endpoint("a")
+    net.endpoint("b")
+    net.block("a", "b")
+    with pytest.raises(SimulationError):
+        net.heal(**ends)
+    assert net.is_blocked("a", "b")
 
 
 def test_heal_all_clears_one_way_blocks():
@@ -411,6 +422,29 @@ def test_reply_after_expiry_counts_one_stale_reply_and_resumes_nobody():
     sim.run()
     assert resumed == ["timeout", "slept"]
     assert a.stale_replies == 1
+
+
+@pytest.mark.parametrize("bad", [
+    {"timeout": -0.1},
+    {"timeout": 0.5, "then": lambda reply: None},
+])
+def test_a_bad_request_raises_before_it_sends(bad):
+    """Arguments are checked first: a request that raises sent nothing,
+    scheduled nothing and queued no deadline (it used to raise only once
+    its message was on the wire, and the reply still ran ``then``)."""
+    sim, net = make_net()
+    a, b = net.endpoint("a"), net.endpoint("b")
+    b.on_request(lambda req: req.respond("pong"))
+    a.request("b", "warm-up", timeout=1.0)
+
+    def state():
+        return (net.messages_sent, sim._seq, [list(e) for e in sim._heap],
+                [list(e) for e in a._deadlines], a._armed)
+
+    before = state()
+    with pytest.raises(SimulationError):
+        a.request("b", "ping", **bad)
+    assert state() == before
 
 
 def test_request_without_timeout_arms_nothing():

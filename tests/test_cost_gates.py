@@ -61,6 +61,8 @@ PENDING_WRITE_CODE = PendingWrite.__init__.__code__
 #: the clock property: counted when the caller is the simulator's own
 #: source (a workload reading the clock to time itself is not our cost)
 NOW_CODE = Simulator.now.fget.__code__
+#: the RPC layer, whose frames and table lookups the RPC gates count
+NETWORK_FILE = "/sim/network.py"
 
 
 def make_cluster():
@@ -105,6 +107,10 @@ def measure(cluster, gen, need):
 
     def hook(frame, event, arg):
         if event == "c_call":
+            if frame.f_code.co_filename.endswith(NETWORK_FILE) and (
+                    arg is next or arg.__name__ in ("get", "pop")
+                    and isinstance(arg.__self__, dict)):
+                tally["network_lookups"] += 1
             if arg is heappush:
                 tally["heap_entries"] += 1
             elif arg is hashlib.sha256:
@@ -118,6 +124,8 @@ def measure(cluster, gen, need):
         elif event == "call":
             code = frame.f_code
             filename = code.co_filename
+            if filename.endswith(NETWORK_FILE):
+                tally["network_frames"] += 1
             if "/repro/obs/" in filename or filename.endswith(
                     "/sim/tracing.py"):
                 tally["tracer_calls"] += 1
@@ -380,6 +388,30 @@ def test_a_takeover_batch_is_one_pending_write():
     finally:
         sys.setprofile(None)
     assert built == [k]
+
+
+def test_an_rpc_keeps_no_pending_table():
+    """A request carries its continuation, its caller and the caller's
+    incarnation, so its reply goes straight to the continuation: per
+    round trip ``request``, the request's init, delivery and
+    ``respond``, the reply's init and delivery, two ``_transmit``s — 8
+    frames of ``sim/network.py`` (9 with ``_on_reply``) — and three dict
+    lookups, the two FIFO clamps and the request's endpoint (6 with a
+    request id drawn, parked and popped and the reply's endpoint looked
+    up by name).  A strong get is one round trip, a put three."""
+    cluster, client = make_cluster()
+
+    def gets():
+        for key in KEYS + KEYS:
+            yield from client.get(key, b"c", consistent=True)
+
+    ops = 2 * len(KEYS)
+    tally = measure(cluster, gets(), need=0.05)
+    assert tally["network_frames"] == 8 * ops
+    assert tally["network_lookups"] == 3 * ops
+    tally = put_tally()
+    assert tally["network_frames"] == 24 * PUTS
+    assert tally["network_lookups"] == 9 * PUTS
 
 
 def test_answered_rpcs_leave_nothing_in_the_kernel_heap():
