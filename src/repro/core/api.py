@@ -175,7 +175,10 @@ class SpinnakerClient:
                                 columns: Dict[bytes, bytes],
                                 versions: Dict[bytes, int]):
         """Multi-column conditional put (§3): every column's version must
-        match or nothing is written."""
+        match or nothing is written.  Raises :class:`ValueError` for no
+        columns, before anything is sent."""
+        if not columns:
+            raise ValueError("no columns")
         return self._write(tuple(
             WriteOp(key, col, value, expected_version=versions.get(col))
             for col, value in sorted(columns.items())))

@@ -24,25 +24,31 @@ like a real machine losing its page cache.
 
 Cost model
 ----------
-The log is consulted per propose, not per record.  A cohort's view holds
-the write records themselves, strictly LSN-ascending (every append
-places its record by LSN, almost always at the tail), and maps each LSN
-to its *physical sequence number* — an ``int``, so a logged record costs
-no wrapper object for the cycle collector to re-traverse for the life of
+A cohort's log is two parallel, LSN-ascending lists and nothing else:
+``writes``, the write records themselves, and ``seqs``, each one's
+*physical sequence number* — an ``int``, so a logged record costs no
+wrapper object for the cycle collector to re-traverse for the life of
 the log.  Durability is that number against ``_durable_seq``: a crash
-keeps exactly the records at or below it.  :meth:`write_records` walks
-back from the tail and stops at ``after``.  :meth:`append_batch` resolves the
-view and ``n.lst`` once per run of same-cohort records and advances its
-local ``last`` exactly as :meth:`_last_lsn` would: only past LSNs not
-skipped.  A follower logs a propose with one ``append_batch(…, backfill=
-True)``: one view lookup, one ``n.lst`` walk.  Its view above f.cmt *is*
-its commit queue (Fig. 4), read at a commit in one backward walk.
+keeps exactly the records at or below it.  An append above the tail —
+every leader batch and every follower propose in the steady state — is
+two list appends; :meth:`append_batch` resolves the view and ``n.lst``
+once per run of same-cohort records and advances its local ``last``
+exactly as :meth:`_last_lsn` would: only past LSNs not skipped.  A
+follower logs a propose with one ``append_batch(…, backfill=True)``:
+with nothing skipped and the propose ascending above the tail, one pass
+checks it and sums its sizes, the lists are extended and it is forced
+once — no ``n.lst`` walk.  Its view above f.cmt *is* its commit queue
+(Fig. 4), read at a commit in one backward walk (:meth:`write_records`
+stops at ``after``).  The rare queries — :meth:`contains`,
+:meth:`record_at`, a duplicate check or an insert below the tail — are a
+binary search; :meth:`gc_through` cuts a prefix.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from ..sim.disk import LogDevice
 from ..sim.events import Event, Simulator
@@ -68,12 +74,12 @@ class StaleLSN(Exception):
 class _CohortView:
     """Per-cohort logical view over the shared physical log."""
 
-    __slots__ = ("writes", "by_lsn", "skipped", "last_cmt", "ckpt",
+    __slots__ = ("writes", "seqs", "skipped", "last_cmt", "ckpt",
                  "min_retained", "catchup_floor", "_skipped_view")
 
     def __init__(self) -> None:
         self.writes: List[WriteRecord] = []   # LSN order
-        self.by_lsn: Dict[LSN, int] = {}      # -> physical sequence number
+        self.seqs: List[int] = []             # writes[i]'s physical seq
         self.skipped = set()                  # the skipped-LSN list (§6.1.1)
         self.last_cmt = LSN.zero()            # from durable commit markers
         self.ckpt = LSN.zero()
@@ -81,20 +87,39 @@ class _CohortView:
         self.catchup_floor = LSN.zero()       # from durable catch-up markers
         self._skipped_view: Optional[FrozenSet[LSN]] = None
 
-    def place(self, record: WriteRecord, seq: int) -> None:
-        """Index a write record appended as physical record ``seq``,
-        keeping ``writes`` LSN-ascending: almost always a tail append; a
-        backfill, or a record landing under a skipped tail, walks back
-        from the tail to its place."""
-        writes, lsn = self.writes, record.lsn
-        self.by_lsn[lsn] = seq
+    def index(self, lsn: LSN) -> int:
+        """Where ``lsn`` is in ``writes``, or would go: a binary search
+        (``bisect`` takes no ``key=`` before Python 3.10)."""
+        writes = self.writes
+        lo, hi = 0, len(writes)
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            if writes[mid].lsn < lsn:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+    def find(self, lsn: LSN) -> int:
+        """The index of ``lsn`` in ``writes``; -1 if it is not held."""
+        writes = self.writes
         if not writes or writes[-1].lsn < lsn:
+            return -1
+        idx = self.index(lsn)
+        return idx if writes[idx].lsn == lsn else -1
+
+    def place(self, record: WriteRecord, seq: int) -> None:
+        """Add a write record appended as physical record ``seq`` at its
+        LSN's place: at the tail, or — a backfill, or a record landing
+        under a skipped tail — where a binary search puts it."""
+        writes = self.writes
+        if not writes or writes[-1].lsn < record.lsn:
             writes.append(record)
+            self.seqs.append(seq)
             return
-        idx = len(writes) - 1
-        while idx and writes[idx - 1].lsn > lsn:
-            idx -= 1
+        idx = self.index(record.lsn)
         writes.insert(idx, record)
+        self.seqs.insert(idx, seq)
 
 
 class SharedLog:
@@ -130,15 +155,22 @@ class SharedLog:
         logical view keeps its records sorted by LSN, and a backfilled
         LSN is removed from the skipped list (the leader is
         authoritative about which records are committed).
+
+        A non-forced append takes no ``then``: nothing waits for it, so
+        one raises :class:`ValueError` before the log is touched.
         """
         ev = None
-        if force and then is None:
+        if not force:
+            if then is not None:
+                raise ValueError("a non-forced append has no completion "
+                                 "to call `then` at")
+        elif then is None:
             ev = Event(self._sim)
             then = ev.succeed
         view = self._view(record.cohort_id)
         if isinstance(record, WriteRecord):
             lsn = record.lsn
-            if lsn in view.by_lsn:
+            if view.find(lsn) >= 0:
                 raise DuplicateLSN(f"{lsn} already in cohort "
                                    f"{record.cohort_id} log")
             if not backfill and lsn <= self._last_lsn(view):
@@ -174,7 +206,8 @@ class SharedLog:
                      then: Optional[Callable[[], None]] = None,
                      backfill: bool = False) -> Optional[Event]:
         """Append several records with a single force (§8.2 extension),
-        as :meth:`append` does one (an empty batch returns None).
+        as :meth:`append` does one.  An empty batch has nothing to make
+        durable: ``then()`` at once (or the event returned has fired).
 
         The batch is durable all-or-nothing: one device operation covers
         every record, so a crash can never persist a prefix of a
@@ -187,12 +220,13 @@ class SharedLog:
         alone, below ``n.lst`` as a backfill (a re-proposal filling a
         gap), and ``then`` rides the last force.
         """
-        if not records:
-            return None
         ev = None
         if then is None:
             ev = Event(self._sim)
             then = ev.succeed
+        if not records:
+            then()
+            return ev
         if backfill:
             self._append_propose(records, then)
             return ev
@@ -206,30 +240,56 @@ class SharedLog:
                 # advances as ``_last_lsn`` would (not past skipped LSNs)
                 cohort_id = record.cohort_id
                 view = self._view(cohort_id)
+                writes, seqs, skipped = view.writes, view.seqs, view.skipped
                 last = self._last_lsn(view)
             lsn = record.lsn
-            if lsn in view.by_lsn:
+            below = writes and lsn <= writes[-1].lsn
+            if below and view.find(lsn) >= 0:
                 raise DuplicateLSN(f"{lsn} already in cohort "
                                    f"{cohort_id} log")
             if lsn <= last:
                 raise StaleLSN(f"{lsn} <= last LSN {last}")
             self._seq += 1
-            view.place(record, self._seq)
-            if lsn not in view.skipped:
+            if below:
+                view.place(record, self._seq)
+            else:                               # the tail: the steady state
+                writes.append(record)
+                seqs.append(self._seq)
+            if lsn not in skipped:
                 last = lsn
             total += record.size
             self.bytes_appended += record.size
         self._force(total, then)
         return ev
 
-    def _append_propose(self, records: List[WriteRecord],
+    def _append_propose(self, records: Sequence[WriteRecord],
                         then: Callable[[], None]) -> None:
         """``append_batch(records, then, backfill=True)``: :meth:`append`'s
-        checks, against a ``top`` that advances as :meth:`_last_lsn` would."""
+        checks, against a ``top`` that advances as :meth:`_last_lsn` would.
+
+        The steady state — nothing skipped, the propose ascending above
+        the tail (``n.lst`` then) — is the outcome of the general path
+        below in one pass: every record missing, one force for all."""
         view = self._view(records[0].cohort_id)
-        by_lsn, skipped = view.by_lsn, view.skipped
+        writes, skipped = view.writes, view.skipped
+        if not skipped:
+            top = writes[-1].lsn if writes else view.min_retained
+            total = 0
+            for record in records:
+                if record.lsn <= top:
+                    break
+                top = record.lsn
+                total += record.size
+            else:
+                seq = self._seq
+                writes.extend(records)
+                self._seq = seq + len(records)
+                view.seqs.extend(range(seq + 1, self._seq + 1))
+                self.bytes_appended += total
+                self._force(total, then)
+                return
         missing = [record for record in records
-                   if record.lsn not in by_lsn and record.lsn not in skipped]
+                   if record.lsn not in skipped and view.find(record.lsn) < 0]
         if not missing:
             then()
             return
@@ -239,7 +299,7 @@ class SharedLog:
         total = 0
         for record in missing:
             lsn = record.lsn
-            if lsn in by_lsn:
+            if view.find(lsn) >= 0:
                 raise DuplicateLSN(f"{lsn} already in its cohort's log")
             if last < lsn <= top:
                 raise StaleLSN(f"{lsn} <= last LSN {top}")
@@ -308,15 +368,12 @@ class SharedLog:
         return len(self._markers)
 
     def contains(self, cohort_id: int, lsn: LSN) -> bool:
-        return lsn in self._view(cohort_id).by_lsn
+        return self._view(cohort_id).find(lsn) >= 0
 
     def record_at(self, cohort_id: int, lsn: LSN) -> Optional[WriteRecord]:
         view = self._view(cohort_id)
-        if lsn in view.by_lsn:      # rare: walk back from the tail
-            for record in reversed(view.writes):
-                if record.lsn == lsn:
-                    return record
-        return None
+        idx = view.find(lsn)
+        return view.writes[idx] if idx >= 0 else None
 
     def write_records(self, cohort_id: int, after: LSN = LSN.zero(),
                       upto: Optional[LSN] = None,
@@ -372,15 +429,12 @@ class SharedLog:
         SSTables).  Skipped-LSN entries below the horizon are collected
         with the log files they cover.  Returns records dropped."""
         view = self._view(cohort_id)
-        keep: List[WriteRecord] = []
-        dropped = 0
-        for record in view.writes:
-            if record.lsn <= upto:
-                view.by_lsn.pop(record.lsn, None)
-                dropped += 1
-            else:
-                keep.append(record)
-        view.writes = keep
+        writes = view.writes
+        dropped = view.index(upto)          # the prefix at or below upto
+        if dropped < len(writes) and writes[dropped].lsn == upto:
+            dropped += 1
+        del writes[:dropped]
+        del view.seqs[:dropped]
         view.skipped = {lsn for lsn in view.skipped if lsn > upto}
         view._skipped_view = None
         if upto > view.min_retained:
@@ -438,10 +492,10 @@ class SharedLog:
         physical sequence number above ``_durable_seq``."""
         durable = self._durable_seq
         for view in self._views.values():
-            view.by_lsn = {lsn: seq for lsn, seq in view.by_lsn.items()
-                           if seq <= durable}
-            view.writes = [record for record in view.writes
-                           if record.lsn in view.by_lsn]
+            writes, seqs = view.writes, view.seqs
+            view.writes = [writes[i] for i, seq in enumerate(seqs)
+                           if seq <= durable]
+            view.seqs = [seq for seq in seqs if seq <= durable]
         self._markers = [entry for entry in self._markers
                          if entry[1] <= durable]
         # Recompute marker-derived state from the durable prefix.

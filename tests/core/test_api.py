@@ -141,6 +141,19 @@ def test_multi_column_conditional_put_all_or_nothing():
     assert row[b"a"].value == b"1" and row[b"b"].value == b"2"
 
 
+def test_a_multi_column_put_of_no_columns_is_refused_at_the_call():
+    """An empty row write names no key to route by: ``ValueError`` when
+    the call is made, and no message leaves the client."""
+    cluster = make_cluster()
+    client = cluster.client()
+    sent = cluster.network.messages_sent
+    with pytest.raises(ValueError, match="no columns"):
+        client.put_columns(b"row", {})
+    with pytest.raises(ValueError, match="no columns"):
+        client.conditional_put_columns(b"row", {}, {b"a": 1})
+    assert cluster.network.messages_sent == sent
+
+
 def test_not_leader_without_hint_rotates_members():
     """A not-leader reply with no hint (the follower itself does not know
     the leader yet) must rotate to the next member instead of re-asking

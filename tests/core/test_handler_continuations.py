@@ -132,7 +132,9 @@ def test_a_propose_parked_on_its_force_dies_with_the_incarnation():
     lsn = req.payload.records[0].lsn
     wal = replica.node.wal
     # forcing: in the log's volatile tail — its only copy — and unacked
-    assert wal._views[COHORT].by_lsn[lsn] > wal._durable_seq
+    view = wal._view(COHORT)
+    seq_of = dict(zip([record.lsn for record in view.writes], view.seqs))
+    assert seq_of[lsn] > wal._durable_seq
     assert len(replica.queue) == 0 and req.responses == []
     lose_disk_and_settle(cluster, replica, [req], before)
     assert len(replica.queue) == 0

@@ -380,6 +380,16 @@ class WalEquivalence(RuleBasedStateMachine):
                       lambda: self.ref.append(record, backfill),
                       lambda: self.log.append(record, backfill=backfill))
 
+    def _top(self, cid):
+        """The view's tail LSN — its GC horizon when it holds nothing."""
+        return max((e.record.lsn for e in self.ref.writes[cid]),
+                   default=self.ref.min_retained[cid])
+
+    def _above(self, cid, n):
+        """The first ``n`` grid LSNs above the view's tail, ascending."""
+        top = self._top(cid)
+        return [lsn for lsn in _GRID if lsn > top][:n]
+
     @rule(cid=st.sampled_from(_COHORTS),
           lsns=st.lists(st.sampled_from(_GRID), min_size=1, max_size=4))
     def log_propose(self, cid, lsns):
@@ -387,6 +397,53 @@ class WalEquivalence(RuleBasedStateMachine):
         reference's several calls did: the same records, the same forces
         in the same order and sizes, the same exception, and ``then``
         once, on the last force (at once when nothing was missing)."""
+        self._log_propose(cid, lsns)
+
+    # Proposes shaped to leave the steady-state path (nothing skipped,
+    # ascending above the tail) at each of its exits.
+
+    @rule(cid=st.sampled_from(_COHORTS), n=st.integers(2, 4))
+    def propose_descending_above_the_tail(self, cid, n):
+        self._log_propose(cid, self._above(cid, n)[::-1])
+
+    @rule(cid=st.sampled_from(_COHORTS), n=st.integers(1, 3),
+          pick=st.integers(0, len(_GRID)))
+    def propose_straddling_the_tail(self, cid, n, pick):
+        top = self._top(cid)
+        below = [lsn for lsn in _GRID if lsn <= top]
+        if below:
+            self._log_propose(cid, [below[pick % len(below)]]
+                              + self._above(cid, n))
+
+    @rule(cid=st.sampled_from(_COHORTS), upto=st.sampled_from(_GRID),
+          lsns=st.sets(st.sampled_from(_GRID), min_size=1, max_size=4))
+    def propose_into_a_view_gc_emptied(self, cid, upto, lsns):
+        self.gc_through(cid, max(upto, self._top(cid)))
+        assert self.log.min_retained_lsn(cid) > LSN.zero()
+        assert self.log.write_records(cid, include_skipped=True) == []
+        self._log_propose(cid, sorted(lsns))
+
+    @rule(cid=st.sampled_from(_COHORTS), skip=st.sampled_from(_GRID),
+          n=st.integers(1, 3))
+    def propose_while_an_lsn_is_skipped(self, cid, skip, n):
+        self.add_skipped(cid, {skip})
+        self._log_propose(cid, self._above(cid, n))
+
+    @rule(cid=st.sampled_from(_COHORTS), n=st.integers(1, 3),
+          pick=st.integers(0, 2), backfill=st.booleans())
+    def batch_repeating_an_lsn(self, cid, n, pick, backfill):
+        """The repeat raises ``DuplicateLSN`` after the records before it
+        were appended: the log keeps them, as the reference does."""
+        lsns = self._above(cid, n)
+        if not lsns:
+            return
+        lsns.append(lsns[pick % len(lsns)])
+        if backfill:
+            self._log_propose(cid, lsns)
+        else:
+            self.append_batch([(cid, lsn) for lsn in lsns], None)
+
+    def _log_propose(self, cid, lsns):
         records = [_grid_record(cid, lsn) for lsn in lsns]
         expected, issued = [], []
         state = {"done": 0, "acked_after": None, "issued": issued}
@@ -473,14 +530,16 @@ class WalEquivalence(RuleBasedStateMachine):
     def answers_match_the_reference(self):
         log, ref = self.log, self.ref
         assert log.bytes_appended == ref.bytes_appended
+        assert log._seq == ref.seq
         for cid in _COHORTS:
             view = log._view(cid)
             held = [record.lsn for record in view.writes]
             assert held == sorted(set(held)), "view not strictly ascending"
             # the same records (crash survivors included), each under
             # the physical sequence number the reference gave it
-            assert view.by_lsn == {e.record.lsn: e.seq
-                                   for e in ref.writes[cid]}
+            assert len(view.seqs) == len(held)
+            assert dict(zip(held, view.seqs)) == {e.record.lsn: e.seq
+                                                  for e in ref.writes[cid]}
             assert log.last_lsn(cid) == ref.last_lsn(cid)
             assert log.last_committed_lsn(cid) == ref.last_committed_lsn(cid)
             for lsn in _GRID:

@@ -215,8 +215,39 @@ def test_append_batch_validates_like_append():
 
 
 def test_append_batch_empty_is_noop():
+    """Nothing to make durable: the log is untouched and the batch is
+    complete at once — the event returned has fired, as the one for a
+    propose whose records the log already holds has."""
     log = SharedLog()
-    assert log.append_batch([]) is None
+    ev = log.append_batch([])
+    assert ev.triggered and ev.ok
+    assert (log._seq, log.bytes_appended, log.cohorts()) == (0, 0, [])
+    log.append(wrec(1, 1))
+    assert log.append_batch([wrec(1, 1)], backfill=True).ok
+
+
+@pytest.mark.parametrize("backfill", [False, True])
+def test_an_empty_batch_calls_then_at_once(backfill):
+    sim, log = make_wal_with_device()
+    done = []
+    assert log.append_batch([], then=lambda: done.append(sim.now),
+                            backfill=backfill) is None
+    assert done == [0.0]
+    assert (log._seq, log.bytes_appended) == (0, 0)
+
+
+@pytest.mark.parametrize("record", [
+    CommitMarker(lsn=LSN(1, 1), cohort_id=0, committed_lsn=LSN(1, 1)),
+    wrec(1, 1)])
+def test_a_non_forced_append_refuses_a_continuation(record):
+    """Nothing would ever call it: the append raises before it touches
+    the log."""
+    log = SharedLog()
+    with pytest.raises(ValueError):
+        log.append(record, force=False, then=lambda: None)
+    assert (log._seq, log.bytes_appended, log.marker_count()) == (0, 0, 0)
+    assert log.last_committed_lsn(0) == LSN.zero()
+    assert not log.contains(0, LSN(1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +374,9 @@ def test_lose_disk_under_load_then_crash_loses_every_unforced_record():
 
     def force(nbytes, then):
         lo, carried[0] = carried[0], wal._seq
-        entry = [{(cid, lsn) for cid in wal.cohorts()
-                  for lsn, seq in wal._views[cid].by_lsn.items()
+        entry = [{(cid, record.lsn) for cid in wal.cohorts()
+                  for record, seq in zip(wal._view(cid).writes,
+                                         wal._view(cid).seqs)
                   if lo < seq <= carried[0]}, False]
         issued.append(entry)
 

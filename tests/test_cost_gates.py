@@ -34,7 +34,7 @@ from repro.sim.network import Network
 from repro.sim.process import AllOf, Process, Timeout, drive, spawn
 from repro.sim.rng import RngRegistry
 from repro.storage.memtable import Cell
-from repro.storage.wal import SharedLog
+from repro.storage.wal import SharedLog, _CohortView
 
 KEYS = (b"gate-a", b"gate-b", b"gate-c")
 
@@ -44,6 +44,7 @@ COUNTED_CODE = {
     Cell.__init__.__code__: "cells",
     SharedLog._view.__code__: "log_views",
     SharedLog._last_lsn.__code__: "log_last_lsn",
+    _CohortView.place.__code__: "log_places",
     SharedLog.is_skipped.__code__: "log_per_record",
     SharedLog.contains.__code__: "log_per_record",
     Process.__init__.__code__: "processes",
@@ -328,9 +329,13 @@ def test_the_log_is_consulted_per_propose_not_per_record():
     # resolve their cohort view once (a follower used to four times:
     # what is missing, the skipped list, n.lst and the append)
     assert tally["log_views"] == (1 + 2 * 1) * PUTS
-    # n.lst is walked once per append: the batch's, and each follower's
-    # one for both its backfill decision and its stale-LSN check (two)
-    assert tally["log_last_lsn"] == (1 + 2 * 1) * PUTS
+    # n.lst is walked once, for the leader's batch: a follower's propose
+    # ascending above its tail with nothing skipped is checked against
+    # the tail (one walk each before, two before that)
+    assert tally["log_last_lsn"] == 1 * PUTS
+    # and every record lands at the tail as two list appends: no
+    # ``place`` frame, no LSN -> seq dict (3 per put before: one a log)
+    assert tally["log_places"] == 0
 
 
 def test_a_follower_keeps_no_second_copy_of_a_propose():
