@@ -18,7 +18,7 @@ single multi-record ``Propose`` — one batched WAL force
 (``SharedLog.append_batch``, all-or-nothing) and one cumulative ack per
 peer (``CommitQueue.add_ack_upto`` already treats an ack for a batch's
 top LSN as covering every earlier pending write, which is sound because
-proposes travel over in-order channels).
+a follower logs a propose only on top of its ``prev``).
 
 Batching must not tax an idle cohort, so the one policy is adaptive:
 
@@ -62,7 +62,8 @@ Invariants
   before a crash or step-down) a no-op, so it can neither corrupt the
   accounting nor flush the next incarnation's buffer.
 - Batches are LSN-contiguous (submission order is LSN order and order
-  is preserved), so a single cumulative ack covers a whole batch.
+  is preserved), so a single cumulative ack covers a whole batch, and
+  each continues the last: its ``prev`` is the last one's top.
 
 Failure cases: leadership lost with a window pending → the timer is
 cancelled and the buffer dropped; leadership lost with a force in

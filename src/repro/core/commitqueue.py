@@ -108,9 +108,11 @@ class CommitQueue:
 
     def add_ack_upto(self, lsn: LSN, follower: str) -> None:
         """Cumulative ack: the follower has durably logged everything at
-        or below ``lsn`` (proposals travel over in-order channels, so an
-        ack for a batch covers every earlier pending group too).  Closes
-        the ``replicate_rtt`` span of each traced group it covers."""
+        or below ``lsn``.  It logs a propose only on top of its ``prev``
+        and acks once a force covering it lands, so its log is a prefix
+        of this leader's stream (PROTOCOL.md, *The prefix rule*): an ack
+        for a batch covers every earlier pending group too.  Closes the
+        ``replicate_rtt`` span of each traced group it covers."""
         for entry in self._entries:
             if entry.records[-1].lsn > lsn:
                 break

@@ -643,6 +643,7 @@ class SpinnakerNode:
             if replica.role in (Role.RECOVERING, Role.CANDIDATE):
                 replica.role = Role.FOLLOWER
             replica.set_leader(req.src)
+            replica.accepted_epoch = chunk.epoch
         req.respond({"cmt": replica.committed_lsn,
                      "floor": replica.catchup_floor}, size=64)
 

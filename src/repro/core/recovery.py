@@ -292,14 +292,14 @@ def ingest_catchup(replica, chunk: CatchupChunk):
         # skipped list stay bounded by the gap, not the history.
         wal.gc_through(cohort_id, chunk.floor)
     # 3. Missing committed records: append + force, then apply in order.
-    #    ``backfill`` because a record may fall below our last LSN when a
-    #    lost propose left a gap with later records already logged.
+    #    Our log is a prefix of a leader's stream and step 1 cut what of
+    #    it the committed stream does not hold: they go on at the tail.
     min_retained = wal.min_retained_lsn(cohort_id)
     forces = []
     for record in chunk.records:
         if (not wal.contains(cohort_id, record.lsn)
                 and record.lsn > min_retained):
-            forces.append(wal.append(record, force=True, backfill=True))
+            forces.append(wal.append(record, force=True))
     if forces:
         yield all_of(node.sim, forces)
     for record in chunk.records:
@@ -358,7 +358,7 @@ def push_catchup(leader_replica, peer: str):
     momentary write block, taken once a bulk page comes back complete.
     Proposes are withheld from a peer in ``catching_up``, so the first
     one it sees after promotion is the pending queue snapshotted with
-    the final page: its cumulative ack never covers a dropped record.
+    the final page, proposed on top of that page's commit point.
 
     Raises :class:`~repro.sim.events.SimulationError` (or
     :class:`~repro.sim.network.RpcTimeout`) when the peer cannot be
@@ -434,7 +434,7 @@ def push_catchup(leader_replica, peer: str):
             # joining learner picks the tail up after the switch.
             leader_replica.send_propose(
                 [record for entry in pending for record in entry.records],
-                pending, to=(peer,))
+                pending, to=(peer,), prev=chunk.committed_lsn)
         ok = True
         return peer
     finally:
@@ -476,6 +476,7 @@ def leader_takeover(replica):
     cohort_id = replica.cohort_id
     l_cmt = replica.committed_lsn
     l_lst = node.wal.last_lsn(cohort_id)
+    replica.proposed_top = l_cmt    # the first round's ``prev``
 
     # Lines 3-7: catch each follower up to l.cmt (chunked push).
     # Line 8: wait until a majority, us included, is caught up to l.cmt.

@@ -14,8 +14,10 @@ Steady state (Fig. 4):
   commit queue first, then the :class:`~repro.core.batching.
   ProposalBatcher` forces them as one batch *and in parallel* sends one
   propose message to both followers;
-* each **follower** forces a log record, appends to its commit queue, and
-  acks — its commit queue is its log above f.cmt, not a second copy;
+* each **follower** logs the propose on arrival — only on top of the
+  ``prev`` it names, so its log stays a prefix of the leader's stream —
+  then forces it and acks; its commit queue is its log above f.cmt, not
+  a second copy;
 * after its own force plus at least one ack, the leader applies the write
   to its memtable (committing it) and replies to the client — there is no
   separate commit record, recovery re-proposals guarantee durability;
@@ -49,7 +51,6 @@ See ``OBSERVABILITY.md``.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..sim.events import Event
@@ -68,9 +69,6 @@ from .messages import (Ack, CatchupRequest, ClientGet, ClientWrite, Commit,
 from .partition import INTERNAL_KEY_PREFIX, MEMBERSHIP_KEY, Cohort
 
 __all__ = ["CohortReplica", "Role"]
-
-_BY_LSN = attrgetter("lsn")
-
 
 class Role:
     """Replica roles; OFFLINE only while the node is down."""
@@ -113,6 +111,10 @@ class CohortReplica:
         self.leader: Optional[str] = None
         self.open_for_writes = False
         self.committed_lsn = LSN.zero()
+        #: leader: its last broadcast's top LSN, the next one's ``prev``
+        self.proposed_top = LSN.zero()
+        #: the epoch of the last propose or final catch-up page accepted
+        self.accepted_epoch = 0
         self.next_seq = 1
         self.electing = False
         self.candidate_path: Optional[str] = None
@@ -349,18 +351,19 @@ class CohortReplica:
 
     def send_propose(self, records: Sequence[WriteRecord],
                      entries: Sequence[PendingWrite],
-                     to: Optional[Sequence[str]] = None) -> None:
+                     to: Optional[Sequence[str]] = None,
+                     prev: Optional[LSN] = None) -> None:
         """Fan one propose of ``records``, those of ``entries``, out to
-        the peers (or just ``to``).  With the cohort open, a peer under
-        catch-up is skipped: ``RECOVERING``, it would drop the propose,
-        and its push ends by re-proposing the pending queue to it.  A
-        takeover's pushes carry no pending queue, so its re-proposals
-        (cohort still closed) go to every peer; one round commits before
-        the next is proposed, so a cumulative ack never covers a dropped
-        record."""
+        the peers on top of ``proposed_top`` (or, a catch-up's pending
+        tail, to just ``to`` on top of ``prev``).  With the cohort open, a
+        peer under catch-up is skipped: ``RECOVERING``, it would drop the
+        propose, and its push ends by re-proposing the pending queue to
+        it.  A takeover's re-proposals (cohort closed) go to every peer."""
         node, cfg = self.node, self.node.config
+        if to is None:
+            prev, self.proposed_top = self.proposed_top, records[-1].lsn
         propose = Propose(
-            self.cohort_id, self.epoch, tuple(records),
+            self.cohort_id, self.epoch, tuple(records), prev,
             self.committed_lsn if cfg.piggyback_commits else None)
         size = 64
         for record in records:
@@ -474,7 +477,9 @@ class CohortReplica:
     # ------------------------------------------------------------------
     def handle_propose(self, req) -> None:
         """A Propose arrives (Fig. 4, follower): ``handle_propose`` →
-        ``_log_propose`` → ``_ack_propose``."""
+        ``_log_propose`` → ``_ack_propose``.  Logged here, in channel
+        order, only on top of its ``prev`` (PROTOCOL.md, *The prefix
+        rule*); else a resync."""
         msg: Propose = req.payload
         if msg.epoch < self.epoch:
             return  # stale leader; no ack
@@ -483,32 +488,39 @@ class CohortReplica:
         if msg.epoch > self.epoch:
             self.epoch = msg.epoch
             self.set_leader(req.src)
+        records = msg.records
+        nbytes = self.node.wal.append_after(self.cohort_id, msg.prev, records,
+                                            self.committed_lsn)
+        if nbytes is None:
+            self._start_resync(records[-1].lsn)
+            return
+        self.accepted_epoch = msg.epoch
         self.node.charge(WRITE_FOLLOWER_SERVICE
-                         + PROPOSE_RECORD_SERVICE * (len(msg.records) - 1),
-                         self._log_propose, req)
+                         + PROPOSE_RECORD_SERVICE * (len(records) - 1),
+                         self._log_propose, req, nbytes)
 
-    def _log_propose(self, req) -> None:
-        """The follower's CPU slice is spent: log what the log lacks — its
-        commit queue is its log above f.cmt; nothing else is kept — and
-        ``_ack_propose`` once that is durable (at once if it was all)."""
+    def _log_propose(self, req, nbytes: int) -> None:
+        """The follower's CPU slice is spent: force what the propose
+        appended — a force covers every earlier append, so the ack is
+        true of everything up to its LSN — then ``_ack_propose`` (at once
+        if the log held it all durably)."""
         if self.role not in (Role.FOLLOWER, Role.CANDIDATE):
             return
-        node = self.node
-        node.wal.append_batch(req.payload.records, backfill=True,
-                              then=node.guarded(self._ack_propose, req))
+        wal = self.node.wal
+        if nbytes or not wal.durable(self.cohort_id, req.payload.records):
+            wal.force(nbytes, self.node.guarded(self._ack_propose, req))
+        else:
+            self._ack_propose(req)
 
     def _ack_propose(self, req) -> None:
-        """Every record of the propose is in the log: take its commit
-        point, ack its top LSN."""
+        """Every record of the propose is durable in the log: take its
+        commit point, ack its top LSN."""
         msg: Propose = req.payload
-        records = msg.records
         if msg.committed_lsn is not None:
             self._apply_commit_info(msg.committed_lsn)
         self.proposes_handled += 1
-        top = (records[0] if len(records) == 1      # the common case
-               else max(records, key=_BY_LSN))
-        req.respond(Ack(self.cohort_id, self.epoch, top.lsn, self.node.name),
-                    size=48)
+        req.respond(Ack(self.cohort_id, self.epoch, msg.records[-1].lsn,
+                        self.node.name), size=48)
 
     def handle_commit(self, src: str, msg: Commit) -> None:
         """Synchronous handler for the one-way commit message."""
@@ -523,34 +535,28 @@ class CohortReplica:
         if msg.epoch > self.epoch:
             self.epoch = msg.epoch
             self.set_leader(src)
-        self._apply_commit_info(msg.lsn)
+        if msg.epoch > self.accepted_epoch:
+            # Our log follows an older leader's stream, whose tail this
+            # one may have discarded: only a catch-up can tell.
+            self._start_resync(msg.lsn)
+        else:
+            self._apply_commit_info(msg.lsn)
 
     def _apply_commit_info(self, upto: LSN) -> None:
         """Commit through ``upto``.  A follower's commit queue is its log
-        above f.cmt, walked once: it commits through the longest run of
-        consecutive seqs held there (the last at its highest LSN, where two
-        epochs hold it) and applies each record up to that LSN.  Committed
-        seqs are dense, so a missing one is a propose this replica lost."""
+        above f.cmt, a prefix of the stream ``upto`` is from: it commits
+        and applies what it holds through ``min(upto, n.lst)``, read in
+        one walk back from the tail.  Short of ``upto``, a propose never
+        reached it: it resyncs."""
         cmt = self.committed_lsn
         if upto <= cmt:
             return
         verified, committed = upto, None
         if self.role != Role.LEADER:
-            committed = self.node.wal.write_records(self.cohort_id,
-                                                    after=cmt, upto=upto)
-            verified, held, need, again = cmt, 0, cmt.seq + 1, True
-            while again:    # again only if a later epoch filled a gap
-                again = ahead = False
-                for i, record in enumerate(committed):
-                    seq = record.lsn.seq
-                    if seq == need <= upto.seq:
-                        verified, held, need = record.lsn, i + 1, seq + 1
-                        again = ahead
-                    elif seq == need - 1 > cmt.seq:
-                        verified, held = record.lsn, i + 1
-                    elif seq > need:
-                        ahead = True
-            del committed[held:]
+            held = self.node.wal.write_records(self.cohort_id, after=cmt)
+            committed = [record for record in held if record.lsn <= upto]
+            if len(committed) == len(held):     # n.lst <= upto
+                verified = held[-1].lsn if held else cmt
         if verified > self.committed_lsn:
             # a follower's: what it queued as leader, its clients waiting
             leftover = self.queue.apply_commit(verified)
@@ -577,16 +583,17 @@ class CohortReplica:
     def _start_resync(self, upto: LSN) -> None:
         """Demote to RECOVERING and ask the leader to catch us up.
 
-        Used when a follower detects a log gap below the cohort's commit
-        point.  The push delivers the missing records and its final
-        page restores FOLLOWER; meanwhile proposes are dropped, which is
-        safe (the leader only needs a quorum) and cannot widen the gap.
+        Used when a follower's log does not extend to the leader's
+        stream: a propose not on top of its ``prev``, a commit point past
+        its log or from a newer leader.  The push delivers the missing
+        records and its final page restores FOLLOWER; meanwhile proposes
+        are dropped, which is safe (the leader only needs a quorum).
         """
         if self.role != Role.FOLLOWER:
             return
         self.role = Role.RECOVERING
         self.resyncs += 1
-        self.node.trace("resync", "log gap below commit point",
+        self.node.trace("resync", "log does not reach the leader's stream",
                         cohort=self.cohort_id, cmt=str(self.committed_lsn),
                         upto=str(upto))
         self.request_catchup()
@@ -786,6 +793,7 @@ class CohortReplica:
         self.role = Role.RECOVERING
         self.epoch = 0
         self.committed_lsn = LSN.zero()
+        self.accepted_epoch = 0
         self._last_commit_broadcast = LSN.zero()
         # Re-derive the durable catch-up floor from the log's surviving
         # CatchupMarkers, so a crash mid-snapshot-install resumes from

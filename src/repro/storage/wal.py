@@ -33,15 +33,17 @@ keeps exactly the records at or below it.  An append above the tail —
 every leader batch and every follower propose in the steady state — is
 two list appends; :meth:`append_batch` resolves the view and ``n.lst``
 once per run of same-cohort records and advances its local ``last``
-exactly as :meth:`_last_lsn` would: only past LSNs not skipped.  A
-follower logs a propose with one ``append_batch(…, backfill=True)``:
-with nothing skipped and the propose ascending above the tail, one pass
-checks it and sums its sizes, the lists are extended and it is forced
-once — no ``n.lst`` walk.  Its view above f.cmt *is* its commit queue
-(Fig. 4), read at a commit in one backward walk (:meth:`write_records`
-stops at ``after``).  The rare queries — :meth:`contains`,
-:meth:`record_at`, a duplicate check or an insert below the tail — are a
-binary search; :meth:`gc_through` cuts a prefix.
+exactly as :meth:`_last_lsn` would: only past LSNs not skipped.
+
+A follower logs a propose on arrival, only on top of its ``prev``
+(:meth:`append_after`; PROTOCOL.md, *The prefix rule*): with the tail at
+``prev`` and nothing skipped — the steady state — one pass and two list
+extends, no ``n.lst`` walk.  :meth:`force` later covers every earlier
+append.  Its view above f.cmt *is* its commit queue (Fig. 4), read at a
+commit in one backward walk (:meth:`write_records` stops at ``after``).
+The rare queries — :meth:`contains`, :meth:`record_at`, a duplicate
+check or an insert under a skip-listed tail — are a binary search;
+:meth:`gc_through` cuts a prefix.
 """
 
 from __future__ import annotations
@@ -57,10 +59,6 @@ from .records import (CatchupMarker, CheckpointRecord, CommitMarker,
                       LogRecord, WriteRecord)
 
 __all__ = ["SharedLog", "DuplicateLSN", "StaleLSN"]
-
-
-def _unawaited() -> None:
-    """What runs after a force no step waits on by itself."""
 
 
 class DuplicateLSN(Exception):
@@ -110,8 +108,8 @@ class _CohortView:
 
     def place(self, record: WriteRecord, seq: int) -> None:
         """Add a write record appended as physical record ``seq`` at its
-        LSN's place: at the tail, or — a backfill, or a record landing
-        under a skipped tail — where a binary search puts it."""
+        LSN's place: at the tail, or — a record landing under a skipped
+        tail — where a binary search puts it."""
         writes = self.writes
         if not writes or writes[-1].lsn < record.lsn:
             writes.append(record)
@@ -139,7 +137,6 @@ class SharedLog:
     # Appending
     # ------------------------------------------------------------------
     def append(self, record: LogRecord, force: bool = True,
-               backfill: bool = False,
                then: Optional[Callable[[], None]] = None) -> Optional[Event]:
         """Append a record; when ``force``, ``then()`` runs once it is
         durable (or, without ``then``, the returned event fires).
@@ -147,14 +144,8 @@ class SharedLog:
         Write records must carry a strictly increasing LSN within their
         cohort (among non-skipped records); duplicates raise
         :class:`DuplicateLSN` so protocol bugs surface loudly — recovery
-        code checks :meth:`contains` before re-appending.
-
-        ``backfill`` permits an LSN at or below the cohort's last one:
-        catch-up and takeover re-proposals legitimately fill gaps left by
-        lost proposes (§6.1).  Physically it is still an append; the
-        logical view keeps its records sorted by LSN, and a backfilled
-        LSN is removed from the skipped list (the leader is
-        authoritative about which records are committed).
+        code checks :meth:`contains` before re-appending.  One may land
+        under a skip-listed tail, where the logical view keeps it sorted.
 
         A non-forced append takes no ``then``: nothing waits for it, so
         one raises :class:`ValueError` before the log is touched.
@@ -173,29 +164,18 @@ class SharedLog:
             if view.find(lsn) >= 0:
                 raise DuplicateLSN(f"{lsn} already in cohort "
                                    f"{record.cohort_id} log")
-            if not backfill and lsn <= self._last_lsn(view):
+            if lsn <= self._last_lsn(view):
                 raise StaleLSN(f"{lsn} <= last LSN {self._last_lsn(view)}")
             self._seq += 1
             view.place(record, self._seq)
-            if backfill and lsn in view.skipped:
-                view.skipped.discard(lsn)
-                view._skipped_view = None
         else:
             self._seq += 1
             self._markers.append((record, self._seq))
-            if isinstance(record, CommitMarker):
-                if record.committed_lsn > view.last_cmt:
-                    view.last_cmt = record.committed_lsn
-            elif isinstance(record, CheckpointRecord):
-                if record.checkpoint_lsn > view.ckpt:
-                    view.ckpt = record.checkpoint_lsn
-            elif isinstance(record, CatchupMarker):
-                if record.floor > view.catchup_floor:
-                    view.catchup_floor = record.floor
+            self._note_marker(view, record)
         size = record.encoded_size()
         self.bytes_appended += size
         if force:
-            self._force(size, then)
+            self.force(size, then)
         elif self.device is None:
             self._durable_seq = self._seq
         else:
@@ -203,8 +183,8 @@ class SharedLog:
         return ev
 
     def append_batch(self, records: List[LogRecord],
-                     then: Optional[Callable[[], None]] = None,
-                     backfill: bool = False) -> Optional[Event]:
+                     then: Optional[Callable[[], None]] = None
+                     ) -> Optional[Event]:
         """Append several records with a single force (§8.2 extension),
         as :meth:`append` does one.  An empty batch has nothing to make
         durable: ``then()`` at once (or the event returned has fired).
@@ -212,13 +192,6 @@ class SharedLog:
         The batch is durable all-or-nothing: one device operation covers
         every record, so a crash can never persist a prefix of a
         multi-operation transaction's log records.
-
-        ``backfill``: the records of a propose at a follower, which may
-        re-propose what the log holds or skipped — left out, ``then()``
-        at once if that is all.  The rest is one force if it is all of a
-        multi-record propose above ``n.lst``; else each record is forced
-        alone, below ``n.lst`` as a backfill (a re-proposal filling a
-        gap), and ``then`` rides the last force.
         """
         ev = None
         if then is None:
@@ -226,9 +199,6 @@ class SharedLog:
             then = ev.succeed
         if not records:
             then()
-            return ev
-        if backfill:
-            self._append_propose(records, then)
             return ev
         total = 0
         cohort_id = None
@@ -259,65 +229,73 @@ class SharedLog:
                 last = lsn
             total += record.size
             self.bytes_appended += record.size
-        self._force(total, then)
+        self.force(total, then)
         return ev
 
-    def _append_propose(self, records: Sequence[WriteRecord],
-                        then: Callable[[], None]) -> None:
-        """``append_batch(records, then, backfill=True)``: :meth:`append`'s
-        checks, against a ``top`` that advances as :meth:`_last_lsn` would.
-
-        The steady state — nothing skipped, the propose ascending above
-        the tail (``n.lst`` then) — is the outcome of the general path
-        below in one pass: every record missing, one force for all."""
-        view = self._view(records[0].cohort_id)
+    def append_after(self, cohort_id: int, prev: LSN,
+                     records: Sequence[WriteRecord],
+                     held: LSN) -> Optional[int]:
+        """Log a follower's propose — ``records``, the leader's stream
+        right above ``prev`` — unforced; return the bytes appended, or
+        None (appending nothing) when it does not extend this log: unless
+        the log holds ``prev`` (or it is at or below ``held``, f.cmt, or
+        the GC horizon) and its non-skipped records above ``prev`` agree
+        with the propose LSN by LSN until one ends.  What lies beyond the
+        agreement is appended; a skip-listed LSN is taken off the list."""
+        view = self._view(cohort_id)
         writes, skipped = view.writes, view.skipped
-        if not skipped:
-            top = writes[-1].lsn if writes else view.min_retained
-            total = 0
-            for record in records:
-                if record.lsn <= top:
-                    break
-                top = record.lsn
-                total += record.size
-            else:
-                seq = self._seq
-                writes.extend(records)
-                self._seq = seq + len(records)
-                view.seqs.extend(range(seq + 1, self._seq + 1))
-                self.bytes_appended += total
-                self._force(total, then)
-                return
-        missing = [record for record in records
-                   if record.lsn not in skipped and view.find(record.lsn) < 0]
-        if not missing:
-            then()
-            return
-        last = top = self._last_lsn(view)
-        batch = len(missing) == len(records) > 1 and all(
-            record.lsn > last for record in missing)
+        total, last = 0, prev
+        for record in records:
+            if record.lsn <= last:
+                return None
+            last = record.lsn
+            total += record.size
+        if not skipped and prev == (writes[-1].lsn if writes
+                                    else view.min_retained):
+            # the steady state: the log ends at ``prev``
+            seq = self._seq
+            writes.extend(records)
+            self._seq = seq + len(records)
+            view.seqs.extend(range(seq + 1, self._seq + 1))
+            self.bytes_appended += total
+            return total
+        idx = view.index(prev)
+        if idx < len(writes) and writes[idx].lsn == prev and (
+                prev not in skipped):
+            idx += 1
+        elif prev > held and prev > view.min_retained:
+            return None
+        mine = [record.lsn for record in writes[idx:]
+                if record.lsn not in skipped]
+        theirs = [record for record in records
+                  if record.lsn > view.min_retained]
+        if [record.lsn for record in theirs[:len(mine)]] != mine[:len(theirs)]:
+            return None
         total = 0
-        for record in missing:
+        for record in theirs[len(mine):]:
             lsn = record.lsn
-            if view.find(lsn) >= 0:
-                raise DuplicateLSN(f"{lsn} already in its cohort's log")
-            if last < lsn <= top:
-                raise StaleLSN(f"{lsn} <= last LSN {top}")
+            if lsn in skipped:
+                skipped.discard(lsn)
+                view._skipped_view = None
+                if view.find(lsn) >= 0:
+                    continue
             self._seq += 1
             view.place(record, self._seq)
-            if lsn > top:
-                top = lsn
-            self.bytes_appended += record.size
-            if batch:
-                total += record.size
-            else:
-                self._force(record.size, then if record is missing[-1]
-                            else _unawaited)
-        if batch:
-            self._force(total, then)
+            total += record.size
+        self.bytes_appended += total
+        return total
 
-    def _force(self, size: int, then: Callable[[], None]) -> None:
-        """Force everything appended so far; ``then()`` once durable."""
+    def durable(self, cohort_id: int, records: Sequence[WriteRecord]) -> bool:
+        """Whether the log holds every one of ``records`` it holds on
+        stable storage: a propose it held already needs no force."""
+        view = self._view(cohort_id)
+        return all(view.seqs[idx] <= self._durable_seq
+                   for idx in map(view.find, (r.lsn for r in records))
+                   if idx >= 0)
+
+    def force(self, size: int, then: Callable[[], None]) -> None:
+        """Force everything appended so far, ``size`` bytes of it not yet
+        forced; ``then()`` once durable."""
         if self.device is None:
             # No simulated device (pure unit tests): durable immediately.
             self._durable_seq = self._seq
@@ -443,6 +421,17 @@ class SharedLog:
         return dropped
 
     @staticmethod
+    def _note_marker(view: _CohortView, record: LogRecord) -> None:
+        """Raise the view's commit point, checkpoint or catch-up floor to
+        what the marker ``record`` says."""
+        if isinstance(record, CommitMarker):
+            view.last_cmt = max(view.last_cmt, record.committed_lsn)
+        elif isinstance(record, CheckpointRecord):
+            view.ckpt = max(view.ckpt, record.checkpoint_lsn)
+        elif isinstance(record, CatchupMarker):
+            view.catchup_floor = max(view.catchup_floor, record.floor)
+
+    @staticmethod
     def _marker_key(record: LogRecord) -> Tuple[int, int]:
         if isinstance(record, CommitMarker):
             return (record.cohort_id, 1)
@@ -505,16 +494,7 @@ class SharedLog:
             view.catchup_floor = LSN.zero()
             view._skipped_view = None
         for rec, _seq in self._markers:
-            view = self._view(rec.cohort_id)
-            if isinstance(rec, CommitMarker):
-                if rec.committed_lsn > view.last_cmt:
-                    view.last_cmt = rec.committed_lsn
-            elif isinstance(rec, CheckpointRecord):
-                if rec.checkpoint_lsn > view.ckpt:
-                    view.ckpt = rec.checkpoint_lsn
-            elif isinstance(rec, CatchupMarker):
-                if rec.floor > view.catchup_floor:
-                    view.catchup_floor = rec.floor
+            self._note_marker(self._view(rec.cohort_id), rec)
 
     def wipe(self) -> None:
         """Total media loss (double-disk failure, §6.1 'lost all data')."""

@@ -22,9 +22,8 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 BASELINE = REPO_ROOT / "lint-baseline.json"
 
 
-def test_tree_is_lint_clean():
-    result = run_lint(REPRO_ROOT,
-                      baseline_path=BASELINE if BASELINE.exists() else None)
+def test_tree_is_lint_clean(tree_lint):
+    result = tree_lint
     assert result.parse_errors == []
     assert result.findings == [], "\n".join(
         f.format() for f in result.findings)
@@ -34,7 +33,14 @@ def test_tree_is_lint_clean():
     assert result.files_checked > 50
 
 
-def test_cli_exits_zero_on_clean_tree(capsys):
+def test_cli_exits_zero_on_clean_tree(capsys, monkeypatch, tree_lint):
+    def shared(root, baseline_path=None, rules=None):
+        # the run ``tree_lint`` made, asked for the same way
+        assert (root, rules) == (REPRO_ROOT, None)
+        assert baseline_path == (BASELINE if BASELINE.exists() else None)
+        return tree_lint
+
+    monkeypatch.setattr("repro.analysis.cli.run_lint", shared)
     rc = lint_main([str(REPRO_ROOT)]
                    + (["--baseline", str(BASELINE)]
                       if BASELINE.exists() else []))

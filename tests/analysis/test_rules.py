@@ -7,11 +7,9 @@ idioms stay green).
 
 from pathlib import Path
 
-import repro
 from repro.analysis import lint_source, run_lint
 
 FIXTURES = Path(__file__).parent / "fixtures"
-REPRO_ROOT = Path(repro.__file__).resolve().parent
 
 
 def lint_fixture(name: str, **kwargs):
@@ -152,6 +150,11 @@ SLOTTED = (
     "        return self.when\n")
 
 
+def rule_findings(findings, rule):
+    """Of a whole-tree run's findings, the one rule's."""
+    return [f for f in findings if f.rule == rule]
+
+
 def slot_findings(root):
     result = run_lint(root, protocols=(), rules={"write-only-slot"})
     return result, sorted(f.message.split(":")[0] for f in result.findings)
@@ -195,7 +198,7 @@ def test_write_only_slot_counts_reads_in_the_projects_tests(tmp_path):
     assert slot_findings(pkg)[1] == ["Timer._entry"]
 
 
-def test_write_only_slot_pragma_and_real_tree(tmp_path):
+def test_write_only_slot_pragma_and_real_tree(tmp_path, tree_lint):
     # on the line above, a pragma covers the names on the first line;
     # inside the statement, all of it
     (tmp_path / "timer.py").write_text(SLOTTED.replace(
@@ -207,9 +210,9 @@ def test_write_only_slot_pragma_and_real_tree(tmp_path):
     result, names = slot_findings(tmp_path)
     assert names == [] and len(result.pragma_suppressed) == 2
     # src/repro: clean, with at most the one justified pragma
-    result, names = slot_findings(REPRO_ROOT)
-    assert names == []
-    assert [f.message.split(":")[0] for f in result.pragma_suppressed] == [
+    assert rule_findings(tree_lint.findings, "write-only-slot") == []
+    assert [f.message.split(":")[0] for f in rule_findings(
+        tree_lint.pragma_suppressed, "write-only-slot")] == [
         "BurstyArrivals.burst_factor"]
 
 
@@ -266,9 +269,10 @@ def test_unset_option_flags_fields_nothing_sets(tmp_path):
     assert option_findings(pkg) == []
 
 
-def test_unset_option_real_tree_is_clean_without_a_pragma():
-    result = run_lint(REPRO_ROOT, protocols=(), rules={"unset-option"})
-    assert result.findings == [] and result.pragma_suppressed == []
+def test_unset_option_real_tree_is_clean_without_a_pragma(tree_lint):
+    for findings in (tree_lint.findings, tree_lint.baselined,
+                     tree_lint.pragma_suppressed):
+        assert rule_findings(findings, "unset-option") == []
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from repro.chaos.nemesis import ChaosConfig, run_chaos
 from repro.core import Role, SpinnakerCluster, SpinnakerConfig
+from repro.core.messages import Propose
 from repro.core.partition import key_of
 from repro.sim.disk import DiskProfile
 from repro.sim.process import spawn
@@ -177,14 +178,76 @@ def test_follower_restart_does_not_trigger_election():
     assert cluster.replica(leader, cohort_id).epoch == epoch_before
 
 
-@pytest.mark.xfail(strict=True, reason="a replica with a log gap can win "
-                   "an election: the max-n.lst rule assumes a prefix log")
 def test_a_gapped_replica_must_not_win_the_3dc_seed_9_storm():
     """``python -m repro chaos --dcs 3 --nodes 5 --seed 9``: a drop burst
-    costs node2 the propose of 2.51 while it logs 2.52-2.56; 2.51 commits
-    on node3 and node1; node3 crashes; node1 and node2 tie at n.lst 2.56
-    and node2 wins — a leader without a committed record (log-prefix
-    violation).  Announcing the LSN through which the log is complete
-    makes this pass."""
+    cost node2 the propose of 2.51 while it logged 2.52-2.56; 2.51
+    committed on node3 and node1; node3 crashed; node1 and node2 tied at
+    n.lst 2.56 and node2 won — a leader without a committed record
+    (log-prefix violation).  A follower now logs a propose only on top
+    of its ``prev``: node2 takes nothing above the hole and resyncs."""
     report = run_chaos(9, ChaosConfig(n_nodes=5, n_dcs=3))
     assert report.ok, report.format()
+
+
+def test_a_follower_that_lost_a_propose_logs_and_acks_nothing_above_it():
+    """One propose to a follower is lost.  The next one names the lost
+    one's top as its ``prev``: the follower refuses it on arrival —
+    logging nothing above the hole, so its n.lst cannot pass a replica
+    that holds the lost record — and resyncs; every ack it sends covers
+    the leader's whole stream up to the LSN it names, the ack premise
+    ``CommitQueue.add_ack_upto`` counts on."""
+    cluster = make_cluster()
+    cluster.run(2.0)
+    cohort_id = 0
+    leader = cluster.leader_of(cohort_id)
+    victim = next(m for m in cluster.partitioner.cohort(cohort_id).members
+                  if m != leader)
+    replica = cluster.replica(victim, cohort_id)
+    wal, leader_wal = cluster.nodes[victim].wal, cluster.nodes[leader].wal
+    lost, refused = [], []
+
+    def losing(req, inner=cluster.nodes[victim]._dispatch):
+        payload = req.payload
+        if isinstance(payload, Propose) and payload.cohort_id == cohort_id:
+            if not lost:
+                lost.append(payload)
+                return
+            if not refused:
+                inner(req)
+                refused.append((payload, replica.role, replica.resyncs,
+                                wal.last_lsn(cohort_id)))
+                return
+        inner(req)
+
+    cluster.nodes[victim].endpoint.on_request(losing)
+    uncovered = []
+    ack = replica._ack_propose
+
+    def checked_ack(req):
+        top = req.payload.records[-1].lsn
+        floor = wal.min_retained_lsn(cohort_id)
+        mine = {r.lsn for r in wal.write_records(cohort_id, after=floor)}
+        uncovered.extend(
+            (top, r.lsn) for r in leader_wal.write_records(
+                cohort_id, after=floor, upto=top) if r.lsn not in mine)
+        ack(req)
+
+    replica._ack_propose = checked_ack
+    keys = cohort_keys(cluster, cohort_id, 12)
+    client = cluster.client()
+
+    def writes():
+        for i, key in enumerate(keys):
+            yield from client.put(key, b"c", b"v%d" % i)
+
+    run(cluster, writes())
+    cluster.run_until(lambda: replica.role == Role.FOLLOWER, limit=30.0,
+                      what="caught up")
+    (payload, role, resyncs, n_lst), = refused
+    hole = lost[0].records[0].lsn
+    assert payload.prev == lost[0].records[-1].lsn
+    assert n_lst < hole                 # nothing above the hole logged
+    assert role == Role.RECOVERING and resyncs == 1
+    assert uncovered == []
+    assert wal.contains(cohort_id, hole)    # the catch-up brought it
+    assert cluster.all_failures() == []

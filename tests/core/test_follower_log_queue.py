@@ -4,25 +4,23 @@ A follower used to keep every propose twice: in its log and, as a
 ``PendingWrite``, in its ``CommitQueue``; a commit verified the log
 (``_held_through``: every seq above f.cmt held) and then applied the
 queue.  ``_QueueFollower`` below is that follower, kept as the
-reference.  Random follower histories — proposes with gaps, lost
-proposes, backfilled re-proposals, two epochs sharing a seq, catch-up
-skip windows, leader-era leftovers, commit points from commit messages
-and piggybacked on proposes — drive it and the real ``CohortReplica``
-side by side.  Both must reach the same f.cmt, make the same resync
-decisions, fire the same ``on_commit``s, and apply the same records at
-the same ``charge_background`` cost into the same engine cells.
+reference.  Random follower histories drive it and the real
+``CohortReplica`` side by side — a deposed leader's queued records, the
+catch-up truncation that skip-lists what of them the next leader's
+stream forked away from, proposes of that stream (re-proposals of what
+the log holds, new records, runs straddling both), commit points from
+commit messages and piggybacked on proposes.  Both must reach the same
+f.cmt, make the same resync decisions, fire the same ``on_commit``s, and
+apply the same records at the same ``charge_background`` cost into the
+same engine cells.
 
-The one place the two may differ is where the reference was wrong: a
-backfilled re-proposal is queued *behind* the later records it fills a
-gap under, and the queue drains from its head, so a commit point that
-covers the backfill but not all of them left it unapplied at or below
-f.cmt — until a later commit drained the rest, or for good if this
-replica won an election first (the entry was never forced: the new
-leader's queue stalled behind it).  The log is LSN-ordered: the one-pass
-commit applies it at its own commit point.  The property pins that
-difference exactly: it arises only with the reference's queue out of
-LSN order, and only as records the reference holds unapplied at or
-below its f.cmt.
+Only logs the prefix rule can produce are compared.  A follower takes a
+propose only on top of its ``prev`` (PROTOCOL.md, *The prefix rule*), so
+its non-skipped log is always a prefix of one leader's stream: a propose
+that would leave a hole is refused whole, and the histories the
+reference was once driven with besides — lost proposes, logs with a seq
+hole, a backfill filling one — cannot arise.  A refused propose must
+leave the real follower exactly as it was, with one resync asked for.
 """
 
 from functools import partial
@@ -47,7 +45,8 @@ KEYS = (b"k0", b"k1", b"k2")
 
 class _Node:
     """What a follower's propose and commit handlers use of their node;
-    a device-less log, so a force completes inside the append."""
+    a device-less log, so a force completes inside the call, and a CPU
+    slice that is over at once."""
 
     name = "f"
 
@@ -62,10 +61,16 @@ class _Node:
     def guarded(self, then, *args):
         return partial(then, *args)
 
+    def charge(self, cpu_time, step, *args):
+        step(*args)
+
     def charge_background(self, cpu_time):
         self.charged.append(cpu_time)
 
     def maybe_flush(self, replica):
+        pass
+
+    def trace(self, *args, **kwargs):
         pass
 
 
@@ -88,7 +93,7 @@ class _QueueFollower(CohortReplica):
         super().__init__(node, cohort)
         self.queue = RecordQueue(self.queue.acks_needed)
 
-    def _log_propose(self, req):
+    def handle_propose(self, req):
         records, wal, cid = req.payload.records, self.node.wal, COHORT
         missing = [r for r in records if not wal.contains(cid, r.lsn)
                    and not wal.is_skipped(cid, r.lsn)]
@@ -106,7 +111,8 @@ class _QueueFollower(CohortReplica):
             wal.append_batch(missing, then=ack)
             return
         for record in missing:
-            wal.append(record, True, record.lsn <= last,
+            assert record.lsn > last        # a prefix log: no backfill
+            wal.append(record, True,
                        ack if record is missing[-1] else (lambda: None))
 
     def _held_through(self, upto):
@@ -155,10 +161,17 @@ def _follower(cls):
     return replica
 
 
-def _record(epoch, seq):
-    return WriteRecord(lsn=LSN(epoch, seq), cohort_id=COHORT,
-                       key=KEYS[seq % len(KEYS)], colname=b"c",
-                       value=b"%d.%d" % (epoch, seq), version=seq)
+def _record(lsn):
+    return WriteRecord(lsn=lsn, cohort_id=COHORT,
+                       key=KEYS[lsn.seq % len(KEYS)], colname=b"c",
+                       value=b"%d.%d" % (lsn.epoch, lsn.seq), version=lsn.seq)
+
+
+def _stream(fork):
+    """Epoch 2's leader's stream: epoch 1's through seq ``fork``, then
+    its own records (seqs go on across epochs)."""
+    return [LSN(1, seq) for seq in range(1, fork + 1)] + [
+        LSN(2, seq) for seq in range(fork + 1, 9)]
 
 
 def _cells(replica):
@@ -166,67 +179,70 @@ def _cells(replica):
     return [None if c is None else (c.lsn, c.value) for c in cells]
 
 
-def _records_charged(replica):
-    return sum(round(cpu / COMMIT_APPLY_SERVICE)
-               for cpu in replica.node.charged)
+def _state(replica):
+    wal = replica.node.wal
+    return (wal.write_records(COHORT, include_skipped=True),
+            wal.skipped_lsns(COHORT), wal._seq, replica.committed_lsn,
+            list(replica.applied), list(replica.fired))
 
 
-def _stuck(ref):
-    """What the reference holds unapplied at or below its f.cmt."""
-    return [lsn for lsn in ref.queue.pending_lsns()
-            if lsn <= ref.committed_lsn]
-
-
-lsn_points = st.builds(LSN, st.sampled_from([1, 2]), st.integers(1, 8))
-proposes = st.tuples(
-    st.just("propose"), st.sampled_from([1, 2]),
-    st.lists(st.integers(1, 8), min_size=1, max_size=4, unique=True),
-    st.one_of(st.none(), lsn_points))
-commits = st.tuples(st.just("commit"), lsn_points)
-skips = st.tuples(st.just("skip"), st.sets(lsn_points, max_size=3))
+positions = st.integers(0, 7)
+proposes = st.tuples(st.just("propose"), positions, st.integers(1, 4),
+                     st.one_of(st.none(), positions))
+commits = st.tuples(st.just("commit"), positions)
 histories = st.tuples(
-    st.integers(0, 3),          # leader-era records (1, 1..k) it holds
-    st.lists(st.one_of(proposes, proposes, commits, skips), max_size=14))
+    st.integers(0, 3),          # epoch-1 records (1, 1..led) it led
+    st.integers(0, 4),          # where epoch 2's stream forks from them
+    st.lists(st.one_of(proposes, proposes, commits), max_size=14))
 
 
 @given(histories)
 @settings(max_examples=400, deadline=None)
 def test_the_one_pass_commit_agrees_with_the_queue_it_replaced(history):
-    led, steps = history
+    led, fork, steps = history
+    stream = _stream(fork)
     ref, new = _follower(_QueueFollower), _follower(CohortReplica)
     for replica in (ref, new):
         # written as leader: logged and queued with a client waiting
         for seq in range(1, led + 1):
-            record = _record(1, seq)
+            record = _record(LSN(1, seq))
             replica.node.wal.append(record)
             if replica is ref:
                 replica.queue.add(record, on_commit=replica.fired.append)
             else:
                 replica.queue.add(PendingWrite(
                     [record], partial(replica.fired.append, record)))
-    out_of_order = False
+        # the catch-up that made it epoch 2's follower cut what epoch 2's
+        # stream does not hold (§6.1.1)
+        cut = [LSN(1, seq) for seq in range(fork + 1, led + 1)]
+        replica.node.wal.add_skipped(COHORT, cut)
+        for lsn in cut:
+            replica.queue.drop(lsn)
     for step in steps:
         before = {id(r): (len(r.applied), len(r.node.charged),
                           r.committed_lsn) for r in (ref, new)}
-        stuck_before = _stuck(ref)
         if step[0] == "propose":
-            _, epoch, seqs, piggyback = step
-            records = tuple(_record(epoch, seq) for seq in sorted(seqs))
-            for replica in (ref, new):
-                req = _Request(Propose(COHORT, epoch, records, piggyback))
-                replica._log_propose(req)
-                assert req.acks == [records[-1].lsn]
-        elif step[0] == "commit":
-            for replica in (ref, new):
-                replica._apply_commit_info(step[1])
+            _, lo, n, piggyback = step
+            records = tuple(_record(lsn) for lsn in stream[lo:lo + n])
+            prev = stream[lo - 1] if lo else LSN.zero()
+            cmt = None if piggyback is None else stream[piggyback]
+            held = _state(new)
+            req = _Request(Propose(COHORT, 2, records, prev, cmt))
+            new.handle_propose(req)
+            if not req.acks:
+                # not on top of its ``prev``: refused whole
+                assert _state(new) == held
+                assert new.resyncs_at[len(ref.resyncs_at):] == [
+                    records[-1].lsn]
+                ref.resyncs_at.append(records[-1].lsn)
+                continue
+            assert req.acks == [records[-1].lsn]
+            req = _Request(Propose(COHORT, 2, records, prev, cmt))
+            ref.handle_propose(req)
+            assert req.acks == [records[-1].lsn]
         else:
-            # a catch-up page's truncation: held records above f.cmt
-            lsns = [lsn for lsn in step[1] if lsn > ref.committed_lsn
-                    and ref.node.wal.contains(COHORT, lsn)]
             for replica in (ref, new):
-                replica.node.wal.add_skipped(COHORT, lsns)
-                for lsn in lsns:
-                    replica.queue.drop(lsn)
+                replica._apply_commit_info(stream[step[1]])
         # The same log, commit point, resyncs and answered clients.
         assert (new.node.wal.write_records(COHORT, include_skipped=True)
                 == ref.node.wal.write_records(COHORT, include_skipped=True))
@@ -235,72 +251,19 @@ def test_the_one_pass_commit_agrees_with_the_queue_it_replaced(history):
         assert new.committed_lsn == ref.committed_lsn
         assert new.resyncs_at == ref.resyncs_at
         assert new.fired == ref.fired
-        assert len(new.queue) <= led and all(
-            r.lsn.seq <= led for r in new.queue.pending_records())
+        # The non-skipped log is a prefix of the stream.
+        log = [r.lsn for r in new.node.wal.write_records(COHORT)]
+        assert log == stream[:len(log)]
         # What this step applied: every non-skipped log record the
-        # commit point passed, in LSN order, charged once each.
+        # commit point passed, in LSN order, charged once each — what
+        # the reference applied from its queue.
         n_applied, n_charged, cmt = before[id(new)]
         applied = new.applied[n_applied:]
         assert applied == new.node.wal.write_records(
             COHORT, after=cmt, upto=new.committed_lsn)
+        assert applied == ref.applied[before[id(ref)][0]:]
         assert new.node.charged[n_charged:] == (
             [len(applied) * COMMIT_APPLY_SERVICE] if applied else [])
-        ref_applied = ref.applied[before[id(ref)][0]:]
-        stuck = _stuck(ref)
-        pending = ref.queue.pending_lsns()
-        out_of_order = out_of_order or pending != sorted(pending)
-        assert not stuck or out_of_order
-        if not stuck and not stuck_before:
-            assert sorted(r.lsn for r in ref_applied) == [
-                r.lsn for r in applied]
-            assert ref.node.charged[before[id(ref)][1]:] == (
-                new.node.charged[n_charged:])
-        # Over the history: the same records, less what the reference
-        # left stuck; with none stuck, the same engine cells.
-        assert sorted(r.lsn for r in new.applied) == sorted(
-            [r.lsn for r in ref.applied] + stuck)
-        if not stuck:
-            assert _cells(new) == _cells(ref)
-            assert _records_charged(new) == _records_charged(ref)
-
-
-def test_a_backfill_is_applied_at_its_own_commit_point():
-    """The follower logged 2.4 and 2.5 but lost 2.3.  The next leader
-    re-proposes (2.2, 2.5] a record per round, piggybacking its commit
-    point, so its second round commits 2.3 alone.  Queued behind 2.4 and
-    2.5, 2.3 was left unapplied at f.cmt 2.3 (a timeline read missed a
-    committed write) and, when this replica then won an election, its
-    takeover re-proposed (2.3, 2.5] — forcing only those — and the
-    unforced 2.3 at the head stalled every later write."""
-    ref, new = _follower(_QueueFollower), _follower(CohortReplica)
-
-    def deliver(replica, seqs, cmt=None):
-        records = tuple(_record(2, seq) for seq in seqs)
-        replica._log_propose(_Request(Propose(COHORT, 3, records, cmt)))
-
-    for replica in (ref, new):
-        deliver(replica, (1, 2))
-        replica._apply_commit_info(LSN(2, 2))
-        deliver(replica, (4, 5))                # 2.3 is lost
-        deliver(replica, (3,), LSN(2, 2))       # the re-proposal rounds
-        deliver(replica, (4,), LSN(2, 3))
-    assert new.committed_lsn == ref.committed_lsn == LSN(2, 3)
-    assert [r.lsn.seq for r in new.applied] == [1, 2, 3]
-    assert [r.lsn.seq for r in ref.applied] == [1, 2]
-    assert new.engine.get(b"k0", b"c").value == b"2.3"
-    assert ref.engine.get(b"k0", b"c") is None
-    for replica in (ref, new):
-        # it wins the election: takeover commits its (l.cmt, l.lst]
-        replica.role = Role.LEADER
-        queue = replica.queue
-        for record in replica.node.wal.write_records(COHORT,
-                                                     after=LSN(2, 3)):
-            if replica is ref:
-                queue.add(record)
-                queue.mark_forced(record.lsn)
-            else:
-                queue.add(PendingWrite([record])).forced = True
-            queue.add_ack_upto(record.lsn, "g")
-        queue.advance_leader()
-    assert ref.queue.pending_lsns() == [LSN(2, 3)]      # for good
-    assert new.queue.pending_records() == []
+        assert ref.node.charged[before[id(ref)][1]:] == (
+            new.node.charged[n_charged:])
+        assert _cells(new) == _cells(ref)

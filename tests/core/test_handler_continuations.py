@@ -11,8 +11,8 @@ import pytest
 from repro.core import Role, SpinnakerCluster, SpinnakerConfig
 from repro.core.commitqueue import PendingWrite
 from repro.core.config import (COMMIT_APPLY_SERVICE, CORES_PER_NODE,
-                               READ_SERVICE, WRITE_FOLLOWER_SERVICE,
-                               WRITE_LEADER_SERVICE)
+                               PROPOSE_RECORD_SERVICE, READ_SERVICE,
+                               WRITE_FOLLOWER_SERVICE, WRITE_LEADER_SERVICE)
 from repro.core.messages import (ClientGet, ClientWrite, Commit, Propose,
                                  WriteOp)
 from repro.sim.disk import DiskProfile
@@ -59,11 +59,13 @@ def a_get(leader, follower, key):
 
 
 def a_propose(leader, follower, key):
-    seq = follower.node.wal.last_lsn(COHORT).seq + 1
-    record = WriteRecord(lsn=LSN(follower.epoch, seq), cohort_id=COHORT,
-                         key=key, colname=b"c", value=b"v", version=1)
+    last = follower.node.wal.last_lsn(COHORT)
+    record = WriteRecord(lsn=LSN(follower.epoch, last.seq + 1),
+                         cohort_id=COHORT, key=key, colname=b"c", value=b"v",
+                         version=1)
     return follower, SpyRequest(leader.node.name, Propose(
-        cohort_id=COHORT, epoch=follower.epoch, records=(record,)))
+        cohort_id=COHORT, epoch=follower.epoch, records=(record,),
+        prev=last))
 
 
 def a_write(leader, follower, key):
@@ -288,18 +290,22 @@ def test_a_follower_acks_only_after_queueing_on_a_deviceless_log(shape,
                                                                  monkeypatch):
     """A follower's commit queue is its log above f.cmt: it acks a
     propose's top LSN only once every record is in the log — also where
-    the force completes inside the append — and the next commit applies
+    the force completes inside the call — and the next commit applies
     exactly those records, in LSN order, from there."""
     from repro.storage.wal import SharedLog
     cluster, leader, follower, key = make_cluster()
     wal = follower.node.wal = SharedLog()       # durable at once
     records = multi_record_propose(follower, key, shape)
     req = SpyRequest(leader.node.name, Propose(
-        cohort_id=COHORT, epoch=follower.epoch, records=records))
+        cohort_id=COHORT, epoch=follower.epoch, records=records,
+        prev=follower.committed_lsn))
     logged_at_ack = []
     req.respond = lambda value, size=0: logged_at_ack.append(
         (value.lsn, [wal.contains(COHORT, r.lsn) for r in records]))
-    follower._log_propose(req)
+    follower.handle_propose(req)
+    assert [wal.contains(COHORT, r.lsn) for r in records] == (
+        [True] * len(records))                  # logged on arrival
+    cluster.run(WRITE_FOLLOWER_SERVICE + 2 * PROPOSE_RECORD_SERVICE + 1e-4)
     assert logged_at_ack == [(records[-1].lsn, [True] * len(records))]
     assert len(follower.queue) == 0
     applied, charged = [], []
@@ -356,4 +362,47 @@ def test_a_propose_reply_to_a_crashed_incarnation_is_stale():
     assert endpoint.stale_replies == stale + 2
     assert cluster.network.messages_dropped == dropped
     assert entry.acks == frozenset() and committed == []
+    assert cluster.all_failures() == []
+
+
+def test_a_shorter_propose_is_not_acked_before_a_longer_one_before_it():
+    """Proposes arrive in LSN order but a follower's cores finish them
+    out of it: a 4-record propose's CPU slice outlasts the 1-record one
+    right behind it.  The 1-record ack is cumulative — it tells the
+    leader everything up to its LSN is durable here — so it may go out
+    only once the 4 records are durable too: they are logged on
+    arrival, and the 1-record propose's force covers them."""
+    cluster, leader, follower, key = make_cluster()
+    node, wal = follower.node, follower.node.wal
+    last = wal.last_lsn(COHORT)
+    records = [WriteRecord(lsn=LSN(follower.epoch, last.seq + 1 + i),
+                           cohort_id=COHORT, key=key, colname=b"c",
+                           value=b"v%d" % i, version=i + 1)
+               for i in range(5)]
+    four = SpyRequest(leader.node.name, Propose(
+        cohort_id=COHORT, epoch=follower.epoch, records=tuple(records[:4]),
+        prev=last))
+    one = SpyRequest(leader.node.name, Propose(
+        cohort_id=COHORT, epoch=follower.epoch, records=(records[4],),
+        prev=records[3].lsn))
+    durable_at_ack = []
+
+    def durable_then(req):
+        def respond(value, size=0):
+            view = wal._view(COHORT)
+            seq_of = dict(zip([r.lsn for r in view.writes], view.seqs))
+            durable_at_ack.append((value.lsn, [
+                seq_of.get(r.lsn, wal._seq + 1) <= wal._durable_seq
+                for r in records]))
+        req.respond = respond
+
+    durable_then(four)
+    durable_then(one)
+    node._dispatch(four)
+    node._dispatch(one)
+    cluster.run(1.0)
+    assert [lsn for lsn, _ in durable_at_ack] == [records[4].lsn,
+                                                  records[3].lsn]
+    for lsn, durable in durable_at_ack:
+        assert durable[:lsn.seq - last.seq] == [True] * (lsn.seq - last.seq)
     assert cluster.all_failures() == []

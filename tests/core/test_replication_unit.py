@@ -68,7 +68,8 @@ def test_follower_rejects_stale_epoch_propose():
     leader, follower = leader_and_follower(cluster)
     stale = Propose(cohort_id=follower.cohort_id,
                     epoch=follower.epoch - 1,
-                    records=(wrec(follower, 999, epoch=1),))
+                    records=(wrec(follower, 999, epoch=1),),
+                    prev=LSN(1, 998))
     req = FakeRequest(src="impostor").with_payload(stale)
     deliver(cluster, follower, req)
     assert req.responses == []          # no ack for a stale leader
@@ -79,13 +80,14 @@ def test_follower_rejects_stale_epoch_propose():
 def test_follower_adopts_higher_epoch_from_propose():
     cluster = make_cluster()
     leader, follower = leader_and_follower(cluster)
-    next_seq = follower.node.wal.last_lsn(follower.cohort_id).seq + 1
+    last = follower.node.wal.last_lsn(follower.cohort_id)
     higher = Propose(cohort_id=follower.cohort_id,
                      epoch=follower.epoch + 3,
                      records=(WriteRecord(
-                         lsn=LSN(follower.epoch + 3, next_seq),
+                         lsn=LSN(follower.epoch + 3, last.seq + 1),
                          cohort_id=follower.cohort_id, key=b"k",
-                         colname=b"c", value=b"v", version=1),))
+                         colname=b"c", value=b"v", version=1),),
+                     prev=last)
     req = FakeRequest(src="new-leader").with_payload(higher)
     deliver(cluster, follower, req)
     assert follower.epoch == higher.epoch
@@ -100,7 +102,7 @@ def test_recovering_replica_ignores_proposes():
     leader, follower = leader_and_follower(cluster)
     follower.role = Role.RECOVERING
     msg = Propose(cohort_id=follower.cohort_id, epoch=follower.epoch,
-                  records=(wrec(follower, 900),))
+                  records=(wrec(follower, 900),), prev=LSN(1, 899))
     req = FakeRequest(src=leader.node.name).with_payload(msg)
     deliver(cluster, follower, req)
     assert req.responses == []  # would create a log gap (§6.1)
@@ -109,12 +111,12 @@ def test_recovering_replica_ignores_proposes():
 def test_commit_message_applies_pending_and_logs_marker():
     cluster = make_cluster()
     leader, follower = leader_and_follower(cluster)
-    seq = follower.node.wal.last_lsn(follower.cohort_id).seq + 1
-    record = WriteRecord(lsn=LSN(follower.epoch, seq),
+    last = follower.node.wal.last_lsn(follower.cohort_id)
+    record = WriteRecord(lsn=LSN(follower.epoch, last.seq + 1),
                          cohort_id=follower.cohort_id, key=b"cmt-key",
                          colname=b"c", value=b"v", version=1)
     msg = Propose(cohort_id=follower.cohort_id, epoch=follower.epoch,
-                  records=(record,))
+                  records=(record,), prev=last)
     req = FakeRequest(src=leader.node.name).with_payload(msg)
     deliver(cluster, follower, req)
     assert follower.engine.get(b"cmt-key", b"c") is None  # pending only
@@ -198,17 +200,17 @@ def test_a_reproposal_at_or_below_f_cmt_is_acked_not_queued():
     5-node storm of seed 3)."""
     cluster = make_cluster()
     leader, follower = leader_and_follower(cluster)
-    seq = follower.node.wal.last_lsn(follower.cohort_id).seq + 1
-    record = wrec(follower, seq, key=b"rp-key")
+    last = follower.node.wal.last_lsn(follower.cohort_id)
+    record = wrec(follower, last.seq + 1, key=b"rp-key")
     deliver(cluster, follower, FakeRequest(src=leader.node.name)
             .with_payload(Propose(follower.cohort_id, follower.epoch,
-                                  (record,))))
+                                  (record,), last)))
     follower.handle_commit(leader.node.name, Commit(
         follower.cohort_id, follower.epoch, record.lsn))
     assert follower.committed_lsn == record.lsn and len(follower.queue) == 0
     # the next epoch's leader, whose l.cmt is below it, re-proposes it
     again = FakeRequest(src="new-leader").with_payload(
-        Propose(follower.cohort_id, follower.epoch + 1, (record,)))
+        Propose(follower.cohort_id, follower.epoch + 1, (record,), last))
     deliver(cluster, follower, again)
     assert [ack.lsn for ack in again.responses] == [record.lsn]
     assert len(follower.queue) == 0

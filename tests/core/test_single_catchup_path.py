@@ -191,10 +191,10 @@ def test_voter_stays_recovering_until_write_blocked_final_page():
     tails = []
     send_propose = leader_replica.send_propose
 
-    def recording_send_propose(records, entries, to=None):
+    def recording_send_propose(records, entries, to=None, prev=None):
         if to is not None:
             tails.append((tuple(to), tuple(records)))
-        send_propose(records, entries, to=to)
+        send_propose(records, entries, to=to, prev=prev)
 
     leader_replica.send_propose = recording_send_propose
     cluster.restart_node(victim)

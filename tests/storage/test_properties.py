@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.sim.disk import DiskProfile, LogDevice
-from repro.sim.events import Simulator
+from repro.sim.events import Event, Simulator
 from repro.sim.rng import RngRegistry
 from repro.storage.bloom import BloomFilter
 from repro.storage.compaction import compact
@@ -215,6 +215,7 @@ def test_wal_range_queries_are_consistent(entries):
 _COHORTS = (0, 1)
 _GRID = [LSN(e, s) for e in (1, 2, 3) for s in range(1, 9)]
 _BOUNDS = [LSN.zero(), LSN(1, 3), LSN(1, 8), LSN(2, 4), LSN(3, 2), LSN(3, 8)]
+_PREVS = [LSN.zero()] + _GRID
 
 
 def _grid_record(cohort_id, lsn):
@@ -273,51 +274,67 @@ class _RefLog:
         self.bytes_appended += marker.encoded_size()
         self.markers.append(_Entry(marker, self.seq))
 
-    def _check(self, record, backfill):
+    def _check(self, record):
         cid = record.cohort_id
         if self.contains(cid, record.lsn):
             raise DuplicateLSN(record.lsn)
-        if record.lsn <= self.last_lsn(cid) and not backfill:
+        if record.lsn <= self.last_lsn(cid):
             raise StaleLSN(record.lsn)
+
+    def _insert(self, record):
         self.seq += 1
         self.bytes_appended += record.encoded_size()
-
-    def append(self, record, backfill):
-        self._check(record, backfill)
         writes = self.writes[record.cohort_id]
         idx = len(writes)
         while idx > 0 and writes[idx - 1].record.lsn > record.lsn:
             idx -= 1
         writes.insert(idx, _Entry(record, self.seq))
-        if backfill:
-            self.skipped[record.cohort_id].discard(record.lsn)
+
+    def append(self, record):
+        self._check(record)
+        self._insert(record)
 
     def append_batch(self, records):
         for record in records:
             if not isinstance(record, WriteRecord):
                 raise TypeError("append_batch takes WriteRecords only")
-            self._check(record, backfill=False)
+            self._check(record)
+            self.seq += 1
+            self.bytes_appended += record.encoded_size()
             self.writes[record.cohort_id].append(_Entry(record, self.seq))
 
-    def log_propose(self, cid, records, forces):
-        """A follower's propose logging as it was: ask which records are
-        missing, read n.lst, then one batch force or, with ``backfill``
-        fixed by that n.lst, a force per record — appending ``(bytes,
-        physical seq)`` to ``forces`` for each force as it is issued."""
-        missing = [record for record in records
-                   if record.lsn not in self.skipped[cid]
-                   and not self.contains(cid, record.lsn)]
-        if not missing:
-            return
-        last = self.last_lsn(cid)
-        if (len(missing) == len(records) > 1
-                and min(record.lsn for record in missing) > last):
-            self.append_batch(missing)
-            forces.append((sum(r.encoded_size() for r in missing), self.seq))
-            return
-        for record in missing:
-            self.append(record, backfill=record.lsn <= last)
-            forces.append((record.encoded_size(), self.seq))
+    def append_after(self, cid, prev, records, held):
+        """The prefix rule as PROTOCOL.md states it: ascending above
+        ``prev``; ``prev`` held (or at or below ``held`` or the GC
+        horizon); the non-skipped log above ``prev`` and the propose
+        agree until one ends; the rest goes in, skip-listed LSNs back
+        off the list.  The bytes appended, or None."""
+        lsns = [record.lsn for record in records]
+        if any(b <= a for a, b in zip([prev] + lsns, lsns)):
+            return None
+        skipped, floor = self.skipped[cid], self.min_retained[cid]
+        if not (prev <= held or prev <= floor
+                or (self.contains(cid, prev) and prev not in skipped)):
+            return None
+        mine = sorted(e.record.lsn for e in self.writes[cid]
+                      if e.record.lsn > prev and e.record.lsn not in skipped)
+        theirs = [record for record in records if record.lsn > floor]
+        if [r.lsn for r in theirs[:len(mine)]] != mine[:len(theirs)]:
+            return None
+        total = 0
+        for record in theirs[len(mine):]:
+            if record.lsn in skipped:
+                skipped.discard(record.lsn)
+                if self.contains(cid, record.lsn):
+                    continue
+            self._insert(record)
+            total += record.encoded_size()
+        return total
+
+    def durable(self, cid, records):
+        lsns = {record.lsn for record in records}
+        return all(e.seq <= self.durable_seq for e in self.writes[cid]
+                   if e.record.lsn in lsns)
 
     def write_records(self, cid, after, upto, include_skipped):
         out = [e.record for e in self.writes[cid]
@@ -368,17 +385,15 @@ class WalEquivalence(RuleBasedStateMachine):
             profile=DiskProfile("flat", 1e-3, 1e-3, transfer_rate=0))
         self.log = SharedLog(self.device)
         self.ref = _RefLog()
-        #: per logged propose: forces issued, forces completed, and how
-        #: many had completed when its ``then`` ran (None: not yet)
+        #: per propose taken: its cohort, records and whether it is acked
         self.proposes = []
 
-    @rule(cid=st.sampled_from(_COHORTS), lsn=st.sampled_from(_GRID),
-          backfill=st.booleans())
-    def append(self, cid, lsn, backfill):
+    @rule(cid=st.sampled_from(_COHORTS), lsn=st.sampled_from(_GRID))
+    def append(self, cid, lsn):
         record = _grid_record(cid, lsn)
         _same_outcome(self.ref,
-                      lambda: self.ref.append(record, backfill),
-                      lambda: self.log.append(record, backfill=backfill))
+                      lambda: self.ref.append(record),
+                      lambda: self.log.append(record))
 
     def _top(self, cid):
         """The view's tail LSN — its GC horizon when it holds nothing."""
@@ -390,94 +405,82 @@ class WalEquivalence(RuleBasedStateMachine):
         top = self._top(cid)
         return [lsn for lsn in _GRID if lsn > top][:n]
 
-    @rule(cid=st.sampled_from(_COHORTS),
-          lsns=st.lists(st.sampled_from(_GRID), min_size=1, max_size=4))
-    def log_propose(self, cid, lsns):
-        """``append_batch(…, backfill=True)`` logs a propose as the
-        reference's several calls did: the same records, the same forces
-        in the same order and sizes, the same exception, and ``then``
-        once, on the last force (at once when nothing was missing)."""
-        self._log_propose(cid, lsns)
+    @rule(cid=st.sampled_from(_COHORTS), prev=st.sampled_from(_PREVS),
+          lsns=st.lists(st.sampled_from(_GRID), min_size=1, max_size=4),
+          held=st.sampled_from(_PREVS))
+    def log_propose(self, cid, prev, lsns, held):
+        """``append_after`` takes or refuses a propose as the prefix rule
+        says and appends the same records; a propose it takes is acked
+        once its one force completes."""
+        self._log_propose(cid, prev, sorted(set(lsns)), held)
 
-    # Proposes shaped to leave the steady-state path (nothing skipped,
-    # ascending above the tail) at each of its exits.
+    # Proposes shaped to reach each exit of the steady-state path (the
+    # log ends at ``prev``, which is not skipped, and the propose ascends
+    # above it) and of the general one.
+
+    @rule(cid=st.sampled_from(_COHORTS), n=st.integers(1, 4))
+    def propose_on_the_tail(self, cid, n):
+        self._log_propose(cid, self._top(cid), self._above(cid, n))
 
     @rule(cid=st.sampled_from(_COHORTS), n=st.integers(2, 4))
     def propose_descending_above_the_tail(self, cid, n):
-        self._log_propose(cid, self._above(cid, n)[::-1])
+        self._log_propose(cid, self._top(cid), self._above(cid, n)[::-1])
 
     @rule(cid=st.sampled_from(_COHORTS), n=st.integers(1, 3),
           pick=st.integers(0, len(_GRID)))
     def propose_straddling_the_tail(self, cid, n, pick):
-        top = self._top(cid)
-        below = [lsn for lsn in _GRID if lsn <= top]
-        if below:
-            self._log_propose(cid, [below[pick % len(below)]]
+        """A re-proposal from below the tail: the log holds its head."""
+        held = [e.record.lsn for e in self.ref.writes[cid]]
+        if held:
+            at = pick % len(held)
+            prev = held[at - 1] if at else self.ref.min_retained[cid]
+            self._log_propose(cid, prev, sorted(held)[at:at + 1]
                               + self._above(cid, n))
 
     @rule(cid=st.sampled_from(_COHORTS), upto=st.sampled_from(_GRID),
-          lsns=st.sets(st.sampled_from(_GRID), min_size=1, max_size=4))
-    def propose_into_a_view_gc_emptied(self, cid, upto, lsns):
+          lsns=st.sets(st.sampled_from(_GRID), min_size=1, max_size=4),
+          prev=st.sampled_from(_PREVS))
+    def propose_into_a_view_gc_emptied(self, cid, upto, lsns, prev):
         self.gc_through(cid, max(upto, self._top(cid)))
         assert self.log.min_retained_lsn(cid) > LSN.zero()
         assert self.log.write_records(cid, include_skipped=True) == []
-        self._log_propose(cid, sorted(lsns))
+        self._log_propose(cid, prev, sorted(lsns))
 
     @rule(cid=st.sampled_from(_COHORTS), skip=st.sampled_from(_GRID),
           n=st.integers(1, 3))
     def propose_while_an_lsn_is_skipped(self, cid, skip, n):
         self.add_skipped(cid, {skip})
-        self._log_propose(cid, self._above(cid, n))
+        self._log_propose(cid, self._top(cid), self._above(cid, n))
 
     @rule(cid=st.sampled_from(_COHORTS), n=st.integers(1, 3),
-          pick=st.integers(0, 2), backfill=st.booleans())
-    def batch_repeating_an_lsn(self, cid, n, pick, backfill):
-        """The repeat raises ``DuplicateLSN`` after the records before it
-        were appended: the log keeps them, as the reference does."""
+          pick=st.integers(0, 2), propose=st.booleans())
+    def batch_repeating_an_lsn(self, cid, n, pick, propose):
+        """As a batch the repeat raises ``DuplicateLSN`` after the
+        records before it were appended: the log keeps them, as the
+        reference does.  As a propose it is refused whole."""
         lsns = self._above(cid, n)
         if not lsns:
             return
         lsns.append(lsns[pick % len(lsns)])
-        if backfill:
-            self._log_propose(cid, lsns)
+        if propose:
+            self._log_propose(cid, self._top(cid), lsns)
         else:
             self.append_batch([(cid, lsn) for lsn in lsns], None)
 
-    def _log_propose(self, cid, lsns):
+    def _log_propose(self, cid, prev, lsns, held=LSN.zero()):
         records = [_grid_record(cid, lsn) for lsn in lsns]
-        expected, issued = [], []
-        state = {"done": 0, "acked_after": None, "issued": issued}
-        device, force = self.device, self.device.force
-        ref = self.ref
-
-        def spy(nbytes, then):
-            seq = expected[len(issued)][1]
-            issued.append(nbytes)
-
-            def completed():
-                state["done"] += 1
-                ref.durable_seq = max(ref.durable_seq, seq)
-                then()
-            force(nbytes, completed)
-
-        def ack():
-            state["acked_after"] = state["done"]
-
-        outcome = []
-        for call in (lambda: ref.log_propose(cid, records, expected),
-                     lambda: self.log.append_batch(records, then=ack,
-                                                   backfill=True)):
-            try:
-                call()
-                outcome.append(None)
-            except (DuplicateLSN, StaleLSN) as exc:
-                outcome.append(type(exc))
-            device.force = spy              # the real call's forces
-        del device.force
-        assert outcome[0] is outcome[1]
-        assert issued == [nbytes for nbytes, _seq in expected]
-        if outcome[1] is None:
-            self.proposes.append(state)
+        nbytes = self.ref.append_after(cid, prev, records, held)
+        assert self.log.append_after(cid, prev, records, held) == nbytes
+        if nbytes is None:
+            return
+        assert self.log.durable(cid, records) == self.ref.durable(cid,
+                                                                  records)
+        acked = [False]
+        force = Event(self.sim)
+        self.ref.on_force(force)
+        self.log.force(nbytes, force.succeed)
+        force.add_callback(lambda _ev: acked.__setitem__(0, True))
+        self.proposes.append((cid, records, acked))
 
     @rule(items=st.lists(st.tuples(st.sampled_from(_COHORTS),
                                    st.sampled_from(_GRID)),
@@ -555,11 +558,11 @@ class WalEquivalence(RuleBasedStateMachine):
             assert log.skipped_lsns(cid) == ref.skipped[cid]
 
     @invariant()
-    def a_propose_is_acked_on_its_last_force(self):
-        for state in self.proposes:
-            issued = len(state["issued"])
-            assert state["acked_after"] == (
-                issued if state["done"] == issued else None)
+    def a_propose_is_acked_once_all_of_it_is_durable(self):
+        """The cumulative ack names only records a crash now keeps."""
+        for cid, records, acked in self.proposes:
+            if acked[0]:
+                assert self.ref.durable(cid, records)
 
 
 WalEquivalence.TestCase.settings = settings(max_examples=60,

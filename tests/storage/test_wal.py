@@ -216,22 +216,22 @@ def test_append_batch_validates_like_append():
 
 def test_append_batch_empty_is_noop():
     """Nothing to make durable: the log is untouched and the batch is
-    complete at once — the event returned has fired, as the one for a
-    propose whose records the log already holds has."""
+    complete at once — the event returned has fired — as a propose whose
+    records the log already holds appends nothing."""
     log = SharedLog()
     ev = log.append_batch([])
     assert ev.triggered and ev.ok
     assert (log._seq, log.bytes_appended, log.cohorts()) == (0, 0, [])
     log.append(wrec(1, 1))
-    assert log.append_batch([wrec(1, 1)], backfill=True).ok
+    assert log.append_after(0, LSN.zero(), [wrec(1, 1)], LSN.zero()) == 0
+    assert log._seq == 1
 
 
-@pytest.mark.parametrize("backfill", [False, True])
-def test_an_empty_batch_calls_then_at_once(backfill):
-    sim, log = make_wal_with_device()
+@pytest.mark.parametrize("device", [False, True])
+def test_an_empty_batch_calls_then_at_once(device):
+    sim, log = make_wal_with_device() if device else (None, SharedLog())
     done = []
-    assert log.append_batch([], then=lambda: done.append(sim.now),
-                            backfill=backfill) is None
+    assert log.append_batch([], then=lambda: done.append(log._sim.now)) is None
     assert done == [0.0]
     assert (log._seq, log.bytes_appended) == (0, 0)
 

@@ -325,13 +325,14 @@ def test_a_committed_record_is_its_own_cell():
 def test_the_log_is_consulted_per_propose_not_per_record():
     tally = put_tally()
     assert tally["log_per_record"] == 0
-    # the leader's batch append and each follower's one backfill batch
-    # resolve their cohort view once (a follower used to four times:
-    # what is missing, the skipped list, n.lst and the append)
+    # the leader's batch append and each follower's one append on
+    # arrival resolve their cohort view once (a follower used to four
+    # times: what is missing, the skipped list, n.lst and the append)
     assert tally["log_views"] == (1 + 2 * 1) * PUTS
     # n.lst is walked once, for the leader's batch: a follower's propose
-    # ascending above its tail with nothing skipped is checked against
-    # the tail (one walk each before, two before that)
+    # on top of its tail with nothing skipped is checked against the
+    # tail (one walk each before, two before that), and the leader takes
+    # the propose's ``prev`` from the top of its last one, not its log
     assert tally["log_last_lsn"] == 1 * PUTS
     # and every record lands at the tail as two list appends: no
     # ``place`` frame, no LSN -> seq dict (3 per put before: one a log)

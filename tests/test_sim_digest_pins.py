@@ -22,11 +22,11 @@ REPO = Path(__file__).resolve().parent.parent
 #: ``perfbench/run.py --workload W --seed 1 --quick --trace 0``
 SIM_DIGESTS = {
     "write_strong":
-        "1ee414485b104c56422e7838736db1361dce72b4cbf1a532d555993fe3d6e264",
+        "fc3badcd505941a0f903b7ea5212f0f5c7bf2716c253a3acb3abcd324a6a7c03",
     "read_strong":
         "3697844929ab06efabdb915f8c4fda836b6a313b14a2d4d441a16199e9b61290",
     "mixed_openloop":
-        "2e4f6dff5e9b8fdd47b7ba1ed3b2c5123677a62ad3aeeb64317583f7a45c4063",
+        "b760e8b9057b9167320db03f3226e6015800bdafa19b66fbe79e6145e806bc7b",
     "failover":
         "96ce277243514807f8ffc233624e6f4f18930e9bcb35ef9f3a136739119a6592",
 }
