@@ -117,9 +117,7 @@ class Propose:
     cohort_id: int
     epoch: int
     records: Tuple[WriteRecord, ...]    # group of writes (multi-op batch)
-    #: the LSN just below ``records[0]`` in the leader's stream: a
-    #: follower logs the propose only on top of it (PROTOCOL.md)
-    prev: LSN
+    prev: LSN     # just below records[0] in the leader's stream (PROTOCOL.md)
     #: commit-info piggybacking (§D.1 optimization, off by default)
     committed_lsn: Optional[LSN] = None
 

@@ -242,7 +242,8 @@ def ingest_catchup(replica, chunk: CatchupChunk):
 
     Ingests the shipped snapshot slice, logically truncates local
     records the leader discarded (skipped-LSN list, §6.1.1 — windowed to
-    this chunk's ``(valid_after, valid_upto]``), appends + forces missing
+    this chunk's ``(valid_after, valid_upto]``, and any above a shipped
+    record it lacks), appends + forces missing
     committed records, applies them, and advances ``catchup_floor`` /
     f.cmt **durably** — a forced :class:`CatchupMarker` is the per-chunk
     durability point, so a crash mid-install resumes from this chunk.
@@ -252,11 +253,16 @@ def ingest_catchup(replica, chunk: CatchupChunk):
     cohort_id = replica.cohort_id
     if chunk.epoch > replica.epoch:
         replica.epoch = chunk.epoch
-    # 1. Logical truncation over this chunk's validity window: records
-    #    we hold in (valid_after, valid_upto] that the leader does not
-    #    list were discarded by a leader change.  Records above the
-    #    window are judged by later chunks; records at or below the
-    #    floor are covered by shipped SSTables, never truncated.
+    # 1. Logical truncation.  Records we hold in the chunk's window
+    #    (valid_after, valid_upto] that the leader does not list were
+    #    discarded by a leader change; those at or below the floor are
+    #    covered by shipped SSTables, never truncated.  Above the window
+    #    ours go if we lack a shipped record below them — our log is a
+    #    prefix of a stream without that committed record, so none of
+    #    them was committed — or, on the last page, whose window ends at
+    #    l.lst, if of an older epoch: the leader holds every committed
+    #    record of one, so that is a deposed leader's unacked tail, which
+    #    would pass for committed once f.cmt moved past it.
     to_skip = []
     t_floor = max(replica.committed_lsn, chunk.valid_after)
     if chunk.valid_upto > t_floor:
@@ -264,15 +270,13 @@ def ingest_catchup(replica, chunk: CatchupChunk):
         mine = wal.write_records(cohort_id, after=t_floor,
                                  upto=chunk.valid_upto)
         to_skip = [r.lsn for r in mine if r.lsn not in valid]
-    if not chunk.more:
-        #    The last page's window ends at the leader's l.lst, and the
-        #    leader holds every committed record of an earlier epoch:
-        #    one of those above it here (a deposed leader's unacked
-        #    tail) was never committed.  Left, it would pass for
-        #    committed once f.cmt moves past it, and replay on restart.
-        to_skip += [r.lsn for r in wal.write_records(
-            cohort_id, after=max(t_floor, chunk.valid_upto))
-            if r.lsn.epoch < chunk.epoch]
+    above = wal.write_records(cohort_id,
+                              after=max(t_floor, chunk.valid_upto))
+    if above and any(r.lsn > t_floor and not wal.contains(cohort_id, r.lsn)
+                     for r in chunk.records):
+        to_skip += [r.lsn for r in above]
+    elif not chunk.more:
+        to_skip += [r.lsn for r in above if r.lsn.epoch < chunk.epoch]
     if to_skip:
         wal.add_skipped(cohort_id, to_skip)
         for lsn in to_skip:
@@ -291,9 +295,8 @@ def ingest_catchup(replica, chunk: CatchupChunk):
         # installed tables; roll them over so restart replay and the
         # skipped list stay bounded by the gap, not the history.
         wal.gc_through(cohort_id, chunk.floor)
-    # 3. Missing committed records: append + force, then apply in order.
-    #    Our log is a prefix of a leader's stream and step 1 cut what of
-    #    it the committed stream does not hold: they go on at the tail.
+    # 3. Missing committed records: append + force at the tail (step 1
+    #    cut what of ours lay above them), then apply in order.
     min_retained = wal.min_retained_lsn(cohort_id)
     forces = []
     for record in chunk.records:
@@ -432,9 +435,9 @@ def push_catchup(leader_replica, peer: str):
         if pending and peer in leader_replica.peers():
             # Only a voter's ack may count toward the commit quorum; a
             # joining learner picks the tail up after the switch.
-            leader_replica.send_propose(
+            leader_replica.propose(
                 [record for entry in pending for record in entry.records],
-                pending, to=(peer,), prev=chunk.committed_lsn)
+                pending, chunk.committed_lsn, (peer,))
         ok = True
         return peer
     finally:

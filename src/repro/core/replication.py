@@ -113,7 +113,7 @@ class CohortReplica:
         self.committed_lsn = LSN.zero()
         #: leader: its last broadcast's top LSN, the next one's ``prev``
         self.proposed_top = LSN.zero()
-        #: the epoch of the last propose or final catch-up page accepted
+        #: the epoch whose stream the log is a prefix of (PROTOCOL.md)
         self.accepted_epoch = 0
         self.next_seq = 1
         self.electing = False
@@ -350,18 +350,21 @@ class CohortReplica:
             self.batcher.submit(entry)
 
     def send_propose(self, records: Sequence[WriteRecord],
-                     entries: Sequence[PendingWrite],
-                     to: Optional[Sequence[str]] = None,
-                     prev: Optional[LSN] = None) -> None:
+                     entries: Sequence[PendingWrite]) -> None:
         """Fan one propose of ``records``, those of ``entries``, out to
-        the peers on top of ``proposed_top`` (or, a catch-up's pending
-        tail, to just ``to`` on top of ``prev``).  With the cohort open, a
+        the peers on top of ``proposed_top``.  With the cohort open, a
         peer under catch-up is skipped: ``RECOVERING``, it would drop the
         propose, and its push ends by re-proposing the pending queue to
         it.  A takeover's re-proposals (cohort closed) go to every peer."""
+        prev, self.proposed_top = self.proposed_top, records[-1].lsn
+        self.propose(records, entries, prev, self.peers())
+
+    def propose(self, records: Sequence[WriteRecord],
+                entries: Sequence[PendingWrite], prev: LSN,
+                to: Sequence[str]) -> None:
+        """Send ``to`` one propose of ``records`` on top of ``prev`` —
+        on its own, a catch-up's pending tail to the one peer."""
         node, cfg = self.node, self.node.config
-        if to is None:
-            prev, self.proposed_top = self.proposed_top, records[-1].lsn
         propose = Propose(
             self.cohort_id, self.epoch, tuple(records), prev,
             self.committed_lsn if cfg.piggyback_commits else None)
@@ -376,7 +379,7 @@ class CohortReplica:
                     entry.rtt_span = tracer.start(
                         entry.ctx, "replicate_rtt", node.name,
                         peers=len(self.peers()))
-        for peer in to or self.peers():
+        for peer in to:
             if self.open_for_writes and peer in self.catching_up:
                 continue
             node.endpoint.request(peer, propose, size, then=self._on_ack)
@@ -494,16 +497,18 @@ class CohortReplica:
         if nbytes is None:
             self._start_resync(records[-1].lsn)
             return
-        self.accepted_epoch = msg.epoch
+        if msg.epoch > self.accepted_epoch and (
+                self.node.wal.last_lsn(self.cohort_id) <= records[-1].lsn):
+            # the log now ends on its stream (PROTOCOL.md, *The prefix rule*)
+            self.accepted_epoch = msg.epoch
         self.node.charge(WRITE_FOLLOWER_SERVICE
                          + PROPOSE_RECORD_SERVICE * (len(records) - 1),
                          self._log_propose, req, nbytes)
 
     def _log_propose(self, req, nbytes: int) -> None:
-        """The follower's CPU slice is spent: force what the propose
-        appended — a force covers every earlier append, so the ack is
-        true of everything up to its LSN — then ``_ack_propose`` (at once
-        if the log held it all durably)."""
+        """The follower's CPU slice is spent: force — which covers every
+        earlier append — then ``_ack_propose`` (at once if it was all
+        durable already)."""
         if self.role not in (Role.FOLLOWER, Role.CANDIDATE):
             return
         wal = self.node.wal
@@ -575,9 +580,6 @@ class CohortReplica:
                     len(committed) * COMMIT_APPLY_SERVICE)
                 self.node.maybe_flush(self)
         if verified < upto:
-            # Commit info outran our log: at least one propose in
-            # (verified, upto] never reached us (lost message or a gap
-            # opened while we were down).  Re-sync from the leader.
             self._start_resync(upto)
 
     def _start_resync(self, upto: LSN) -> None:

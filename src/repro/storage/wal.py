@@ -286,8 +286,7 @@ class SharedLog:
         return total
 
     def durable(self, cohort_id: int, records: Sequence[WriteRecord]) -> bool:
-        """Whether the log holds every one of ``records`` it holds on
-        stable storage: a propose it held already needs no force."""
+        """Whether every one of ``records`` the log holds is durable."""
         view = self._view(cohort_id)
         return all(view.seqs[idx] <= self._durable_seq
                    for idx in map(view.find, (r.lsn for r in records))

@@ -209,8 +209,10 @@ def test_write_only_slot_pragma_and_real_tree(tmp_path, tree_lint):
         "'_entry',", "'_entry',  # lint: allow(write-only-slot) — kept"))
     result, names = slot_findings(tmp_path)
     assert names == [] and len(result.pragma_suppressed) == 2
-    # src/repro: clean, with at most the one justified pragma
+    # src/repro: clean — none baselined either — with at most the one
+    # justified pragma
     assert rule_findings(tree_lint.findings, "write-only-slot") == []
+    assert rule_findings(tree_lint.baselined, "write-only-slot") == []
     assert [f.message.split(":")[0] for f in rule_findings(
         tree_lint.pragma_suppressed, "write-only-slot")] == [
         "BurstyArrivals.burst_factor"]

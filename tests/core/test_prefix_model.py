@@ -41,11 +41,12 @@ third failed five steps in: a follower lost 1.1's propose and acked
 --nodes 5 --seed 9``: that follower tied the restarted leader on n.lst
 and won without 1.1.
 
-A commit from an epoch newer than the follower's last accepted propose
-needs a third epoch to matter, past this scope:
-``test_a_commit_from_an_epoch_it_never_followed_is_not_applied``
-replays the one history and shows committing through n.lst there
-applies a record no leader committed.
+Three shapes lie past this scope — a third epoch, a leader losing an
+unforced tail as it crashes, a push of more than one page — and are
+replayed as single histories: a commit from an epoch newer than the
+follower's last accepted propose, a re-proposal shorter than the
+follower's log (neither may let it commit its log through n.lst), and a
+catch-up page that ships a record below the follower's stale tail.
 """
 
 import copyreg
@@ -265,30 +266,33 @@ class World:
             self.push(peer)
 
     def push(self, peer):
-        """push_catchup as one final page: the peer's committed state,
-        the truncation of what the leader's log does not hold, and the
-        pending tail proposed on top of the page's commit point."""
+        """push_catchup, its pages landing at once: the peer's committed
+        state, the truncation of what the leader's log does not hold,
+        and the pending tail proposed on top of the last page's commit
+        point.  Under the default page budget that is one final page."""
         name = self.leader()
         leader = self.replicas[name]
         target = self.replicas[peer]
         if leader.epoch >= target.epoch:
             target.epoch = leader.epoch          # TakeoverState
-        chunk = build_catchup_chunk(leader, CatchupRequest(
-            cohort_id=COHORT, follower=peer,
-            follower_cmt=target.committed_lsn, floor=target.catchup_floor))
-        assert not chunk.more
-        chunk = replace(chunk, final=True)
+        chunk = None
+        while chunk is None or chunk.more:
+            chunk = build_catchup_chunk(leader, CatchupRequest(
+                cohort_id=COHORT, follower=peer,
+                follower_cmt=target.committed_lsn,
+                floor=target.catchup_floor))
+            chunk = replace(chunk, final=not chunk.more)
+            req = _Request(self, name, peer, chunk, None)
+            req.respond = _noop
+            for _ in SpinnakerNode._handle_catchup_chunk(target.node, req,
+                                                         target):
+                pass
         pending = tuple(leader.queue) if leader.open_for_writes else ()
-        req = _Request(self, name, peer, chunk, None)
-        req.respond = _noop
-        for _ in SpinnakerNode._handle_catchup_chunk(target.node, req,
-                                                     target):
-            pass
         self.pushed |= {peer}
         if pending:
-            leader.send_propose(
+            leader.propose(
                 [record for entry in pending for record in entry.records],
-                pending, to=(peer,), prev=chunk.committed_lsn)
+                pending, chunk.committed_lsn, (peer,))
 
     def _takeover(self):
         """leader_takeover's line 9 — the next unresolved record once the
@@ -523,3 +527,76 @@ def test_a_commit_from_an_epoch_it_never_followed_is_not_applied():
     world.replicas["c"].accepted_epoch = 3
     replay(world, ("deliver", AC), ("drop", AC), ("deliver", AC))
     assert world.violations == ["c applied uncommitted [LSN(epoch=2, seq=2)]"]
+
+
+def _lose_unforced(world, name, lsn):
+    """Make ``name``'s force of ``lsn`` not have landed: its next crash
+    loses the record (a device-less log has no volatile tail)."""
+    wal = world.replicas[name].node.wal
+    view = wal._view(COHORT)
+    wal._durable_seq = view.seqs[view.find(lsn)] - 1
+
+
+def test_a_short_re_proposal_does_not_adopt_the_new_leader_s_stream():
+    """a writes 1.1-1.3; c holds all three, b the first two, and a loses
+    1.3 as it crashes.  b wins epoch 2 (a's vote) and re-proposes 1.2 on
+    top of 1.1; c's log agrees up to where the propose ends, 1.3 lies
+    past it.  b commits 2.3 on a and broadcasts it.  Had the short
+    re-proposal made c take epoch 2's commits as its own stream's, c
+    would commit its log through min(2.3, n.lst) and apply 1.3, which
+    no leader committed: it resyncs instead."""
+    world = replay(World(), ("write",), ("deliver", AB), ("deliver", AC),
+                   ("write",), ("deliver", AB), ("deliver", AC),
+                   ("write",))
+    _lose_unforced(world, "a", LSN(1, 3))
+    replay(world, ("crash", "a"), ("deliver", AC), ("drop", AB),
+           ("elect", "b", "a", ("a",)), ("deliver", BA), ("deliver", BC),
+           ("drop", BC), ("write",), ("drop", BC), ("deliver", BA),
+           ("deliver", BA), ("commit",))
+    c = world.replicas["c"]
+    assert world._log("c") == [LSN(1, 1), LSN(1, 2), LSN(1, 3)]
+    assert (c.role, c.epoch) == (Role.FOLLOWER, 2)
+    assert world.replicas["b"].committed_lsn == LSN(2, 3)
+    replay(world, ("deliver", BC))
+    assert world.violations == []
+    assert c.role == Role.RECOVERING and c.resyncs == 1
+    assert c.committed_lsn == LSN(1, 2)
+
+
+def test_a_catch_up_page_below_a_stale_tail_cuts_the_tail():
+    """Three epochs.  a writes 1.1-1.3; b and c log only 1.1.  b leads
+    epoch 2 and c logs its 2.2, which b loses as it crashes.  a wins
+    epoch 3 with b's vote and commits 1.2 and 1.3 by re-proposal while
+    its proposes to c are lost; c resyncs.  The push pages one record
+    at a time, so the first page ships 1.2 with its window ending there
+    — below c's 2.2, which no page lists.  A record above a committed
+    one c lacks is on a stream without it, never committed: c skip-lists
+    2.2 and logs 1.2 at its tail (an append below it was refused)."""
+    world = replay(World(), ("write",), ("deliver", AB), ("deliver", AC),
+                   ("write",), ("drop", AB), ("drop", AC),
+                   ("write",), ("drop", AB), ("drop", AC), ("crash", "a"),
+                   ("elect", "b", "c", ("c",)), ("deliver", BA),
+                   ("deliver", BC), ("deliver", BC), ("write",))
+    assert world._log("c") == [LSN(1, 1)]
+    _lose_unforced(world, "b", LSN(2, 2))
+    replay(world, ("crash", "b"), ("deliver", BC))
+    assert world._log("c") == [LSN(1, 1), LSN(2, 2)]
+    a = world.replicas["a"]
+    a.node.config = replace(a.node.config, catchup_chunk_bytes=1)
+    replay(world, ("elect", "a", "b", ("b",)))
+    while world.channels[AB] or world.channels[AC]:
+        if world.channels[AC]:
+            propose = not isinstance(world.channels[AC][0][0], Commit)
+            world.step(("drop" if propose else "deliver", AC))
+        else:
+            world.step(("deliver", AB))
+    assert a.open_for_writes and a.committed_lsn == LSN(1, 3)
+    c = world.replicas["c"]
+    assert c.role == Role.RECOVERING
+    chunks = c.catchup_chunks_ingested
+    replay(world, ("push", "c"))
+    assert c.catchup_chunks_ingested == chunks + 2   # a page per record
+    assert c.role == Role.FOLLOWER and c.committed_lsn == LSN(1, 3)
+    assert world._log("c") == [LSN(1, 1), LSN(1, 2), LSN(1, 3)]
+    assert c.node.wal.is_skipped(COHORT, LSN(2, 2))
+    assert world.violations == []

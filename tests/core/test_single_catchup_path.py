@@ -189,14 +189,14 @@ def test_voter_stays_recovering_until_write_blocked_final_page():
 
     tap(cluster, sink)
     tails = []
-    send_propose = leader_replica.send_propose
+    propose = leader_replica.propose
 
-    def recording_send_propose(records, entries, to=None, prev=None):
-        if to is not None:
+    def recording_propose(records, entries, prev, to):
+        if tuple(to) != tuple(leader_replica.peers()):
             tails.append((tuple(to), tuple(records)))
-        send_propose(records, entries, to=to, prev=prev)
+        propose(records, entries, prev, to)
 
-    leader_replica.send_propose = recording_send_propose
+    leader_replica.propose = recording_propose
     cluster.restart_node(victim)
     cluster.run_until(lambda: victim_replica.role == Role.FOLLOWER,
                       limit=30.0, what="victim promoted")
