@@ -27,23 +27,23 @@ Batching must not tax an idle cohort, so the one policy is adaptive:
   it and the log device's own group commit absorbs slow media, so the
   low- and mid-load latency profiles are untouched;
 * under queuing pressure (several older writes still waiting in the
-  commit queue ahead of the buffer), arriving groups coalesce: they
-  ride out an in-flight batched force and flush when it completes, or
-  — with no force outstanding — a bounded window
-  ``propose_batch_window`` opens so company can accumulate.  Commits
-  are strictly LSN-ordered, so waiting behind an already-congested
-  queue adds little client-visible latency; the window closes early
-  (``on_progress``) if the congestion drains first.
+  commit queue ahead of the buffer), arriving groups coalesce in a
+  window of at most ``propose_batch_window``, which opens at the first
+  held group.  The window is the bound: the buffer flushes at its
+  expiry or sooner — when one of the batcher's in-flight forces
+  completes (group commit at the propose level), when the congestion
+  drains with none in flight (``on_progress``), or at a limit.  A held
+  write never waits out a slow force, whose follower forces would then
+  set the commit.
 
 Buffer state machine (per leader replica)
 -----------------------------------------
 ::
 
     EMPTY --submit--> BUFFERED --immediate/limit flush--> EMPTY
-    BUFFERED --pressure & force in flight--> RIDING (flush when the
-             in-flight force's callback fires)
-    BUFFERED --pressure & no force in flight--> WINDOW(timer)
-    WINDOW --timer expiry | on_progress drain | limit--> flush -> EMPTY
+    BUFFERED --pressure--> WINDOW(timer: propose_batch_window)
+    WINDOW --timer expiry | in-flight force done | drain with no force
+           in flight | limit--> flush (cancels the timer) -> EMPTY
     any state --clear() on crash/step-down--> EMPTY (generation += 1)
 
 Invariants
@@ -165,12 +165,8 @@ class ProposalBatcher:
             # force in flight, an independent force+propose overlaps it
             # (the log device's own group commit absorbs slow media).
             self._flush()
-        elif self._inflight_forces > 0:
-            # Congested and a batched force is already in flight: ride
-            # it out; its completion callback flushes us (group commit
-            # at the propose level).
-            pass
-        else:
+        elif self._window is None:
+            # Congested: hold for company, at most the window.
             self._open_window()
 
     def on_progress(self) -> None:
@@ -202,8 +198,6 @@ class ProposalBatcher:
         return depth >= self.PRESSURE_DEPTH
 
     def _open_window(self) -> None:
-        if self._window is not None:
-            return
         replica = self.replica
         self.windows_opened += 1
         self._window = replica.node.sim.schedule(
@@ -239,7 +233,8 @@ class ProposalBatcher:
     def _send(self, entries: List[PendingWrite]) -> None:
         replica = self.replica
         node = replica.node
-        records = [record for entry in entries for record in entry.records]
+        records = (entries[0].records if len(entries) == 1 else
+                   [record for entry in entries for record in entry.records])
         shared = 0
         for entry in entries:
             if entry.ctx is not None:
@@ -271,8 +266,8 @@ class ProposalBatcher:
                     node.request_tracer.finish(entry.force_span)
                     entry.force_done = node.sim.now
             replica._advance()
-            if self._entries and self._window is None:
-                self._flush()
+            if self._entries:
+                self._flush()   # group commit at the propose level
 
         node.wal.append_batch(records, then=_forced)
         replica.send_propose(records, entries)

@@ -94,8 +94,10 @@ class SpinnakerConfig:
     propose_batching: bool = True
     #: flush a batch once it holds this many records
     propose_batch_max_records: int = 8
-    #: longest the leader may hold a write back waiting for company
-    propose_batch_window: float = 1.0e-3
+    #: longest the leader may hold a write back waiting for company; a
+    #: held write flushes sooner when the batcher's in-flight force
+    #: completes, the congestion drains or a batch limit is reached
+    propose_batch_window: float = 3.0e-3
 
     # -- hardware model ----------------------------------------------------
     log_profile: DiskProfile = field(default_factory=DiskProfile.sata_log)

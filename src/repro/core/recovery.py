@@ -296,7 +296,10 @@ def ingest_catchup(replica, chunk: CatchupChunk):
         # skipped list stay bounded by the gap, not the history.
         wal.gc_through(cohort_id, chunk.floor)
     # 3. Missing committed records: append + force at the tail (step 1
-    #    cut what of ours lay above them), then apply in order.
+    #    cut what of ours lay above them), then apply in order.  One we
+    #    hold skip-listed — a leader elected without it discarded it —
+    #    leaves the list, as a re-proposal's does (``append_after``).
+    wal.remove_skipped(cohort_id, [record.lsn for record in chunk.records])
     min_retained = wal.min_retained_lsn(cohort_id)
     forces = []
     for record in chunk.records:

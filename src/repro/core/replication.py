@@ -101,6 +101,8 @@ class CohortReplica:
     def __init__(self, node, cohort: Cohort):
         self.node = node
         self.cohort = cohort
+        self._peers_of: Optional[Cohort] = None    # what _peers is of
+        self._peers: Tuple[str, ...] = ()
         self.cohort_id = cohort.cohort_id
         self.engine = node.make_engine(cohort.cohort_id)
         self.queue = CommitQueue(acks_needed=node.config.majority - 1,
@@ -141,6 +143,9 @@ class CohortReplica:
         self.writes_served = 0
         self.reads_served = 0
         self.proposes_handled = 0
+        #: follower: its last propose force, ``(wal.force handle, leader,
+        #: epoch, proposes)``, which later proposes may join
+        self._force_group: Optional[tuple] = None
         self.resyncs = 0
         self.catchup_chunks_ingested = 0
         self.catchup_tables_ingested = 0
@@ -152,8 +157,15 @@ class CohortReplica:
     def is_leader(self) -> bool:
         return self.role == Role.LEADER
 
-    def peers(self) -> List[str]:
-        return [m for m in self.cohort.members if m != self.node.name]
+    def peers(self) -> Tuple[str, ...]:
+        """The cohort's other members — made once per cohort layout: a
+        leader fans every propose out to them."""
+        cohort = self.cohort
+        if cohort is not self._peers_of:
+            name = self.node.name
+            self._peers = tuple(m for m in cohort.members if m != name)
+            self._peers_of = cohort
+        return self._peers
 
     def set_leader(self, leader: Optional[str]) -> None:
         self.leader = leader
@@ -284,11 +296,13 @@ class CohortReplica:
         if ctx is not None:
             self._trace_route(ctx)
         # LSNs only now: a rejected request must not leave a seq gap.
-        records = [WriteRecord(
-            self.alloc_lsn(), self.cohort_id, op.key, op.colname,
-            None if op.tombstone else op.value, version, node.sim.now,
-            op.tombstone)
-            for op, version in zip(ops, versions)]
+        now = node.sim.now
+        records = []
+        for op, version in zip(ops, versions):
+            records.append(WriteRecord(
+                self.alloc_lsn(), self.cohort_id, op.key, op.colname,
+                None if op.tombstone else op.value, version, now,
+                op.tombstone))
         if cfg.parallel_force_and_propose:
             self._replicate(records, node.guarded(self._reply_write, req,
                                                   records), ctx=ctx)
@@ -379,10 +393,11 @@ class CohortReplica:
                     entry.rtt_span = tracer.start(
                         entry.ctx, "replicate_rtt", node.name,
                         peers=len(self.peers()))
+        on_ack = self._on_ack
         for peer in to:
             if self.open_for_writes and peer in self.catching_up:
                 continue
-            node.endpoint.request(peer, propose, size, then=self._on_ack)
+            node.endpoint.request(peer, propose, size, then=on_ack)
 
     def _on_ack(self, ack) -> None:
         """A propose's reply (a crash of our endpoint drops it first)."""
@@ -508,24 +523,47 @@ class CohortReplica:
     def _log_propose(self, req, nbytes: int) -> None:
         """The follower's CPU slice is spent: force — which covers every
         earlier append — then ``_ack_propose`` (at once if it was all
-        durable already)."""
+        durable already).  While this replica's last force is still
+        queued on the log device, a propose from the same leader and
+        epoch joins it instead (follower group commit): one force, one
+        ack for them all."""
         if self.role not in (Role.FOLLOWER, Role.CANDIDATE):
             return
         wal = self.node.wal
-        if nbytes or not wal.durable(self.cohort_id, req.payload.records):
-            wal.force(nbytes, self.node.guarded(self._ack_propose, req))
-        else:
+        msg: Propose = req.payload
+        if not nbytes and wal.durable(self.cohort_id, msg.records):
             self._ack_propose(req)
+            return
+        group = self._force_group
+        if (group is not None and group[1] == req.src
+                and group[2] == msg.epoch and wal.join(group[0], nbytes)):
+            group[3].append(req)
+            return
+        joined: list = []
+        self._force_group = (
+            wal.force(nbytes, self.node.guarded(self._ack_propose, req,
+                                                joined)),
+            req.src, msg.epoch, joined)
 
-    def _ack_propose(self, req) -> None:
-        """Every record of the propose is durable in the log: take its
-        commit point, ack its top LSN."""
+    def _ack_propose(self, req, joined: Sequence = ()) -> None:
+        """Every record of the propose, and of the later ones ``joined``
+        to its force, is durable in the log: take each one's commit
+        point, and ack only the top LSN — it covers them all, the log
+        being a prefix of the leader's stream (PROTOCOL.md, *The prefix
+        rule*)."""
         msg: Propose = req.payload
         if msg.committed_lsn is not None:
             self._apply_commit_info(msg.committed_lsn)
-        self.proposes_handled += 1
-        req.respond(Ack(self.cohort_id, self.epoch, msg.records[-1].lsn,
-                        self.node.name), size=48)
+        top = msg.records[-1].lsn
+        for other in joined:
+            msg = other.payload
+            if msg.committed_lsn is not None:
+                self._apply_commit_info(msg.committed_lsn)
+            if msg.records[-1].lsn > top:
+                req, top = other, msg.records[-1].lsn
+        self.proposes_handled += 1 + len(joined)
+        req.respond(Ack(self.cohort_id, self.epoch, top, self.node.name),
+                    size=48)
 
     def handle_commit(self, src: str, msg: Commit) -> None:
         """Synchronous handler for the one-way commit message."""
@@ -762,6 +800,7 @@ class CohortReplica:
     # ------------------------------------------------------------------
     def crash(self) -> None:
         self.role = Role.OFFLINE
+        self._force_group = None
         self.open_for_writes = False
         self.leader = None
         self.migrating = False

@@ -13,6 +13,9 @@ committing to main-memory logs drops it to ~2 ms (Fig. 16).
 * force requests arriving while the device is busy accumulate and are
   written together by the next operation (**group commit**, [13] in the
   paper); the ablation flag ``group_commit=False`` serializes them instead;
+* a queued force can take more bytes until its operation starts
+  (:meth:`LogDevice.join`) — a follower folds a later propose into its
+  queued force that way, one completion for both;
 * per-operation latency is drawn from a :class:`DiskProfile` — rotational
   delay + transfer time + a periodic file-growth seek penalty for the
   SATA profile.
@@ -24,7 +27,7 @@ Three built-in profiles correspond to the paper's three logging setups:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from .events import Event, Simulator
 from .rng import RngRegistry
@@ -109,8 +112,11 @@ class LogDevice:
         self.profile = profile or DiskProfile.sata_log()
         self.group_commit = group_commit
         self._rng = rng.stream(f"disk:{name}")
-        self._pending: List[Tuple[int, Callable[[], None]]] = []
+        #: queued forces, ``[nbytes, then, op]``: ``op`` is the number
+        #: of device operations started before it was queued
+        self._pending: List[list] = []
         self._busy = False
+        self._ops = 0           # device operations started (or lost)
         self._file_pos = 0
         self._last_seek_boundary = 0
         self.forces_completed = 0
@@ -128,11 +134,31 @@ class LogDevice:
         if then is None:
             ev = Event(self.sim)
             then = ev.succeed
-        if self.alive:      # else never completes: the node is down
-            self._pending.append((nbytes, then))
-            if not self._busy:
-                self._start_op()
+        self.submit(nbytes, then)
         return ev
+
+    def submit(self, nbytes: int, then: Callable[[], None]) -> Optional[list]:
+        """Queue a force of ``nbytes``; ``then()`` once it is on media.
+        Returns its queue entry, a handle for :meth:`join` (None while
+        the node is down: the force never completes)."""
+        if not self.alive:
+            return None
+        entry = [nbytes, then, self._ops]
+        self._pending.append(entry)
+        if not self._busy:
+            self._start_op()
+        return entry
+
+    def join(self, entry: Optional[list], nbytes: int) -> bool:
+        """Add ``nbytes`` to the queued force ``entry`` if its device
+        operation has not started: under group commit the next
+        operation writes every queued force, so the device writes the
+        same bytes as for a force of its own.  False — nothing added —
+        once it has started, and always without group commit."""
+        if entry is None or entry[2] != self._ops or not self.group_commit:
+            return False
+        entry[0] += nbytes
+        return True
 
     def append_noforce(self, nbytes: int) -> None:
         """A non-forced append (e.g. the last-committed-LSN record, §5).
@@ -147,6 +173,7 @@ class LogDevice:
         """Power loss: in-flight and queued forces never complete."""
         self.alive = False
         self._incarnation += 1
+        self._ops += 1          # the queued forces are gone: none joins
         self._pending.clear()
 
     def restart(self) -> None:
@@ -161,13 +188,14 @@ class LogDevice:
             self._busy = False
             return
         self._busy = True
+        self._ops += 1
         if self.group_commit:
             batch, self._pending = self._pending, []
         else:
             batch = [self._pending.pop(0)]
         batch_bytes = 0
-        for nbytes, _ in batch:
-            batch_bytes += nbytes
+        for entry in batch:
+            batch_bytes += entry[0]
         self._file_pos += batch_bytes
         self.bytes_written += batch_bytes
         grew = False
@@ -180,15 +208,14 @@ class LogDevice:
         self.sim.schedule(latency, lambda incarnation=self._incarnation:
                           self._finish_op(batch, incarnation))
 
-    def _finish_op(self, batch: List[Tuple[int, Callable[[], None]]],
-                   incarnation: int) -> None:
+    def _finish_op(self, batch: List[list], incarnation: int) -> None:
         if incarnation != self._incarnation:
             # Crashed mid-operation: the forces are lost, even if the
             # node is already back up (``lose_disk`` reboots at once).
             return
         self.ops_performed += 1
-        for _, then in batch:
-            then()
+        for entry in batch:
+            entry[1]()
             self.forces_completed += 1
         self._start_op()
 

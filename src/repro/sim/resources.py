@@ -151,8 +151,13 @@ class Charge:
                  [sim._now + self.service_time, NORMAL, seq, self])
 
     def __call__(self) -> None:
-        """Kernel callback: the hold is over."""
-        self.resource.release()
+        """Kernel callback: the hold is over.  (``release()`` in place:
+        a hold always has its unit to give back.)"""
+        resource = self.resource
+        if resource._queue:
+            resource._queue.popleft().succeed()
+        else:
+            resource._in_use -= 1
         self.then(*self.args)
 
 

@@ -292,17 +292,33 @@ class SharedLog:
                    for idx in map(view.find, (r.lsn for r in records))
                    if idx >= 0)
 
-    def force(self, size: int, then: Callable[[], None]) -> None:
+    def force(self, size: int, then: Callable[[], None]) -> Optional[list]:
         """Force everything appended so far, ``size`` bytes of it not yet
-        forced; ``then()`` once durable."""
+        forced; ``then()`` once durable.  Returns a handle for
+        :meth:`join` (None where there is nothing to join: no device)."""
         if self.device is None:
             # No simulated device (pure unit tests): durable immediately.
             self._durable_seq = self._seq
             then()
-        else:
-            self.device.force(size, partial(self._forced, self._seq, then))
+            return None
+        handle = [self._seq, then, None]    # [covers through, then, entry]
+        handle[2] = self.device.submit(size, partial(self._forced, handle))
+        return handle
 
-    def _forced(self, seq: int, then: Callable[[], None]) -> None:
+    def join(self, handle: Optional[list], size: int) -> bool:
+        """Fold ``size`` more bytes into the force ``handle`` while it
+        is still queued on the device: it then covers everything
+        appended so far, as a new force would, and the same device
+        operation writes the same bytes — only its one ``then()`` runs.
+        False (nothing joined) once that operation has started."""
+        if handle is None or not self.device.join(handle[2], size):
+            return False
+        handle[0] = self._seq
+        return True
+
+    def _forced(self, handle: list) -> None:
+        seq, then, _ = handle
+        handle[2] = None    # the device entry holds this call: no cycle
         if seq > self._durable_seq:
             self._durable_seq = seq
         then()
@@ -389,6 +405,15 @@ class SharedLog:
         view = self._view(cohort_id)
         view.skipped.update(lsns)
         view._skipped_view = None
+
+    def remove_skipped(self, cohort_id: int, lsns: Iterable[LSN]) -> None:
+        """Take LSNs off the skipped-LSN list: records shipped as
+        committed, which a leader elected without them had discarded."""
+        view = self._view(cohort_id)
+        listed = view.skipped.intersection(lsns)
+        if listed:
+            view.skipped -= listed
+            view._skipped_view = None
 
     def skipped_lsns(self, cohort_id: int) -> FrozenSet[LSN]:
         """Read-only view of the skipped-LSN list; cached between

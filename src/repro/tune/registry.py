@@ -52,6 +52,9 @@ class Knob:
     #: candidate grid for the search driver; empty = inventory-only
     #: (documented and overridable, but not searched by default)
     candidates: Tuple[Value, ...] = ()
+    #: a bool knob this one means nothing without: the search skips
+    #: this knob's grid while the gate is off
+    gate: Optional[str] = None
 
     @property
     def default(self) -> Value:
@@ -86,11 +89,13 @@ KNOBS: Tuple[Knob, ...] = (
     Knob("propose_batch_max_records", "int", 1, 128,
          "core/batching.py", "log_force", "PR 3 (Fig. 16 ablation)",
          "flush a batch once it holds this many records",
-         candidates=(4, 8, 16, 32)),
+         candidates=(4, 8, 16, 32), gate="propose_batching"),
     Knob("propose_batch_window", "float", 1e-4, 1.6e-2,
-         "core/batching.py", "log_force, quorum_wait", "PR 3",
-         "longest the leader may hold a write back waiting for company",
-         candidates=(0.25e-3, 0.5e-3, 1.0e-3, 2.0e-3, 4.0e-3)),
+         "core/batching.py", "propose, log_force, quorum_wait", "PR 3",
+         "longest the leader may hold a write back waiting for company "
+         "(sooner: a force lands, the congestion drains, a limit)",
+         candidates=(0.25e-3, 0.5e-3, 1.0e-3, 2.0e-3, 4.0e-3),
+         gate="propose_batching"),
     # -- replication protocol (core/replication.py, §5 / §D.1) ----------
     Knob("commit_period", "float", 0.05, 15.0,
          "core/replication.py", "commit_apply (and Table 1 recovery)",
@@ -188,6 +193,9 @@ def validate_registry() -> None:
                 raise AssertionError(
                     f"candidate {cand!r} of {knob.name!r} outside its "
                     f"declared range")
+        if knob.gate is not None and get_knob(knob.gate).type != "bool":
+            raise AssertionError(
+                f"gate {knob.gate!r} of {knob.name!r} is not a bool knob")
 
 
 def validate_values(values: Dict[str, Value]) -> None:

@@ -5,8 +5,11 @@ baseline every later trial is compared against), then walks the
 profile's searched knobs in registry order.  For each knob it evaluates
 every candidate value from the registry grid (skipping the current
 value — already measured) and adopts the best candidate iff it beats
-the incumbent score by ``min_improvement``.  Passes repeat until a full
-pass adopts nothing (converged) or the trial budget runs out.
+the incumbent score by ``min_improvement``.  A knob whose ``gate`` is
+off in the incumbent is skipped: with ``propose_batching`` off the
+batch shape is dead, and each probe would re-measure the incumbent.
+Passes repeat until a full pass adopts nothing (converged) or the trial
+budget runs out.
 
 Everything is deterministic given ``(profile, seed, budget)``: the
 grids are declarative, the walk order is the registry order, the
@@ -166,6 +169,9 @@ def tune(profile_name: str, seed: int = 1, max_trials: int = 48,
         improved_this_pass = False
         for knob_name in prof.searched:
             knob = get_knob(knob_name)
+            if knob.gate is not None and not current.get(
+                    knob.gate, getattr(base_cfg, knob.gate)):
+                continue    # gated off: every probe scores the incumbent
             incumbent = current.get(knob_name,
                                     getattr(base_cfg, knob_name))
             best_cand: Optional[Value] = None

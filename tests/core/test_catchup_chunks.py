@@ -248,6 +248,35 @@ class TestLogicalTruncation:
         assert wal.skipped_lsns(COHORT) == {r.lsn for r in tail}
 
 
+    def test_a_shipped_record_held_skip_listed_leaves_the_list(self):
+        """A follower holds a record skip-listed (a leader elected
+        without it discarded it) that a later leader ships as committed:
+        the page takes it off the list, as a re-proposal would — left
+        on, its log would present a committed record as discarded."""
+        cluster = make_cluster()
+        write_keys(cluster, cohort_keys(cluster, 8))
+        cluster.run(0.5)
+        leader = cluster.leader_of(COHORT)
+        follower = next(m for m in
+                        cluster.partitioner.cohort(COHORT).members
+                        if m != leader)
+        lead_rep = cluster.replica(leader, COHORT)
+        fol_rep = cluster.replica(follower, COHORT)
+        wal = cluster.nodes[follower].wal
+        held = wal.write_records(COHORT)
+        assert len(held) >= 4
+        below, shipped = held[0].lsn, held[2]
+        wal.add_skipped(COHORT, [shipped.lsn])
+        chunk = build_catchup_chunk(lead_rep, CatchupRequest(
+            cohort_id=COHORT, follower=follower, follower_cmt=below))
+        assert shipped in chunk.records
+        assert wal.contains(COHORT, shipped.lsn)
+        run(cluster, ingest_catchup(fol_rep, chunk))
+        assert not wal.is_skipped(COHORT, shipped.lsn)
+        assert shipped in wal.write_records(COHORT)
+        assert cluster.all_failures() == []
+
+
 class TestCrashMidInstall:
     def test_crash_between_table_ingest_and_marker_resumes(self):
         """Satellite regression: fail-stop the follower at the instant a

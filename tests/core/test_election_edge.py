@@ -223,14 +223,14 @@ def test_a_follower_that_lost_a_propose_logs_and_acks_nothing_above_it():
     uncovered = []
     ack = replica._ack_propose
 
-    def checked_ack(req):
-        top = req.payload.records[-1].lsn
+    def checked_ack(req, joined=()):
+        top = max(each.payload.records[-1].lsn for each in (req, *joined))
         floor = wal.min_retained_lsn(cohort_id)
         mine = {r.lsn for r in wal.write_records(cohort_id, after=floor)}
         uncovered.extend(
             (top, r.lsn) for r in leader_wal.write_records(
                 cohort_id, after=floor, upto=top) if r.lsn not in mine)
-        ack(req)
+        ack(req, joined)
 
     replica._ack_propose = checked_ack
     keys = cohort_keys(cluster, cohort_id, 12)

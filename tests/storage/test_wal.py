@@ -367,26 +367,39 @@ def test_lose_disk_under_load_then_crash_loses_every_unforced_record():
 
     # Every force goes through the device queue: wrap what it calls on
     # completion.  A force carries each write record appended since the
-    # one before it.
+    # one before it, and a force joined while queued (a follower's group
+    # commit) those appended since, too.
     issued = []         # [(cohort, lsn) a force carries, has it completed]
     carried = [wal._seq]
-    real_force = device.force
+    real_submit, real_join = device.submit, device.join
+    by_entry = {}       # id(device queue entry) -> (it, its ``issued`` row)
 
-    def force(nbytes, then):
+    def appended_since():
         lo, carried[0] = carried[0], wal._seq
-        entry = [{(cid, record.lsn) for cid in wal.cohorts()
-                  for record, seq in zip(wal._view(cid).writes,
-                                         wal._view(cid).seqs)
-                  if lo < seq <= carried[0]}, False]
-        issued.append(entry)
+        return {(cid, record.lsn) for cid in wal.cohorts()
+                for record, seq in zip(wal._view(cid).writes,
+                                       wal._view(cid).seqs)
+                if lo < seq <= carried[0]}
+
+    def submit(nbytes, then):
+        row = [appended_since(), False]
+        issued.append(row)
 
         def completed():
-            entry[1] = True
+            row[1] = True
             then()
 
-        real_force(nbytes, completed)
+        entry = real_submit(nbytes, completed)
+        by_entry[id(entry)] = (entry, row)
+        return entry
 
-    device.force = force
+    def join(entry, nbytes):
+        joined = real_join(entry, nbytes)
+        if joined:
+            by_entry[id(entry)][1][0] |= appended_since()
+        return joined
+
+    device.submit, device.join = submit, join
 
     def unforced():
         return {ident for idents, done in issued if not done

@@ -22,11 +22,11 @@ REPO = Path(__file__).resolve().parent.parent
 #: ``perfbench/run.py --workload W --seed 1 --quick --trace 0``
 SIM_DIGESTS = {
     "write_strong":
-        "fc3badcd505941a0f903b7ea5212f0f5c7bf2716c253a3acb3abcd324a6a7c03",
+        "b0e872c28b676ed029b5b78180006a28430f7080e2b1c7ec736eedcb1bc79651",
     "read_strong":
-        "3697844929ab06efabdb915f8c4fda836b6a313b14a2d4d441a16199e9b61290",
+        "91874140a2d734b24211efae26877eb188f3fd42841873336bc8db0182092880",
     "mixed_openloop":
-        "b760e8b9057b9167320db03f3226e6015800bdafa19b66fbe79e6145e806bc7b",
+        "702b0cf9ce2667bc88aab7a88e3484eebc2a4220b889ed43b5128996c5bd2524",
     "failover":
         "96ce277243514807f8ffc233624e6f4f18930e9bcb35ef9f3a136739119a6592",
 }

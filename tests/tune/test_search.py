@@ -67,6 +67,28 @@ def test_no_configuration_is_evaluated_twice():
     assert len(seen) == len(set(seen))
 
 
+def test_no_ledger_row_probes_a_gated_knob_while_its_gate_is_off():
+    from repro.tune.registry import get_knob
+    gated = TuneProfile(
+        name="gated",
+        base_config=TINY.base_config,
+        searched=("propose_batching", "propose_batch_max_records",
+                  "propose_batch_window"),
+        objective=TINY.objective,
+        n_nodes=3, threads=2, ops_per_thread=6, warmup_ops=2)
+    probed = set()
+    for start in ({}, {"propose_batching": False}):
+        res = tune("gated", seed=1, max_trials=16, passes=2,
+                   profile=gated, start=start)
+        for trial in res.trials[1:]:
+            gate = get_knob(trial.knob).gate
+            if gate is not None:
+                assert trial.values.get(gate, True), trial.to_json()
+                probed.add(trial.knob)
+    # batching on (the default): the batch shape is searched
+    assert probed == {"propose_batch_max_records", "propose_batch_window"}
+
+
 def test_start_overlay_seeds_the_baseline():
     res = tune("tiny", seed=1, max_trials=2, profile=TINY,
                start={"commit_period": 10.0})
