@@ -44,7 +44,7 @@ catches one of those hazard classes at parse time:
     ``yield`` in a generator driven by :class:`~repro.sim.process.Process`
     must produce an ``Event``; yielding ``None`` or a literal is a
     guaranteed runtime failure.  Process bodies are found by tracing
-    ``spawn(...)``/``spawn_proc(...)``/``Process(...)`` call sites and
+    ``spawn(...)``/``Process(...)`` call sites and
     closing over ``yield from`` edges.
 
 ``write-only-slot``
@@ -109,7 +109,7 @@ _REAL_IO_CALLS = {"open", "input", "print"}
 #: callables whose invocation inside a loop body makes the iteration
 #: order scheduling- or message-order-visible
 _EFFECT_NAMES = {
-    "spawn", "spawn_proc", "schedule", "call_at", "send", "request",
+    "spawn", "schedule", "call_at", "send", "request",
     "respond", "interrupt", "crash", "restart", "boot", "lose_disk",
     "expire_session_now", "succeed", "fail", "block", "heal",
     "set_drop_rate", "set_extra_delay", "step_down", "force", "append",
@@ -117,7 +117,7 @@ _EFFECT_NAMES = {
     # so placing endpoints while iterating a dict is a hazard
     "place",
 }
-_SPAWN_NAMES = {"spawn", "spawn_proc", "Process"}
+_SPAWN_NAMES = {"spawn", "Process"}
 #: calls that park a plain function to run after the world has moved:
 #: the CPU-charge primitive, a node's guarded wait or completion, a raw
 #: event callback — and any call's ``then=`` (a force's, a reply's)

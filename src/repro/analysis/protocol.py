@@ -1,9 +1,9 @@
 """Protocol exhaustiveness checks over message catalogs and dispatchers.
 
 The replication and baseline protocols dispatch frozen-dataclass
-messages through a type-keyed table (``core/node.py::_handlers``) or an
-``isinstance`` chain (``baseline/node.py::_dispatch``), plus the handler
-methods they call.  Nothing ties the catalog in ``messages.py`` to
+messages through type-keyed tables (``_handlers`` in ``core/node.py``
+and ``baseline/node.py``; an ``isinstance`` chain is read too), plus
+the handler methods they call.  Nothing ties the catalog in ``messages.py`` to
 those: add a message type and forget the entry, and the message is
 silently dropped by the endpoint — the classic "partition heals but the
 follower never catches up" bug class.  These checks close the loop

@@ -52,15 +52,3 @@ class CassandraCluster(SimHost):
                                      self.rng)
             self._clients[name] = client
         return client
-
-    def crash_node(self, name: str) -> None:
-        self.nodes[name].crash()
-
-    def restart_node(self, name: str) -> None:
-        self.nodes[name].restart()
-
-    def all_failures(self) -> List[BaseException]:
-        out: List[BaseException] = []
-        for node in self.nodes.values():
-            out.extend(node.failures)
-        return out

@@ -14,52 +14,65 @@ no quorum-based recovery — the gaps the paper contrasts with Spinnaker:
 concurrent writes through different coordinators can conflict, and a
 restarted replica serves whatever its local log held plus whatever hints
 or read repairs happen to reach it.
+
+It runs on Spinnaker's :class:`~repro.core.node.NodeHost`, with handlers
+that are functions as Spinnaker's are; the hint replayer is its one process.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List
+from functools import partial
+from typing import Callable, Dict, List, Optional
 
 from ..sim.disk import LogDevice
 from ..sim.events import Event, Simulator
 from ..sim.network import Network, Request, RpcTimeout
-from ..sim.process import Supervisor, all_of, quorum, timeout
-from ..sim.resources import Resource, serve
+from ..sim.process import timeout
 from ..sim.rng import RngRegistry
 from ..storage.engine import StorageEngine
 from ..storage.lsn import LSN
 from ..storage.memtable import timestamp_order
 from ..storage.records import WriteRecord
-from ..storage.wal import SharedLog
 from .config import (CONFLICT_CHECK_SERVICE, FLUSH_THRESHOLD_BYTES,
                      RPC_TIMEOUT, WRITE_COORDINATOR_SERVICE,
                      WRITE_REPLICA_SERVICE, CassandraConfig)
 from .messages import (CoordRead, CoordWrite, ReplicaRead,
                        ReplicaReadResult, ReplicaWrite)
-from ..core.config import CORES_PER_NODE, READ_SERVICE
-from ..core.partition import RangePartitioner, key_of
+from ..core.config import READ_SERVICE
+from ..core.node import NodeHost
+from ..core.partition import Cohort, RangePartitioner, key_of
 
 __all__ = ["CassandraNode"]
 
 
-class CassandraNode:
+class _QuorumRead:
+    """A quorum read in flight: the local replica's answer and the
+    remote ones, asked one at a time, live replicas first."""
+
+    __slots__ = ("req", "rread", "to_ask", "need", "remote", "local",
+                 "parts_left")
+
+    def __init__(self, req: Request, rread: ReplicaRead, to_ask: List[str],
+                 need: int):
+        self.req = req
+        self.rread = rread
+        self.to_ask = to_ask
+        self.need = need
+        self.remote: List[ReplicaReadResult] = []
+        self.local: Optional[ReplicaReadResult] = None
+        self.parts_left = 2             # the local read, the remote ones
+
+
+class CassandraNode(NodeHost):
     """One baseline server."""
 
     def __init__(self, sim: Simulator, network: Network, rng: RngRegistry,
                  name: str, partitioner: RangePartitioner,
                  config: CassandraConfig):
-        self.sim = sim
-        self.network = network
-        self.name = name
-        self.partitioner = partitioner
-        self.config = config
-        self.endpoint = network.endpoint(name)
-        self.endpoint.on_request(self._dispatch)
-        self.cpu = Resource(sim, capacity=CORES_PER_NODE)
-        self.device = LogDevice(sim, rng, f"{name}-clog",
-                                profile=config.log_profile)
-        self.wal = SharedLog(self.device)
+        super().__init__(sim, network, name, partitioner, config,
+                         LogDevice(sim, rng, f"{name}-clog",
+                                   profile=config.log_profile))
         self.engines: Dict[int, StorageEngine] = {
             cohort.cohort_id: StorageEngine(
                 cohort.cohort_id,
@@ -69,140 +82,121 @@ class CassandraNode:
         }
         self._local_seq: Dict[int, int] = {gid: 0 for gid in self.engines}
         self._coord_seq = itertools.count(1)
-        self.alive = True
         #: hints awaiting replay: replica name -> list of ReplicaWrite
         self.hints: Dict[str, List[ReplicaWrite]] = {}
         #: peers suspected down (name -> suspicion expiry time)
         self.suspected: Dict[str, float] = {}
-        #: handler processes, killed on crash (as in SpinnakerNode)
-        self.supervisor = Supervisor(sim, name)
-        self.spawn_proc = self.supervisor.spawn
-        self.failures = self.supervisor.failures
         self.writes_coordinated = 0
         self.reads_coordinated = 0
         self.read_repairs = 0
-        self.spawn_proc(self._hint_replayer(), "hints")
+        self._handlers.update({
+            CoordWrite: self._coordinate_write,
+            CoordRead: self._coordinate_read,
+            ReplicaWrite: self._replica_write,
+            ReplicaRead: self._replica_read,
+        })
+        self.boot()         # no coordination service: serve at once
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def crash(self) -> None:
-        if not self.alive:
-            return
-        self.alive = False
-        self.supervisor.kill_all()
-        self.endpoint.crash()
-        self.device.crash()
-        self.wal.crash()
-        # lint: allow(dict-order) — engines inserted in partitioner order
-        for engine in self.engines.values():
-            engine.crash()
-
-    def restart(self) -> None:
-        if self.alive:
-            return
-        self.alive = True
-        self.endpoint.restart()
-        self.device.restart()
-        # Local recovery: replay the whole surviving log — every logged
-        # write applies (there is no commit concept to wait for).
+    def _on_boot(self) -> None:
+        """Local recovery: replay the whole surviving log — every logged
+        write applies (there is no commit concept to wait for)."""
         for gid, engine in self.engines.items():
             for record in self.wal.write_records(
                     gid, after=engine.checkpoint_lsn):
                 engine.apply(record)
-            if self.wal.last_lsn(gid).seq >= self._local_seq.get(gid, 0):
-                self._local_seq[gid] = self.wal.last_lsn(gid).seq
-        self.spawn_proc(self._hint_replayer(), "hints")
+            self._local_seq[gid] = max(self._local_seq[gid],
+                                       self.wal.last_lsn(gid).seq)
+        self.spawn(self._hint_replayer(), "hints")
 
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-    def _dispatch(self, req: Request) -> None:
-        payload = req.payload
-        # Last act of the delivery callback: start inline (Supervisor.spawn)
-        if isinstance(payload, CoordWrite):
-            self.spawn_proc(self._coordinate_write(req), "coord-write", True)
-        elif isinstance(payload, CoordRead):
-            self.spawn_proc(self._coordinate_read(req), "coord-read", True)
-        elif isinstance(payload, ReplicaWrite):
-            self.spawn_proc(self._replica_write(req), "replica-write", True)
-        elif isinstance(payload, ReplicaRead):
-            self.spawn_proc(self._replica_read(req), "replica-read", True)
+    def crash(self) -> None:
+        if not self.alive:
+            return
+        super().crash()
+        # lint: allow(dict-order) — engines inserted in partitioner order
+        for engine in self.engines.values():
+            engine.crash()
 
-    def _group_for(self, key: bytes):
+    def _group_for(self, key: bytes) -> Cohort:
         return self.partitioner.cohort_for_key(key_of(key))
 
     # ------------------------------------------------------------------
     # Write path
     # ------------------------------------------------------------------
-    def _coordinate_write(self, req: Request):
-        cfg = self.config
-        msg: CoordWrite = req.payload
-        group = self._group_for(msg.key)
+    def _coordinate_write(self, req: Request) -> None:
+        group = self._group_for(req.payload.key)
         if group.cohort_id not in self.engines:
             req.respond({"ok": False, "code": "wrong-node"}, size=64)
             return
-        yield from serve(self.cpu, WRITE_COORDINATOR_SERVICE)
+        self.charge(WRITE_COORDINATOR_SERVICE, self._fan_out_write, req,
+                    group)
+
+    def _fan_out_write(self, req: Request, group: Cohort) -> None:
+        """Send the write to every replica, and reply once as many have
+        acked as its consistency level needs."""
+        msg: CoordWrite = req.payload
         rwrite = ReplicaWrite(
             group_id=group.cohort_id, key=msg.key, colname=msg.colname,
             value=msg.value, timestamp=self.sim.now,
             seq=next(self._coord_seq), tombstone=msg.tombstone)
         size = 96 + (len(msg.value) if msg.value else 0)
-        acks: List[Event] = []
+        acked: List[str] = []
+        need = self.config.acks_for(msg.consistency)
+        ack = partial(self._on_write_ack, req, rwrite, need, acked)
         for member in group.members:
-            if member == self.name:
-                acks.append(self.spawn_proc(
-                    self._apply_write_locally(rwrite), "local-write"))
-            else:
-                acks.append(self.endpoint.request(member, rwrite,
-                                                  size=size))
-        needed = cfg.acks_for(msg.consistency)
-        win = quorum(self.sim, acks, need=needed)
-        # Hinted handoff for laggards/failures runs regardless.
-        self.spawn_proc(self._hint_watch(group.members, acks, rwrite),
-                        "hint-watch")
-        try:
-            yield win
-        except Exception:
-            req.respond({"ok": False, "code": "unavailable"}, size=64)
-            return
-        self.writes_coordinated += 1
-        req.respond({"ok": True, "timestamp": rwrite.timestamp}, size=64)
+            if member != self.name:
+                self.endpoint.request(member, rwrite, size=size,
+                                      then=partial(ack, member))
+        # This replica's own write takes its core after the sends.
+        self._log_and_apply(rwrite, partial(ack, self.name))
+        # Hinted handoff for laggards runs regardless.
+        self.sim.schedule(self.config.hint_timeout, self.guarded(
+            self._hint_laggards, group.members, acked, rwrite))
 
-    def _apply_write_locally(self, rwrite: ReplicaWrite):
-        """The coordinator is itself a replica: log + apply, no network."""
-        yield from serve(self.cpu, WRITE_REPLICA_SERVICE)
-        yield from self._log_and_apply(rwrite)
-        return self.name
+    def _on_write_ack(self, req: Request, rwrite: ReplicaWrite, need: int,
+                      acked: List[str], member: str, _reply=None) -> None:
+        acked.append(member)
+        if len(acked) == need:
+            self.writes_coordinated += 1
+            req.respond({"ok": True, "timestamp": rwrite.timestamp},
+                        size=64)
 
-    def _replica_write(self, req: Request):
-        yield from serve(self.cpu, WRITE_REPLICA_SERVICE)
-        yield from self._log_and_apply(req.payload)
-        req.respond(self.name, size=48)
+    def _hint_laggards(self, members: List[str], acked: List[str],
+                       rwrite: ReplicaWrite) -> None:
+        """Store a hint for any replica that has not acked in time."""
+        for member in members:
+            if member not in acked and member != self.name:
+                self.hints.setdefault(member, []).append(rwrite)
 
-    def _log_and_apply(self, rwrite: ReplicaWrite):
+    def _replica_write(self, req: Request) -> None:
+        self._log_and_apply(req.payload,
+                            partial(req.respond, self.name, size=48))
+
+    def _log_and_apply(self, rwrite: ReplicaWrite,
+                       then: Optional[Callable[[], None]] = None) -> None:
+        """This node as one replica of ``rwrite``: log it durably, apply
+        it, then ``then()``."""
+        self.charge(WRITE_REPLICA_SERVICE, self._append, rwrite, then)
+
+    def _append(self, rwrite: ReplicaWrite,
+                   then: Optional[Callable[[], None]]) -> None:
         gid = rwrite.group_id
-        if gid not in self.engines:
-            return
-        self._local_seq[gid] = self._local_seq.get(gid, 0) + 1
+        self._local_seq[gid] += 1
         record = WriteRecord(
             lsn=LSN(1, self._local_seq[gid]), cohort_id=gid,
             key=rwrite.key, colname=rwrite.colname, value=rwrite.value,
             version=rwrite.seq, timestamp=rwrite.timestamp,
             tombstone=rwrite.tombstone)
-        ev = self.wal.append(record, force=True)
-        if ev is not None:
-            yield ev
-        self.engines[gid].apply(record)
+        self.wal.append(record, then=self.guarded(self._apply, record,
+                                                  then))
 
-    def _hint_watch(self, members, acks, rwrite: ReplicaWrite):
-        """Store a hint for any replica that has not acked in time."""
-        cfg = self.config
-        yield timeout(self.sim, cfg.hint_timeout)
-        for member, ack in zip(members, acks):
-            # a still-pending ack stays pending; the hint covers the data
-            if not ack._ok and member != self.name:
-                self.hints.setdefault(member, []).append(rwrite)
+    def _apply(self, record: WriteRecord,
+               then: Optional[Callable[[], None]]) -> None:
+        self.engines[record.cohort_id].apply(record)
+        if then is not None:
+            then()
 
     def _hint_replayer(self):
         cfg = self.config
@@ -226,82 +220,86 @@ class CassandraNode:
     # ------------------------------------------------------------------
     # Read path
     # ------------------------------------------------------------------
-    def _coordinate_read(self, req: Request):
-        cfg = self.config
+    def _coordinate_read(self, req: Request) -> None:
         msg: CoordRead = req.payload
         group = self._group_for(msg.key)
         if group.cohort_id not in self.engines:
             req.respond({"ok": False, "code": "wrong-node"}, size=64)
             return
-        needed = cfg.reads_for(msg.consistency)
+        needed = self.config.reads_for(msg.consistency)
         if needed == 1:
             # Weak read: serve purely locally.
-            result = yield from self._local_read(group.cohort_id, msg)
-            self.reads_coordinated += 1
-            req.respond(self._as_reply(result),
-                        size=64 + (len(result.value)
-                                   if result.value else 0))
+            self.charge(READ_SERVICE, self._reply_local_read, req,
+                        group.cohort_id)
             return
         # Quorum read: local + (needed - 1) remote replicas in parallel,
         # then a conflict check over the responses (§9.1).  Remote
         # replicas are chosen live-first (suspicion from recent
         # timeouts), with fallback to the third replica on timeout.
-        local_proc = self.spawn_proc(
-            self._local_read_proc(group.cohort_id, msg), "local-read")
-        rread = ReplicaRead(group_id=group.cohort_id, key=msg.key,
-                            colname=msg.colname)
-        others = [m for m in group.members if m != self.name]
-        remote_proc = self.spawn_proc(
-            self._remote_reads(others, rread, needed - 1), "remote-read")
-        pair = yield all_of(self.sim, [local_proc, remote_proc])
-        local_result, remote_results = pair
-        if remote_results is None:
-            req.respond({"ok": False, "code": "unavailable"}, size=64)
-            return
-        results = [local_result] + remote_results
-        yield from serve(self.cpu, CONFLICT_CHECK_SERVICE)
-        best = max(results, key=lambda r: (r.found, r.timestamp, r.seq))
-        self._maybe_read_repair(group, msg, results, best)
-        self.reads_coordinated += 1
-        req.respond(self._as_reply(best),
-                    size=64 + (len(best.value) if best.value else 0))
-
-    def _remote_reads(self, others: List[str], rread: ReplicaRead,
-                      count: int):
-        """Read from ``count`` remote replicas, live-first with fallback.
-
-        Returns the list of results, or None if a quorum of remote
-        replicas is unreachable.
-        """
         now = self.sim.now
-        ordered = sorted(others,
-                         key=lambda m: self.suspected.get(m, 0.0) > now)
-        results: List[ReplicaReadResult] = []
-        for member in ordered:
-            if len(results) >= count:
-                break
-            try:
-                result = yield self.endpoint.request(
-                    member, rread, size=96, timeout=RPC_TIMEOUT)
-            except RpcTimeout:
-                self.suspected[member] = self.sim.now + 10.0
-                continue
-            results.append(result)
-        if len(results) < count:
-            return None
-        return results
+        others = sorted((m for m in group.members if m != self.name),
+                        key=lambda m: self.suspected.get(m, 0.0) > now)
+        read = _QuorumRead(req, ReplicaRead(
+            group_id=group.cohort_id, key=msg.key, colname=msg.colname),
+            others, needed - 1)
+        self.charge(READ_SERVICE, self._local_part, read)
+        self._ask_next_replica(read)
 
-    def _local_read(self, gid: int, msg):
-        yield from serve(self.cpu, READ_SERVICE)
-        return self._read_cell(gid, msg.key, msg.colname)
+    def _reply_local_read(self, req: Request, gid: int) -> None:
+        result = self._read_cell(gid, req.payload.key, req.payload.colname)
+        self.reads_coordinated += 1
+        req.respond(self._as_reply(result),
+                    size=64 + (len(result.value) if result.value else 0))
 
-    def _local_read_proc(self, gid: int, msg):
-        result = yield from self._local_read(gid, msg)
-        return result
+    def _local_part(self, read: _QuorumRead) -> None:
+        rread = read.rread
+        read.local = self._read_cell(rread.group_id, rread.key,
+                                     rread.colname)
+        self._part_done(read)
 
-    def _replica_read(self, req: Request):
+    def _ask_next_replica(self, read: _QuorumRead) -> None:
+        if len(read.remote) < read.need and read.to_ask:
+            member = read.to_ask.pop(0)
+            self.endpoint.request(member, read.rread, size=96,
+                                  timeout=RPC_TIMEOUT).add_callback(
+                partial(self._on_replica_read, read, member))
+        else:
+            self._part_done(read)
+
+    def _on_replica_read(self, read: _QuorumRead, member: str,
+                         answer: Event) -> None:
+        """A remote replica answered, or timed out (a crash of our
+        endpoint does neither)."""
+        if answer._ok:
+            read.remote.append(answer._value)
+        else:
+            self.suspected[member] = self.sim.now + 10.0
+        self._ask_next_replica(read)
+
+    def _part_done(self, read: _QuorumRead) -> None:
+        read.parts_left -= 1
+        if read.parts_left:
+            return
+        if len(read.remote) < read.need:
+            read.req.respond({"ok": False, "code": "unavailable"}, size=64)
+            return
+        self.charge(CONFLICT_CHECK_SERVICE, self._reply_newest, read)
+
+    def _reply_newest(self, read: _QuorumRead) -> None:
+        results = [read.local] + read.remote
+        best = max(results, key=lambda r: (r.found, r.timestamp, r.seq))
+        repair_here = self._read_repair(read, results, best)
+        self.reads_coordinated += 1
+        read.req.respond(self._as_reply(best),
+                         size=64 + (len(best.value) if best.value else 0))
+        if repair_here is not None:     # its core after the reply's send
+            self._log_and_apply(repair_here)
+
+    def _replica_read(self, req: Request) -> None:
+        self.charge(READ_SERVICE, self._reply_replica_read, req)
+
+    def _reply_replica_read(self, req: Request) -> None:
         msg: ReplicaRead = req.payload
-        yield from serve(self.cpu, READ_SERVICE)
         result = self._read_cell(msg.group_id, msg.key, msg.colname)
         req.respond(result,
                     size=64 + (len(result.value) if result.value else 0))
@@ -320,27 +318,30 @@ class CassandraNode:
                                  found=not cell.tombstone,
                                  replica=self.name)
 
-    def _maybe_read_repair(self, group, msg: CoordRead, results,
-                           best) -> None:
-        """Push the winning value to replicas that returned stale data."""
+    def _read_repair(self, read: _QuorumRead, results, best
+                     ) -> Optional[ReplicaWrite]:
+        """Push the winning value to remote replicas that returned stale
+        data; returns it if this replica is stale too."""
         if not best.found:
-            return
+            return None
         stale = [r for r in results
                  if (r.timestamp, r.seq) < (best.timestamp, best.seq)]
         if not stale:
-            return
+            return None
         self.read_repairs += 1
+        rread = read.rread
         repair = ReplicaWrite(
-            group_id=group.cohort_id, key=msg.key, colname=msg.colname,
+            group_id=rread.group_id, key=rread.key, colname=rread.colname,
             value=best.value, timestamp=best.timestamp, seq=best.seq,
             tombstone=best.tombstone)
         size = 96 + (len(best.value) if best.value else 0)
+        repair_here = None
         for r in stale:
             if r.replica == self.name:
-                self.spawn_proc(self._apply_write_locally(repair),
-                                "read-repair")
+                repair_here = repair
             else:
                 self.endpoint.send(r.replica, repair, size=size)
+        return repair_here
 
     def _as_reply(self, result: ReplicaReadResult) -> Dict:
         return {"ok": True, "found": result.found, "value": result.value,

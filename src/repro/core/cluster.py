@@ -179,13 +179,6 @@ class SpinnakerCluster(SimHost):
             },
         }
 
-    def all_failures(self) -> List[BaseException]:
-        """Handler-process failures across the cluster (bug detector)."""
-        out: List[BaseException] = []
-        for node in self.nodes.values():
-            out.extend(node.failures)
-        return out
-
     # ------------------------------------------------------------------
     # Clients
     # ------------------------------------------------------------------
@@ -202,12 +195,6 @@ class SpinnakerCluster(SimHost):
     # ------------------------------------------------------------------
     # Failure injection
     # ------------------------------------------------------------------
-    def crash_node(self, name: str) -> None:
-        self.nodes[name].crash()
-
-    def restart_node(self, name: str) -> None:
-        self.nodes[name].restart()
-
     def expire_session_of(self, name: str) -> None:
         """Expire the node's coordination session immediately (skips the
         detection timeout — Table 1 excludes it from recovery time)."""

@@ -7,12 +7,15 @@ share one write-ahead log on a dedicated logging device, one CPU pool,
 one network endpoint, and one coordination-service session (whose expiry
 is how the rest of the cluster learns this node died).
 
+Its store-independent half is :class:`NodeHost`, which the Cassandra
+baseline's node shares: the two stores differ only in their handlers.
+
 A message is handled by a function; only a multi-round activity
 (startup, election, takeover, catch-up, rebalance, the commit timer) is
 a process.  A handler that must wait — for a core, a log force, a commit
-— names what runs next and parks it with :meth:`SpinnakerNode.charge`,
-hands it to the force or commit as :meth:`SpinnakerNode.guarded`, or
-waits on the write gate with :meth:`SpinnakerNode.after`; each runs it
+— names what runs next and parks it with :meth:`NodeHost.charge`,
+hands it to the force or commit as :meth:`NodeHost.guarded`, or
+waits on the write gate with :meth:`NodeHost.after`; each runs it
 only in the incarnation that parked it (DESIGN.md, "Kernel hot paths",
 *Handlers are functions* and *Completions are continuations*).
 
@@ -54,7 +57,7 @@ from .rebalance import (apply_membership_record, build_split_snapshot,
 from .recovery import ingest_catchup, local_recovery, try_push_catchup
 from .replication import CohortReplica, Role
 
-__all__ = ["SpinnakerNode"]
+__all__ = ["NodeHost", "SpinnakerNode"]
 
 
 #: requests whose sender waits to hear that no replica is here
@@ -66,74 +69,37 @@ def _nothing() -> None:
     """What runs after a background CPU charge."""
 
 
-class SpinnakerNode:
-    """One server in the cluster."""
+class NodeHost:
+    """The server runtime both stores' nodes share: endpoint, CPU, log
+    device and write-ahead log, processes, handler continuations,
+    dispatch, crash and boot.  A store adds its ``_handlers``, its
+    ``_on_boot`` and what else a ``crash`` loses."""
 
-    def __init__(self, sim: Simulator, network: Network, rng: RngRegistry,
-                 name: str, partitioner: RangePartitioner,
-                 config: SpinnakerConfig, coord_name: str = "coord",
-                 tracer=None, request_tracer=None):
-        from ..obs.trace import NullRequestTracer
+    def __init__(self, sim: Simulator, network: Network, name: str,
+                 partitioner: RangePartitioner, config: Any,
+                 device: LogDevice, tracer=None):
         from ..sim.tracing import NullTracer
         self.tracer = tracer if tracer is not None else NullTracer()
-        self.request_tracer = (request_tracer if request_tracer is not None
-                               else NullRequestTracer())
         self.sim = sim
         self.network = network
         self.name = name
         self.partitioner = partitioner
         self.config = config
-        self.coord_name = coord_name
         self.endpoint = network.endpoint(name)
         self.endpoint.on_request(self._dispatch)
         self.cpu = Resource(sim, capacity=CORES_PER_NODE)
-        self.rng_stream = rng.stream(f"node:{name}")
-        self.device = LogDevice(sim, rng, f"{name}-log",
-                                profile=config.log_profile,
-                                group_commit=config.group_commit)
-        self.wal = SharedLog(self.device)
-        self.replicas: Dict[int, CohortReplica] = {
-            cohort.cohort_id: CohortReplica(self, cohort)
-            for cohort in partitioner.cohorts_of_node(name)
-        }
-        self.zk: Optional[CoordClient] = None
-        self.membership: Optional[GroupMembership] = None
+        self.device = device
+        self.wal = SharedLog(device)
         self.alive = False
         self.incarnation = 0
-        self.session_losses = 0
         #: this node's processes, killed on crash; ``spawn(gen, name)``
         #: starts one and ``failures`` lists what died of a bug — a
         #: process or a handler continuation
         self.supervisor = Supervisor(sim, name)
         self.spawn = self.supervisor.spawn
         self.failures = self.supervisor.failures
-        #: message type -> ``handler(req)``, and for cohort-addressed
-        #: messages (a client operation is one: it carries the cohort
-        #: it was routed to) -> ``handler(replica, req)`` (a replica's
-        #: own method where the message is all its): a lookup per
-        #: message instead of an isinstance ladder
-        self._handlers = {
-            dict: self._on_coord_event,
-            GetCohortMap: self._on_get_cohort_map,
-            MigrationPrepare: self._handle_migration_prepare,
-        }
-        self._cohort_handlers = {
-            ClientGet: CohortReplica.handle_get,
-            ClientWrite: CohortReplica.handle_client_write,
-            Propose: CohortReplica.handle_propose,
-            Commit: self._on_commit,
-            ClientScan: CohortReplica.handle_scan,
-            CatchupChunk: self._on_catchup_chunk,
-            CatchupRequest: self._on_catchup_request,
-            TakeoverState: self._on_takeover_state,
-            MigrationStart: self._on_migration_start,
-            WhoIsLeader: self._on_who_is_leader,
-        }
-        self._monitors: Dict[int, Process] = {}
-        #: ledger of catch-up chunks this node served as leader; chaos
-        #: schedules assert resume behaviour (nothing re-shipped below a
-        #: restarted follower's durable floor)
-        self.catchup_served: deque = deque(maxlen=256)
+        #: message type -> ``handler(req)``
+        self._handlers: Dict[type, Callable[[Request], None]] = {}
 
     def trace(self, category: str, message: str, **fields) -> None:
         """Emit a protocol trace event attributed to this node."""
@@ -153,7 +119,8 @@ class SpinnakerNode:
     def guarded(self, then: Callable[..., None],
                 *args: Any) -> Callable[[], None]:
         """``then(*args)`` as a completion callback (a force's, a
-        commit's): it runs iff the node is still in this incarnation."""
+        commit's, a timer's): it runs iff the node is still in this
+        incarnation."""
         return partial(self._resume, self.incarnation, then, args)
 
     def after(self, event: Event, then: Callable[..., None],
@@ -191,6 +158,102 @@ class SpinnakerNode:
             self.sim.schedule(0.0, partial(
                 self._resume, self.incarnation, Charge,
                 (self.cpu, cpu_time, _nothing)), URGENT)
+
+    # ------------------------------------------------------------------
+    # Dispatch and lifecycle
+    # ------------------------------------------------------------------
+    def _dispatch(self, req: Request) -> None:
+        """Deliver one message: its handler runs here, as a function.
+        One that raises is a failure of this node, as in ``_resume``."""
+        handler = self._handlers.get(type(req.payload))
+        if handler is not None:
+            try:
+                handler(req)
+            except Exception as err:  # noqa: BLE001 - recorded, as above
+                self.failures.append(err)
+
+    def boot(self) -> None:
+        """Start (or restart) the node: a fresh incarnation with every
+        core free (a hold left from before a crash releases the old
+        pool), ``_on_boot``, then endpoint and log device back up."""
+        if self.alive:
+            return
+        self.alive = True
+        self.incarnation += 1
+        self.cpu = Resource(self.sim, capacity=CORES_PER_NODE)
+        self.trace("node", "boot", incarnation=self.incarnation)
+        self._on_boot()
+        self.endpoint.restart()
+        self.device.restart()
+
+    def _on_boot(self) -> None:
+        """What the store redoes at boot, before the endpoint delivers."""
+
+    def restart(self) -> None:
+        self.boot()
+
+    def crash(self) -> None:
+        """Fail-stop: kill every process, orphan every continuation, take
+        endpoint and log device down and drop the log's volatile tail."""
+        if not self.alive:
+            return
+        self.alive = False
+        self.trace("node", "crash")
+        self.supervisor.kill_all()
+        self.endpoint.crash()
+        self.device.crash()
+        self.wal.crash()
+
+
+class SpinnakerNode(NodeHost):
+    """One server in the cluster."""
+
+    def __init__(self, sim: Simulator, network: Network, rng: RngRegistry,
+                 name: str, partitioner: RangePartitioner,
+                 config: SpinnakerConfig, coord_name: str = "coord",
+                 tracer=None, request_tracer=None):
+        from ..obs.trace import NullRequestTracer
+        super().__init__(sim, network, name, partitioner, config,
+                         LogDevice(sim, rng, f"{name}-log",
+                                   profile=config.log_profile,
+                                   group_commit=config.group_commit),
+                         tracer)
+        self.request_tracer = (request_tracer if request_tracer is not None
+                               else NullRequestTracer())
+        self.coord_name = coord_name
+        self.rng_stream = rng.stream(f"node:{name}")
+        self.replicas: Dict[int, CohortReplica] = {
+            cohort.cohort_id: CohortReplica(self, cohort)
+            for cohort in partitioner.cohorts_of_node(name)
+        }
+        self.zk: Optional[CoordClient] = None
+        self.membership: Optional[GroupMembership] = None
+        self.session_losses = 0
+        self._handlers.update({
+            dict: self._on_coord_event,
+            GetCohortMap: self._on_get_cohort_map,
+            MigrationPrepare: self._handle_migration_prepare,
+        })
+        #: cohort-addressed message type (a client operation is one: it
+        #: carries the cohort it was routed to) -> ``handler(replica,
+        #: req)`` (a replica's own method where the message is all its)
+        self._cohort_handlers = {
+            ClientGet: CohortReplica.handle_get,
+            ClientWrite: CohortReplica.handle_client_write,
+            Propose: CohortReplica.handle_propose,
+            Commit: self._on_commit,
+            ClientScan: CohortReplica.handle_scan,
+            CatchupChunk: self._on_catchup_chunk,
+            CatchupRequest: self._on_catchup_request,
+            TakeoverState: self._on_takeover_state,
+            MigrationStart: self._on_migration_start,
+            WhoIsLeader: self._on_who_is_leader,
+        }
+        self._monitors: Dict[int, Process] = {}
+        #: ledger of catch-up chunks this node served as leader; chaos
+        #: schedules assert resume behaviour (nothing re-shipped below a
+        #: restarted follower's durable floor)
+        self.catchup_served: deque = deque(maxlen=256)
 
     # ------------------------------------------------------------------
     # Engines & helpers
@@ -331,25 +394,14 @@ class SpinnakerNode:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def boot(self) -> None:
-        """Start (or restart) the node; returns immediately, recovery
-        runs as a process."""
-        if self.alive:
-            return
-        self.alive = True
-        self.incarnation += 1
-        # Every core free: a hold still running down from before the
-        # crash gives its unit back to the pool it took it from.
-        self.cpu = Resource(self.sim, capacity=CORES_PER_NODE)
-        self.trace("node", "boot", incarnation=self.incarnation)
-        # Before the endpoint delivers anything: a push still retrying
-        # from before the crash may land ahead of ``_startup``, and the
-        # epoch and commit point it teaches us must not be wiped after.
+    def _on_boot(self) -> None:
+        """Reset the replicas — before the endpoint delivers: a push
+        still retrying from before the crash may land ahead of
+        ``_startup``, and what it teaches must not be wiped after — and
+        start ``_startup`` on a fresh coordination session."""
         # lint: allow(dict-order) — replicas inserted in partitioner order
         for replica in self.replicas.values():
             replica.prepare_restart()
-        self.endpoint.restart()
-        self.device.restart()
         self.zk = CoordClient(self.sim, self.endpoint,
                               service=self.coord_name,
                               session_timeout=self.config.session_timeout)
@@ -471,20 +523,16 @@ class SpinnakerNode:
             return
 
     def crash(self) -> None:
-        """Fail-stop: lose volatile state, leave the network."""
+        """Fail-stop; the session and every replica's volatile state go
+        too."""
         if not self.alive:
             return
-        self.alive = False
-        self.trace("node", "crash")
-        self.supervisor.kill_all()
+        super().crash()
         self._monitors = {}
         if self.zk is not None:
             self.zk.stop()
             self.zk = None
         self.membership = None
-        self.endpoint.crash()
-        self.device.crash()
-        self.wal.crash()
         # lint: allow(dict-order) — replicas inserted in partitioner order
         for replica in self.replicas.values():
             replica.crash()
@@ -492,9 +540,6 @@ class SpinnakerNode:
         # the leader-side write state; this catches the rest) so no
         # trace shows work continuing on a dead machine.
         self.request_tracer.truncate_node(self.name)
-
-    def restart(self) -> None:
-        self.boot()
 
     def lose_disk(self) -> None:
         """Media failure: wipe log and SSTables, then restart from
@@ -511,19 +556,17 @@ class SpinnakerNode:
     # Message dispatch
     # ------------------------------------------------------------------
     def _dispatch(self, req: Request) -> None:
-        """Deliver one message: its handler runs here, as a function.
-        One that raises is a failure of this node, as in ``_resume``.
-        (The processes a handler starts begin *inline*: their spawn is
-        the delivery callback's last act — see ``Supervisor.spawn``.)"""
+        """``NodeHost._dispatch`` that routes a cohort-addressed message
+        to its replica.  (The processes a handler starts begin *inline*:
+        their spawn is the delivery callback's last act — see
+        ``Supervisor.spawn``.)"""
         payload = req.payload
         kind = type(payload)
+        handler = self._cohort_handlers.get(kind)
+        if handler is None:
+            super()._dispatch(req)
+            return
         try:
-            handler = self._cohort_handlers.get(kind)
-            if handler is None:
-                handler = self._handlers.get(kind)
-                if handler is not None:
-                    handler(req)
-                return
             if ((kind is ClientGet or kind is ClientWrite)
                     and payload.map_version != self.partitioner.version):
                 # Routed on another layout (or by hand, on none): equal

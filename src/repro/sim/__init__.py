@@ -7,8 +7,8 @@ simulation stands in for the paper's physical cluster.
 """
 
 from .events import Event, SimulationError, Simulator, StopSimulation
-from .process import (AllOf, AnyOf, Interrupt, Process, SimHost, Supervisor,
-                      Timeout, all_of, any_of, drive, quorum, spawn, timeout)
+from .process import (AllOf, Interrupt, Process, SimHost, Supervisor,
+                      Timeout, all_of, drive, quorum, spawn, timeout)
 from .resources import Charge, Resource, Store, charge, serve
 from .rng import RngRegistry
 from .network import Endpoint, LatencyModel, Network, Request, RpcTimeout
@@ -20,9 +20,9 @@ from .tracing import NullTracer, TraceEvent, Tracer
 
 __all__ = [
     "Simulator", "Event", "SimulationError", "StopSimulation",
-    "Process", "Timeout", "Interrupt", "AllOf", "AnyOf", "Supervisor",
+    "Process", "Timeout", "Interrupt", "AllOf", "Supervisor",
     "SimHost",
-    "spawn", "timeout", "all_of", "any_of", "quorum", "drive",
+    "spawn", "timeout", "all_of", "quorum", "drive",
     "Resource", "Store", "Charge", "charge", "serve",
     "RngRegistry",
     "Network", "Endpoint", "LatencyModel", "Request", "RpcTimeout",

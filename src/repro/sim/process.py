@@ -64,13 +64,11 @@ __all__ = [
     "Interrupt",
     "ProcessKilled",
     "AllOf",
-    "AnyOf",
     "Supervisor",
     "SimHost",
     "spawn",
     "timeout",
     "all_of",
-    "any_of",
     "drive",
 ]
 
@@ -253,7 +251,7 @@ class Supervisor:
     """One owner's processes: tracked so a crash can kill them, and so
     one that dies of anything *but* a kill is noticed.
 
-    Both stores' nodes hold one and bind its :meth:`spawn` as their own
+    Every node host holds one and binds its :meth:`spawn` as its own
     (the per-message path gains no frame for the indirection)."""
 
     __slots__ = ("sim", "_prefix", "_procs", "failures", "_done")
@@ -306,8 +304,11 @@ class Supervisor:
         self._procs.clear()
 
 
-class _Condition(Event):
-    """Base for AllOf/AnyOf composite events."""
+class AllOf(Event):
+    """Succeeds with the list of values once every child succeeds.
+
+    Fails as soon as any child fails (remaining children keep running).
+    """
 
     __slots__ = ("_events", "_pending")
 
@@ -322,18 +323,6 @@ class _Condition(Event):
             ev.add_callback(self._on_child)
 
     def _on_child(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Succeeds with the list of values once every child succeeds.
-
-    Fails as soon as any child fails (remaining children keep running).
-    """
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
         if self.triggered:
             return
         if not event._ok:
@@ -342,20 +331,6 @@ class AllOf(_Condition):
         self._pending -= 1
         if self._pending == 0:
             self.succeed([ev._value for ev in self._events])
-
-
-class AnyOf(_Condition):
-    """Succeeds with (index, value) of the first child that succeeds."""
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if event._ok:
-            self.succeed((self._events.index(event), event._value))
-        else:
-            self.fail(event._value)
 
 
 class Quorum(Event):
@@ -407,16 +382,17 @@ class Quorum(Event):
 spawn = Process        # spawn(sim, gen, name=""): start a new process
 timeout = Timeout      # timeout(sim, delay, value=None): fires after delay
 all_of = AllOf         # all_of(sim, events): once every child succeeds
-any_of = AnyOf         # any_of(sim, events): the first child to succeed
 quorum = Quorum        # quorum(sim, events, need): once need children have
 
 
 class SimHost:
-    """Mixin for whatever owns a ``sim`` and is run from outside it
-    (the two stores' clusters): advance simulated time by a duration or
-    until a condition holds."""
+    """Mixin for whatever owns a ``sim`` and its ``nodes`` and is run
+    from outside it (the two stores' clusters): advance simulated time
+    by a duration or until a condition holds, crash and restart a node,
+    and collect what the nodes' handlers died of."""
 
     sim: Simulator
+    nodes: Dict[str, Any]
 
     def run(self, duration: float) -> None:
         self.sim.run(until=self.sim.now + duration)
@@ -430,6 +406,19 @@ class SimHost:
                 raise SimulationError(
                     f"timed out waiting for {what} at t={self.sim.now}")
             self.sim.run(until=min(self.sim.now + step, deadline))
+
+    def crash_node(self, name: str) -> None:
+        self.nodes[name].crash()
+
+    def restart_node(self, name: str) -> None:
+        self.nodes[name].restart()
+
+    def all_failures(self) -> List[BaseException]:
+        """Handler failures across the cluster (bug detector)."""
+        out: List[BaseException] = []
+        for node in self.nodes.values():
+            out.extend(node.failures)
+        return out
 
 
 def drive(host: SimHost, work: Union[Event, Generator[Event, Any, Any]],

@@ -82,8 +82,9 @@ def test_read_repair_counter_increments_on_stale_quorum_member():
         node = cluster.nodes[member]
         if member == stale_holder:
             continue
-        proc = spawn(cluster.sim, node._apply_write_locally(fresh))
-        cluster.run_until(lambda: proc.triggered, limit=10.0, what="seed")
+        done = []
+        node._log_and_apply(fresh, lambda: done.append(True))
+        cluster.run_until(lambda: done, limit=10.0, what="seed")
     coordinator = cluster.nodes[cohort.members[1]]
     from repro.baseline.messages import CoordRead
 
@@ -91,14 +92,16 @@ def test_read_repair_counter_increments_on_stale_quorum_member():
         src = "tester"
         payload = CoordRead(key=b"rr2", colname=b"c",
                             consistency=QUORUM)
-        responses = []
+
+        def __init__(self):
+            self.responses = []
 
         def respond(self, value, size=0):
             self.responses.append(value)
 
     req = FakeReq()
-    proc = spawn(cluster.sim, coordinator._coordinate_read(req))
-    cluster.run_until(lambda: proc.triggered, limit=10.0, what="read")
+    coordinator._coordinate_read(req)
+    cluster.run_until(lambda: req.responses, limit=10.0, what="read")
     # Run reads until the stale replica was actually contacted (the
     # remote pick is the first other member).
     repaired = False
@@ -109,8 +112,8 @@ def test_read_repair_counter_increments_on_stale_quorum_member():
             repaired = True
             break
         req2 = FakeReq()
-        proc = spawn(cluster.sim, coordinator._coordinate_read(req2))
-        cluster.run_until(lambda: proc.triggered, limit=10.0, what="read")
+        coordinator._coordinate_read(req2)
+        cluster.run_until(lambda: req2.responses, limit=10.0, what="read")
     assert repaired
     assert any(node.read_repairs > 0 for node in cluster.nodes.values())
 
@@ -164,9 +167,9 @@ def test_weak_write_data_loss_window():
         def respond(self, value, size=0):
             FakeReq.responses.append(value)
 
-    proc = spawn(cluster.sim,
-                 cluster.nodes[coordinator]._coordinate_write(FakeReq()))
-    cluster.run_until(lambda: proc.triggered, limit=10.0, what="weak write")
+    cluster.nodes[coordinator]._coordinate_write(FakeReq())
+    cluster.run_until(lambda: FakeReq.responses, limit=10.0,
+                      what="weak write")
     assert FakeReq.responses and FakeReq.responses[0]["ok"]
     # The acknowledged write lives on exactly one replica...
     holders = [m for m in cohort.members

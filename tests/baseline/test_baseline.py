@@ -200,3 +200,72 @@ def test_unavailable_when_quorum_unreachable():
 
     # Weak writes need only 1 ack: still available with 1 replica up.
     assert run_client(cluster, weak_still_works(), limit=30.0) == "ok"
+
+
+class SpyRequest:
+    """A request delivered by hand (``node._dispatch``): records what
+    the handler answers."""
+
+    src = "tester"
+
+    def __init__(self, payload):
+        self.payload = payload
+        self.responses = []
+
+    def respond(self, value, size=0):
+        self.responses.append(value)
+
+
+def test_a_crashed_coordinator_neither_replies_nor_applies(monkeypatch):
+    """A coordinator crashes while its quorum write waits on acks its
+    peers cannot send, inside its own replica's CPU slice, and restarts
+    at once.  The write's continuations belong to the dead incarnation:
+    the slice running down must not log or apply the write, the ack
+    count must not reply, the hint timer must not hint — and the node
+    comes back whole: it serves, and every core is free at idle."""
+    from repro.baseline.config import (WRITE_COORDINATOR_SERVICE,
+                                       WRITE_REPLICA_SERVICE)
+    from repro.baseline.messages import CoordRead, CoordWrite
+    from repro.core.partition import key_of
+    cluster = make_cluster()
+    cohort = cluster.partitioner.cohort_for_key(key_of(b"cg"))
+    name = cohort.members[0]
+    node = cluster.nodes[name]
+    for other in cohort.members[1:]:
+        cluster.network.block(name, other)
+    engine = node.engines[cohort.cohort_id]
+    applied = []
+    real_apply = engine.apply
+
+    def spy_apply(record):
+        applied.append(cluster.sim.now)
+        real_apply(record)
+
+    monkeypatch.setattr(engine, "apply", spy_apply)
+    cluster.run(0.1)
+    write = SpyRequest(CoordWrite(key=b"cg", colname=b"c", value=b"lost",
+                                  consistency=QUORUM))
+    node._dispatch(write)
+    cluster.run(WRITE_COORDINATOR_SERVICE + WRITE_REPLICA_SERVICE / 2)
+    cluster.crash_node(name)
+    cluster.restart_node(name)
+    cluster.network.heal()
+    cluster.run(2 * node.config.hint_timeout)
+    assert write.responses == []
+    assert applied == []
+    assert node.hints == {}
+    assert cluster.all_failures() == []
+
+    again = SpyRequest(CoordWrite(key=b"cg", colname=b"c", value=b"kept",
+                                  consistency=QUORUM))
+    node._dispatch(again)
+    cluster.run_until(lambda: again.responses, limit=5.0, what="write")
+    assert again.responses[0]["ok"]
+    read = SpyRequest(CoordRead(key=b"cg", colname=b"c",
+                                consistency=QUORUM))
+    node._dispatch(read)
+    cluster.run_until(lambda: read.responses, limit=5.0, what="read")
+    assert read.responses[0]["value"] == b"kept"
+    cluster.run(1.0)
+    assert node.cpu._in_use == 0
+    assert cluster.all_failures() == []

@@ -4,8 +4,7 @@ process interplay with resources and the network."""
 import pytest
 
 from repro.sim.events import Event, Simulator, NORMAL, URGENT
-from repro.sim.process import (ProcessKilled, all_of, any_of, spawn,
-                               timeout)
+from repro.sim.process import ProcessKilled, all_of, spawn, timeout
 from repro.sim.resources import Resource, serve
 
 
@@ -67,17 +66,6 @@ def test_all_of_with_one_failure_fails():
     sim.schedule(0.5, lambda: bad.fail(RuntimeError("boom")))
     sim.run()
     assert cond.triggered and not cond.ok
-
-
-def test_any_of_ignores_late_failures():
-    sim = Simulator()
-    fast = timeout(sim, 0.5, "fast")
-    slow = Event(sim)
-    cond = any_of(sim, [fast, slow])
-    sim.schedule(1.0, lambda: slow.fail(RuntimeError("late")))
-    sim.run()
-    assert cond.ok
-    assert cond.result() == (0, "fast")
 
 
 def test_killed_process_releases_resource_exactly_once():

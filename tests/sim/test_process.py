@@ -4,8 +4,8 @@ import pytest
 
 from repro.sim.events import Event, SimulationError, Simulator
 from repro.sim.process import (Interrupt, ProcessKilled, SimHost,
-                               Supervisor, all_of, any_of, drive, quorum,
-                               spawn, timeout)
+                               Supervisor, all_of, drive, quorum, spawn,
+                               timeout)
 
 
 def test_process_sleeps_and_returns_value():
@@ -178,13 +178,6 @@ def test_all_of_empty_succeeds_immediately():
     sim = Simulator()
     cond = all_of(sim, [])
     assert cond.ok
-
-
-def test_any_of_returns_first():
-    sim = Simulator()
-    cond = any_of(sim, [timeout(sim, 5.0, "slow"), timeout(sim, 1.0, "fast")])
-    sim.run_until_complete(cond)
-    assert cond.result() == (1, "fast")
 
 
 def test_quorum_waits_for_k_of_n():

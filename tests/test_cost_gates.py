@@ -532,3 +532,53 @@ def test_client_calls_hand_back_the_call_generator_itself():
                 client.put_columns(KEYS[0], {b"c": b"v"})):
         assert isinstance(gen, types.GeneratorType)
         assert gen.gi_code.co_name == "_call"
+
+
+BASELINE_OPS = 100
+
+
+def baseline_processes_per_op(monkeypatch, kind, consistency):
+    """``Process`` constructions per baseline operation: ``BASELINE_OPS``
+    operations of one kind, one after another, from a client of a
+    5-node cluster."""
+    from repro.baseline import CassandraCluster
+
+    cluster = CassandraCluster(n_nodes=5, seed=1)
+    client = cluster.client()
+
+    def ops():
+        for i in range(BASELINE_OPS):
+            key = b"base-%d" % (i % 10)
+            if kind == "write":
+                yield from client.write(key, b"c", b"v%d" % i,
+                                        consistency=consistency)
+            else:
+                yield from client.read(key, b"c", consistency=consistency)
+
+    proc = spawn(cluster.sim, ops())        # the measuring process
+    made = Counter()
+    init = Process.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made["processes"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Process, "__init__", counting_init)
+    cluster.run_until(lambda: proc.triggered, limit=60.0, what="ops")
+    proc.result()
+    assert cluster.all_failures() == []
+    return made["processes"] / BASELINE_OPS
+
+
+def test_a_baseline_operation_is_handled_by_functions_not_processes(
+        monkeypatch):
+    """The Cassandra baseline runs on Spinnaker's node host, and its
+    handlers are functions as Spinnaker's are: a quorum write, a quorum
+    read and a weak read start no Process (5, 4 and 1 when each handler,
+    local apply, remote-read loop and hint watch was one).  The hint
+    replayer, one per node, is the baseline's only process."""
+    from repro.baseline import QUORUM, WEAK
+
+    assert baseline_processes_per_op(monkeypatch, "write", QUORUM) == 0
+    assert baseline_processes_per_op(monkeypatch, "read", QUORUM) == 0
+    assert baseline_processes_per_op(monkeypatch, "read", WEAK) == 0
