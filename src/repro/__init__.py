@@ -4,7 +4,7 @@ Highly Available Datastore" (Rao, Shekita, Tata; VLDB 2011).
 Packages:
 
 * :mod:`repro.sim` — deterministic discrete-event simulation substrate
-  (network, disks, CPUs, failure injection);
+  (network, disks, CPUs, network faults);
 * :mod:`repro.storage` — WAL / memtable / SSTable storage engine;
 * :mod:`repro.coord` — ZooKeeper-equivalent coordination service;
 * :mod:`repro.core` — Spinnaker itself (the paper's contribution);

@@ -113,8 +113,8 @@ _EFFECT_NAMES = {
     "respond", "interrupt", "crash", "restart", "boot", "lose_disk",
     "expire_session_now", "succeed", "fail", "block", "heal",
     "set_drop_rate", "set_extra_delay", "step_down", "force", "append",
-    # topology: placement insertion order is observable (placed_in_dc),
-    # so placing endpoints while iterating a dict is a hazard
+    # topology: a later place() of an endpoint wins, so placing
+    # endpoints while iterating a dict is a hazard
     "place",
 }
 _SPAWN_NAMES = {"spawn", "Process"}

@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core import SpinnakerCluster, SpinnakerConfig
 from ..core.checker import HistoryRecorder, check_strong_history
 from ..core.datamodel import DatastoreError
+from ..sim import failure
 from ..sim.disk import DiskProfile
 from ..sim.events import SimulationError
 from ..sim.process import drive, spawn, timeout
@@ -237,7 +238,10 @@ def generate_schedule(seed: int, config: ChaosConfig) -> List[FaultEvent]:
 class _Applier:
     """Plays a fault schedule against a cluster, logging what actually
     happened (the leader targeted by a ``crash-leader`` is only known at
-    fire time)."""
+    fire time).  The one fault injector: it crashes nodes, wipes disks
+    and expires sessions itself, and hands each link fault to
+    :mod:`repro.sim.failure`, which applies it and schedules its
+    repair."""
 
     def __init__(self, cluster: SpinnakerCluster,
                  schedule: List[FaultEvent], log: List[str]):
@@ -301,96 +305,20 @@ class _Applier:
                 cluster.coord.expire_session_now(session)
             self._note(f"lose-disk: wiped {ev.node}, rebooting empty")
         elif ev.kind in ("partition", "partition-oneway"):
-            symmetric = ev.kind == "partition"
-            net.block(ev.a, ev.b, symmetric=symmetric)
-            arrow = "|" if symmetric else ">"
-            self._note(f"partition {ev.a}{arrow}{ev.b} "
-                       f"for {ev.duration:.2f}s")
-            # Heal exactly what we blocked: a one-way block heals one
-            # way, so an overlapping reverse block keeps its own life.
-            cluster.sim.schedule(
-                ev.duration,
-                lambda: self._heal(ev.a, ev.b, arrow, symmetric))
+            failure.partition(net, ev.a, ev.b, ev.duration, self._note,
+                              symmetric=ev.kind == "partition")
         elif ev.kind == "drop-burst":
-            net.set_drop_rate(ev.a, ev.b, ev.rate)
-            self._note(f"drop-burst {ev.a}~{ev.b} p={ev.rate:.2f} "
-                       f"for {ev.duration:.2f}s")
-            cluster.sim.schedule(
-                ev.duration, lambda: self._end_drop(ev.a, ev.b))
+            failure.drop_burst(net, ev.a, ev.b, ev.rate, ev.duration,
+                               self._note)
         elif ev.kind == "latency-spike":
-            net.extra_delay += ev.extra
-            self._note(f"latency-spike +{ev.extra * 1e3:.1f}ms "
-                       f"for {ev.duration:.2f}s")
-            cluster.sim.schedule(
-                ev.duration, lambda: self._end_spike(ev.extra))
+            failure.latency_spike(net, ev.extra, ev.duration, self._note)
         elif ev.kind == "partition-dc":
-            if net.topology is None:
-                self._note("partition-dc: no topology, skipped")
-                return
-            inside, outside = self._split_by_dc(ev.a)
-            pairs = [(a, b) for a in inside for b in outside]
-            for a, b in pairs:
-                net.block(a, b)
-            self._note(f"partition-dc {ev.a}: isolated {len(inside)} "
-                       f"endpoints for {ev.duration:.2f}s")
-            cluster.sim.schedule(
-                ev.duration, lambda: self._heal_dc(ev.a, pairs))
+            failure.partition_dc(net, ev.a, ev.duration, self._note)
         elif ev.kind == "wan-degrade":
-            if net.topology is None:
-                self._note("wan-degrade: no topology, skipped")
-                return
-            pairs = self._wan_pairs(ev.a, ev.b)
-            for a, b in pairs:
-                net.set_extra_delay(a, b, ev.extra, symmetric=False)
-            self._note(f"wan-degrade {ev.a}>{ev.b} "
-                       f"+{ev.extra * 1e3:.1f}ms "
-                       f"for {ev.duration:.2f}s")
-            cluster.sim.schedule(
-                ev.duration, lambda: self._end_degrade(ev.a, ev.b, pairs))
+            failure.wan_degrade(net, ev.a, ev.b, ev.extra, ev.duration,
+                                self._note)
         else:
             self._note(f"unknown fault kind {ev.kind!r}, skipped")
-
-    def _split_by_dc(self, dc: str):
-        """(endpoints in ``dc``, endpoints elsewhere), sorted by name."""
-        topo = self.cluster.network.topology
-        inside, outside = [], []
-        for name in sorted(self.cluster.network._endpoints):
-            (inside if topo.dc_of(name) == dc else outside).append(name)
-        return inside, outside
-
-    def _wan_pairs(self, dc_a: str, dc_b: str):
-        """Every ordered endpoint pair on the ``dc_a`` → ``dc_b`` WAN
-        direction (one direction only: routes degrade asymmetrically)."""
-        topo = self.cluster.network.topology
-        names = sorted(self.cluster.network._endpoints)
-        a_side = [n for n in names if topo.dc_of(n) == dc_a]
-        b_side = [n for n in names if topo.dc_of(n) == dc_b]
-        return [(a, b) for a in a_side for b in b_side]
-
-    def _heal(self, a: str, b: str, arrow: str,
-              symmetric: bool = True) -> None:
-        self.cluster.network.heal(a, b, symmetric=symmetric)
-        self._note(f"healed {a}{arrow}{b}")
-
-    def _heal_dc(self, dc: str, pairs) -> None:
-        for a, b in pairs:
-            self.cluster.network.heal(a, b)
-        self._note(f"healed partition-dc {dc}")
-
-    def _end_degrade(self, dc_a: str, dc_b: str, pairs) -> None:
-        for a, b in pairs:
-            self.cluster.network.set_extra_delay(a, b, 0.0,
-                                                 symmetric=False)
-        self._note(f"wan-degrade {dc_a}>{dc_b} ended")
-
-    def _end_drop(self, a: str, b: str) -> None:
-        self.cluster.network.set_drop_rate(a, b, 0.0)
-        self._note(f"drop-burst {a}~{b} ended")
-
-    def _end_spike(self, extra: float) -> None:
-        net = self.cluster.network
-        net.extra_delay = max(0.0, net.extra_delay - extra)
-        self._note(f"latency-spike -{extra * 1e3:.1f}ms ended")
 
 
 def arm_schedule(cluster: SpinnakerCluster, schedule: List[FaultEvent],

@@ -11,14 +11,14 @@ from .znode import (BadVersionError, CoordError, EphemeralError,
                     NoNodeError, NodeExistsError, NotEmptyError, WatchEvent,
                     ZNodeTree)
 from .service import SESSION_TIMEOUT_DEFAULT, CoordinationService
-from .client import CoordClient, SessionExpired
-from .recipes import Barrier, DistributedLock, GroupMembership
+from .client import CoordClient
+from .recipes import GroupMembership
 
 __all__ = [
     "ZNodeTree", "WatchEvent",
     "CoordError", "NoNodeError", "NodeExistsError", "NotEmptyError",
-    "BadVersionError", "EphemeralError", "SessionExpired",
+    "BadVersionError", "EphemeralError",
     "CoordinationService", "SESSION_TIMEOUT_DEFAULT",
     "CoordClient",
-    "GroupMembership", "DistributedLock", "Barrier",
+    "GroupMembership",
 ]

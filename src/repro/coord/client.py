@@ -25,13 +25,7 @@ from ..sim.process import Process, spawn, timeout
 from .service import SESSION_TIMEOUT_DEFAULT, error_from_code
 from .znode import CoordError, NoNodeError, WatchEvent
 
-__all__ = ["CoordClient", "SessionExpired"]
-
-
-class SessionExpired(CoordError):
-    """The coordination session died; ephemerals are gone."""
-
-    code = "session-expired"
+__all__ = ["CoordClient"]
 
 
 class CoordClient:

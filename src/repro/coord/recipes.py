@@ -1,28 +1,28 @@
-"""Coordination recipes: group membership, locks, barriers.
+"""Coordination recipes: group membership and the cohort-map board.
 
 "The combination of primitives supported by Zookeeper make it fairly easy
 to implement distributed locks, barriers, group membership, and so on"
-(§4.2).  These are the standard constructions; Spinnaker's event handler
-uses group membership, and the examples/tests exercise all three.
+(§4.2).  These are the constructions Spinnaker uses: its event handler
+joins a group, and a migration publishes the new map version on a
+monotonically versioned board.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
-from ..sim.events import Event
 from .client import CoordClient
-from .znode import CoordError, NoNodeError, NodeExistsError, WatchEvent
+from .znode import CoordError, NoNodeError, NodeExistsError
 
-__all__ = ["GroupMembership", "DistributedLock", "Barrier",
-           "CohortMapBoard"]
+__all__ = ["GroupMembership", "CohortMapBoard"]
 
 
 class GroupMembership:
-    """Ephemeral-znode group membership with change notifications.
+    """Ephemeral-znode group membership.
 
-    Each member registers an ephemeral child of the group path; members
-    list the children to see who is alive and can watch for changes.
+    Each member registers an ephemeral child of the group path, so the
+    children of the path are the members alive: a member's session ends
+    and its child goes with it.
     """
 
     def __init__(self, client: CoordClient, group_path: str,
@@ -47,21 +47,6 @@ class GroupMembership:
             self.member_path = yield from self.client.create(
                 path, data=data, ephemeral=True)
         return self.member_path
-
-    def leave(self):
-        if self.member_path is not None:
-            try:
-                yield from self.client.delete(self.member_path)
-            except NoNodeError:
-                pass
-            self.member_path = None
-
-    def members(self, watcher: Optional[Callable[[WatchEvent], None]] = None):
-        try:
-            return (yield from self.client.get_children(
-                self.group_path, watcher=watcher))
-        except NoNodeError:
-            return []
 
 
 class CohortMapBoard:
@@ -118,76 +103,3 @@ class CohortMapBoard:
             head, payload = data, b""
         return int(head or b"0"), payload
 
-
-class DistributedLock:
-    """The classic sequential-ephemeral lock queue.
-
-    Each contender creates ``<path>/lock-NNNN`` (ephemeral + sequential);
-    the holder is the lowest sequence number.  A contender watches the
-    znode *immediately before* its own to avoid herd effects.
-    """
-
-    def __init__(self, client: CoordClient, path: str):
-        self.client = client
-        self.path = path
-        self.my_znode: Optional[str] = None
-
-    def acquire(self):
-        yield from self.client.ensure_path(self.path)
-        self.my_znode = yield from self.client.create(
-            f"{self.path}/lock-", ephemeral=True, sequential=True)
-        my_name = self.my_znode.rsplit("/", 1)[1]
-        while True:
-            kids = sorted((yield from self.client.get_children(self.path)))
-            if kids and kids[0] == my_name:
-                return self.my_znode
-            predecessor = max(k for k in kids if k < my_name)
-            gone = Event(self.client.sim)
-
-            def _on_change(_event: WatchEvent) -> None:
-                if not gone.triggered:
-                    gone.succeed()
-
-            still_there = yield from self.client.exists(
-                f"{self.path}/{predecessor}", watcher=_on_change)
-            if still_there:
-                yield gone
-
-    def release(self):
-        if self.my_znode is None:
-            raise CoordError("lock not held")
-        try:
-            yield from self.client.delete(self.my_znode)
-        finally:
-            self.my_znode = None
-
-
-class Barrier:
-    """A double-barrier entry: proceed once ``quorum`` members arrived."""
-
-    def __init__(self, client: CoordClient, path: str, member: str,
-                 quorum: int):
-        self.client = client
-        self.path = path
-        self.member = member
-        self.quorum = quorum
-
-    def enter(self) -> "object":
-        yield from self.client.ensure_path(self.path)
-        try:
-            yield from self.client.create(
-                f"{self.path}/{self.member}", ephemeral=True)
-        except NodeExistsError:
-            pass
-        while True:
-            arrived = Event(self.client.sim)
-
-            def _on_change(_event: WatchEvent) -> None:
-                if not arrived.triggered:
-                    arrived.succeed()
-
-            kids = yield from self.client.get_children(
-                self.path, watcher=_on_change)
-            if len(kids) >= self.quorum:
-                return list(kids)
-            yield arrived

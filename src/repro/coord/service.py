@@ -8,7 +8,8 @@ endpoint whose internal replication is assumed (its availability is an
 explicit substitution documented in DESIGN.md), with:
 
 * a serialized request queue and per-op service times (updates pay a log
-  force, like a real ZK quorum write);
+  force, like a real ZK quorum write) — a request is handled by a
+  function parked on the CPU, not by a process;
 * sessions with heartbeat-based liveness and session-expiry sweeps —
   ephemeral znode cleanup on expiry is what gives Spinnaker its failure
   detection;
@@ -22,7 +23,7 @@ from typing import Any, Dict, Optional
 from ..sim.events import Simulator
 from ..sim.network import Network, Request
 from ..sim.process import spawn, timeout
-from ..sim.resources import Resource, serve
+from ..sim.resources import Charge, Resource
 from .znode import CoordError, ERRORS_BY_CODE, ZNodeTree
 
 __all__ = ["CoordinationService", "SESSION_TIMEOUT_DEFAULT"]
@@ -120,14 +121,14 @@ class CoordinationService:
             alive = self._touch(payload.get("session"))
             req.respond({"ok": bool(alive)}, size=48)
             return
-        spawn(self.sim, self._handle(req), name=f"coord-{op}")
-
-    def _handle(self, req: Request):
-        payload = req.payload
-        op = payload["op"]
         is_update = op in ("create", "delete", "set", "close-session")
         latency = self.update_latency if is_update else self.read_latency
-        yield from serve(self._cpu, latency)
+        Charge(self._cpu, latency, self._handle, req)
+
+    def _handle(self, req: Request) -> None:
+        """The request's CPU slice is over: apply it and reply."""
+        payload = req.payload
+        op = payload["op"]
         session = payload.get("session")
         if op != "start-session" and session is not None \
                 and not self._touch(session):

@@ -7,9 +7,8 @@ write-ahead log and recovery (§5–§7).  Build a cluster with
 """
 
 from .config import SpinnakerConfig
-from .datamodel import (Consistency, DatastoreError, GetResult, NotLeader,
-                        PutResult, RequestTimeout, Unavailable,
-                        VersionMismatch)
+from .datamodel import (DatastoreError, GetResult, PutResult,
+                        RequestTimeout, VersionMismatch)
 from .partition import Cohort, KeyRange, RangePartitioner, key_of
 from .commitqueue import CommitQueue, PendingWrite
 from .replication import CohortReplica, Role
@@ -25,8 +24,7 @@ __all__ = [
     "SpinnakerNode", "CohortReplica", "Role",
     "RangePartitioner", "Cohort", "KeyRange", "key_of",
     "CommitQueue", "PendingWrite",
-    "Consistency", "GetResult", "PutResult",
-    "DatastoreError", "VersionMismatch", "NotLeader", "Unavailable",
-    "RequestTimeout",
+    "GetResult", "PutResult",
+    "DatastoreError", "VersionMismatch", "RequestTimeout",
     "HistoryRecorder", "Violation", "check_strong_history",
 ]

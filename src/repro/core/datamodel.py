@@ -10,22 +10,12 @@ the basis of the optimistic concurrency control offered by
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from ..values import value_type
 
-__all__ = [
-    "GetResult", "PutResult", "Consistency",
-    "DatastoreError", "VersionMismatch", "NotLeader", "Unavailable",
-    "RequestTimeout",
-]
-
-
-class Consistency:
-    """Read consistency levels (§3): the ``consistent`` flag of ``get``."""
-
-    STRONG = "strong"      # routed to the leader; always the latest value
-    TIMELINE = "timeline"  # any replica; possibly stale, never out of order
+__all__ = ["GetResult", "PutResult", "DatastoreError", "VersionMismatch",
+           "RequestTimeout"]
 
 
 @value_type
@@ -65,38 +55,8 @@ class VersionMismatch(DatastoreError):
         self.actual = actual
 
 
-class NotLeader(DatastoreError):
-    """The contacted node is not the cohort's leader.
-
-    Carries the node's best guess at the current leader so smart clients
-    can re-route without consulting the coordination service (which must
-    stay off the critical path, §4.2).
-    """
-
-    code = "not-leader"
-
-    def __init__(self, leader_hint: Optional[str] = None):
-        super().__init__(f"not leader (hint: {leader_hint})")
-        self.leader_hint = leader_hint
-
-
-class Unavailable(DatastoreError):
-    """The cohort cannot serve the request (no quorum / mid-takeover)."""
-
-    code = "unavailable"
-
-
 class RequestTimeout(DatastoreError):
     """The client gave up waiting."""
 
     code = "timeout"
 
-
-def row_to_dict(cells: Dict[bytes, "object"]) -> Dict[bytes, GetResult]:
-    """Convert engine cells to client-visible results, hiding tombstones."""
-    out: Dict[bytes, GetResult] = {}
-    for col, cell in cells.items():
-        if cell.tombstone:
-            continue
-        out[col] = GetResult(value=cell.value, version=cell.version)
-    return out

@@ -409,5 +409,3 @@ class RangePartitioner(_Layout):
         """The cohorts this node participates in (3 with N=3)."""
         return list(self._by_node.get(node, []))
 
-    def peers_of(self, node: str, cohort_id: int) -> List[str]:
-        return [m for m in self._by_id[cohort_id].members if m != node]

@@ -89,7 +89,7 @@ from .partition import (INTERNAL_KEY_PREFIX, MEMBERSHIP_KEY, Cohort,
 from .recovery import try_push_catchup
 from .replication import Role
 
-__all__ = ["MEMBERSHIP_KEY", "membership_record", "is_membership_record",
+__all__ = ["MEMBERSHIP_KEY", "membership_record",
            "apply_membership_record", "build_split_snapshot",
            "handle_migration_start", "plan_join", "plan_replace",
            "Rebalancer"]
@@ -105,10 +105,6 @@ def membership_record(replica, change: MembershipChange) -> WriteRecord:
                        key=MEMBERSHIP_KEY, colname=b"change",
                        value=change.encode(), version=change.version,
                        timestamp=replica.node.sim.now)
-
-
-def is_membership_record(record) -> bool:
-    return isinstance(record, WriteRecord) and record.key == MEMBERSHIP_KEY
 
 
 def apply_membership_record(node, record: WriteRecord) -> None:

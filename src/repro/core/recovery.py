@@ -44,10 +44,11 @@ stale token skips a table.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 
 from ..sim.events import Event, SimulationError
 from ..sim.network import RpcTimeout
-from ..sim.process import all_of, quorum, spawn, timeout
+from ..sim.process import all_of, spawn, timeout
 from ..sim.resources import serve
 from ..storage.lsn import LSN, SEQ_BITS
 from ..storage.records import CatchupMarker, CommitMarker
@@ -488,16 +489,38 @@ def leader_takeover(replica):
     # Line 8: wait until a majority, us included, is caught up to l.cmt.
     # Retry until that quorum exists — without it the cohort must stay
     # unavailable (§8.1); a returning follower is picked up by the next
-    # round (its own requests wait until we are open).
-    caught = None
-    while caught is None:
+    # round (its own requests wait until we are open).  A round's
+    # ``caught_up`` succeeds once ``need`` of its pushes have, and fails
+    # once that is out of reach; a push that ends after its round does
+    # not count toward a later one.
+    need = cfg.majority - 1
+
+    def on_push(caught_up, attempts, _attempt):
+        if caught_up.triggered:
+            return
+        done = sum(1 for a in attempts if a._ok)
+        if done >= need:
+            caught_up.succeed()
+        elif done + sum(1 for a in attempts if a._ok is None) < need:
+            caught_up.fail(SimulationError(
+                f"quorum unreachable: {done} of {need}"))
+
+    while True:
         attempts = [spawn(sim, push_catchup(replica, peer),
                           name=f"takeover-{peer}")
                     for peer in replica.peers()]
-        try:
-            caught = yield quorum(sim, attempts, need=cfg.majority - 1)
-        except SimulationError:
-            yield timeout(sim, ELECTION_RETRY)
+        if need <= 0:
+            break
+        if need <= len(attempts):
+            caught_up = Event(sim)
+            for attempt in attempts:
+                attempt.add_callback(partial(on_push, caught_up, attempts))
+            try:
+                yield caught_up
+                break
+            except SimulationError:
+                pass
+        yield timeout(sim, ELECTION_RETRY)
 
     # Line 9: re-propose writes in (l.cmt, l.lst] through the normal
     # replication protocol, batched like the steady-state write pipeline
@@ -529,4 +552,3 @@ def leader_takeover(replica):
                reproposed=len(unresolved))
     replica.broadcast_commit()
     spawn(sim, replica.commit_loop(), name=f"commit-loop-{cohort_id}")
-    return len(unresolved), caught

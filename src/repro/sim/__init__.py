@@ -8,27 +8,25 @@ simulation stands in for the paper's physical cluster.
 
 from .events import Event, SimulationError, Simulator, StopSimulation
 from .process import (AllOf, Interrupt, Process, SimHost, Supervisor,
-                      Timeout, all_of, drive, quorum, spawn, timeout)
-from .resources import Charge, Resource, Store, charge, serve
+                      Timeout, all_of, drive, spawn, timeout)
+from .resources import Charge, Resource, charge, serve
 from .rng import RngRegistry
 from .network import Endpoint, LatencyModel, Network, Request, RpcTimeout
 from .topology import Placement, Topology
-from .disk import DataDisk, DiskProfile, LogDevice
+from .disk import DiskProfile, LogDevice
 from .metrics import Histogram, LatencyRecorder, summarize
-from .failure import FailureSchedule
 from .tracing import NullTracer, TraceEvent, Tracer
 
 __all__ = [
     "Simulator", "Event", "SimulationError", "StopSimulation",
     "Process", "Timeout", "Interrupt", "AllOf", "Supervisor",
     "SimHost",
-    "spawn", "timeout", "all_of", "quorum", "drive",
-    "Resource", "Store", "Charge", "charge", "serve",
+    "spawn", "timeout", "all_of", "drive",
+    "Resource", "Charge", "charge", "serve",
     "RngRegistry",
     "Network", "Endpoint", "LatencyModel", "Request", "RpcTimeout",
     "Topology", "Placement",
-    "LogDevice", "DataDisk", "DiskProfile",
+    "LogDevice", "DiskProfile",
     "Histogram", "LatencyRecorder", "summarize",
-    "FailureSchedule",
     "Tracer", "NullTracer", "TraceEvent",
 ]

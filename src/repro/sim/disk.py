@@ -1,4 +1,4 @@
-"""Disk models: the logging device (with group commit) and the data disk.
+"""The logging-device model, with group commit.
 
 The paper's write experiments are bottlenecked by commit-time log forces
 (Appendix C): Cassandra's log manager — reused by Spinnaker — lacks
@@ -32,7 +32,7 @@ from typing import Callable, List, Optional
 from .events import Event, Simulator
 from .rng import RngRegistry
 
-__all__ = ["DiskProfile", "LogDevice", "DataDisk"]
+__all__ = ["DiskProfile", "LogDevice"]
 
 
 class DiskProfile:
@@ -219,32 +219,3 @@ class LogDevice:
             self.forces_completed += 1
         self._start_op()
 
-
-class DataDisk:
-    """The striped data volume holding SSTables.
-
-    The paper's read experiments keep the working set cached in memory, so
-    reads rarely touch this device; it exists for cold reads and for
-    charging SSTable flush/compaction I/O time.
-    """
-
-    def __init__(self, sim: Simulator, rng: RngRegistry, name: str,
-                 read_latency: float = 6.0e-3,
-                 transfer_rate: float = 300e6):
-        self.sim = sim
-        self.name = name
-        self.read_latency = read_latency
-        self.transfer_rate = transfer_rate
-        self._rng = rng.stream(f"datadisk:{name}")
-        self.reads = 0
-        self.bytes_read = 0
-
-    def read(self, nbytes: int) -> Event:
-        """A random read of ``nbytes`` (cold SSTable block)."""
-        self.reads += 1
-        self.bytes_read += nbytes
-        latency = (self._rng.uniform(0.5, 1.5) * self.read_latency
-                   + nbytes / self.transfer_rate)
-        ev = Event(self.sim)
-        self.sim.schedule(latency, ev.succeed)
-        return ev

@@ -179,23 +179,6 @@ class Simulator:
         if until is not None and self._now < until:
             self._now = until
 
-    def run_until_complete(self, event: "Event",
-                           limit: Optional[float] = None) -> Any:
-        """Run until ``event`` fires; return its value (or raise).
-
-        ``limit`` bounds simulated time; exceeding it raises
-        :class:`SimulationError`.
-        """
-        def _stop(_ev: "Event") -> None:
-            raise StopSimulation()
-
-        event.add_callback(_stop)
-        self.run(until=limit)
-        if not event.triggered:
-            raise SimulationError(
-                f"event not triggered by t={self._now} (limit={limit})")
-        return event.result()
-
     def stop(self) -> None:
         """Stop a :meth:`run` in progress at the current time."""
         raise StopSimulation()

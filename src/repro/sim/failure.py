@@ -1,102 +1,123 @@
-"""Failure injection.
+"""Network faults, each applied now and undone after its duration.
 
-Drives the availability experiments (Table 1, Fig. 1, the Appendix B
-recovery walk-through) and the fault-tolerance tests.  A schedule is a
-list of timed actions against objects that expose ``crash()`` /
-``restart()`` (nodes) or against the network (partitions).
+The chaos nemesis (:mod:`repro.chaos.nemesis`) is the one fault
+injector: its applier picks each scheduled fault, finds a leader,
+crashes nodes, wipes disks and expires sessions itself, and hands the
+link faults to the functions here.  Each one applies its fault to a
+:class:`~repro.sim.network.Network`, logs it through ``note`` and
+schedules its own repair ``duration`` seconds on — one heap entry,
+logged through ``note`` again when it runs.
+
+A repair undoes its link state outright, not by a count:
+``Network.block`` is a set, so a heal also clears a later overlapping
+fault on the same link.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
-from .events import Simulator
+from .network import Network
 
-__all__ = ["FailureSchedule"]
+__all__ = ["partition", "partition_dc", "drop_burst", "latency_spike",
+           "wan_degrade"]
+
+Note = Callable[[str], None]
 
 
-class FailureSchedule:
-    """Timed crash/restart/partition actions, applied to a simulator."""
+def partition(net: Network, a: str, b: str, duration: float, note: Note,
+              symmetric: bool = True) -> None:
+    """Cut ``a``/``b`` (only ``a`` → ``b`` if not ``symmetric``).  The
+    heal undoes exactly that: a one-way block heals one way, so an
+    overlapping reverse block keeps its own life."""
+    net.block(a, b, symmetric=symmetric)
+    arrow = "|" if symmetric else ">"
+    note(f"partition {a}{arrow}{b} for {duration:.2f}s")
 
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self.log: List[Tuple[float, str]] = []
+    def heal() -> None:
+        net.heal(a, b, symmetric=symmetric)
+        note(f"healed {a}{arrow}{b}")
+    net.sim.schedule(duration, heal)
 
-    def _run(self, at: float, label: str, fn: Callable[[], Any]) -> None:
-        def action() -> None:
-            self.log.append((self.sim.now, label))
-            fn()
-        self.sim.call_at(at, action)
 
-    # -- node failures ----------------------------------------------------
-    def crash_at(self, at: float, target: Any,
-                 label: Optional[str] = None) -> None:
-        name = label or getattr(target, "name", repr(target))
-        self._run(at, f"crash {name}", target.crash)
+def partition_dc(net: Network, dc: str, duration: float,
+                 note: Note) -> None:
+    """Cut every endpoint in datacenter ``dc`` off from every other."""
+    if net.topology is None:
+        note("partition-dc: no topology, skipped")
+        return
+    inside, outside = _split_by_dc(net, dc)
+    pairs = [(a, b) for a in inside for b in outside]
+    for a, b in pairs:
+        net.block(a, b)
+    note(f"partition-dc {dc}: isolated {len(inside)} "
+         f"endpoints for {duration:.2f}s")
 
-    def restart_at(self, at: float, target: Any,
-                   label: Optional[str] = None) -> None:
-        name = label or getattr(target, "name", repr(target))
-        self._run(at, f"restart {name}", target.restart)
+    def heal() -> None:
+        for a, b in pairs:
+            net.heal(a, b)
+        note(f"healed partition-dc {dc}")
+    net.sim.schedule(duration, heal)
 
-    def crash_for(self, at: float, duration: float, target: Any,
-                  label: Optional[str] = None) -> None:
-        """Crash at ``at`` and restart ``duration`` seconds later."""
-        self.crash_at(at, target, label)
-        self.restart_at(at + duration, target, label)
 
-    def lose_disk_at(self, at: float, target: Any,
-                     label: Optional[str] = None) -> None:
-        """Permanent media failure: the node restarts with no local data.
+def drop_burst(net: Network, a: str, b: str, rate: float, duration: float,
+               note: Note) -> None:
+    """Make the ``a``/``b`` link drop a ``rate`` share of messages."""
+    net.set_drop_rate(a, b, rate)
+    note(f"drop-burst {a}~{b} p={rate:.2f} for {duration:.2f}s")
 
-        ``target`` must expose ``lose_disk()`` (Spinnaker nodes do); the
-        follower-recovery path then skips local recovery and goes straight
-        to catch-up (§6.1).
-        """
-        name = label or getattr(target, "name", repr(target))
-        self._run(at, f"lose-disk {name}", target.lose_disk)
+    def end() -> None:
+        net.set_drop_rate(a, b, 0.0)
+        note(f"drop-burst {a}~{b} ended")
+    net.sim.schedule(duration, end)
 
-    # -- network failures -----------------------------------------------
-    def partition_at(self, at: float, network: Any, a: str, b: str,
-                     symmetric: bool = True) -> None:
-        arrow = "|" if symmetric else ">"
-        self._run(at, f"partition {a}{arrow}{b}",
-                  lambda: network.block(a, b, symmetric=symmetric))
 
-    def heal_at(self, at: float, network: Any,
-                a: Optional[str] = None, b: Optional[str] = None) -> None:
-        self._run(at, f"heal {a or 'all'}",
-                  lambda: network.heal(a, b))
+def latency_spike(net: Network, extra: float, duration: float,
+                  note: Note) -> None:
+    """Add ``extra`` seconds to every message.  Spikes add up, so
+    overlapping ones compose and unwind in any order."""
+    net.extra_delay += extra
+    note(f"latency-spike +{extra * 1e3:.1f}ms for {duration:.2f}s")
 
-    def partition_for(self, at: float, duration: float, network: Any,
-                      a: str, b: str, symmetric: bool = True) -> None:
-        """Partition at ``at`` and heal the pair ``duration`` later."""
-        self.partition_at(at, network, a, b, symmetric=symmetric)
-        self.heal_at(at + duration, network, a, b)
+    def end() -> None:
+        net.extra_delay = max(0.0, net.extra_delay - extra)
+        note(f"latency-spike -{extra * 1e3:.1f}ms ended")
+    net.sim.schedule(duration, end)
 
-    def drop_burst(self, at: float, duration: float, network: Any,
-                   a: str, b: str, rate: float,
-                   symmetric: bool = True) -> None:
-        """Make the ``a``/``b`` link lossy for a window of time."""
-        self._run(at, f"drop {a}~{b} p={rate:g}",
-                  lambda: network.set_drop_rate(a, b, rate,
-                                                symmetric=symmetric))
-        self._run(at + duration, f"drop-end {a}~{b}",
-                  lambda: network.set_drop_rate(a, b, 0.0,
-                                                symmetric=symmetric))
 
-    def latency_spike(self, at: float, duration: float, network: Any,
-                      extra: float) -> None:
-        """Add ``extra`` seconds to every message for a window of time.
+def wan_degrade(net: Network, dc_a: str, dc_b: str, extra: float,
+                duration: float, note: Note) -> None:
+    """Add ``extra`` seconds to the ``dc_a`` → ``dc_b`` WAN direction
+    only: routes degrade asymmetrically."""
+    if net.topology is None:
+        note("wan-degrade: no topology, skipped")
+        return
+    pairs = _wan_pairs(net, dc_a, dc_b)
+    for a, b in pairs:
+        net.set_extra_delay(a, b, extra, symmetric=False)
+    note(f"wan-degrade {dc_a}>{dc_b} +{extra * 1e3:.1f}ms "
+         f"for {duration:.2f}s")
 
-        Spikes are additive, so overlapping spikes compose and unwind
-        deterministically.
-        """
-        def _raise() -> None:
-            network.extra_delay += extra
+    def end() -> None:
+        for a, b in pairs:
+            net.set_extra_delay(a, b, 0.0, symmetric=False)
+        note(f"wan-degrade {dc_a}>{dc_b} ended")
+    net.sim.schedule(duration, end)
 
-        def _lower() -> None:
-            network.extra_delay = max(0.0, network.extra_delay - extra)
 
-        self._run(at, f"slow +{extra:g}s", _raise)
-        self._run(at + duration, f"slow-end -{extra:g}s", _lower)
+def _split_by_dc(net: Network, dc: str) -> Tuple[List[str], List[str]]:
+    """(endpoints in ``dc``, endpoints elsewhere), sorted by name."""
+    inside: List[str] = []
+    outside: List[str] = []
+    for name in sorted(net._endpoints):
+        (inside if net.topology.dc_of(name) == dc else outside).append(name)
+    return inside, outside
+
+
+def _wan_pairs(net: Network, dc_a: str,
+               dc_b: str) -> List[Tuple[str, str]]:
+    """Every ordered endpoint pair from ``dc_a`` to ``dc_b``."""
+    names = sorted(net._endpoints)
+    a_side = [n for n in names if net.topology.dc_of(n) == dc_a]
+    b_side = [n for n in names if net.topology.dc_of(n) == dc_b]
+    return [(a, b) for a in a_side for b in b_side]

@@ -47,13 +47,6 @@ class Histogram:
             return float("nan")
         return sum(self._samples) / len(self._samples)
 
-    def stddev(self) -> float:
-        n = len(self._samples)
-        if n < 2:
-            return 0.0
-        mu = self.mean()
-        return math.sqrt(sum((x - mu) ** 2 for x in self._samples) / (n - 1))
-
     def percentile(self, p: float) -> float:
         """Linear-interpolated percentile, p in [0, 100]."""
         if not self._samples:
@@ -113,14 +106,6 @@ class LatencyRecorder:
         if op is not None:
             return self.histogram(op).count
         return sum(h.count for h in self._hist.values())
-
-    def mean_latency(self, op: Optional[str] = None) -> float:
-        if op is not None:
-            return self.histogram(op).mean()
-        total = self.count()
-        if total == 0:
-            return float("nan")
-        return sum(h.mean() * h.count for h in self._hist.values()) / total
 
     def throughput(self) -> float:
         """Completed operations per second over the measured window."""

@@ -281,9 +281,9 @@ class Supervisor:
         the first step on the heap path and after it here.  Its callers
         are the deliveries that still start a process: a Spinnaker
         node's catch-up chunk, catch-up request and migration start
-        (multi-round activities — a get, a put and a propose are handled
-        by functions, see ``resources.charge``) and every handler of the
-        baseline store."""
+        (multi-round activities — a get, a put, a propose and every
+        baseline message are handled by functions, see
+        ``resources.charge``)."""
         proc = Process(self.sim, gen, self._prefix + name, start=not inline)
         self._procs[proc] = None
         proc._callbacks.append(self._done)  # not stepped yet: still a list
@@ -333,47 +333,6 @@ class AllOf(Event):
             self.succeed([ev._value for ev in self._events])
 
 
-class Quorum(Event):
-    """Succeeds once ``need`` of the child events have succeeded.
-
-    Used to model quorum waits (e.g. "wait for acks from any 2 of 3
-    replicas").  Child failures count against the quorum; the Quorum event
-    fails only if success becomes impossible.
-    """
-
-    __slots__ = ("_need", "_got", "_left", "_values")
-
-    def __init__(self, sim: Simulator, events: Iterable[Event], need: int):
-        super().__init__(sim)
-        events = list(events)
-        if need > len(events):
-            raise SimulationError(
-                f"quorum of {need} impossible with {len(events)} events")
-        self._need = need
-        self._got = 0
-        self._left = len(events)
-        self._values: List[Any] = []
-        if need <= 0:
-            self.succeed([])
-            return
-        for ev in events:
-            ev.add_callback(self._on_child)
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        self._left -= 1
-        if event._ok:
-            self._got += 1
-            self._values.append(event._value)
-            if self._got >= self._need:
-                self.succeed(list(self._values))
-                return
-        if self._got + self._left < self._need:
-            self.fail(SimulationError(
-                f"quorum unreachable: {self._got} of {self._need}"))
-
-
 # ---------------------------------------------------------------------------
 # Convenience constructors: the classes under their verb names — a
 # function here would only forward, one more frame per sleep and spawn
@@ -382,7 +341,6 @@ class Quorum(Event):
 spawn = Process        # spawn(sim, gen, name=""): start a new process
 timeout = Timeout      # timeout(sim, delay, value=None): fires after delay
 all_of = AllOf         # all_of(sim, events): once every child succeeds
-quorum = Quorum        # quorum(sim, events, need): once need children have
 
 
 class SimHost:

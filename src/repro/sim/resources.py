@@ -1,4 +1,4 @@
-"""Shared-resource primitives: FIFO resources (CPUs) and stores (queues).
+"""The shared-resource primitive: a FIFO pool of servers (CPUs).
 
 ``Resource`` models a pool of identical servers (e.g. the CPU cores of a
 node): requests queue FIFO and are granted as capacity frees up.  The
@@ -7,9 +7,6 @@ every CPU-bound operation in the simulated datastores is charged, comes
 in two forms that share one queue and one order: ``serve`` for a process
 (``yield from``), ``charge`` for a plain function that names what runs
 next (DESIGN.md, "Kernel hot paths", *Handlers are functions*).
-
-``Store`` is an unbounded FIFO queue with blocking ``get``; it is used for
-mailboxes and worker queues.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from typing import Any, Callable, Deque, Generator, Union
 from .events import NORMAL, Event, SimulationError, Simulator
 from .process import Timeout
 
-__all__ = ["Resource", "Store", "Charge", "charge", "serve"]
+__all__ = ["Resource", "Charge", "charge", "serve"]
 
 
 class Resource:
@@ -163,35 +160,3 @@ class Charge:
 
 charge = Charge     # charge(resource, service_time, then, *args)
 
-
-class Store:
-    """Unbounded FIFO queue with event-based ``get``."""
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Event that succeeds with the next item (FIFO)."""
-        ev = Event(self.sim)
-        if self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def drain(self) -> list:
-        """Remove and return all queued items without blocking."""
-        items = list(self._items)
-        self._items.clear()
-        return items

@@ -127,33 +127,16 @@ class Topology:
     def same_dc(self, a: str, b: str) -> bool:
         return self.dc_of(a) == self.dc_of(b)
 
-    def placed_in_dc(self, dc: str) -> List[str]:
-        """Every explicitly placed endpoint in ``dc`` (insertion order,
-        which is deterministic — placements happen in program order)."""
-        return [name for name, p in self._placements.items()
-                if p.dc == dc]
-
     def dcs(self) -> List[str]:
         """All datacenters with at least one placed endpoint, sorted."""
         return sorted({p.dc for p in self._placements.values()}
                       | {self.default.dc})
 
-    # -- link classification --------------------------------------------
-    def link_class(self, src: str, dst: str) -> str:
-        """``"intra-rack"`` | ``"intra-dc"`` | ``"wan"`` for a message
-        from ``src`` to ``dst``."""
-        a, b = self.placement_of(src), self.placement_of(dst)
-        if a.dc != b.dc:
-            return "wan"
-        if a.rack != b.rack:
-            return "intra-dc"
-        return "intra-rack"
-
+    # -- delays ---------------------------------------------------------
     def wan_delay(self, src_dc: str, dst_dc: str) -> float:
         """Fixed one-way propagation delay ``src_dc`` → ``dst_dc``."""
         return self.wan_delays.get((src_dc, dst_dc), self.wan_one_way)
 
-    # -- delays ---------------------------------------------------------
     def delay(self, src: str, dst: str, size_bytes: int, rng) -> float:
         """One-way delay for one message.  Draws exactly one jitter
         sample from ``rng`` regardless of link class (same RNG

@@ -2,7 +2,7 @@
 
 A :class:`Tracer` collects timestamped, categorized protocol events
 (elections, takeovers, catch-ups, crashes, flushes...) into a bounded
-ring buffer, with optional live subscribers.  The default
+ring buffer.  The default
 :class:`NullTracer` makes tracing free when off; pass
 ``SpinnakerCluster(tracer=Tracer(...))`` to turn it on.
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Iterable, List, Optional
+from typing import Deque, Dict, Iterable, List, Optional
 
 __all__ = ["TraceEvent", "Tracer", "NullTracer"]
 
@@ -58,10 +58,6 @@ class NullTracer:
     def events(self, category: Optional[str] = None) -> List[TraceEvent]:
         return []
 
-    def subscribe(self, callback: Callable[[TraceEvent], None]) -> None:
-        raise RuntimeError("cannot subscribe to a NullTracer; "
-                           "pass a real Tracer to the cluster")
-
 
 class Tracer:
     """Bounded in-memory event collector with category filters."""
@@ -75,7 +71,6 @@ class Tracer:
         self.categories = set(categories) if categories else None
         self.max_events = max_events
         self._events: Deque[TraceEvent] = deque(maxlen=max_events)
-        self._subscribers: List[Callable[[TraceEvent], None]] = []
         self.dropped = 0
 
     # ------------------------------------------------------------------
@@ -87,11 +82,9 @@ class Tracer:
         if len(self._events) == self.max_events:
             self.dropped += 1
         now = self.sim.now if self.sim is not None else 0.0
-        event = TraceEvent(time=now, category=category,
-                           node=node, message=message, fields=fields)
-        self._events.append(event)
-        for callback in self._subscribers:
-            callback(event)
+        self._events.append(TraceEvent(time=now, category=category,
+                                       node=node, message=message,
+                                       fields=fields))
 
     # ------------------------------------------------------------------
     def events(self, category: Optional[str] = None,
@@ -101,10 +94,6 @@ class Tracer:
                 if (category is None or e.category == category)
                 and (node is None or e.node == node)
                 and e.time >= since]
-
-    def subscribe(self, callback: Callable[[TraceEvent], None]) -> None:
-        """Invoke ``callback(event)`` for every future matching event."""
-        self._subscribers.append(callback)
 
     def format(self, **filters) -> str:
         return "\n".join(e.format() for e in self.events(**filters))

@@ -3,8 +3,9 @@
 In the background, smaller SSTables are merged into larger ones to garbage
 collect deleted rows and improve read performance (§4.1).  The merge keeps,
 for every (key, column), the cell that wins under the engine's conflict
-order; tombstones are dropped only on *full* compactions (when every table
-is merged, so no older version can resurface).
+order.  Tombstones survive every merge: catch-up may ship a merged table
+to a follower whose state predates the delete, and dropping the
+tombstone would resurrect the row there.
 """
 
 from __future__ import annotations
@@ -18,20 +19,18 @@ __all__ = ["compact", "SizeTieredPolicy"]
 
 
 def compact(tables: List[SSTable],
-            order: Callable[[Cell], Tuple] = lsn_order,
-            drop_tombstones: bool = False) -> SSTable:
-    """Merge ``tables`` into a single SSTable."""
+            order: Callable[[Cell], Tuple] = lsn_order) -> SSTable:
+    """Merge ``tables`` into a single SSTable.  Tombstones are kept:
+    catch-up may ship the result to a follower whose state predates the
+    delete (§6.1)."""
     winners: Dict[Tuple[bytes, bytes], Cell] = {}
     for table in tables:
         for key, col, cell in table.entries():
             current = winners.get((key, col))
             if current is None or order(cell) > order(current):
                 winners[(key, col)] = cell
-    entries = [
-        (key, col, cell)
-        for (key, col), cell in sorted(winners.items())
-        if not (drop_tombstones and cell.tombstone)
-    ]
+    entries = [(key, col, cell)
+               for (key, col), cell in sorted(winners.items())]
     min_lsn = min((t.min_lsn for t in tables), default=None)
     max_lsn = max((t.max_lsn for t in tables), default=None)
     return SSTable(entries, min_lsn=min_lsn, max_lsn=max_lsn)

@@ -12,8 +12,8 @@ Responsibilities:
 * flush the memtable to an SSTable when it exceeds the flush threshold,
   advancing the **checkpoint LSN** that bounds local recovery (§6.1);
 * run compactions under a size-tiered policy;
-* report the SSTables needed for log-rolled-over catch-up (§6.1), and
-  ingest SSTables shipped by a leader.
+* capture the snapshot manifest a leader ships for log-rolled-over
+  catch-up (§6.1), and ingest SSTables shipped by a leader.
 """
 
 from __future__ import annotations
@@ -94,11 +94,8 @@ class StorageEngine:
         victims = self.compaction.pick(self.sstables)
         if not victims:
             return False
-        # Tombstones are kept even on full compactions: catch-up may ship
-        # these tables to a follower whose state predates the delete
-        # (§6.1), and dropping the tombstone would resurrect the row
-        # there.  ``purge_tombstones`` exists for explicit, offline GC.
-        merged = compact(victims, order=self.order, drop_tombstones=False)
+        # Tombstones are kept even on full compactions (see ``compact``).
+        merged = compact(victims, order=self.order)
         survivors = [t for t in self.sstables if t not in victims]
         # Keep newest-first order: the merged table takes the position of
         # its newest victim.
@@ -107,18 +104,6 @@ class StorageEngine:
         self.compactions += 1
         self.manifest_id += 1
         return True
-
-    def purge_tombstones(self) -> None:
-        """Full compaction that drops tombstones.  Only safe when no
-        replica can still need the deletes (e.g. offline maintenance on
-        a fully caught-up cohort)."""
-        if not self.sstables:
-            return
-        merged = compact(self.sstables, order=self.order,
-                         drop_tombstones=True)
-        self.sstables = [merged]
-        self.compactions += 1
-        self.manifest_id += 1
 
     # ------------------------------------------------------------------
     # Reads
@@ -186,10 +171,6 @@ class StorageEngine:
     # ------------------------------------------------------------------
     # Catch-up support (§6.1)
     # ------------------------------------------------------------------
-    def sstables_with_writes_after(self, lsn: LSN) -> List[SSTable]:
-        """Tables a leader ships when its log rolled past ``lsn``."""
-        return [t for t in self.sstables if t.overlaps_lsn_range(lsn)]
-
     def manifest(self) -> SnapshotManifest:
         """The current snapshot manifest: this engine's SSTable set in
         shipping order, stamped with the checkpoint LSN (§6.1)."""

@@ -19,7 +19,6 @@ __all__ = ["LSN", "EPOCH_BITS", "SEQ_BITS"]
 EPOCH_BITS = 16
 SEQ_BITS = 48
 _SEQ_MASK = (1 << SEQ_BITS) - 1
-_MAX_EPOCH = (1 << EPOCH_BITS) - 1
 
 
 class LSN(NamedTuple):
@@ -44,23 +43,6 @@ class LSN(NamedTuple):
         if self.seq >= _SEQ_MASK:
             raise OverflowError(f"sequence overflow in epoch {self.epoch}")
         return LSN(self.epoch, self.seq + 1)
-
-    def next_epoch(self) -> "LSN":
-        """The first assignable position after a leader takeover.
-
-        Note the sequence continues from the current value rather than
-        resetting, matching the Appendix B example where epoch 2 begins at
-        2.22 after epoch 1 ended at 1.21.
-        """
-        if self.epoch >= _MAX_EPOCH:
-            raise OverflowError("epoch overflow")
-        return LSN(self.epoch + 1, self.seq)
-
-    def with_epoch(self, epoch: int) -> "LSN":
-        if epoch < self.epoch:
-            raise ValueError(
-                f"epoch must not decrease ({epoch} < {self.epoch})")
-        return LSN(epoch, self.seq)
 
     def to_int(self) -> int:
         """Pack into a single integer, epoch in the high bits."""

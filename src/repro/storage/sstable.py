@@ -76,10 +76,6 @@ class SSTable:
     def keys(self) -> List[bytes]:
         return list(self._keys)
 
-    def overlaps_lsn_range(self, after: LSN) -> bool:
-        """True if the table may contain writes with LSN > ``after``."""
-        return self.max_lsn > after
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"SSTable(id={self.table_id}, n={len(self._entries)}, "
                 f"lsn=[{self.min_lsn}..{self.max_lsn}])")

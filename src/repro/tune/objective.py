@@ -14,7 +14,7 @@ letting attribution wins outvote real end-to-end latency.
 
 The phase term deliberately charges the focus phases' *absolute* mean
 time, not their share of the total.  An earlier share-based form
-(``p50 * (1 + emphasis * focus_share)``) was gameable: a knob that
+(``p50 * (1 + emphasis * share)``) was gameable: a knob that
 *adds* latency in a non-focus phase (say a longer batch window) shrinks
 the focus phases' relative share and can lower the score while making
 every real metric worse.  Absolute time is immune — adding time
@@ -36,8 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-__all__ = ["ObjectiveSpec", "focus_ms", "focus_share", "objective_score",
-           "objective_from_report"]
+__all__ = ["ObjectiveSpec", "focus_ms", "objective_score"]
 
 
 @dataclass(frozen=True)
@@ -79,13 +78,6 @@ def focus_ms(phases: Dict[str, dict], spec: ObjectiveSpec) -> float:
                if p in phases)
 
 
-def focus_share(phases: Dict[str, dict], spec: ObjectiveSpec) -> float:
-    """Summed share of the spec's focus phases (ledger color only — the
-    score charges absolute time, see the module docstring)."""
-    return sum(float(phases[p]["share"]) for p in spec.focus_phases
-               if p in phases)
-
-
 def objective_score(metrics: Dict[str, float], phases: Dict[str, dict],
                     spec: ObjectiveSpec) -> float:
     """Scalar score (lower is better) for one trial.
@@ -103,26 +95,3 @@ def objective_score(metrics: Dict[str, float], phases: Dict[str, dict],
               / max(float(metrics.get("ops", 0)), 1.0))
     return latency - throughput + errors
 
-
-def objective_from_report(experiment: dict, series: str,
-                          spec: ObjectiveSpec = ObjectiveSpec(),
-                          ) -> float:
-    """Score a ``BENCH_report.json`` experiment entry directly.
-
-    Reads the named series' summary (``low_load_mean_ms`` stands in for
-    p50 when the summary carries no p50) plus the entry's ``phases``
-    section.  This is the bridge between offline tuning runs and the
-    committed baseline: the same objective that drives the tuner can be
-    evaluated over a checked-in report, making the scores comparable.
-    """
-    summary = experiment["series"][series]
-    metrics = {
-        "p50_ms": summary.get("low_load_p50_ms",
-                              summary["low_load_mean_ms"]),
-        "throughput": summary["peak_throughput_rps"],
-        "errors": 0,
-        "ops": 1,
-    }
-    phase_section = experiment.get("phases", {}).get(spec.op, {})
-    return objective_score(metrics, phase_section.get("phases", {}),
-                           spec)

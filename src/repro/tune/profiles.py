@@ -8,14 +8,10 @@ optional multi-DC topology.  Four profiles mirror the repo's benchmark
 matrix: ``sata`` / ``ssd`` / ``mem`` (flat, Figs. 9/13/16) and ``wan``
 (3 datacenters, fig-wan's link model).
 
-Winning configs are checked in under ``configs/tuned-<profile>.json``
-and loadable two ways:
-
-* :func:`load_tuned_config` — a ready :class:`SpinnakerConfig` for
-  programmatic use;
-* ``python -m repro bench ... --tuned-profile <name>`` — every
-  Spinnaker cluster a bench run builds gets the tuned overlay applied
-  (see :func:`activate_tuned_profile` and ``bench/harness.py``).
+Winning configs are checked in under ``configs/tuned-<profile>.json``.
+With ``python -m repro bench ... --tuned-profile <name>`` every
+Spinnaker cluster a bench run builds gets the tuned overlay applied (see
+:func:`activate_tuned_profile` and ``bench/harness.py``).
 """
 
 from __future__ import annotations
@@ -29,11 +25,11 @@ from ..core.config import SpinnakerConfig
 from ..sim.disk import DiskProfile
 from ..sim.topology import Topology
 from .objective import ObjectiveSpec
-from .registry import Value, apply_values, get_knob
+from .registry import Value, get_knob
 
 __all__ = ["TuneProfile", "PROFILES", "DETUNED_START", "get_profile",
            "CONFIG_DIR", "tuned_config_path", "load_tuned_values",
-           "load_tuned_config", "write_tuned_config",
+           "write_tuned_config",
            "activate_tuned_profile", "clear_tuned_profile",
            "active_overlay"]
 
@@ -166,14 +162,6 @@ def load_tuned_values(name: str, config_dir: Optional[Path] = None
             value = float(value)
         values[key] = value
     return values
-
-
-def load_tuned_config(name: str, config_dir: Optional[Path] = None
-                      ) -> SpinnakerConfig:
-    """The profile's base config with its tuned overlay applied."""
-    profile = get_profile(name)
-    return apply_values(profile.base_config(),
-                        load_tuned_values(name, config_dir))
 
 
 def write_tuned_config(name: str, values: Dict[str, Value],

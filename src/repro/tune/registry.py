@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..core.config import SpinnakerConfig
 
 __all__ = ["Knob", "KNOBS", "Value", "knob_names", "get_knob",
-           "searched_knobs", "apply_values", "config_values",
+           "searched_knobs", "apply_values",
            "validate_registry", "validate_values"]
 
 Value = Union[bool, int, float]
@@ -217,10 +217,3 @@ def apply_values(config: SpinnakerConfig,
         setattr(out, name, value)
     return out.validate()
 
-
-def config_values(config: SpinnakerConfig,
-                  names: Optional[Sequence[str]] = None
-                  ) -> Dict[str, Value]:
-    """The registry-known knob values of ``config`` (for ledgers)."""
-    picked = names if names is not None else knob_names()
-    return {name: getattr(config, name) for name in picked}

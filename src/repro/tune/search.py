@@ -90,11 +90,6 @@ class TuneResult:
                 best = t
         return best
 
-    @property
-    def improvement(self) -> float:
-        """Score improvement over the baseline (positive = better)."""
-        return self.baseline_score - self.best_score
-
     def to_json(self) -> dict:
         profile = self.profile_spec or get_profile(self.profile)
         threads, ops, warmup = scaled_shape(profile, self.scale)

@@ -148,11 +148,11 @@ def test_operations_after_expiry_fail():
         service.expire_session_now(session)
         try:
             yield from c0.create("/x")
-        except Exception as err:  # SessionExpired via generic CoordError
+        except Exception as err:  # a session-expired reply: CoordError
             outcome.append(type(err).__name__)
 
     run(sim, scenario())
-    assert outcome and "Error" in outcome[0] or outcome == ["CoordError"]
+    assert outcome == ["CoordError"]
 
 
 def test_sequential_create_over_rpc():

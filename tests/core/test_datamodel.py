@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.core.datamodel import (Consistency, DatastoreError, GetResult,
-                                  NotLeader, PutResult, RequestTimeout,
-                                  Unavailable, VersionMismatch, row_to_dict)
-from repro.storage.lsn import LSN
-from repro.storage.memtable import Cell
+from repro.core.datamodel import (DatastoreError, GetResult, PutResult,
+                                  RequestTimeout, VersionMismatch)
 
 
 def test_get_result_not_found_shape():
@@ -30,34 +27,10 @@ def test_version_mismatch_carries_versions():
     assert err.code == "version-mismatch"
 
 
-def test_not_leader_carries_hint():
-    err = NotLeader(leader_hint="node7")
-    assert err.leader_hint == "node7"
-    assert isinstance(err, DatastoreError)
-
-
 def test_error_codes_distinct():
     codes = {cls.code for cls in
-             (DatastoreError, VersionMismatch, NotLeader, Unavailable,
-              RequestTimeout)}
-    assert len(codes) == 5
-
-
-def test_consistency_levels():
-    assert Consistency.STRONG != Consistency.TIMELINE
-
-
-def test_row_to_dict_hides_tombstones():
-    cells = {
-        b"alive": Cell(value=b"v", version=2, timestamp=0.0,
-                       lsn=LSN(1, 1)),
-        b"dead": Cell(value=None, version=3, timestamp=0.0,
-                      lsn=LSN(1, 2), tombstone=True),
-    }
-    row = row_to_dict(cells)
-    assert set(row) == {b"alive"}
-    assert row[b"alive"].value == b"v"
-    assert row[b"alive"].version == 2
+             (DatastoreError, VersionMismatch, RequestTimeout)}
+    assert len(codes) == 3
 
 
 def test_put_result_shape():

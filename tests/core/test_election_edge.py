@@ -251,3 +251,31 @@ def test_a_follower_that_lost_a_propose_logs_and_acks_nothing_above_it():
     assert uncovered == []
     assert wal.contains(cohort_id, hole)    # the catch-up brought it
     assert cluster.all_failures() == []
+
+
+def test_takeover_retries_until_a_majority_is_caught_up():
+    """Takeover's line 8: with the old leader down and the two survivors
+    cut off from each other, the winner's pushes all fail, so no round
+    reaches a majority and the cohort stays shut (§8.1).  Each failed
+    round is retried; once the survivors can talk again a round
+    succeeds and the cohort opens."""
+    cluster = make_cluster(n=3, seed=52)
+    cohort_id = 0
+    old = cluster.leader_of(cohort_id)
+    survivors = [m for m in cluster.partitioner.cohort(cohort_id).members
+                 if m != old]
+    cluster.network.block(*survivors)
+    cluster.kill_leader(cohort_id)
+    cluster.run_until(
+        lambda: any(cluster.replica(m, cohort_id).role == Role.LEADER
+                    for m in survivors),
+        limit=30.0, what="a winner")
+    cluster.run(10.0)
+    winner = next(m for m in survivors
+                  if cluster.replica(m, cohort_id).role == Role.LEADER)
+    assert not cluster.replica(winner, cohort_id).open_for_writes
+    assert cluster.leader_of(cohort_id) is None
+    cluster.network.heal(*survivors)
+    cluster.run_until(lambda: cluster.leader_of(cohort_id) == winner,
+                      limit=30.0, what="the cohort to open")
+    assert cluster.all_failures() == []

@@ -1,11 +1,9 @@
-"""FailureSchedule driving a real cluster: scripted outage timelines."""
+"""Scripted outage timelines against a real cluster, through the
+nemesis applier (``arm_schedule``)."""
 
-import pytest
-
+from repro.chaos import FaultEvent, arm_schedule
 from repro.core import Role, SpinnakerCluster, SpinnakerConfig
-from repro.core.partition import key_of
 from repro.sim.disk import DiskProfile
-from repro.sim.failure import FailureSchedule
 from repro.sim.process import spawn, timeout
 
 
@@ -20,13 +18,14 @@ def make_cluster(seed=67):
 def test_scheduled_rolling_outage_with_continuous_writes():
     cluster = make_cluster()
     sim = cluster.sim
-    sched = FailureSchedule(sim)
     cohort_id = 0
     members = cluster.partitioner.cohort(cohort_id).members
-    # Roll each member down for 2 s, staggered 4 s apart.
-    for i, member in enumerate(members):
-        at = sim.now + 1.0 + 4.0 * i
-        sched.crash_for(at, duration=2.0, target=cluster.nodes[member])
+    # Roll each member down for 2 s, staggered 4 s apart; its session
+    # lapses on its own (slow detect).
+    log = arm_schedule(cluster, [
+        FaultEvent(at=1.0 + 4.0 * i, kind="crash-node", duration=2.0,
+                   node=member, fast_detect=False)
+        for i, member in enumerate(members)])
 
     client = cluster.client()
     keys = []
@@ -54,9 +53,11 @@ def test_scheduled_rolling_outage_with_continuous_writes():
     cluster.run_until(lambda: state["done"], limit=240.0, what="writer")
     cluster.run(3.0)
     # The schedule ran as written.
-    assert len(sched.log) == 6
-    assert {label.split()[0] for _t, label in sched.log} == {
-        "crash", "restart"}
+    assert len(log) == 6
+    assert [line.split("] ")[1] for line in log] == [
+        text for member in members for text in (
+            f"crash-node: crashed {member} for 2.00s (slow-detect)",
+            f"restarted {member}")]
     # Single-node outages never block the cohort for long: the vast
     # majority of paced writes were acknowledged...
     assert len(acked) >= len(keys) - 10
@@ -78,14 +79,14 @@ def test_scheduled_rolling_outage_with_continuous_writes():
 def test_scheduled_partition_heals_cleanly():
     cluster = make_cluster(seed=68)
     sim = cluster.sim
-    sched = FailureSchedule(sim)
     cohort_id = 1
     leader = cluster.leader_of(cohort_id)
     followers = [m for m in cluster.partitioner.cohort(cohort_id).members
                  if m != leader]
-    for f in followers:
-        sched.partition_at(sim.now + 0.5, cluster.network, leader, f)
-    sched.heal_at(sim.now + 2.5, cluster.network)
+    healed_at = sim.now + 2.5
+    log = arm_schedule(cluster, [
+        FaultEvent(at=0.5, kind="partition", duration=2.0, a=leader, b=f)
+        for f in followers])
 
     client = cluster.client()
     key = next(b"fp-%d" % i for i in range(1000)
@@ -94,7 +95,6 @@ def test_scheduled_partition_heals_cleanly():
     outcome = {}
 
     def scenario():
-        from repro.core.datamodel import RequestTimeout
         yield timeout(sim, 1.0)  # inside the partition window
         start = sim.now
         yield from client.put(key, b"c", b"v")  # must wait for the heal
@@ -103,14 +103,17 @@ def test_scheduled_partition_heals_cleanly():
 
     proc = spawn(sim, scenario())
     cluster.run_until(lambda: proc.triggered, limit=60.0, what="write")
-    # The write could not commit before the heal at t=2.5.
-    assert outcome["write_done_at"] >= 2.5
+    # The write could not commit before the heal.
+    assert outcome["write_done_at"] >= healed_at
+    assert [line.split("] ")[1] for line in log] == (
+        [f"partition {leader}|{f} for 2.00s" for f in followers]
+        + [f"healed {leader}|{f}" for f in followers])
     assert cluster.all_failures() == []
 
 
 def test_scheduled_disk_loss_rejoins_via_catchup():
-    """lose_disk_at wipes a follower's log and SSTables; the node must
-    come back through catch-up with all committed data intact."""
+    """A lose-disk fault wipes a follower's log and SSTables; the node
+    must come back through catch-up with all committed data intact."""
     cluster = make_cluster(seed=69)
     sim = cluster.sim
     client = cluster.client()
@@ -133,13 +136,14 @@ def test_scheduled_disk_loss_rejoins_via_catchup():
             yield timeout(sim, 0.1)
         state["done"] = True
 
-    sched = FailureSchedule(sim)
-    sched.lose_disk_at(1.3, cluster.nodes[victim])
+    log = arm_schedule(cluster, [FaultEvent(at=1.3 - sim.now,
+                                            kind="lose-disk", node=victim)])
     spawn(sim, writer())
     cluster.run_until(lambda: state["done"], limit=120.0, what="writer")
     cluster.run(8.0)  # let catch-up finish
 
-    assert [label for _t, label in sched.log] == [f"lose-disk {victim}"]
+    assert log == [f"[t={1.3:9.4f}] lose-disk: wiped {victim}, "
+                   f"rebooting empty"]
     node = cluster.nodes[victim]
     assert node.alive
     replica = node.replicas[cohort_id]

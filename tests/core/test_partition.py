@@ -58,11 +58,6 @@ def test_too_few_nodes_rejected():
         RangePartitioner(["A", "B"], replication_factor=3)
 
 
-def test_peers_of_excludes_self():
-    part = RangePartitioner(["A", "B", "C", "D", "E"])
-    assert part.peers_of("B", 0) == ["A", "C"]
-
-
 def test_key_of_is_deterministic_and_in_keyspace():
     assert key_of(b"hello") == key_of(b"hello")
     assert key_of(b"hello") != key_of(b"world")

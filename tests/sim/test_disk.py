@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.disk import DataDisk, DiskProfile, LogDevice
+from repro.sim.disk import DiskProfile, LogDevice
 from repro.sim.events import Simulator
 from repro.sim.rng import RngRegistry
 
@@ -136,13 +136,3 @@ def test_append_noforce_tracks_growth_without_latency():
     disk.force(10)  # next force pays the boundary seek
     sim.run()
     assert sim.now == pytest.approx(5e-3)
-
-
-def test_data_disk_read_charges_latency():
-    sim = Simulator()
-    disk = DataDisk(sim, RngRegistry(1), "data0")
-    ev = disk.read(64 * 1024)
-    sim.run()
-    assert ev.ok
-    assert sim.now > 1e-3
-    assert disk.reads == 1

@@ -122,18 +122,3 @@ def test_fail_requires_exception():
     ev = Event(sim)
     with pytest.raises(SimulationError):
         ev.fail("not an exception")
-
-
-def test_run_until_complete_returns_value():
-    sim = Simulator()
-    ev = Event(sim)
-    sim.schedule(2.0, lambda: ev.succeed("done"))
-    assert sim.run_until_complete(ev) == "done"
-    assert sim.now == 2.0
-
-
-def test_run_until_complete_raises_if_never_fires():
-    sim = Simulator()
-    ev = Event(sim)
-    with pytest.raises(SimulationError):
-        sim.run_until_complete(ev, limit=1.0)

@@ -1,86 +1,9 @@
-"""Tests for the failure-injection scheduler."""
+"""Tests for the network faults and their scheduled repairs."""
 
+from repro.sim import failure
 from repro.sim.events import Simulator
-from repro.sim.failure import FailureSchedule
 from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
-
-
-class FakeNode:
-    def __init__(self, name):
-        self.name = name
-        self.alive = True
-        self.disk_ok = True
-
-    def crash(self):
-        self.alive = False
-
-    def restart(self):
-        self.alive = True
-
-    def lose_disk(self):
-        self.alive = False
-        self.disk_ok = False
-
-
-def test_crash_and_restart_at_times():
-    sim = Simulator()
-    node = FakeNode("n1")
-    sched = FailureSchedule(sim)
-    sched.crash_at(5.0, node)
-    sched.restart_at(8.0, node)
-    sim.run(until=4.0)
-    assert node.alive
-    sim.run(until=6.0)
-    assert not node.alive
-    sim.run(until=9.0)
-    assert node.alive
-    assert [(t, label) for t, label in sched.log] == [
-        (5.0, "crash n1"), (8.0, "restart n1")]
-
-
-def test_crash_for_is_crash_plus_restart():
-    sim = Simulator()
-    node = FakeNode("n2")
-    sched = FailureSchedule(sim)
-    sched.crash_for(2.0, duration=3.0, target=node)
-    sim.run(until=3.0)
-    assert not node.alive
-    sim.run(until=6.0)
-    assert node.alive
-
-
-def test_lose_disk_action():
-    sim = Simulator()
-    node = FakeNode("n3")
-    sched = FailureSchedule(sim)
-    sched.lose_disk_at(1.0, node)
-    sim.run()
-    assert not node.disk_ok
-    assert sched.log[0][1] == "lose-disk n3"
-
-
-def test_partition_and_heal_via_schedule():
-    sim = Simulator()
-    net = Network(sim, RngRegistry(4))
-    net.endpoint("a")
-    net.endpoint("b")
-    sched = FailureSchedule(sim)
-    sched.partition_at(1.0, net, "a", "b")
-    sched.heal_at(3.0, net)
-    sim.run(until=2.0)
-    assert net.is_blocked("a", "b")
-    sim.run(until=4.0)
-    assert not net.is_blocked("a", "b")
-
-
-def test_custom_labels_in_log():
-    sim = Simulator()
-    node = FakeNode("ugly-internal-name")
-    sched = FailureSchedule(sim)
-    sched.crash_at(1.0, node, label="the-leader")
-    sim.run()
-    assert sched.log == [(1.0, "crash the-leader")]
 
 
 def _net_pair(seed=4):
@@ -93,46 +16,68 @@ def _net_pair(seed=4):
     return sim, net, got
 
 
-def test_one_way_partition_via_schedule():
-    sim, net, got = _net_pair()
-    sched = FailureSchedule(sim)
-    sched.partition_at(1.0, net, "a", "b", symmetric=False)
-    sim.run(until=2.0)
-    assert net.is_blocked("a", "b")
-    assert not net.is_blocked("b", "a")
-    assert sched.log == [(1.0, "partition a>b")]
+def _at(sim, t, fault, *args):
+    """Fire ``fault(*args, note)`` at ``t``; return the (time, line) log."""
+    log = []
+    sim.call_at(t, lambda: fault(*args, lambda text: log.append(
+        (sim.now, text))))
+    return log
 
 
-def test_partition_for_heals_just_that_pair():
-    sim, net, got = _net_pair()
-    sched = FailureSchedule(sim)
-    sched.partition_for(1.0, duration=2.0, network=net, a="a", b="b")
+def test_partition_and_heal_via_schedule():
+    sim, net, _got = _net_pair()
+    log = _at(sim, 1.0, failure.partition, net, "a", "b", 2.0)
     sim.run(until=2.0)
     assert net.is_blocked("a", "b") and net.is_blocked("b", "a")
     sim.run(until=4.0)
+    assert not net.is_blocked("a", "b") and not net.is_blocked("b", "a")
+    assert log == [(1.0, "partition a|b for 2.00s"), (3.0, "healed a|b")]
+
+
+def test_one_way_partition_via_schedule():
+    sim, net, _got = _net_pair()
+    log = []
+    sim.call_at(1.0, lambda: failure.partition(
+        net, "a", "b", 2.0, log.append, symmetric=False))
+    net.block("b", "a", symmetric=False)   # an overlapping reverse block
+    sim.run(until=2.0)
+    assert net.is_blocked("a", "b")
+    sim.run(until=4.0)
+    # The one-way heal undoes only its own direction.
     assert not net.is_blocked("a", "b")
-    assert [label for _t, label in sched.log] == [
-        "partition a|b", "heal a"]
+    assert net.is_blocked("b", "a")
+    assert log == ["partition a>b for 2.00s", "healed a>b"]
+
+
+def test_partition_for_heals_just_that_pair():
+    sim, net, _got = _net_pair()
+    net.endpoint("c")
+    _at(sim, 1.0, failure.partition, net, "a", "b", 2.0)
+    sim.call_at(1.0, lambda: net.block("a", "c"))
+    sim.run(until=2.0)
+    assert net.is_blocked("a", "b") and net.is_blocked("a", "c")
+    sim.run(until=4.0)
+    assert not net.is_blocked("a", "b")
+    assert net.is_blocked("a", "c")
 
 
 def test_drop_burst_window():
     sim, net, got = _net_pair()
-    sched = FailureSchedule(sim)
-    sched.drop_burst(1.0, duration=1.0, network=net,
-                     a="a", b="b", rate=1.0)
+    log = _at(sim, 1.0, failure.drop_burst, net, "a", "b", 1.0, 1.0)
     a = net.get("a")
     sim.call_at(1.5, lambda: a.send("b", "during"))
     sim.call_at(2.5, lambda: a.send("b", "after"))
     sim.run()
     assert got["b"] == ["after"]
     assert net.messages_dropped == 1
+    assert log == [(1.0, "drop-burst a~b p=1.00 for 1.00s"),
+                   (2.0, "drop-burst a~b ended")]
 
 
 def test_latency_spikes_compose_and_unwind():
     sim, net, got = _net_pair()
-    sched = FailureSchedule(sim)
-    sched.latency_spike(1.0, duration=2.0, network=net, extra=0.010)
-    sched.latency_spike(2.0, duration=2.0, network=net, extra=0.005)
+    _at(sim, 1.0, failure.latency_spike, net, 0.010, 2.0)
+    _at(sim, 2.0, failure.latency_spike, net, 0.005, 2.0)
     checks = []
     for t, expect in [(1.5, 0.010), (2.5, 0.015), (3.5, 0.005),
                       (4.5, 0.0)]:

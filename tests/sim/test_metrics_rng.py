@@ -30,7 +30,7 @@ def test_recorder_warmup_exclusion():
     rec.record("read", 0.002, completed_at=15.0)  # kept
     assert rec.count("read") == 1
     assert rec.dropped_warmup == 1
-    assert rec.mean_latency("read") == 0.002
+    assert rec.histogram("read").mean() == 0.002
 
 
 def test_recorder_throughput_over_window():
@@ -38,14 +38,6 @@ def test_recorder_throughput_over_window():
     for i in range(11):
         rec.record("op", 0.001, completed_at=float(i))
     assert rec.throughput() == 11 / 10.0
-
-
-def test_recorder_mean_across_ops_weighted():
-    rec = LatencyRecorder()
-    rec.record("read", 0.001, completed_at=1.0)
-    rec.record("read", 0.001, completed_at=2.0)
-    rec.record("write", 0.004, completed_at=3.0)
-    assert rec.mean_latency() == (0.001 * 2 + 0.004) / 3
 
 
 def test_summarize_shapes():

@@ -4,8 +4,7 @@ import pytest
 
 from repro.sim.events import Event, SimulationError, Simulator
 from repro.sim.process import (Interrupt, ProcessKilled, SimHost,
-                               Supervisor, all_of, drive, quorum, spawn,
-                               timeout)
+                               Supervisor, all_of, drive, spawn, timeout)
 
 
 def test_process_sleeps_and_returns_value():
@@ -178,30 +177,6 @@ def test_all_of_empty_succeeds_immediately():
     sim = Simulator()
     cond = all_of(sim, [])
     assert cond.ok
-
-
-def test_quorum_waits_for_k_of_n():
-    sim = Simulator()
-    q = quorum(sim, [timeout(sim, 1.0, "a"), timeout(sim, 2.0, "b"),
-                     timeout(sim, 9.0, "c")], need=2)
-    sim.run_until_complete(q)
-    assert sim.now == 2.0
-    assert sorted(q.result()) == ["a", "b"]
-
-
-def test_quorum_fails_when_unreachable():
-    sim = Simulator()
-    evs = [Event(sim), Event(sim), Event(sim)]
-    q = quorum(sim, evs, need=2)
-    evs[0].fail(RuntimeError("x"))
-    evs[1].fail(RuntimeError("y"))
-    assert q.triggered and not q.ok
-
-
-def test_quorum_more_than_population_rejected():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        quorum(sim, [Event(sim)], need=2)
 
 
 class _Host(SimHost):

@@ -1,11 +1,11 @@
-"""Tests for Resource (CPU model) and Store (queues)."""
+"""Tests for Resource (the CPU model)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.events import SimulationError, Simulator
-from repro.sim.resources import Resource, Store, charge, serve
-from repro.sim.process import Supervisor, spawn, timeout
+from repro.sim.resources import Resource, charge, serve
+from repro.sim.process import Supervisor, spawn
 
 
 def test_resource_grants_up_to_capacity_immediately():
@@ -212,41 +212,3 @@ def test_charge_is_serve_event_for_event(capacity, jobs):
         assert not owner.failures
         logs.append(log)
     assert logs[0] == logs[1]
-
-
-def test_store_put_then_get():
-    sim = Simulator()
-    store = Store(sim)
-    store.put("x")
-    ev = store.get()
-    assert ev.triggered and ev.result() == "x"
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def consumer():
-        item = yield store.get()
-        got.append((item, sim.now))
-
-    spawn(sim, consumer())
-
-    def producer():
-        yield timeout(sim, 2.0)
-        store.put("y")
-
-    spawn(sim, producer())
-    sim.run()
-    assert got == [("y", 2.0)]
-
-
-def test_store_fifo_and_drain():
-    sim = Simulator()
-    store = Store(sim)
-    for i in range(3):
-        store.put(i)
-    assert len(store) == 3
-    assert store.drain() == [0, 1, 2]
-    assert len(store) == 0

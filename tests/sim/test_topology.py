@@ -34,18 +34,18 @@ def three_dc():
 def test_unplaced_endpoints_share_the_default_placement():
     topo = Topology()
     assert topo.placement_of("ghost") == Placement("dc0", "rack0")
-    assert topo.link_class("ghost", "phantom") == "intra-rack"
     assert topo.same_dc("ghost", "phantom")
 
 
 def test_link_classification():
     topo = three_dc()
-    assert topo.link_class("a", "c") == "intra-dc"    # same DC, racks
-    assert topo.link_class("a", "b") == "wan"
-    assert topo.link_class("a", "a") == "intra-rack"
+    rack = topo.nominal("a", "a", jitter_mult=0.0)
+    dc = topo.nominal("a", "c", jitter_mult=0.0)      # same DC, racks
+    wan = topo.nominal("a", "b", jitter_mult=0.0)
+    assert rack < dc < wan
+    assert dc == topo.intra_dc.base + 4096 / topo.intra_dc.bandwidth
     assert not topo.same_dc("a", "b")
     assert topo.dcs() == ["dc0", "dc1", "dc2"]
-    assert topo.placed_in_dc("dc0") == ["a", "c"]
 
 
 def test_wan_delay_is_asymmetric_per_direction():

@@ -5,8 +5,6 @@ from repro.sim.disk import DiskProfile
 from repro.sim.events import Simulator
 from repro.sim.tracing import NullTracer, TraceEvent, Tracer
 
-import pytest
-
 
 def test_tracer_collects_and_filters():
     sim = Simulator()
@@ -38,14 +36,6 @@ def test_tracer_ring_buffer_bounds_memory():
     assert tracer.events()[0].message == "e15"
 
 
-def test_tracer_subscribers_get_live_events():
-    tracer = Tracer()
-    seen = []
-    tracer.subscribe(seen.append)
-    tracer.emit("node", "n1", "boot")
-    assert len(seen) == 1 and seen[0].message == "boot"
-
-
 def test_event_format_readable():
     event = TraceEvent(time=1.5, category="takeover", node="node3",
                        message="open", fields={"epoch": 2})
@@ -57,8 +47,6 @@ def test_null_tracer_is_silent():
     tracer = NullTracer()
     tracer.emit("x", "n", "whatever")
     assert tracer.events() == []
-    with pytest.raises(RuntimeError):
-        tracer.subscribe(lambda e: None)
 
 
 def test_cluster_integration_traces_failover_story():

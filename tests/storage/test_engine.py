@@ -102,17 +102,6 @@ def test_wipe_loses_everything():
     assert eng.checkpoint_lsn == LSN.zero()
 
 
-def test_sstables_with_writes_after_selects_by_max_lsn():
-    eng = StorageEngine(0)
-    eng.apply(wrec(1))
-    eng.flush()                       # table with max 1.1
-    eng.apply(wrec(5, key=b"k5"))
-    eng.flush()                       # table with max 1.5
-    needed = eng.sstables_with_writes_after(LSN(1, 1))
-    assert len(needed) == 1
-    assert needed[0].max_lsn == LSN(1, 5)
-
-
 def test_ingest_sstable_advances_state():
     eng = StorageEngine(0)
     mt = Memtable()
@@ -149,13 +138,3 @@ def test_engine_compaction_preserves_tombstones():
     assert eng.compactions >= 1
     cell = eng.get(b"k", b"c")
     assert cell is not None and cell.tombstone
-
-
-def test_purge_tombstones_is_explicit():
-    eng = StorageEngine(0)
-    eng.apply(wrec(1, value=b"x"))
-    eng.apply(wrec(2, tombstone=True))
-    eng.flush()
-    eng.purge_tombstones()
-    assert eng.get(b"k", b"c") is None
-    assert len(eng.sstables) == 1

@@ -15,14 +15,6 @@ def test_next_increments_sequence():
     assert LSN(1, 20).next() == LSN(1, 21)
 
 
-def test_next_epoch_keeps_sequence():
-    # Appendix B: epoch 1 ends at 1.21, epoch 2 starts issuing at 2.22.
-    lsn = LSN(1, 21)
-    start = lsn.next_epoch()
-    assert start == LSN(2, 21)
-    assert start.next() == LSN(2, 22)
-
-
 def test_int_packing_round_trip():
     lsn = LSN(3, 123456)
     assert LSN.from_int(lsn.to_int()) == lsn
@@ -41,11 +33,6 @@ def test_zero_is_minimum():
 
 def test_str_format():
     assert str(LSN(2, 30)) == "2.30"
-
-
-def test_with_epoch_cannot_decrease():
-    with pytest.raises(ValueError):
-        LSN(5, 1).with_epoch(4)
 
 
 def test_seq_overflow_detected():

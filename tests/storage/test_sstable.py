@@ -39,12 +39,6 @@ def test_row_returns_all_columns():
     assert set(table.row(b"k")) == {b"c1", b"c2"}
 
 
-def test_overlaps_lsn_range():
-    table = table_from(wrec(5), wrec(9, key=b"b"))
-    assert table.overlaps_lsn_range(LSN(1, 8))
-    assert not table.overlaps_lsn_range(LSN(1, 9))
-
-
 def test_keys_sorted_unique():
     table = table_from(wrec(1, key=b"b"), wrec(2, key=b"a"),
                        wrec(3, key=b"b", col=b"c2"))
@@ -80,16 +74,8 @@ def test_compact_newest_cell_wins():
 def test_compact_keeps_tombstones_on_partial_merge():
     t1 = table_from(wrec(1, value=b"x"))
     t2 = table_from(wrec(2, tombstone=True))
-    merged = compact([t1, t2], drop_tombstones=False)
+    merged = compact([t1, t2])
     assert merged.get(b"k", b"c").tombstone
-
-
-def test_full_compaction_drops_tombstones():
-    t1 = table_from(wrec(1, value=b"x"))
-    t2 = table_from(wrec(2, tombstone=True))
-    merged = compact([t1, t2], drop_tombstones=True)
-    assert merged.get(b"k", b"c") is None
-    assert len(merged) == 0
 
 
 def test_size_tiered_policy_needs_fanin_tables():

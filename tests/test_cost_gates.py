@@ -582,3 +582,49 @@ def test_a_baseline_operation_is_handled_by_functions_not_processes(
     assert baseline_processes_per_op(monkeypatch, "write", QUORUM) == 0
     assert baseline_processes_per_op(monkeypatch, "read", QUORUM) == 0
     assert baseline_processes_per_op(monkeypatch, "read", WEAK) == 0
+
+
+COORD_OPS = 50
+
+
+def coordination_processes_per_request(monkeypatch):
+    """``Process`` constructions per coordination request: a create,
+    then ``COORD_OPS`` set-and-get pairs from one started client."""
+    from repro.coord.client import CoordClient
+    from repro.coord.service import CoordinationService
+
+    sim = Simulator()
+    net = Network(sim, RngRegistry(23))
+    CoordinationService(sim, net)
+    client = CoordClient(sim, net.endpoint("node0"))
+    started = spawn(sim, client.start())
+    sim.run(until=1.0)
+    started.result()
+
+    def ops():
+        yield from client.create("/gate")
+        for i in range(COORD_OPS):
+            yield from client.set_data("/gate", b"v%d" % i)
+            yield from client.get("/gate")
+
+    proc = spawn(sim, ops())                # the measuring process
+    made = Counter()
+    init = Process.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made["processes"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Process, "__init__", counting_init)
+    sim.run(until=sim.now + 30.0)
+    proc.result()
+    return made["processes"] / (1 + 2 * COORD_OPS)
+
+
+def test_a_coordination_request_is_handled_by_a_function_not_a_process(
+        monkeypatch):
+    """The coordination service parks each request on its CPU as a
+    ``Charge`` whose continuation applies it and replies: no Process
+    per request (one when each request was a process running
+    ``serve``)."""
+    assert coordination_processes_per_request(monkeypatch) == 0

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.tune.objective import (ObjectiveSpec, focus_ms, focus_share,
-                                  objective_from_report, objective_score)
+from repro.tune.objective import ObjectiveSpec, focus_ms, objective_score
 
 PHASES = {
     "log_force": {"mean_ms": 6.0, "p95_ms": 9.0, "share": 0.6},
@@ -24,7 +23,6 @@ def test_focus_terms_sum_over_named_phases_only():
     spec = ObjectiveSpec(focus_phases=("log_force", "replicate_rtt",
                                        "not_traced"))
     assert focus_ms(PHASES, spec) == pytest.approx(8.0)
-    assert focus_share(PHASES, spec) == pytest.approx(0.8)
 
 
 def test_errors_dominate_the_score():
@@ -56,21 +54,3 @@ def test_adding_latency_outside_focus_never_lowers_the_score():
                              "share": 6.0 / 11.0}}
     assert (objective_score(after, shifted, spec)
             > objective_score(before, PHASES, spec))
-
-
-def test_objective_from_report_entry():
-    spec = ObjectiveSpec(focus_phases=("log_force",), phase_emphasis=0.25,
-                         throughput_weight=0.5)
-    experiment = {
-        "series": {"spinnaker-writes": {"low_load_mean_ms": 8.0,
-                                        "low_load_p95_ms": 12.0,
-                                        "peak_throughput_rps": 1500.0,
-                                        "points": 4}},
-        "phases": {"write": {"count": 100, "total_mean_ms": 8.0,
-                             "phases": {"log_force": {
-                                 "mean_ms": 4.0, "p95_ms": 6.0,
-                                 "share": 0.5}}}},
-    }
-    # 8 + 0.25*4 - 0.5*1.5 = 8.25
-    score = objective_from_report(experiment, "spinnaker-writes", spec)
-    assert score == pytest.approx(8.25)

@@ -7,10 +7,9 @@ import pytest
 from repro.bench.harness import SpinnakerTarget
 from repro.tune.profiles import (PROFILES, activate_tuned_profile,
                                  active_overlay, clear_tuned_profile,
-                                 get_profile, load_tuned_config,
-                                 load_tuned_values, tuned_config_path,
-                                 write_tuned_config)
-from repro.tune.registry import get_knob, validate_values
+                                 get_profile, load_tuned_values,
+                                 tuned_config_path, write_tuned_config)
+from repro.tune.registry import apply_values, get_knob, validate_values
 
 
 @pytest.fixture(autouse=True)
@@ -42,7 +41,7 @@ def test_checked_in_tuned_configs_validate():
         assert tuned_config_path(name).exists(), name
         values = load_tuned_values(name)
         validate_values(values)
-        cfg = load_tuned_config(name)
+        cfg = apply_values(get_profile(name).base_config(), values)
         for key, value in values.items():
             assert getattr(cfg, key) == value
 
