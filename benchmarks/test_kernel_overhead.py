@@ -16,8 +16,7 @@ slow kernel silently inflates every benchmark's wall time.  Two guards:
 
 import time
 
-from repro.bench.openloop import (BurstyArrivals, DiurnalArrivals,
-                                  MuxedUsers, PoissonArrivals)
+from repro.bench.openloop import MuxedUsers, PoissonArrivals
 from repro.core import SpinnakerCluster, SpinnakerConfig
 from repro.core.commitqueue import PendingWrite
 from repro.core.datamodel import GetResult, PutResult
@@ -41,8 +40,7 @@ HOT_CLASSES = [Event, Process, Timeout, Request, Reply, Supervisor, Charge,
                PendingWrite, Span, TraceContext,
                ClientGet, ClientWrite, WriteOp, WriteRecord, Propose, Ack,
                GetResult, PutResult,
-               PoissonArrivals, BurstyArrivals, DiurnalArrivals,
-               MuxedUsers]
+               PoissonArrivals, MuxedUsers]
 
 # Floors in events per wall-clock second, set at ~50% of the rates
 # measured after the list-entry/lazy-cancel/timeout-fast-path kernel

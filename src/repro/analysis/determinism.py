@@ -58,6 +58,13 @@ catches one of those hazard classes at parse time:
 ``unset-option``
     A ``*Config`` dataclass field nothing outside its module *sets* (call
     keyword, string dict key, attribute store, config-file key).
+
+``unpassed-parameter``
+    A defaulted parameter no call in the project passes, by keyword or
+    position.  Calls match by name (``Cls(...)`` is ``Cls.__init__``); a
+    ``*args``/``**kwargs`` call passes everything; a function used as a
+    value (``partial(f)``, ``then=f``, a registry) and dunders other
+    than ``__init__`` are exempt.
 """
 
 from __future__ import annotations
@@ -70,7 +77,8 @@ from .findings import Finding
 __all__ = ["DETERMINISM_RULES", "collect_spawned", "collect_continuations",
            "collect_yield_edges", "close_process_names", "lint_source",
            "loaded_attributes",
-           "write_only_slots", "set_names", "unset_options"]
+           "write_only_slots", "set_names", "unset_options",
+           "collect_calls", "unpassed_parameters"]
 
 DETERMINISM_RULES: Dict[str, str] = {
     "nondet-import": "ambient randomness or wall-clock access; use "
@@ -87,6 +95,8 @@ DETERMINISM_RULES: Dict[str, str] = {
                        "it and its stores",
     "unset-option": "config field is never given a second value; make "
                     "it a constant or derive it",
+    "unpassed-parameter": "no call passes this parameter; make its "
+                          "default the body's value",
 }
 
 #: modules whose mere import is an entropy hazard
@@ -569,3 +579,75 @@ def unset_options(tree: ast.AST, path: str, lines: Sequence[str],
             for stmt in cls.body
             if isinstance(stmt, ast.AnnAssign)
             and stmt.target.id not in set_elsewhere]
+
+
+# -- unpassed parameters (whole-tree: the runner feeds it) -------------------
+
+def collect_calls(tree: ast.AST, passed: Dict[str, Set], valued: Set[str]
+                  ) -> None:
+    """Fold a module's calls into ``passed`` (callee name -> keywords and
+    positional indices passed; ``"*"`` for a star call) and the names it
+    uses as values — not a call's target, not an annotation — into
+    ``valued``.  ``cls(...)`` in a class body calls that class, and
+    ``super().__init__(...)`` the bases."""
+    skip: Set[int] = set()
+    owner: Dict[int, ast.ClassDef] = {}
+    for node in ast.walk(tree):         # breadth-first: outer classes first
+        if isinstance(node, ast.ClassDef):
+            owner.update((id(n), node) for n in ast.walk(node))
+        ann = getattr(node, "annotation", None) or getattr(
+            node, "returns", None)
+        if isinstance(ann, ast.AST):
+            skip.update(map(id, ast.walk(ann)))
+        if isinstance(node, ast.Call):
+            func, cls = node.func, owner.get(id(node))
+            skip.add(id(func))
+            names = [_call_name(func)]
+            if names == ["cls"] and cls is not None:
+                names = [cls.name]
+            elif isinstance(func, ast.Attribute) and func.attr == "__init__":
+                names = [_call_name(b) for b in cls.bases] if cls else []
+            for got in (passed.setdefault(n, set()) for n in names if n):
+                got.update(range(len(node.args)))
+                got.update(k.arg or "*" for k in node.keywords)
+                got.update("*" for a in node.args
+                           if isinstance(a, ast.Starred))
+        elif id(node) not in skip and isinstance(
+                getattr(node, "ctx", None), ast.Load):
+            valued.add(getattr(node, "id", getattr(node, "attr", "")))
+
+
+def unpassed_parameters(tree: ast.AST, path: str, lines: Sequence[str],
+                        passed: Dict[str, Set], valued: Set[str]
+                        ) -> List[Finding]:
+    """Defaulted parameters of this module's functions that no call in
+    ``passed`` (:func:`collect_calls` over every module) passes."""
+    owners: Dict[int, str] = {}
+    findings: List[Finding] = []
+    for fn in ast.walk(tree):           # a class before its methods
+        if isinstance(fn, ast.ClassDef):
+            owners.update((id(stmt), fn.name) for stmt in fn.body)
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        name = owners.get(id(fn), "") if fn.name == "__init__" else fn.name
+        got = passed.get(name, set())
+        if (name in valued or "*" in got or name == fn.name
+                and fn.name.startswith("__") and fn.name.endswith("__")):
+            continue
+        # a method's first positional binds ``self``; an unbound call's
+        # would bind it too, so a shift of one never flags a passed one
+        shift = int(id(fn) in owners and "staticmethod" not in map(
+            _call_name, fn.decorator_list))
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        unpassed = [a for i, a in enumerate(positional) if i >= first
+                    and a.arg not in got and i - shift not in got]
+        unpassed += [a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                     if d is not None and a.arg not in got]
+        findings.extend(Finding(
+            rule="unpassed-parameter", path=path, line=a.lineno,
+            message=f"{fn.name}({a.arg}): "
+                    f"{DETERMINISM_RULES['unpassed-parameter']}",
+            code=lines[a.lineno - 1].strip()) for a in unpassed)
+    return findings

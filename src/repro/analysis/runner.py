@@ -18,7 +18,8 @@ baseline entries that no longer match anything as stale).  The
 ``write-only-slot`` rule is whole-tree too, and looks further: a slot
 counts as read if any module under the enclosing project's ``src/``,
 ``tests/``, ``benchmarks/``, ``perfbench/`` or ``examples/`` reads it;
-``unset-option`` wants a setter there or in ``configs/*.json``.
+``unset-option`` wants a setter there or in ``configs/*.json``, and
+``unpassed-parameter`` a call there that passes the parameter.
 """
 
 from __future__ import annotations
@@ -30,10 +31,11 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .atomicity import lint_atomicity
-from .determinism import (close_process_names, collect_continuations,
-                          collect_spawned, collect_yield_edges, lint_source,
-                          loaded_attributes, set_names, unset_options,
-                          write_only_slots)
+from .determinism import (close_process_names, collect_calls,
+                          collect_continuations, collect_spawned,
+                          collect_yield_edges, lint_source,
+                          loaded_attributes, set_names, unpassed_parameters,
+                          unset_options, write_only_slots)
 from .findings import (Baseline, Finding, match_baseline, parse_pragmas,
                        suppressed)
 from .protocol import ProtocolSpec, check_protocols
@@ -126,6 +128,8 @@ def run_lint(root: Path,
     edges: Dict[str, Set[str]] = {}
     loaded: Set[str] = set()    # attribute names read, by anyone
     setters: Dict[Path, Set[str]] = {}  # option names each file sets
+    passed: Dict[str, Set] = {}     # callee name -> arguments some call passes
+    valued: Set[str] = set()        # names used other than as a call target
     for path in (project_root(root) or root).glob("configs/*.json"):
         json.loads(path.read_text(encoding="utf-8"),
                    object_hook=setters.setdefault(path, set()).update)
@@ -138,6 +142,7 @@ def run_lint(root: Path,
             result.parse_errors.append(f"{path}: {err}")
             continue
         loaded |= loaded_attributes(tree)
+        collect_calls(tree, passed, valued)
         if path.parts[-2:] != ("tune", "registry.py"):   # names them all
             setters[path] = set_names(tree)
         if root not in path.parents:
@@ -157,12 +162,15 @@ def run_lint(root: Path,
     raw: List[Finding] = []
     for path, text in sources.items():
         rel = path.relative_to(root)
-        raw.extend(write_only_slots(trees[path], rel.as_posix(),
-                                    text.splitlines(), loaded))
+        lines = text.splitlines()
+        raw.extend(write_only_slots(trees[path], rel.as_posix(), lines,
+                                    loaded))
+        raw.extend(unpassed_parameters(trees[path], rel.as_posix(), lines,
+                                       passed, valued))
         if rel.parts[0] in ("core", "baseline"):
             others = [names for p, names in setters.items() if p != path]
-            raw.extend(unset_options(trees[path], rel.as_posix(),
-                                     text.splitlines(), set().union(*others)))
+            raw.extend(unset_options(trees[path], rel.as_posix(), lines,
+                                     set().union(*others)))
         result.files_checked += 1
         sim_visible = is_sim_visible(rel)
         raw.extend(lint_source(text, rel.as_posix(),

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..core.partition import RangePartitioner
 from ..sim.events import Simulator
-from ..sim.network import LatencyModel, Network
+from ..sim.network import Network
 from ..sim.process import SimHost
 from ..sim.rng import RngRegistry
 from .client import CassandraClient
@@ -27,14 +27,12 @@ class CassandraCluster(SimHost):
 
     def __init__(self, n_nodes: int = 5,
                  config: Optional[CassandraConfig] = None,
-                 seed: int = 0,
-                 node_names: Optional[List[str]] = None,
-                 latency: Optional[LatencyModel] = None):
+                 seed: int = 0):
         self.config = (config or CassandraConfig()).validate()
         self.sim = Simulator()
         self.rng = RngRegistry(seed)
-        self.network = Network(self.sim, self.rng, latency)
-        names = node_names or [f"cnode{i}" for i in range(n_nodes)]
+        self.network = Network(self.sim, self.rng)
+        names = [f"cnode{i}" for i in range(n_nodes)]
         self.partitioner = RangePartitioner(
             names, replication_factor=self.config.replication_factor)
         self.nodes: Dict[str, CassandraNode] = {

@@ -6,8 +6,8 @@ from .workload import (Workload, VALUE_SIZE, conditional_put_workload,
                        mixed_workload, read_workload, write_workload)
 from .harness import (CassandraTarget, LoadPoint, SpinnakerTarget, curves,
                       run_load, sweep)
-from .openloop import (BurstyArrivals, DiurnalArrivals, MuxedUsers,
-                       OpenLoadPoint, PoissonArrivals, run_open_load)
+from .openloop import (MuxedUsers, OpenLoadPoint, PoissonArrivals,
+                       run_open_load)
 from .experiments import ALL_EXPERIMENTS, ExperimentResult
 from .report import render
 
@@ -17,7 +17,7 @@ __all__ = [
     "conditional_put_workload",
     "SpinnakerTarget", "CassandraTarget", "LoadPoint", "run_load", "sweep",
     "curves",
-    "PoissonArrivals", "BurstyArrivals", "DiurnalArrivals",
+    "PoissonArrivals",
     "MuxedUsers", "OpenLoadPoint", "run_open_load",
     "ALL_EXPERIMENTS", "ExperimentResult", "render",
 ]

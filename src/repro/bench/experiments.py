@@ -37,7 +37,7 @@ from ..sim.process import all_of, drive, spawn, timeout
 from ..sim.topology import Topology
 from .harness import (CassandraTarget, LoadPoint, SpinnakerTarget, curves,
                       scaled_ladder, scaled_ops, traced_point)
-from .openloop import PoissonArrivals, run_open_load
+from .openloop import run_open_load
 from .workload import (VALUE_SIZE, Workload, conditional_put_workload,
                        mixed_workload, read_workload, write_workload)
 
@@ -236,14 +236,14 @@ FIG9 = Sweep([4, 8, 16, 32, 64, 96], {
 # Table 1: cohort recovery time vs commit period
 # ---------------------------------------------------------------------------
 
-def table1_recovery(result: ExperimentResult, scale: float, seed: int,
-                    commit_periods: Optional[List[float]] = None) -> None:
+def table1_recovery(result: ExperimentResult, scale: float, seed: int
+                    ) -> None:
     """§D.1: leader killed; recovery time proportional to commit period.
 
     Per the paper, the coordination-service failure-detection timeout is
     excluded: the leader's session is expired at kill time.
     """
-    periods = commit_periods or [1.0, 5.0, 10.0, 15.0]
+    periods = [1.0, 5.0, 10.0, 15.0]
     if scale < 0.5:
         periods = [p for p in periods if p <= 5.0] or periods[:2]
     rows = _recovery_rows(periods, seed)
@@ -348,8 +348,7 @@ def fig11_scaling(result: ExperimentResult, scale: float,
 # Figure 12: mixed workload, latency vs write percentage
 # ---------------------------------------------------------------------------
 
-def fig12_mixed(result: ExperimentResult, scale: float, seed: int,
-                n_nodes: int = 10) -> None:
+def fig12_mixed(result: ExperimentResult, scale: float, seed: int) -> None:
     """§D.3: fixed load (2 client threads), write %% swept 0-60%."""
     fractions = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
     if scale < 0.5:
@@ -361,7 +360,7 @@ def fig12_mixed(result: ExperimentResult, scale: float, seed: int,
             ("spinnaker-timeline-mix", SpinnakerTarget, "timeline"),
             ("cassandra-quorum-mix", CassandraTarget, "quorum"),
             ("cassandra-weak-mix", CassandraTarget, "weak")):
-        factory = _fresh(target_cls, n_nodes, seed)
+        factory = _fresh(target_cls, 10, seed)
         # The swept axis is the write %, so each "arm" is one mix and
         # the thread ladder has the single fixed rung.
         by_pct = curves(
@@ -424,8 +423,8 @@ def fig12_scale(result: ExperimentResult, scale: float, seed: int) -> None:
         point = run_open_load(
             target, mixed_workload(0.2, "strong"),
             n_users=n * users_per_node, rate=n * per_node_rate,
-            duration=duration, warmup=warmup,
-            arrivals=PoissonArrivals, shards=max(4, n // 8), seed=seed)
+            duration=duration, warmup=warmup, shards=max(4, n // 8),
+            seed=seed)
         rows.append({
             "nodes": n, "users": point.n_users,
             "active_users": point.active_users,
@@ -1024,13 +1023,13 @@ def fig_recovery(result: ExperimentResult, scale: float,
 # fig-wan: multi-datacenter latency/consistency frontier
 # ---------------------------------------------------------------------------
 
-def _wan_cluster(seed: int, placement: str, n_nodes: int = 9):
+def _wan_cluster(seed: int, placement: str):
     """A realistic 3-DC WAN: ~25 ms one-way base propagation, routes
-    asymmetric by up to 25%, nodes round-robin across datacenters."""
-    topo = Topology.round_robin(n_nodes, asymmetry=0.25)
+    asymmetric by up to 25%, 9 nodes round-robin across datacenters."""
+    topo = Topology.round_robin(9, asymmetry=0.25)
     cfg = SpinnakerConfig(log_profile=DiskProfile.ssd_log(),
                           commit_period=0.25)
-    cluster = SpinnakerCluster(n_nodes=n_nodes, config=cfg, seed=seed,
+    cluster = SpinnakerCluster(n_nodes=9, config=cfg, seed=seed,
                                topology=topo, placement=placement)
     cluster.start()
     return cluster, topo

@@ -311,13 +311,12 @@ def curves(arms: Mapping[Hashable, Arm], thread_counts: Sequence[int],
             for label, (factory, workload) in arms.items()}
 
 
-def scaled_ladder(base: Sequence[int], scale: float,
-                  floor: int = 2) -> List[int]:
-    """``base`` thread counts scaled by ``scale``, floored, and with the
-    rungs that collapse onto the one below dropped."""
+def scaled_ladder(base: Sequence[int], scale: float) -> List[int]:
+    """``base`` thread counts scaled by ``scale``, floored at two, and
+    with the rungs that collapse onto the one below dropped."""
     out: List[int] = []
     for t in base:
-        scaled = max(floor, int(round(t * scale)))
+        scaled = max(2, int(round(t * scale)))
         if not out or scaled > out[-1]:
             out.append(scaled)
     return out

@@ -8,13 +8,11 @@ doing — and the difference matters exactly where this repo's north star
 lives (does the design hold up at hundreds of nodes and ~10⁶ users?).
 This module adds the open-loop side:
 
-* **arrival processes** — :class:`PoissonArrivals` (memoryless, the
-  M/G/k textbook case), :class:`BurstyArrivals` (on/off modulated
-  Poisson: flash crowds), and :class:`DiurnalArrivals` (sinusoidally
-  rate-modulated Poisson: day/night cycles).  Each draws inter-arrival
-  gaps from a dedicated :class:`~repro.sim.rng.RngRegistry` stream, so
-  arrival sequences are deterministic per seed and isolated from every
-  other consumer of randomness;
+* **arrivals** — :class:`PoissonArrivals` (memoryless, the M/G/k
+  textbook case) draws inter-arrival gaps from a dedicated
+  :class:`~repro.sim.rng.RngRegistry` stream, so arrival sequences are
+  deterministic per seed and isolated from every other consumer of
+  randomness;
 * **client multiplexing** — one simulated driver process *per shard*
   models thousands of users (:class:`MuxedUsers`): per-user state is
   two compact ``array('I')`` counters (8 bytes/user, independent of how
@@ -32,10 +30,8 @@ with request tracing on or off.
 
 from __future__ import annotations
 
-import math
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
 
 from ..core.datamodel import RequestTimeout, VersionMismatch
 from ..sim.metrics import Histogram
@@ -45,8 +41,6 @@ from .workload import Workload
 
 __all__ = [
     "PoissonArrivals",
-    "BurstyArrivals",
-    "DiurnalArrivals",
     "MuxedUsers",
     "OpenLoadPoint",
     "run_open_load",
@@ -68,104 +62,9 @@ class PoissonArrivals:
             raise ValueError("arrival rate must be > 0")
         self.rate = rate
 
-    def next_gap(self, rng, now: float) -> float:
-        """Seconds until the next arrival (``now`` unused: memoryless)."""
+    def next_gap(self, rng) -> float:
+        """Seconds until the next arrival."""
         return rng.expovariate(self.rate)
-
-
-def _thinned_gap(rng, now: float, rate_max: float, rate_at) -> float:
-    """One inter-arrival gap of a non-homogeneous Poisson process.
-
-    Lewis-Shedler thinning: draw candidate arrivals at the bounding
-    rate ``rate_max`` and accept each with probability
-    ``rate_at(t) / rate_max``.  Exact for any intensity bounded by
-    ``rate_max`` — naively drawing a gap at the rate in force at draw
-    time undercounts sharp bursts (the last low-rate gap overshoots
-    deep into the burst window).  Deterministic given the rng stream;
-    the number of draws per arrival varies, which is fine because each
-    generator owns its stream exclusively.
-    """
-    t = now
-    while True:
-        t += rng.expovariate(rate_max)
-        if rng.random() * rate_max <= rate_at(t):
-            return t - now
-
-
-class BurstyArrivals:
-    """On/off modulated Poisson: flash-crowd bursts over a quiet floor.
-
-    During the first ``on_s`` seconds of every ``on_s + off_s`` cycle
-    arrivals come at ``rate * burst_factor``; outside the burst they
-    drop to the rate that keeps the *long-run mean* near ``rate``
-    (clamped at a small floor so the off phase is never silent).
-    Sampled by thinning (:func:`_thinned_gap`), so the burst windows
-    get their full arrival mass despite the sharp rate edges.
-    """
-
-    name = "bursty"
-    # lint: allow(write-only-slot) — burst_factor: public, like rate/on_s
-    __slots__ = ("rate", "burst_factor", "on_s", "off_s",
-                 "_rate_on", "_rate_off")
-
-    def __init__(self, rate: float, burst_factor: float = 4.0,
-                 on_s: float = 0.5, off_s: float = 1.5):
-        if rate <= 0:
-            raise ValueError("arrival rate must be > 0")
-        if burst_factor < 1.0:
-            raise ValueError("burst_factor must be >= 1")
-        if on_s <= 0 or off_s <= 0:
-            raise ValueError("on_s and off_s must be > 0")
-        self.rate = rate
-        self.burst_factor = burst_factor
-        self.on_s = on_s
-        self.off_s = off_s
-        self._rate_on = rate * burst_factor
-        # solve mean = (on*rate_on + off*rate_off) / (on + off) for off
-        mean_total = rate * (on_s + off_s)
-        self._rate_off = max((mean_total - self._rate_on * on_s) / off_s,
-                             rate * 0.05)
-
-    def _rate_at(self, t: float) -> float:
-        phase = t % (self.on_s + self.off_s)
-        return self._rate_on if phase < self.on_s else self._rate_off
-
-    def next_gap(self, rng, now: float) -> float:
-        return _thinned_gap(rng, now, self._rate_on, self._rate_at)
-
-
-class DiurnalArrivals:
-    """Sinusoidally rate-modulated Poisson: a day/night load cycle.
-
-    Instantaneous rate is ``rate * (1 + amplitude * sin(2*pi*now /
-    period))``, floored at 5% of the mean so the trough never goes
-    fully silent.  Sampled exactly by thinning (:func:`_thinned_gap`)
-    against the peak rate.
-    """
-
-    name = "diurnal"
-    __slots__ = ("rate", "period", "amplitude")
-
-    def __init__(self, rate: float, period: float = 60.0,
-                 amplitude: float = 0.5):
-        if rate <= 0:
-            raise ValueError("arrival rate must be > 0")
-        if not 0.0 <= amplitude <= 1.0:
-            raise ValueError("amplitude must be in [0, 1]")
-        if period <= 0:
-            raise ValueError("period must be > 0")
-        self.rate = rate
-        self.period = period
-        self.amplitude = amplitude
-
-    def _rate_at(self, t: float) -> float:
-        rate = self.rate * (1.0 + self.amplitude
-                            * math.sin(2.0 * math.pi * t / self.period))
-        return max(rate, self.rate * 0.05)
-
-    def next_gap(self, rng, now: float) -> float:
-        return _thinned_gap(rng, now, self.rate * (1.0 + self.amplitude),
-                            self._rate_at)
 
 
 # ---------------------------------------------------------------------------
@@ -249,19 +148,15 @@ class OpenLoadPoint:
 
 def run_open_load(target, workload: Workload, n_users: int, rate: float,
                   duration: float, warmup: float = 1.0,
-                  arrivals: Callable[[float], object] = PoissonArrivals,
                   shards: int = 8, max_inflight_per_shard: int = 128,
-                  seed: int = 1,
-                  preload: bool = True) -> OpenLoadPoint:
+                  seed: int = 1) -> OpenLoadPoint:
     """Drive ``target`` open-loop at ``rate`` arrivals/sec for
     ``duration`` measured seconds (after ``warmup`` unmeasured ones).
 
-    ``arrivals`` is a factory called with each shard's share of the
-    rate (``rate / shards``); pass one of the arrival-process classes.
-    Arrivals that find the shard at ``max_inflight_per_shard`` ops in
-    flight are *shed* and counted — an open loop must never queue
-    unboundedly inside the generator, and the shed count is the
-    overload signal.
+    Each shard draws Poisson arrivals at ``rate / shards``.  Arrivals
+    that find the shard at ``max_inflight_per_shard`` ops in flight are
+    *shed* and counted — an open loop must never queue unboundedly
+    inside the generator, and the shed count is the overload signal.
     """
     workload.validate()
     if n_users < shards:
@@ -269,7 +164,7 @@ def run_open_load(target, workload: Workload, n_users: int, rate: float,
     sim = target.sim
     rng_master = target.cluster.rng.fork(f"openloop-{seed}")
     keys = [b"row-%06d" % i for i in range(workload.preload_rows)]
-    if preload and workload.preload_rows:
+    if workload.preload_rows:
         target.preload(keys, workload.value_size)
     target.start()
 
@@ -301,14 +196,14 @@ def run_open_load(target, workload: Workload, n_users: int, rate: float,
             hist.add(sim.now - start)
 
     def driver(sid: int):
-        arr = arrivals(shard_rate)
+        arr = PoissonArrivals(shard_rate)
         rng_arr = rng_master.stream(f"arrivals-{sid}")
         rng_ops = rng_master.stream(f"ops-{sid}")
         client_name = f"bclient{sid % N_CLIENT_NODES}"
         read_op, write_op = target.make_thread(client_name, workload, sid,
                                                keys, rng_ops)
         while True:
-            yield timeout(sim, arr.next_gap(rng_arr, sim.now - t0))
+            yield timeout(sim, arr.next_gap(rng_arr))
             if sim.now >= end:
                 break
             uid = users.pick(sid, rng_arr)
@@ -336,7 +231,7 @@ def run_open_load(target, workload: Workload, n_users: int, rate: float,
 
     throughput = hist.count / duration if duration > 0 else 0.0
     return OpenLoadPoint(
-        arrival=getattr(arrivals(shard_rate), "name", "custom"),
+        arrival=PoissonArrivals.name,
         offered_rate=rate,
         observed_offered=stats["offered"] / duration if duration else 0.0,
         throughput=throughput,

@@ -119,7 +119,7 @@ def write_bench_report(results: List[ExperimentResult], path: str,
         fh.write("\n")
 
 
-def refresh_phases(path: str, seed: int = 1) -> List[str]:
+def refresh_phases(path: str) -> List[str]:
     """Re-run every phase probe and splice the results into an existing
     report file, leaving the sweep-derived sections untouched.
 
@@ -135,7 +135,7 @@ def refresh_phases(path: str, seed: int = 1) -> List[str]:
         probe = ALL_EXPERIMENTS[exp_id].probe
         if entry is None or probe is None:
             continue
-        entry["phases"] = probe(seed=seed)
+        entry["phases"] = probe(seed=1)
         refreshed.append(exp_id)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

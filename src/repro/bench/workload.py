@@ -101,34 +101,28 @@ class Workload:
         return lambda: rng.choice(keys)
 
 
-def read_workload(read_mode: str, value_size: int = VALUE_SIZE,
-                  preload_rows: int = 2000) -> Workload:
+def read_workload(read_mode: str, preload_rows: int = 2000) -> Workload:
     """§9.1: 100% reads of 4 KB values from random (preloaded) rows."""
     return Workload(name=f"read-{read_mode}", write_fraction=0.0,
-                    read_mode=read_mode, value_size=value_size,
+                    read_mode=read_mode,
                     preload_rows=preload_rows).validate()
 
 
-def write_workload(write_mode: str = "default",
-                   value_size: int = VALUE_SIZE) -> Workload:
+def write_workload(write_mode: str = "default") -> Workload:
     """§9.2: 100% writes of 4 KB values to consecutive keys."""
     return Workload(name=f"write-{write_mode}", write_fraction=1.0,
-                    write_mode=write_mode, value_size=value_size,
-                    preload_rows=0).validate()
+                    write_mode=write_mode, preload_rows=0).validate()
 
 
-def mixed_workload(write_fraction: float, read_mode: str,
-                   write_mode: str = "default",
-                   value_size: int = VALUE_SIZE) -> Workload:
+def mixed_workload(write_fraction: float, read_mode: str) -> Workload:
     """§D.3: mixed reads and writes at a given write percentage."""
     return Workload(name=f"mixed-{int(write_fraction * 100)}w-{read_mode}",
                     write_fraction=write_fraction, read_mode=read_mode,
-                    write_mode=write_mode, value_size=value_size,
                     preload_rows=2000).validate()
 
 
-def conditional_put_workload(value_size: int = VALUE_SIZE) -> Workload:
+def conditional_put_workload() -> Workload:
     """§D.5: atomically replace preloaded values via conditional put."""
     return Workload(name="conditional-put", write_fraction=1.0,
                     read_mode="strong", write_mode="conditional",
-                    value_size=value_size, preload_rows=2000).validate()
+                    preload_rows=2000).validate()

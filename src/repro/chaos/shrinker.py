@@ -98,14 +98,12 @@ class ShrinkResult:
     replays: int                      # cluster runs spent shrinking
 
 
-def shrink_run(seed: int, config: Optional[ChaosConfig] = None,
-               schedule: Optional[List[FaultEvent]] = None,
-               max_runs: int = 64) -> ShrinkResult:
-    """Run ``(seed, config)`` (or an explicit schedule); if an invariant
-    is violated, minimize the schedule to the shortest failing fault
-    sequence."""
+def shrink_run(seed: int, config: Optional[ChaosConfig] = None
+               ) -> ShrinkResult:
+    """Run ``(seed, config)``; if an invariant is violated, minimize its
+    schedule to the shortest failing fault sequence."""
     config = config or ChaosConfig()
-    baseline = run_chaos(seed, config, schedule=schedule)
+    baseline = run_chaos(seed, config)
     original = list(baseline.schedule)
     if baseline.ok:
         return ShrinkResult(failed=False, seed=seed, config=config,
@@ -117,7 +115,7 @@ def shrink_run(seed: int, config: Optional[ChaosConfig] = None,
         replays[0] += 1
         return not run_chaos(seed, config, schedule=candidate).ok
 
-    minimized = ddmin(original, fails, max_runs=max_runs)
+    minimized = ddmin(original, fails)
     final = run_chaos(seed, config, schedule=minimized)
     replays[0] += 1
     return ShrinkResult(failed=True, seed=seed, config=config,
@@ -129,7 +127,7 @@ def shrink_run(seed: int, config: Optional[ChaosConfig] = None,
 # Regression-test emission
 # ---------------------------------------------------------------------------
 
-def _format_event(ev: FaultEvent, indent: str = "        ") -> str:
+def _format_event(ev: FaultEvent) -> str:
     """A FaultEvent constructor call listing only non-default fields."""
     parts = []
     for f in fields(FaultEvent):
@@ -137,7 +135,7 @@ def _format_event(ev: FaultEvent, indent: str = "        ") -> str:
         if f.name != "at" and value == f.default:
             continue
         parts.append(f"{f.name}={value!r}")
-    return f"{indent}FaultEvent({', '.join(parts)}),"
+    return f"        FaultEvent({', '.join(parts)}),"
 
 
 def format_regression_test(result: ShrinkResult) -> str:

@@ -23,7 +23,7 @@ from ..sim.events import Simulator
 from ..sim.network import Endpoint, RpcTimeout
 from ..sim.process import Process, spawn, timeout
 from .service import SESSION_TIMEOUT_DEFAULT, error_from_code
-from .znode import CoordError, NoNodeError, WatchEvent
+from .znode import CoordError, WatchEvent
 
 __all__ = ["CoordClient"]
 
@@ -216,11 +216,6 @@ class CoordClient:
             "op": "get", "path": path,
             "watch_id": self._register_watcher(watcher)}))
 
-    def exists(self, path: str, watcher=None):
-        return (yield from self._call({
-            "op": "exists", "path": path,
-            "watch_id": self._register_watcher(watcher)}))
-
     def get_children(self, path: str, watcher=None):
         return (yield from self._call({
             "op": "children", "path": path,
@@ -238,16 +233,3 @@ class CoordClient:
             except CoordError as err:
                 if err.code != "node-exists":
                     raise
-
-    def delete_recursive(self, path: str):
-        """Delete a subtree (used to clean old election state, §7.2)."""
-        try:
-            kids = yield from self.get_children(path)
-        except NoNodeError:
-            return
-        for kid in kids:
-            yield from self.delete_recursive(f"{path}/{kid}")
-        try:
-            yield from self.delete(path)
-        except NoNodeError:
-            pass

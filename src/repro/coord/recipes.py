@@ -53,24 +53,23 @@ class CohortMapBoard:
     """A monotonically versioned announcement board for the cohort map.
 
     The migration leader publishes the new map version here after the
-    membership-change record commits; late joiners and operators read it
-    to learn the routing epoch without scanning any cohort's log.  The
-    znode holds ``<version>`` (optionally ``<version>|<payload>``) and
-    only ever moves forward: publish uses the znode's compare-and-set
-    version to lose races gracefully.
+    membership-change record commits; the znode holds ``<version>`` and
+    only moves forward (publish compare-and-sets the znode version).
+    Nothing reads the board back: clients learn a map from the cohorts.
     """
 
-    def __init__(self, client: CoordClient, path: str = "/map"):
+    path = "/map"
+
+    def __init__(self, client: CoordClient):
         self.client = client
-        self.path = path
 
     # `version` is the value being published, not a guard; the znode
     # compare-and-set arbitrates races.
     # lint: allow(stale-guard-across-yield)
-    def publish(self, version: int, payload: bytes = b""):
+    def publish(self, version: int):
         """Advance the board to ``version``; ``yield from`` me.  Returns
         True if this call advanced it, False if it was already there."""
-        data = str(version).encode() + (b"|" + payload if payload else b"")
+        data = str(version).encode()
         while True:
             try:
                 cur, zver = yield from self.client.get(self.path)
@@ -80,8 +79,7 @@ class CohortMapBoard:
                     return True
                 except NodeExistsError:
                     continue
-            current = int(cur.split(b"|", 1)[0] or b"0")
-            if current >= version:
+            if int(cur or b"0") >= version:
                 return False
             try:
                 yield from self.client.set_data(self.path, data,
@@ -89,17 +87,3 @@ class CohortMapBoard:
                 return True
             except CoordError:
                 continue    # raced; re-read and re-check monotonicity
-
-    def read(self):
-        """Current (version, payload); (0, b"") when never published.
-        ``yield from`` me."""
-        try:
-            data, _ = yield from self.client.get(self.path)
-        except NoNodeError:
-            return 0, b""
-        if b"|" in data:
-            head, payload = data.split(b"|", 1)
-        else:
-            head, payload = data, b""
-        return int(head or b"0"), payload
-

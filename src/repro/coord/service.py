@@ -30,23 +30,20 @@ __all__ = ["CoordinationService", "SESSION_TIMEOUT_DEFAULT"]
 
 #: The paper used a 2-second ZooKeeper failure-detection timeout (§D.1).
 SESSION_TIMEOUT_DEFAULT = 2.0
+#: Service time of a read, and of an update (which pays a log force).
+READ_LATENCY = 0.3e-3
+UPDATE_LATENCY = 1.2e-3
+#: How often expired sessions are swept.
+SWEEP_INTERVAL = 0.25
 
 
 class CoordinationService:
-    """The server side.  Install on a network as endpoint ``name``."""
+    """The server side, installed on a network as endpoint ``coord``."""
 
-    def __init__(self, sim: Simulator, network: Network,
-                 name: str = "coord",
-                 read_latency: float = 0.3e-3,
-                 update_latency: float = 1.2e-3,
-                 sweep_interval: float = 0.25):
+    def __init__(self, sim: Simulator, network: Network):
         self.sim = sim
-        self.name = name
         self.tree = ZNodeTree()
-        self.read_latency = read_latency
-        self.update_latency = update_latency
-        self.sweep_interval = sweep_interval
-        self.endpoint = network.endpoint(name)
+        self.endpoint = network.endpoint("coord")
         self.endpoint.on_request(self._on_request)
         self._cpu = Resource(sim, capacity=1)
         self._sessions: Dict[int, Dict[str, Any]] = {}
@@ -77,7 +74,7 @@ class CoordinationService:
 
     def _expiry_sweeper(self):
         while True:
-            yield timeout(self.sim, self.sweep_interval)
+            yield timeout(self.sim, SWEEP_INTERVAL)
             now = self.sim.now
             for session, info in list(self._sessions.items()):
                 if info["alive"] and now - info["last_seen"] > info["timeout"]:
@@ -122,7 +119,7 @@ class CoordinationService:
             req.respond({"ok": bool(alive)}, size=48)
             return
         is_update = op in ("create", "delete", "set", "close-session")
-        latency = self.update_latency if is_update else self.read_latency
+        latency = UPDATE_LATENCY if is_update else READ_LATENCY
         Charge(self._cpu, latency, self._handle, req)
 
     def _handle(self, req: Request) -> None:
@@ -172,17 +169,11 @@ class CoordinationService:
         if op == "get":
             data, version = tree.get(payload["path"])
             # ZooKeeper semantics: a failed get leaves no watch (the
-            # NoNodeError above propagates before this line) — use
-            # exists() to watch for creation.
+            # NoNodeError above propagates before this line).
             if payload.get("watch_id") is not None:
                 tree.add_data_watch(payload["path"],
                                     (src, payload["watch_id"]))
             return (data, version), fired
-        if op == "exists":
-            if payload.get("watch_id") is not None:
-                tree.add_data_watch(payload["path"],
-                                    (src, payload["watch_id"]))
-            return tree.exists(payload["path"]), fired
         if op == "children":
             if payload.get("watch_id") is not None:
                 tree.add_child_watch(payload["path"],

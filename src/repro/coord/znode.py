@@ -70,7 +70,7 @@ ERRORS_BY_CODE = {
 class WatchEvent:
     """What a watcher receives: event type + the path it fired for."""
 
-    kind: str   # "created" | "deleted" | "changed" | "children"
+    kind: str   # "deleted" | "changed" | "children"
     path: str
 
 
@@ -181,7 +181,6 @@ class ZNodeTree:
         if ephemeral:
             self._ephemerals.setdefault(session, set()).add(actual)
         fired: List = []
-        self._fire_data(actual, "created", fired)
         parent_path = "/" + "/".join(parts[:-1]) if len(parts) > 1 else "/"
         self._fire_children(parent_path, fired)
         return actual, fired
@@ -225,9 +224,6 @@ class ZNodeTree:
         if node is None:
             raise NoNodeError(path)
         return node.data, node.version
-
-    def exists(self, path: str) -> bool:
-        return self._find(path) is not None
 
     def children(self, path: str) -> List[str]:
         node = self._find(path)

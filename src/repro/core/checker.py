@@ -65,8 +65,8 @@ class HistoryRecorder:
         self._ops.append(_Op("write", key, start, end, version, ok))
 
     def record_read(self, key: bytes, start: float, end: float,
-                    version: int, ok: bool = True) -> None:
-        self._ops.append(_Op("read", key, start, end, version, ok))
+                    version: int) -> None:
+        self._ops.append(_Op("read", key, start, end, version, True))
 
     def operations(self, key: Optional[bytes] = None) -> List[_Op]:
         return [op for op in self._ops if key is None or op.key == key]

@@ -139,19 +139,17 @@ def _handoff_watchdog(replica, successor: str, epoch_at_handoff: int):
         pass
 
 
-def plan_rebalance(partitioner, leaders: Dict[int, Optional[str]],
-                   max_leaders_per_node: Optional[int] = None
+def plan_rebalance(partitioner, leaders: Dict[int, Optional[str]]
                    ) -> List[Tuple[int, str, str]]:
     """Plan transfers to even out leadership.
 
     ``leaders`` maps cohort id → current leader (None entries are
     skipped: an election is already pending there).  Returns a list of
-    ``(cohort_id, from_node, to_node)`` moves.  The target ceiling
-    defaults to ⌈cohorts / nodes⌉ (one, for the standard layout).
+    ``(cohort_id, from_node, to_node)`` moves.  The target ceiling is
+    ⌈cohorts / nodes⌉ (one, for the standard layout).
     """
     nodes = list(partitioner.nodes)
-    if max_leaders_per_node is None:
-        max_leaders_per_node = -(-len(partitioner.cohorts) // len(nodes))
+    max_leaders_per_node = -(-len(partitioner.cohorts) // len(nodes))
     counts = {name: 0 for name in nodes}
     for leader in leaders.values():
         if leader is not None:

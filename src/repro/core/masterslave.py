@@ -43,12 +43,11 @@ class MSUnavailable(Exception):
 class _MSNode:
     """One half of the pair: a log, a key-value state, and liveness."""
 
-    def __init__(self, sim: Simulator, rng: RngRegistry, name: str,
-                 profile: Optional[DiskProfile] = None):
+    def __init__(self, sim: Simulator, rng: RngRegistry, name: str):
         self.sim = sim
         self.name = name
         self.device = LogDevice(sim, rng, f"{name}-log",
-                                profile=profile or DiskProfile.ssd_log())
+                                profile=DiskProfile.ssd_log())
         self.alive = True
         self.last_lsn = 0
         self.log: List[Tuple[int, bytes, bytes]] = []   # (lsn, key, value)
@@ -82,14 +81,13 @@ class MasterSlavePair:
     POLICIES = ("safe", "unsafe", "block")
 
     def __init__(self, sim: Simulator, network: Network, rng: RngRegistry,
-                 policy: str = "safe",
-                 profile: Optional[DiskProfile] = None):
+                 policy: str = "safe"):
         if policy not in self.POLICIES:
             raise ValueError(f"unknown policy {policy!r}")
         self.sim = sim
         self.policy = policy
-        self.master = _MSNode(sim, rng, "ms-master", profile)
-        self.slave = _MSNode(sim, rng, "ms-slave", profile)
+        self.master = _MSNode(sim, rng, "ms-master")
+        self.slave = _MSNode(sim, rng, "ms-slave")
         self._next_lsn = 0
         self.writes_committed = 0
 

@@ -392,9 +392,9 @@ def _pick_residents(members: Sequence[str], joiner: str, count: int,
 
 
 def plan_join(partitioner: RangePartitioner, new_nodes: Sequence[str],
-              heat: Optional[Dict[int, float]] = None,
-              moves_per_node: int = 1) -> List[MembershipChange]:
-    """Plan cohort splits that shift load onto each joining node.
+              heat: Optional[Dict[int, float]] = None
+              ) -> List[MembershipChange]:
+    """Plan one cohort split per joining node to shift load onto it.
 
     ``heat`` maps cohort id → observed load (ops served); unknown cohorts
     default to their range width.  Each move splits the currently
@@ -415,35 +415,33 @@ def plan_join(partitioner: RangePartitioner, new_nodes: Sequence[str],
     next_id = partitioner.next_cohort_id()
     plans: List[MembershipChange] = []
     for name in new_nodes:
-        for _ in range(moves_per_node):
-            candidates = [cid for cid in sorted(cohorts)
-                          if name not in cohorts[cid].members
-                          and (cohorts[cid].key_range.hi
-                               - cohorts[cid].key_range.lo) >= 2]
-            if not candidates:
-                break
-            victim_id = max(candidates, key=lambda c: temperature[c])
-            src = cohorts[victim_id]
-            mid = src.key_range.lo + (src.key_range.hi
-                                      - src.key_range.lo) // 2
-            residents = _pick_residents(
-                src.members, name, max(len(src.members) - 1, 1),
-                partitioner.topology)
-            new_members = (name,) + residents
-            version += 1
-            change = MembershipChange(
-                version=version, kind="split", cohort_id=victim_id,
-                new_members=new_members, split_key=mid,
-                new_cohort_id=next_id)
-            plans.append(change)
-            cohorts[victim_id] = Cohort(
-                victim_id, KeyRange(src.key_range.lo, mid), src.members)
-            cohorts[next_id] = Cohort(
-                next_id, KeyRange(mid, src.key_range.hi), new_members)
-            half = temperature[victim_id] / 2.0
-            temperature[victim_id] = half
-            temperature[next_id] = half
-            next_id += 1
+        candidates = [cid for cid in sorted(cohorts)
+                      if name not in cohorts[cid].members
+                      and (cohorts[cid].key_range.hi
+                           - cohorts[cid].key_range.lo) >= 2]
+        if not candidates:
+            continue
+        victim_id = max(candidates, key=lambda c: temperature[c])
+        src = cohorts[victim_id]
+        mid = src.key_range.lo + (src.key_range.hi - src.key_range.lo) // 2
+        residents = _pick_residents(
+            src.members, name, max(len(src.members) - 1, 1),
+            partitioner.topology)
+        new_members = (name,) + residents
+        version += 1
+        change = MembershipChange(
+            version=version, kind="split", cohort_id=victim_id,
+            new_members=new_members, split_key=mid,
+            new_cohort_id=next_id)
+        plans.append(change)
+        cohorts[victim_id] = Cohort(
+            victim_id, KeyRange(src.key_range.lo, mid), src.members)
+        cohorts[next_id] = Cohort(
+            next_id, KeyRange(mid, src.key_range.hi), new_members)
+        half = temperature[victim_id] / 2.0
+        temperature[victim_id] = half
+        temperature[next_id] = half
+        next_id += 1
     return plans
 
 
@@ -476,19 +474,19 @@ class Rebalancer:
     :class:`MigrationStart`, back off, re-check convergence, repeat.
     """
 
-    def __init__(self, cluster, name: str = "rebalancer"):
+    def __init__(self, cluster):
         self.cluster = cluster
-        self.endpoint = cluster.network.endpoint(name)
+        self.endpoint = cluster.network.endpoint("rebalancer")
         self.attempts = 0
         self.moves_completed = 0
         self.done = False
 
     def execute(self, plans: Iterable[MembershipChange],
-                move_timeout: float = 120.0, lead_new: bool = True):
+                move_timeout: float = 120.0):
         """Process generator: drive each change to convergence, in order.
-        With ``lead_new``, split moves end by transferring the child
-        cohort's leadership to the joining node (the point of scaling
-        out: the new node must *serve*, not just store)."""
+        A split move ends by transferring the child cohort's leadership
+        to the joining node (the point of scaling out: the new node must
+        *serve*, not just store)."""
         sim = self.cluster.sim
         self.done = False
         for change in plans:
@@ -523,7 +521,7 @@ class Rebalancer:
                     continue
                 yield timeout(sim, 0.05)    # let monitors settle
             self.moves_completed += 1
-            if lead_new and change.kind == "split":
+            if change.kind == "split":
                 yield from self._ensure_leader(
                     change.new_cohort_id, change.new_members[0],
                     sim.now + move_timeout)

@@ -103,13 +103,13 @@ def phase_durations(view: TraceView) -> Dict[str, float]:
     return out
 
 
-def phase_histograms(views: List[TraceView],
-                     completed_only: bool = True
+def phase_histograms(views: List[TraceView]
                      ) -> Dict[str, Dict[str, Histogram]]:
-    """``{op: {phase: Histogram, "_total": Histogram}}`` in seconds."""
+    """``{op: {phase: Histogram, "_total": Histogram}}`` in seconds, over
+    the completed traces."""
     out: Dict[str, Dict[str, Histogram]] = {}
     for view in views:
-        if completed_only and not view.completed:
+        if not view.completed:
             continue
         per_op = out.setdefault(view.op, {"_total": Histogram()})
         per_op["_total"].add(view.duration)
@@ -169,12 +169,10 @@ def phase_summary(tracer_or_views) -> Dict[str, dict]:
     return out
 
 
-def slowest_traces(views: List[TraceView], k: int = 1,
-                   op: Optional[str] = None) -> List[TraceView]:
+def slowest_traces(views: List[TraceView], k: int = 1) -> List[TraceView]:
     """The ``k`` slowest completed traces (ties broken by trace id for
     determinism), slowest first."""
-    pool = [v for v in views if v.completed
-            and (op is None or v.op == op)]
+    pool = [v for v in views if v.completed]
     pool.sort(key=lambda v: (-v.duration, v.trace_id))
     return pool[:k]
 

@@ -6,7 +6,7 @@ runs on this kernel.  See DESIGN.md ("Substitutions") for why a calibrated
 simulation stands in for the paper's physical cluster.
 """
 
-from .events import Event, SimulationError, Simulator, StopSimulation
+from .events import Event, SimulationError, Simulator
 from .process import (AllOf, Interrupt, Process, SimHost, Supervisor,
                       Timeout, all_of, drive, spawn, timeout)
 from .resources import Charge, Resource, charge, serve
@@ -14,11 +14,11 @@ from .rng import RngRegistry
 from .network import Endpoint, LatencyModel, Network, Request, RpcTimeout
 from .topology import Placement, Topology
 from .disk import DiskProfile, LogDevice
-from .metrics import Histogram, LatencyRecorder, summarize
+from .metrics import Histogram
 from .tracing import NullTracer, TraceEvent, Tracer
 
 __all__ = [
-    "Simulator", "Event", "SimulationError", "StopSimulation",
+    "Simulator", "Event", "SimulationError",
     "Process", "Timeout", "Interrupt", "AllOf", "Supervisor",
     "SimHost",
     "spawn", "timeout", "all_of", "drive",
@@ -27,6 +27,6 @@ __all__ = [
     "Network", "Endpoint", "LatencyModel", "Request", "RpcTimeout",
     "Topology", "Placement",
     "LogDevice", "DiskProfile",
-    "Histogram", "LatencyRecorder", "summarize",
+    "Histogram",
     "Tracer", "NullTracer", "TraceEvent",
 ]

@@ -41,7 +41,6 @@ __all__ = [
     "Simulator",
     "Event",
     "SimulationError",
-    "StopSimulation",
     "URGENT",
     "NORMAL",
 ]
@@ -62,14 +61,6 @@ class SimulationError(Exception):
     """Base class for errors raised by the simulation kernel."""
 
 
-class StopSimulation(Exception):
-    """Raised internally to stop :meth:`Simulator.run` early."""
-
-    def __init__(self, value: Any = None):
-        super().__init__(value)
-        self.value = value
-
-
 class Simulator:
     """The discrete-event scheduler.
 
@@ -84,7 +75,6 @@ class Simulator:
         self._now: float = 0.0
         self._heap: List[list] = []
         self._seq: int = 0
-        self._running = False
 
     # ------------------------------------------------------------------
     # Time and scheduling
@@ -109,15 +99,14 @@ class Simulator:
         heappush(self._heap, entry)
         return entry
 
-    def call_at(self, time: float, callback: Callable[[], None],
-                priority: int = NORMAL) -> list:
+    def call_at(self, time: float, callback: Callable[[], None]) -> list:
         """Schedule ``callback`` at absolute simulated ``time``."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule in the past ({time} < {self._now})")
         seq = self._seq
         self._seq = seq + 1
-        entry = [time, priority, seq, callback]
+        entry = [time, NORMAL, seq, callback]
         heappush(self._heap, entry)
         return entry
 
@@ -133,19 +122,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Run the next pending callback.  Returns False when idle."""
-        heap = self._heap
-        while heap:
-            entry = heappop(heap)
-            callback = entry[_CALLBACK]
-            if callback is None:
-                continue
-            self._now = entry[_TIME]
-            callback()
-            return True
-        return False
-
     def run(self, until: Optional[float] = None) -> None:
         """Run callbacks until the heap drains or ``until`` is reached.
 
@@ -154,34 +130,24 @@ class Simulator:
         """
         heap = self._heap
         pop = heappop
-        self._running = True
-        try:
-            if until is None:
-                while heap:
-                    entry = pop(heap)
-                    callback = entry[_CALLBACK]
-                    if callback is not None:
-                        self._now = entry[_TIME]
-                        callback()
-            else:
-                while heap:
-                    if heap[0][_TIME] > until:
-                        break
-                    entry = pop(heap)
-                    callback = entry[_CALLBACK]
-                    if callback is not None:
-                        self._now = entry[_TIME]
-                        callback()
-        except StopSimulation:
-            pass
-        finally:
-            self._running = False
+        if until is None:
+            while heap:
+                entry = pop(heap)
+                callback = entry[_CALLBACK]
+                if callback is not None:
+                    self._now = entry[_TIME]
+                    callback()
+        else:
+            while heap:
+                if heap[0][_TIME] > until:
+                    break
+                entry = pop(heap)
+                callback = entry[_CALLBACK]
+                if callback is not None:
+                    self._now = entry[_TIME]
+                    callback()
         if until is not None and self._now < until:
             self._now = until
-
-    def stop(self) -> None:
-        """Stop a :meth:`run` in progress at the current time."""
-        raise StopSimulation()
 
 
 class Event:

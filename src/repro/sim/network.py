@@ -83,12 +83,11 @@ class LatencyModel:
         jitter = rng.expovariate(self._jitter_rate) if self.jitter else 0.0
         return self.base + transfer + jitter
 
-    def nominal(self, size_bytes: int = 4096,
-                jitter_mult: float = 3.0) -> float:
-        """Jitter-free delay estimate padded by ``jitter_mult`` mean
-        jitters — for timeout budgeting, never for transmission."""
+    def nominal(self, size_bytes: int = 4096) -> float:
+        """Jitter-free delay estimate padded by three mean jitters — for
+        timeout budgeting, never for transmission."""
         transfer = size_bytes / self.bandwidth if self.bandwidth else 0.0
-        return self.base + transfer + jitter_mult * self.jitter
+        return self.base + transfer + 3.0 * self.jitter
 
 
 class Request:

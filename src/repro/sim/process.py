@@ -90,7 +90,8 @@ class ProcessKilled(SimulationError):
 
 
 class Timeout(Event):
-    """An event that succeeds after a fixed delay."""
+    """An event that succeeds after a fixed delay, fired from the heap
+    only: :meth:`succeed` and :meth:`fail` raise SimulationError."""
 
     __slots__ = ("_waiter",)
 
@@ -114,8 +115,6 @@ class Timeout(Event):
 
     def _fire(self) -> None:
         """Trigger from the heap: succeed, waking the waiter first."""
-        if self._ok is not None:
-            return  # already triggered explicitly (e.g. succeed())
         self._ok = True
         waiter = self._waiter
         if waiter is not None:
@@ -130,23 +129,10 @@ class Timeout(Event):
         for cb in callbacks or ():
             cb(self)
 
-    # Explicit (non-heap) triggering is rare for Timeouts; convert the
-    # fast-path waiter back into an ordinary first callback so the
-    # waiter-first wake order matches _fire's.
-    def _flush_waiter(self) -> None:
-        waiter = self._waiter
-        if waiter is not None:
-            self._waiter = None
-            if self._callbacks is not None:
-                self._callbacks.insert(0, waiter._on_target)
+    def _refuse(self, *_) -> "Event":
+        raise SimulationError("a Timeout fires from the heap only")
 
-    def succeed(self, value: Any = None) -> "Event":
-        self._flush_waiter()
-        return Event.succeed(self, value)
-
-    def fail(self, exc: BaseException) -> "Event":
-        self._flush_waiter()
-        return Event.fail(self, exc)
+    succeed = fail = _refuse
 
 
 class Process(Event):

@@ -72,8 +72,8 @@ class Resource:
                 self.release()
 
 
-def serve(resource: Resource, service_time: float,
-          value: Any = None) -> Generator[Event, Any, Any]:
+def serve(resource: Resource, service_time: float
+          ) -> Generator[Event, Any, None]:
     """Process fragment: acquire ``resource``, hold it, release, return.
 
     Use with ``yield from``::
@@ -97,7 +97,6 @@ def serve(resource: Resource, service_time: float,
         yield Timeout(resource.sim, service_time)
     finally:
         resource.release()
-    return value
 
 
 class Charge:

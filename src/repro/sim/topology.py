@@ -149,40 +149,19 @@ class Topology:
             return self.intra_dc.delay(size_bytes, rng)
         return self.intra_rack.delay(size_bytes, rng)
 
-    def nominal(self, src: str, dst: str, size_bytes: int = 4096,
-                jitter_mult: float = 3.0) -> float:
-        """Jitter-free estimate of the ``src`` → ``dst`` one-way delay,
-        padded by ``jitter_mult`` mean jitters (for timeout budgeting,
-        never for transmission)."""
-        a, b = self.placement_of(src), self.placement_of(dst)
-        if a.dc != b.dc:
-            model, extra = self.wan, self.wan_delay(a.dc, b.dc)
-        elif a.rack != b.rack:
-            model, extra = self.intra_dc, 0.0
-        else:
-            model, extra = self.intra_rack, 0.0
-        transfer = size_bytes / model.bandwidth if model.bandwidth else 0.0
-        return model.base + transfer + jitter_mult * model.jitter + extra
-
-    def rtt(self, src: str, dst: str, size_bytes: int = 256) -> float:
-        """Nominal round trip ``src`` → ``dst`` → ``src`` (no jitter
-        padding): the yardstick experiments compare latencies against."""
-        return (self.nominal(src, dst, size_bytes, jitter_mult=0.0)
-                + self.nominal(dst, src, size_bytes, jitter_mult=0.0))
-
-    def wan_rtt(self, dc_a: str, dc_b: str, size_bytes: int = 256) -> float:
-        """Nominal WAN round trip between two datacenters."""
-        transfer = (size_bytes / self.wan.bandwidth
-                    if self.wan.bandwidth else 0.0)
+    def wan_rtt(self, dc_a: str, dc_b: str) -> float:
+        """Nominal WAN round trip of a 256-byte message between two
+        datacenters."""
+        transfer = 256 / self.wan.bandwidth if self.wan.bandwidth else 0.0
         one_way = self.wan.base + transfer
         return (2 * one_way + self.wan_delay(dc_a, dc_b)
                 + self.wan_delay(dc_b, dc_a))
 
-    def min_wan_rtt(self, size_bytes: int = 256) -> float:
+    def min_wan_rtt(self) -> float:
         """The smallest nominal WAN RTT between any two placed DCs —
         the floor any cross-DC round trip must pay."""
         dcs = self.dcs()
-        rtts = [self.wan_rtt(a, b, size_bytes)
+        rtts = [self.wan_rtt(a, b)
                 for i, a in enumerate(dcs) for b in dcs[i + 1:]]
         return min(rtts) if rtts else 0.0
 

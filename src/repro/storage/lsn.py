@@ -37,13 +37,6 @@ class LSN(NamedTuple):
     def from_int(cls, packed: int) -> "LSN":
         return cls(packed >> SEQ_BITS, packed & _SEQ_MASK)
 
-    # -- arithmetic ----------------------------------------------------------
-    def next(self) -> "LSN":
-        """The next LSN in the same epoch."""
-        if self.seq >= _SEQ_MASK:
-            raise OverflowError(f"sequence overflow in epoch {self.epoch}")
-        return LSN(self.epoch, self.seq + 1)
-
     def to_int(self) -> int:
         """Pack into a single integer, epoch in the high bits."""
         if self.seq > _SEQ_MASK:

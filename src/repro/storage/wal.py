@@ -191,7 +191,8 @@ class SharedLog:
 
         The batch is durable all-or-nothing: one device operation covers
         every record, so a crash can never persist a prefix of a
-        multi-operation transaction's log records.
+        multi-operation transaction's log records.  It is one cohort's:
+        a record of another raises ``ValueError`` before the log changes.
         """
         ev = None
         if then is None:
@@ -200,18 +201,19 @@ class SharedLog:
         if not records:
             then()
             return ev
-        total = 0
-        cohort_id = None
+        cohort_id = records[0].cohort_id
         for record in records:
             if not isinstance(record, WriteRecord):
                 raise TypeError("append_batch takes WriteRecords only")
             if record.cohort_id != cohort_id:
-                # once per run of same-cohort records; ``last`` then
-                # advances as ``_last_lsn`` would (not past skipped LSNs)
-                cohort_id = record.cohort_id
-                view = self._view(cohort_id)
-                writes, seqs, skipped = view.writes, view.seqs, view.skipped
-                last = self._last_lsn(view)
+                raise ValueError(f"append_batch mixes cohorts {cohort_id} "
+                                 f"and {record.cohort_id}")
+        view = self._view(cohort_id)
+        writes, seqs, skipped = view.writes, view.seqs, view.skipped
+        # ``last`` advances as ``_last_lsn`` would (not past skipped LSNs)
+        last = self._last_lsn(view)
+        total = 0
+        for record in records:
             lsn = record.lsn
             below = writes and lsn <= writes[-1].lsn
             if below and view.find(lsn) >= 0:

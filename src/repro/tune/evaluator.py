@@ -19,7 +19,7 @@ in seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..core.config import SpinnakerConfig
 from .objective import objective_score
@@ -60,13 +60,8 @@ def build_config(profile: TuneProfile,
 
 
 def evaluate(profile: TuneProfile, values: Dict[str, Value],
-             seed: int = 1, scale: float = 1.0,
-             config: Optional[SpinnakerConfig] = None) -> TrialEval:
-    """Run one deterministic trial and score it.
-
-    ``config`` short-circuits the base-config + overlay construction
-    (used by tests to evaluate an exact config object).
-    """
+             seed: int = 1, scale: float = 1.0) -> TrialEval:
+    """Run one deterministic trial and score it."""
     # Imported here: bench.harness reads this package's active tuned
     # overlay, so the module-level dependency must stay one-way.
     from ..bench.harness import traced_point
@@ -74,7 +69,7 @@ def evaluate(profile: TuneProfile, values: Dict[str, Value],
     from ..obs import phase_summary
     from .profiles import _ACTIVE
 
-    cfg = config if config is not None else build_config(profile, values)
+    cfg = build_config(profile, values)
     threads, ops, warmup = scaled_shape(profile, scale)
     topology = (profile.topology(profile.n_nodes)
                 if profile.topology is not None else None)

@@ -5,7 +5,7 @@ baseline every later trial is compared against), then walks the
 profile's searched knobs in registry order.  For each knob it evaluates
 every candidate value from the registry grid (skipping the current
 value — already measured) and adopts the best candidate iff it beats
-the incumbent score by ``min_improvement``.  A knob whose ``gate`` is
+the incumbent score by :data:`MIN_IMPROVEMENT`.  A knob whose ``gate`` is
 off in the incumbent is skipped: with ``propose_batching`` off the
 batch shape is dead, and each probe would re-measure the incumbent.
 Passes repeat until a full pass adopts nothing (converged) or the trial
@@ -34,6 +34,9 @@ from .profiles import TuneProfile, get_profile
 from .registry import Value, get_knob
 
 __all__ = ["Trial", "TuneResult", "tune"]
+
+#: A candidate replaces the incumbent only if it beats it by this much.
+MIN_IMPROVEMENT = 1e-6
 
 
 @dataclass
@@ -120,7 +123,6 @@ class TuneResult:
 
 def tune(profile_name: str, seed: int = 1, max_trials: int = 48,
          passes: int = 3, scale: float = 1.0,
-         min_improvement: float = 1e-6,
          start: Optional[Dict[str, Value]] = None,
          profile: Optional[TuneProfile] = None) -> TuneResult:
     """Run coordinate descent for one profile; see module docstring.
@@ -188,7 +190,7 @@ def tune(profile_name: str, seed: int = 1, max_trials: int = 48,
                     trial = Trial(len(result.trials), knob_name, cand,
                                   probe, ev)
                     result.trials.append(trial)
-                if ev.score < best_cand_score - min_improvement:
+                if ev.score < best_cand_score - MIN_IMPROVEMENT:
                     best_cand, best_cand_score = cand, ev.score
                     best_cand_trial = trial
                 if trial is not None:

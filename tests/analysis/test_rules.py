@@ -209,13 +209,10 @@ def test_write_only_slot_pragma_and_real_tree(tmp_path, tree_lint):
         "'_entry',", "'_entry',  # lint: allow(write-only-slot) — kept"))
     result, names = slot_findings(tmp_path)
     assert names == [] and len(result.pragma_suppressed) == 2
-    # src/repro: clean — none baselined either — with at most the one
-    # justified pragma
-    assert rule_findings(tree_lint.findings, "write-only-slot") == []
-    assert rule_findings(tree_lint.baselined, "write-only-slot") == []
-    assert [f.message.split(":")[0] for f in rule_findings(
-        tree_lint.pragma_suppressed, "write-only-slot")] == [
-        "BurstyArrivals.burst_factor"]
+    # src/repro: clean — none baselined, none under a pragma either
+    for findings in (tree_lint.findings, tree_lint.baselined,
+                     tree_lint.pragma_suppressed):
+        assert rule_findings(findings, "write-only-slot") == []
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +272,71 @@ def test_unset_option_real_tree_is_clean_without_a_pragma(tree_lint):
     for findings in (tree_lint.findings, tree_lint.baselined,
                      tree_lint.pragma_suppressed):
         assert rule_findings(findings, "unset-option") == []
+
+
+# ---------------------------------------------------------------------------
+# unpassed-parameter (whole-tree: driven through the runner)
+# ---------------------------------------------------------------------------
+
+PARAMS = (
+    "class Pump:\n"
+    "    def __init__(self, rate=1.0, name='pump'):\n"
+    "        self.rate, self.name = rate, name\n"
+    "    def run(self, steps, limit=10, *, strict=False):\n"
+    "        return steps, limit, strict\n"
+    "    def __repr__(self, depth=1):\n"         # a dunder: exempt
+    "        return 'Pump'\n"
+    "def drain(pump, fast=False):\n"
+    "    return pump.run(3, strict=True), fast\n"
+    "PUMP = Pump(rate=2.0)\n")
+
+
+def param_findings(root):
+    result = run_lint(root, protocols=(), rules={"unpassed-parameter"})
+    return sorted(f.message.split(":")[0] for f in result.findings)
+
+
+def test_unpassed_parameter_flags_defaults_no_call_passes(tmp_path):
+    (tmp_path / "pump.py").write_text(PARAMS)
+    assert param_findings(tmp_path) == [
+        "__init__(name)", "drain(fast)", "run(limit)"]
+    # a call in the project's tests passes a parameter too
+    (tmp_path / "pyproject.toml").write_text("")
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "pump.py").write_text(PARAMS)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_pump.py").write_text(
+        "def test_named(pump):\n    drain(pump, fast=True)\n")
+    assert param_findings(pkg) == ["__init__(name)", "run(limit)"]
+
+
+def test_unpassed_parameter_silenced_by_position_star_and_value_use(
+        tmp_path):
+    (tmp_path / "pump.py").write_text(PARAMS)
+    # by position: a bound call's second argument is ``limit``
+    (tmp_path / "user.py").write_text("def go(p):\n    p.run(1, 5)\n")
+    assert param_findings(tmp_path) == ["__init__(name)", "drain(fast)"]
+    # ``**kwargs`` (or ``*args``) may pass anything
+    (tmp_path / "user.py").write_text(
+        "def go(opts):\n    return Pump(**opts), drain(*opts)\n")
+    assert param_findings(tmp_path) == ["run(limit)"]
+    # a function used as a value may be called with anything
+    (tmp_path / "user.py").write_text(
+        "from functools import partial\n"
+        "def go(p):\n    return partial(drain, p), p.run\n")
+    assert param_findings(tmp_path) == ["__init__(name)"]
+    # a pragma on the parameter's line keeps it
+    (tmp_path / "user.py").unlink()
+    (tmp_path / "pump.py").write_text(PARAMS.replace(
+        "name='pump'):", "name='pump'):  # lint: allow(unpassed-parameter)"))
+    assert param_findings(tmp_path) == ["drain(fast)", "run(limit)"]
+
+
+def test_unpassed_parameter_real_tree_is_clean_without_a_pragma(tree_lint):
+    for findings in (tree_lint.findings, tree_lint.baselined,
+                     tree_lint.pragma_suppressed):
+        assert rule_findings(findings, "unpassed-parameter") == []
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,7 @@ import math
 import pytest
 
 from repro.bench.harness import SpinnakerTarget
-from repro.bench.openloop import (BurstyArrivals, DiurnalArrivals,
-                                  MuxedUsers, PoissonArrivals,
-                                  run_open_load)
+from repro.bench.openloop import MuxedUsers, PoissonArrivals, run_open_load
 from repro.bench.workload import mixed_workload
 from repro.core import SpinnakerConfig
 from repro.sim.disk import DiskProfile
@@ -17,26 +15,17 @@ from repro.sim.rng import RngRegistry
 
 def _gaps(arrival, seed, n=200):
     rng = RngRegistry(seed).stream("arrivals")
-    now, out = 0.0, []
-    for _ in range(n):
-        gap = arrival.next_gap(rng, now)
-        now += gap
-        out.append(gap)
-    return out
+    return [arrival.next_gap(rng) for _ in range(n)]
 
 
 # ---------------------------------------------------------------------------
 # Arrival processes
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("make", [
-    lambda: PoissonArrivals(50.0),
-    lambda: BurstyArrivals(50.0),
-    lambda: DiurnalArrivals(50.0, period=5.0),
-])
-def test_arrival_sequences_deterministic_per_seed(make):
-    assert _gaps(make(), seed=7) == _gaps(make(), seed=7)
-    assert _gaps(make(), seed=7) != _gaps(make(), seed=8)
+def test_arrival_sequences_deterministic_per_seed():
+    arrivals = PoissonArrivals(50.0)
+    assert _gaps(arrivals, seed=7) == _gaps(arrivals, seed=7)
+    assert _gaps(arrivals, seed=7) != _gaps(arrivals, seed=8)
 
 
 def test_poisson_interarrival_mean_within_tolerance():
@@ -46,48 +35,9 @@ def test_poisson_interarrival_mean_within_tolerance():
     assert abs(mean - 1.0 / rate) < 0.05 / rate  # within 5%
 
 
-def test_bursty_long_run_mean_preserved_and_modulated():
-    rate = 100.0
-    arr = BurstyArrivals(rate, burst_factor=4.0, on_s=0.5, off_s=1.5)
-    rng = RngRegistry(5).stream("arrivals")
-    now, n = 0.0, 0
-    burst_n = 0
-    while now < 200.0:
-        gap = arr.next_gap(rng, now)
-        now += gap
-        n += 1
-        if now % 2.0 < 0.5:
-            burst_n += 1
-    long_run_rate = n / now
-    assert abs(long_run_rate - rate) < 0.1 * rate
-    # the on-phase is 25% of the cycle but carries most of the arrivals
-    assert burst_n / n > 0.5
-
-
-def test_diurnal_rate_tracks_the_cycle():
-    arr = DiurnalArrivals(100.0, period=10.0, amplitude=0.8)
-    rng = RngRegistry(5).stream("arrivals")
-    # count arrivals landing near the peak (now ~ period/4) vs the
-    # trough (now ~ 3*period/4) of the sinusoid over many cycles
-    peak_n = trough_n = 0
-    now = 0.0
-    for _ in range(50_000):
-        now += arr.next_gap(rng, now)
-        phase = (now % 10.0) / 10.0
-        if 0.15 < phase < 0.35:
-            peak_n += 1
-        elif 0.65 < phase < 0.85:
-            trough_n += 1
-    assert peak_n > 3 * trough_n
-
-
 def test_arrival_validation():
     with pytest.raises(ValueError):
         PoissonArrivals(0.0)
-    with pytest.raises(ValueError):
-        BurstyArrivals(10.0, burst_factor=0.5)
-    with pytest.raises(ValueError):
-        DiurnalArrivals(10.0, amplitude=1.5)
 
 
 # ---------------------------------------------------------------------------

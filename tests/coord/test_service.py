@@ -121,7 +121,7 @@ def test_ephemerals_survive_while_heartbeating():
 
     run(sim, scenario())
     sim.run(until=sim.now + 30.0)  # many timeouts worth of quiet time
-    assert service.tree.exists("/grp/me")
+    assert service.tree.children("/grp") == ["me"]
     assert service.expired_sessions == 0
 
 
@@ -135,7 +135,7 @@ def test_explicit_close_expires_immediately():
         yield from c0.close()
 
     run(sim, scenario())
-    assert not service.tree.exists("/grp/me")
+    assert service.tree.children("/grp") == []
 
 
 def test_operations_after_expiry_fail():
@@ -179,19 +179,6 @@ def test_ensure_path_creates_ancestors():
         return (yield from c0.get_children("/a/b"))
 
     assert run(sim, scenario()) == ["c"]
-
-
-def test_delete_recursive():
-    sim, net, service, (c0, _) = setup_world()
-
-    def scenario():
-        yield from c0.start()
-        yield from c0.ensure_path("/a/b/c")
-        yield from c0.ensure_path("/a/b2")
-        yield from c0.delete_recursive("/a")
-        return (yield from c0.exists("/a"))
-
-    assert run(sim, scenario()) is False
 
 
 def test_service_ops_take_time():

@@ -66,26 +66,6 @@ def test_failed_get_leaves_no_watch():
     assert fired == []  # ZooKeeper semantics: failed get sets no watch
 
 
-def test_exists_watch_fires_on_creation():
-    sim, net, service, (c0, c1) = setup_world()
-    fired = []
-
-    def watcher():
-        yield from c0.start()
-        present = yield from c0.exists(
-            "/later", watcher=lambda ev: fired.append(ev.kind))
-        return present
-
-    def creator():
-        yield from c1.start()
-        yield from c1.create("/later", b"x")
-
-    assert run(sim, watcher()) is False
-    run(sim, creator())
-    sim.run(until=sim.now + 5.0)
-    assert fired == ["created"]
-
-
 def test_child_watch_not_fired_by_data_change():
     sim, net, service, (c0, c1) = setup_world()
     fired = []
@@ -161,5 +141,4 @@ def test_two_sessions_from_same_restarted_node():
     new_session = run(sim, second_life())
     assert new_session != old_session
     sim.run(until=sim.now + 10.0)  # old session expires
-    assert not service.tree.exists("/grp/me")
-    assert service.tree.exists("/grp/me2")
+    assert service.tree.children("/grp") == ["me2"]

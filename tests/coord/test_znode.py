@@ -68,7 +68,7 @@ def test_versioned_set_and_delete():
     with pytest.raises(BadVersionError):
         tree.delete("/a", version=0)
     tree.delete("/a", version=1)
-    assert not tree.exists("/a")
+    assert tree.children("/") == []
 
 
 def test_ephemeral_requires_session_and_cannot_have_children():
@@ -106,13 +106,6 @@ def test_data_watch_fires_on_delete():
     tree.add_data_watch("/a", ("c", 1))
     fired = tree.delete("/a")
     assert fired[0][1].kind == "deleted"
-
-
-def test_exists_watch_fires_on_create():
-    tree = ZNodeTree()
-    tree.add_data_watch("/a", ("c", 1))
-    _, fired = tree.create("/a")
-    assert fired[0][1].kind == "created"
 
 
 def test_child_watch_fires_on_child_create_and_delete():

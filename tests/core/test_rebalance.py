@@ -148,7 +148,7 @@ def test_live_split_moves_range_to_new_node():
     new_cid = plans[0].new_cohort_id
     new_cohort = part.cohort(new_cid)
     assert "node5" in new_cohort.members
-    assert cluster.leader_of(new_cid) == "node5"   # lead_new
+    assert cluster.leader_of(new_cid) == "node5"   # the joiner leads
     # The source cohort shrank to the left half.
     assert part.cohort(0).key_range.hi == plans[0].split_key
     assert new_cohort.key_range.lo == plans[0].split_key

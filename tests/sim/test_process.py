@@ -21,6 +21,18 @@ def test_process_sleeps_and_returns_value():
     assert sim.now == 1.5
 
 
+def test_a_timeout_fires_from_the_heap_only():
+    sim = Simulator()
+    sleep = timeout(sim, 1.0, "woke")
+    with pytest.raises(SimulationError):
+        sleep.succeed()
+    with pytest.raises(SimulationError):
+        sleep.fail(RuntimeError("early"))
+    assert not sleep.triggered
+    sim.run()
+    assert sleep.result() == "woke" and sim.now == 1.0
+
+
 def test_yield_delivers_event_value():
     sim = Simulator()
     ev = Event(sim)

@@ -19,6 +19,14 @@ class CountingRng:
         return self.rng.expovariate(lam)
 
 
+class NoJitter:
+    """An RNG stream whose every jitter draw is zero."""
+
+    @staticmethod
+    def expovariate(lam):
+        return 0.0
+
+
 def three_dc():
     topo = Topology(wan_one_way=0.02,
                     wan_delays={("dc0", "dc1"): 0.02,
@@ -39,9 +47,9 @@ def test_unplaced_endpoints_share_the_default_placement():
 
 def test_link_classification():
     topo = three_dc()
-    rack = topo.nominal("a", "a", jitter_mult=0.0)
-    dc = topo.nominal("a", "c", jitter_mult=0.0)      # same DC, racks
-    wan = topo.nominal("a", "b", jitter_mult=0.0)
+    rack = topo.delay("a", "a", 4096, NoJitter)
+    dc = topo.delay("a", "c", 4096, NoJitter)      # same DC, racks
+    wan = topo.delay("a", "b", 4096, NoJitter)
     assert rack < dc < wan
     assert dc == topo.intra_dc.base + 4096 / topo.intra_dc.bandwidth
     assert not topo.same_dc("a", "b")
@@ -54,8 +62,8 @@ def test_wan_delay_is_asymmetric_per_direction():
     assert topo.wan_delay("dc1", "dc0") == 0.03
     # pairs not in the map fall back to the symmetric default
     assert topo.wan_delay("dc0", "dc2") == 0.02
-    fwd = topo.nominal("a", "b", jitter_mult=0.0)
-    back = topo.nominal("b", "a", jitter_mult=0.0)
+    fwd = topo.delay("a", "b", 4096, NoJitter)
+    back = topo.delay("b", "a", 4096, NoJitter)
     assert abs((back - fwd) - 0.01) < 1e-12
 
 

@@ -11,10 +11,6 @@ def test_ordering_is_epoch_major():
     assert LSN(2, 1) > LSN(1, 999)
 
 
-def test_next_increments_sequence():
-    assert LSN(1, 20).next() == LSN(1, 21)
-
-
 def test_int_packing_round_trip():
     lsn = LSN(3, 123456)
     assert LSN.from_int(lsn.to_int()) == lsn
@@ -37,4 +33,4 @@ def test_str_format():
 
 def test_seq_overflow_detected():
     with pytest.raises(OverflowError):
-        LSN(0, (1 << SEQ_BITS) - 1).next()
+        LSN(0, 1 << SEQ_BITS).to_int()

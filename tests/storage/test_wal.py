@@ -214,6 +214,25 @@ def test_append_batch_validates_like_append():
                                        committed_lsn=LSN(1, 9))])
 
 
+def test_append_batch_takes_one_cohorts_records():
+    """Every caller appends one replica's batch; a record of another
+    cohort is refused before the log changes."""
+    log = SharedLog()
+    log.append(wrec(1, 1))
+    log.append(wrec(1, 1, cohort=1))
+
+    def state():
+        return (log._seq, log.bytes_appended, log.cohorts(),
+                [log.write_records(c) for c in (0, 1)])
+
+    before = state()
+    for batch in ([wrec(1, 2), wrec(1, 2, cohort=1)],
+                  [wrec(1, 2), wrec(1, 3), wrec(1, 1, cohort=2)]):
+        with pytest.raises(ValueError):
+            log.append_batch(batch)
+        assert state() == before
+
+
 def test_append_batch_empty_is_noop():
     """Nothing to make durable: the log is untouched and the batch is
     complete at once — the event returned has fired — as a propose whose
