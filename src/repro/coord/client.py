@@ -12,6 +12,11 @@ with a :class:`~repro.coord.znode.WatchEvent` when the notification
 arrives.  A heartbeat process keeps the session alive; crash the owning
 node (stop heartbeats) and the server expires the session, deleting its
 ephemeral znodes — that is Spinnaker's failure detector.
+
+A session ends one way, :meth:`stop`, which fails every call waiting on
+it with :class:`CoordError`: when it expired, its lease ran out, or a
+heartbeat ack's counts show a lost message (PROTOCOL.md, *Coordination
+failure model*).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, Optional
 
-from ..sim.events import Simulator
+from ..sim.events import Event, Simulator
 from ..sim.network import Endpoint, RpcTimeout
 from ..sim.process import Process, spawn, timeout
 from .service import SESSION_TIMEOUT_DEFAULT, error_from_code
@@ -30,8 +35,6 @@ __all__ = ["CoordClient"]
 
 class CoordClient:
     """One node's session with the coordination service."""
-
-    _ids = itertools.count(1)
 
     def __init__(self, sim: Simulator, endpoint: Endpoint,
                  service: str = "coord",
@@ -44,11 +47,17 @@ class CoordClient:
         self._watchers: Dict[int, Callable[[WatchEvent], None]] = {}
         self._watch_ids = itertools.count(1)
         self._heartbeater: Optional[Process] = None
-        self._dispatch_installed = False
-        #: called once (with this client) when the session is lost — the
-        #: server said so, or heartbeats went unacked long enough that it
-        #: is about to expire us.  Spinnaker's leaders hang their leases
-        #: off this signal (§7.2): step down *before* a rival can win.
+        #: calls waiting for a reply; None once the session has ended
+        self._pending: Optional[Dict[Event, None]] = {}
+        #: calls sent, and replies and watch events received, on the
+        #: open session: what each heartbeat ack is checked against
+        self._calls = 0
+        self._received = 0
+        #: called once (with this client), just before :meth:`stop`, when
+        #: the server says the session expired, heartbeats went unacked
+        #: long enough that it is about to, or an ack shows a lost
+        #: message.  Spinnaker's leaders hang their leases off this
+        #: signal (§7.2): step down *before* a rival can win.
         self.on_session_loss: Optional[Callable[["CoordClient"], None]] = None
         self.last_ack = 0.0
 
@@ -83,23 +92,17 @@ class CoordClient:
         return self.session
 
     def stop(self) -> None:
-        """Stop heartbeating (e.g. node crash).  The server will expire
-        the session after the timeout, exactly like a real dead client."""
+        """End the session: stop heartbeating (the server expires it as
+        it would a dead client's) and fail every call waiting on it, and
+        any later one, with :class:`CoordError`."""
         if self._heartbeater is not None and self._heartbeater.is_alive:
             self._heartbeater.interrupt("stop")
         self._heartbeater = None
         self._watchers.clear()
         self.session = None
-
-    def close(self):
-        """Graceful shutdown: ``yield from`` me; expires the session now."""
-        if self.session is None:
-            return
-        session = self.session
-        self.stop()
-        yield self.endpoint.request(
-            self.service, {"op": "close-session", "session": session},
-            size=64)
+        pending, self._pending = self._pending, None
+        for done in pending or ():
+            done.fail(CoordError("session ended"))
 
     def _heartbeat_loop(self):
         from ..sim.process import Interrupt
@@ -129,7 +132,7 @@ class CoordClient:
         try:
             while True:
                 yield timeout(self.sim, interval)
-                sent_at = self.sim.now
+                sent_at, calls = self.sim.now, self._calls
                 try:
                     reply = yield self.endpoint.request(
                         self.service,
@@ -138,6 +141,10 @@ class CoordClient:
                 except RpcTimeout:
                     reply = None
                 if isinstance(reply, dict) and reply.get("ok"):
+                    # FIFO channels: a shortfall is a lost message.
+                    if reply["recv"] < calls or reply["sent"] > self._received:
+                        self._session_lost()  # a message was lost
+                        return
                     # Lease bookkeeping: monotonic, sole writer.
                     # lint: allow(write-after-yield-unguarded)
                     self.last_ack = sent_at
@@ -155,21 +162,21 @@ class CoordClient:
         callback, self.on_session_loss = self.on_session_loss, None
         if callback is not None:
             callback(self)
+        self.stop()
 
     # ------------------------------------------------------------------
     # Watch plumbing
     # ------------------------------------------------------------------
-    def handle_watch_message(self, payload: Dict) -> bool:
-        """Feed watch-event messages here from the node's dispatcher.
-
-        Returns True if the message was a watch event (and was consumed).
-        """
-        if payload.get("op") != "watch-event":
-            return False
+    def handle_watch_message(self, payload: Dict) -> None:
+        """Feed watch-event messages here from the node's dispatcher."""
+        session = payload["session"]
+        if session is not None:
+            if session != self.session:
+                return              # armed by an earlier session
+            self._received += 1
         watcher = self._watchers.pop(payload["watch_id"], None)
         if watcher is not None:
             watcher(WatchEvent(payload["kind"], payload["path"]))
-        return True
 
     def _register_watcher(
             self, watcher: Optional[Callable[[WatchEvent], None]]):
@@ -183,9 +190,25 @@ class CoordClient:
     # Operations (generator functions; use with ``yield from``)
     # ------------------------------------------------------------------
     def _call(self, payload: Dict, size: int = 160):
-        payload["session"] = self.session
-        reply = yield self.endpoint.request(self.service, payload, size=size)
-        return self._unwrap(reply)
+        pending = self._pending
+        if pending is None:
+            raise CoordError("session ended")
+        session = payload["session"] = self.session    # None: uncounted
+        done = Event(self.sim)
+
+        def then(reply) -> None:
+            if done.triggered:
+                return                  # stop() has failed it
+            del pending[done]
+            if session is not None:
+                self._received += 1
+            done.succeed(reply)
+
+        pending[done] = None
+        if session is not None:
+            self._calls += 1
+        self.endpoint.request(self.service, payload, size=size, then=then)
+        return self._unwrap((yield done))
 
     @staticmethod
     def _unwrap(reply: Dict):

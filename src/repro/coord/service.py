@@ -54,23 +54,24 @@ class CoordinationService:
     # ------------------------------------------------------------------
     # Session management
     # ------------------------------------------------------------------
-    def _register_session(self, client: str, session_timeout: float) -> int:
+    def _register_session(self, session_timeout: float) -> int:
         session = self._next_session
         self._next_session += 1
         self._sessions[session] = {
-            "client": client,
             "timeout": session_timeout,
             "last_seen": self.sim.now,
             "alive": True,
+            "recv": 0,      # requests received
+            "sent": 0,      # replies and watch events sent
         }
         return session
 
-    def _touch(self, session: Optional[int]) -> bool:
+    def _touch(self, session: Optional[int]) -> Optional[Dict[str, Any]]:
         info = self._sessions.get(session)
         if info is None or not info["alive"]:
-            return False
+            return None
         info["last_seen"] = self.sim.now
-        return True
+        return info
 
     def _expiry_sweeper(self):
         while True:
@@ -97,14 +98,20 @@ class CoordinationService:
     # Watch delivery
     # ------------------------------------------------------------------
     def _deliver_watches(self, fired) -> None:
-        for owner, event in fired:
-            client, watch_id = owner
+        for (client, session, watch_id), event in fired:
+            self._count_sent(session)
             self.endpoint.send(client, {
                 "op": "watch-event",
+                "session": session,
                 "watch_id": watch_id,
                 "kind": event.kind,
                 "path": event.path,
             }, size=96)
+
+    def _count_sent(self, session: Optional[int]) -> None:
+        info = self._sessions.get(session)
+        if info is not None:
+            info["sent"] += 1
 
     # ------------------------------------------------------------------
     # Request handling
@@ -114,11 +121,17 @@ class CoordinationService:
         op = payload.get("op")
         if op == "heartbeat":
             # Heartbeats bypass the request queue; the ack tells the
-            # client its session (lease) is still alive.
-            alive = self._touch(payload.get("session"))
-            req.respond({"ok": bool(alive)}, size=48)
+            # client its session (lease) is still alive, and what of its
+            # traffic got through (PROTOCOL.md).
+            info = self._touch(payload.get("session"))
+            req.respond({"ok": True, "recv": info["recv"],
+                         "sent": info["sent"]} if info else {"ok": False},
+                        size=48)
             return
-        is_update = op in ("create", "delete", "set", "close-session")
+        info = self._sessions.get(payload.get("session"))
+        if info is not None:
+            info["recv"] += 1
+        is_update = op in ("create", "delete", "set")
         latency = UPDATE_LATENCY if is_update else READ_LATENCY
         Charge(self._cpu, latency, self._handle, req)
 
@@ -127,6 +140,7 @@ class CoordinationService:
         payload = req.payload
         op = payload["op"]
         session = payload.get("session")
+        self._count_sent(session)
         if op != "start-session" and session is not None \
                 and not self._touch(session):
             req.respond({"ok": False, "code": "session-expired",
@@ -146,11 +160,8 @@ class CoordinationService:
         fired: list = []
         if op == "start-session":
             session = self._register_session(
-                src, payload.get("timeout", SESSION_TIMEOUT_DEFAULT))
+                payload.get("timeout", SESSION_TIMEOUT_DEFAULT))
             return session, fired
-        if op == "close-session":
-            self._expire(payload["session"])
-            return None, fired
         if op == "create":
             actual, fired = tree.create(
                 payload["path"], payload.get("data", b""),
@@ -171,13 +182,13 @@ class CoordinationService:
             # ZooKeeper semantics: a failed get leaves no watch (the
             # NoNodeError above propagates before this line).
             if payload.get("watch_id") is not None:
-                tree.add_data_watch(payload["path"],
-                                    (src, payload["watch_id"]))
+                tree.add_data_watch(payload["path"], (
+                    src, payload.get("session"), payload["watch_id"]))
             return (data, version), fired
         if op == "children":
             if payload.get("watch_id") is not None:
-                tree.add_child_watch(payload["path"],
-                                     (src, payload["watch_id"]))
+                tree.add_child_watch(payload["path"], (
+                    src, payload.get("session"), payload["watch_id"]))
             return tree.children(payload["path"]), fired
         raise CoordError(f"unknown op {op!r}")
 

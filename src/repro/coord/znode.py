@@ -100,7 +100,7 @@ class ZNodeTree:
     Mutating operations return ``(result, fired_watches)`` where
     ``fired_watches`` is a list of ``(watch_owner, WatchEvent)`` pairs —
     watch owners are opaque tokens supplied when the watch was set (the
-    service uses ``(client_name, watch_id)``).
+    service uses ``(client_name, session, watch_id)``).
     """
 
     def __init__(self) -> None:

@@ -259,28 +259,27 @@ def leader_monitor(replica):
             if not target.triggered:
                 target.succeed()
 
-        try:
-            data, _ = yield from zk.get(f"{root}/leader",
-                                        watcher=_on_change)
-        except NoNodeError:
-            # No leader: stop hinting clients at the dead one, then elect.
-            if replica.leader != node.name:
-                replica.leader = None
-            result = yield from run_election(replica)
-            if result is None:
-                yield timeout(sim, ELECTION_RETRY)
-            continue
+        try:        # one round; any CoordError retries it
+            try:
+                data, _ = yield from zk.get(f"{root}/leader",
+                                            watcher=_on_change)
+            except NoNodeError:
+                # No leader: stop hinting clients at the dead one; elect.
+                if replica.leader != node.name:
+                    replica.leader = None
+                if (yield from run_election(replica)) is None:
+                    yield timeout(sim, ELECTION_RETRY)
+                continue
+            leader = data.decode()
+            if leader != node.name:
+                replica.set_leader(leader)
+                if replica.role == Role.RECOVERING:
+                    replica.request_catchup()
+            elif replica.role != Role.LEADER or not replica.open_for_writes:
+                # We were *named* leader (graceful transfer) but have not
+                # assumed the role yet: re-own the znode and take over.
+                yield from assume_leadership(replica)
+            # Wait for the leader znode to change or vanish.
+            yield changed
         except CoordError:
             yield timeout(sim, ELECTION_RETRY)
-            continue
-        leader = data.decode()
-        if leader != node.name:
-            replica.set_leader(leader)
-            if replica.role == Role.RECOVERING:
-                replica.request_catchup()
-        elif replica.role != Role.LEADER or not replica.open_for_writes:
-            # We were *named* leader (graceful transfer) but have not
-            # assumed the role yet: re-own the znode and take over.
-            yield from assume_leadership(replica)
-        # Wait for the leader znode to change or vanish.
-        yield changed

@@ -112,28 +112,20 @@ def _handoff_watchdog(replica, successor: str, epoch_at_handoff: int):
     zk = node.zk
     root = cohort_zk_path(replica.cohort_id)
     deadline = node.sim.now + cfg.session_timeout
-    while node.alive and node.zk is zk:
-        try:
+    try:        # a CoordError: the znode is gone, or our session ended
+        while True:
             data, _ = yield from zk.get(f"{root}/epoch")
             if int(data) > epoch_at_handoff:
                 return          # successor assumed leadership; disarm
-        except CoordError:
-            pass
-        if node.sim.now >= deadline:
-            break
-        yield timeout(node.sim, ELECTION_RETRY / 2)
-    if not node.alive or node.zk is not zk:
-        return
-    try:
+            if node.sim.now >= deadline:
+                break
+            yield timeout(node.sim, ELECTION_RETRY / 2)
         data, _ = yield from zk.get(f"{root}/leader")
-    except CoordError:
-        return                  # already gone: an election is underway
-    if data.decode() != successor:
-        return                  # somebody else took over meanwhile
-    node.trace("replication", "handoff watchdog: successor never "
-               "assumed leadership; forcing election",
-               cohort=replica.cohort_id, successor=successor)
-    try:
+        if data.decode() != successor:
+            return              # somebody else took over meanwhile
+        node.trace("replication", "handoff watchdog: successor never "
+                   "assumed leadership; forcing election",
+                   cohort=replica.cohort_id, successor=successor)
         yield from zk.delete(f"{root}/leader")
     except CoordError:
         pass

@@ -34,7 +34,7 @@ from typing import Any, Callable, Dict, Optional
 
 from ..coord.client import CoordClient
 from ..coord.recipes import GroupMembership
-from ..coord.znode import CoordError, NoNodeError
+from ..coord.znode import CoordError
 from ..sim.disk import LogDevice
 from ..sim.events import URGENT, Event, Simulator
 from ..sim.network import Network, Request, RpcTimeout
@@ -227,7 +227,6 @@ class SpinnakerNode(NodeHost):
             for cohort in partitioner.cohorts_of_node(name)
         }
         self.zk: Optional[CoordClient] = None
-        self.membership: Optional[GroupMembership] = None
         self.session_losses = 0
         self._handlers.update({
             dict: self._on_coord_event,
@@ -376,20 +375,14 @@ class SpinnakerNode(NodeHost):
     def _release_cohort_znodes(self, zk: CoordClient, cohort_id: int,
                                candidate_path: Optional[str]):
         root = cohort_zk_path(cohort_id)
-        if candidate_path is not None:
-            try:
-                yield from zk.delete(candidate_path)
-            except (NoNodeError, CoordError, RpcTimeout):
-                pass
         try:
+            if candidate_path is not None:
+                yield from zk.delete(candidate_path)
             data, _ = yield from zk.get(f"{root}/leader")
-        except (NoNodeError, CoordError, RpcTimeout):
-            return
-        if data == self.name.encode():
-            try:
+            if data == self.name.encode():
                 yield from zk.delete(f"{root}/leader")
-            except (NoNodeError, CoordError, RpcTimeout):
-                pass
+        except CoordError:
+            pass
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -422,13 +415,7 @@ class SpinnakerNode(NodeHost):
             if replica is None:      # retired by a replayed map change
                 continue
             yield from local_recovery(replica)
-        # Recovery yields; a session loss meanwhile replaced self.zk and
-        # spawned a rejoin that owns the membership from here on.
-        if not self.alive or self.zk is not zk:
-            return
-        self.membership = GroupMembership(zk, "/nodes", self.name)
-        yield from self.membership.join()
-        self._spawn_monitors()
+        yield from self._rejoin(zk)
 
     def _reconcile_replicas(self) -> None:
         for cid in sorted(self.replicas):
@@ -465,11 +452,12 @@ class SpinnakerNode(NodeHost):
                                          f"monitor-{cid}")
 
     def _on_session_loss(self, zk: CoordClient) -> None:
-        """Our coordination session expired (or its lease ran out) while
-        the node itself is fine — e.g. partitioned from the coordination
-        service.  Ephemeral znodes are gone, so any leadership is forfeit
-        *now*: step every replica down before a rival leader can serve,
-        then rejoin with a fresh session (§7.2)."""
+        """Our coordination session ended (expired, lease ran out, or a
+        message on it was lost) while the node itself is fine.  Its
+        ephemerals are gone or going, so any leadership is forfeit *now*:
+        step every replica down before a rival leader can serve, then
+        rejoin on a fresh session (§7.2).  The client stops the old one
+        next, failing its pending calls (PROTOCOL.md)."""
         if not self.alive or self.zk is not zk:
             return
         self.session_losses += 1
@@ -482,8 +470,6 @@ class SpinnakerNode(NodeHost):
         # lint: allow(dict-order) — replicas inserted in partitioner order
         for replica in self.replicas.values():
             replica.step_down()
-        zk.stop()
-        self.membership = None
         self.zk = CoordClient(self.sim, self.endpoint,
                               service=self.coord_name,
                               session_timeout=self.config.session_timeout)
@@ -504,22 +490,19 @@ class SpinnakerNode(NodeHost):
                 yield sim_timeout(self.sim, ELECTION_RETRY)
 
     def _rejoin(self, zk: CoordClient):
+        """``yield from`` me: open ``zk``'s session, join the group and
+        spawn the monitors, retrying until done or ``zk`` is no longer
+        the node's (a join on an ended session fails at once)."""
         while self.alive and self.zk is zk:
             yield from self._open_session(zk)
-            # start() yields: a loss of *this* session meanwhile has
-            # already spawned a successor rejoin — defer to it.
-            if not self.alive or self.zk is not zk:
-                return
             try:
-                self.membership = GroupMembership(zk, "/nodes", self.name)
-                yield from self.membership.join()
-            except (RpcTimeout, CoordError):
+                yield from GroupMembership(zk, "/nodes", self.name).join()
+            except CoordError:
                 # Our old ephemerals linger until the previous session
-                # expires server-side (or we are cut off again); retry.
+                # expires server-side (or this one ended); retry.
                 yield sim_timeout(self.sim, ELECTION_RETRY)
                 continue
-            if self.alive and self.zk is zk:
-                self._spawn_monitors()
+            self._spawn_monitors()
             return
 
     def crash(self) -> None:
@@ -532,7 +515,6 @@ class SpinnakerNode(NodeHost):
         if self.zk is not None:
             self.zk.stop()
             self.zk = None
-        self.membership = None
         # lint: allow(dict-order) — replicas inserted in partitioner order
         for replica in self.replicas.values():
             replica.crash()

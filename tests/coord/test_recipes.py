@@ -36,7 +36,8 @@ def test_group_membership_join_list_leave():
         yield from c2.start()
         result["before"] = yield from c2.get_children("/nodes")
         # A member leaves with its session: the ephemeral goes with it.
-        yield from g1.result().client.close()
+        service.expire_session_now(c1.session)
+        c1.stop()
         result["after"] = yield from c2.get_children("/nodes")
 
     spawn(sim, lister())

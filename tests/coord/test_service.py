@@ -4,7 +4,7 @@ import pytest
 
 from repro.coord.client import CoordClient
 from repro.coord.service import CoordinationService
-from repro.coord.znode import NoNodeError, NodeExistsError
+from repro.coord.znode import CoordError, NoNodeError, NodeExistsError
 from repro.sim.events import Simulator
 from repro.sim.network import Network
 from repro.sim.process import spawn
@@ -125,19 +125,6 @@ def test_ephemerals_survive_while_heartbeating():
     assert service.expired_sessions == 0
 
 
-def test_explicit_close_expires_immediately():
-    sim, net, service, (c0, _) = setup_world()
-
-    def scenario():
-        yield from c0.start()
-        yield from c0.create("/grp")
-        yield from c0.create("/grp/me", ephemeral=True)
-        yield from c0.close()
-
-    run(sim, scenario())
-    assert service.tree.children("/grp") == []
-
-
 def test_operations_after_expiry_fail():
     sim, net, service, (c0, _) = setup_world(session_timeout=1.0)
     outcome = []
@@ -153,6 +140,54 @@ def test_operations_after_expiry_fail():
 
     run(sim, scenario())
     assert outcome == ["CoordError"]
+
+
+def test_stop_fails_a_pending_call_and_every_later_one():
+    """No call waits on an ended session: its get is lost, the session
+    is stopped before any heartbeat could notice, and the waiter gets
+    ``CoordError`` at once (it used to wait forever); so does a call
+    made afterwards."""
+    sim, net, service, (c0, _) = setup_world()
+    outcome = []
+
+    def scenario():
+        yield from c0.start()
+        net.block("node0", "coord")
+        sim.schedule(0.1, c0.stop)
+        for path in ("/", "/"):
+            try:
+                yield from c0.get(path)
+            except CoordError as err:
+                outcome.append((str(err), sim.now))
+
+    start = sim.now
+    run(sim, scenario())
+    assert [msg for msg, _ in outcome] == ["session ended"] * 2
+    assert outcome[0][1] == outcome[1][1] < start + 0.2
+
+
+def test_a_reply_queued_behind_a_deep_backlog_ends_no_session():
+    """A slow reply is not a lost one: a get queued behind 3,000 creates
+    waits more than three heartbeat intervals, each ack in between shows
+    it received but not yet answered, and the session lives on."""
+    sim, net, service, (c0, _) = setup_world()
+    losses = []
+    c0.on_session_loss = losses.append
+    run(sim, c0.start())
+    run(sim, c0.create("/q"))
+    for i in range(3000):
+        spawn(sim, c0.create(f"/q/n{i}"))
+
+    def timed_get():
+        began = sim.now
+        yield from c0.get("/q")
+        return sim.now - began
+
+    waited = run(sim, timed_get())
+    assert waited > 3 * (c0.session_timeout / 3)
+    assert len(service.tree.children("/q")) == 3000
+    assert losses == [] and service.expired_sessions == 0
+    assert c0.session is not None
 
 
 def test_sequential_create_over_rpc():

@@ -1,5 +1,7 @@
 """Edge cases of watch and session semantics over the network."""
 
+import pytest
+
 from repro.coord.client import CoordClient
 from repro.coord.service import CoordinationService
 from repro.coord.znode import NoNodeError
@@ -142,3 +144,47 @@ def test_two_sessions_from_same_restarted_node():
     assert new_session != old_session
     sim.run(until=sim.now + 10.0)  # old session expires
     assert service.tree.children("/grp") == ["me2"]
+
+
+@pytest.mark.parametrize("end", ["session-lost", "reboot"])
+def test_a_watch_armed_by_an_earlier_session_fires_no_new_watcher(end):
+    """Each client numbers its watches from 1.  The ended session's
+    watch 1 (on /a) is still armed at the service; when it fires, the
+    node's new session must not take it for its own watch 1 (on /b) —
+    that fired the new watcher on the wrong path and consumed it, so the
+    real event found no watcher."""
+    sim, net, service, (c0, c1) = setup_world()
+    endpoint = net.get("node0")
+    current = [c0]
+    # A node's dispatcher: watch events go to its current session.
+    endpoint.on_request(
+        lambda req: current[0].handle_watch_message(req.payload))
+    fired = []
+
+    def first_life():
+        yield from c0.start()
+        yield from c0.create("/a", b"0")
+        yield from c0.create("/b", b"0")
+        yield from c0.get("/a", watcher=lambda ev: fired.append(
+            ("old", ev.path)))
+
+    run(sim, first_life())
+    if end == "reboot":
+        endpoint.crash()
+    c0.stop()
+    endpoint.restart()
+    current[0] = c0b = CoordClient(sim, endpoint)
+
+    def second_life():
+        yield from c0b.start()
+        yield from c0b.get("/b", watcher=lambda ev: fired.append(
+            ("new", ev.path)))
+
+    def mutate():
+        yield from c1.start()
+        yield from c1.set_data("/a", b"1")
+        yield from c1.set_data("/b", b"1")
+
+    run(sim, second_life())
+    run(sim, mutate())
+    assert fired == [("new", "/b")]

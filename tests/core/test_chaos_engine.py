@@ -80,6 +80,40 @@ def test_storm_sweep_stays_clean(seed, config):
     assert report.ok and not report.violation_summary(), report.format()
 
 
+#: storms whose coordination calls used to wait forever on a lost
+#: message (monitors blocked in ``CoordClient._call``); the session now
+#: ends at the next heartbeat and the node rejoins
+COORD_LOSS_STORMS = [
+    pytest.param(116, ChaosConfig(n_nodes=5, n_dcs=3), id="3dc-5n-s116"),
+    pytest.param(73, ChaosConfig(n_nodes=9, n_dcs=3, **HARSH),
+                 id="3dc-9n-harsh-s73"),
+]
+#: the other half of the liveness FAILs, not coordination: a takeover's
+#: re-proposal wait (``core/recovery.py``, ``yield committed``) hangs
+#: with both followers RECOVERING, and ``_on_catchup_request`` drops
+#: their asks while the leader is not yet open for writes (ROADMAP)
+TAKEOVER_WAIT = ("recovery-liveness: leader_takeover's re-proposal wait "
+                 "hangs while its RECOVERING followers' catch-up asks "
+                 "are dropped (the cohort is not open for writes)")
+TAKEOVER_WAIT_STORMS = [
+    pytest.param(seed, config, id=name,
+                 marks=pytest.mark.xfail(strict=True, reason=TAKEOVER_WAIT))
+    for seed, config, name in [
+        (62, ChaosConfig(), "flat-5n-s62"),
+        (34, ChaosConfig(**HARSH), "flat-5n-harsh-s34"),
+        (111, ChaosConfig(n_nodes=5, n_dcs=3), "3dc-5n-s111"),
+        (117, ChaosConfig(n_nodes=5, n_dcs=3), "3dc-5n-s117"),
+    ]
+]
+
+
+@pytest.mark.parametrize("seed, config",
+                         COORD_LOSS_STORMS + TAKEOVER_WAIT_STORMS)
+def test_regression_storm_recovers(seed, config):
+    report = run_chaos(seed, config)
+    assert report.ok and not report.violation_summary(), report.format()
+
+
 def test_same_seed_reproduces_bit_for_bit():
     first = run_chaos(2, SMOKE)
     second = run_chaos(2, SMOKE)

@@ -8,6 +8,7 @@ from repro.core import Role, SpinnakerCluster, SpinnakerConfig
 from repro.core.messages import Propose
 from repro.core.partition import key_of
 from repro.sim.disk import DiskProfile
+from repro.sim.network import Reply
 from repro.sim.process import spawn
 from repro.storage.lsn import LSN
 
@@ -279,3 +280,66 @@ def test_takeover_retries_until_a_majority_is_caught_up():
     cluster.run_until(lambda: cluster.leader_of(cohort_id) == winner,
                       limit=30.0, what="the cohort to open")
     assert cluster.all_failures() == []
+
+
+def drop_once(cluster, match):
+    """Lose the first message ``match(env, src, dst)`` picks, as a
+    blocked link would; returns the list its drop time is appended to."""
+    net = cluster.network
+    transmit = net._transmit
+    dropped = []
+
+    def lossy(env, src_ep, dst, size):
+        if not dropped and match(env, src_ep.name, dst):
+            dropped.append(cluster.sim.now)
+            net.messages_sent += 1
+            net.messages_dropped += 1
+            return
+        transmit(env, src_ep, dst, size)
+
+    net._transmit = lossy
+    return dropped
+
+
+def _a_lost_coordination_message_ends_the_session(match_payload):
+    """Kill cohort 0's leader and lose one message from the coordination
+    service to the first survivor: its session ends at the next
+    heartbeat (the ack's counts show the shortfall), and the cohort then
+    has an open leader.  Without that, the survivor waits forever and no
+    round ever reaches a majority."""
+    cluster = make_cluster(n=3)
+    cohort_id = 0
+    old = cluster.leader_of(cohort_id)
+    target = next(m for m in cluster.partitioner.cohort(cohort_id).members
+                  if m != old)
+    node = cluster.nodes[target]
+    dropped = drop_once(
+        cluster, lambda env, src, dst: src == "coord" and dst == target
+        and match_payload(env))
+    cluster.kill_leader(cohort_id)
+    cluster.run_until(lambda: node.session_losses, limit=5.0, step=0.001,
+                      what="the session to end")
+    heartbeat = node.config.session_timeout / 3
+    assert len(dropped) == 1 and cluster.sim.now - dropped[0] < heartbeat
+    cluster.run_until(lambda: cluster.leader_of(cohort_id) is not None,
+                      limit=10.0, what="an open leader")
+    assert node.session_losses == 1
+    assert cluster.all_failures() == []
+
+
+def test_a_lost_reply_to_a_candidate_ends_its_session():
+    def candidate_get_reply(env):
+        return (type(env) is Reply and env.req.payload.get("op") == "get"
+                and "/candidates/" in env.req.payload.get("path", ""))
+
+    _a_lost_coordination_message_ends_the_session(candidate_get_reply)
+
+
+def test_a_lost_watch_event_to_a_leader_monitor_ends_its_session():
+    def leader_watch_event(env):
+        payload = env.payload
+        return (isinstance(payload, dict)
+                and payload.get("op") == "watch-event"
+                and payload["path"] == "/cohorts/0/leader")
+
+    _a_lost_coordination_message_ends_the_session(leader_watch_event)

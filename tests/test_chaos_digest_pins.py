@@ -19,7 +19,7 @@ from repro.chaos import ChaosConfig, run_chaos
 STORMS = {
     "flat-5-defaults-seed21": (
         21, ChaosConfig(),
-        "9789b3d2f63f3681152ec5869f4b351660adaa5723935c9c9fe56d7d957b1e23"),
+        "30e78c9334a75be7bd6552e7147eb3a0b4b52a8c5b6bf09cd7633af3785585cb"),
     "dc3-9-harsh-seed1": (
         1, ChaosConfig(n_nodes=9, n_dcs=3, mean_fault_gap=1.0,
                        mean_repair=2.0),

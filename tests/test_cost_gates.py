@@ -628,3 +628,35 @@ def test_a_coordination_request_is_handled_by_a_function_not_a_process(
     per request (one when each request was a process running
     ``serve``)."""
     assert coordination_processes_per_request(monkeypatch) == 0
+
+
+def test_steady_state_gets_and_puts_make_no_coordination_call():
+    """The coordination service is off the data path (§4.2): strong
+    gets and puts over several heartbeat intervals make no coordination
+    call, and every heartbeat ack's counts match what its node saw, so
+    no session ends."""
+    cluster, client = make_cluster()
+    service = cluster.coord
+    timeout = cluster.config.session_timeout
+
+    def calls():
+        return sum(info["recv"] for info in service._sessions.values())
+
+    before, expired = calls(), service.expired_sessions
+    began = cluster.sim.now
+
+    def ops():
+        i = 0
+        while cluster.sim.now - began < 2 * timeout:
+            key = KEYS[i % len(KEYS)]
+            yield from client.put(key, b"c", b"s%d" % i)
+            yield from client.get(key, b"c", consistent=True)
+            i += 1
+        return i
+
+    proc = spawn(cluster.sim, ops())
+    cluster.run_until(lambda: proc.triggered, limit=30.0, what="ops")
+    assert proc.result() > 100
+    assert calls() == before
+    assert service.expired_sessions == expired
+    assert [node.session_losses for node in cluster.nodes.values()] == [0] * 3
