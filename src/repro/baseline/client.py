@@ -3,13 +3,18 @@
 Routes every request to a coordinator that replicates the key (a "smart"
 client, like Cassandra's token-aware drivers).  Weak reads therefore cost
 one network round trip — matching the paper, where Cassandra's weak read
-latency is nearly identical to Spinnaker's timeline read (§9.1).
+latency is nearly identical to Spinnaker's timeline read (§9.1).  The
+coordinator is the replica with the fewest of this client's reads in
+flight, ties broken at random: the rule Spinnaker's client picks a
+timeline replica by (:func:`repro.core.api.fewest_in_flight`), and the
+one Cassandra's own drivers follow.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
+from ..core.api import fewest_in_flight
 from ..core.datamodel import RequestTimeout
 from ..core.partition import RangePartitioner, key_of
 from ..sim.events import Simulator
@@ -46,6 +51,8 @@ class CassandraClient:
         self.config = config
         self.endpoint = network.endpoint(name)
         self._rng = rng.stream(f"cclient:{name}")
+        # replica -> this client's reads awaiting its reply
+        self._reads_in_flight: Dict[str, int] = {}
         self.ops_completed = 0
         self.retries = 0
 
@@ -74,16 +81,24 @@ class CassandraClient:
         cfg = self.config
         cohort = self.partitioner.cohort_for_key(key_of(key))
         members = list(cohort.members)
-        target = self._rng.choice(members)
+        target = fewest_in_flight(members, self._reads_in_flight, self._rng)
+        # Only reads are counted: a write loads every replica alike.
+        reads = self._reads_in_flight if type(msg) is CoordRead else None
         deadline = self.sim.now + cfg.client_op_timeout
         while True:
             remaining = deadline - self.sim.now
             if remaining <= 0:
                 raise RequestTimeout(f"{type(msg).__name__} timed out")
+            if reads is not None:
+                reads[target] = reads.get(target, 0) + 1
             try:
-                reply = yield self.endpoint.request(
-                    target, msg, size=size,
-                    timeout=min(remaining, RPC_TIMEOUT))
+                try:
+                    reply = yield self.endpoint.request(
+                        target, msg, size=size,
+                        timeout=min(remaining, RPC_TIMEOUT))
+                finally:
+                    if reads is not None:
+                        reads[target] -= 1
             except RpcTimeout:
                 self.retries += 1
                 target = members[(members.index(target) + 1)

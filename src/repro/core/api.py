@@ -28,11 +28,15 @@ The client works off an immutable
 leader cache, and walks one request through these transitions until an
 ``ok`` reply, a terminal error, or the op deadline:
 
+``pick``                       strong: the cached leader.  Timeline:
+                               same-DC replicas on a placed network,
+                               minus this op's timed-out ones; of those,
+                               the one with the fewest of this client's
+                               reads in flight, ties at random.
 ``send -> ok``                 cache target as leader (strong ops), done.
-``send -> RpcTimeout``         rotate to the next member (strong) or a
-                               random non-timed-out replica (timeline;
-                               same-DC replicas preferred on a placed
-                               network).
+``send -> RpcTimeout``         rotate to the next member (strong) or
+                               pick again without the timed-out
+                               replicas (timeline).
 ``send -> not-leader/unavailable``  follow the ``hint`` if given, else
                                rotate; jittered exponential backoff
                                (``CLIENT_RETRY_BACKOFF`` doubling up to
@@ -54,6 +58,9 @@ Invariants
 ----------
 - At most one attempt of an operation is in flight at a time; retries
   never race each other (matters for tracing and FIFO channels).
+- A timeline get or scan counts in ``_reads_in_flight`` against its
+  target from the send until a reply, a timeout or an interrupt ends
+  the wait; strong ops go to the leader and are not counted.
 - The leader cache only ever holds names that were members of the
   cohort in the snapshot that produced them; map refreshes evict
   entries invalidated by membership changes.
@@ -98,6 +105,24 @@ from .partition import CohortMap, RangePartitioner
 __all__ = ["SpinnakerClient"]
 
 
+def fewest_in_flight(members, in_flight: Dict[str, int], rng) -> str:
+    """The member of ``members`` with the fewest reads in flight, ties
+    broken by one ``rng.choice``.  With nothing in flight that is the
+    plain random pick, draw for draw; under load a read skips the
+    replica this client already has queued work on.  Shared with the
+    baseline client, so both systems route reads alike."""
+    best = []
+    fewest = None
+    for member in members:
+        n = in_flight.get(member, 0)
+        if fewest is None or n < fewest:
+            fewest = n
+            best = [member]
+        elif n == fewest:
+            best.append(member)
+    return rng.choice(best)
+
+
 class SpinnakerClient:
     """A datastore client bound to one (simulated) client machine."""
 
@@ -125,6 +150,8 @@ class SpinnakerClient:
         self._rng = rng.stream(f"client:{name}")
         self._map: CohortMap = partitioner.snapshot()
         self._leader_cache: Dict[int, str] = {}
+        # replica -> this client's timeline reads awaiting its reply
+        self._reads_in_flight: Dict[str, int] = {}
         self.ops_completed = 0
         self.retries = 0
         self.map_refreshes = 0
@@ -258,15 +285,19 @@ class SpinnakerClient:
         return members[(idx + 1) % len(members)]
 
     def _timeline_target(self, cohort, exclude=None) -> str:
-        """A random replica; ``exclude`` (a member name or a collection
-        of them) drops replicas that just timed out so retries cannot
-        keep hammering crashed nodes.  Falls back to the full member
-        list if exclusion would leave nobody.
+        """The replica with the fewest of this client's reads in flight,
+        ties broken at random (:func:`fewest_in_flight`).  ``exclude``
+        (a member name or a collection of them) drops replicas that
+        just timed out, so retries cannot keep hammering crashed
+        nodes.  Falls back to the full member list if exclusion
+        would leave nobody.
 
         On a placed network, nearest-replica routing: replicas in this
         client's own datacenter are preferred (timeline reads tolerate
         staleness, so they never need to cross the WAN when a local
         copy exists — the latency side of the §3 consistency menu).
+        The filters come first; the in-flight count only picks among
+        the replicas they leave.
         """
         members = cohort.members
         if exclude:
@@ -281,7 +312,7 @@ class SpinnakerClient:
                      if self._topology.dc_of(m) == my_dc]
             if local:
                 members = local
-        return self._rng.choice(members)
+        return fewest_in_flight(members, self._reads_in_flight, self._rng)
 
     def _refresh_map(self, source: str):
         """Fetch a newer routing snapshot from ``source`` (which just
@@ -340,6 +371,8 @@ class SpinnakerClient:
         deadline = now + cfg.client_op_timeout
         attempt = 0
         timed_out: set = set()
+        # Only timeline reads are counted: they alone pick by the count.
+        reads = None if strong else self._reads_in_flight
         try:
             while True:
                 remaining = deadline - now
@@ -351,9 +384,15 @@ class SpinnakerClient:
                            else self._per_try)
                 if ctx is not None:
                     ctx.last_sent_at = now
+                if reads is not None:
+                    reads[target] = reads.get(target, 0) + 1
                 try:
-                    reply = yield self.endpoint.request(
-                        target, msg, size=size, timeout=per_try)
+                    try:
+                        reply = yield self.endpoint.request(
+                            target, msg, size=size, timeout=per_try)
+                    finally:
+                        if reads is not None:
+                            reads[target] -= 1
                 except RpcTimeout:
                     attempt += 1
                     self.retries += 1

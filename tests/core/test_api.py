@@ -5,8 +5,9 @@ import pytest
 from repro.core import (RequestTimeout, SpinnakerCluster, SpinnakerConfig,
                         VersionMismatch)
 from repro.core.partition import key_of
+from repro.core.rebalance import Rebalancer, plan_join
 from repro.sim.disk import DiskProfile
-from repro.sim.process import spawn
+from repro.sim.process import ProcessKilled, spawn
 
 
 def make_cluster(**overrides):
@@ -254,3 +255,131 @@ def test_ops_counted():
 
     run(cluster, scenario())
     assert client.ops_completed == 3
+
+
+# -- timeline reads go to the replica with the fewest reads in flight -------
+
+def settled(key, cluster=None):
+    """A cluster holding ``key`` = b"v" on every replica of its cohort."""
+    cluster = cluster or make_cluster()
+    client = cluster.client()
+    run(cluster, client.put(key, b"c", b"v"))
+    cluster.run(1.0)                # let the commit reach the followers
+    return cluster, client, cluster.partitioner.cohort_for_key(key_of(key))
+
+
+def served_by(cluster, cohort):
+    return {m: cluster.nodes[m].replicas[cohort.cohort_id].reads_served
+            for m in cohort.members}
+
+
+def test_reads_in_flight_to_two_members_send_the_next_pick_to_the_third():
+    cluster, client, cohort = settled(b"steer")
+    for _ in range(2):
+        spawn(cluster.sim, client.get(b"steer", b"c", consistent=False))
+    cluster.run(1e-5)               # both sent, neither answered
+    busy = client._reads_in_flight
+    assert sorted(busy.values()) == [1, 1], busy
+    (third,) = set(cohort.members) - set(busy)
+    for _ in range(20):
+        assert client._timeline_target(cohort) == third
+
+
+def _ok(cluster, client, cohort, key):
+    run(cluster, client.get(key, b"c", consistent=False))
+
+
+def _error_reply(cluster, client, cohort, key):
+    """Stale clients, their maps from before a split, read a moved key:
+    the old member left out of the child cohort answers ``wrong-node``,
+    and the read retries on the refreshed map."""
+    stale = [cluster.client(f"stale{i}") for i in range(8)]
+    cluster.add_node("node5")
+    plans = plan_join(cluster.partitioner, ["node5"],
+                      heat={c.cohort_id: 100.0 if c is cohort else 1.0
+                            for c in cluster.partitioner.cohorts})
+    proc = spawn(cluster.sim, Rebalancer(cluster).execute(plans))
+    cluster.run_until(lambda: proc.triggered, limit=120.0, what="split")
+    proc.result()
+    moved = next(b"drain-%d" % i for i in range(1000)
+                 if cluster.partitioner.cohort_for_key(
+                     key_of(b"drain-%d" % i)).cohort_id
+                 == plans[0].new_cohort_id)
+
+    def read_all():
+        for one in stale:
+            yield from one.get(moved, b"c", consistent=False)
+            assert not any(one._reads_in_flight.values())
+
+    run(cluster, read_all())
+    assert sum(one.retries for one in stale) >= 1
+    assert sum(one.map_refreshes for one in stale) >= 1
+
+
+def _rpc_timeout(cluster, client, cohort, key):
+    cluster.crash_node(cohort.members[0])
+
+    def read_until_timed_out():
+        for _ in range(20):
+            got = yield from client.get(key, b"c", consistent=False)
+            assert got.value == b"v"
+            if client.retries:
+                return
+
+    run(cluster, read_until_timed_out())
+    assert client.retries == 1
+
+
+def _target_crashes(cluster, client, cohort, key):
+    proc = spawn(cluster.sim, client.get(key, b"c", consistent=False))
+    cluster.run(1e-5)
+    (target,) = client._reads_in_flight
+    cluster.crash_node(target)
+    cluster.run_until(lambda: proc.triggered, limit=60.0, what="read")
+    assert proc.result().value == b"v"
+    assert client.retries == 1
+
+
+def _caller_interrupted(cluster, client, cohort, key):
+    proc = spawn(cluster.sim, client.get(key, b"c", consistent=False))
+    cluster.run(1e-5)
+    assert client._reads_in_flight
+    proc.interrupt("cancelled")
+    cluster.run(1e-5)
+    with pytest.raises(ProcessKilled):
+        proc.result()
+
+
+@pytest.mark.parametrize("ending", [_ok, _error_reply, _rpc_timeout,
+                                    _target_crashes, _caller_interrupted],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_a_read_leaves_nothing_in_flight_however_it_ends(ending):
+    cluster, client, cohort = settled(b"drain")
+    client.retries = 0
+    ending(cluster, client, cohort, b"drain")
+    assert not any(client._reads_in_flight.values())
+
+
+def test_a_slow_replica_serves_clearly_fewer_concurrent_timeline_reads():
+    """One replica with a single core (the others have eight): reads
+    queue there, so this client's in-flight count steers around it."""
+    cluster, client, cohort = settled(b"limp")
+    slow = cohort.members[0]
+    cluster.nodes[slow].cpu.capacity = 1
+    before = served_by(cluster, cohort)
+
+    def reader():
+        for _ in range(10):
+            got = yield from client.get(b"limp", b"c", consistent=False)
+            assert got.value == b"v"
+
+    procs = [spawn(cluster.sim, reader()) for _ in range(24)]
+    cluster.run_until(lambda: all(p.triggered for p in procs), limit=30.0,
+                      what="readers")
+    for proc in procs:
+        proc.result()               # no read failed
+    served = {m: n - before[m]
+              for m, n in served_by(cluster, cohort).items()}
+    assert sum(served.values()) == 240
+    assert served[slow] < 240 / 6, served
+

@@ -184,6 +184,31 @@ def test_strong_get_costs_two_messages_three_heap_entries_one_digest():
     assert tally["tracer_calls"] == 0            # untraced: obs costs nothing
 
 
+def test_timeline_get_costs_two_messages_three_heap_entries_one_digest():
+    """A timeline get costs what a strong one does: counting the client's
+    reads in flight per replica, to pick the least loaded, is a dict
+    update on each side of the send — no timer, event or message."""
+    cluster, client = make_cluster()
+    cluster.run(1.0)                # the followers learn the commit
+    key_of.cache_clear()
+
+    def gets():
+        for key in KEYS + KEYS:
+            got = yield from client.get(key, b"c", consistent=False)
+            assert got.value == b"v0"
+        assert not any(client._reads_in_flight.values())
+
+    tally = measure(cluster, gets(), need=0.05)
+    ops = 2 * len(KEYS)
+    assert tally["messages"] == 2 * ops          # request + reply
+    assert tally["heap_entries"] == 3 * ops
+    assert tally["digests"] == len(KEYS)
+    assert tally["processes"] == 0
+    assert tally["timeouts"] == 0
+    assert tally["generator_sends"] == tally["steps"] == ops
+    assert tally["tracer_calls"] == 0
+
+
 def test_a_strong_get_is_handled_by_functions_not_a_process():
     """The leader answers without a Process, a Timeout or a generator:
     the one generator resumed per get is the client thread's own, woken

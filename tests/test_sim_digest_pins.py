@@ -26,7 +26,7 @@ SIM_DIGESTS = {
     "read_strong":
         "91874140a2d734b24211efae26877eb188f3fd42841873336bc8db0182092880",
     "mixed_openloop":
-        "702b0cf9ce2667bc88aab7a88e3484eebc2a4220b889ed43b5128996c5bd2524",
+        "39b4fdc072c0814af9e24aadf479432ad93c9908494d69e440129ba08ccc0903",
     "failover":
         "96ce277243514807f8ffc233624e6f4f18930e9bcb35ef9f3a136739119a6592",
 }
