@@ -26,24 +26,28 @@ Batching must not tax an idle cohort, so the one policy is adaptive:
   even with a force in flight, an independent force+propose overlaps
   it and the log device's own group commit absorbs slow media, so the
   low- and mid-load latency profiles are untouched;
+* it also flushes immediately under CPU pressure with none of the
+  batcher's forces in flight: each follower folds the proposes queued
+  for its CPU into one slice (``CohortReplica.handle_propose``,
+  receive-side batching), so the saving a hold would buy is had there
+  without delaying the write;
 * under queuing pressure (several older writes still waiting in the
-  commit queue ahead of the buffer), arriving groups coalesce in a
-  window of at most ``propose_batch_window``, which opens at the first
-  held group.  The window is the bound: the buffer flushes at its
-  expiry or sooner — when one of the batcher's in-flight forces
-  completes (group commit at the propose level), when the congestion
-  drains with none in flight (``on_progress``), or at a limit.  A held
-  write never waits out a slow force, whose follower forces would then
-  set the commit.
+  commit queue ahead of the buffer) **and** a batcher force in flight,
+  arriving groups coalesce in a window of at most
+  ``propose_batch_window``, which opens at the first held group.  That
+  is the one case where a hold is nearly free: the buffer flushes when
+  one of the batcher's in-flight forces completes (group commit at the
+  propose level), at the window's expiry, or at a limit.
 
 Buffer state machine (per leader replica)
 -----------------------------------------
 ::
 
     EMPTY --submit--> BUFFERED --immediate/limit flush--> EMPTY
-    BUFFERED --pressure--> WINDOW(timer: propose_batch_window)
-    WINDOW --timer expiry | in-flight force done | drain with no force
-           in flight | limit--> flush (cancels the timer) -> EMPTY
+    BUFFERED --pressure with a force in flight--> WINDOW(timer:
+             propose_batch_window)
+    WINDOW --timer expiry | in-flight force done | limit--> flush
+           (cancels the timer) -> EMPTY
     any state --clear() on crash/step-down--> EMPTY (generation += 1)
 
 Invariants
@@ -161,21 +165,15 @@ class ProposalBatcher:
             # submitted group flushes on its own.
             self._flush()
         elif not self._under_pressure():
-            # Uncongested pipeline: never delay a write — even with a
-            # force in flight, an independent force+propose overlaps it
-            # (the log device's own group commit absorbs slow media).
+            # Uncongested pipeline, or no force of ours to ride: never
+            # delay a write — an independent force+propose overlaps any
+            # in flight (the log device's own group commit absorbs slow
+            # media), and the followers batch what queues for their CPU.
             self._flush()
         elif self._window is None:
-            # Congested: hold for company, at most the window.
+            # Congested, a force in flight: hold for company until it
+            # completes, at most the window.
             self._open_window()
-
-    def on_progress(self) -> None:
-        """Commit queue advanced: flush early once the congestion that
-        opened the window has drained."""
-        if (self._window is not None and self._entries
-                and self._inflight_forces == 0
-                and not self._under_pressure()):
-            self._flush()
 
     def clear(self) -> None:
         """Leadership lost (crash or step-down): buffered records were
@@ -192,6 +190,10 @@ class ProposalBatcher:
 
     # ------------------------------------------------------------------
     def _under_pressure(self) -> bool:
+        """A hold is worth it: a batcher force in flight, whose
+        completion flushes the buffer, and congestion behind it."""
+        if not self._inflight_forces:
+            return False
         head = self._entries[0].records[0].lsn
         depth = self.replica.queue.pending_older_than(
             head, limit=self.PRESSURE_DEPTH)

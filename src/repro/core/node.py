@@ -109,12 +109,23 @@ class NodeHost:
     # Handler continuations
     # ------------------------------------------------------------------
     def charge(self, service_time: float, then: Callable[..., None],
-               *args: Any) -> None:
+               *args: Any) -> Charge:
         """Charge ``service_time`` seconds of CPU — a core taken or
         queued for FIFO, held, released — then call ``then(*args)``, iff
-        the node is still in the incarnation that charged."""
-        Charge(self.cpu, service_time, self._resume, self.incarnation,
-               then, args)
+        the node is still in the incarnation that charged.  Returns the
+        charge, for :meth:`queued`."""
+        return Charge(self.cpu, service_time, self._resume,
+                      self.incarnation, then, args)
+
+    def queued(self, charge: Charge) -> Optional[Charge]:
+        """``charge`` — as :meth:`charge` returned it — while it still
+        waits for a core: queued behind every core busy, its hold not
+        begun, so time added to its ``service_time`` is held too.  None
+        once it is granted (at once with a core free)."""
+        cpu = self.cpu
+        if cpu._in_use < cpu.capacity or charge not in cpu._queue:
+            return None
+        return charge
 
     def guarded(self, then: Callable[..., None],
                 *args: Any) -> Callable[[], None]:

@@ -16,7 +16,8 @@ Steady state (Fig. 4):
   propose message to both followers;
 * each **follower** logs the propose on arrival — only on top of the
   ``prev`` it names, so its log stays a prefix of the leader's stream —
-  then forces it and acks; its commit queue is its log above f.cmt, not
+  then forces it and acks after a CPU slice, which the proposes queued
+  behind busy cores share; its commit queue is its log above f.cmt, not
   a second copy;
 * after its own force plus at least one ack, the leader applies the write
   to its memtable (committing it) and replies to the client — there is no
@@ -57,7 +58,7 @@ from ..sim.events import Event
 from ..sim.process import timeout
 from ..storage.lsn import LSN
 from ..storage.records import CommitMarker, WriteRecord
-from .batching import ProposalBatcher
+from .batching import MAX_BATCH_BYTES, ProposalBatcher
 from .commitqueue import CommitQueue, PendingWrite
 from .config import (COMMIT_APPLY_SERVICE, CONDITIONAL_CHECK_SERVICE,
                      ELECTION_RETRY, EXTRA_OP_SERVICE, PROPOSE_RECORD_SERVICE,
@@ -146,6 +147,13 @@ class CohortReplica:
         #: follower: its last propose force, ``(wal.force handle, leader,
         #: epoch, proposes)``, which later proposes may join
         self._force_group: Optional[tuple] = None
+        #: follower: its last propose CPU slice that queued for a core,
+        #: ``[charge, leader, epoch, records, bytes, log bytes, joined]``,
+        #: which later proposes from that leader and epoch join while it
+        #: still waits (``node.queued``)
+        self._cpu_slice: Optional[list] = None
+        #: follower: each queued slice by its first propose, until it runs
+        self._slices: Dict[object, list] = {}
         self.resyncs = 0
         self.catchup_chunks_ingested = 0
         self.catchup_tables_ingested = 0
@@ -418,7 +426,6 @@ class CohortReplica:
                 if record.key == MEMBERSHIP_KEY:
                     self.node.on_membership_commit(record)
             self.node.maybe_flush(self)
-            self.batcher.on_progress()
 
     # ------------------------------------------------------------------
     # Request tracing (no-ops unless a request carried a TraceContext;
@@ -497,7 +504,11 @@ class CohortReplica:
         """A Propose arrives (Fig. 4, follower): ``handle_propose`` →
         ``_log_propose`` → ``_ack_propose``.  Logged here, in channel
         order, only on top of its ``prev`` (PROTOCOL.md, *The prefix
-        rule*); else a resync."""
+        rule*); else a resync.  Its CPU slice follows — unless, with
+        ``propose_batching``, this replica's last slice from the same
+        leader and epoch still waits for a core: the propose joins that
+        slice, within the leader's batch limits, for
+        ``PROPOSE_RECORD_SERVICE`` a record (receive-side batching)."""
         msg: Propose = req.payload
         if msg.epoch < self.epoch:
             return  # stale leader; no ack
@@ -506,40 +517,82 @@ class CohortReplica:
         if msg.epoch > self.epoch:
             self.epoch = msg.epoch
             self.set_leader(req.src)
+        node = self.node
         records = msg.records
-        nbytes = self.node.wal.append_after(self.cohort_id, msg.prev, records,
-                                            self.committed_lsn)
+        nbytes = node.wal.append_after(self.cohort_id, msg.prev, records,
+                                       self.committed_lsn)
         if nbytes is None:
             self._start_resync(records[-1].lsn)
             return
         if msg.epoch > self.accepted_epoch and (
-                self.node.wal.last_lsn(self.cohort_id) <= records[-1].lsn):
+                node.wal.last_lsn(self.cohort_id) <= records[-1].lsn):
             # the log now ends on its stream (PROTOCOL.md, *The prefix rule*)
             self.accepted_epoch = msg.epoch
-        self.node.charge(WRITE_FOLLOWER_SERVICE
-                         + PROPOSE_RECORD_SERVICE * (len(records) - 1),
-                         self._log_propose, req, nbytes)
+        slice_ = self._cpu_slice
+        if (slice_ is not None and slice_[1] == req.src
+                and slice_[2] == msg.epoch
+                and self._join_slice(slice_, req, nbytes)):
+            return
+        charge = node.charge(WRITE_FOLLOWER_SERVICE
+                             + PROPOSE_RECORD_SERVICE * (len(records) - 1),
+                             self._log_propose, req, nbytes)
+        if node.config.propose_batching and node.queued(charge) is not None:
+            self._cpu_slice = self._slices[req] = [
+                charge, req.src, msg.epoch, len(records),
+                sum(record.size for record in records), 0, []]
+
+    def _join_slice(self, slice_: list, req, nbytes: int) -> bool:
+        """Fold the propose ``req`` into the queued CPU slice ``slice_``
+        iff it still waits for a core and stays within the leader's
+        batch limits (``propose_batch_max_records``, ``MAX_BATCH_BYTES``)."""
+        charge = self.node.queued(slice_[0])
+        if charge is None:
+            return False
+        records = req.payload.records
+        size = sum(record.size for record in records)
+        if (slice_[3] + len(records)
+                > self.node.config.propose_batch_max_records
+                or slice_[4] + size > MAX_BATCH_BYTES):
+            return False
+        charge.service_time += PROPOSE_RECORD_SERVICE * len(records)
+        slice_[3] += len(records)
+        slice_[4] += size
+        slice_[5] += nbytes
+        slice_[6].append(req)
+        return True
 
     def _log_propose(self, req, nbytes: int) -> None:
         """The follower's CPU slice is spent: force — which covers every
         earlier append — then ``_ack_propose`` (at once if it was all
-        durable already).  While this replica's last force is still
-        queued on the log device, a propose from the same leader and
-        epoch joins it instead (follower group commit): one force, one
-        ack for them all."""
+        durable already), for ``req`` and the proposes that joined its
+        slice, in arrival order.  While this replica's last force is
+        still queued on the log device, a slice from the same leader
+        and epoch joins it instead (follower group commit): one force,
+        one ack for them all."""
+        slice_ = self._slices.pop(req, None) if self._slices else None
         if self.role not in (Role.FOLLOWER, Role.CANDIDATE):
             return
         wal = self.node.wal
         msg: Propose = req.payload
-        if not nbytes and wal.durable(self.cohort_id, msg.records):
-            self._ack_propose(req)
+        joined: Sequence = ()
+        if slice_ is not None:
+            if slice_ is self._cpu_slice:
+                self._cpu_slice = None      # ran: nothing joins it now
+            nbytes += slice_[5]
+            joined = slice_[6]
+        if not nbytes and wal.durable(self.cohort_id, msg.records) and all(
+                wal.durable(self.cohort_id, other.payload.records)
+                for other in joined):
+            self._ack_propose(req, joined)
             return
         group = self._force_group
         if (group is not None and group[1] == req.src
                 and group[2] == msg.epoch and wal.join(group[0], nbytes)):
             group[3].append(req)
+            group[3].extend(joined)
             return
-        joined: list = []
+        if slice_ is None:
+            joined = []
         self._force_group = (
             wal.force(nbytes, self.node.guarded(self._ack_propose, req,
                                                 joined)),
@@ -800,7 +853,8 @@ class CohortReplica:
     # ------------------------------------------------------------------
     def crash(self) -> None:
         self.role = Role.OFFLINE
-        self._force_group = None
+        self._force_group = self._cpu_slice = None
+        self._slices.clear()
         self.open_for_writes = False
         self.leader = None
         self.migrating = False
@@ -822,6 +876,7 @@ class CohortReplica:
             return
         self.role = Role.RECOVERING
         self.leader = None
+        self._cpu_slice = None
         self.open_for_writes = False
         self.migrating = False
         self._clear_traces()

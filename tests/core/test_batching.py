@@ -160,9 +160,10 @@ def test_transaction_group_stays_indivisible():
 # ---------------------------------------------------------------------------
 
 def test_step_down_drops_buffered_records():
-    # Real queuing pressure: two older writes sit in the commit queue
-    # (never forced, so nothing is in flight to ride) — the next write
-    # opens the window, letting us catch it between queue.add and flush.
+    # Real queuing pressure: two older writes sit in the commit queue,
+    # the first with its batched force still in flight on the device —
+    # the next write opens the window, letting us catch it between
+    # queue.add and flush.
     cluster = make_cluster(seed=37, propose_batch_window=5e-3)
     cluster.run(2.0)
     leader = cluster.replica(cluster.leader_of(0), 0)
@@ -173,8 +174,10 @@ def test_step_down_drops_buffered_records():
         return WriteRecord(lsn=leader.alloc_lsn(), cohort_id=0, key=key,
                            colname=b"c", value=b"phantom", version=1)
 
-    for key in keys[:2]:
-        leader.queue.add(PendingWrite([make(key)]))
+    leader._replicate([make(keys[0])], lambda: None)
+    sent = leader.batcher.batches_sent
+    assert leader.batcher._inflight_forces == 1
+    leader.queue.add(PendingWrite([make(keys[1])]))
     record = make(keys[2])
     leader._replicate([record], lambda: None)
     assert leader.batcher.windows_opened == 1
@@ -186,7 +189,78 @@ def test_step_down_drops_buffered_records():
     assert record not in leader.queue.pending_records()
     cluster.run(1.0)
     assert not node.wal.contains(0, record.lsn)
-    assert leader.batcher.batches_sent == 0
+    assert leader.batcher.batches_sent == sent
+    assert cluster.all_failures() == []
+
+
+def _record_forces(node):
+    """Log each batched append (``append``) and its force's completion
+    (``forced``) with the simulated time and the batch's first LSN."""
+    log = []
+    append_batch = node.wal.append_batch
+
+    def recorded(records, then):
+        def forced():
+            log.append(("forced", node.sim.now, records[0].lsn))
+            then()
+        log.append(("append", node.sim.now, records[0].lsn))
+        append_batch(records, then=forced)
+
+    node.wal.append_batch = recorded
+    return log
+
+
+def test_no_window_opens_with_no_batcher_force_in_flight():
+    # Two older writes wait in the commit queue — pressure — but the
+    # batcher has no force in flight whose completion would end a hold:
+    # the write goes out at once (receive-side batching at the followers
+    # saves what the hold would have).
+    cluster = make_cluster(seed=37, propose_batch_window=5e-3)
+    cluster.run(2.0)
+    leader = cluster.replica(cluster.leader_of(0), 0)
+    keys = cohort_keys(cluster, 0, 3)
+
+    def make(key):
+        return WriteRecord(lsn=leader.alloc_lsn(), cohort_id=0, key=key,
+                           colname=b"c", value=b"v", version=1)
+
+    for key in keys[:2]:
+        leader.queue.add(PendingWrite([make(key)]))
+    sent = leader.batcher.batches_sent
+    record = make(keys[2])
+    leader._replicate([record], lambda: None)
+    assert leader.batcher.windows_opened == 0
+    assert leader.batcher.batches_sent == sent + 1
+    assert leader.node.wal.contains(0, record.lsn)
+
+
+def test_a_window_opened_behind_a_force_flushes_when_that_force_completes():
+    """Passes before the hold rule changed too: a completing batcher
+    force has always flushed the buffer."""
+    cluster = make_cluster(seed=37, propose_batch_window=5e-3)
+    cluster.run(2.0)
+    leader = cluster.replica(cluster.leader_of(0), 0)
+    node = leader.node
+    log = _record_forces(node)
+    keys = cohort_keys(cluster, 0, 3)
+
+    def make(key):
+        return WriteRecord(lsn=leader.alloc_lsn(), cohort_id=0, key=key,
+                           colname=b"c", value=b"v", version=1)
+
+    first = make(keys[0])
+    leader._replicate([first], lambda: None)
+    leader.queue.add(PendingWrite([make(keys[1])]))
+    record = make(keys[2])
+    leader._replicate([record], lambda: None)
+    assert leader.batcher.windows_opened == 1
+    cluster.run(0.05)
+    (_, t0, lsn0), (_, t1, forced), (_, t2, held) = log[:3]
+    assert (lsn0, forced, held) == (first.lsn, first.lsn, record.lsn)
+    assert [kind for kind, _, _ in log[:3]] == ["append", "forced", "append"]
+    # flushed by the force's completion, well inside the window
+    assert t2 == t1 and t1 - t0 < cluster.config.propose_batch_window
+    assert leader.batcher._window is None
     assert cluster.all_failures() == []
 
 

@@ -64,6 +64,9 @@ class _Node:
     def charge(self, cpu_time, step, *args):
         step(*args)
 
+    def queued(self, charge):
+        return None     # no slice waits for a core: none to join
+
     def charge_background(self, cpu_time):
         self.charged.append(cpu_time)
 

@@ -26,14 +26,19 @@ from heapq import heappush
 
 from repro.core import Role, SpinnakerCluster, SpinnakerConfig
 from repro.core.commitqueue import PendingWrite
+from repro.core.config import CORES_PER_NODE
+from repro.core.messages import ClientGet, Propose
 from repro.core.partition import CohortMap, key_of
 from repro.core.replication import CohortReplica
 from repro.sim.disk import DiskProfile
 from repro.sim.events import Event, Simulator
 from repro.sim.network import Network
 from repro.sim.process import AllOf, Process, Timeout, drive, spawn
+from repro.sim.resources import Charge
 from repro.sim.rng import RngRegistry
+from repro.storage.lsn import LSN
 from repro.storage.memtable import Cell
+from repro.storage.records import WriteRecord
 from repro.storage.wal import SharedLog, _CohortView
 
 KEYS = (b"gate-a", b"gate-b", b"gate-c")
@@ -419,6 +424,51 @@ def test_a_takeover_batch_is_one_pending_write():
     finally:
         sys.setprofile(None)
     assert built == [k]
+
+
+def test_proposes_queued_behind_a_saturated_follower_cost_one_charge():
+    """Receive-side batching: with every core of a follower busy, N
+    proposes from its leader queue as one CPU slice — one ``Charge``,
+    lengthened per record — not N (one each before)."""
+    class Spy:
+        def __init__(self, src, payload):
+            self.src, self.payload = src, payload
+
+        def respond(self, value, size=0):
+            pass
+
+    cluster, _ = make_cluster()
+    leader = cluster.replica(cluster.leader_of(0), 0)
+    follower = cluster.replica(leader.peers()[0], 0)
+    node = follower.node
+    for _ in range(CORES_PER_NODE):
+        node._dispatch(Spy("spy", ClientGet(key=KEYS[0], colname=b"c",
+                                            consistent=False)))
+    n = 6
+    prev = node.wal.last_lsn(0)
+    reqs = []
+    for i in range(n):
+        record = WriteRecord(lsn=LSN(follower.epoch, prev.seq + 1),
+                             cohort_id=0, key=b"q%d" % i, colname=b"c",
+                             value=b"v", version=1)
+        reqs.append(Spy(leader.node.name, Propose(
+            cohort_id=0, epoch=follower.epoch, records=(record,),
+            prev=prev)))
+        prev = record.lsn
+    charges = Counter()
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is Charge.__init__.__code__:
+            charges["built"] += 1
+
+    sys.setprofile(hook)
+    try:
+        for req in reqs:
+            node._dispatch(req)
+    finally:
+        sys.setprofile(None)
+    assert charges["built"] == 1
+    assert node.cpu.queue_length == 1
 
 
 def test_an_rpc_keeps_no_pending_table():

@@ -22,11 +22,11 @@ REPO = Path(__file__).resolve().parent.parent
 #: ``perfbench/run.py --workload W --seed 1 --quick --trace 0``
 SIM_DIGESTS = {
     "write_strong":
-        "b0e872c28b676ed029b5b78180006a28430f7080e2b1c7ec736eedcb1bc79651",
+        "8569777845c9e588175714a452eaae12654e002d78d21a506331a513a7fc13fa",
     "read_strong":
-        "91874140a2d734b24211efae26877eb188f3fd42841873336bc8db0182092880",
+        "15b3aac270f3a20a813e5e638d3e3dd642c140e9d2cf6511d52e374ff33dfdbd",
     "mixed_openloop":
-        "39b4fdc072c0814af9e24aadf479432ad93c9908494d69e440129ba08ccc0903",
+        "ddf5ec2f522c1d54f6910e50d9a3299d8f2ebfcd741cd6ca04f295d29077b2cf",
     "failover":
         "96ce277243514807f8ffc233624e6f4f18930e9bcb35ef9f3a136739119a6592",
 }
