@@ -143,8 +143,7 @@ def run_lint(root: Path,
             continue
         loaded |= loaded_attributes(tree)
         collect_calls(tree, passed, valued)
-        if path.parts[-2:] != ("tune", "registry.py"):   # names them all
-            setters[path] = set_names(tree)
+        setters[path] = set_names(tree)
         if root not in path.parents:
             continue            # a reader of the tree's slots, not linted
         sources[path] = text
@@ -167,10 +166,9 @@ def run_lint(root: Path,
                                     loaded))
         raw.extend(unpassed_parameters(trees[path], rel.as_posix(), lines,
                                        passed, valued))
-        if rel.parts[0] in ("core", "baseline"):
-            others = [names for p, names in setters.items() if p != path]
-            raw.extend(unset_options(trees[path], rel.as_posix(), lines,
-                                     set().union(*others)))
+        others = [names for p, names in setters.items() if p != path]
+        raw.extend(unset_options(trees[path], rel.as_posix(), lines,
+                                 set().union(*others)))
         result.files_checked += 1
         sim_visible = is_sim_visible(rel)
         raw.extend(lint_source(text, rel.as_posix(),

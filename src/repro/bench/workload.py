@@ -23,21 +23,23 @@ __all__ = ["Workload", "VALUE_SIZE", "read_workload", "write_workload",
            "mixed_workload", "conditional_put_workload", "ZipfSampler"]
 
 
+#: the skew of every zipfian workload: the YCSB default
+ZIPF_THETA = 0.99
+
+
 class ZipfSampler:
     """Zipfian index sampler (YCSB-style skew; not in the paper, used by
     the skew ablation to show leader hot-spotting).
 
     Index ``i`` (0-based) is drawn with probability proportional to
-    ``1 / (i + 1) ** theta``; ``theta=0.99`` is the YCSB default.
+    ``1 / (i + 1) ** theta``.
     """
 
-    def __init__(self, n: int, theta: float = 0.99):
+    def __init__(self, n: int, theta: float = ZIPF_THETA):
         if n < 1:
             raise ValueError("n must be >= 1")
         if theta < 0:
             raise ValueError("theta must be >= 0")
-        self.n = n
-        self.theta = theta
         weights = [1.0 / (i + 1) ** theta for i in range(n)]
         total = sum(weights)
         self._cdf: List[float] = []
@@ -79,9 +81,9 @@ class Workload:
     #: rows preloaded before measurement (the read working set — cached
     #: in memory, as in the paper's read experiments)
     preload_rows: int = 2000
-    #: "uniform" (the paper's workloads) or "zipfian" (skew ablation)
+    #: "uniform" (the paper's workloads) or "zipfian" (skew ablation,
+    #: at ZIPF_THETA)
     key_distribution: str = "uniform"
-    zipf_theta: float = 0.99
 
     def validate(self) -> "Workload":
         if not 0.0 <= self.write_fraction <= 1.0:
@@ -96,7 +98,7 @@ class Workload:
     def key_chooser(self, keys, rng):
         """A zero-arg callable drawing keys per the distribution."""
         if self.key_distribution == "zipfian":
-            sampler = ZipfSampler(len(keys), self.zipf_theta)
+            sampler = ZipfSampler(len(keys))
             return lambda: keys[sampler.sample(rng)]
         return lambda: rng.choice(keys)
 

@@ -80,10 +80,38 @@ class FaultEvent:
     fast_detect: bool = True  # expire the victim's session immediately
 
 
+#: outage lengths are clamped to this (the MTTR cap)
+MAX_REPAIR = 4.0
+#: at most this many permanent disk losses per run (each one burns a
+#: replica's entire history; more than one risks legitimately exceeding
+#: the paper's f=1 fault budget)
+MAX_DISK_LOSSES = 1
+#: relative weights of the topology-oblivious fault kinds, in
+#: FAULT_KINDS order
+FLAT_WEIGHTS = (3.0, 3.0, 0.6, 1.5, 1.0, 1.2, 1.2)
+#: relative weights of (partition-dc, wan-degrade), appended to
+#: FLAT_WEIGHTS when ``ChaosConfig.n_dcs > 1``
+DC_FAULT_WEIGHTS = (1.5, 1.0)
+#: the workload: writer and reader processes, the cohorts and keys
+#: they use, and the pause after each operation
+WRITERS = 2
+READERS = 2
+COHORTS_USED = 2
+KEYS_PER_COHORT = 10
+WRITE_PACE = 0.06
+READ_PACE = 0.045
+#: the invariant auditor's sampling period
+AUDIT_PERIOD = 0.25
+#: the cluster's commit broadcast period and client deadline
+COMMIT_PERIOD = 0.3
+CLIENT_OP_TIMEOUT = 6.0
+
+
 @dataclass
 class ChaosConfig:
-    """Knobs for one chaos run.  Everything that shapes the schedule,
-    the workload, or the cluster build lives here so that ``(seed,
+    """What a chaos run's caller chooses: cluster size and topology,
+    storm length and fault pacing.  With the module constants above it
+    fixes the schedule, the workload and the cluster build, so ``(seed,
     config)`` fully determines the run."""
 
     n_nodes: int = 5
@@ -91,18 +119,10 @@ class ChaosConfig:
     duration: float = 30.0
     #: mean gap between injected faults (the MTTF budget)
     mean_fault_gap: float = 2.0
-    #: mean outage length (the MTTR budget), clamped to ``max_repair``
+    #: mean outage length (the MTTR budget), clamped to MAX_REPAIR
     mean_repair: float = 1.5
-    max_repair: float = 4.0
     #: post-storm window for recovery + final audit
     settle: float = 10.0
-    #: at most this many permanent disk losses per run (each one burns a
-    #: replica's entire history; more than one risks legitimately
-    #: exceeding the paper's f=1 fault budget)
-    max_disk_losses: int = 1
-    #: relative weights of the topology-oblivious fault kinds, in
-    #: FAULT_KINDS order (the DC-level kinds have their own knob)
-    weights: Tuple[float, ...] = (3.0, 3.0, 0.6, 1.5, 1.0, 1.2, 1.2)
     # -- topology (multi-datacenter runs) -------------------------------
     #: build the cluster across this many datacenters (1 = flat network,
     #: bit-identical to pre-topology schedules); nodes are placed
@@ -114,25 +134,11 @@ class ChaosConfig:
     #: fractional per-direction skew applied deterministically per
     #: ordered DC pair (asymmetric routes)
     wan_asymmetry: float = 0.25
-    #: relative weights of (partition-dc, wan-degrade), appended to
-    #: ``weights`` when ``n_dcs > 1``
-    dc_fault_weights: Tuple[float, float] = (1.5, 1.0)
-    # -- workload -------------------------------------------------------
-    writers: int = 2
-    readers: int = 2
-    cohorts_used: int = 2
-    keys_per_cohort: int = 10
-    write_pace: float = 0.06
-    read_pace: float = 0.045
-    audit_period: float = 0.25
-    # -- cluster --------------------------------------------------------
-    commit_period: float = 0.3
-    client_op_timeout: float = 6.0
 
     def spinnaker_config(self) -> SpinnakerConfig:
         return SpinnakerConfig(log_profile=DiskProfile.ssd_log(),
-                               commit_period=self.commit_period,
-                               client_op_timeout=self.client_op_timeout)
+                               commit_period=COMMIT_PERIOD,
+                               client_op_timeout=CLIENT_OP_TIMEOUT)
 
     def dc_names(self) -> List[str]:
         return [f"dc{i}" for i in range(self.n_dcs)]
@@ -172,20 +178,20 @@ def generate_schedule(seed: int, config: ChaosConfig) -> List[FaultEvent]:
         return any(lo < w_hi and w_lo < hi for w_lo, w_hi in outage_windows)
 
     kinds: Tuple[str, ...] = _FLAT_KINDS
-    weights: Tuple[float, ...] = tuple(config.weights)
+    weights: Tuple[float, ...] = FLAT_WEIGHTS
     if config.n_dcs > 1:
         # DC-level kinds join the pool only for placed clusters; flat
         # configs draw from the same (kinds, weights) as always, so
         # pre-topology seeds reproduce their schedules bit-identically.
         kinds = kinds + FAULT_KINDS[7:]
-        weights = weights + tuple(config.dc_fault_weights)
+        weights = weights + DC_FAULT_WEIGHTS
     t = 0.5 + rng.random()
     while t < config.duration:
         kind = rng.choices(kinds, weights=weights)[0]
-        dur = min(config.max_repair,
+        dur = min(MAX_REPAIR,
                   0.2 + rng.expovariate(1.0 / config.mean_repair))
         if kind == "lose-disk":
-            if (disk_losses >= config.max_disk_losses
+            if (disk_losses >= MAX_DISK_LOSSES
                     or t > config.duration * 0.7
                     or overlaps_outage(t - disk_margin, t + disk_margin)):
                 kind = "crash-node"   # stay inside the fault budget
@@ -341,10 +347,8 @@ class _Workload:
     """Writers and readers over a fixed key set, recording history and
     the acknowledged-write map keyed by version."""
 
-    def __init__(self, cluster: SpinnakerCluster, config: ChaosConfig,
-                 until: float):
+    def __init__(self, cluster: SpinnakerCluster, until: float):
         self.cluster = cluster
-        self.config = config
         self.until = until
         self.history = HistoryRecorder()
         #: key -> {version: value} for every acknowledged write
@@ -355,17 +359,17 @@ class _Workload:
         self.reads_failed = 0
         self.keys: List[bytes] = []
         n_cohorts = len(cluster.partitioner.cohorts)
-        for c in range(min(config.cohorts_used, n_cohorts)):
+        for c in range(min(COHORTS_USED, n_cohorts)):
             self.keys.extend(cluster.keys_in_cohort(
-                c, config.keys_per_cohort, b"chaos-"))
+                c, KEYS_PER_COHORT, b"chaos-"))
         self.procs = []
 
     def start(self) -> None:
         sim = self.cluster.sim
-        for w in range(self.config.writers):
+        for w in range(WRITERS):
             self.procs.append(spawn(
                 sim, self._writer(w), name=f"chaos-writer{w}"))
-        for r in range(self.config.readers):
+        for r in range(READERS):
             self.procs.append(spawn(
                 sim, self._reader(r), name=f"chaos-reader{r}"))
 
@@ -377,7 +381,7 @@ class _Workload:
         client = self.cluster.client(f"chaos-w{wid}")
         # Writers stride over the shared key list at different offsets,
         # so every key sees writes from more than one client.
-        my_keys = self.keys[wid::self.config.writers] or self.keys
+        my_keys = self.keys[wid::WRITERS] or self.keys
         i = 0
         while sim.now < self.until:
             key = my_keys[i % len(my_keys)]
@@ -395,7 +399,7 @@ class _Workload:
                 self.acked.setdefault(key, {})[result.version] = value
                 self.writes_acked += 1
             i += 1
-            yield timeout(sim, self.config.write_pace)
+            yield timeout(sim, WRITE_PACE)
 
     def _reader(self, rid: int):
         sim = self.cluster.sim
@@ -412,7 +416,7 @@ class _Workload:
                 self.history.record_read(key, start, sim.now,
                                          got.version)
                 self.reads_done += 1
-            yield timeout(sim, self.config.read_pace)
+            yield timeout(sim, READ_PACE)
 
 
 # ---------------------------------------------------------------------------
@@ -493,10 +497,10 @@ def run_chaos(seed: int, config: Optional[ChaosConfig] = None,
     fault_log: List[str] = []
     applier = _Applier(cluster, schedule, fault_log)
     applier.arm()
-    workload = _Workload(cluster, config, until=storm_end)
+    workload = _Workload(cluster, until=storm_end)
     workload.start()
     auditor = InvariantAuditor(cluster)
-    spawn(sim, auditor.run(config.audit_period,
+    spawn(sim, auditor.run(AUDIT_PERIOD,
                            until=storm_end + config.settle),
           name="chaos-auditor")
 

@@ -48,7 +48,7 @@ from functools import partial
 
 from ..sim.events import Event, SimulationError
 from ..sim.network import RpcTimeout
-from ..sim.process import all_of, spawn, timeout
+from ..sim.process import all_of, timeout
 from ..sim.resources import serve
 from ..storage.lsn import LSN, SEQ_BITS
 from ..storage.records import CatchupMarker, CommitMarker
@@ -492,13 +492,14 @@ def leader_takeover(replica):
     # round (its own requests wait until we are open).  A round's
     # ``caught_up`` succeeds once ``need`` of its pushes have, and fails
     # once that is out of reach; a push that ends after its round does
-    # not count toward a later one.
+    # not count toward a later one.  The pushes, like the commit loop
+    # below, run under the node's supervisor: a crash ends them.
     need = cfg.majority - 1
 
     def on_push(caught_up, attempts, _attempt):
         if caught_up.triggered:
             return
-        done = sum(1 for a in attempts if a._ok)
+        done = sum(1 for a in attempts if a._ok and a._value)
         if done >= need:
             caught_up.succeed()
         elif done + sum(1 for a in attempts if a._ok is None) < need:
@@ -506,8 +507,8 @@ def leader_takeover(replica):
                 f"quorum unreachable: {done} of {need}"))
 
     while True:
-        attempts = [spawn(sim, push_catchup(replica, peer),
-                          name=f"takeover-{peer}")
+        attempts = [node.spawn(try_push_catchup(replica, (peer,)),
+                               f"takeover-{peer}")
                     for peer in replica.peers()]
         if need <= 0:
             break
@@ -551,4 +552,4 @@ def leader_takeover(replica):
                cohort=cohort_id, epoch=replica.epoch,
                reproposed=len(unresolved))
     replica.broadcast_commit()
-    spawn(sim, replica.commit_loop(), name=f"commit-loop-{cohort_id}")
+    node.spawn(replica.commit_loop(), f"commit-loop-{cohort_id}")

@@ -67,7 +67,7 @@ def evaluate(profile: TuneProfile, values: Dict[str, Value],
     from ..bench.harness import traced_point
     from ..bench.workload import write_workload
     from ..obs import phase_summary
-    from .profiles import _ACTIVE
+    from . import profiles
 
     cfg = build_config(profile, values)
     threads, ops, warmup = scaled_shape(profile, scale)
@@ -76,8 +76,7 @@ def evaluate(profile: TuneProfile, values: Dict[str, Value],
     # An armed --tuned-profile overlay would silently override the very
     # knob values this trial probes (the harness lays it over every
     # config); suspend it for the duration of the trial.
-    saved = dict(_ACTIVE)
-    _ACTIVE.clear()
+    saved, profiles._active = profiles._active, None
     try:
         point, tracer = traced_point(
             write_workload(), threads, ops, warmup_ops=warmup,
@@ -86,7 +85,7 @@ def evaluate(profile: TuneProfile, values: Dict[str, Value],
             placement=(profile.placement if topology is not None
                        else "ring"))
     finally:
-        _ACTIVE.update(saved)
+        profiles._active = saved
     summary = phase_summary(tracer)
     op_entry = summary.get(profile.objective.op, {})
     phases = op_entry.get("phases", {})

@@ -155,12 +155,8 @@ def load_tuned_values(name: str, config_dir: Optional[Path] = None
         payload = json.load(fh)
     values: Dict[str, Value] = {}
     for key, value in sorted(payload["values"].items()):
-        knob = get_knob(key)
-        if knob.type == "int":
-            value = int(value)
-        elif knob.type == "float":
-            value = float(value)
-        values[key] = value
+        kind = type(get_knob(key).default)
+        values[key] = value if kind is bool else kind(value)
     return values
 
 
@@ -183,7 +179,8 @@ def write_tuned_config(name: str, values: Dict[str, Value],
 # The --tuned-profile overlay hook
 # ---------------------------------------------------------------------------
 
-_ACTIVE: Dict[str, Dict[str, Value]] = {}
+#: the ``--tuned-profile`` overlay every bench target applies, if any
+_active: Optional[Dict[str, Value]] = None
 
 
 def activate_tuned_profile(name: str,
@@ -191,16 +188,15 @@ def activate_tuned_profile(name: str,
     """Make every subsequently built bench target overlay the tuned
     values of ``name`` (see ``SpinnakerTarget``).  One profile at a
     time; CLI runs clear it in a ``finally``."""
-    _ACTIVE.clear()
-    _ACTIVE[name] = load_tuned_values(name, config_dir)
+    global _active
+    _active = load_tuned_values(name, config_dir)
 
 
 def clear_tuned_profile() -> None:
-    _ACTIVE.clear()
+    global _active
+    _active = None
 
 
 def active_overlay() -> Optional[Dict[str, Value]]:
     """The active tuned overlay, or None when no profile is active."""
-    if not _ACTIVE:
-        return None
-    return next(iter(_ACTIVE.values()))
+    return _active

@@ -2,17 +2,18 @@
 
 The search starts from the profile's hand-tuned defaults (trial 0 — the
 baseline every later trial is compared against), then walks the
-profile's searched knobs in registry order.  For each knob it evaluates
-every candidate value from the registry grid (skipping the current
-value — already measured) and adopts the best candidate iff it beats
-the incumbent score by :data:`MIN_IMPROVEMENT`.  A knob whose ``gate`` is
+profile's searched knobs in the order its ``searched`` tuple lists
+them.  For each knob it evaluates every candidate value from the
+registry grid (skipping the current value — already measured) and
+adopts the best candidate iff it beats the incumbent score by
+:data:`MIN_IMPROVEMENT`.  A knob whose ``gate`` is
 off in the incumbent is skipped: with ``propose_batching`` off the
 batch shape is dead, and each probe would re-measure the incumbent.
 Passes repeat until a full pass adopts nothing (converged) or the trial
 budget runs out.
 
 Everything is deterministic given ``(profile, seed, budget)``: the
-grids are declarative, the walk order is the registry order, the
+grids are declarative, the walk order is the profile's, the
 evaluator is a seeded simulation, and ties break toward the incumbent.
 Re-running a tuner seed reproduces the ledger bit-for-bit
 (``tests/tune/test_search.py`` proves it).

@@ -5,6 +5,7 @@ is flagged), suppressed (a pragma silences it), and clean (correct
 idioms stay green).
 """
 
+import shutil
 from pathlib import Path
 
 from repro.analysis import lint_source, run_lint
@@ -247,11 +248,7 @@ def test_unset_option_flags_fields_nothing_sets(tmp_path):
     (tmp_path / "tests" / "test_demo.py").write_text(
         "def test_fast(make):\n    make(period=0.1)\n")
     assert option_findings(pkg) == ["DemoConfig.depth"]
-    # ... the knob registry, which names every field, is not ...
-    (pkg / "tune").mkdir()
-    (pkg / "tune" / "registry.py").write_text("GRID = {'depth': (1, 2)}\n")
-    assert option_findings(pkg) == ["DemoConfig.depth"]
-    # ... a checked-in config file (or a dict key, or a store) is
+    # ... so is a checked-in config file (or a dict key, or a store)
     (tmp_path / "configs").mkdir()
     (tmp_path / "configs" / "tuned.json").write_text(
         '{"meta": {"seed": 1}, "values": {"depth": 4}}')
@@ -261,11 +258,23 @@ def test_unset_option_flags_fields_nothing_sets(tmp_path):
     assert option_findings(pkg) == []
     (pkg / "bench.py").write_text("DEEP = {'depth': 8}\n")
     assert option_findings(pkg) == []
-    # only core/ and baseline/ configs are options of the system
-    (pkg / "chaos").mkdir()
-    (pkg / "chaos" / "config.py").write_text(
-        OPTIONS.replace("period", "gap"))
-    assert option_findings(pkg) == []
+
+
+def test_unset_option_holds_every_package_to_the_rule(tmp_path):
+    # a *Config dataclass outside core/ and baseline/ is an option too ...
+    (tmp_path / "pyproject.toml").write_text("")
+    pkg = tmp_path / "src" / "pkg"
+    (pkg / "chaos").mkdir(parents=True)
+    (pkg / "chaos" / "storm.py").write_text(OPTIONS.replace("period", "gap"))
+    (pkg / "settings.py").write_text(
+        OPTIONS.replace("Demo", "Run").replace("depth", "width"))
+    assert option_findings(pkg) == ["DemoConfig.depth", "DemoConfig.gap",
+                                    "RunConfig.period", "RunConfig.width"]
+    # ... and one a test sets has a caller with a second value
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_storm.py").write_text(
+        "def test_short(make):\n    make(gap=0.5, period=2.0)\n")
+    assert option_findings(pkg) == ["DemoConfig.depth", "RunConfig.width"]
 
 
 def test_unset_option_real_tree_is_clean_without_a_pragma(tree_lint):
@@ -348,7 +357,9 @@ def test_clean_fixture_is_clean():
 
 
 def test_runner_applies_pragma_suppression(tmp_path):
-    result = run_lint(FIXTURES, protocols=())
+    # a copy outside the project: no project modules to parse as readers
+    shutil.copytree(FIXTURES, tmp_path / "fixtures")
+    result = run_lint(tmp_path / "fixtures", protocols=())
     suppressed_paths = {f.path for f in result.pragma_suppressed}
     assert "hazard_suppressed.py" in suppressed_paths
     new_paths = {f.path for f in result.findings}

@@ -14,6 +14,7 @@ from repro.chaos import (ChaosConfig, ChaosReport, FaultEvent,
                          InvariantAuditor, InvariantViolation, ddmin,
                          format_regression_test, generate_schedule,
                          replay_schedule, run_chaos)
+from repro.chaos.nemesis import MAX_DISK_LOSSES, MAX_REPAIR
 from repro.chaos.shrinker import ShrinkResult
 from repro.core.replication import Role
 from repro.storage.lsn import LSN
@@ -134,10 +135,10 @@ def test_schedule_respects_budgets():
     assert times == sorted(times)
     assert all(0.0 < t < config.duration for t in times)
     disk_losses = [ev for ev in schedule if ev.kind == "lose-disk"]
-    assert len(disk_losses) <= config.max_disk_losses
+    assert len(disk_losses) <= MAX_DISK_LOSSES
     for ev in schedule:
         if ev.duration is not None:
-            assert ev.duration <= config.max_repair + 1e-9
+            assert ev.duration <= MAX_REPAIR + 1e-9
 
 
 def test_replay_schedule_matches_original_run():

@@ -360,3 +360,51 @@ def test_a_node_restarted_while_cut_off_from_coord_comes_back():
     assert all(replica.role in (Role.LEADER, Role.FOLLOWER)
                for replica in node.replicas.values())
     assert cluster.all_failures() == []
+
+
+def test_a_crash_ends_the_takeover_and_commit_loop_it_started(monkeypatch):
+    # A takeover's catch-up pushes and the commit loop it starts belong
+    # to the node: its crash must end them, or a push resumes against
+    # the rebooted incarnation's state (or hangs on an orphaned request).
+    from repro.core import CohortReplica, recovery
+    running = {}
+
+    def tracked(replica, what, gen):
+        key = (replica.node.name, replica.cohort_id, what)
+        running[key] = True
+        try:
+            return (yield from gen)
+        finally:
+            running[key] = False
+
+    push = recovery.push_catchup
+    monkeypatch.setattr(recovery, "push_catchup", lambda replica, peer:
+                        tracked(replica, peer, push(replica, peer)))
+    loop = CohortReplica.commit_loop
+    monkeypatch.setattr(CohortReplica, "commit_loop", lambda replica:
+                        tracked(replica, "commit-loop", loop(replica)))
+
+    def live(node):
+        return sorted(key[1:] for key, on in running.items()
+                      if on and key[0] == node)
+
+    cluster = SpinnakerCluster(n_nodes=5, seed=3)
+    cluster.start()
+    assert cluster.leader_of(0) == "node0"
+    assert (0, "commit-loop") in live("node0")
+    cluster.kill_leader(0, skip_detection=False)
+    cluster.run(1e-6)
+    assert live("node0") == []
+    node1 = cluster.nodes["node1"]
+    cluster.run_until(lambda: node1.replicas[0].is_leader, limit=10.0,
+                      step=0.005, what="node1's takeover")
+    assert not node1.replicas[0].open_for_writes
+    assert [k for k in live("node1") if k[0] == 0] == [(0, "node0"),
+                                                       (0, "node2")]
+    node1.crash()
+    cluster.run(1e-6)
+    assert live("node1") == []
+    node1.restart()
+    cluster.run_until(lambda: cluster.leader_of(0) is not None, limit=30.0,
+                      what="a leader again")
+    assert cluster.all_failures() == []

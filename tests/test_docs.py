@@ -53,36 +53,40 @@ def test_every_cli_subcommand_is_in_the_readme_cli_table():
         f"{missing}")
 
 
-def _inventory_knobs():
-    """Knob names documented in TUNING.md's inventory tables.
+def _inventory_rows():
+    """TUNING.md's inventory as ``(knob, search grid)`` pairs.
 
     Inventory rows are table lines whose first cell is a backticked
-    knob name: ``| `commit_period` | ... |``.
+    knob name: ``| `commit_period` | 1 | 0.05 – 15 | 0.25, 0.5, 1 | ...``;
+    the grid is the fourth cell, ``—`` for none, with any "(while
+    `gate`)" note dropped.
     """
     text = TUNING.read_text()
     section = text.split("## Knob inventory", 1)[1].split("\n## ", 1)[0]
-    return re.findall(r"^\|\s*`(\w+)`", section, flags=re.MULTILINE)
+    rows = []
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        name = re.fullmatch(r"`(\w+)`", cells[0])
+        if name:
+            grid = cells[3].split(" (while", 1)[0]
+            rows.append((name.group(1),
+                         [] if grid == "—" else grid.split(", ")))
+    return rows
 
 
 def test_tuning_inventory_matches_the_registry():
-    from repro.tune.registry import knob_names
-    documented = _inventory_knobs()
-    assert len(documented) == len(set(documented)), (
-        "duplicate knob rows in TUNING.md's inventory")
-    registry = set(knob_names())
-    phantom = sorted(set(documented) - registry)
-    missing = sorted(registry - set(documented))
-    assert not phantom, (
-        f"TUNING.md documents knobs the registry doesn't have: {phantom}")
-    assert not missing, (
-        f"registry knobs missing from TUNING.md's inventory: {missing}")
+    # one row per knob, in field order, each with the registry's grid
+    import dataclasses
 
-
-def test_tuning_inventory_rows_are_in_registry_order():
-    # registry order is the coordinate-descent walk order; the doc
-    # mirrors it so a ledger reads top-to-bottom against the table
-    from repro.tune.registry import knob_names
-    assert _inventory_knobs() == knob_names()
+    from repro.core.config import SpinnakerConfig
+    from repro.tune.registry import get_knob
+    rows = _inventory_rows()
+    assert [name for name, _ in rows] == [
+        f.name for f in dataclasses.fields(SpinnakerConfig)
+        if f.name != "log_profile"]
+    for name, grid in rows:
+        assert grid == [str(c) if isinstance(c, bool) else f"{c:g}"
+                        for c in get_knob(name).candidates], name
 
 
 def test_design_experiment_index_matches_the_registry():

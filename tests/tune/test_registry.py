@@ -6,13 +6,20 @@ import pytest
 
 from repro.baseline.config import CassandraConfig
 from repro.core.config import CLIENT_RETRY_BACKOFF_CAP, SpinnakerConfig
-from repro.tune.registry import (KNOBS, apply_values, get_knob, knob_names,
-                                 searched_knobs, validate_registry,
+from repro.tune.profiles import PROFILES
+from repro.tune.registry import (KNOBS, apply_values, get_knob,
                                  validate_values)
 
 
 def test_registry_validates_against_config():
-    validate_registry()
+    # each range holds its default and its grid, and each gate is a
+    # bool knob
+    for knob in KNOBS:
+        assert knob.contains(knob.default), knob
+        for cand in knob.candidates:
+            assert knob.contains(cand), (knob.name, cand)
+        if knob.gate is not None:
+            assert type(get_knob(knob.gate).default) is bool, knob
 
 
 def test_every_knob_is_a_config_field_with_matching_default():
@@ -20,14 +27,16 @@ def test_every_knob_is_a_config_field_with_matching_default():
     for knob in KNOBS:
         assert knob.name in fields
         assert knob.default == fields[knob.name].default
+        assert type(knob.default).__name__ == fields[knob.name].type
         assert knob.contains(knob.default)
 
 
 def test_registry_is_the_config_fields_minus_log_profile():
     # an option is either set by somebody (a field, hence a knob) or a
     # constant in core/config.py — nothing sits in between
-    fields = {f.name for f in dataclasses.fields(SpinnakerConfig)}
-    assert set(knob_names()) == fields - {"log_profile"}
+    fields = [f.name for f in dataclasses.fields(SpinnakerConfig)]
+    assert [k.name for k in KNOBS] == [f for f in fields
+                                       if f != "log_profile"]
     assert (len(fields), len(KNOBS)) == (16, 15)
     assert len(dataclasses.fields(CassandraConfig)) == 5
 
@@ -48,7 +57,7 @@ def test_validate_rejects(field, bad):
 
 
 def test_knob_names_unique_and_lookup_round_trips():
-    names = knob_names()
+    names = [k.name for k in KNOBS]
     assert len(names) == len(set(names))
     for name in names:
         assert get_knob(name).name == name
@@ -57,9 +66,12 @@ def test_knob_names_unique_and_lookup_round_trips():
 
 
 def test_searched_knobs_have_in_range_candidates():
-    searched = searched_knobs()
+    # a grid exists exactly where some profile walks it
+    searched = {name for p in PROFILES.values() for name in p.searched}
     assert searched, "the default search space must not be empty"
-    for knob in searched:
+    assert {k.name for k in KNOBS if k.candidates} == searched
+    for name in searched:
+        knob = get_knob(name)
         assert len(knob.candidates) >= 2
         for cand in knob.candidates:
             assert knob.contains(cand)
