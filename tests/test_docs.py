@@ -75,18 +75,34 @@ def _inventory_rows():
 
 
 def test_tuning_inventory_matches_the_registry():
-    # one row per knob, in field order, each with the registry's grid
+    # one row per knob, each with the registry's grid
+    from repro.tune.registry import KNOBS, get_knob
+    documented = [name for name, _ in _inventory_rows()]
+    assert len(documented) == len(set(documented)), (
+        "duplicate knob rows in TUNING.md's inventory")
+    registry = {k.name for k in KNOBS}
+    phantom = sorted(set(documented) - registry)
+    missing = sorted(registry - set(documented))
+    assert not phantom, (
+        f"TUNING.md documents knobs the registry doesn't have: {phantom}")
+    assert not missing, (
+        f"registry knobs missing from TUNING.md's inventory: {missing}")
+    for name, grid in _inventory_rows():
+        assert grid == [str(c) if isinstance(c, bool) else f"{c:g}"
+                        for c in get_knob(name).candidates], name
+
+
+def test_tuning_inventory_rows_are_in_registry_order():
+    # the registry lists knobs in SpinnakerConfig's field order (minus
+    # log_profile) and the inventory table mirrors it row for row
     import dataclasses
 
     from repro.core.config import SpinnakerConfig
-    from repro.tune.registry import get_knob
-    rows = _inventory_rows()
-    assert [name for name, _ in rows] == [
-        f.name for f in dataclasses.fields(SpinnakerConfig)
-        if f.name != "log_profile"]
-    for name, grid in rows:
-        assert grid == [str(c) if isinstance(c, bool) else f"{c:g}"
-                        for c in get_knob(name).candidates], name
+    from repro.tune.registry import KNOBS
+    fields = [f.name for f in dataclasses.fields(SpinnakerConfig)
+              if f.name != "log_profile"]
+    assert [k.name for k in KNOBS] == fields
+    assert [name for name, _ in _inventory_rows()] == fields
 
 
 def test_design_experiment_index_matches_the_registry():
