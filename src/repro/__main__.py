@@ -8,8 +8,8 @@
                                  [--shrink]); same seed, same output
 ``python -m repro lint``       — determinism & protocol static checks
                                  ([path] [--json] [--rule R]
-                                 [--write-baseline]); exits nonzero on
-                                 new findings
+                                 [--list-rules]); exits nonzero on any
+                                 finding, an unused pragma included
 ``python -m repro trace``      — causal request tracing: span trees and
                                  per-phase latency attribution
                                  ([--phases] [--scale S] [--workload W]

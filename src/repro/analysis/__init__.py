@@ -17,9 +17,9 @@ benchmark numbers — rests on one property: a run is a pure function of
   message catalogs against the ``isinstance``-chain dispatchers and
   reports unhandled, dead, epoch-unchecked, and size-less message
   types;
-- :mod:`~repro.analysis.findings` provides the shared finding model,
-  ``# lint: allow(<rule>)`` pragma suppression, and the checked-in
-  baseline mechanism;
+- :mod:`~repro.analysis.findings` provides the shared finding model
+  and the one escape hatch, a ``# lint: allow(<rule>)`` comment, which
+  is itself a finding when it suppresses nothing;
 - :mod:`~repro.analysis.runner` ties it together and
   :mod:`~repro.analysis.cli` exposes ``python -m repro lint``.
 """
@@ -29,15 +29,13 @@ from __future__ import annotations
 from .atomicity import (ATOMICITY_RULES, DEFAULT_GUARD_ATTRS,
                         lint_atomicity)
 from .determinism import DETERMINISM_RULES, lint_source
-from .findings import (Baseline, Finding, match_baseline, parse_pragmas,
-                       suppressed)
+from .findings import Finding, parse_pragmas, suppressed
 from .protocol import (DEFAULT_PROTOCOLS, ProtocolSpec, check_protocol,
                        check_protocols)
 from .runner import LintResult, run_lint
 
 __all__ = [
     "ATOMICITY_RULES",
-    "Baseline",
     "DEFAULT_GUARD_ATTRS",
     "DEFAULT_PROTOCOLS",
     "DETERMINISM_RULES",
@@ -48,7 +46,6 @@ __all__ = [
     "check_protocols",
     "lint_atomicity",
     "lint_source",
-    "match_baseline",
     "parse_pragmas",
     "run_lint",
     "suppressed",

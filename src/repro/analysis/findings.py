@@ -1,35 +1,36 @@
-"""Finding model, pragma suppression, and the checked-in baseline.
+"""Finding model and pragma suppression.
 
-A finding pins a rule violation to ``path:line``.  Two escape hatches
-keep intentional uses green without weakening the gate for new code:
+A finding pins a rule violation to ``path:line``.  The one escape hatch
+that keeps an intentional use green is a pragma: a comment
+``# lint: allow(rule-a, rule-b)`` on the offending line (or the line
+directly above it) suppresses those rules for that line.  A pragma
+belongs where the code is *correct* and the reason fits in the comment
+("insertion order: cohorts registered in sorted order at build time").
 
-**Pragmas** — ``# lint: allow(rule-a, rule-b)`` on the offending line
-(or the line directly above it) suppresses those rules for that line.
-Pragmas are the right tool when the code is *correct* and the reason
-fits in the comment ("insertion order: cohorts registered in sorted
-order at build time").
-
-**Baseline** — a checked-in JSON file listing tolerated findings.  Each
-entry is matched by ``(rule, path, code)`` where ``code`` is the
-stripped source line, *not* the line number, so unrelated edits above a
-baselined site do not resurrect it.  Duplicate source lines are matched
-with multiplicity.  The baseline is for pre-existing debt; new code
-should be clean or carry a pragma with its justification.
+Pragmas are read from comment tokens, so a string or docstring that
+quotes the syntax suppresses nothing.  A pragma cannot rot: a rule it
+names that suppresses no finding is itself an ``unused-pragma``
+finding (which also catches a misspelt rule name).
 """
 
 from __future__ import annotations
 
 import ast
-import json
+import io
 import re
+import tokenize
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-__all__ = ["Finding", "Baseline", "parse_pragmas", "statement_spans",
-           "suppressed", "match_baseline"]
+__all__ = ["Finding", "PRAGMA_RULES", "Pragma", "parse_pragmas",
+           "statement_spans", "suppressed", "unused_pragmas"]
 
-#: ``# lint: allow(rule-a, rule-b)`` — also tolerates ``lint:allow``.
+PRAGMA_RULES: Dict[str, str] = {
+    "unused-pragma": "a '# lint: allow' names a rule it suppresses no "
+                     "finding of; delete the name or fix its spelling",
+}
+
+#: the head of a pragma comment; spaces around ``lint:`` are optional
 _PRAGMA_RE = re.compile(r"#\s*lint:\s*allow\(([^)]*)\)")
 
 
@@ -41,7 +42,7 @@ class Finding:
     path: str           # repo-relative, forward slashes
     line: int           # 1-indexed
     message: str
-    code: str = ""      # stripped source line, used for baseline matching
+    code: str = ""      # the stripped source line
 
     def format(self) -> str:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
@@ -49,6 +50,17 @@ class Finding:
     def to_json(self) -> Dict[str, object]:
         return {"rule": self.rule, "path": self.path, "line": self.line,
                 "message": self.message, "code": self.code}
+
+
+@dataclass
+class Pragma:
+    """One ``# lint: allow(...)`` comment."""
+
+    line: int
+    rules: FrozenSet[str]
+    covers: FrozenSet[int]      # the lines it suppresses findings on
+    #: the named rules that suppressed a finding in this run
+    used: Set[str] = field(default_factory=set)
 
 
 def statement_spans(tree: ast.AST) -> List[Tuple[int, int]]:
@@ -75,9 +87,8 @@ def statement_spans(tree: ast.AST) -> List[Tuple[int, int]]:
 
 
 def parse_pragmas(source: str,
-                  tree: Optional[ast.AST] = None
-                  ) -> Dict[int, Set[str]]:
-    """Map line number -> set of rule names allowed on that line.
+                  tree: Optional[ast.AST] = None) -> List[Pragma]:
+    """Every pragma comment in ``source``, in line order.
 
     A pragma covers its own line and the line below it, so both styles
     work::
@@ -92,80 +103,42 @@ def parse_pragmas(source: str,
     statement, so findings anchored to the first line of a long call
     can be suppressed from any of its continuation lines.
     """
-    allowed: Dict[int, Set[str]] = {}
+    if "lint:" not in source:       # no pragma: spare the tokenizer
+        return []
     spans = statement_spans(tree) if tree is not None else []
-    for lineno, text in enumerate(source.splitlines(), start=1):
-        m = _PRAGMA_RE.search(text)
+    pragmas: List[Pragma] = []
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        m = (_PRAGMA_RE.match(tok.string)
+             if tok.type == tokenize.COMMENT else None)
         if not m:
             continue
-        rules = {r.strip() for r in m.group(1).split(",") if r.strip()}
-        targets = {lineno, lineno + 1}
+        line = tok.start[0]
+        covers = {line, line + 1}
         for start, end in spans:
-            if start <= lineno <= end and end > start:
-                targets.update(range(start, end + 1))
-        for target in targets:
-            allowed.setdefault(target, set()).update(rules)
-    return allowed
+            if start <= line <= end and end > start:
+                covers.update(range(start, end + 1))
+        pragmas.append(Pragma(
+            line, frozenset(r.strip() for r in m.group(1).split(",")
+                            if r.strip()), frozenset(covers)))
+    return pragmas
 
 
-def suppressed(finding: Finding, pragmas: Dict[int, Set[str]]) -> bool:
-    rules = pragmas.get(finding.line)
-    if not rules:
-        return False
-    return finding.rule in rules or "*" in rules
+def suppressed(finding: Finding,
+               pragmas: Sequence[Pragma]) -> List[Pragma]:
+    """The pragmas that suppress ``finding`` (empty when none does)."""
+    return [p for p in pragmas
+            if finding.line in p.covers and finding.rule in p.rules]
 
 
-@dataclass
-class Baseline:
-    """Tolerated findings, keyed by ``(rule, path, code)`` with counts."""
-
-    entries: Dict[Tuple[str, str, str], int] = field(default_factory=dict)
-
-    @classmethod
-    def load(cls, path: Path) -> "Baseline":
-        data = json.loads(path.read_text(encoding="utf-8"))
-        baseline = cls()
-        for item in data.get("findings", []):
-            key = (item["rule"], item["path"], item.get("code", ""))
-            baseline.entries[key] = baseline.entries.get(key, 0) + 1
-        return baseline
-
-    @classmethod
-    def from_findings(cls, findings: Iterable[Finding]) -> "Baseline":
-        baseline = cls()
-        for f in findings:
-            key = (f.rule, f.path, f.code)
-            baseline.entries[key] = baseline.entries.get(key, 0) + 1
-        return baseline
-
-    def dump(self, path: Path) -> None:
-        items = []
-        for (rule, fpath, code), count in sorted(self.entries.items()):
-            items.extend({"rule": rule, "path": fpath, "code": code}
-                         for _ in range(count))
-        path.write_text(
-            json.dumps({"comment": "Tolerated pre-existing lint findings; "
-                                   "see DESIGN.md 'Determinism rules'.",
-                        "findings": items},
-                       indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-
-
-def match_baseline(findings: List[Finding],
-                   baseline: Optional[Baseline]
-                   ) -> Tuple[List[Finding], List[Finding]]:
-    """Split findings into (new, baselined), consuming baseline budget
-    with multiplicity."""
-    if baseline is None:
-        return list(findings), []
-    budget = dict(baseline.entries)
-    new: List[Finding] = []
-    old: List[Finding] = []
-    for f in findings:
-        key = (f.rule, f.path, f.code)
-        if budget.get(key, 0) > 0:
-            budget[key] -= 1
-            old.append(f)
-        else:
-            new.append(f)
-    return new, old
+def unused_pragmas(path: str, pragmas: Sequence[Pragma],
+                   lines: Sequence[str],
+                   rules: Optional[Set[str]]) -> List[Finding]:
+    """An ``unused-pragma`` finding for each rule name a pragma in
+    ``path`` gives that suppressed nothing.  A run restricted to
+    ``rules`` judges only the names among them: the others were never
+    given a finding to suppress."""
+    return [Finding("unused-pragma", path, p.line,
+                    f"allow({name}) suppresses no finding",
+                    code=lines[p.line - 1].strip())
+            for p in pragmas for name in sorted(p.rules - p.used)
+            if rules is None or name in rules]

@@ -1,4 +1,4 @@
-"""Walk a source tree, run every check, apply pragmas and the baseline.
+"""Walk a source tree, run every check, apply pragmas.
 
 The runner makes two passes.  Pass one collects, across *all* modules,
 the names of generator functions handed to ``spawn``-like calls plus
@@ -12,9 +12,9 @@ Functions *parked* to run after a scheduling point (handed to the
 CPU-charge primitive, ``after`` or ``add_callback``) are collected the
 same way: the atomicity rules treat each as a post-yield segment.
 Pass two lints each module with that global knowledge, then runs the
-protocol exhaustiveness checks, filters ``# lint: allow(...)``
-pragmas, and splits what remains against the baseline (reporting any
-baseline entries that no longer match anything as stale).  The
+protocol exhaustiveness checks and filters findings through the
+``# lint: allow(...)`` pragmas, reporting each pragma rule that
+suppressed nothing as an ``unused-pragma`` finding.  The
 ``write-only-slot`` rule is whole-tree too, and looks further: a slot
 counts as read if any module under the enclosing project's ``src/``,
 ``tests/``, ``benchmarks/``, ``perfbench/`` or ``examples/`` reads it;
@@ -28,7 +28,7 @@ import ast
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from .atomicity import lint_atomicity
 from .determinism import (close_process_names, collect_calls,
@@ -36,8 +36,8 @@ from .determinism import (close_process_names, collect_calls,
                           collect_yield_edges, lint_source,
                           loaded_attributes, set_names, unpassed_parameters,
                           unset_options, write_only_slots)
-from .findings import (Baseline, Finding, match_baseline, parse_pragmas,
-                       suppressed)
+from .findings import (Finding, Pragma, parse_pragmas, suppressed,
+                       unused_pragmas)
 from .protocol import ProtocolSpec, check_protocols
 
 __all__ = ["LintResult", "run_lint", "iter_py_files", "is_sim_visible",
@@ -56,24 +56,14 @@ class LintResult:
     """Outcome of one full lint run."""
 
     root: Path
-    findings: List[Finding] = field(default_factory=list)      # new
-    baselined: List[Finding] = field(default_factory=list)
+    findings: List[Finding] = field(default_factory=list)
     pragma_suppressed: List[Finding] = field(default_factory=list)
     files_checked: int = 0
     parse_errors: List[str] = field(default_factory=list)
-    #: baseline entries (rule, path, code) that matched nothing — rot
-    stale_baseline: List[Tuple[str, str, str]] = field(
-        default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return (not self.findings and not self.parse_errors
-                and not self.stale_baseline)
-
-    def all_raw(self) -> List[Finding]:
-        """Every finding before baseline filtering (for --write-baseline)."""
-        return sorted(self.findings + self.baselined,
-                      key=lambda f: (f.path, f.line, f.rule))
+        return not self.findings and not self.parse_errors
 
 
 def iter_py_files(root: Path) -> List[Path]:
@@ -108,12 +98,12 @@ def _outside_readers(root: Path) -> List[Path]:
 
 
 def run_lint(root: Path,
-             baseline_path: Optional[Path] = None,
              protocols: Optional[Sequence[ProtocolSpec]] = None,
              rules: Optional[Set[str]] = None) -> LintResult:
     """Lint every module under ``root`` plus the protocol catalogs.
 
-    ``rules`` restricts the run to the named rules when given.
+    ``rules`` restricts the run to the named rules when given, and the
+    unused-pragma check to pragma names among them.
     ``protocols=None`` uses :data:`~repro.analysis.protocol.
     DEFAULT_PROTOCOLS` (which self-skip unless their files exist under
     ``root``); pass ``()`` to disable protocol checks entirely.
@@ -159,9 +149,11 @@ def run_lint(root: Path,
     process_names = close_process_names(spawned, edges)
 
     raw: List[Finding] = []
+    pragmas: Dict[str, List[Pragma]] = {}
     for path, text in sources.items():
         rel = path.relative_to(root)
         lines = text.splitlines()
+        pragmas[rel.as_posix()] = parse_pragmas(text, trees[path])
         raw.extend(write_only_slots(trees[path], rel.as_posix(), lines,
                                     loaded))
         raw.extend(unpassed_parameters(trees[path], rel.as_posix(), lines,
@@ -183,41 +175,13 @@ def run_lint(root: Path,
     if rules is not None:
         raw = [f for f in raw if f.rule in rules]
 
-    # pragma suppression, per referenced file
-    pragma_cache: Dict[str, Dict[int, Set[str]]] = {}
-    surviving: List[Finding] = []
     for f in sorted(raw, key=lambda x: (x.path, x.line, x.rule)):
-        pragmas = pragma_cache.get(f.path)
-        if pragmas is None:
-            target = root / f.path
-            if target in sources:
-                pragmas = parse_pragmas(sources[target],
-                                        trees.get(target))
-            elif target.exists():
-                pragmas = parse_pragmas(
-                    target.read_text(encoding="utf-8"))
-            else:
-                pragmas = {}
-            pragma_cache[f.path] = pragmas
-        if suppressed(f, pragmas):
-            result.pragma_suppressed.append(f)
-        else:
-            surviving.append(f)
-
-    baseline = None
-    if baseline_path is not None and baseline_path.exists():
-        baseline = Baseline.load(baseline_path)
-    result.findings, result.baselined = match_baseline(surviving, baseline)
-
-    # Stale-baseline hygiene: entries whose budget was never consumed
-    # point at findings that no longer exist.  When the run is
-    # restricted to a rule subset, only entries for those rules can be
-    # judged stale (the others were never given a chance to match).
-    if baseline is not None:
-        used = Baseline.from_findings(result.baselined).entries
-        for key in sorted(baseline.entries):
-            if rules is not None and key[0] not in rules:
-                continue
-            leftover = baseline.entries[key] - used.get(key, 0)
-            result.stale_baseline.extend([key] * leftover)
+        hits = suppressed(f, pragmas.get(f.path, ()))
+        for pragma in hits:
+            pragma.used.add(f.rule)
+        (result.pragma_suppressed if hits else result.findings).append(f)
+    for path, found in pragmas.items():
+        result.findings.extend(unused_pragmas(
+            path, found, sources[root / path].splitlines(), rules))
+    result.findings.sort(key=lambda x: (x.path, x.line, x.rule))
     return result

@@ -26,6 +26,7 @@ import json
 import sys
 from typing import Dict, List, Optional
 
+from ..obs.phases import format_phase_table
 from .experiments import ALL_EXPERIMENTS, ExperimentResult
 from .harness import LoadPoint
 
@@ -143,19 +144,6 @@ def refresh_phases(path: str) -> List[str]:
     return refreshed
 
 
-def _render_phases(phases: Dict[str, dict]) -> List[str]:
-    lines = ["  phases (traced probe):"]
-    for op in sorted(phases):
-        entry = phases[op]
-        lines.append(f"    {op}: n={entry['count']}  "
-                     f"mean={entry['total_mean_ms']:.2f} ms")
-        # built in canonical phase order by phase_summary
-        for name, row in entry["phases"].items():  # lint: allow(dict-order)
-            lines.append(f"      {name:<14}{row['mean_ms']:>9.3f} ms  "
-                         f"{row['share'] * 100:5.1f}%")
-    return lines
-
-
 def _render_points(label: str, points: List[LoadPoint]) -> List[str]:
     lines = [f"  {label}:"]
     lines.append("    threads   load(req/s)   mean(ms)    p95(ms)   ops")
@@ -187,7 +175,9 @@ def render(result: ExperimentResult) -> str:
         else:
             lines.extend(_render_rows(label, data))
     if result.phases:
-        lines.extend(_render_phases(result.phases))
+        lines.append("  phases (traced probe):")
+        lines.extend("    " + row for row in
+                     format_phase_table(result.phases).splitlines())
     if result.notes:
         lines.append(f"  notes: {result.notes}")
     for check, ok in result.checks.items():

@@ -146,7 +146,6 @@ class CoordClient:
                         self._session_lost()  # a message was lost
                         return
                     # Lease bookkeeping: monotonic, sole writer.
-                    # lint: allow(write-after-yield-unguarded)
                     self.last_ack = sent_at
                 elif isinstance(reply, dict):
                     self._session_lost()      # server: session expired

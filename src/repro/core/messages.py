@@ -29,7 +29,7 @@ __all__ = [
     "ClientGet", "ClientScan", "ClientWrite", "WriteOp",
     "Propose", "Ack", "Commit",
     "CatchupRequest", "CatchupChunk", "TakeoverState",
-    "WhoIsLeader", "GetCohortMap",
+    "GetCohortMap",
     "MigrationStart", "MigrationPrepare",
 ]
 
@@ -99,13 +99,6 @@ class ClientWrite:
     def key(self) -> bytes:
         """Routing key (all ops must live in the same cohort)."""
         return self.ops[0].key
-
-
-@value_type
-class WhoIsLeader:  # lint: allow(dead-message) — sent by external clients
-    """Routing helper: ask any cohort member who it thinks leads."""
-
-    cohort_id: int
 
 
 # ---------------------------------------------------------------------------

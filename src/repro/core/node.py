@@ -50,7 +50,7 @@ from .config import CORES_PER_NODE, ELECTION_RETRY, SpinnakerConfig
 from .election import cohort_zk_path, leader_monitor
 from .messages import (CatchupChunk, CatchupRequest, ClientGet, ClientScan,
                        ClientWrite, Commit, GetCohortMap, MigrationPrepare,
-                       MigrationStart, Propose, TakeoverState, WhoIsLeader)
+                       MigrationStart, Propose, TakeoverState)
 from .partition import Cohort, RangePartitioner
 from .rebalance import (apply_membership_record, build_split_snapshot,
                         handle_migration_start)
@@ -257,7 +257,6 @@ class SpinnakerNode(NodeHost):
             CatchupRequest: self._on_catchup_request,
             TakeoverState: self._on_takeover_state,
             MigrationStart: self._on_migration_start,
-            WhoIsLeader: self._on_who_is_leader,
         }
         self._monitors: Dict[int, Process] = {}
         #: ledger of catch-up chunks this node served as leader; chaos
@@ -403,7 +402,6 @@ class SpinnakerNode(NodeHost):
         still retrying from before the crash may land ahead of
         ``_startup``, and what it teaches must not be wiped after — and
         start ``_startup`` on a fresh coordination session."""
-        # lint: allow(dict-order) — replicas inserted in partitioner order
         for replica in self.replicas.values():
             replica.prepare_restart()
         self.zk = CoordClient(self.sim, self.endpoint,
@@ -620,10 +618,6 @@ class SpinnakerNode(NodeHost):
     def _on_migration_start(self, replica: CohortReplica,
                             req: Request) -> None:
         self.spawn(handle_migration_start(replica, req), "migration", True)
-
-    def _on_who_is_leader(self, replica: CohortReplica,
-                          req: Request) -> None:
-        req.respond({"leader": replica.leader}, size=64)
 
     def _handle_migration_prepare(self, req: Request) -> None:
         """Instantiate (or refresh) a replica ahead of a membership

@@ -19,7 +19,6 @@ from repro.analysis.runner import iter_py_files
 
 REPRO_ROOT = Path(repro.__file__).resolve().parent
 REPO_ROOT = Path(__file__).resolve().parents[2]
-BASELINE = REPO_ROOT / "lint-baseline.json"
 
 
 def test_tree_is_lint_clean(tree_lint):
@@ -27,23 +26,17 @@ def test_tree_is_lint_clean(tree_lint):
     assert result.parse_errors == []
     assert result.findings == [], "\n".join(
         f.format() for f in result.findings)
-    # Baseline hygiene is part of the gate: entries that no longer
-    # match anything must be pruned, not left to rot.
-    assert result.stale_baseline == [], result.stale_baseline
     assert result.files_checked > 50
 
 
 def test_cli_exits_zero_on_clean_tree(capsys, monkeypatch, tree_lint):
-    def shared(root, baseline_path=None, rules=None):
+    def shared(root, rules=None):
         # the run ``tree_lint`` made, asked for the same way
         assert (root, rules) == (REPRO_ROOT, None)
-        assert baseline_path == (BASELINE if BASELINE.exists() else None)
         return tree_lint
 
     monkeypatch.setattr("repro.analysis.cli.run_lint", shared)
-    rc = lint_main([str(REPRO_ROOT)]
-                   + (["--baseline", str(BASELINE)]
-                      if BASELINE.exists() else []))
+    rc = lint_main([str(REPRO_ROOT)])
     out = capsys.readouterr().out
     assert rc == 0
     assert "OK" in out
@@ -62,7 +55,7 @@ def _copy_tree_with_hazard(tmp_path: Path) -> Path:
 
 def test_cli_exits_nonzero_on_injected_hazard(tmp_path, capsys):
     tree = _copy_tree_with_hazard(tmp_path)
-    rc = lint_main([str(tree), "--no-baseline"])
+    rc = lint_main([str(tree)])
     out = capsys.readouterr().out
     assert rc == 1
     assert "sim/injected_hazard.py:1" in out
@@ -72,7 +65,7 @@ def test_cli_exits_nonzero_on_injected_hazard(tmp_path, capsys):
 
 def test_cli_json_output_reports_injected_hazard(tmp_path, capsys):
     tree = _copy_tree_with_hazard(tmp_path)
-    rc = lint_main([str(tree), "--no-baseline", "--json"])
+    rc = lint_main([str(tree), "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert rc == 1
     assert payload["ok"] is False
@@ -100,7 +93,7 @@ def _copy_tree_with_topology_hazard(tmp_path: Path) -> Path:
 
 def test_topology_dict_iteration_hazards_fire(tmp_path, capsys):
     tree = _copy_tree_with_topology_hazard(tmp_path)
-    rc = lint_main([str(tree), "--no-baseline", "--json"])
+    rc = lint_main([str(tree), "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert rc == 1
     hazards = [f for f in payload["findings"]
@@ -113,13 +106,13 @@ def test_topology_module_is_covered_and_clean(tree_lint):
     # the whole-tree run checks every module, sim/topology.py included
     assert (REPRO_ROOT / "sim" / "topology.py").exists()
     assert tree_lint.files_checked == len(iter_py_files(REPRO_ROOT))
-    assert [f for f in tree_lint.findings + tree_lint.baselined
+    assert [f for f in tree_lint.findings
             if f.path.startswith("sim/")] == []
 
 
 def test_rule_filter_restricts_findings(tmp_path, capsys):
     tree = _copy_tree_with_hazard(tmp_path)
-    rc = lint_main([str(tree), "--no-baseline", "--rule", "set-iteration"])
+    rc = lint_main([str(tree), "--rule", "set-iteration"])
     out = capsys.readouterr().out
     assert rc == 0, out  # the injected hazard is a nondet-import
     assert "OK" in out
@@ -128,8 +121,7 @@ def test_rule_filter_restricts_findings(tmp_path, capsys):
 def test_module_entrypoint_runs_lint():
     # `python -m repro lint` end to end, as CI invokes it.
     proc = subprocess.run(
-        [sys.executable, "-m", "repro", "lint", str(REPRO_ROOT),
-         "--baseline", str(BASELINE)],
+        [sys.executable, "-m", "repro", "lint", str(REPRO_ROOT)],
         capture_output=True, text=True, timeout=120,
         cwd=str(REPO_ROOT),
         env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin"})

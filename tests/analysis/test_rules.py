@@ -210,9 +210,8 @@ def test_write_only_slot_pragma_and_real_tree(tmp_path, tree_lint):
         "'_entry',", "'_entry',  # lint: allow(write-only-slot) — kept"))
     result, names = slot_findings(tmp_path)
     assert names == [] and len(result.pragma_suppressed) == 2
-    # src/repro: clean — none baselined, none under a pragma either
-    for findings in (tree_lint.findings, tree_lint.baselined,
-                     tree_lint.pragma_suppressed):
+    # src/repro: clean — none under a pragma either
+    for findings in (tree_lint.findings, tree_lint.pragma_suppressed):
         assert rule_findings(findings, "write-only-slot") == []
 
 
@@ -278,8 +277,7 @@ def test_unset_option_holds_every_package_to_the_rule(tmp_path):
 
 
 def test_unset_option_real_tree_is_clean_without_a_pragma(tree_lint):
-    for findings in (tree_lint.findings, tree_lint.baselined,
-                     tree_lint.pragma_suppressed):
+    for findings in (tree_lint.findings, tree_lint.pragma_suppressed):
         assert rule_findings(findings, "unset-option") == []
 
 
@@ -343,8 +341,7 @@ def test_unpassed_parameter_silenced_by_position_star_and_value_use(
 
 
 def test_unpassed_parameter_real_tree_is_clean_without_a_pragma(tree_lint):
-    for findings in (tree_lint.findings, tree_lint.baselined,
-                     tree_lint.pragma_suppressed):
+    for findings in (tree_lint.findings, tree_lint.pragma_suppressed):
         assert rule_findings(findings, "unpassed-parameter") == []
 
 
@@ -365,31 +362,3 @@ def test_runner_applies_pragma_suppression(tmp_path):
     new_paths = {f.path for f in result.findings}
     assert "hazard_suppressed.py" not in new_paths
     assert "clean.py" not in new_paths
-
-
-def test_runner_baseline_roundtrip(tmp_path):
-    from repro.analysis import Baseline
-
-    first = run_lint(FIXTURES, protocols=())
-    assert first.findings
-    baseline_path = tmp_path / "baseline.json"
-    Baseline.from_findings(first.all_raw()).dump(baseline_path)
-    second = run_lint(FIXTURES, baseline_path=baseline_path, protocols=())
-    assert second.ok
-    assert len(second.baselined) == len(first.findings)
-
-
-def test_baseline_matches_by_code_not_line(tmp_path):
-    from repro.analysis import Baseline, Finding
-
-    baseline_path = tmp_path / "baseline.json"
-    Baseline.from_findings([Finding(
-        rule="nondet-import", path="mod.py", line=99,
-        message="x", code="import random")]).dump(baseline_path)
-    src_dir = tmp_path / "tree"
-    src_dir.mkdir()
-    (src_dir / "mod.py").write_text(
-        "# a comment shifting the line number\nimport random\n")
-    result = run_lint(src_dir, baseline_path=baseline_path, protocols=())
-    assert result.ok
-    assert len(result.baselined) == 1

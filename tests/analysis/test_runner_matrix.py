@@ -1,14 +1,14 @@
-"""Runner/CLI matrix: exit codes × pragmas × baseline interactions.
+"""Runner/CLI matrix: exit codes × pragmas.
 
 Covers the 0/1/2 exit paths, pragma coverage of multi-line statements,
-mixed baseline + new findings, stale-baseline failure, and
-``--prune-baseline`` rewriting the file back to health.
+pragmas read from comments only, and the unused-pragma check that keeps
+every pragma load-bearing.
 """
 
 import ast
 from pathlib import Path
 
-from repro.analysis import Baseline, run_lint
+from repro.analysis import run_lint
 from repro.analysis.cli import main as lint_main
 from repro.analysis.findings import parse_pragmas, statement_spans
 
@@ -31,36 +31,19 @@ def make_tree(tmp_path: Path, files) -> Path:
 
 def test_exit_zero_on_clean_tree(tmp_path, capsys):
     tree = make_tree(tmp_path, {"mod.py": "X = 1\n"})
-    assert lint_main([str(tree), "--no-baseline"]) == 0
+    assert lint_main([str(tree)]) == 0
     assert "OK" in capsys.readouterr().out
 
 
 def test_exit_one_on_new_finding(tmp_path, capsys):
     tree = make_tree(tmp_path, {"mod.py": HAZARD})
-    assert lint_main([str(tree), "--no-baseline"]) == 1
+    assert lint_main([str(tree)]) == 1
     assert "FAIL" in capsys.readouterr().out
 
 
 def test_exit_two_on_missing_path(tmp_path, capsys):
     assert lint_main([str(tmp_path / "nope")]) == 2
     assert "no such path" in capsys.readouterr().err
-
-
-def test_exit_two_on_prune_with_rule_filter(tmp_path, capsys):
-    tree = make_tree(tmp_path, {"mod.py": "X = 1\n"})
-    blpath = tmp_path / "bl.json"
-    Baseline().dump(blpath)
-    rc = lint_main([str(tree), "--baseline", str(blpath),
-                    "--prune-baseline", "--rule", "nondet-import"])
-    assert rc == 2
-    assert "cannot be combined" in capsys.readouterr().err
-
-
-def test_exit_two_on_prune_without_baseline(tmp_path, capsys):
-    tree = make_tree(tmp_path, {"mod.py": "X = 1\n"})
-    rc = lint_main([str(tree), "--no-baseline", "--prune-baseline"])
-    assert rc == 2
-    assert "no baseline file" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -80,9 +63,9 @@ def test_statement_spans_keep_compound_headers_narrow():
 
 def test_pragma_on_continuation_line_covers_whole_statement():
     src = "x = f(\n    1,\n    2,  # lint: allow(foo)\n)\n"
-    pragmas = parse_pragmas(src, ast.parse(src))
-    for line in (1, 2, 3, 4):
-        assert "foo" in pragmas[line]
+    [pragma] = parse_pragmas(src, ast.parse(src))
+    assert pragma.rules == {"foo"}
+    assert {1, 2, 3, 4} <= pragma.covers
 
 
 def test_pragma_inside_block_does_not_blanket_the_block():
@@ -90,8 +73,8 @@ def test_pragma_inside_block_does_not_blanket_the_block():
            "    a = 1  # lint: allow(foo)\n"
            "    b = 2\n"
            "    c = 3\n")
-    pragmas = parse_pragmas(src, ast.parse(src))
-    assert 4 not in pragmas
+    [pragma] = parse_pragmas(src, ast.parse(src))
+    assert 4 not in pragma.covers
 
 
 def test_runner_suppresses_finding_via_trailing_pragma(tmp_path):
@@ -118,78 +101,65 @@ def test_runner_suppresses_finding_via_trailing_pragma(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# baseline interactions
+# pragmas are comments, and each must suppress a finding
 # ---------------------------------------------------------------------------
 
-def test_baseline_plus_new_finding_mix(tmp_path, capsys):
-    tree = make_tree(tmp_path, {"old.py": HAZARD})
-    blpath = tmp_path / "bl.json"
-    Baseline.from_findings(run_lint(tree, protocols=()).findings) \
-        .dump(blpath)
-    # The baselined hazard alone is green.
-    assert lint_main([str(tree), "--baseline", str(blpath)]) == 0
-    capsys.readouterr()
-    # A new hazard still fails, while the old one stays baselined.
-    (tree / "new.py").write_text(HAZARD)
-    rc = lint_main([str(tree), "--baseline", str(blpath)])
+SCHEDULING_LOOP = ("def crash_all(nodes):\n"
+                   "    for name, node in nodes.items():\n"
+                   "        node.interrupt('crash')\n")
+
+
+def test_docstring_quoting_a_pragma_suppresses_nothing(tmp_path):
+    # A docstring ending in the pragma's text sits on the line above a
+    # dict-view loop that feeds scheduling: only a comment is a pragma.
+    mod = SCHEDULING_LOOP.replace(
+        "    for", '    """Crash every node.  The lint hatch reads\n'
+                  '    # lint: allow(dict-order)"""\n'
+                  "    for")
+    result = run_lint(make_tree(tmp_path, {"mod.py": mod}), protocols=())
+    assert [(f.rule, f.line) for f in result.findings] \
+        == [("dict-order", 4)]
+    assert result.pragma_suppressed == []
+
+
+def test_stale_pragma_is_a_finding_and_a_load_bearing_one_is_not(
+        tmp_path):
+    misspelt = "X = 1  # lint: allow(dict-ordr)\n"
+    # two lines above the loop, the pragma covers nothing
+    mod = "# lint: allow(dict-order)\n\n" + SCHEDULING_LOOP + misspelt
+    result = run_lint(make_tree(tmp_path, {"mod.py": mod}), protocols=())
+    assert result.pragma_suppressed == []
+    assert [(f.rule, f.line, f.message) for f in result.findings] == [
+        ("unused-pragma", 1, "allow(dict-order) suppresses no finding"),
+        ("dict-order", 4, result.findings[1].message),
+        ("unused-pragma", 6, "allow(dict-ordr) suppresses no finding")]
+    # on the loop's own line it suppresses the finding and is used
+    mod = SCHEDULING_LOOP.replace(
+        ".items():", ".items():  # lint: allow(dict-order)") + misspelt
+    result = run_lint(make_tree(tmp_path, {"mod.py": mod}), protocols=())
+    assert [f.rule for f in result.pragma_suppressed] == ["dict-order"]
+    assert [(f.rule, f.line) for f in result.findings] \
+        == [("unused-pragma", 4)]
+
+
+def test_rule_filter_judges_only_pragmas_naming_selected_rules(tmp_path):
+    tree = make_tree(tmp_path, {"mod.py": (
+        "X = 1  # lint: allow(set-iteration)\n"
+        "Y = 2  # lint: allow(nondet-import, dict-order)\n")})
+    # a run restricted to other rules cannot judge set-iteration ...
+    restricted = run_lint(tree, protocols=(), rules={"nondet-import"})
+    assert [(f.line, f.message) for f in restricted.findings] \
+        == [(2, "allow(nondet-import) suppresses no finding")]
+    # ... but a full run judges every name
+    full = run_lint(tree, protocols=())
+    assert [f.message for f in full.findings] == [
+        "allow(set-iteration) suppresses no finding",
+        "allow(dict-order) suppresses no finding",
+        "allow(nondet-import) suppresses no finding"]
+
+
+def test_exit_one_on_unused_pragma(tmp_path, capsys):
+    tree = make_tree(tmp_path, {"mod.py": "X = 1  # lint: allow(real-io)\n"})
+    assert lint_main([str(tree)]) == 1
     out = capsys.readouterr().out
-    assert rc == 1
-    assert "new.py" in out and "old.py" not in out.split("baselined")[0]
-
-
-def test_stale_baseline_fails_then_prune_recovers(tmp_path, capsys):
-    tree = make_tree(tmp_path, {"mod.py": HAZARD})
-    baseline = Baseline.from_findings(run_lint(tree,
-                                               protocols=()).findings)
-    baseline.entries[("nondet-import", "gone.py", "import os")] = 1
-    blpath = tmp_path / "bl.json"
-    baseline.dump(blpath)
-
-    rc = lint_main([str(tree), "--baseline", str(blpath)])
-    out = capsys.readouterr().out
-    assert rc == 1
-    assert "stale baseline entry" in out and "gone.py" in out
-
-    rc = lint_main([str(tree), "--baseline", str(blpath),
-                    "--prune-baseline"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "pruned 1 stale entry" in out
-
-    assert lint_main([str(tree), "--baseline", str(blpath)]) == 0
-    entries = Baseline.load(blpath).entries
-    assert ("nondet-import", "gone.py", "import os") not in entries
-    assert entries      # the live findings were kept
-
-
-def test_pragma_suppressed_finding_leaves_baseline_entry_stale(tmp_path):
-    # A pragma'd finding no longer consumes its baseline budget: the
-    # leftover entry must be reported as rot, not silently tolerated.
-    tree = make_tree(tmp_path, {"mod.py": HAZARD})
-    blpath = tmp_path / "bl.json"
-    Baseline.from_findings(run_lint(tree, protocols=()).findings) \
-        .dump(blpath)
-    (tree / "mod.py").write_text(HAZARD.replace(
-        "import random", "import random  # lint: allow(nondet-import)")
-        .replace("return random.random()",
-                 "return random.random()  "
-                 "# lint: allow(nondet-import)"))
-    result = run_lint(tree, baseline_path=blpath, protocols=())
-    assert not result.findings
-    assert result.stale_baseline
-    assert not result.ok
-
-
-def test_rule_filter_judges_only_selected_rules_stale(tmp_path):
-    tree = make_tree(tmp_path, {"mod.py": "X = 1\n"})
-    baseline = Baseline()
-    baseline.entries[("set-iteration", "gone.py", "for x in s:")] = 1
-    blpath = tmp_path / "bl.json"
-    baseline.dump(blpath)
-    # A run restricted to another rule cannot judge the entry stale...
-    restricted = run_lint(tree, baseline_path=blpath, protocols=(),
-                          rules={"nondet-import"})
-    assert restricted.ok
-    # ...but a full run can.
-    full = run_lint(tree, baseline_path=blpath, protocols=())
-    assert not full.ok and full.stale_baseline
+    assert "mod.py:1: [unused-pragma]" in out and "FAIL" in out

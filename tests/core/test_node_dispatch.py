@@ -1,10 +1,10 @@
-"""Tests for node-level dispatch: misrouted requests, WhoIsLeader,
-coordination watch routing."""
+"""Tests for node-level dispatch: misrouted requests, cohort messages
+for no local replica, coordination watch routing."""
 
 import pytest
 
 from repro.core import SpinnakerCluster, SpinnakerConfig
-from repro.core.messages import WhoIsLeader
+from repro.core.messages import TakeoverState
 from repro.core.partition import key_of
 from repro.sim.disk import DiskProfile
 from repro.sim.process import spawn
@@ -59,20 +59,6 @@ def test_client_recovers_from_misrouted_cache(cluster):
     assert got.value == b"v"
 
 
-def test_who_is_leader(cluster):
-    cohort_id = 2
-    member = cluster.partitioner.cohort(cohort_id).members[0]
-    client = cluster.client()
-
-    def scenario():
-        reply = yield client.endpoint.request(
-            member, WhoIsLeader(cohort_id=cohort_id), size=64)
-        return reply
-
-    reply = run(cluster, scenario())
-    assert reply["leader"] == cluster.leader_of(cohort_id)
-
-
 def test_unknown_cohort_message_is_ignored(cluster):
     member = list(cluster.nodes)[0]
     client = cluster.client()
@@ -80,7 +66,8 @@ def test_unknown_cohort_message_is_ignored(cluster):
     def scenario():
         try:
             yield client.endpoint.request(
-                member, WhoIsLeader(cohort_id=999), size=64, timeout=0.5)
+                member, TakeoverState(cohort_id=999, epoch=0), size=64,
+                timeout=0.5)
             return "replied"
         except Exception:
             return "dropped"
