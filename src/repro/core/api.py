@@ -36,11 +36,28 @@ leader cache, and walks one request through these transitions until an
 ``send -> ok``                 cache target as leader (strong ops), done.
 ``send -> RpcTimeout``         rotate to the next member (strong) or
                                pick again without the timed-out
-                               replicas (timeline).
+                               replicas (timeline).  Holding (below): a
+                               strong get or write rotates to the next
+                               member it has not timed out on, and from
+                               now on names them (``timed_out``) and
+                               asks to be held for ``hold``, half the
+                               per-try budget.
+``send -> held``               holding only: the replica would name no
+                               leader, one in ``timed_out``, or itself
+                               in takeover, so it keeps the request,
+                               never serving it, until one of the two
+                               rows below.
+``send -> not-leader + news``  the replica names a leader this op has
+                               not timed out on (at once, or ending a
+                               hold when it learns of one or opens):
+                               cache it and re-send there at once, no
+                               backoff — once per member at most, then
+                               as a hint.
 ``send -> not-leader/unavailable``  follow the ``hint`` if given, else
                                rotate; jittered exponential backoff
                                (``CLIENT_RETRY_BACKOFF`` doubling up to
-                               ``CLIENT_RETRY_BACKOFF_CAP``).
+                               ``CLIENT_RETRY_BACKOFF_CAP``).  An
+                               expired hold answers this way.
 ``send -> wrong-node``         the replier holds no replica for the key
                                (a scan: or is on a newer layout than the
                                scan was planned on): drop a poisoned
@@ -53,6 +70,13 @@ leader cache, and walks one request through these transitions until an
 ``send -> cross-cohort``       a multi-op write whose *later* op the
                                routing key's cohort does not own: raise
                                :class:`DatastoreError` (terminal).
+
+Holding is on only while the per-try budget is shorter than
+``session_timeout``: then a client sees a dead leader before the
+coordination service does, and the replicas it asks still name the
+dead one.  With the default 2 s tries a timed-out try already spans
+detection, a follower's immediate answer names the new leader, and no
+message carries the two fields.  A scan is never held.
 
 Invariants
 ----------
@@ -147,6 +171,12 @@ class SpinnakerClient:
                             CLIENT_RTT_MULTIPLIER * rtt)
         self._map_timeout = max(CLIENT_MAP_TIMEOUT,
                                 CLIENT_RTT_MULTIPLIER * rtt)
+        # A try shorter than the session timeout can see a dead leader
+        # before the coordination service does: then a strong op that
+        # timed out asks a live replica to hold it for leadership news
+        # (the routing state machine above).
+        self._hold = (self._per_try / 2
+                      if self._per_try < config.session_timeout else 0.0)
         self._rng = rng.stream(f"client:{name}")
         self._map: CohortMap = partitioner.snapshot()
         self._leader_cache: Dict[int, str] = {}
@@ -276,13 +306,17 @@ class SpinnakerClient:
             return hint
         return cohort.members[0]
 
-    def _next_target(self, cohort, current: str) -> str:
-        members = list(cohort.members)
-        try:
-            idx = members.index(current)
-        except ValueError:
-            return members[0]
-        return members[(idx + 1) % len(members)]
+    def _next_target(self, cohort, current: str, skip=()) -> str:
+        """The member after ``current`` (the first if it is none), or
+        the first after it not in ``skip`` while there is one."""
+        members = cohort.members
+        start = members.index(current) + 1 if current in members else 0
+        ring = [members[(start + i) % len(members)]
+                for i in range(len(members))]
+        for member in ring:
+            if member not in skip:
+                return member
+        return ring[0]
 
     def _timeline_target(self, cohort, exclude=None) -> str:
         """The replica with the fewest of this client's reads in flight,
@@ -371,6 +405,10 @@ class SpinnakerClient:
         deadline = now + cfg.client_op_timeout
         attempt = 0
         timed_out: set = set()
+        hold = self._hold
+        if hold and (not strong or type(msg) is ClientScan):
+            hold = 0.0      # a scan spans cohorts: it keeps the plain path
+        news = 0                    # leadership news followed at once
         # Only timeline reads are counted: they alone pick by the count.
         reads = None if strong else self._reads_in_flight
         try:
@@ -397,9 +435,15 @@ class SpinnakerClient:
                     attempt += 1
                     self.retries += 1
                     timed_out.add(target)
-                    target = (self._next_target(cohort, target) if strong
-                              else self._timeline_target(cohort,
-                                                         exclude=timed_out))
+                    if hold:
+                        target = self._next_target(cohort, target,
+                                                   timed_out)
+                        msg = replace(msg, timed_out=tuple(sorted(timed_out)),
+                                      hold=hold)
+                    else:
+                        target = (self._next_target(cohort, target)
+                                  if strong else self._timeline_target(
+                                      cohort, exclude=timed_out))
                     now = sim.now
                     continue
                 if reply["ok"]:
@@ -422,7 +466,17 @@ class SpinnakerClient:
                 attempt += 1
                 self.retries += 1
                 hint = reply.get("hint")
-                if code == "wrong-node":
+                if hold and reply.get("news"):
+                    # Follow leadership news at once, once per member
+                    # at most: past that, stale views naming each other
+                    # would spin, so it backs off like a hint.
+                    target = hint
+                    self._leader_cache[cohort.cohort_id] = hint
+                    news += 1
+                    if news <= len(cohort.members):
+                        now = sim.now
+                        continue
+                elif code == "wrong-node":
                     if self._leader_cache.get(cohort.cohort_id) == target:
                         # The replier holds no replica here; a cache
                         # entry pointing at it is poison, not a leader.

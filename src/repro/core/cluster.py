@@ -170,6 +170,16 @@ class SpinnakerCluster(SimHost):
                                for r in node.replicas.values()),
                 "sstables": sum(len(r.engine.sstables)
                                 for r in node.replicas.values()),
+                # strong requests held for leadership news, and how
+                # each hold ended (core/replication.py)
+                "requests_held": sum(r.holds
+                                     for r in node.replicas.values()),
+                "holds_ended_news": sum(r.holds_news
+                                        for r in node.replicas.values()),
+                "holds_ended_expiry": sum(r.holds_expired
+                                          for r in node.replicas.values()),
+                "holds_ended_crash": sum(r.holds_crashed
+                                         for r in node.replicas.values()),
             }
         return {
             "nodes": per_node,

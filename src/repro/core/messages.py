@@ -14,6 +14,15 @@ map's version.  Layout changes are totally ordered by version, so a
 server at the same version finds the replica by ``cohort_id`` without
 locating the key again; at any other version (or for a hand-built
 message left at the defaults, "not routed") it locates by key.
+
+A strong ``ClientGet`` or ``ClientWrite`` re-sent after a try timed out
+may also carry a **hold**: ``timed_out``, the members this operation
+timed out on, and ``hold``, how long the client will wait for news of
+a leader.  A replica whose only answer would name one of them, name no
+leader, or name itself while still in takeover keeps the request for up
+to ``hold`` seconds and answers as soon as it learns of a leader; it
+never serves a held request (PROTOCOL.md, *Client messages*).  A
+``ClientScan`` is never held.
 """
 
 from __future__ import annotations
@@ -48,6 +57,8 @@ class ClientGet:
     trace: Optional[object] = None
     cohort_id: Optional[int] = None   # routing stamp (module docstring)
     map_version: int = 0
+    timed_out: Tuple[str, ...] = ()   # hold (module docstring)
+    hold: float = 0.0
 
 
 @value_type
@@ -94,6 +105,8 @@ class ClientWrite:
     trace: Optional[object] = None   # repro.obs TraceContext, if sampled
     cohort_id: Optional[int] = None  # routing stamp (module docstring)
     map_version: int = 0
+    timed_out: Tuple[str, ...] = ()  # hold (module docstring)
+    hold: float = 0.0
 
     @property
     def key(self) -> bytes:

@@ -545,6 +545,7 @@ def leader_takeover(replica):
     # this process before it can resume.
     # lint: allow(write-after-yield-unguarded)
     replica.open_for_writes = True
+    replica.release_held()
     # Routing hint for clients whose leader cache is cold (the map layer
     # snapshots it; elections and handoffs keep it current).
     node.partitioner.record_leader(cohort_id, node.name)

@@ -29,6 +29,15 @@ Steady state (Fig. 4):
 Strongly consistent reads are served only by the leader; timeline reads
 by any replica (possibly stale until the next commit message).
 
+A strong get or write refused here that asks to be held (``hold``, see
+:mod:`~repro.core.messages`) is answered ``not-leader`` marked ``news``
+if the leader it would name is one its client has not timed out on.
+Otherwise — no leader, one it timed out on, or this replica still in
+takeover — it is kept, never served: :meth:`CohortReplica.release_held`
+answers it with ``news`` once ``set_leader`` names a leader or takeover
+opens the cohort, and ``_expire_hold`` with the plain answer when its
+``hold`` runs out.  A crash drops what is held.
+
 Each of those messages is handled by plain functions, one per step
 between two waits: ``handle_client_write`` → ``_admit_write`` →
 ``_stage_write`` → ``_reply_write`` at the leader, ``handle_propose`` →
@@ -157,6 +166,13 @@ class CohortReplica:
         self.resyncs = 0
         self.catchup_chunks_ingested = 0
         self.catchup_tables_ingested = 0
+        #: held client requests -> the code they were refused with
+        self._held: Dict[object, str] = {}
+        #: requests held, and how each hold ended
+        self.holds = 0
+        self.holds_news = 0
+        self.holds_expired = 0
+        self.holds_crashed = 0
 
     # ------------------------------------------------------------------
     # Identity helpers
@@ -181,6 +197,8 @@ class CohortReplica:
             self.role = Role.LEADER
         elif self.role in (Role.LEADER, Role.CANDIDATE):
             self.role = Role.FOLLOWER
+        if self._held:
+            self.release_held()
 
     def alloc_lsn(self) -> LSN:
         lsn = LSN(self.epoch, self.next_seq)
@@ -220,6 +238,55 @@ class CohortReplica:
             block.succeed()
 
     # ------------------------------------------------------------------
+    # Held requests: a client's wait for leadership news
+    # ------------------------------------------------------------------
+    def _awaits_news(self, msg) -> bool:
+        """Would our answer to ``msg`` name no leader, one its client
+        timed out on, or this replica still in takeover?"""
+        leader = self.leader
+        return (leader is None or leader in msg.timed_out
+                or (leader == self.node.name and not self.open_for_writes))
+
+    def _refuse(self, req, code: str) -> None:
+        """Refuse the client request ``req`` with ``code`` and our
+        leader as hint.  One that asks to be held (``hold``) gets
+        ``news`` instead if that leader is one its client has not timed
+        out on, and is held otherwise: answered by :meth:`release_held`,
+        or by ``_expire_hold`` once its ``hold`` runs out."""
+        msg = req.payload
+        if not msg.hold:
+            req.respond(_err(code, self.leader), size=64)
+        elif not self._awaits_news(msg):
+            self._news(req)
+        else:
+            node = self.node
+            self._held[req] = code
+            self.holds += 1
+            node.sim.schedule(msg.hold, node.guarded(self._expire_hold, req))
+
+    def _news(self, req) -> None:
+        req.respond({"ok": False, "code": "not-leader", "hint": self.leader,
+                     "news": True}, size=64)
+
+    def release_held(self) -> None:
+        """A leader is named or takeover opened the cohort: answer each
+        held request that now learns something with that ``news``.
+        Never served here: the client re-sends it to the leader."""
+        held = self._held
+        for req in list(held):
+            if not self._awaits_news(req.payload):
+                del held[req]
+                self.holds_news += 1
+                self._news(req)
+
+    def _expire_hold(self, req) -> None:
+        """``req``'s hold ran out with no news: today's answer."""
+        code = self._held.pop(req, None)
+        if code is not None:
+            self.holds_expired += 1
+            req.respond(_err(code, self.leader), size=64)
+
+    # ------------------------------------------------------------------
     # Leader: client writes
     # ------------------------------------------------------------------
     def handle_client_write(self, req, unblocked: bool = False) -> None:
@@ -230,9 +297,9 @@ class CohortReplica:
         node = self.node
         if (self.role != Role.LEADER
                 or (unblocked and not self.open_for_writes)):
-            req.respond(_err("not-leader", self.leader), size=64)
+            self._refuse(req, "not-leader")
         elif not self.open_for_writes:
-            req.respond(_err("unavailable", self.leader), size=64)
+            self._refuse(req, "unavailable")
         elif self.write_block is not None:
             node.after(self.write_block, self.handle_client_write, req, True)
         else:
@@ -729,7 +796,7 @@ class CohortReplica:
             # writes — strong reads must wait for takeover to finish
             # (§6.2), exactly like writes do.
             if not (self.role == Role.LEADER and self.open_for_writes):
-                req.respond(_err("not-leader", self.leader), size=64)
+                self._refuse(req, "not-leader")
                 return
             service = READ_SERVICE + STRONG_READ_OVERHEAD
         else:
@@ -782,7 +849,7 @@ class CohortReplica:
 
     def handle_scan(self, req) -> None:
         """A ClientScan (ordered range read) arrives: ``handle_scan`` →
-        ``_serve_scan``."""
+        ``_serve_scan``.  Never held: a scan names no ``hold``."""
         node = self.node
         msg = req.payload
         if 0 < msg.map_version < node.partitioner.version:
@@ -866,6 +933,8 @@ class CohortReplica:
         self.candidate_path = None
         self._release_write_block()
         self.catching_up.clear()
+        self.holds_crashed += len(self._held)
+        self._held.clear()      # their expiries die with the incarnation
 
     def step_down(self) -> None:
         """Coordination session lost: we can no longer prove leadership

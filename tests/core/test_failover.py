@@ -5,9 +5,10 @@ import pytest
 
 from repro.core import (RequestTimeout, Role, SpinnakerCluster,
                         SpinnakerConfig)
+from repro.core.messages import ClientGet
 from repro.core.partition import key_of
 from repro.sim.disk import DiskProfile
-from repro.sim.process import spawn
+from repro.sim.process import spawn, timeout
 
 
 def fast_config(**overrides):
@@ -408,3 +409,254 @@ def test_a_crash_ends_the_takeover_and_commit_loop_it_started(monkeypatch):
     cluster.run_until(lambda: cluster.leader_of(0) is not None, limit=30.0,
                       what="a leader again")
     assert cluster.all_failures() == []
+
+
+# -- a client that sees a dead leader before the cluster does ---------------
+#
+# With ``client_try_timeout`` under ``session_timeout`` a strong op that
+# timed out on the dead leader asks a live replica to hold it until that
+# replica learns of a new leader (core/api.py, core/replication.py).
+
+def outage_cluster():
+    """5 nodes and 0.25 s client tries, for a test to kill cohort 0's
+    leader with slow detection: the coordination service notices only
+    when its session times out, 2 s on.  Returns (cluster, cohort 0's
+    members, its leader)."""
+    cluster = make_cluster(client_try_timeout=0.25, client_max_retries=100)
+    members = cluster.partitioner.cohort(0).members
+    return cluster, members, cluster.leader_of(0)
+
+
+def rtt(cluster):
+    return cluster.network.rtt_bound(size_bytes=128)
+
+
+def test_ops_held_when_the_cohort_opens_complete_within_a_service_time(
+        monkeypatch):
+    """Strong gets and puts issued through the outage: those held when
+    the cohort opens are answered by the open and served on their
+    re-send, one leader service time and two round trips on."""
+    from repro.core.config import (READ_SERVICE, STRONG_READ_OVERHEAD)
+    from repro.core.replication import CohortReplica
+    cluster, members, old = outage_cluster()
+    keys = keys_for_cohort(cluster, 0, 40)
+    clients = [cluster.client(f"c{i}") for i in range(4)]
+    warm = keys[:4]
+
+    def warm_up():
+        for client, key in zip(clients, warm):
+            yield from client.put(key, b"c", b"v0")
+            yield from client.get(key, b"c", consistent=True)
+
+    run_client(cluster, warm_up())
+
+    def quiet(op):
+        def timed():
+            t0 = cluster.sim.now
+            yield from op
+            return cluster.sim.now - t0
+        return run_client(cluster, timed())
+
+    put_time = quiet(clients[0].put(keys[0], b"c", b"v1"))
+    get_time = quiet(clients[0].get(keys[0], b"c", consistent=True))
+    assert get_time < READ_SERVICE + STRONG_READ_OVERHEAD + rtt(cluster)
+
+    held_at_open = {}           # key -> the open's time
+    release = CohortReplica.release_held
+
+    def spy(replica):
+        if (replica.cohort_id == 0 and replica.is_leader
+                and replica.open_for_writes and not held_at_open):
+            now = cluster.sim.now
+            for name in members:
+                for req in cluster.replica(name, 0)._held:
+                    held_at_open[req.payload.key] = now
+        release(replica)
+
+    monkeypatch.setattr(CohortReplica, "release_held", spy)
+    done = {}
+    cluster.kill_leader(0, skip_detection=False)
+
+    def one(client, key, is_write):
+        if is_write:
+            yield from client.put(key, b"c", b"x")
+        else:
+            yield from client.get(key, b"c", consistent=True)
+        done[key] = cluster.sim.now
+
+    def issue():
+        for i, key in enumerate(keys[4:]):
+            spawn(cluster.sim, one(clients[i % 4], key, i % 2 == 0))
+            yield timeout(cluster.sim, 0.05)
+
+    spawn(cluster.sim, issue())
+    cluster.run_until(lambda: len(done) == len(keys) - 4, limit=30.0,
+                      what="every op")
+    # Answered together at the open, a put may queue behind the burst's
+    # gets and batches: a leader service time is the slower kind's.
+    service = max(put_time, get_time)
+    assert len(held_at_open) >= 4
+    for key, opened in held_at_open.items():
+        assert done[key] - opened <= service + 2 * rtt(cluster), key
+    stats = cluster.stats()["nodes"]
+    assert sum(n["holds_ended_news"] for n in stats.values()) >= len(
+        held_at_open)
+    assert sum(n["requests_held"] for n in stats.values()) == sum(
+        n["holds_ended_news"] + n["holds_ended_expiry"]
+        + n["holds_ended_crash"] for n in stats.values())
+    assert cluster.all_failures() == []
+
+
+def test_a_write_held_at_the_leader_elect_commits_exactly_once(monkeypatch):
+    """The leader-elect holds the write through its takeover, answers it
+    at the open, and the client's re-send commits it: once."""
+    from repro.core import recovery
+    from repro.sim.events import Event
+    cluster, members, old = outage_cluster()
+    client = cluster.client()
+    key = keys_for_cohort(cluster, 0, 1)[0]
+    run_client(cluster, client.put(key, b"c", b"v1"))
+    # Hold every takeover at its first catch-up push until let go.
+    gate = Event(cluster.sim)
+    push = recovery.try_push_catchup
+
+    def gated(replica, peers):
+        if not gate.triggered:
+            yield gate
+        return (yield from push(replica, peers))
+
+    monkeypatch.setattr(recovery, "try_push_catchup", gated)
+    sent = []
+    request = client.endpoint.request
+
+    def spy(dst, payload, **kw):
+        sent.append((dst, payload))
+        return request(dst, payload, **kw)
+
+    monkeypatch.setattr(client.endpoint, "request", spy)
+    cluster.kill_leader(0, skip_detection=False)
+    put = spawn(cluster.sim, client.put(key, b"c", b"v2"))
+
+    def elect():
+        for name in members:
+            replica = cluster.replica(name, 0)
+            if name != old and replica.is_leader and replica._held:
+                return replica
+        return None
+
+    cluster.run_until(lambda: elect() is not None, limit=30.0, step=0.001,
+                      what="the write held at the leader-elect")
+    winner = elect()
+    assert not winner.open_for_writes
+    assert [dst for dst, _ in sent][-1] == winner.node.name
+    gate.succeed()
+    cluster.run_until(lambda: put.triggered, limit=5.0, what="the put")
+    assert put.result().version == 2
+    assert winner.holds_news == 1
+    assert [dst for dst, _ in sent][-2:] == [winner.node.name] * 2
+    got = run_client(cluster, client.get(key, b"c", consistent=True))
+    assert (got.value, got.version) == (b"v2", 2)
+    assert cluster.all_failures() == []
+
+
+def test_news_looping_between_stale_views_backs_off():
+    """Two followers each naming the other is news to a client that
+    timed out on neither: it follows news at once once per member, then
+    backs off, so the loop cannot burn its retries in a few round trips
+    before the election fixes the views."""
+    cluster, members, old = outage_cluster()
+    a, b = [m for m in members if m != old]
+    client = cluster.client()
+    key = keys_for_cohort(cluster, 0, 1)[0]
+    run_client(cluster, client.put(key, b"c", b"v1"))
+    cluster.kill_leader(0, skip_detection=False)
+    cluster.replica(a, 0).leader = b
+    cluster.replica(b, 0).leader = a
+    assert run_client(cluster, client.put(key, b"c", b"v2")).version == 2
+    assert cluster.all_failures() == []
+
+
+def held_get(key, old):
+    """A strong get as a client re-sends it after timing out on ``old``."""
+    return ClientGet(key, b"c", True, timed_out=(old,), hold=0.125)
+
+
+def test_a_hold_that_learns_nothing_gets_todays_answer_at_its_wait():
+    cluster, members, old = outage_cluster()
+    key = keys_for_cohort(cluster, 0, 1)[0]
+    follower = next(m for m in members if m != old)
+    cluster.kill_leader(0, skip_detection=False)
+    probe = cluster.network.endpoint("probe")
+    answers = []
+
+    def ask(msg):
+        t0 = cluster.sim.now
+        reply = yield probe.request(follower, msg, size=96, timeout=0.25)
+        answers.append((cluster.sim.now - t0, reply))
+
+    run_client(cluster, ask(ClientGet(key, b"c", True)))
+    run_client(cluster, ask(held_get(key, old)))
+    (quick, today), (waited, held) = answers
+    assert today == {"ok": False, "code": "not-leader", "hint": old}
+    assert held == today
+    assert 0.125 <= waited < 0.125 + quick + rtt(cluster)
+    replica = cluster.replica(follower, 0)
+    assert (replica.holds, replica.holds_expired) == (1, 1)
+    assert cluster.all_failures() == []
+
+
+def test_a_crash_of_the_holding_replica_drops_what_it_held():
+    from repro.sim.network import RpcTimeout
+    cluster, members, old = outage_cluster()
+    key = keys_for_cohort(cluster, 0, 1)[0]
+    follower = next(m for m in members if m != old)
+    cluster.kill_leader(0, skip_detection=False)
+    probe = cluster.network.endpoint("probe")
+
+    def ask():
+        try:
+            yield probe.request(follower, held_get(key, old),
+                                size=96, timeout=0.25)
+        except RpcTimeout:
+            return "timed out"
+        return "answered"
+
+    asking = spawn(cluster.sim, ask())
+    replica = cluster.replica(follower, 0)
+    cluster.run_until(lambda: replica._held, limit=1.0, step=0.001,
+                      what="the hold")
+    cluster.crash_node(follower)
+    cluster.restart_node(follower)      # back inside the old hold's wait
+    cluster.run_until(lambda: asking.triggered, limit=1.0, what="the try")
+    assert asking.result() == "timed out"
+    cluster.run(0.5)
+    assert probe.stale_replies == 0
+    assert (replica.holds, replica.holds_crashed,
+            replica.holds_expired) == (1, 1, 0)
+    assert cluster.stats()["nodes"][follower]["holds_ended_crash"] == 1
+    assert cluster.all_failures() == []
+
+
+def test_default_timeouts_resend_the_message_unchanged(monkeypatch):
+    """A 2 s try spans detection, so nothing is held: the re-send after a
+    timeout is the very message the first try sent."""
+    cluster = make_cluster()
+    assert cluster.config.client_try_timeout == cluster.config.session_timeout
+    client = cluster.client()
+    key = keys_for_cohort(cluster, 0, 1)[0]
+    run_client(cluster, client.put(key, b"c", b"v1"))
+    sent = []
+    request = client.endpoint.request
+
+    def spy(dst, payload, **kw):
+        sent.append((dst, payload))
+        return request(dst, payload, **kw)
+
+    monkeypatch.setattr(client.endpoint, "request", spy)
+    old = cluster.kill_leader(0, skip_detection=False)
+    assert run_client(cluster, client.put(key, b"c", b"v2")).version == 2
+    first, resent = sent[0][1], sent[1][1]
+    assert sent[0][0] == old and resent is first
+    assert (first.timed_out, first.hold) == ((), 0.0)
+    assert sum(n["requests_held"]
+               for n in cluster.stats()["nodes"].values()) == 0

@@ -233,3 +233,33 @@ def test_strong_scan_needs_an_open_leader():
     assert [key for key, _ in rows] == [b"A-key"]
     assert client.retries >= 1
     assert cluster.all_failures() == []
+
+
+def test_a_strong_scan_is_never_held():
+    """Strong gets and writes that timed out on a dead leader ask a live
+    replica to hold them for leadership news; a scan does not — it spans
+    cohorts, and keeps the plain not-leader answer and retry."""
+    cfg = SpinnakerConfig(log_profile=DiskProfile.ssd_log(),
+                          order_preserving_keys=True, commit_period=0.2,
+                          client_try_timeout=0.25, client_max_retries=100)
+    cluster = SpinnakerCluster(n_nodes=5, config=cfg, seed=3)
+    cluster.start()
+    client = cluster.client()
+    assert client._hold > 0         # a try shorter than session_timeout
+    run(cluster, client.put(b"A-key", b"c", b"v"))
+    cohort_id = cluster.partitioner.locate(b"A-key").cohort_id
+    sent = []
+    request = client.endpoint.request
+
+    def spy(dst, payload, **kw):
+        sent.append(payload)
+        return request(dst, payload, **kw)
+
+    client.endpoint.request = spy
+    cluster.kill_leader(cohort_id, skip_detection=False)
+    rows = run(cluster, client.scan(b"A", b"B", consistent=True))
+    assert [key for key, _ in rows] == [b"A-key"]
+    assert len(sent) > 2 and all(type(m) is ClientScan for m in sent)
+    assert sum(n["requests_held"]
+               for n in cluster.stats()["nodes"].values()) == 0
+    assert cluster.all_failures() == []

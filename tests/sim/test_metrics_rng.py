@@ -55,7 +55,7 @@ def test_rng_fork_salt_does_not_collide_with_stream_names():
     reg = RngRegistry(7)
     forked_seed = reg.fork("x").seed
     stream_draw = RngRegistry(7).stream("fork:x").random()
-    import random as _random  # lint: allow(nondet-import) — seeded below
+    import random as _random
     assert _random.Random(forked_seed).random() != stream_draw
 
 
