@@ -53,11 +53,22 @@ leader cache, and walks one request through these transitions until an
                                cache it and re-send there at once, no
                                backoff — once per member at most, then
                                as a hint.
+``in flight -> ended by a sibling's news``  holding only: another op
+                               of this client got news naming leader L,
+                               and this try's target is a member some
+                               op of the client timed out on (and has
+                               not since answered ``ok``), not L.  It
+                               is handled as that news: re-sent to L at
+                               once.  A try to a member the client has
+                               not timed out on is never ended.
 ``send -> not-leader/unavailable``  follow the ``hint`` if given, else
                                rotate; jittered exponential backoff
                                (``CLIENT_RETRY_BACKOFF`` doubling up to
                                ``CLIENT_RETRY_BACKOFF_CAP``).  An
-                               expired hold answers this way.
+                               expired hold answers this way.  Holding,
+                               the leader cache, if set, names the
+                               target after the backoff: a sibling's
+                               news may have come meanwhile.
 ``send -> wrong-node``         the replier holds no replica for the key
                                (a scan: or is on a newer layout than the
                                scan was planned on): drop a poisoned
@@ -80,8 +91,11 @@ message carries the two fields.  A scan is never held.
 
 Invariants
 ----------
-- At most one attempt of an operation is in flight at a time; retries
-  never race each other (matters for tracing and FIFO channels).
+- At most one attempt of an operation is awaited at a time; retries
+  never race each other (matters for tracing and FIFO channels).  A try
+  ended by a sibling's news is abandoned, not withdrawn: it went to a
+  member the client timed out on and may still be on the wire, and its
+  reply, if one comes, is ignored.
 - A timeline get or scan counts in ``_reads_in_flight`` against its
   target from the send until a reply, a timeout or an interrupt ends
   the wait; strong ops go to the leader and are not counted.
@@ -110,10 +124,11 @@ trace with a ``reply`` span (see ``OBSERVABILITY.md``).
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from typing import Dict, Optional, Tuple
 
 from ..obs.trace import NullRequestTracer
-from ..sim.events import Simulator
+from ..sim.events import URGENT, Event, Simulator
 from ..sim.network import Endpoint, Network, RpcTimeout
 from ..sim.process import timeout
 from ..sim.rng import RngRegistry
@@ -145,6 +160,28 @@ def fewest_in_flight(members, in_flight: Dict[str, int], rng) -> str:
         elif n == fewest:
             best.append(member)
     return rng.choice(best)
+
+
+class _Try(Event):
+    """One strong try while holding is on: what its op waits on.  The
+    RPC's reply or deadline triggers it through :meth:`relay`, unless a
+    sibling op's leadership news ended it first (``woken``): then the
+    RPC may still be on the wire, and its outcome is ignored."""
+
+    __slots__ = ("target", "woken")
+
+    def __init__(self, sim: Simulator, target: str):
+        super().__init__(sim)
+        self.target = target
+        self.woken = False
+
+    def relay(self, rpc: Event) -> None:
+        if self.woken:
+            return
+        if rpc.ok:
+            self.succeed(rpc.result())
+        else:
+            self.fail(rpc.exception)
 
 
 class SpinnakerClient:
@@ -182,9 +219,16 @@ class SpinnakerClient:
         self._leader_cache: Dict[int, str] = {}
         # replica -> this client's timeline reads awaiting its reply
         self._reads_in_flight: Dict[str, int] = {}
+        # Holding only, per cohort: the members any of this client's
+        # ops timed out on until one answers ``ok``, and, once there is
+        # one, its strong tries in flight (an ordered set) — what a
+        # sibling's news may end.
+        self._tries: Dict[int, Dict[_Try, None]] = {}
+        self._suspects: Dict[int, set] = {}
         self.ops_completed = 0
         self.retries = 0
         self.map_refreshes = 0
+        self.tries_woken = 0
 
     @property
     def map_version(self) -> int:
@@ -424,18 +468,28 @@ class SpinnakerClient:
                     ctx.last_sent_at = now
                 if reads is not None:
                     reads[target] = reads.get(target, 0) + 1
+                wait = rpc = self.endpoint.request(target, msg, size=size,
+                                                   timeout=per_try)
+                if hold and self._suspects.get(cohort.cohort_id):
+                    wait = _Try(sim, target)
+                    tries = self._tries.setdefault(cohort.cohort_id, {})
+                    tries[wait] = None
+                    rpc.add_callback(wait.relay)
                 try:
                     try:
-                        reply = yield self.endpoint.request(
-                            target, msg, size=size, timeout=per_try)
+                        reply = yield wait
                     finally:
                         if reads is not None:
                             reads[target] -= 1
+                        if wait is not rpc:
+                            tries.pop(wait, None)
                 except RpcTimeout:
                     attempt += 1
                     self.retries += 1
                     timed_out.add(target)
                     if hold:
+                        self._suspects.setdefault(cohort.cohort_id,
+                                                  set()).add(target)
                         target = self._next_target(cohort, target,
                                                    timed_out)
                         msg = replace(msg, timed_out=tuple(sorted(timed_out)),
@@ -449,6 +503,9 @@ class SpinnakerClient:
                 if reply["ok"]:
                     if strong:
                         self._leader_cache[cohort.cohort_id] = target
+                    if hold and target in self._suspects.get(
+                            cohort.cohort_id, ()):
+                        self._suspects[cohort.cohort_id].discard(target)
                     self.ops_completed += 1
                     result = reply["result"]
                     break
@@ -467,6 +524,8 @@ class SpinnakerClient:
                 self.retries += 1
                 hint = reply.get("hint")
                 if hold and reply.get("news"):
+                    if wait is rpc or not wait.woken:
+                        self._wake(cohort.cohort_id, reply)
                     # Follow leadership news at once, once per member
                     # at most: past that, stale views naming each other
                     # would spin, so it backs off like a hint.
@@ -497,6 +556,11 @@ class SpinnakerClient:
                     # would just burn the op deadline.
                     target = self._next_target(cohort, target)
                 yield timeout(sim, self._backoff(attempt, deadline))
+                if hold:
+                    # Pick the target after the backoff: a sibling's
+                    # news may have named the leader meanwhile.
+                    target = self._leader_cache.get(cohort.cohort_id,
+                                                    target)
                 now = sim.now
         except BaseException as exc:
             if ctx is not None:
@@ -508,6 +572,25 @@ class SpinnakerClient:
             tracer.span_at(ctx, "reply", self.name, start=start)
             tracer.finish(ctx.root)
         return result
+
+    def _wake(self, cohort_id: int, news: dict) -> None:
+        """End every strong try of this client on the cohort whose
+        target some op timed out on and is not the leader ``news``
+        names: each op handles ``news`` as if it had got it itself, at
+        this instant but after the op that got it has moved on.  A try
+        to a member no op timed out on may be served: it waits."""
+        suspects = self._suspects.get(cohort_id)
+        if not suspects:
+            return
+        leader = news["hint"]
+        tries = self._tries[cohort_id]
+        ended = [t for t in tries
+                 if t.target in suspects and t.target != leader]
+        for t in ended:
+            del tries[t]
+            t.woken = True
+            self.tries_woken += 1
+            self.sim.schedule(0.0, partial(t.succeed, news), URGENT)
 
     def _backoff(self, attempt: int, deadline: float) -> float:
         """Jittered exponential backoff for retry ``attempt`` (1-based),

@@ -1,6 +1,8 @@
 """Failure and recovery tests: leader failover, follower catch-up,
 availability guarantees (§6, §7, §8.1)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core import (RequestTimeout, Role, SpinnakerCluster,
@@ -431,12 +433,31 @@ def rtt(cluster):
     return cluster.network.rtt_bound(size_bytes=128)
 
 
+def spy_sends(monkeypatch, client):
+    """Record (time, member, key) for each of ``client``'s tries."""
+    sent = []
+    request = client.endpoint.request
+
+    def spy(dst, payload, **kw):
+        key = (payload.key if isinstance(payload, ClientGet)
+               else payload.ops[0].key)
+        sent.append((client.sim.now, dst, key))
+        return request(dst, payload, **kw)
+
+    monkeypatch.setattr(client.endpoint, "request", spy)
+    return sent
+
+
 def test_ops_held_when_the_cohort_opens_complete_within_a_service_time(
         monkeypatch):
     """Strong gets and puts issued through the outage: those held when
-    the cohort opens are answered by the open and served on their
-    re-send, one leader service time and two round trips on."""
-    from repro.core.config import (READ_SERVICE, STRONG_READ_OVERHEAD)
+    the cohort opens are answered by the open, and those whose try to
+    the dead leader is in flight then are ended by a sibling's news of
+    it.  Both re-send at once, so they reach the new leader in one
+    burst: its cores drain the ops pending at the open, a leader service
+    time per ``CORES_PER_NODE`` of them, and two round trips on."""
+    from repro.core.config import (CORES_PER_NODE, READ_SERVICE,
+                                   STRONG_READ_OVERHEAD)
     from repro.core.replication import CohortReplica
     cluster, members, old = outage_cluster()
     keys = keys_for_cohort(cluster, 0, 40)
@@ -461,20 +482,24 @@ def test_ops_held_when_the_cohort_opens_complete_within_a_service_time(
     get_time = quiet(clients[0].get(keys[0], b"c", consistent=True))
     assert get_time < READ_SERVICE + STRONG_READ_OVERHEAD + rtt(cluster)
 
+    sent = [spy_sends(monkeypatch, client) for client in clients]
     held_at_open = {}           # key -> the open's time
+    pending_at_open = []
+    done = {}
     release = CohortReplica.release_held
 
-    def spy(replica):
+    def spy_release(replica):
         if (replica.cohort_id == 0 and replica.is_leader
-                and replica.open_for_writes and not held_at_open):
+                and replica.open_for_writes and not pending_at_open):
             now = cluster.sim.now
             for name in members:
                 for req in cluster.replica(name, 0)._held:
                     held_at_open[req.payload.key] = now
+            pending_at_open.append((now, {key for log in sent
+                                          for _, _, key in log} - set(done)))
         release(replica)
 
-    monkeypatch.setattr(CohortReplica, "release_held", spy)
-    done = {}
+    monkeypatch.setattr(CohortReplica, "release_held", spy_release)
     cluster.kill_leader(0, skip_detection=False)
 
     def one(client, key, is_write):
@@ -492,12 +517,25 @@ def test_ops_held_when_the_cohort_opens_complete_within_a_service_time(
     spawn(cluster.sim, issue())
     cluster.run_until(lambda: len(done) == len(keys) - 4, limit=30.0,
                       what="every op")
+    (opened, pending), = pending_at_open
+    # Woken: in flight to the dead leader at the open, and sent on before
+    # that try's deadline.
+    per_try = cluster.config.client_try_timeout
+    woken = {}
+    for log in sent:
+        for key in pending:
+            tries = [(at, dst) for at, dst, k in log if k == key]
+            for (at, dst), (then, _) in zip(tries, tries[1:]):
+                if dst == old and at <= opened < then < at + per_try:
+                    woken[key] = opened
     # Answered together at the open, a put may queue behind the burst's
     # gets and batches: a leader service time is the slower kind's.
     service = max(put_time, get_time)
-    assert len(held_at_open) >= 4
-    for key, opened in held_at_open.items():
-        assert done[key] - opened <= service + 2 * rtt(cluster), key
+    burst = -(-len(pending) // CORES_PER_NODE)
+    assert len(held_at_open) >= 4 and woken
+    for key, at in {**held_at_open, **woken}.items():
+        assert done[key] - at <= burst * service + 2 * rtt(cluster), key
+    assert sum(c.tries_woken for c in clients) >= len(woken)
     stats = cluster.stats()["nodes"]
     assert sum(n["holds_ended_news"] for n in stats.values()) >= len(
         held_at_open)
@@ -660,3 +698,168 @@ def test_default_timeouts_resend_the_message_unchanged(monkeypatch):
     assert (first.timed_out, first.hold) == ((), 0.0)
     assert sum(n["requests_held"]
                for n in cluster.stats()["nodes"].values()) == 0
+
+
+# -- a sibling's news ends the tries to the dead leader ----------------------
+#
+# Holding on, a client keeps its strong tries in flight and the members
+# any of its ops timed out on; news of a leader ends its other tries to
+# such a member (core/api.py, ``SpinnakerClient._wake``).
+
+def news_while_in_flight(monkeypatch):
+    """Kill cohort 0's leader with slow detection; one put times out on
+    it and is held at a follower.  A strong put and a strong get then
+    start their try to the dead leader, and its session is expired so
+    the held put gets news of the new leader while they are in flight.
+    Returns the run: ``cluster``, ``client``, ``keys`` (held, put, get),
+    ``news`` (its time), ``sent`` (each try), ``done`` and ``results``
+    (by key)."""
+    from repro.core.replication import CohortReplica
+    cluster, members, old = outage_cluster()
+    client = cluster.client()
+    keys = keys_for_cohort(cluster, 0, 3)
+    for key in keys:
+        run_client(cluster, client.put(key, b"c", b"v1"))
+    news = []
+    answer = CohortReplica._news
+
+    def spy(replica, req):
+        news.append(cluster.sim.now)
+        answer(replica, req)
+
+    monkeypatch.setattr(CohortReplica, "_news", spy)
+    sent = spy_sends(monkeypatch, client)
+    session = cluster.nodes[old].zk.session
+    t0 = cluster.sim.now
+    cluster.kill_leader(0, skip_detection=False)
+    done, results = {}, {}
+
+    def one(key, op, delay):
+        yield timeout(cluster.sim, delay)
+        results[key] = yield from op()
+        done[key] = cluster.sim.now
+
+    held, put, get = keys
+    spawn(cluster.sim, one(held, lambda: client.put(held, b"c", b"v2"), 0))
+    spawn(cluster.sim, one(put, lambda: client.put(put, b"c", b"v2"), 0.255))
+    spawn(cluster.sim, one(get, lambda: client.get(get, b"c", True), 0.255))
+    cluster.run(0.26)
+    assert [dst for _, dst, key in sent if key == held] == [old, members[1]]
+    assert [dst for _, dst, key in sent if key != held] == [old, old]
+    cluster.coord.expire_session_now(session)
+    cluster.run_until(lambda: len(done) == 3, limit=10.0, what="the ops")
+    assert len(news) == 1 and news[0] < t0 + 0.255 + 0.25
+    return SimpleNamespace(cluster=cluster, client=client, keys=keys,
+                           news=news[0], sent=sent, done=done,
+                           results=results)
+
+
+def quiet_service(cluster, client, key):
+    """The slower of a quiet strong put's and get's latency."""
+    def timed():
+        t0 = cluster.sim.now
+        yield from client.put(key, b"c", b"v")
+        t1 = cluster.sim.now
+        yield from client.get(key, b"c", consistent=True)
+        return max(t1 - t0, cluster.sim.now - t1)
+    return run_client(cluster, timed())
+
+
+def test_tries_to_the_dead_leader_end_at_a_siblings_news(monkeypatch):
+    """A strong put and get in flight to the dead leader are ended by a
+    sibling's news and complete one service time and two round trips
+    after it, not at their try's deadline."""
+    run = news_while_in_flight(monkeypatch)
+    cluster, client = run.cluster, run.client
+    service = quiet_service(cluster, client, run.keys[0])
+    for key in run.keys[1:]:
+        assert run.done[key] - run.news <= service + 2 * rtt(cluster), key
+    assert client.tries_woken == 2
+    assert client.retries == 1 + 1 + 2     # timeout, news, 2 woken
+    assert cluster.all_failures() == []
+
+
+def test_a_woken_write_commits_exactly_once(monkeypatch):
+    run = news_while_in_flight(monkeypatch)
+    cluster, client, results = run.cluster, run.client, run.results
+    put, get = run.keys[1:]
+    # Ended before its try's deadline, and re-sent to the new leader:
+    (first, old, _), (resent, leader, _) = [
+        t for t in run.sent if t[2] == put]
+    assert resent < first + 0.25 and leader != old
+    assert results[put].version == 2
+    assert (results[get].value, results[get].version) == (b"v1", 1)
+    got = run_client(cluster, client.get(put, b"c", consistent=True))
+    assert (got.value, got.version) == (b"v2", 2)
+    assert cluster.all_failures() == []
+
+
+def test_a_try_held_at_a_live_follower_is_not_ended_by_news(monkeypatch):
+    """News ends only tries to members the client timed out on: one held
+    at a live follower gets that follower's own answer, and a sibling's
+    try to the dead leader is ended."""
+    cluster, members, old = outage_cluster()
+    follower, other = members[1], members[2]
+    client = cluster.client()
+    held, asks, woken = keys_for_cohort(cluster, 0, 3)
+    for key in (held, asks, woken):
+        run_client(cluster, client.put(key, b"c", b"v1"))
+    sent = spy_sends(monkeypatch, client)
+    t0 = cluster.sim.now
+    cluster.kill_leader(0, skip_detection=False)
+
+    def put(key, delay):
+        yield timeout(cluster.sim, delay)
+        return (yield from client.put(key, b"c", b"v2"))
+
+    # ``woken`` starts its try after ``held`` timed out on the dead
+    # leader: from then on the client tracks its tries to the cohort.
+    ops = [spawn(cluster.sim, put(held, 0)),
+           spawn(cluster.sim, put(asks, 0.02)),
+           spawn(cluster.sim, put(woken, 0.255))]
+    cluster.run(0.26)
+    replica = cluster.replica(follower, 0)
+    assert replica._held and replica.leader == old
+    # The follower's view moves to ``other`` without releasing its hold:
+    # ``asks``, timed out on the dead leader, is told ``other`` as news.
+    replica.leader = other
+    cluster.run(t0 + 0.37 - cluster.sim.now)   # the hold runs out at 0.375
+    news = next(at for at, dst, key in sent
+                if key == asks and dst == other)
+    assert [(dst, at) for at, dst, key in sent if key == woken][:2] == [
+        (old, t0 + 0.255), (other, news)]
+    assert client.tries_woken == 1
+    assert [dst for _, dst, key in sent if key == held] == [old, follower]
+    assert replica._held and replica.holds_expired == 0
+    cluster.run(0.03)                     # the hold, then a backoff
+    assert replica.holds_expired == 1     # the follower's own answer:
+    assert [dst for _, dst, key in sent if key == held][2:] == [other]
+    cluster.run_until(lambda: all(op.triggered for op in ops), limit=10.0,
+                      what="the puts")
+    assert all(op.result().version == 2 for op in ops)
+    assert cluster.all_failures() == []
+
+
+def test_default_timeouts_track_and_end_nothing(monkeypatch):
+    """With 2 s tries nothing is held, so no try is tracked or ended,
+    though ops of one client overlap the dead leader's outage."""
+    cluster = make_cluster()
+    client = cluster.client()
+    keys = keys_for_cohort(cluster, 0, 4)
+    for key in keys:
+        run_client(cluster, client.put(key, b"c", b"v1"))
+    cluster.kill_leader(0, skip_detection=False)
+
+    def op(i, key):
+        yield timeout(cluster.sim, 0.3 * i)
+        if i % 2:
+            return (yield from client.get(key, b"c", consistent=True))
+        return (yield from client.put(key, b"c", b"v2"))
+
+    ops = [spawn(cluster.sim, op(i, key)) for i, key in enumerate(keys)]
+    cluster.run_until(lambda: all(o.triggered for o in ops), limit=30.0,
+                      what="the ops")
+    assert client.retries > 0 and all(o.ok for o in ops)
+    assert (client.tries_woken, client._tries, client._suspects) == (0, {},
+                                                                     {})
+    assert cluster.all_failures() == []

@@ -28,7 +28,7 @@ SIM_DIGESTS = {
     "mixed_openloop":
         "ddf5ec2f522c1d54f6910e50d9a3299d8f2ebfcd741cd6ca04f295d29077b2cf",
     "failover":
-        "19cac9a99d9adf19ac5da0eb40614ba3bf74fceb1e69da414fca9259d0d4bb9e",
+        "47e43d323c4cc928f8f47c37acd2f13604bc92b306f10290da64ed3247c63bdb",
 }
 
 
