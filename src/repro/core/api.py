@@ -55,12 +55,13 @@ leader cache, and walks one request through these transitions until an
                                as a hint.
 ``in flight -> ended by a sibling's news``  holding only: another op
                                of this client got news naming leader L,
-                               and this try's target is a member some
-                               op of the client timed out on (and has
-                               not since answered ``ok``), not L.  It
-                               is handled as that news: re-sent to L at
-                               once.  A try to a member the client has
-                               not timed out on is never ended.
+                               and this try's target, not L, is a
+                               member some op of the client had timed
+                               out on when it was sent (and has not
+                               since answered ``ok``).  It is handled
+                               as that news: re-sent to L at once.  A
+                               try to a member the client has not timed
+                               out on is never ended.
 ``send -> not-leader/unavailable``  follow the ``hint`` if given, else
                                rotate; jittered exponential backoff
                                (``CLIENT_RETRY_BACKOFF`` doubling up to
@@ -220,8 +221,8 @@ class SpinnakerClient:
         # replica -> this client's timeline reads awaiting its reply
         self._reads_in_flight: Dict[str, int] = {}
         # Holding only, per cohort: the members any of this client's
-        # ops timed out on until one answers ``ok``, and, once there is
-        # one, its strong tries in flight (an ordered set) — what a
+        # ops timed out on until one answers ``ok``, and its strong
+        # tries in flight to such a member (an ordered set) — what a
         # sibling's news may end.
         self._tries: Dict[int, Dict[_Try, None]] = {}
         self._suspects: Dict[int, set] = {}
@@ -470,7 +471,8 @@ class SpinnakerClient:
                     reads[target] = reads.get(target, 0) + 1
                 wait = rpc = self.endpoint.request(target, msg, size=size,
                                                    timeout=per_try)
-                if hold and self._suspects.get(cohort.cohort_id):
+                if hold and target in self._suspects.get(cohort.cohort_id,
+                                                         ()):
                     wait = _Try(sim, target)
                     tries = self._tries.setdefault(cohort.cohort_id, {})
                     tries[wait] = None
@@ -574,16 +576,16 @@ class SpinnakerClient:
         return result
 
     def _wake(self, cohort_id: int, news: dict) -> None:
-        """End every strong try of this client on the cohort whose
+        """End every tracked try of this client on the cohort whose
         target some op timed out on and is not the leader ``news``
         names: each op handles ``news`` as if it had got it itself, at
         this instant but after the op that got it has moved on.  A try
         to a member no op timed out on may be served: it waits."""
         suspects = self._suspects.get(cohort_id)
-        if not suspects:
+        tries = self._tries.get(cohort_id)
+        if not (suspects and tries):
             return
         leader = news["hint"]
-        tries = self._tries[cohort_id]
         ended = [t for t in tries
                  if t.target in suspects and t.target != leader]
         for t in ended:
