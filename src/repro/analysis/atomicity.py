@@ -77,7 +77,7 @@ ATOMICITY_RULES: Dict[str, str] = {
 #: must re-check after any yield before acting on a snapshot of them.
 DEFAULT_GUARD_ATTRS: FrozenSet[str] = frozenset({
     "epoch", "term", "role", "leader", "is_leader", "open_for_writes",
-    "alive", "migrating", "electing", "status", "map_version",
+    "alive", "migrating", "status", "map_version",
 })
 #: Substrings that make any attribute or parameter name guard-like.
 _GUARD_MARKERS = ("epoch", "term", "version", "generation", "leader",
@@ -85,7 +85,7 @@ _GUARD_MARKERS = ("epoch", "term", "version", "generation", "leader",
 #: Attribute names that count as replicated/protocol state for the
 #: write-after-yield rule, beyond the name markers below.
 _STATE_EXACT = frozenset({
-    "open_for_writes", "migrating", "electing", "alive", "zk",
+    "open_for_writes", "migrating", "alive", "zk",
     "write_block",
 })
 _STATE_MARKERS = ("epoch", "term", "version", "generation", "leader",

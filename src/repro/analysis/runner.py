@@ -5,7 +5,7 @@ the names of generator functions handed to ``spawn``-like calls plus
 every ``yield from`` delegation edge — a process body is often defined
 in one module and spawned from another (``leader_monitor`` lives in
 ``election.py``, is spawned by ``node.py``), and its delegates
-(``run_election`` -> ``_bump_epoch``) may live in yet another.  The
+(``run_election`` -> ``_set_epoch``) may live in yet another.  The
 spawn set is closed over the edge graph *across modules* so the
 yield-discipline and atomicity rules see the full process closure.
 Functions *parked* to run after a scheduling point (handed to the

@@ -1,10 +1,8 @@
-"""Coordination recipes: group membership and the cohort-map board.
+"""Coordination recipes: group membership.
 
 "The combination of primitives supported by Zookeeper make it fairly easy
 to implement distributed locks, barriers, group membership, and so on"
-(§4.2).  These are the constructions Spinnaker uses: its event handler
-joins a group, and a migration publishes the new map version on a
-monotonically versioned board.
+(§4.2).  Spinnaker's event handler joins a group.
 """
 
 from __future__ import annotations
@@ -12,9 +10,9 @@ from __future__ import annotations
 from typing import Optional
 
 from .client import CoordClient
-from .znode import CoordError, NoNodeError, NodeExistsError
+from .znode import NoNodeError, NodeExistsError
 
-__all__ = ["GroupMembership", "CohortMapBoard"]
+__all__ = ["GroupMembership"]
 
 
 class GroupMembership:
@@ -47,43 +45,3 @@ class GroupMembership:
             self.member_path = yield from self.client.create(
                 path, data=data, ephemeral=True)
         return self.member_path
-
-
-class CohortMapBoard:
-    """A monotonically versioned announcement board for the cohort map.
-
-    The migration leader publishes the new map version here after the
-    membership-change record commits; the znode holds ``<version>`` and
-    only moves forward (publish compare-and-sets the znode version).
-    Nothing reads the board back: clients learn a map from the cohorts.
-    """
-
-    path = "/map"
-
-    def __init__(self, client: CoordClient):
-        self.client = client
-
-    # `version` is the value being published, not a guard; the znode
-    # compare-and-set arbitrates races.
-    # lint: allow(stale-guard-across-yield)
-    def publish(self, version: int):
-        """Advance the board to ``version``; ``yield from`` me.  Returns
-        True if this call advanced it, False if it was already there."""
-        data = str(version).encode()
-        while True:
-            try:
-                cur, zver = yield from self.client.get(self.path)
-            except NoNodeError:
-                try:
-                    yield from self.client.create(self.path, data=data)
-                    return True
-                except NodeExistsError:
-                    continue
-            if int(cur or b"0") >= version:
-                return False
-            try:
-                yield from self.client.set_data(self.path, data,
-                                                version=zver)
-                return True
-            except CoordError:
-                continue    # raced; re-read and re-check monotonicity

@@ -1,27 +1,30 @@
 """Leader election via the coordination service (§7, Fig. 7).
 
-Per cohort, election state lives under ``/cohorts/<r>``:
+Per cohort, election state lives in the children of ``/cohorts/<r>``:
 
-* ``candidates/`` — sequential ephemeral znodes, one per candidate, each
-  holding the candidate's last LSN (n.lst);
+* ``epoch`` — persistent counter, bumped by each winner before it
+  accepts writes, so new LSNs exceed anything previously used
+  (Appendix B); a missing ``epoch`` reads as 0;
 * ``leader`` — ephemeral znode naming the leader (its deletion, via
   session expiry, is the failure signal that triggers re-election);
-* ``epoch`` — persistent counter, bumped by the winner before it accepts
-  writes, so new LSNs exceed anything previously used (Appendix B).
+* ``c-<epoch>-<n.lst>-<node>-<seq>`` — the announcements: sequential
+  ephemeral znodes whose *name* carries the round's epoch, the
+  candidate's last LSN (n.lst) and its node.
 
-The protocol: announce yourself under ``candidates/``, wait until a
-majority of the cohort appears, pick the candidate with the max n.lst
-(znode sequence numbers break ties), and let the winner atomically claim
-``leader`` (ephemeral create — losers of the create race just follow).
-The winner then runs leader takeover (Fig. 6).
-
-Safety argument (§7.2): a committed write is in the logs of ≥ 2 of 3
-nodes; ≥ 2 nodes participate in the election; hence some participant
-holds the last committed write, and the max-n.lst rule makes that node
-(or one at least as current) the leader.
+A round reads ``epoch``, checks that no ``leader`` exists, announces,
+and reads the cohort's children (with a watch) until :func:`tally`
+names a winner: each member counts once, by its latest announcement of
+the round's epoch; the max n.lst wins and placement order breaks ties.
+The winner claims ``leader`` (an ephemeral create — the loser of a
+create race follows), bumps ``epoch`` by a compare-and-set from the
+version its round read, and runs leader takeover (Fig. 6); everyone
+else follows ``leader`` once it appears.  Why that winner holds every
+committed write (§7.2): PROTOCOL.md, *Leader election*.
 """
 
 from __future__ import annotations
+
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..sim.events import Event
 from ..sim.process import timeout
@@ -33,180 +36,164 @@ from .partition import preference_order
 from .recovery import leader_takeover
 from .replication import Role
 
-__all__ = ["run_election", "leader_monitor", "cohort_zk_path"]
+__all__ = ["run_election", "leader_monitor", "cohort_zk_path", "tally"]
 
 
 def cohort_zk_path(cohort_id: int) -> str:
     return f"/cohorts/{cohort_id}"
 
 
-def _candidate_seq(name: str) -> int:
-    return int(name.rsplit("-", 1)[1])
+def tally(children: Sequence[str], epoch: int, members: Sequence[str],
+          majority: int) -> Optional[str]:
+    """The round's winner, or None while fewer than ``majority`` members
+    have announced in ``epoch``.
+
+    ``children`` are the cohort znode's children; ``members`` is the
+    cohort in placement-preference order.  Each member counts once, by
+    its latest announcement of ``epoch`` (the highest sequence number: a
+    restarted node's new incarnation, or a later round of the same
+    epoch, supersedes the older znode); an announcement of another epoch,
+    or of a node that is not a member, counts for nothing.  The max
+    n.lst wins, and of equal n.lsts the member earliest in ``members``:
+    a re-announcement that keeps its n.lst cannot move the winner.
+    """
+    latest: Dict[str, Tuple[int, LSN]] = {}
+    for name in children:
+        if not name.startswith("c-"):
+            continue                        # ``epoch``, ``leader``
+        _, their_epoch, n_lst, rest = name.split("-", 3)
+        member, seq = rest.rsplit("-", 1)
+        if int(their_epoch) != epoch or member not in members:
+            continue
+        if member not in latest or int(seq) > latest[member][0]:
+            latest[member] = (int(seq), LSN(*map(int, n_lst.split("."))))
+    if len(latest) < majority:
+        return None
+    return max(latest, key=lambda m: (latest[m][1], -members.index(m)))
 
 
 def run_election(replica):
     """One election round; ``yield from`` me.
 
-    Returns the leader's name if one was determined this round (by us
-    winning, or by reading ``leader``), or None if the round was
-    inconclusive (caller — the leader monitor — retries).
+    Returns False when this replica may not stand (the caller backs
+    off), else True once the round is over — won, a ``leader`` appeared,
+    or the named winner did not claim in time — and the caller reads
+    ``leader`` again.
     """
-    node, cfg = replica.node, replica.node.config
-    zk = node.zk
-    sim = node.sim
+    node = replica.node
+    zk, sim = node.zk, node.sim
     root = cohort_zk_path(replica.cohort_id)
     if node.name not in replica.cohort.members:
         # A prepared joiner (replace move, pre-switch) is a learner, not
         # a voter: its near-empty log must never count toward the
         # majority whose max-n.lst rule guarantees a committed-data
         # holder wins (§7.2).  It follows whatever leader emerges.
-        return None
+        return False
     if node.replicas.get(replica.cohort_id) is not replica:
-        return None     # retired (or replaced) while the monitor slept
-    if replica.electing:
-        return None
-    replica.electing = True
+        return False    # retired (or replaced) while the monitor slept
+    if replica.role == Role.FOLLOWER:
+        replica.role = Role.CANDIDATE
+    # Lines 1-4: read the epoch, then check that no term has begun —
+    # an announcement made while a leader serves could carry an n.lst
+    # that the leader's writes overtake.
+    epoch, version = yield from _read_epoch(zk, root)
     try:
-        if replica.role != Role.LEADER:
-            replica.role = (Role.CANDIDATE
-                            if replica.role == Role.FOLLOWER
-                            else replica.role)
-        yield from zk.ensure_path(f"{root}/candidates")
-        # Lines 1 & 4: announce our last LSN in a sequential ephemeral
-        # znode.  If our candidate znode from a previous round still
-        # exists with the same n.lst we keep it — deleting and recreating
-        # every round can livelock two candidates that keep invalidating
-        # each other's view of /candidates mid-round.
-        # First announcement in a round: stagger by placement order so
-        # that when every candidate ties on n.lst (bootstrap, preloaded
-        # clusters) the sequence-number tie-break resolves to the
-        # base-range owner (Fig. 2), spreading leadership one cohort per
-        # node.  On a placed topology with a preferred (client-majority)
-        # datacenter, preference_order puts that DC's replicas first so
-        # bootstrap leadership lands next to the clients.  Pure timing
-        # bias — whenever logs differ the max-n.lst rule dominates.
-        order = preference_order(replica.cohort.members,
-                                 node.network.topology)
-        position = order.index(node.name)
-        if position and replica.candidate_path is None:
-            yield timeout(sim, 0.04 * position)
-        n_lst = node.n_lst(replica.cohort_id)
-        announce = str(n_lst.to_int()).encode()
-        reuse = False
-        if replica.candidate_path is not None:
-            try:
-                data, _ = yield from zk.get(replica.candidate_path)
-                if data == announce:
-                    reuse = True
-                else:
-                    yield from zk.delete(replica.candidate_path)
-            except CoordError:
-                pass
-        if not reuse:
-            replica.candidate_path = yield from zk.create(
-                f"{root}/candidates/c-", data=announce,
-                ephemeral=True, sequential=True)
-        node.trace("election", "candidate announced",
-                   cohort=replica.cohort_id, n_lst=str(n_lst))
-        my_name = replica.candidate_path.rsplit("/", 1)[1]
-        # Line 5: wait for a majority of the cohort.
-        majority = cfg.majority
-        while True:
-            changed = Event(sim)
+        if "leader" in (yield from zk.get_children(root)):
+            return True
+    except NoNodeError:
+        pass            # the cohort's first round
+    order = preference_order(replica.cohort.members, node.network.topology)
+    if epoch == 0:
+        # A cohort that never had a leader: stagger by placement order,
+        # so that the first majority to announce — every n.lst tied —
+        # holds the base-range owner (Fig. 2), one leader per node.  On
+        # a placed topology with a preferred (client-majority)
+        # datacenter, preference_order puts that DC's replicas first.
+        yield timeout(sim, 0.04 * order.index(node.name))
+    n_lst = node.n_lst(replica.cohort_id)
+    announce = f"{root}/c-{epoch}-{n_lst}-{node.name}-"
+    try:
+        yield from zk.create(announce, ephemeral=True, sequential=True)
+    except NoNodeError:
+        yield from zk.ensure_path(root)
+        yield from zk.create(announce, ephemeral=True, sequential=True)
+    node.trace("election", "candidate announced",
+               cohort=replica.cohort_id, epoch=epoch, n_lst=str(n_lst))
+    # Lines 5-6 and 11: read the round until a majority has announced
+    # and the winner claims ``leader`` — a bounded wait once a winner
+    # is named, since it may die first.
+    deadline = None
+    while True:
+        changed = Event(sim)
 
-            def _on_change(_ev, target=changed):
-                if not target.triggered:
-                    target.succeed()
+        def _wake(_ev, target=changed):
+            if not target.triggered:
+                target.succeed()
 
-            kids = yield from zk.get_children(f"{root}/candidates",
-                                              watcher=_on_change)
-            if len(kids) >= majority:
-                break
-            yield changed
-            if not node.alive:
-                return None
-        # Line 6: the candidate with the max n.lst wins; znode sequence
-        # numbers break ties (lowest wins — first to announce).
-        candidates = []
-        for kid in kids:
-            try:
-                data, _version = yield from zk.get(
-                    f"{root}/candidates/{kid}")
-            except NoNodeError:
-                continue  # candidate died (or re-announced) mid-round
-            candidates.append((LSN.from_int(int(data)),
-                               -_candidate_seq(kid), kid))
-        if len(candidates) < majority:
-            # Our snapshot went stale mid-round; back off with jitter so
-            # two candidates cannot invalidate each other in lockstep.
-            yield timeout(sim, ELECTION_RETRY
-                          * node.rng_stream.uniform(0.1, 0.5))
-            return None
-        candidates.sort(reverse=True)
-        winner = candidates[0][2]
-        if winner == my_name:
-            # Lines 7-9: claim leadership and take over.
-            try:
-                yield from zk.create(f"{root}/leader",
-                                     data=node.name.encode(),
-                                     ephemeral=True)
-            except NodeExistsError:
-                data, _ = yield from zk.get(f"{root}/leader")
-                replica.set_leader(data.decode())
-                return replica.leader
-            yield from _bump_epoch(replica, zk, root)
-            replica.set_leader(node.name)
-            node.trace("election", "won election",
-                       cohort=replica.cohort_id, epoch=replica.epoch)
-            yield from leader_takeover(replica)
-            return node.name
-        # Line 11: learn the new leader (bounded wait; monitor retries).
-        try:
-            data, _ = yield from zk.get(f"{root}/leader")
-        except NoNodeError:
-            yield timeout(sim, ELECTION_RETRY)
-            try:
-                data, _ = yield from zk.get(f"{root}/leader")
-            except NoNodeError:
-                return None  # winner may have died; run another round
-        replica.set_leader(data.decode())
-        node.trace("election", "following", cohort=replica.cohort_id,
-                   leader=replica.leader)
-        return replica.leader
-    finally:
-        # This process owns the flag: the re-entrancy gate at the
-        # top makes it the only setter.
-        # lint: allow(write-after-yield-unguarded)
-        replica.electing = False
+        kids = yield from zk.get_children(root, watcher=_wake)
+        if "leader" in kids:
+            return True
+        winner = tally(kids, epoch, order, node.config.majority)
+        if winner == node.name:
+            break
+        if winner is not None:
+            if deadline is None:
+                deadline = sim.now + ELECTION_RETRY
+            elif sim.now >= deadline:
+                return True
+            timeout(sim, deadline - sim.now).add_callback(_wake)
+        yield changed
+    # Lines 7-9: claim leadership, bump the epoch from the version this
+    # round read, take over.
+    try:
+        yield from zk.create(f"{root}/leader", data=node.name.encode(),
+                             ephemeral=True)
+    except NodeExistsError:
+        return True
+    if not (yield from _set_epoch(replica, zk, root, epoch, version)):
+        # The epoch moved since this round read it: a term began in
+        # between, whose writes the round's announcements may predate.
+        yield from zk.delete(f"{root}/leader")
+        return True
+    replica.set_leader(node.name)
+    node.trace("election", "won election",
+               cohort=replica.cohort_id, epoch=replica.epoch)
+    yield from leader_takeover(replica)
+    return True
 
 
-def _bump_epoch(replica, zk, root: str):
-    """Increment the cohort's epoch before accepting writes (App. B).
+def _read_epoch(zk, root: str):
+    """``(epoch, version)`` of the cohort's epoch; ``(0, None)`` while
+    the znode does not exist."""
+    try:
+        data, version = yield from zk.get(f"{root}/epoch")
+    except NoNodeError:
+        return 0, None
+    return int(data), version
+
+
+def _set_epoch(replica, zk, root: str, epoch: int,
+               version: Optional[int]):
+    """Compare-and-set the cohort's epoch from what a read returned
+    (App. B); returns False if the znode moved since that read.
 
     The new epoch must exceed both the stored value and any epoch this
     node has locally witnessed (in its log, or via messages) — a restart
     can know a higher epoch than a coordination service that lost its
     ``epoch`` znode would otherwise hand out.
     """
-    while True:
-        try:
-            data, version = yield from zk.get(f"{root}/epoch")
-        except NoNodeError:
-            try:
-                yield from zk.create(f"{root}/epoch", b"0")
-            except NodeExistsError:
-                pass
-            continue
-        new_epoch = max(int(data), replica.epoch) + 1
-        try:
-            yield from zk.set_data(f"{root}/epoch",
-                                   str(new_epoch).encode(), version=version)
-        except BadVersionError:
-            continue  # somebody raced us; re-read
-        # Merge, don't assign: the CAS yielded, and a message handler
-        # may have adopted an even higher epoch in the meantime.
-        replica.epoch = max(replica.epoch, new_epoch)
-        return
+    new_epoch = max(epoch, replica.epoch) + 1
+    path, data = f"{root}/epoch", str(new_epoch).encode()
+    cas = (zk.create(path, data) if version is None
+           else zk.set_data(path, data, version=version))
+    try:
+        yield from cas
+    except (BadVersionError, NodeExistsError):
+        return False
+    # Merge, don't assign: the CAS yielded, and a message handler may
+    # have adopted an even higher epoch in the meantime.
+    replica.epoch = max(replica.epoch, new_epoch)
+    return True
 
 
 def assume_leadership(replica):
@@ -236,7 +223,10 @@ def assume_leadership(replica):
         except NoNodeError:
             pass
         return
-    yield from _bump_epoch(replica, zk, root)
+    while True:     # bump the epoch, re-reading until the CAS lands
+        epoch, version = yield from _read_epoch(zk, root)
+        if (yield from _set_epoch(replica, zk, root, epoch, version)):
+            break
     replica.set_leader(node.name)
     yield from leader_takeover(replica)
 
@@ -267,7 +257,7 @@ def leader_monitor(replica):
                 # No leader: stop hinting clients at the dead one; elect.
                 if replica.leader != node.name:
                     replica.leader = None
-                if (yield from run_election(replica)) is None:
+                if not (yield from run_election(replica)):
                     yield timeout(sim, ELECTION_RETRY)
                 continue
             leader = data.decode()

@@ -232,7 +232,6 @@ class SpinnakerNode(NodeHost):
         self.request_tracer = (request_tracer if request_tracer is not None
                                else NullRequestTracer())
         self.coord_name = coord_name
-        self.rng_stream = rng.stream(f"node:{name}")
         self.replicas: Dict[int, CohortReplica] = {
             cohort.cohort_id: CohortReplica(self, cohort)
             for cohort in partitioner.cohorts_of_node(name)
@@ -364,9 +363,10 @@ class SpinnakerNode(NodeHost):
 
     def retire_replica(self, replica: CohortReplica) -> None:
         """This node lost its seat in the cohort: drop the replica and
-        release any election znodes our live session still owns (they
-        are ephemeral, but our session is healthy — nobody would expire
-        them for us)."""
+        release the ``leader`` znode if our live session owns it (it is
+        ephemeral, but our session is healthy — nobody would expire it
+        for us).  Our announcements may stay: no tally counts a node
+        that is not a member."""
         cid = replica.cohort_id
         self.trace("rebalance", "retiring replica", cohort=cid,
                    role=replica.role)
@@ -374,20 +374,15 @@ class SpinnakerNode(NodeHost):
         monitor = self._monitors.pop(cid, None)
         if monitor is not None and monitor.is_alive:
             monitor.interrupt("retired")
-        candidate_path = replica.candidate_path
         replica.step_down()
         replica.role = Role.OFFLINE
         if self.alive and self.zk is not None:
-            self.spawn(self._release_cohort_znodes(self.zk, cid,
-                                                   candidate_path),
+            self.spawn(self._release_cohort_znodes(self.zk, cid),
                        f"retire-{cid}")
 
-    def _release_cohort_znodes(self, zk: CoordClient, cohort_id: int,
-                               candidate_path: Optional[str]):
+    def _release_cohort_znodes(self, zk: CoordClient, cohort_id: int):
         root = cohort_zk_path(cohort_id)
         try:
-            if candidate_path is not None:
-                yield from zk.delete(candidate_path)
             data, _ = yield from zk.get(f"{root}/leader")
             if data == self.name.encode():
                 yield from zk.delete(f"{root}/leader")
@@ -601,10 +596,14 @@ class SpinnakerNode(NodeHost):
                             req: Request) -> None:
         """A RECOVERING peer asks to be caught up (§6.1).  A push
         already streaming to it is the answer, and a leader still in
-        takeover pushes to every peer itself."""
+        takeover pushes to every peer itself — until its re-proposals
+        are out (its stream passes its commit point): a peer that fell
+        RECOVERING since then drops them, and only a push that ends by
+        proposing them again can bring their quorum."""
         follower = req.payload.follower
-        if (replica.is_leader and replica.open_for_writes
-                and follower not in replica.catching_up):
+        if (replica.is_leader and follower not in replica.catching_up
+                and (replica.open_for_writes
+                     or replica.proposed_top > replica.committed_lsn)):
             self.spawn(try_push_catchup(replica, (follower,)),
                        "catchup-push", True)
 

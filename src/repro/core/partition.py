@@ -152,12 +152,13 @@ def preference_order(members: Sequence[str], topology) -> Tuple[str, ...]:
 
     With a placed topology that names a ``preferred_dc`` (the
     datacenter hosting the client majority), replicas in that DC come
-    first — the election's announce stagger follows this order, so at
+    first — the election breaks n.lst ties in this order, and a
+    cohort's first election staggers its announcements by it, so at
     bootstrap (when every candidate ties on n.lst) leadership lands
     next to the clients and strong writes start from the cheap side of
     the WAN.  Ties keep member order; without a topology this is the
-    member tuple unchanged (bit-identical flat behavior).  Pure timing
-    bias: whenever logs differ, the max-n.lst rule dominates.
+    member tuple unchanged.  Whenever logs differ, the max-n.lst rule
+    dominates.
     """
     if topology is None or topology.preferred_dc is None:
         return tuple(members)

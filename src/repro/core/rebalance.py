@@ -31,8 +31,8 @@ Migration state machine (per change, driven by
       CATCHING_UP ──ok────▶ DRAINING        writes blocked, queue drains
       DRAINING ──empty────▶ COMMITTING      membership record replicated
       COMMITTING ──commit─▶ FINISHING       map switched (commit hook);
-                                            old members told, board
-                                            published, joiners re-prepared
+                                            old members told, joiners
+                                            re-prepared
       FINISHING ──────────▶ IDLE            respond {ok: true}
 
     any state ──leader lost / peer timeout──▶ IDLE  (respond {ok: false};
@@ -74,8 +74,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..coord.recipes import CohortMapBoard
-from ..coord.znode import CoordError
 from ..sim.events import Event, SimulationError
 from ..sim.network import RpcTimeout
 from ..sim.process import timeout
@@ -194,8 +192,7 @@ def handle_migration_start(replica, req):
     the switch, so elections and catch-up have somewhere to land) → for
     replaces, bulk catch-up → drain + commit the membership record
     through the old cohort → push commit info to the *old* member set
-    (the commit broadcast already follows the new map) → re-prepare and
-    publish the map version on the coordination board.
+    (the commit broadcast already follows the new map) → re-prepare.
     """
     node = replica.node
     part: RangePartitioner = node.partitioner
@@ -325,7 +322,7 @@ def _prepare_joiners(replica, change: MembershipChange,
 def _finish_migration(replica, change: MembershipChange):
     """Idempotent post-commit side effects: re-prepare every member of
     the target cohort (heals joiners that crashed after the original
-    prepare) and publish the map version on the coordination board."""
+    prepare)."""
     node = replica.node
     part: RangePartitioner = node.partitioner
     # Re-notify retired members (replace): the one-shot post-commit
@@ -351,11 +348,6 @@ def _finish_migration(replica, change: MembershipChange):
                     member, prep, size=128, timeout=TAKEOVER_STATE_TIMEOUT)
             except RpcTimeout:
                 pass    # startup reconciliation / driver retry covers it
-    if node.zk is not None:
-        try:
-            yield from CohortMapBoard(node.zk).publish(part.version)
-        except CoordError:
-            pass        # the next attempt (or operator read) re-publishes
 
 
 # ---------------------------------------------------------------------------

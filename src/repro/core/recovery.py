@@ -365,7 +365,8 @@ def push_catchup(leader_replica, peer: str):
     momentary write block, taken once a bulk page comes back complete.
     Proposes are withheld from a peer in ``catching_up``, so the first
     one it sees after promotion is the pending queue snapshotted with
-    the final page, proposed on top of that page's commit point.
+    the final page — under the block, or a takeover's re-proposals once
+    they are out — proposed on top of that page's commit point.
 
     Raises :class:`~repro.sim.events.SimulationError` (or
     :class:`~repro.sim.network.RpcTimeout`) when the peer cannot be
@@ -398,8 +399,9 @@ def push_catchup(leader_replica, peer: str):
             chunk = build_catchup_chunk(leader_replica, cursor)
             final = not chunk.more and (
                 blocking or not leader_replica.open_for_writes)
-            pending = (tuple(leader_replica.queue)
-                       if final and blocking else ())
+            pending = (tuple(leader_replica.queue) if final and (
+                blocking or leader_replica.proposed_top > chunk.committed_lsn)
+                else ())
             chunk = replace(chunk, final=final, trace=ctx)
             done = None
             for attempt in range(CATCHUP_CHUNK_RETRIES + 1):

@@ -128,8 +128,6 @@ class CohortReplica:
         #: the epoch whose stream the log is a prefix of (PROTOCOL.md)
         self.accepted_epoch = 0
         self.next_seq = 1
-        self.electing = False
-        self.candidate_path: Optional[str] = None
         #: fires when the last holder of the write block releases it
         self.write_block: Optional[Event] = None
         self._write_blockers = 0
@@ -929,8 +927,6 @@ class CohortReplica:
         self.batcher.clear()
         self.queue.clear()
         self.engine.crash()
-        self.electing = False
-        self.candidate_path = None
         self._release_write_block()
         self.catching_up.clear()
         self.holds_crashed += len(self._held)
@@ -950,8 +946,6 @@ class CohortReplica:
         self.migrating = False
         self._clear_traces()
         self.batcher.clear()
-        self.electing = False
-        self.candidate_path = None
         self._release_write_block()
 
     def prepare_restart(self) -> None:

@@ -118,12 +118,26 @@ def test_rule_filter_restricts_findings(tmp_path, capsys):
     assert "OK" in out
 
 
-def test_module_entrypoint_runs_lint():
-    # `python -m repro lint` end to end, as CI invokes it.
+def _copy_clean_tree(tmp_path: Path) -> Path:
+    """Two modules of the tree that lint clean on their own (``rng.py``
+    through its pragma)."""
+    tree = tmp_path / "clean-tree"
+    for module in ("sim/rng.py", "storage/lsn.py"):
+        (tree / module).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy(REPRO_ROOT / module, tree / module)
+    return tree
+
+
+def test_module_entrypoint_runs_lint(tmp_path):
+    # `python -m repro lint` end to end, as CI invokes it — on a small
+    # tree: CI's lint step runs it on the real one, which
+    # ``test_tree_is_lint_clean`` lints once a session here.
+    tree = _copy_clean_tree(tmp_path)
     proc = subprocess.run(
-        [sys.executable, "-m", "repro", "lint", str(REPRO_ROOT)],
+        [sys.executable, "-m", "repro", "lint", str(tree)],
         capture_output=True, text=True, timeout=120,
         cwd=str(REPO_ROOT),
         env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin"})
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "checked 2 files: 0 finding(s)" in proc.stdout
     assert "OK" in proc.stdout

@@ -90,26 +90,36 @@ COORD_LOSS_STORMS = [
                  id="3dc-9n-harsh-s73"),
 ]
 #: the other half of the liveness FAILs, not coordination: a takeover's
-#: re-proposal wait (``core/recovery.py``, ``yield committed``) hangs
-#: with both followers RECOVERING, and ``_on_catchup_request`` drops
-#: their asks while the leader is not yet open for writes (ROADMAP)
-TAKEOVER_WAIT = ("recovery-liveness: leader_takeover's re-proposal wait "
-                 "hangs while its RECOVERING followers' catch-up asks "
-                 "are dropped (the cohort is not open for writes)")
+#: re-proposal wait (``core/recovery.py``, ``yield committed``) hung with
+#: both followers RECOVERING, while ``_on_catchup_request`` dropped their
+#: asks because the leader was not yet open for writes; a leader whose
+#: re-proposals are out now serves them
 TAKEOVER_WAIT_STORMS = [
-    pytest.param(seed, config, id=name,
-                 marks=pytest.mark.xfail(strict=True, reason=TAKEOVER_WAIT))
-    for seed, config, name in [
-        (62, ChaosConfig(), "flat-5n-s62"),
-        (34, ChaosConfig(**HARSH), "flat-5n-harsh-s34"),
-        (111, ChaosConfig(n_nodes=5, n_dcs=3), "3dc-5n-s111"),
-        (117, ChaosConfig(n_nodes=5, n_dcs=3), "3dc-5n-s117"),
-    ]
+    pytest.param(62, ChaosConfig(), id="flat-5n-s62"),
+    pytest.param(34, ChaosConfig(**HARSH), id="flat-5n-harsh-s34"),
+    pytest.param(111, ChaosConfig(n_nodes=5, n_dcs=3), id="3dc-5n-s111"),
+    pytest.param(117, ChaosConfig(n_nodes=5, n_dcs=3), id="3dc-5n-s117"),
+]
+#: storms whose elections counted announcements that had outlived their
+#: round (a restarted node's previous incarnation, a follower's from the
+#: last election) and elected a replica without acknowledged writes
+#: (recency, durability, ``log-prefix``); a round now counts one
+#: announcement per member, its latest, of the cohort's current epoch
+STALE_COUNT_STORMS = [
+    pytest.param(29, ChaosConfig(), id="flat-5n-s29"),
+    pytest.param(80, ChaosConfig(**HARSH), id="flat-5n-harsh-s80"),
+    pytest.param(30, ChaosConfig(n_nodes=5, n_dcs=3, **HARSH),
+                 id="3dc-5n-harsh-s30"),
+    pytest.param(43, ChaosConfig(n_nodes=9, n_dcs=3, **HARSH),
+                 id="3dc-9n-harsh-s43"),
+    pytest.param(91, ChaosConfig(n_nodes=9, n_dcs=3, **HARSH),
+                 id="3dc-9n-harsh-s91"),
 ]
 
 
 @pytest.mark.parametrize("seed, config",
-                         COORD_LOSS_STORMS + TAKEOVER_WAIT_STORMS)
+                         COORD_LOSS_STORMS + TAKEOVER_WAIT_STORMS
+                         + STALE_COUNT_STORMS)
 def test_regression_storm_recovers(seed, config):
     report = run_chaos(seed, config)
     assert report.ok and not report.violation_summary(), report.format()

@@ -328,11 +328,12 @@ def _a_lost_coordination_message_ends_the_session(match_payload):
 
 
 def test_a_lost_reply_to_a_candidate_ends_its_session():
-    def candidate_get_reply(env):
-        return (type(env) is Reply and env.req.payload.get("op") == "get"
-                and "/candidates/" in env.req.payload.get("path", ""))
+    def round_children_reply(env):
+        return (type(env) is Reply
+                and env.req.payload.get("op") == "children"
+                and env.req.payload.get("path") == "/cohorts/0")
 
-    _a_lost_coordination_message_ends_the_session(candidate_get_reply)
+    _a_lost_coordination_message_ends_the_session(round_children_reply)
 
 
 def test_a_lost_watch_event_to_a_leader_monitor_ends_its_session():

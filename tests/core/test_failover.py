@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.chaos.nemesis import FaultEvent, arm_schedule
 from repro.core import (RequestTimeout, Role, SpinnakerCluster,
                         SpinnakerConfig)
 from repro.core.messages import ClientGet
@@ -114,6 +115,34 @@ def test_failover_with_detection_timeout():
                       limit=40.0, what="new leader")
     elapsed = cluster.sim.now - t0
     assert elapsed >= 1.0  # dominated by the 2s session timeout
+    assert cluster.all_failures() == []
+
+
+def test_a_restarted_member_of_an_elected_cohort_announces_at_once():
+    """perfbench's ``failover`` schedule at seed 1, without its load:
+    cohort 0's leader, node0, crashes at 3 s and restarts at 8 s; at
+    12 s cohort 3's leader crashes with its session expired at once.
+    node0 is cohort 3's member in placement position 2.  The bootstrap
+    stagger (0.04 s a position) is for a cohort that never had a leader,
+    so the restarted node0 announces at once and the cohort opens within
+    30 ms of the expiry, not after waiting 0.08 s."""
+    config = SpinnakerConfig(log_profile=DiskProfile.ssd_log(),
+                             commit_period=0.3, client_try_timeout=0.25,
+                             client_max_retries=100)
+    cluster = SpinnakerCluster(n_nodes=5, config=config, seed=1)
+    cluster.start()
+    base = cluster.sim.now
+    arm_schedule(cluster, [
+        FaultEvent(at=3.0, kind="crash-leader", duration=5.0, cohort=0,
+                   fast_detect=False),
+        FaultEvent(at=12.0, kind="crash-leader", duration=4.0, cohort=3,
+                   fast_detect=True)])
+    cluster.run(12.0 + 1e-6)
+    assert cluster.leader_of(3) is None
+    cluster.run_until(lambda: cluster.leader_of(3) is not None,
+                      limit=1.0, step=0.0005, what="cohort 3 to open")
+    assert cluster.sim.now - (base + 12.0) < 0.030
+    assert "node0" in cluster.partitioner.cohort(3).members
     assert cluster.all_failures() == []
 
 

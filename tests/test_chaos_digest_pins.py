@@ -19,11 +19,11 @@ from repro.chaos import ChaosConfig, run_chaos
 STORMS = {
     "flat-5-defaults-seed21": (
         21, ChaosConfig(),
-        "30e78c9334a75be7bd6552e7147eb3a0b4b52a8c5b6bf09cd7633af3785585cb"),
+        "2a99a7730bb27988b6f1d558cbf44fbdc8f624028551caea2e6c9eed46a7890d"),
     "dc3-9-harsh-seed1": (
         1, ChaosConfig(n_nodes=9, n_dcs=3, mean_fault_gap=1.0,
                        mean_repair=2.0),
-        "7150bbfc4f59efa8e6b2b87d287c032b914f7b5826f75754c2a3fcca3efc646c"),
+        "77a5eaf25305c9946db0b39a6128a361c3534f5e57d983f4fbf168553fa5ed2d"),
 }
 
 

@@ -735,3 +735,47 @@ def test_steady_state_gets_and_puts_make_no_coordination_call():
     assert calls() == before
     assert service.expired_sessions == expired
     assert [node.session_losses for node in cluster.nodes.values()] == [0] * 3
+
+
+def election_requests(cluster, cohort_id):
+    """Kill the cohort's leader and count the coordination requests
+    (heartbeats aside) and the updates among them that each node sends,
+    until the cohort is open again and its monitors are back on their
+    ``leader`` watches.  Returns the victim and the counts by node."""
+    service = cluster.coord
+    sent = {}
+    inner = service._on_request
+
+    def counting(req):
+        op = req.payload.get("op")
+        if op != "heartbeat":
+            tally = sent.setdefault(req.src, Counter())
+            tally["requests"] += 1
+            tally["updates"] += op in ("create", "delete", "set")
+        inner(req)
+
+    service.endpoint.on_request(counting)
+    victim = cluster.kill_leader(cohort_id)
+    cluster.run_until(lambda: cluster.leader_of(cohort_id) is not None,
+                      limit=10.0, what="failover")
+    cluster.run(1.0)
+    return victim, sent
+
+
+def test_an_election_costs_the_winner_three_updates_and_a_follower_one():
+    """§7.2's argument needs an announcement from each candidate, the
+    ``leader`` create and the epoch bump: 3 updates for the winner, 1
+    for the follower.  Each sends its monitor's ``leader`` get, the
+    round's epoch get, the ``children`` read that finds no leader before
+    it announces, and the ``children`` read that names the winner; the
+    winner then claims and bumps, and the follower reads the round once
+    more when ``leader`` appears; each monitor's last ``leader`` get
+    re-arms its watch."""
+    cluster, _client = make_cluster()
+    victim, sent = election_requests(cluster, 0)
+    winner = cluster.leader_of(0)
+    follower, = set(cluster.partitioner.cohort(0).members) - {victim,
+                                                              winner}
+    assert set(sent) == {winner, follower}
+    assert sent[winner] == {"requests": 8, "updates": 3}
+    assert sent[follower] == {"requests": 7, "updates": 1}

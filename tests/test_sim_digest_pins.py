@@ -22,13 +22,13 @@ REPO = Path(__file__).resolve().parent.parent
 #: ``perfbench/run.py --workload W --seed 1 --quick --trace 0``
 SIM_DIGESTS = {
     "write_strong":
-        "8569777845c9e588175714a452eaae12654e002d78d21a506331a513a7fc13fa",
+        "c42c6e26309c6277e44d670f7da38e867ab2adc492e8215edfa5a29bbc4899e5",
     "read_strong":
-        "15b3aac270f3a20a813e5e638d3e3dd642c140e9d2cf6511d52e374ff33dfdbd",
+        "556269ad78c921104f81e1bede9e3194964b47347ac76b40a28fe0bfce38e245",
     "mixed_openloop":
-        "ddf5ec2f522c1d54f6910e50d9a3299d8f2ebfcd741cd6ca04f295d29077b2cf",
+        "531ca0b0d3c3026673b9af54b6da376c8d8e99ad9bc476ea8b191652a6b539d1",
     "failover":
-        "47e43d323c4cc928f8f47c37acd2f13604bc92b306f10290da64ed3247c63bdb",
+        "090fa294aec28d65f72118b36cda854bf1bd357dd369bb7642c8932a049bffec",
 }
 
 
