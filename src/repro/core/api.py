@@ -34,42 +34,43 @@ leader cache, and walks one request through these transitions until an
                                the one with the fewest of this client's
                                reads in flight, ties at random.
 ``send -> ok``                 cache target as leader (strong ops), done.
-``send -> RpcTimeout``         rotate to the next member (strong) or
-                               pick again without the timed-out
-                               replicas (timeline).  Holding (below): a
-                               strong get or write rotates to the next
-                               member it has not timed out on, and from
-                               now on names them (``timed_out``) and
-                               asks to be held for ``hold``, half the
-                               per-try budget.
-``send -> held``               holding only: the replica would name no
-                               leader, one in ``timed_out``, or itself
-                               in takeover, so it keeps the request,
-                               never serving it, until one of the two
-                               rows below.
+``send -> RpcTimeout``         a strong get or write rotates to the
+                               next member it has not timed out on, and
+                               from now on names them (``timed_out``)
+                               and asks to be held for ``hold``, half
+                               the per-try budget.  A strong scan
+                               rotates to the next member; a timeline
+                               op picks again without the timed-out
+                               replicas.
+``send -> held``               the replica would name no leader, one in
+                               ``timed_out``, or itself in takeover, so
+                               it keeps the request, never serving it,
+                               until one of the two rows below.
 ``send -> not-leader + news``  the replica names a leader this op has
                                not timed out on (at once, or ending a
                                hold when it learns of one or opens):
                                cache it and re-send there at once, no
                                backoff — once per member at most, then
                                as a hint.
-``in flight -> ended by a sibling's news``  holding only: another op
-                               of this client got news naming leader L,
-                               and this try's target, not L, is a
-                               member some op of the client had timed
-                               out on when it was sent (and has not
-                               since answered ``ok``).  It is handled
-                               as that news: re-sent to L at once.  A
-                               try to a member the client has not timed
-                               out on is never ended.
+``in flight -> ended by a sibling's news``  another op of this client
+                               got news naming leader L, and this try's
+                               target, not L, is a member some op of
+                               the client had timed out on when it was
+                               sent (and has not since answered
+                               ``ok``).  It is handled as that news:
+                               re-sent to L at once.  A try to a member
+                               the client has not timed out on is never
+                               ended.
 ``send -> not-leader/unavailable``  follow the ``hint`` if given, else
-                               rotate; jittered exponential backoff
+                               rotate, dropping a leader-cache entry
+                               that names the refuser; jittered
+                               exponential backoff
                                (``CLIENT_RETRY_BACKOFF`` doubling up to
                                ``CLIENT_RETRY_BACKOFF_CAP``).  An
-                               expired hold answers this way.  Holding,
-                               the leader cache, if set, names the
-                               target after the backoff: a sibling's
-                               news may have come meanwhile.
+                               expired hold answers this way.  A strong
+                               get or write then takes the leader
+                               cache's target, if set: a sibling's news
+                               may have come meanwhile.
 ``send -> wrong-node``         the replier holds no replica for the key
                                (a scan: or is on a newer layout than the
                                scan was planned on): drop a poisoned
@@ -83,12 +84,9 @@ leader cache, and walks one request through these transitions until an
                                routing key's cohort does not own: raise
                                :class:`DatastoreError` (terminal).
 
-Holding is on only while the per-try budget is shorter than
-``session_timeout``: then a client sees a dead leader before the
-coordination service does, and the replicas it asks still name the
-dead one.  With the default 2 s tries a timed-out try already spans
-detection, a follower's immediate answer names the new leader, and no
-message carries the two fields.  A scan is never held.
+The rows are chosen by op kind.  A strong get or write is the one that
+is held; a scan spans cohorts, and a timeline op has no leader to wait
+for, so neither is held.
 
 Invariants
 ----------
@@ -164,7 +162,7 @@ def fewest_in_flight(members, in_flight: Dict[str, int], rng) -> str:
 
 
 class _Try(Event):
-    """One strong try while holding is on: what its op waits on.  The
+    """One strong try to a suspect member: what its op waits on.  The
     RPC's reply or deadline triggers it through :meth:`relay`, unless a
     sibling op's leadership news ended it first (``woken``): then the
     RPC may still be on the wire, and its outcome is ignored."""
@@ -209,20 +207,17 @@ class SpinnakerClient:
                             CLIENT_RTT_MULTIPLIER * rtt)
         self._map_timeout = max(CLIENT_MAP_TIMEOUT,
                                 CLIENT_RTT_MULTIPLIER * rtt)
-        # A try shorter than the session timeout can see a dead leader
-        # before the coordination service does: then a strong op that
-        # timed out asks a live replica to hold it for leadership news
-        # (the routing state machine above).
-        self._hold = (self._per_try / 2
-                      if self._per_try < config.session_timeout else 0.0)
+        # A strong get or write that timed out asks a live replica to
+        # hold it this long for leadership news (the state machine above).
+        self._hold = self._per_try / 2
         self._rng = rng.stream(f"client:{name}")
         self._map: CohortMap = partitioner.snapshot()
         self._leader_cache: Dict[int, str] = {}
         # replica -> this client's timeline reads awaiting its reply
         self._reads_in_flight: Dict[str, int] = {}
-        # Holding only, per cohort: the members any of this client's
-        # ops timed out on until one answers ``ok``, and its strong
-        # tries in flight to such a member (an ordered set) — what a
+        # Per cohort: the members any of this client's strong gets and
+        # writes timed out on until one answers ``ok``, and their tries
+        # in flight to such a member (an ordered set) — what a
         # sibling's news may end.
         self._tries: Dict[int, Dict[_Try, None]] = {}
         self._suspects: Dict[int, set] = {}
@@ -450,9 +445,8 @@ class SpinnakerClient:
         deadline = now + cfg.client_op_timeout
         attempt = 0
         timed_out: set = set()
-        hold = self._hold
-        if hold and (not strong or type(msg) is ClientScan):
-            hold = 0.0      # a scan spans cohorts: it keeps the plain path
+        # Only a strong get or write is held: a scan spans cohorts.
+        hold = self._hold if strong and type(msg) is not ClientScan else 0.0
         news = 0                    # leadership news followed at once
         # Only timeline reads are counted: they alone pick by the count.
         reads = None if strong else self._reads_in_flight
@@ -525,7 +519,7 @@ class SpinnakerClient:
                 attempt += 1
                 self.retries += 1
                 hint = reply.get("hint")
-                if hold and reply.get("news"):
+                if reply.get("news"):
                     if wait is rpc or not wait.woken:
                         self._wake(cohort.cohort_id, reply)
                     # Follow leadership news at once, once per member
@@ -555,12 +549,15 @@ class SpinnakerClient:
                     self._leader_cache[cohort.cohort_id] = hint
                 else:
                     # No hint: rotate — re-asking the same non-leader
-                    # would just burn the op deadline.
+                    # would just burn the op deadline, as would the
+                    # re-pick below from a cache entry naming it.
+                    if self._leader_cache.get(cohort.cohort_id) == target:
+                        del self._leader_cache[cohort.cohort_id]
                     target = self._next_target(cohort, target)
                 yield timeout(sim, self._backoff(attempt, deadline))
                 if hold:
-                    # Pick the target after the backoff: a sibling's
-                    # news may have named the leader meanwhile.
+                    # Re-pick after the backoff: a sibling's news may
+                    # have named the leader meanwhile.
                     target = self._leader_cache.get(cohort.cohort_id,
                                                     target)
                 now = sim.now

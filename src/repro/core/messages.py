@@ -16,7 +16,7 @@ locating the key again; at any other version (or for a hand-built
 message left at the defaults, "not routed") it locates by key.
 
 A strong ``ClientGet`` or ``ClientWrite`` re-sent after a try timed out
-may also carry a **hold**: ``timed_out``, the members this operation
+carries a **hold**: ``timed_out``, the members this operation
 timed out on, and ``hold``, how long the client will wait for news of
 a leader.  A replica whose only answer would name one of them, name no
 leader, or name itself while still in takeover keeps the request for up

@@ -29,10 +29,10 @@ Steady state (Fig. 4):
 Strongly consistent reads are served only by the leader; timeline reads
 by any replica (possibly stale until the next commit message).
 
-A strong get or write refused here that asks to be held (``hold``, see
-:mod:`~repro.core.messages`) is answered ``not-leader`` marked ``news``
-if the leader it would name is one its client has not timed out on.
-Otherwise — no leader, one it timed out on, or this replica still in
+A strong get or write refused here that carries a hold (every re-send
+after a timeout, see :mod:`~repro.core.messages`) is answered
+``not-leader`` marked ``news`` if the leader it would name is one its
+client has not timed out on.  Otherwise — no leader, one it timed out on, or this replica still in
 takeover — it is kept, never served: :meth:`CohortReplica.release_held`
 answers it with ``news`` once ``set_leader`` names a leader or takeover
 opens the cohort, and ``_expire_hold`` with the plain answer when its

@@ -8,6 +8,9 @@ engine's own machinery — schedule generation is a pure function of
 minimizes, and the emitted regression test is valid Python.
 """
 
+import os
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 from repro.chaos import (ChaosConfig, ChaosReport, FaultEvent,
@@ -75,9 +78,30 @@ def _storm_sweep():
                         id=f"{dcs}dc-{nodes}n-{knobs}-s{seed}")
 
 
+#: the tests whose storms ``storm_reports`` runs in a process pool
+POOLED = ("test_storm_sweep_stays_clean", "test_regression_storm_recovers")
+
+
+@pytest.fixture(scope="session")
+def storm_reports(request):
+    """Node id -> future report, for every collected (so ``-k``
+    selected) test in ``POOLED``: their storms run in a process pool of
+    one worker per CPU, and each test asserts its own.  ``run_chaos`` is
+    deterministic in ``(seed, config)``, so a worker's report is the one
+    the test would have computed; an error in a storm is raised by its
+    own test."""
+    storms = {item.nodeid: item.callspec.params
+              for item in request.session.items
+              if getattr(item, "originalname", None) in POOLED}
+    with ProcessPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+        yield {nodeid: pool.submit(run_chaos, p["seed"], p["config"])
+               for nodeid, p in storms.items()}
+        pool.shutdown(cancel_futures=True)
+
+
 @pytest.mark.parametrize("seed, config", _storm_sweep())
-def test_storm_sweep_stays_clean(seed, config):
-    report = run_chaos(seed, config)
+def test_storm_sweep_stays_clean(seed, config, storm_reports, request):
+    report = storm_reports[request.node.nodeid].result()
     assert report.ok and not report.violation_summary(), report.format()
 
 
@@ -120,8 +144,8 @@ STALE_COUNT_STORMS = [
 @pytest.mark.parametrize("seed, config",
                          COORD_LOSS_STORMS + TAKEOVER_WAIT_STORMS
                          + STALE_COUNT_STORMS)
-def test_regression_storm_recovers(seed, config):
-    report = run_chaos(seed, config)
+def test_regression_storm_recovers(seed, config, storm_reports, request):
+    report = storm_reports[request.node.nodeid].result()
     assert report.ok and not report.violation_summary(), report.format()
 
 

@@ -444,9 +444,9 @@ def test_a_crash_ends_the_takeover_and_commit_loop_it_started(monkeypatch):
 
 # -- a client that sees a dead leader before the cluster does ---------------
 #
-# With ``client_try_timeout`` under ``session_timeout`` a strong op that
-# timed out on the dead leader asks a live replica to hold it until that
-# replica learns of a new leader (core/api.py, core/replication.py).
+# A strong op that timed out on the dead leader asks a live replica to
+# hold it until that replica learns of a new leader (core/api.py,
+# core/replication.py).
 
 def outage_cluster():
     """5 nodes and 0.25 s client tries, for a test to kill cohort 0's
@@ -704,35 +704,42 @@ def test_a_crash_of_the_holding_replica_drops_what_it_held():
     assert cluster.all_failures() == []
 
 
-def test_default_timeouts_resend_the_message_unchanged(monkeypatch):
-    """A 2 s try spans detection, so nothing is held: the re-send after a
-    timeout is the very message the first try sent."""
+def test_a_default_timeout_put_is_held_at_a_follower_until_news(
+        monkeypatch):
+    """A 2 s try spans detection, and the rule is the same: the put that
+    timed out on the dead leader is held at a follower, ended by news of
+    the new leader, and commits once, inside its hold — well before its
+    second 2 s try would have ended."""
     cluster = make_cluster()
-    assert cluster.config.client_try_timeout == cluster.config.session_timeout
+    per_try = cluster.config.client_try_timeout
+    assert per_try == cluster.config.session_timeout
     client = cluster.client()
     key = keys_for_cohort(cluster, 0, 1)[0]
     run_client(cluster, client.put(key, b"c", b"v1"))
-    sent = []
-    request = client.endpoint.request
-
-    def spy(dst, payload, **kw):
-        sent.append((dst, payload))
-        return request(dst, payload, **kw)
-
-    monkeypatch.setattr(client.endpoint, "request", spy)
+    sent = spy_sends(monkeypatch, client)
     old = cluster.kill_leader(0, skip_detection=False)
-    assert run_client(cluster, client.put(key, b"c", b"v2")).version == 2
-    first, resent = sent[0][1], sent[1][1]
-    assert sent[0][0] == old and resent is first
-    assert (first.timed_out, first.hold) == ((), 0.0)
-    assert sum(n["requests_held"]
-               for n in cluster.stats()["nodes"].values()) == 0
+    t0 = cluster.sim.now
+
+    def timed():
+        got = yield from client.put(key, b"c", b"v2")
+        return got, cluster.sim.now - t0
+
+    got, took = run_client(cluster, timed())
+    assert got.version == 2
+    assert took < per_try + client._hold
+    assert sent[0][1] == old and sent[1][1] != old
+    stats = cluster.stats()["nodes"]
+    assert sum(n["requests_held"] for n in stats.values()) >= 1
+    assert sum(n["holds_ended_news"] for n in stats.values()) >= 1
+    got = run_client(cluster, client.get(key, b"c", consistent=True))
+    assert (got.value, got.version) == (b"v2", 2)
+    assert cluster.all_failures() == []
 
 
 # -- a sibling's news ends the tries to the dead leader ----------------------
 #
-# Holding on, a client keeps its strong tries in flight and the members
-# any of its ops timed out on; news of a leader ends its other tries to
+# A client keeps its strong tries in flight and the members any of its
+# ops timed out on; news of a leader ends its other tries to
 # such a member (core/api.py, ``SpinnakerClient._wake``).
 
 def news_while_in_flight(monkeypatch):
@@ -866,29 +873,4 @@ def test_a_try_held_at_a_live_follower_is_not_ended_by_news(monkeypatch):
     cluster.run_until(lambda: all(op.triggered for op in ops), limit=10.0,
                       what="the puts")
     assert all(op.result().version == 2 for op in ops)
-    assert cluster.all_failures() == []
-
-
-def test_default_timeouts_track_and_end_nothing(monkeypatch):
-    """With 2 s tries nothing is held, so no try is tracked or ended,
-    though ops of one client overlap the dead leader's outage."""
-    cluster = make_cluster()
-    client = cluster.client()
-    keys = keys_for_cohort(cluster, 0, 4)
-    for key in keys:
-        run_client(cluster, client.put(key, b"c", b"v1"))
-    cluster.kill_leader(0, skip_detection=False)
-
-    def op(i, key):
-        yield timeout(cluster.sim, 0.3 * i)
-        if i % 2:
-            return (yield from client.get(key, b"c", consistent=True))
-        return (yield from client.put(key, b"c", b"v2"))
-
-    ops = [spawn(cluster.sim, op(i, key)) for i, key in enumerate(keys)]
-    cluster.run_until(lambda: all(o.triggered for o in ops), limit=30.0,
-                      what="the ops")
-    assert client.retries > 0 and all(o.ok for o in ops)
-    assert (client.tries_woken, client._tries, client._suspects) == (0, {},
-                                                                     {})
     assert cluster.all_failures() == []

@@ -245,7 +245,7 @@ def test_a_strong_scan_is_never_held():
     cluster = SpinnakerCluster(n_nodes=5, config=cfg, seed=3)
     cluster.start()
     client = cluster.client()
-    assert client._hold > 0         # a try shorter than session_timeout
+    assert client._hold > 0         # a strong get or write may be held
     run(cluster, client.put(b"A-key", b"c", b"v"))
     cohort_id = cluster.partitioner.locate(b"A-key").cohort_id
     sent = []

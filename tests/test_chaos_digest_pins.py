@@ -19,11 +19,11 @@ from repro.chaos import ChaosConfig, run_chaos
 STORMS = {
     "flat-5-defaults-seed21": (
         21, ChaosConfig(),
-        "2a99a7730bb27988b6f1d558cbf44fbdc8f624028551caea2e6c9eed46a7890d"),
+        "205c2d8f27801ca6108904c83166551f90c8682164b6a9bebb51dfb3f1403d17"),
     "dc3-9-harsh-seed1": (
         1, ChaosConfig(n_nodes=9, n_dcs=3, mean_fault_gap=1.0,
                        mean_repair=2.0),
-        "77a5eaf25305c9946db0b39a6128a361c3534f5e57d983f4fbf168553fa5ed2d"),
+        "795b9e37027c9b0409e268dfc05a27397ac5db300ec385c2b366617518ff762d"),
 }
 
 
