@@ -626,13 +626,14 @@ ABLATION_SKEW = Sweep([64, 160, 256], {
 
 
 def ablation_batching(series: Series, scale: float) -> Verdict:
-    """Leader proposal batching: where does the write knee move?
+    """Proposal batching: where does the write knee move?
 
     Fig. 16's memory-log configuration isolates the per-message CPU
     overheads that batching amortizes (no log device in the way).  Sweep
-    the batch-size cap under heavy concurrency and locate the knee: the
-    batcher should multiply peak throughput while an idle pipeline keeps
-    flushing every write immediately (no low-load latency tax).
+    the batch-size cap under heavy concurrency and locate the knee:
+    folding the proposes queued at busy followers should multiply peak
+    throughput, while no write waits for company (no low-load latency
+    tax).
     """
     off = series["batching-off"]
     b8 = series["batch-8"]

@@ -152,11 +152,9 @@ class SpinnakerCluster(SimHost):
                 "proposes_handled": sum(r.proposes_handled
                                         for r in node.replicas.values()),
                 "propose_batches_sent": sum(
-                    r.batcher.batches_sent
-                    for r in node.replicas.values()),
+                    r.proposes_sent for r in node.replicas.values()),
                 "records_batched": sum(
-                    r.batcher.records_batched
-                    for r in node.replicas.values()),
+                    r.records_proposed for r in node.replicas.values()),
                 # a follower's commit queue is its log above f.cmt
                 "pending_writes": sum(
                     len(r.queue) if r.role == Role.LEADER else len(

@@ -173,18 +173,6 @@ class CommitQueue:
                 entry.then()
         return committed
 
-    def pending_older_than(self, lsn: LSN, limit: int) -> int:
-        """Number of pending records strictly below ``lsn``, capped at
-        ``limit`` — the proposal batcher's congestion probe.  Entries are
-        LSN-ordered, so this is O(limit), not O(queue depth)."""
-        count = 0
-        for entry in self._entries:
-            for record in entry.records:
-                if record.lsn >= lsn or count >= limit:
-                    return count
-                count += 1
-        return count
-
     # ------------------------------------------------------------------
     def drop(self, lsn: LSN) -> Optional[WriteRecord]:
         """Remove a pending record that was discarded (logical

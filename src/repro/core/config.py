@@ -88,16 +88,13 @@ class SpinnakerConfig:
     #: log force.  False serializes them (ablation bench).
     parallel_force_and_propose: bool = True
 
-    # -- proposal batching (leader write pipeline; see core/batching.py) --
-    #: coalesce independent client writes into multi-record proposes
-    #: with one batched WAL force and one cumulative ack per peer
+    # -- proposal batching (see core/batching.py) -------------------------
+    #: a follower folds the proposes queued for its CPU into one slice
+    #: with one force and one cumulative ack; a new leader re-proposes
+    #: its tail in chunks (one record each when off)
     propose_batching: bool = True
-    #: flush a batch once it holds this many records
+    #: records in one folded slice or one takeover chunk, at most
     propose_batch_max_records: int = 8
-    #: longest the leader may hold a write back waiting for company; a
-    #: held write flushes sooner when the batcher's in-flight force
-    #: completes, the congestion drains or a batch limit is reached
-    propose_batch_window: float = 3.0e-3
 
     # -- hardware model ----------------------------------------------------
     log_profile: DiskProfile = field(default_factory=DiskProfile.sata_log)
@@ -131,8 +128,6 @@ class SpinnakerConfig:
             raise ValueError("commit_period must be positive")
         if self.propose_batch_max_records < 1:
             raise ValueError("propose_batch_max_records must be >= 1")
-        if self.propose_batch_window <= 0:
-            raise ValueError("propose_batch_window must be positive")
         if self.catchup_chunk_bytes < 1:
             raise ValueError("catchup_chunk_bytes must be >= 1")
         if (self.client_try_timeout <= 0

@@ -11,9 +11,9 @@ Steady state (Fig. 4):
   multi-column put, a §8.2 transaction) — reaches the **leader**, whose
   one handler, :meth:`CohortReplica.handle_client_write`, turns the ops
   into log records and hands them to :meth:`CohortReplica._replicate`:
-  commit queue first, then the :class:`~repro.core.batching.
-  ProposalBatcher` forces them as one batch *and in parallel* sends one
-  propose message to both followers;
+  commit queue first, then one force of them *and in parallel* one
+  propose message to both followers, at once (no hold for company, see
+  :mod:`~repro.core.batching`);
 * each **follower** logs the propose on arrival — only on top of the
   ``prev`` it names, so its log stays a prefix of the leader's stream —
   then forces it and acks after a CPU slice, which the proposes queued
@@ -61,13 +61,14 @@ See ``OBSERVABILITY.md``.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..sim.events import Event
 from ..sim.process import timeout
 from ..storage.lsn import LSN
 from ..storage.records import CommitMarker, WriteRecord
-from .batching import MAX_BATCH_BYTES, ProposalBatcher
+from .batching import MAX_BATCH_BYTES
 from .commitqueue import CommitQueue, PendingWrite
 from .config import (COMMIT_APPLY_SERVICE, CONDITIONAL_CHECK_SERVICE,
                      ELECTION_RETRY, EXTRA_OP_SERVICE, PROPOSE_RECORD_SERVICE,
@@ -117,7 +118,9 @@ class CohortReplica:
         self.engine = node.make_engine(cohort.cohort_id)
         self.queue = CommitQueue(acks_needed=node.config.majority - 1,
                                  finish_trace=self._finish_write_trace)
-        self.batcher = ProposalBatcher(self)
+        #: bumped by a crash or step-down: a force issued before it is
+        #: stale when it completes (``_forced``)
+        self._gen = 0
         self.role = Role.RECOVERING
         self.epoch = 0
         self.leader: Optional[str] = None
@@ -149,6 +152,9 @@ class CohortReplica:
         self._flushing = False
         # counters
         self.writes_served = 0
+        #: leader: proposes broadcast and the records they carried
+        self.proposes_sent = 0
+        self.records_proposed = 0
         self.reads_served = 0
         self.proposes_handled = 0
         #: follower: its last propose force, ``(wal.force handle, leader,
@@ -395,7 +401,7 @@ class CohortReplica:
         if ctx is not None:
             node.request_tracer.span_at(
                 ctx, "log_force", node.name, start=force_start,
-                batch_records=len(records), traced_members=1)
+                batch_records=len(records))
         self._replicate(records, node.guarded(self._reply_write, req, records),
                         already_logged=True, ctx=ctx)
 
@@ -409,9 +415,9 @@ class CohortReplica:
                    then: Callable[[], None], already_logged: bool = False,
                    ctx=None) -> None:
         """Fig. 4, leader side: queue the group as one commit-queue
-        entry, then force + propose in parallel — both owned by the
-        :class:`ProposalBatcher`, which keeps a submitted group
-        indivisible (one force, one propose).  ``already_logged``
+        entry, then force it and, in parallel, propose it — at once, in
+        this event: one force and one propose per group, so a
+        multi-operation transaction is never split.  ``already_logged``
         records are durable here (takeover re-proposals, the serialized
         ablation) and are only proposed.
 
@@ -423,7 +429,8 @@ class CohortReplica:
         node = self.node
         entry = PendingWrite(records, then, ctx)
         if ctx is not None:
-            entry.propose_span = node.request_tracer.start(
+            tracer = node.request_tracer
+            entry.propose_span = tracer.start(
                 ctx, "propose", node.name, records=len(records),
                 queue_depth=len(self.queue))
         self.queue.add(entry)
@@ -432,25 +439,41 @@ class CohortReplica:
             if ctx is not None:
                 entry.force_done = node.sim.now
             self._advance()
-            self.send_propose(records, (entry,))
         else:
-            self.batcher.submit(entry)
-
-    def send_propose(self, records: Sequence[WriteRecord],
-                     entries: Sequence[PendingWrite]) -> None:
-        """Fan one propose of ``records``, those of ``entries``, out to
-        the peers on top of ``proposed_top``.  With the cohort open, a
-        peer under catch-up is skipped: ``RECOVERING``, it would drop the
-        propose, and its push ends by re-proposing the pending queue to
-        it.  A takeover's re-proposals (cohort closed) go to every peer."""
+            if ctx is not None:
+                entry.force_span = tracer.start(
+                    ctx, "log_force", node.name, batch_records=len(records))
+            # A log without a device completes the force inside this
+            # append, before the propose goes out: nothing is acked yet.
+            node.wal.append_batch(records,
+                                  then=partial(self._forced, entry, self._gen))
+        # Each propose names the last one's top as its ``prev``.
         prev, self.proposed_top = self.proposed_top, records[-1].lsn
-        self.propose(records, entries, prev, self.peers())
+        self.proposes_sent += 1
+        self.records_proposed += len(records)
+        self.propose(records, (entry,), prev, self.peers())
+
+    def _forced(self, entry: PendingWrite, gen: int) -> None:
+        """The leader's own force of ``entry`` is durable — unless a
+        crash or step-down since it was issued made it stale."""
+        if gen != self._gen:
+            return
+        entry.forced = True
+        if entry.ctx is not None:            # quorum_wait starts
+            self.node.request_tracer.finish(entry.force_span)
+            entry.force_done = self.node.sim.now
+        self._advance()
 
     def propose(self, records: Sequence[WriteRecord],
                 entries: Sequence[PendingWrite], prev: LSN,
                 to: Sequence[str]) -> None:
-        """Send ``to`` one propose of ``records`` on top of ``prev`` —
-        on its own, a catch-up's pending tail to the one peer."""
+        """Send ``to`` one propose of ``records``, those of ``entries``,
+        on top of ``prev``: a write group to the peers (``_replicate``),
+        or a catch-up's pending tail to the one peer.  With the cohort
+        open, a peer under catch-up is skipped: ``RECOVERING``, it would
+        drop the propose, and its push ends by re-proposing the pending
+        queue to it.  A takeover's re-proposals (cohort closed) go to
+        every peer."""
         node, cfg = self.node, self.node.config
         propose = Propose(
             self.cohort_id, self.epoch, tuple(records), prev,
@@ -924,7 +947,7 @@ class CohortReplica:
         self.leader = None
         self.migrating = False
         self._clear_traces()
-        self.batcher.clear()
+        self._gen += 1
         self.queue.clear()
         self.engine.crash()
         self._release_write_block()
@@ -945,7 +968,7 @@ class CohortReplica:
         self.open_for_writes = False
         self.migrating = False
         self._clear_traces()
-        self.batcher.clear()
+        self._gen += 1
         self._release_write_block()
 
     def prepare_restart(self) -> None:

@@ -49,8 +49,9 @@ class WriteRecord:
     store-managed, monotonically increasing per-column version number
     exposed through ``get`` and checked by ``conditionalPut`` (§3).
 
-    ``size`` is the encoded size, computed once: the batcher, the
-    propose fan-out and three logs each charge it to a byte budget.
+    ``size`` is the encoded size, computed once: the leader's force,
+    the propose fan-out, a follower's folded slice and three logs each
+    charge it to a byte budget.
     Immutable, and all a memtable cell is: ``Memtable.apply`` stores it.
     """
 

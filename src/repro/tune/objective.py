@@ -14,8 +14,8 @@ letting attribution wins outvote real end-to-end latency.
 
 The phase term deliberately charges the focus phases' *absolute* mean
 time, not their share of the total.  An earlier share-based form
-(``p50 * (1 + emphasis * share)``) was gameable: a knob that
-*adds* latency in a non-focus phase (say a longer batch window) shrinks
+(``p50 * (1 + emphasis * share)``) was gameable: a knob that *adds*
+latency in a non-focus phase (say, holding writes for company) shrinks
 the focus phases' relative share and can lower the score while making
 every real metric worse.  Absolute time is immune — adding time
 elsewhere cannot reduce it.
@@ -49,8 +49,8 @@ class ObjectiveSpec:
     #: extra cost per ms spent in the focus phases.  Deliberately a
     #: *steering* weight, well below 1.0: at 1.0 the focus term rivals
     #: p50 itself and the search will trade real end-to-end latency for
-    #: attribution wins (e.g. longer batch windows shrink log_force's
-    #: mean while making every client wait longer).
+    #: attribution wins (e.g. holding writes for company shrinks
+    #: log_force's mean while making every client wait longer).
     phase_emphasis: float = 0.25
     #: ms of p50 one kreq/s of throughput is worth
     throughput_weight: float = 0.5

@@ -66,7 +66,7 @@ class TuneProfile:
 
 
 _BATCH_KNOBS = ("propose_batching", "propose_batch_max_records",
-                "propose_batch_window", "group_commit")
+                "group_commit")
 _PROTO_KNOBS = ("commit_period", "piggyback_commits")
 
 #: A deliberately bad starting overlay for recovery runs: batching and
@@ -114,8 +114,7 @@ PROFILES: Dict[str, TuneProfile] = {
         name="wan",
         base_config=lambda: SpinnakerConfig(
             log_profile=DiskProfile.ssd_log()),
-        searched=_PROTO_KNOBS + ("propose_batch_max_records",
-                                 "propose_batch_window"),
+        searched=_PROTO_KNOBS + ("propose_batch_max_records",),
         objective=ObjectiveSpec(
             focus_phases=("replicate_rtt", "quorum_wait"),
             throughput_weight=0.1),

@@ -67,9 +67,6 @@ KNOBS: Tuple[Knob, ...] = (
     Knob("propose_batching", False, True, candidates=(False, True)),
     Knob("propose_batch_max_records", 1, 128,
          candidates=(4, 8, 16, 32), gate="propose_batching"),
-    Knob("propose_batch_window", 1e-4, 1.6e-2,
-         candidates=(0.25e-3, 0.5e-3, 1.0e-3, 2.0e-3, 4.0e-3),
-         gate="propose_batching"),
     Knob("group_commit", False, True, candidates=(False, True)),
     Knob("order_preserving_keys", False, True),
     Knob("flush_threshold_bytes", 4096, 1 << 30),

@@ -1,5 +1,6 @@
-"""Tests for the leader-side proposal batcher (core/batching.py):
-packing, coalescing, the adaptive window, and leadership-change safety.
+"""Tests for proposal batching (core/batching.py): chunk packing, the
+leader's one force and one propose per write group, folding at a busy
+follower, and leadership-change safety.
 """
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from repro.core import SpinnakerCluster, SpinnakerConfig, Transaction
 from repro.core.batching import chunk_groups
 from repro.core.commitqueue import PendingWrite
+from repro.core.config import CORES_PER_NODE
 from repro.core.partition import key_of
 from repro.sim.disk import DiskProfile
 from repro.sim.process import spawn
@@ -86,27 +88,56 @@ def test_chunk_groups_respects_byte_limit():
 
 
 # ---------------------------------------------------------------------------
-# End-to-end coalescing
+# The leader: one force and one propose per write group, at once
 # ---------------------------------------------------------------------------
 
+def spy_replicate(leader):
+    """Wrap ``leader._replicate``: per call, the proposes it sent and
+    whether its records were in the log when it returned."""
+    calls = []
+    replicate = leader._replicate
+
+    def spied(records, then, **kwargs):
+        sent = leader.proposes_sent
+        replicate(records, then, **kwargs)
+        calls.append((leader.proposes_sent - sent, all(
+            leader.node.wal.contains(0, r.lsn) for r in records)))
+
+    leader._replicate = spied
+    return calls
+
+
 def test_concurrent_writes_coalesce_into_batches():
+    """Not at the leader: it sends one propose per write.  The proposes
+    that queue for a follower's busy cores fold into one CPU slice
+    (receive-side batching), up to ``propose_batch_max_records``."""
     cluster = make_cluster(seed=29)
     cluster.run(2.0)
     leader = cluster.replica(cluster.leader_of(0), 0)
-    before = leader.batcher.batches_sent
-    keys = cohort_keys(cluster, 0, 16)
+    follower = cluster.replica(leader.peers()[0], 0)
+    node = follower.node
+    slices = []
+    charge = node.charge
+
+    def counted(service_time, then, *args):
+        if then == follower._log_propose:
+            slices.append(args[0])
+        return charge(service_time, then, *args)
+
+    node.charge = counted
+    for _ in range(CORES_PER_NODE):         # every core busy for 20 ms
+        node.charge(0.02, lambda: None)
+    sent, handled = leader.proposes_sent, follower.proposes_handled
+    keys = cohort_keys(cluster, 0, 6)
     client = cluster.client()
     procs = [spawn(cluster.sim, client.put(k, b"c", b"v")) for k in keys]
     cluster.run_until(lambda: all(p.triggered for p in procs),
                       limit=30.0, what="concurrent puts")
     for proc in procs:
         assert proc.result().version == 1
-    batches = leader.batcher.batches_sent - before
-    assert leader.batcher.records_batched >= 16
-    assert batches < 16                    # some proposes were shared
-    assert leader.batcher.max_batch_records >= 2
-    assert (leader.batcher.max_batch_records
-            <= cluster.config.propose_batch_max_records)
+    assert leader.proposes_sent - sent == len(keys)
+    assert follower.proposes_handled - handled == len(keys)
+    assert len(slices) == 1                 # all six shared one slice
     assert cluster.all_failures() == []
 
 
@@ -115,6 +146,7 @@ def test_sequential_writes_never_wait_for_company():
     cluster.run(2.0)
     key = cohort_keys(cluster, 0, 1)[0]
     leader = cluster.replica(cluster.leader_of(0), 0)
+    calls = spy_replicate(leader)
     client = cluster.client()
 
     def scenario():
@@ -123,10 +155,40 @@ def test_sequential_writes_never_wait_for_company():
             assert result.version == i + 1
 
     run(cluster, scenario())
-    # An idle pipeline flushes each write immediately: no window ever
-    # opened, every batch carried exactly one record.
-    assert leader.batcher.windows_opened == 0
-    assert leader.batcher.max_batch_records == 1
+    # Each write was logged and proposed inside the call that admitted
+    # it: one propose each, none deferred to a later event.
+    assert calls == [(1, True)] * 10
+    assert cluster.all_failures() == []
+
+
+def test_a_write_is_forced_and_proposed_in_the_event_it_is_admitted():
+    """Older writes pending and the leader's force in flight — where the
+    batcher used to hold a write for company — the next write is still
+    logged and proposed at once, and leaves no timer behind."""
+    cluster = make_cluster(seed=37)
+    cluster.run(2.0)
+    leader = cluster.replica(cluster.leader_of(0), 0)
+    node, sim = leader.node, cluster.sim
+    keys = cohort_keys(cluster, 0, 3)
+
+    def make(key):
+        return WriteRecord(lsn=leader.alloc_lsn(), cohort_id=0, key=key,
+                           colname=b"c", value=b"v", version=1)
+
+    first = make(keys[0])
+    leader._replicate([first], lambda: None)
+    leader.queue.add(PendingWrite([make(keys[1])]))
+    assert not node.wal.durable(0, [first])         # its force in flight
+    sent, messages = leader.proposes_sent, cluster.network.messages_sent
+    heap = len(sim._heap)
+    record = make(keys[2])
+    leader._replicate([record], lambda: None)
+    assert node.wal.contains(0, record.lsn)
+    assert leader.proposes_sent == sent + 1
+    assert cluster.network.messages_sent == messages + len(leader.peers())
+    # the two proposes' deliveries; the force queued behind the busy
+    # device, which holds no heap entry of its own
+    assert len(sim._heap) == heap + len(leader.peers())
     assert cluster.all_failures() == []
 
 
@@ -135,6 +197,16 @@ def test_transaction_group_stays_indivisible():
     cluster.run(2.0)
     keys = cohort_keys(cluster, 0, 5)
     leader = cluster.replica(cluster.leader_of(0), 0)
+    forces = []
+    append_batch = leader.node.wal.append_batch
+
+    def spied(records, then=None):
+        if records[0].cohort_id == 0:
+            forces.append(len(records))
+        return append_batch(records, then=then)
+
+    leader.node.wal.append_batch = spied
+    sent, proposed = leader.proposes_sent, leader.records_proposed
     client = cluster.client()
 
     def scenario():
@@ -145,9 +217,11 @@ def test_transaction_group_stays_indivisible():
 
     result = run(cluster, scenario())
     assert result.version == 1
-    # Five records, limit two: an indivisible group travels oversized in
-    # a single propose rather than being split across forces.
-    assert leader.batcher.max_batch_records == 5
+    # Five records, limit two: the group is one force and one propose,
+    # never split across them — the limit caps folding, not a group.
+    assert forces == [5]
+    assert (leader.proposes_sent - sent,
+            leader.records_proposed - proposed) == (1, 5)
     client2 = cluster.client("client1")
     for k in keys:
         got = run(cluster, client2.get(k, b"c", consistent=True))
@@ -159,108 +233,32 @@ def test_transaction_group_stays_indivisible():
 # Leadership-change safety
 # ---------------------------------------------------------------------------
 
-def test_step_down_drops_buffered_records():
-    # Real queuing pressure: two older writes sit in the commit queue,
-    # the first with its batched force still in flight on the device —
-    # the next write opens the window, letting us catch it between
-    # queue.add and flush.
-    cluster = make_cluster(seed=37, propose_batch_window=5e-3)
+@pytest.mark.parametrize("loss", ["step_down", "crash"])
+def test_a_step_down_between_force_and_ack_commits_no_phantom(loss):
+    """Leadership lost with the write's force in flight: its force
+    completes against a bumped generation and marks nothing, so the
+    deposed leader commits, applies and answers nothing of it — even
+    as its followers' acks arrive."""
+    cluster = make_cluster(seed=37)
     cluster.run(2.0)
     leader = cluster.replica(cluster.leader_of(0), 0)
     node = leader.node
-    keys = cohort_keys(cluster, 0, 3)
-
-    def make(key):
-        return WriteRecord(lsn=leader.alloc_lsn(), cohort_id=0, key=key,
-                           colname=b"c", value=b"phantom", version=1)
-
-    leader._replicate([make(keys[0])], lambda: None)
-    sent = leader.batcher.batches_sent
-    assert leader.batcher._inflight_forces == 1
-    leader.queue.add(PendingWrite([make(keys[1])]))
-    record = make(keys[2])
-    leader._replicate([record], lambda: None)
-    assert leader.batcher.windows_opened == 1
-    assert record in leader.queue.pending_records()  # buffered, window
-    assert not node.wal.contains(0, record.lsn)
-    leader.step_down()
-    # The buffered record was never logged nor proposed; it must leave
-    # the queue so no later commit message can commit a phantom.
-    assert record not in leader.queue.pending_records()
-    cluster.run(1.0)
-    assert not node.wal.contains(0, record.lsn)
-    assert leader.batcher.batches_sent == sent
-    assert cluster.all_failures() == []
-
-
-def _record_forces(node):
-    """Log each batched append (``append``) and its force's completion
-    (``forced``) with the simulated time and the batch's first LSN."""
-    log = []
-    append_batch = node.wal.append_batch
-
-    def recorded(records, then):
-        def forced():
-            log.append(("forced", node.sim.now, records[0].lsn))
-            then()
-        log.append(("append", node.sim.now, records[0].lsn))
-        append_batch(records, then=forced)
-
-    node.wal.append_batch = recorded
-    return log
-
-
-def test_no_window_opens_with_no_batcher_force_in_flight():
-    # Two older writes wait in the commit queue — pressure — but the
-    # batcher has no force in flight whose completion would end a hold:
-    # the write goes out at once (receive-side batching at the followers
-    # saves what the hold would have).
-    cluster = make_cluster(seed=37, propose_batch_window=5e-3)
-    cluster.run(2.0)
-    leader = cluster.replica(cluster.leader_of(0), 0)
-    keys = cohort_keys(cluster, 0, 3)
-
-    def make(key):
-        return WriteRecord(lsn=leader.alloc_lsn(), cohort_id=0, key=key,
-                           colname=b"c", value=b"v", version=1)
-
-    for key in keys[:2]:
-        leader.queue.add(PendingWrite([make(key)]))
-    sent = leader.batcher.batches_sent
-    record = make(keys[2])
-    leader._replicate([record], lambda: None)
-    assert leader.batcher.windows_opened == 0
-    assert leader.batcher.batches_sent == sent + 1
-    assert leader.node.wal.contains(0, record.lsn)
-
-
-def test_a_window_opened_behind_a_force_flushes_when_that_force_completes():
-    """Passes before the hold rule changed too: a completing batcher
-    force has always flushed the buffer."""
-    cluster = make_cluster(seed=37, propose_batch_window=5e-3)
-    cluster.run(2.0)
-    leader = cluster.replica(cluster.leader_of(0), 0)
-    node = leader.node
-    log = _record_forces(node)
-    keys = cohort_keys(cluster, 0, 3)
-
-    def make(key):
-        return WriteRecord(lsn=leader.alloc_lsn(), cohort_id=0, key=key,
-                           colname=b"c", value=b"v", version=1)
-
-    first = make(keys[0])
-    leader._replicate([first], lambda: None)
-    leader.queue.add(PendingWrite([make(keys[1])]))
-    record = make(keys[2])
-    leader._replicate([record], lambda: None)
-    assert leader.batcher.windows_opened == 1
-    cluster.run(0.05)
-    (_, t0, lsn0), (_, t1, forced), (_, t2, held) = log[:3]
-    assert (lsn0, forced, held) == (first.lsn, first.lsn, record.lsn)
-    assert [kind for kind, _, _ in log[:3]] == ["append", "forced", "append"]
-    # flushed by the force's completion, well inside the window
-    assert t2 == t1 and t1 - t0 < cluster.config.propose_batch_window
-    assert leader.batcher._window is None
+    key = cohort_keys(cluster, 0, 1)[0]
+    record = WriteRecord(lsn=leader.alloc_lsn(), cohort_id=0, key=key,
+                         colname=b"c", value=b"phantom", version=1)
+    committed = []
+    leader._replicate([record], lambda: committed.append(record.lsn))
+    assert node.wal.contains(0, record.lsn)
+    assert not node.wal.durable(0, [record])
+    if loss == "crash":
+        node.crash()
+    else:
+        leader.step_down()
+    cluster.run(0.05)           # the force and both acks are in
+    assert committed == []
+    assert leader.committed_lsn < record.lsn
+    assert not [entry for entry in leader.queue if entry.forced]
+    assert leader.engine.get(key, b"c") is None
     assert cluster.all_failures() == []
 
 

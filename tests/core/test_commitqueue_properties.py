@@ -161,14 +161,6 @@ class RecordQueue:
             self.committed_lsn = upto
         return committed
 
-    def pending_older_than(self, lsn, limit):
-        count = 0
-        for pending_lsn in self._entries:
-            if pending_lsn >= lsn or count >= limit:
-                break
-            count += 1
-        return count
-
     def drop(self, lsn):
         entry = self._entries.pop(lsn, None)
         return entry.record if entry is not None else None
@@ -222,8 +214,8 @@ def test_the_group_queue_agrees_with_the_per_record_queue(acks_needed,
     logged already; clears.  The replica advances after every force,
     ack and re-proposal.  Both queues commit the same records in the
     same order, fire the same continuations in the same order, and agree
-    on the commit point, the pending records, their count, the newest
-    pending write per column and the batcher's congestion probe.
+    on the commit point, the pending records, their count and the newest
+    pending write per column.
 
     The one place they part: a re-proposal whose records were acked
     unevenly (a leftover some follower acked beside one it did not, or
@@ -298,10 +290,6 @@ def test_the_group_queue_agrees_with_the_per_record_queue(acks_needed,
         for key in KEYS:
             assert (queue.latest_pending_for(key, b"c")
                     == ref.latest_pending_for(key, b"c"))
-        for seq in range(1, next_seq + 1):
-            for limit in (2, next_seq):
-                assert (queue.pending_older_than(LSN(1, seq), limit)
-                        == ref.pending_older_than(LSN(1, seq), limit))
 
 
 def test_a_follower_acking_twice_counts_once():

@@ -1,7 +1,7 @@
 """The write path's two bounds on waiting for company.
 
-* The leader: a write held in the proposal batcher flushes within
-  ``propose_batch_window`` — it never rides out a slow force.
+* The leader: no write waits for company — each write group's force
+  and propose leave in the event it is admitted, however congested.
 * A follower: proposes whose CPU slices end while this replica's last
   force is still queued on the log device join that force, and the
   group gets one ``Ack``, for its top LSN (``CohortReplica._log_propose``).
@@ -10,7 +10,7 @@
 import pytest
 
 from repro.core import SpinnakerCluster, SpinnakerConfig
-from repro.core.batching import ProposalBatcher
+from repro.core.replication import CohortReplica
 from repro.core.messages import Ack, Propose
 from repro.sim.disk import DiskProfile
 from repro.sim.process import spawn
@@ -165,25 +165,23 @@ def test_a_crash_mid_group_acks_nothing():
     assert cluster.all_failures() == []
 
 
-def test_a_held_write_waits_at_most_the_window(monkeypatch):
-    """SATA, 24 closed-loop writers: the queue stays congested, so most
-    writes are held — each flushes within ``propose_batch_window``, even
-    with a seek-penalised force in flight (riding one held writes up to
-    26 ms on ``write_strong``)."""
-    held_since, waits = {}, []
-    submit, send = ProposalBatcher.submit, ProposalBatcher._send
+def test_no_write_waits_at_the_leader_for_company(monkeypatch):
+    """SATA, 24 closed-loop writers: the commit queue stays congested
+    behind seek-penalised forces, and still every write group is logged
+    and proposed in the call that admits it — the leader's batch hold
+    kept most of them up to 3 ms."""
+    admitted, depths = [], []
+    replicate = CohortReplica._replicate
 
-    def timed_submit(self, entry):
-        held_since[id(entry)] = self.replica.node.sim.now
-        submit(self, entry)
+    def spied(self, records, then, **kwargs):
+        depths.append(len(self.queue))
+        sent = self.proposes_sent
+        replicate(self, records, then, **kwargs)
+        admitted.append((self.proposes_sent - sent, all(
+            self.node.wal.contains(self.cohort_id, r.lsn)
+            for r in records)))
 
-    def timed_send(self, entries):
-        now = self.replica.node.sim.now
-        waits.extend(now - held_since.pop(id(entry)) for entry in entries)
-        send(self, entries)
-
-    monkeypatch.setattr(ProposalBatcher, "submit", timed_submit)
-    monkeypatch.setattr(ProposalBatcher, "_send", timed_send)
+    monkeypatch.setattr(CohortReplica, "_replicate", spied)
     cfg = SpinnakerConfig(log_profile=DiskProfile.sata_log())
     cluster = SpinnakerCluster(n_nodes=3, config=cfg, seed=43)
     cluster.start()
@@ -197,7 +195,7 @@ def test_a_held_write_waits_at_most_the_window(monkeypatch):
     procs = [spawn(cluster.sim, writer(w)) for w in range(24)]
     cluster.run_until(lambda: all(p.triggered for p in procs), limit=60.0,
                       what="the writers")
-    assert len(waits) >= 24 * 25
-    assert sum(wait > 0 for wait in waits) > len(waits) // 2   # held
-    assert max(waits) <= cfg.propose_batch_window + 1e-12
+    assert len(admitted) >= 24 * 25
+    assert max(depths) > 2                  # congested: the hold's case
+    assert set(admitted) == {(1, True)}
     assert cluster.all_failures() == []

@@ -319,27 +319,20 @@ def test_a_follower_acks_only_after_queueing_on_a_deviceless_log(shape,
     assert follower.role == Role.FOLLOWER and follower.node.failures == []
 
 
-def test_the_batcher_counts_its_force_before_it_can_complete():
-    """``_inflight_forces`` goes up before the append: where the force
-    completes inside it, the completion (which commits and may flush the
-    buffer) sees its own force in flight, not -1."""
+def test_a_force_that_completes_inside_the_append_marks_its_entry():
+    """Where the log has no device the force completes inside the
+    append, before the propose goes out: the entry is forced, nothing
+    is acked yet, so nothing commits until an ack arrives."""
     from repro.storage.wal import SharedLog
     cluster, leader, follower, key = make_cluster()
     leader.node.wal = SharedLog()
-    batcher = leader.batcher
-    seen = []
-    advance = leader._advance
-
-    def spy():
-        seen.append(batcher._inflight_forces)
-        advance()
-
-    leader._advance = spy
     record = WriteRecord(lsn=leader.alloc_lsn(), cohort_id=COHORT, key=key,
                          colname=b"c", value=b"v", version=1)
-    leader._replicate([record], lambda: None)
-    assert batcher.batches_sent == 1
-    assert seen == [0] and batcher._inflight_forces == 0
+    committed = []
+    leader._replicate([record], lambda: committed.append(record.lsn))
+    (entry,) = leader.queue
+    assert entry.forced and entry.acks == frozenset()
+    assert leader.proposes_sent == 1 and committed == []
 
 
 def test_a_propose_reply_to_a_crashed_incarnation_is_stale():
@@ -352,7 +345,7 @@ def test_a_propose_reply_to_a_crashed_incarnation_is_stale():
                          colname=b"c", value=b"v", version=1)
     committed = []
     leader._replicate([record], lambda: committed.append(record.lsn))
-    assert leader.batcher.batches_sent == 1     # both proposes in flight
+    assert leader.proposes_sent == 1     # both proposes in flight
     stale, dropped = endpoint.stale_replies, cluster.network.messages_dropped
     node.crash()
     node.restart()              # back before either ack lands

@@ -1,7 +1,7 @@
 """A bounded model check of the prefix rule (PROTOCOL.md, *The prefix rule*).
 
 Three replicas of one cohort run the real ``CohortReplica`` handlers —
-the leader's ``_replicate`` / ``send_propose`` / ``_on_ack`` /
+the leader's ``_replicate`` / ``propose`` / ``_on_ack`` /
 ``broadcast_commit``, a follower's ``handle_propose`` / ``handle_commit``,
 catch-up's ``build_catchup_chunk`` and the node's chunk handler, local
 recovery — on device-less logs, so every step runs to its end at once.

@@ -209,7 +209,8 @@ class TestTakeoverTruncation:
 class TestBatchedForceAttribution:
     def test_shared_force_attributed_once_per_member(self):
         # SATA forces are slow; a burst of concurrent same-cohort writes
-        # congests the commit queue and engages the proposal batcher.
+        # queues forces behind a busy log device, whose group commit
+        # writes them in one device operation.
         cluster, tracer = _traced_cluster(
             seed=2, config=SpinnakerConfig(
                 log_profile=DiskProfile.sata_log()))
@@ -217,6 +218,8 @@ class TestBatchedForceAttribution:
         cohort = cluster.partitioner.cohort_for_key(key_of(b"bk-0"))
         cid = cohort.cohort_id
         keys = cluster.keys_in_cohort(cid, 12, b"bk-")
+        leader = cluster.nodes[cluster.leader_of(cid)].replicas[cid]
+        sent = leader.proposes_sent
         done = {"n": 0}
 
         def one(key):
@@ -227,32 +230,27 @@ class TestBatchedForceAttribution:
             spawn(cluster.sim, one(key), name=f"w-{key.decode()}")
         cluster.run_until(lambda: done["n"] == len(keys), limit=60.0,
                           what="burst writes")
-
-        leader = cluster.nodes[cluster.leader_of(cid)]
-        batcher = leader.replicas[cid].batcher
-        assert batcher.batches_sent < len(keys), \
-            "burst did not engage batching; test premise broken"
+        # one force and one propose per write, none held for company
+        assert leader.proposes_sent - sent == len(keys)
 
         views = collect_traces(tracer, op="write")
         assert len(views) == len(keys)
-        intervals = []
+        ends = []
         for view in views:
             assert view.completed and not view.truncated
             forces = [s for s in view.spans if s.name == "log_force"]
-            # exactly one force span per request: the shared force is
-            # attributed to every member, never double-counted
+            # exactly one force span per request: its own force, from
+            # its submission to the device operation that wrote it
             assert len(forces) == 1
             span = forces[0]
-            intervals.append((span.start, span.end))
+            ends.append(span.end)
+            assert span.fields["batch_records"] == 1
             # per-trace phase sums see the full force duration
             assert phase_durations(view)["log_force"] == pytest.approx(
                 span.end - span.start)
-        # members of a shared batched force report identical intervals
-        by_interval = {}
-        for interval in intervals:
-            by_interval[interval] = by_interval.get(interval, 0) + 1
-        assert max(by_interval.values()) >= 2, \
-            "no two traces shared a force interval"
+        # forces queued behind one device operation finish together
+        assert max(ends.count(end) for end in ends) >= 2, \
+            "no two writes shared a device operation"
         # and the span count matches requests, not requests x batchmates
         leader_forces = [s for s in tracer.spans()
                          if s.name == "log_force"]

@@ -335,8 +335,8 @@ def test_value_types_are_built_without_dataclass_machinery():
 
 def test_a_record_is_sized_once():
     """The lengths of key, column and value are taken where the record
-    is built — not again in the batcher, the propose fan-out and each of
-    the three logs."""
+    is built — not again in the leader's force, the propose fan-out and
+    each of the three logs."""
     assert put_tally()["record_size_lens"] == 3 * PUTS
 
 
@@ -469,6 +469,70 @@ def test_proposes_queued_behind_a_saturated_follower_cost_one_charge():
         sys.setprofile(None)
     assert charges["built"] == 1
     assert node.cpu.queue_length == 1
+
+
+def concurrent_write_tally(writers=48, puts=8):
+    """``writers`` closed-loop clients, ``puts`` each, on a 3-node
+    memory-log cluster: the proposes built (all by leaders, one per
+    ``Propose``), the proposes the followers handled and the CPU slices
+    they ran for them (a ``Charge`` whose continuation is
+    ``_log_propose``)."""
+    cfg = SpinnakerConfig(log_profile=DiskProfile.memory_log())
+    cluster = SpinnakerCluster(n_nodes=3, config=cfg, seed=5)
+    cluster.start()
+    cluster.run(2.0)
+    tally = Counter()
+    propose_init = Propose.__init__.__code__
+    charge_init = Charge.__init__.__code__
+    log_propose = CohortReplica._log_propose
+
+    def hook(frame, event, arg):
+        if event != "call":
+            return
+        if frame.f_code is propose_init:
+            tally["proposes"] += 1
+        elif frame.f_code is charge_init:
+            # NodeHost.charge: Charge(cpu, t, _resume, incarnation, then, args)
+            args = frame.f_locals["args"]
+            if len(args) == 3 and getattr(args[1], "__func__",
+                                          None) is log_propose:
+                tally["follower_slices"] += 1
+
+    def writer(w):
+        client = cluster.client(f"writer{w}")
+        for i in range(puts):
+            yield from client.put(b"cw%d-%d" % (w, i), b"c", b"v" * 64)
+
+    handled = sum(r.proposes_handled for node in cluster.nodes.values()
+                  for r in node.replicas.values())
+    sys.setprofile(hook)
+    try:
+        procs = [spawn(cluster.sim, writer(w)) for w in range(writers)]
+        cluster.run_until(lambda: all(p.triggered for p in procs),
+                          limit=60.0, what="the writers")
+    finally:
+        sys.setprofile(None)
+    for proc in procs:
+        proc.result()
+    tally["puts"] = writers * puts
+    tally["handled"] = sum(r.proposes_handled
+                           for node in cluster.nodes.values()
+                           for r in node.replicas.values()) - handled
+    assert cluster.all_failures() == []
+    return tally
+
+
+def test_a_leader_proposes_each_write_group_at_once_and_followers_fold():
+    """Under 48 concurrent writers the leader still sends exactly one
+    ``Propose`` per write group — no hold for company (the batch hold
+    sent fewer, folding groups at the leader) — to each of two peers,
+    and the followers fold the proposes queued behind their busy cores:
+    fewer CPU slices than proposes handled."""
+    tally = concurrent_write_tally()
+    assert tally["proposes"] == tally["puts"] == 384
+    assert tally["handled"] == 2 * tally["puts"]
+    # 768 slices, one per propose, if the followers stopped folding
+    assert tally["follower_slices"] == 370
 
 
 def test_an_rpc_keeps_no_pending_table():

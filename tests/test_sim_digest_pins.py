@@ -22,13 +22,13 @@ REPO = Path(__file__).resolve().parent.parent
 #: ``perfbench/run.py --workload W --seed 1 --quick --trace 0``
 SIM_DIGESTS = {
     "write_strong":
-        "c42c6e26309c6277e44d670f7da38e867ab2adc492e8215edfa5a29bbc4899e5",
+        "8a8ddf40a6be2dcec04c2fef1956909e676570cb77381621c47564d685b581ab",
     "read_strong":
-        "556269ad78c921104f81e1bede9e3194964b47347ac76b40a28fe0bfce38e245",
+        "9da21fedfa8f90af334932c7b2f1b99bd05962412b1e443b6bdb07199132caa2",
     "mixed_openloop":
-        "531ca0b0d3c3026673b9af54b6da376c8d8e99ad9bc476ea8b191652a6b539d1",
+        "1de5f90f3549d065bd71cbf7fda5899e585cf8047b7de805f3e3bdcaf2b453a1",
     "failover":
-        "090fa294aec28d65f72118b36cda854bf1bd357dd369bb7642c8932a049bffec",
+        "47538d39e55aef40f61a768f665abf91b0f8da1b7256c620d7d55eed9c8fe0bf",
 }
 
 

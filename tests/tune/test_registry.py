@@ -37,7 +37,7 @@ def test_registry_is_the_config_fields_minus_log_profile():
     fields = [f.name for f in dataclasses.fields(SpinnakerConfig)]
     assert [k.name for k in KNOBS] == [f for f in fields
                                        if f != "log_profile"]
-    assert (len(fields), len(KNOBS)) == (16, 15)
+    assert (len(fields), len(KNOBS)) == (15, 14)
     assert len(dataclasses.fields(CassandraConfig)) == 5
 
 
@@ -45,7 +45,6 @@ def test_registry_is_the_config_fields_minus_log_profile():
     ("replication_factor", 0),
     ("commit_period", 0.0),
     ("propose_batch_max_records", 0),
-    ("propose_batch_window", 0.0),
     ("catchup_chunk_bytes", 0),
     ("client_try_timeout", 0.0),
     ("client_op_timeout", CLIENT_RETRY_BACKOFF_CAP / 2),

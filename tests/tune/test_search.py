@@ -72,8 +72,7 @@ def test_no_ledger_row_probes_a_gated_knob_while_its_gate_is_off():
     gated = TuneProfile(
         name="gated",
         base_config=TINY.base_config,
-        searched=("propose_batching", "propose_batch_max_records",
-                  "propose_batch_window"),
+        searched=("propose_batching", "propose_batch_max_records"),
         objective=TINY.objective,
         n_nodes=3, threads=2, ops_per_thread=6, warmup_ops=2)
     probed = set()
@@ -86,7 +85,7 @@ def test_no_ledger_row_probes_a_gated_knob_while_its_gate_is_off():
                 assert trial.values.get(gate, True), trial.to_json()
                 probed.add(trial.knob)
     # batching on (the default): the batch shape is searched
-    assert probed == {"propose_batch_max_records", "propose_batch_window"}
+    assert probed == {"propose_batch_max_records"}
 
 
 def test_start_overlay_seeds_the_baseline():
@@ -118,4 +117,4 @@ def test_cli_list_knobs(capsys):
     from repro.tune.cli import main
     assert main(["--profile", "sata", "--list-knobs"]) == 0
     out = capsys.readouterr().out
-    assert "propose_batch_window" in out and "grid=" in out
+    assert "propose_batch_max_records" in out and "grid=" in out
